@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check test test-short race race-core registry-coverage golden-check loopback-check vet fuzz fuzz-smoke bench bench-json bench-check experiments examples cover clean
+.PHONY: all build check test test-short race race-core registry-coverage golden-check loopback-check fmt-check vet fuzz fuzz-smoke bench bench-json bench-check experiments examples cover clean
 
 all: build vet test
 
@@ -13,9 +13,13 @@ all: build vet test
 # experiment-registry coverage sweep, a short fuzz pass over the
 # parsers, the golden-output regeneration diff (possible since the
 # golden file is timing-free; any drift in any experiment fails here),
-# the benchmark regression gate, and the real-socket loopback
-# conformance run.
-check: build vet test race-core registry-coverage fuzz-smoke golden-check bench-check loopback-check
+# the benchmark regression gate, the real-socket loopback
+# conformance sweep, and a gofmt cleanliness check.
+check: fmt-check build vet test race-core registry-coverage fuzz-smoke golden-check bench-check loopback-check
+
+# Every Go file must already be gofmt-formatted.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # Vet first so a broken build fails fast instead of surfacing as a
 # confusing mid-run race failure. The dense-core packages (graph, pref,
@@ -94,13 +98,15 @@ golden-check:
 	diff -u experiments_full.txt .experiments_regen.txt
 	rm -f .experiments_regen.txt
 
-# Real-socket conformance: a seeded workload runs once on the
+# Real-socket conformance: seeded workloads run once on the
 # deterministic event simulator and once on a loopback UDP cluster
 # (internal/transport) with the full reliable/detector stack; the
-# matching must be the same LIC either way. This is the gate that keeps
-# the wire layer honest against the simulator the experiments certify.
+# matching must be the same LIC either way — for the n=32 anchor and
+# for a sweep over the gnp, geometric, ba and ring families, four seeds
+# each. This is the gate that keeps the wire layer honest against the
+# simulator the experiments certify.
 loopback-check:
-	$(GO) test -count=1 -run 'TestLoopbackClusterLIC|TestClusterCoalescing' ./internal/transport
+	$(GO) test -count=1 -run 'TestLoopbackClusterLIC|TestLoopbackClusterLICSweep|TestClusterCoalescing' ./internal/transport
 
 # Regenerate the validation suite (EXPERIMENTS.md's source of truth).
 experiments:

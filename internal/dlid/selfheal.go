@@ -41,7 +41,7 @@ type SelfHealResult struct {
 	// Monitors[i].Events holds the verdict log for latency analysis.
 	Monitors []*detector.Monitor
 	// Endpoints are the transport layer instances (nil when disabled).
-	Endpoints []*reliable.Endpoint
+	Endpoints  []*reliable.Endpoint
 	Suspicions int
 	Restores   int
 }

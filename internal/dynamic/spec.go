@@ -15,15 +15,15 @@ import (
 // ChurnSpec is the replayable grammar for a synthetic membership feed,
 // in the style of faults.Spec / workload.Spec:
 //
-//	events=200,leave=0.5,minalive=8,rate=2
+//		events=200,leave=0.5,minalive=8,rate=2
 //
-//   - events: number of membership events to generate (required > 0)
-//   - leave: probability an event is a leave when both directions are
-//     possible (default 0.5)
-//   - minalive: leaves are suppressed at or below this population
-//     (default 2)
-//   - rate: mean events per unit of virtual time; inter-arrival gaps
-//     are exponential, so the feed is a Poisson process (default 1)
+//	  - events: number of membership events to generate (required > 0)
+//	  - leave: probability an event is a leave when both directions are
+//	    possible (default 0.5)
+//	  - minalive: leaves are suppressed at or below this population
+//	    (default 2)
+//	  - rate: mean events per unit of virtual time; inter-arrival gaps
+//	    are exponential, so the feed is a Poisson process (default 1)
 //
 // The empty string and "off" parse to the zero spec (no churn).
 // ParseChurnSpec(s.String()) round-trips for any valid spec.

@@ -5,8 +5,8 @@ import (
 
 	"overlaymatch/internal/dlid"
 	"overlaymatch/internal/matching"
-	"overlaymatch/internal/robust"
 	"overlaymatch/internal/rng"
+	"overlaymatch/internal/robust"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 )

@@ -187,10 +187,10 @@ type GreedyStats struct {
 // node and the schedule terminates with all nodes admitted.
 type GreedyAdmitter struct {
 	nodes []*Node
-	ord   []uint64          // EdgeID-aligned packed order keys
-	inc   [][]graph.EdgeID  // per-node incident EdgeIDs, weight-list aligned
-	fcur  []int             // per-node frontier scan cursor (monotone)
-	adm   []int32           // admission round per node (0 = unadmitted)
+	ord   []uint64         // EdgeID-aligned packed order keys
+	inc   [][]graph.EdgeID // per-node incident EdgeIDs, weight-list aligned
+	fcur  []int            // per-node frontier scan cursor (monotone)
+	adm   []int32          // admission round per node (0 = unadmitted)
 	round int32
 	heap  frontierHeap
 	cap   int // max nodes per round (0 = unlimited)

@@ -132,7 +132,7 @@ func (m *Matching) preallocate(s *pref.System) {
 		if d := m.g.Degree(i); d < c {
 			c = d
 		}
-		m.conns[i] = buf[off:off : off+c]
+		m.conns[i] = buf[off : off : off+c]
 		off += c
 	}
 }

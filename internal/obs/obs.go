@@ -73,7 +73,7 @@ type SpanID uint64
 
 // Event is one record of the telemetry log.
 type Event struct {
-	Seq     int     // global record order (0-based)
+	Seq     int // global record order (0-based)
 	Type    EventType
 	Node    int     // acting node
 	Peer    int     // send: destination; deliver: source; else -1

@@ -39,11 +39,14 @@ type ClusterConfig struct {
 	CoalesceBytes int
 	// Timeout bounds Run's wait for cluster quiescence (default 30s).
 	Timeout time.Duration
-	// IdleWindow is how long every node must be silent — halted, empty
-	// inbox, no pending timers, no wire activity — before Run declares
-	// the run complete (default 150ms). With the reliable layer in the
-	// stack, Halt already certifies full acknowledgment, so the window
-	// only has to outlast residual duplicate/heartbeat traffic.
+	// IdleWindow is the fallback when counts never balance: after a
+	// datagram is lost, Run's counting certificate can no longer hold,
+	// and the run ends once every node has been silent — halted, empty
+	// inbox, no pending timers, no wire activity — for this long
+	// (default 150ms). With the reliable layer in the stack, Halt
+	// already certifies full acknowledgment, so the window only has to
+	// outlast residual duplicate/heartbeat traffic. A run that loses
+	// nothing never waits for it.
 	IdleWindow time.Duration
 }
 
@@ -106,13 +109,38 @@ func (c *Cluster) Nodes() []*UDPNode { return c.nodes }
 // socket cluster has no global virtual clock; Dropped counts ingress
 // discards: CRC damage, decode failures, unknown senders).
 //
-// Unlike the Runner there is no omniscient "event queue empty"
-// condition on a real network, so termination is the quiescence
-// heuristic documented on UDPNode.Quiet. Protocol stacks that ride a
-// lossy wire should include the reliable layer, whose deferred Halt
-// makes "every node halted" a genuine all-frames-acknowledged
-// certificate. On timeout Run returns the stats gathered so far and an
-// error naming the stuck nodes, mirroring GoRunner's deadline error.
+// Termination is certified by counting, in the style of Mattern's
+// four-counter method — the wall-clock form of the GoRunner's
+// "nothing pending, nothing outstanding" check. Every node keeps two
+// monotone counters: activations (its Init, each frame it sends, each
+// timer it arms — counted before the work can start) and completions
+// (each Init or HandleMessage call that has returned). Every 1 ms Run
+// sums all completions (wave 1), then all activations (wave 2). If the
+// sums are equal, the run has terminated at some instant t between the
+// waves:
+//
+//   - C(t) ≥ wave 1's sum, because completions only grow after they
+//     are read;
+//   - A(t) ≤ wave 2's sum, because activations are read after t;
+//   - C(t) ≤ A(t) at every instant, because each handler call is
+//     counted as an activation before it can complete.
+//
+// So C(t) = A(t): at t no handler was running, no frame was in flight
+// and no timer was pending. New work only starts inside a handler, so
+// nothing can ever happen again. (The inequality needs a wire that
+// never duplicates a datagram, which loopback UDP does not.) If every
+// node has halted, the run succeeded; otherwise it is deadlocked, and
+// Run returns the Runner's "never halted" error at once.
+//
+// A datagram the kernel drops leaves its activation without a
+// completion forever. Such a run still ends through the fallback:
+// every node UDPNode.Quiet for ClusterConfig.IdleWindow. Protocol
+// stacks that ride a lossy wire should include the reliable layer,
+// whose deferred Halt makes "every node halted" an
+// all-frames-acknowledged certificate, so the window only has to
+// outlast residual traffic. On timeout Run returns the stats gathered
+// so far and an error naming the stuck nodes, mirroring GoRunner's
+// deadline error.
 func (c *Cluster) Run(handlers []simnet.Handler) (simnet.Stats, error) {
 	if len(handlers) != len(c.nodes) {
 		return simnet.Stats{}, fmt.Errorf("transport: %d handlers for %d nodes", len(handlers), len(c.nodes))
@@ -123,16 +151,13 @@ func (c *Cluster) Run(handlers []simnet.Handler) (simnet.Stats, error) {
 
 	window := c.cfg.idleWindow()
 	deadline := time.Now().Add(c.cfg.timeout())
-	var timedOut bool
+	var certified, timedOut bool
 	for {
-		quiet := true
-		for _, nd := range c.nodes {
-			if !nd.Quiet(window) {
-				quiet = false
-				break
-			}
+		if c.balanced() {
+			certified = true
+			break
 		}
-		if quiet {
+		if c.quiet(window) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -142,6 +167,17 @@ func (c *Cluster) Run(handlers []simnet.Handler) (simnet.Stats, error) {
 		time.Sleep(time.Millisecond)
 	}
 
+	// Certified termination is final: no handler runs again, so a node
+	// that has not halted by now never will.
+	deadlocked := -1
+	if certified {
+		for _, nd := range c.nodes {
+			if !nd.Halted() {
+				deadlocked = nd.ID()
+				break
+			}
+		}
+	}
 	// Close before reading stats: stopping every goroutine both
 	// quiesces the counters and establishes the happens-before edge
 	// that makes the unlocked sentByKind maps safe to read.
@@ -149,8 +185,9 @@ func (c *Cluster) Run(handlers []simnet.Handler) (simnet.Stats, error) {
 	if timedOut {
 		for _, nd := range c.nodes {
 			if !nd.Quiet(window) {
-				stuck = append(stuck, fmt.Sprintf("node %d (halted=%v queued=%d timers=%d)",
-					nd.ID(), nd.Halted(), nd.inbox.len(), nd.pendingTimers.Load()))
+				stuck = append(stuck, fmt.Sprintf("node %d (halted=%v queued=%d timers=%d activations=%d completions=%d)",
+					nd.ID(), nd.Halted(), nd.inbox.len(), nd.pendingTimers.Load(),
+					nd.activations.Load(), nd.completions.Load()))
 			}
 		}
 	}
@@ -172,11 +209,37 @@ func (c *Cluster) Run(handlers []simnet.Handler) (simnet.Stats, error) {
 			stats.SentByKind[k] += v
 		}
 	}
+	if deadlocked >= 0 {
+		return stats, fmt.Errorf("transport: node %d never halted (deadlock)", deadlocked)
+	}
 	if timedOut {
 		return stats, fmt.Errorf("transport: cluster not quiescent after %v: %s",
 			c.cfg.timeout(), strings.Join(stuck, "; "))
 	}
 	return stats, nil
+}
+
+// balanced runs the two counting waves of Run's termination check:
+// every node's completions first, then every node's activations.
+func (c *Cluster) balanced() bool {
+	var done, begun int64
+	for _, nd := range c.nodes {
+		done += nd.completions.Load()
+	}
+	for _, nd := range c.nodes {
+		begun += nd.activations.Load()
+	}
+	return done == begun
+}
+
+// quiet is Run's fallback rule: every node Quiet for the window.
+func (c *Cluster) quiet(window time.Duration) bool {
+	for _, nd := range c.nodes {
+		if !nd.Quiet(window) {
+			return false
+		}
+	}
+	return true
 }
 
 // Close shuts every node down. Idempotent.

@@ -34,9 +34,9 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 3, 1, 0, 1})                // minimal empty-payload frame shape
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 1})    // absurd length
-	f.Add([]byte{0, 0, 0, 4, 1, 1, 1, 2})             // non-canonical lid opcode
+	f.Add([]byte{0, 0, 0, 3, 1, 0, 1})                       // minimal empty-payload frame shape
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 1})           // absurd length
+	f.Add([]byte{0, 0, 0, 4, 1, 1, 1, 2})                    // non-canonical lid opcode
 	f.Add([]byte{0, 0, 0, 10, 1, 3, 1, 0, 0, 0, 0, 0, 0, 0}) // truncated DATA nest
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -68,16 +68,23 @@ func (c UDPConfig) budget() int {
 // protocol messages (what simnet counts as sends/deliveries);
 // datagrams are the socket-level packets they coalesce into.
 type UDPCounters struct {
-	FramesSent     int64
+	FramesSent      int64
 	FramesDelivered int64
-	DatagramsSent  int64
-	DatagramsRecv  int64
-	BytesSent      int64
-	BytesRecv      int64
-	TimersFired    int64
+	DatagramsSent   int64
+	DatagramsRecv   int64
+	BytesSent       int64
+	BytesRecv       int64
+	TimersFired     int64
 	// Dropped counts ingress discards: CRC or envelope damage, decode
 	// failures, and frames arriving for an unknown sender.
 	Dropped int64
+	// Activations counts the work this node started: its Init, every
+	// frame it sent, every timer it armed. Completions counts the
+	// handler calls that finished on it: Init, then one per delivered
+	// frame or fired timer. Cluster.Run's termination check compares
+	// their cluster-wide sums.
+	Activations int64
+	Completions int64
 }
 
 // delivery is one queued upcall for the node's handler goroutine.
@@ -223,6 +230,19 @@ type UDPNode struct {
 	timersFired     atomic.Int64
 	dropped         atomic.Int64
 
+	// activations and completions are the two monotone counters of the
+	// termination certificate (see Cluster.Run). An activation is
+	// counted before the work it stands for can run — Init at Start, a
+	// frame before it is queued, a timer before it is armed — and the
+	// matching completion after the handler call that consumes it
+	// returns.
+	activations atomic.Int64
+	completions atomic.Int64
+
+	// dropNext makes sendLoop discard its next datagram unsent, the way
+	// a kernel may lose one (set only by tests).
+	dropNext atomic.Bool
+
 	// sentByKind/receivedFrom are only touched on the delivery
 	// goroutine (Send happens inside handler calls), so they need no
 	// lock; they are read after the node is stopped.
@@ -323,6 +343,7 @@ func (c *udpCtx) Send(to int, msg simnet.Message) {
 		// the send site where the stack trace names the protocol.
 		panic(fmt.Sprintf("transport: node %d sending %T: %v", nd.cfg.NodeID, msg, err))
 	}
+	nd.activations.Add(1)
 	nd.framesSent.Add(1)
 	nd.sentByKind[simnet.KindOf(msg)]++
 	nd.link(to).push(frame)
@@ -335,6 +356,7 @@ func (c *udpCtx) SetTimer(delay float64, msg simnet.Message) {
 		panic("transport: SetTimer needs a positive delay")
 	}
 	nd := c.nd
+	nd.activations.Add(1)
 	nd.pendingTimers.Add(1)
 	d := time.Duration(delay * float64(nd.cfg.timeUnit()))
 	time.AfterFunc(d, func() {
@@ -390,6 +412,9 @@ func (nd *UDPNode) sendLoop(l *peerLink, addr *net.UDPAddr) {
 			}
 			crc := crc32.ChecksumIEEE(buf[envelopeLen:])
 			buf[8], buf[9], buf[10], buf[11] = byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc)
+			if nd.dropNext.CompareAndSwap(true, false) {
+				continue
+			}
 			if _, err := nd.conn.WriteToUDP(buf, addr); err != nil {
 				if nd.closed.Load() {
 					return
@@ -459,12 +484,15 @@ func (nd *UDPNode) Start(h simnet.Handler) {
 		panic("transport: UDPNode started twice")
 	}
 	nd.started = true
+	nd.activations.Add(1) // Init
 	nd.wg.Add(2)
 	go nd.readLoop()
 	go func() {
 		defer nd.wg.Done()
 		ctx := &udpCtx{nd: nd}
 		h.Init(ctx)
+		nd.touch()
+		nd.completions.Add(1)
 		for {
 			d, ok := nd.inbox.pop()
 			if !ok {
@@ -477,6 +505,7 @@ func (nd *UDPNode) Start(h simnet.Handler) {
 				nd.framesDelivered.Add(1)
 			}
 			nd.touch()
+			nd.completions.Add(1)
 		}
 	}()
 }
@@ -486,11 +515,14 @@ func (nd *UDPNode) Halted() bool { return nd.halted.Load() }
 
 // Quiet reports whether the node is locally quiescent: handler halted,
 // no queued deliveries, no pending timers, and no wire or timer
-// activity for the given window. On a real network this is necessarily
-// a heuristic — a datagram can always still be in flight — but with
-// the reliable layer active, "halted" already certifies every frame
-// this node sent was acknowledged, so the window only needs to cover
-// residual peer traffic (duplicate acks, trailing heartbeats).
+// activity for the given window. One node alone cannot know whether a
+// datagram is still in flight toward it, so this is a heuristic: with
+// the reliable layer active, "halted" certifies every frame this node
+// sent was acknowledged, and the window only covers residual peer
+// traffic (duplicate acks, trailing heartbeats). Cluster.Run, which
+// sees every node, certifies termination by counting instead and uses
+// Quiet only as its fallback after a lost datagram; a standalone node
+// (AwaitQuiescence) still relies on it.
 func (nd *UDPNode) Quiet(window time.Duration) bool {
 	if !nd.halted.Load() || nd.inbox.len() > 0 || nd.pendingTimers.Load() > 0 {
 		return false
@@ -501,7 +533,8 @@ func (nd *UDPNode) Quiet(window time.Duration) bool {
 
 // AwaitQuiescence blocks until Quiet(window) holds or the timeout
 // expires (error). The standalone-binary form of Cluster.Run's
-// termination wait.
+// fallback rule: one process sees only its own counters, so it cannot
+// balance them cluster-wide.
 func (nd *UDPNode) AwaitQuiescence(timeout, window time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
@@ -542,6 +575,8 @@ func (nd *UDPNode) Counters() UDPCounters {
 		BytesRecv:       nd.bytesRecv.Load(),
 		TimersFired:     nd.timersFired.Load(),
 		Dropped:         nd.dropped.Load(),
+		Activations:     nd.activations.Load(),
+		Completions:     nd.completions.Load(),
 	}
 }
 

@@ -16,31 +16,62 @@ import (
 	"overlaymatch/internal/transport"
 )
 
-// TestLoopbackClusterLIC is the PR's conformance anchor: the same
-// seeded workload runs once on the deterministic Runner and once on a
-// real-socket loopback cluster with the full reliable/detector stack,
-// and both must produce exactly the LIC matching. LID's outcome is
-// determined by the preference system alone — every delivery order
-// converges to the same locally-ideal configuration — which is what
-// makes a byte-level nondeterministic transport verifiable against the
-// simulator at all.
-func TestLoopbackClusterLIC(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-socket cluster run in -short mode")
+// certainWindow is an idle window no test run should ever reach: a run
+// that returns well inside it ended on the counting certificate, not on
+// the fallback.
+const certainWindow = 5 * time.Second
+
+// checkBalanced asserts the termination certificate's bookkeeping on a
+// finished cluster: per node, activations and completions account
+// exactly for the node's Init, frames and timers, and the cluster-wide
+// sums are equal (nothing left in flight or pending). Completions may
+// exceed activations on one node — a sink finishes frames its peers
+// started — so the inequality holds only cluster-wide.
+func checkBalanced(t *testing.T, cluster *transport.Cluster) {
+	t.Helper()
+	var begun, done, sent, fired int64
+	for _, nd := range cluster.Nodes() {
+		c := nd.Counters()
+		if want := 1 + c.FramesDelivered + c.TimersFired; c.Completions != want {
+			t.Errorf("node %d: %d completions, want 1 + %d frames + %d timers",
+				nd.ID(), c.Completions, c.FramesDelivered, c.TimersFired)
+		}
+		if c.Activations < 1+c.FramesSent {
+			t.Errorf("node %d: %d activations for %d frames sent", nd.ID(), c.Activations, c.FramesSent)
+		}
+		begun += c.Activations
+		done += c.Completions
+		sent += c.FramesSent
+		fired += c.TimersFired
 	}
-	spec := faults.WorkloadSpec{Topology: "gnp", N: 32, B: 3, Metric: "random", Seed: 42}
+	n := int64(len(cluster.Nodes()))
+	if done != begun {
+		t.Errorf("cluster-wide completions %d != activations %d", done, begun)
+	}
+	if begun != n+sent+fired {
+		t.Errorf("cluster-wide activations %d != %d inits + %d frames + %d timers", begun, n, sent, fired)
+	}
+}
+
+// clusterLIC runs spec's workload on the deterministic Runner and on a
+// loopback cluster with the full lid→reliable→detector stack, fails t
+// unless both produce the centralized LIC matching, checks the
+// cluster's termination bookkeeping, and returns the cluster's stats
+// and how long its Run took.
+func clusterLIC(t *testing.T, spec faults.WorkloadSpec, cfg transport.ClusterConfig) (simnet.Stats, time.Duration) {
+	t.Helper()
 	sys, err := spec.Build()
 	if err != nil {
-		t.Fatalf("workload: %v", err)
+		t.Fatalf("%+v: workload: %v", spec, err)
 	}
 	tbl := satisfaction.NewTable(sys)
 
 	ref, err := lid.RunEvent(sys, tbl, simnet.Options{Seed: 1})
 	if err != nil {
-		t.Fatalf("runner reference: %v", err)
+		t.Fatalf("%+v: runner reference: %v", spec, err)
 	}
 	if lic := matching.LIC(sys, tbl); !ref.Matching.Equal(lic) {
-		t.Fatalf("runner matching differs from centralized LIC — workload unusable as reference")
+		t.Fatalf("%+v: runner matching differs from centralized LIC — workload unusable as reference", spec)
 	}
 
 	g := sys.Graph()
@@ -57,26 +88,48 @@ func TestLoopbackClusterLIC(t *testing.T) {
 	mons := detector.Wrap(handlers, adj, det)
 	handlers = detector.Handlers(mons)
 
-	cluster, err := transport.NewLoopbackCluster(g.NumNodes(), transport.ClusterConfig{
-		Timeout: 60 * time.Second,
-	})
+	cluster, err := transport.NewLoopbackCluster(g.NumNodes(), cfg)
 	if err != nil {
-		t.Fatalf("cluster: %v", err)
+		t.Fatalf("%+v: cluster: %v", spec, err)
 	}
 	defer cluster.Close()
+	start := time.Now()
 	st, err := cluster.Run(handlers)
+	elapsed := time.Since(start)
 	if err != nil {
-		t.Fatalf("cluster run: %v", err)
+		t.Fatalf("%+v: cluster run: %v", spec, err)
 	}
 
 	got, err := lid.BuildMatching(nodes)
 	if err != nil {
-		t.Fatalf("matching: %v", err)
+		t.Fatalf("%+v: matching: %v", spec, err)
 	}
 	if !got.Equal(ref.Matching) {
-		t.Fatalf("cluster matching differs from runner LIC matching\ncluster: %v\n runner: %v", got, ref.Matching)
+		t.Fatalf("%+v: cluster matching differs from runner LIC matching\ncluster: %v\n runner: %v", spec, got, ref.Matching)
 	}
+	checkBalanced(t, cluster)
+	return st, elapsed
+}
 
+// TestLoopbackClusterLIC is the package's conformance anchor: the same
+// seeded workload runs once on the deterministic Runner and once on a
+// real-socket loopback cluster with the full reliable/detector stack,
+// and both must produce exactly the LIC matching. LID's outcome is
+// determined by the preference system alone — every delivery order
+// converges to the same locally-ideal configuration — which is what
+// makes a byte-level nondeterministic transport verifiable against the
+// simulator at all. The idle window is set far beyond the run's length,
+// so returning in under a second shows the counting certificate, not
+// the window, ended it.
+func TestLoopbackClusterLIC(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket cluster run in -short mode")
+	}
+	spec := faults.WorkloadSpec{Topology: "gnp", N: 32, B: 3, Metric: "random", Seed: 42}
+	st, elapsed := clusterLIC(t, spec, transport.ClusterConfig{Timeout: 60 * time.Second, IdleWindow: certainWindow})
+	if elapsed >= time.Second {
+		t.Errorf("run took %v: termination was not certified by the counters", elapsed)
+	}
 	if st.Deliveries == 0 || st.TotalSent() == 0 {
 		t.Fatalf("cluster stats look empty: %+v", st)
 	}
@@ -86,6 +139,21 @@ func TestLoopbackClusterLIC(t *testing.T) {
 	for _, kind := range []string{"PROP", "REJ", "ACK", "HB"} {
 		if st.SentByKind[kind] == 0 {
 			t.Errorf("no %s frames on the wire; SentByKind = %v", kind, st.SentByKind)
+		}
+	}
+}
+
+// TestLoopbackClusterLICSweep widens the conformance anchor to every
+// workload family the shared spec grammar knows, four seeds each: the
+// cluster must land on the Runner's LIC matching on all of them.
+func TestLoopbackClusterLICSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket cluster sweep in -short mode")
+	}
+	for _, topo := range []string{"gnp", "geometric", "ba", "ring"} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			spec := faults.WorkloadSpec{Topology: topo, N: 32, B: 3, Metric: "random", Seed: seed}
+			clusterLIC(t, spec, transport.ClusterConfig{Timeout: 60 * time.Second})
 		}
 	}
 }
@@ -150,6 +218,7 @@ func TestClusterCoalescing(t *testing.T) {
 	if c.BytesSent == 0 || st.SentByKind["RAW"] != frames {
 		t.Errorf("counters inconsistent: %+v, kinds %v", c, st.SentByKind)
 	}
+	checkBalanced(t, cluster)
 }
 
 // echoTimer exercises the timer path: Init arms a timer, the timer
@@ -168,19 +237,107 @@ func (e *echoTimer) HandleMessage(ctx simnet.Context, from int, _ simnet.Message
 
 func TestClusterTimers(t *testing.T) {
 	cluster, err := transport.NewLoopbackCluster(1, transport.ClusterConfig{
-		Timeout: 10 * time.Second,
+		Timeout:    10 * time.Second,
+		IdleWindow: certainWindow,
 	})
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
 	defer cluster.Close()
 	h := &echoTimer{}
+	start := time.Now()
 	st, err := cluster.Run([]simnet.Handler{h})
+	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if !h.fired || st.TimersFired != 1 {
 		t.Fatalf("timer not delivered: fired=%v stats=%+v", h.fired, st)
+	}
+	// The pending timer is an activation, so the run cannot be
+	// certified before it fires — and is, right after.
+	if elapsed >= time.Second {
+		t.Errorf("run took %v: termination was not certified by the counters", elapsed)
+	}
+	checkBalanced(t, cluster)
+}
+
+// idle neither sends nor halts.
+type idle struct{}
+
+func (idle) Init(simnet.Context)                               {}
+func (idle) HandleMessage(simnet.Context, int, simnet.Message) {}
+
+// TestClusterDeadlock: two handlers that never send and never halt
+// leave nothing pending after Init, so the certificate holds at once
+// and Run reports the deadlock like the Runner does, instead of
+// waiting out the timeout.
+func TestClusterDeadlock(t *testing.T) {
+	cluster, err := transport.NewLoopbackCluster(2, transport.ClusterConfig{Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	defer cluster.Close()
+	start := time.Now()
+	_, err = cluster.Run([]simnet.Handler{idle{}, idle{}})
+	elapsed := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "never halted (deadlock)") {
+		t.Fatalf("err = %v, want the deadlock error", err)
+	}
+	if elapsed >= time.Second {
+		t.Errorf("deadlock reported after %v, want under 1s", elapsed)
+	}
+	checkBalanced(t, cluster)
+}
+
+// oneShot sends a single frame to node 1 and halts; haltAtInit halts in
+// Init, so it never waits for that frame.
+type oneShot struct{}
+
+func (oneShot) Init(ctx simnet.Context) {
+	ctx.Send(1, transport.Raw("lost"))
+	ctx.Halt()
+}
+func (oneShot) HandleMessage(simnet.Context, int, simnet.Message) {}
+
+type haltAtInit struct{ got int }
+
+func (h *haltAtInit) Init(ctx simnet.Context)                           { ctx.Halt() }
+func (h *haltAtInit) HandleMessage(simnet.Context, int, simnet.Message) { h.got++ }
+
+// TestClusterLostDatagramFallback loses the only datagram of a run
+// whose handlers do not wait for it: its activation never completes,
+// the counts never balance, and the idle window ends the run instead.
+func TestClusterLostDatagramFallback(t *testing.T) {
+	const window = 200 * time.Millisecond
+	cluster, err := transport.NewLoopbackCluster(2, transport.ClusterConfig{
+		Timeout:    10 * time.Second,
+		IdleWindow: window,
+	})
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	defer cluster.Close()
+	transport.DropNextDatagram(cluster.Nodes()[0])
+	sink := &haltAtInit{}
+	start := time.Now()
+	if _, err := cluster.Run([]simnet.Handler{oneShot{}, sink}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed < window {
+		t.Errorf("run ended after %v, before the %v idle window", elapsed, window)
+	}
+	if sink.got != 0 {
+		t.Fatalf("the dropped frame arrived %d times", sink.got)
+	}
+	var begun, done int64
+	for _, nd := range cluster.Nodes() {
+		c := nd.Counters()
+		begun += c.Activations
+		done += c.Completions
+	}
+	if begun-done != 1 {
+		t.Errorf("activations %d, completions %d: want exactly the lost frame outstanding", begun, done)
 	}
 }
 
@@ -239,5 +396,6 @@ func TestUDPNodeMetrics(t *testing.T) {
 	if got := reg.Counter("transport_frames_sent_total", "").Value(); got != 3 {
 		t.Fatalf("published frames_sent = %d, want 3", got)
 	}
+	checkBalanced(t, cluster)
 	cluster.Nodes()[0].PublishMetrics(nil) // nil-safe
 }
