@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check test test-short race race-core registry-coverage golden-check loopback-check fmt-check vet fuzz fuzz-smoke bench bench-json bench-check experiments examples cover clean
+.PHONY: all build check test test-short race race-core registry-coverage golden-check loopback-check bench-module fmt-check vet fuzz fuzz-smoke bench bench-json bench-check experiments examples cover clean
 
 all: build vet test
 
@@ -14,8 +14,9 @@ all: build vet test
 # parsers, the golden-output regeneration diff (possible since the
 # golden file is timing-free; any drift in any experiment fails here),
 # the benchmark regression gate, the real-socket loopback
-# conformance sweep, and a gofmt cleanliness check.
-check: fmt-check build vet test race-core registry-coverage fuzz-smoke golden-check bench-check loopback-check
+# conformance sweep, the bench/ module's own vet and tests, and a
+# gofmt cleanliness check.
+check: fmt-check build vet test race-core registry-coverage fuzz-smoke golden-check bench-check loopback-check bench-module
 
 # Every Go file must already be gofmt-formatted.
 fmt-check:
@@ -107,6 +108,13 @@ golden-check:
 # simulator the experiments certify.
 loopback-check:
 	$(GO) test -count=1 -run 'TestLoopbackClusterLIC|TestLoopbackClusterLICSweep|TestClusterCoalescing' ./internal/transport
+
+# bench/ is its own module, built against the root API through a
+# replace directive, so `go vet ./...` and `go test ./...` at the root
+# never compile it: an API deletion would otherwise first break at
+# benchmark time.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate the validation suite (EXPERIMENTS.md's source of truth).
 experiments:

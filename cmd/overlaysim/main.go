@@ -55,10 +55,8 @@ func main() {
 		jitter   = flag.Float64("jitter", 3, "latency jitter scale (event runtime)")
 		workload = flag.String("workload", "", "load a frozen workload JSON (see graphgen -format workload) instead of generating")
 		dotOut   = flag.String("dot", "", "write the final overlay as Graphviz DOT to this file")
-		traceOut = flag.String("tracelog", "", "write the message trace to this file (event or goroutine runtime)")
-		traceFmt = flag.String("traceformat", "log", "trace file format: log | ndjson")
 		spansOut = flag.String("trace-spans", "", "write the causal span trace (Lamport clocks, protocol spans) to this file")
-		spansFmt = flag.String("trace-spans-format", "ndjson", "span trace format: ndjson | chrome | tree")
+		spansFmt = flag.String("trace-spans-format", "ndjson", "span trace format: ndjson | chrome | tree | log (one line per delivery)")
 		probeInt = flag.Float64("probe-interval", 0, "virtual-time spacing of per-round stability probes (0 = off; event runtime only)")
 		metOut   = flag.Bool("metrics", false, "print the run's metric snapshot after the report")
 		metFmt   = flag.String("metrics-format", "text", "metric snapshot format: text | json | prom")
@@ -115,10 +113,8 @@ func main() {
 		phiThreshold: *phiThr,
 		detector:     *detStr,
 		faults:       *faultStr,
-		tracelog:     *traceOut,
 		traceSpans:   *spansOut,
 		spansFormat:  *spansFmt,
-		traceFormat:  *traceFmt,
 		metricsFmt:   *metFmt,
 		probeInt:     *probeInt,
 		churn:        *churnStr,
@@ -134,7 +130,7 @@ func main() {
 		fseed = *seed ^ 0x5fa715ca11edc0de
 	}
 	opts := reportOpts{seed: *seed, runtime: *runtime_, jitter: *jitter,
-		verbose: *verbose, dotPath: *dotOut, tracePath: *traceOut, traceFormat: *traceFmt,
+		verbose: *verbose, dotPath: *dotOut,
 		spansPath: *spansOut, spansFormat: *spansFmt, probeInterval: *probeInt,
 		showMetrics: *metOut, metricsFormat: *metFmt,
 		faults: cfg.spec, faultsSeed: fseed, reliable: *reliab, rto: *rto,
@@ -222,10 +218,8 @@ type reportOpts struct {
 	jitter        float64
 	verbose       bool
 	dotPath       string
-	tracePath     string
-	traceFormat   string // log | ndjson
 	spansPath     string
-	spansFormat   string  // ndjson | chrome | tree
+	spansFormat   string  // ndjson | chrome | tree | log
 	probeInterval float64 // 0 = probing off
 	showMetrics   bool
 	metricsFormat string // text | json | prom
@@ -318,11 +312,6 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 	seed, runtime_, jitter, verbose := opts.seed, opts.runtime, opts.jitter, opts.verbose
 	g := sys.Graph()
 	tbl := satisfaction.NewTableParallel(sys, opts.workers)
-	var collector trace.Collector
-	var traceFn func(simnet.TraceEntry)
-	if opts.tracePath != "" {
-		traceFn = collector.Record
-	}
 	var reg *metrics.Registry
 	if opts.showMetrics {
 		reg = metrics.New()
@@ -365,44 +354,27 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 		}
 		return handlers
 	}
-	reportFaults := func(st simnet.Stats) {
-		if inj != nil {
-			fmt.Printf("  faults: %s -> %d injections over %d sends\n",
-				opts.faults, len(inj.Events()), inj.Sends())
-		}
-		if eps != nil {
-			reliable.PublishMetrics(reg, eps)
-			mode := "static"
-			if opts.adaptiveRTO {
-				mode = "adaptive"
-			}
-			fmt.Printf("  transport: rto %.1f (%s), %d retransmits, %d duplicates suppressed, %d corrupt discarded\n",
-				opts.rto, mode, reliable.TotalRetransmits(eps), reliable.TotalDuplicates(eps), reliable.TotalCorrupted(eps))
-		}
-		if mons != nil {
-			detector.PublishMetrics(reg, mons)
-			fmt.Printf("  detector: %s -> %d suspicions, %d restores (%d HB, %d HB-ACK)\n",
-				opts.det, detector.TotalSuspicions(mons), detector.TotalRestores(mons),
-				st.SentByKind["HB"], st.SentByKind["HB-ACK"])
-		}
-		_ = st
-	}
 
 	var result *matching.Matching
 	start := time.Now()
-	switch runtime_ {
-	case "event":
-		var st simnet.Stats
-		ropts := simnet.Options{
-			Seed:    seed,
-			Latency: latency(jitter),
-			Trace:   traceFn,
-			Metrics: reg,
-			Policy:  policy,
-			Obs:     rec,
-		}
-		if opts.reliable || opts.det.Enabled() {
-			nodes := lid.NewNodes(sys, tbl)
+	if runtime_ == "centralized" {
+		result = matching.LIC(sys, tbl)
+		fmt.Printf("centralized run (LIC scan): %v\n", time.Since(start))
+	} else {
+		// Every distributed runtime runs the same stack: LID nodes, the
+		// optional layers, the runtime's Transport, then lid.Finish.
+		nodes := lid.NewNodes(sys, tbl)
+		var tr simnet.Transport
+		var cluster *transport.Cluster
+		switch runtime_ {
+		case "event":
+			ropts := simnet.Options{
+				Seed:    seed,
+				Latency: latency(jitter),
+				Metrics: reg,
+				Policy:  policy,
+				Obs:     rec,
+			}
 			if opts.sched.Greedy() {
 				// The admitter watches the LID state machines directly, so
 				// the reliable/detector wrapping stays transparent to it.
@@ -422,124 +394,88 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 				ropts.ProbeInterval = opts.probeInterval
 			}
 			runner = simnet.NewRunner(g.NumNodes(), ropts)
-			s, err := runner.Run(wrap(lid.Handlers(nodes)))
-			if err != nil {
-				fail("run: %v", err)
-			}
-			prober.PublishSummary(probeReg, nil)
-			m, err := lid.BuildMatching(nodes)
-			if err != nil {
-				fail("run: %v", err)
-			}
-			result, st = m, s
-		} else if opts.probeInterval > 0 {
-			res, p, err := lid.RunEventProbedScheduled(sys, tbl, ropts, opts.probeInterval, probeReg, opts.sched)
-			if err != nil {
-				fail("run: %v", err)
-			}
-			prober = p
-			result, st = res.Matching, res.Stats
-		} else {
-			res, err := lid.RunEventScheduled(sys, tbl, ropts, opts.sched)
-			if err != nil {
-				fail("run: %v", err)
-			}
-			result, st = res.Matching, res.Stats
-		}
-		fmt.Printf("distributed run (event simulator, jitter %.1f, scheduler %s): %v\n",
-			jitter, opts.sched, time.Since(start))
-		fmt.Printf("  messages: %d total (%d PROP, %d REJ), %.2f per peer, max %d\n",
-			st.TotalSent(), st.SentByKind["PROP"], st.SentByKind["REJ"],
-			float64(st.TotalSent())/float64(g.NumNodes()), st.MaxSentByNode())
-		fmt.Printf("  virtual time to quiescence: %.2f\n", st.FinalTime)
-		if prober != nil {
-			s := prober.RoundsToEps(nil)
-			fmt.Printf("  stability: %d probes every %.1f; rounds to eps 0.1/0.01/0.001/0: %.0f / %.0f / %.0f / %.0f (-1 = never)\n",
-				len(prober.Curve()), opts.probeInterval,
-				s[obs.EpsKey(0.1)], s[obs.EpsKey(0.01)], s[obs.EpsKey(0.001)], s[obs.EpsKey(0)])
-		}
-		reportFaults(st)
-	case "goroutine":
-		var st simnet.Stats
-		if opts.reliable || opts.det.Enabled() {
-			nodes := lid.NewNodes(sys, tbl)
+			tr = runner
+		case "goroutine":
 			runner := simnet.NewGoRunner(g.NumNodes(), 2*time.Minute)
-			if traceFn != nil {
-				runner.SetTrace(traceFn)
-			}
-			if reg != nil {
-				runner.SetMetricsSink(reg)
-			}
-			if policy != nil {
-				runner.SetPolicy(policy)
-			}
-			if rec != nil {
-				runner.SetObserver(rec)
-			}
-			s, err := runner.Run(wrap(lid.Handlers(nodes)))
+			runner.SetMetricsSink(reg)
+			runner.SetPolicy(policy)
+			runner.SetObserver(rec)
+			tr = runner
+		case "udp":
+			// Real loopback sockets via internal/transport: every message
+			// crosses the kernel as coalesced UDP datagrams instead of
+			// simulator deliveries.
+			c, err := transport.NewLoopbackCluster(g.NumNodes(), transport.ClusterConfig{})
 			if err != nil {
 				fail("run: %v", err)
 			}
-			m, err := lid.BuildMatching(nodes)
-			if err != nil {
-				fail("run: %v", err)
-			}
-			result, st = m, s
-		} else {
-			res, err := lid.RunGoroutinesOpts(sys, tbl, lid.GoOptions{
-				Timeout: 2 * time.Minute,
-				Trace:   traceFn,
-				Metrics: reg,
-				Policy:  policy,
-				Obs:     rec,
-			})
-			if err != nil {
-				fail("run: %v", err)
-			}
-			result, st = res.Matching, res.Stats
+			cluster, tr = c, c
+		default:
+			fail("unknown runtime %q", runtime_)
 		}
-		fmt.Printf("distributed run (goroutines): %v\n", time.Since(start))
-		fmt.Printf("  messages: %d total (%d PROP, %d REJ)\n",
-			st.TotalSent(), st.SentByKind["PROP"], st.SentByKind["REJ"])
-		reportFaults(st)
-	case "udp":
-		// Real loopback sockets via internal/transport: the same wrapped
-		// stack, with every message crossing the kernel as coalesced UDP
-		// datagrams instead of simulator deliveries.
-		nodes := lid.NewNodes(sys, tbl)
-		cluster, err := transport.NewLoopbackCluster(g.NumNodes(), transport.ClusterConfig{})
+		st, err := tr.Run(wrap(lid.Handlers(nodes)))
 		if err != nil {
 			fail("run: %v", err)
 		}
-		st, err := cluster.Run(wrap(lid.Handlers(nodes)))
+		prober.PublishSummary(probeReg, nil)
+		res, err := lid.Finish(nodes, st, reg)
 		if err != nil {
 			fail("run: %v", err)
 		}
-		m, err := lid.BuildMatching(nodes)
-		if err != nil {
-			fail("run: %v", err)
-		}
-		result = m
-		var datagrams, bytesOut int64
-		for _, nd := range cluster.Nodes() {
-			c := nd.Counters()
-			datagrams += c.DatagramsSent
-			bytesOut += c.BytesSent
-			if reg != nil {
-				nd.PublishMetrics(reg)
+		result = res.Matching
+		switch runtime_ {
+		case "event":
+			fmt.Printf("distributed run (event simulator, jitter %.1f, scheduler %s): %v\n",
+				jitter, opts.sched, time.Since(start))
+			fmt.Printf("  messages: %d total (%d PROP, %d REJ), %.2f per peer, max %d\n",
+				st.TotalSent(), st.SentByKind["PROP"], st.SentByKind["REJ"],
+				float64(st.TotalSent())/float64(g.NumNodes()), st.MaxSentByNode())
+			fmt.Printf("  virtual time to quiescence: %.2f\n", st.FinalTime)
+			if prober != nil {
+				s := prober.RoundsToEps(nil)
+				fmt.Printf("  stability: %d probes every %.1f; rounds to eps 0.1/0.01/0.001/0: %.0f / %.0f / %.0f / %.0f (-1 = never)\n",
+					len(prober.Curve()), opts.probeInterval,
+					s[obs.EpsKey(0.1)], s[obs.EpsKey(0.01)], s[obs.EpsKey(0.001)], s[obs.EpsKey(0)])
 			}
+		case "goroutine":
+			fmt.Printf("distributed run (goroutines): %v\n", time.Since(start))
+			fmt.Printf("  messages: %d total (%d PROP, %d REJ)\n",
+				st.TotalSent(), st.SentByKind["PROP"], st.SentByKind["REJ"])
+		case "udp":
+			var datagrams, bytesOut int64
+			for _, nd := range cluster.Nodes() {
+				c := nd.Counters()
+				datagrams += c.DatagramsSent
+				bytesOut += c.BytesSent
+				if reg != nil {
+					nd.PublishMetrics(reg)
+				}
+			}
+			fmt.Printf("distributed run (udp loopback cluster): %v\n", time.Since(start))
+			fmt.Printf("  messages: %d total (%d PROP, %d REJ)\n",
+				st.TotalSent(), st.SentByKind["PROP"], st.SentByKind["REJ"])
+			fmt.Printf("  wire: %d frames coalesced into %d datagrams, %d bytes, %d dropped\n",
+				st.TotalSent(), datagrams, bytesOut, st.Dropped)
 		}
-		fmt.Printf("distributed run (udp loopback cluster): %v\n", time.Since(start))
-		fmt.Printf("  messages: %d total (%d PROP, %d REJ)\n",
-			st.TotalSent(), st.SentByKind["PROP"], st.SentByKind["REJ"])
-		fmt.Printf("  wire: %d frames coalesced into %d datagrams, %d bytes, %d dropped\n",
-			st.TotalSent(), datagrams, bytesOut, st.Dropped)
-		reportFaults(st)
-	case "centralized":
-		result = matching.LIC(sys, tbl)
-		fmt.Printf("centralized run (LIC scan): %v\n", time.Since(start))
-	default:
-		fail("unknown runtime %q", runtime_)
+		if inj != nil {
+			fmt.Printf("  faults: %s -> %d injections over %d sends\n",
+				opts.faults, len(inj.Events()), inj.Sends())
+		}
+		if eps != nil {
+			reliable.PublishMetrics(reg, eps)
+			mode := "static"
+			if opts.adaptiveRTO {
+				mode = "adaptive"
+			}
+			fmt.Printf("  transport: rto %.1f (%s), %d retransmits, %d duplicates suppressed, %d corrupt discarded\n",
+				opts.rto, mode, reliable.TotalRetransmits(eps), reliable.TotalDuplicates(eps), reliable.TotalCorrupted(eps))
+		}
+		if mons != nil {
+			detector.PublishMetrics(reg, mons)
+			fmt.Printf("  detector: %s -> %d suspicions, %d restores (%d HB, %d HB-ACK)\n",
+				opts.det, detector.TotalSuspicions(mons), detector.TotalRestores(mons),
+				st.SentByKind["HB"], st.SentByKind["HB-ACK"])
+		}
 	}
 
 	per := result.PerNodeSatisfaction(sys)
@@ -561,18 +497,6 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 			return trace.WriteDOT(w, sys, result)
 		})
 		fmt.Printf("wrote Graphviz overlay to %s\n", opts.dotPath)
-	}
-	if opts.tracePath != "" {
-		if runtime_ == "centralized" {
-			fail("-tracelog requires a distributed runtime (event or goroutine)")
-		}
-		write := collector.WriteLog
-		if opts.traceFormat == "ndjson" {
-			write = collector.WriteNDJSON
-		}
-		writeFileWith(opts.tracePath, write)
-		fmt.Printf("wrote message trace (%s, %d deliveries) to %s\n",
-			opts.traceFormat, collector.Len(), opts.tracePath)
 	}
 	if opts.spansPath != "" {
 		writeFileWith(opts.spansPath, func(w io.Writer) error {

@@ -51,6 +51,9 @@ func TestRunAndReportAllRuntimes(t *testing.T) {
 	for _, rt := range []string{"event", "goroutine", "centralized"} {
 		runAndReport(s, reportOpts{seed: 1, runtime: rt, jitter: 2})
 	}
+	// udp rides real loopback sockets and needs the reliable layer.
+	runAndReport(s, reportOpts{seed: 1, runtime: "udp", reliable: true, rto: 30,
+		showMetrics: true, metricsFormat: "text"})
 }
 
 func TestRunAndReportArtifacts(t *testing.T) {
@@ -59,7 +62,7 @@ func TestRunAndReportArtifacts(t *testing.T) {
 	dot := filepath.Join(dir, "overlay.dot")
 	tl := filepath.Join(dir, "trace.log")
 	runAndReport(s, reportOpts{seed: 2, runtime: "event", jitter: 1,
-		verbose: true, dotPath: dot, tracePath: tl})
+		verbose: true, dotPath: dot, spansPath: tl, spansFormat: "log"})
 	dotData, err := os.ReadFile(dot)
 	if err != nil {
 		t.Fatal(err)
@@ -76,14 +79,13 @@ func TestRunAndReportArtifacts(t *testing.T) {
 	}
 }
 
-// TestTraceLogOnGoroutineRuntime is the regression test for the old
-// hard-fail: -tracelog used to reject -runtime goroutine even though
-// the collector is thread-safe.
+// TestTraceLogOnGoroutineRuntime: the message-sequence log comes from
+// the shared recorder, which the goroutine runtime feeds concurrently.
 func TestTraceLogOnGoroutineRuntime(t *testing.T) {
 	s := testSystem(t)
 	tl := filepath.Join(t.TempDir(), "trace.log")
 	runAndReport(s, reportOpts{seed: 4, runtime: "goroutine",
-		tracePath: tl, traceFormat: "log"})
+		spansPath: tl, spansFormat: "log"})
 	data, err := os.ReadFile(tl)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +99,7 @@ func TestTraceNDJSONFormat(t *testing.T) {
 	s := testSystem(t)
 	tl := filepath.Join(t.TempDir(), "trace.ndjson")
 	runAndReport(s, reportOpts{seed: 5, runtime: "event", jitter: 1,
-		tracePath: tl, traceFormat: "ndjson"})
+		spansPath: tl, spansFormat: "ndjson"})
 	data, err := os.ReadFile(tl)
 	if err != nil {
 		t.Fatal(err)

@@ -25,10 +25,8 @@ type cliFlags struct {
 	phiThreshold float64
 	detector     string
 	faults       string
-	tracelog     string
 	traceSpans   string
 	spansFormat  string
-	traceFormat  string
 	metricsFmt   string
 	probeInt     float64
 	churn        string
@@ -48,7 +46,7 @@ type runConfig struct {
 // validateFlags parses the structured flags and rejects every
 // unsupported flag interaction with an explicit error. The rule for
 // simulator-only hooks (-faults, -probe-interval, -trace-spans,
-// -tracelog, -churn, -scheduler greedy, -detector, -reliable) is
+// -churn, -scheduler greedy, -detector, -reliable) is
 // uniform: a runtime that cannot honor the hook fails loudly instead
 // of silently ignoring it.
 func validateFlags(f cliFlags) (runConfig, error) {
@@ -60,14 +58,9 @@ func validateFlags(f cliFlags) (runConfig, error) {
 		return cfg, fmt.Errorf("unknown runtime %q", f.runtime)
 	}
 	switch f.spansFormat {
-	case "ndjson", "chrome", "tree":
+	case "ndjson", "chrome", "tree", "log":
 	default:
 		return cfg, fmt.Errorf("unknown -trace-spans-format %q", f.spansFormat)
-	}
-	switch f.traceFormat {
-	case "log", "ndjson":
-	default:
-		return cfg, fmt.Errorf("unknown -traceformat %q", f.traceFormat)
 	}
 	switch f.metricsFmt {
 	case "text", "json", "prom":
@@ -112,8 +105,12 @@ func validateFlags(f cliFlags) (runConfig, error) {
 	if !spec.PreservesDelivery() && !f.reliable {
 		return cfg, fmt.Errorf("-faults %q loses messages; bare LID needs -reliable to survive it", f.faults)
 	}
-	if f.runtime == "centralized" && (!spec.IsZero() || f.reliable || det.Enabled()) {
-		return cfg, fmt.Errorf("-faults/-reliable/-detector require a distributed runtime (event or goroutine)")
+	simulated := f.runtime == "event" || f.runtime == "goroutine"
+	if !spec.IsZero() && !simulated {
+		return cfg, fmt.Errorf("-faults injects at the simulator boundary and needs a simulated runtime (event or goroutine)")
+	}
+	if (f.reliable || det.Enabled()) && f.runtime == "centralized" {
+		return cfg, fmt.Errorf("-reliable/-detector wrap the LID handlers and need a distributed runtime (event, goroutine or udp)")
 	}
 	// The churn checks come before the udp ones: -churn plus -runtime
 	// udp must name the real contradiction (the engine uses no runtime
@@ -140,22 +137,17 @@ func validateFlags(f cliFlags) (runConfig, error) {
 		if f.runtime != "event" {
 			return cfg, fmt.Errorf("-churn runs the incremental repair engine, not a distributed runtime; drop -runtime %s", f.runtime)
 		}
+		// The engine's report is the whole output: no LID run happens, so
+		// there is nothing to probe or record.
+		if f.probeInt > 0 || f.traceSpans != "" {
+			return cfg, fmt.Errorf("-probe-interval/-trace-spans observe the distributed LID run; -churn runs none")
+		}
 	}
 
-	if f.runtime == "udp" {
-		// The loopback cluster is a real lossy wire: the simulator-side
-		// conveniences (omniscient tracing, fault policies, probes) have
-		// no hook there, and bare LID would wedge on the first lost
-		// datagram.
-		if !f.reliable {
-			return cfg, fmt.Errorf("-runtime udp rides a real datagram socket and needs -reliable")
-		}
-		if !spec.IsZero() {
-			return cfg, fmt.Errorf("-faults injects at the simulator boundary; -runtime udp has no such hook")
-		}
-		if f.tracelog != "" || f.traceSpans != "" {
-			return cfg, fmt.Errorf("-tracelog/-trace-spans need a simulated runtime (event or goroutine)")
-		}
+	// The loopback cluster is a real lossy wire: bare LID would wedge on
+	// the first lost datagram.
+	if f.runtime == "udp" && !f.reliable {
+		return cfg, fmt.Errorf("-runtime udp rides a real datagram socket and needs -reliable")
 	}
 	if f.probeInt < 0 {
 		return cfg, fmt.Errorf("-probe-interval must be non-negative")
@@ -163,8 +155,8 @@ func validateFlags(f cliFlags) (runConfig, error) {
 	if f.probeInt > 0 && f.runtime != "event" {
 		return cfg, fmt.Errorf("-probe-interval hooks the event run loop and needs -runtime event")
 	}
-	if f.traceSpans != "" && f.runtime == "centralized" {
-		return cfg, fmt.Errorf("-trace-spans requires a distributed runtime (event or goroutine)")
+	if f.traceSpans != "" && !simulated {
+		return cfg, fmt.Errorf("-trace-spans records simulator deliveries and needs a simulated runtime (event or goroutine)")
 	}
 
 	sched, err := lid.ParseSchedulerSpec(f.scheduler)

@@ -13,7 +13,6 @@ func baseFlags() cliFlags {
 		detector:    "off",
 		faults:      "off",
 		spansFormat: "ndjson",
-		traceFormat: "log",
 		metricsFmt:  "text",
 		churn:       "off",
 		scheduler:   "canonical",
@@ -34,25 +33,35 @@ func TestValidateFlagsInteractionMatrix(t *testing.T) {
 		{"negative hb interval", func(f *cliFlags) { f.hbInterval = -1 }, "-hb-interval"},
 		{"lossy faults without reliable", func(f *cliFlags) { f.faults = "drop=0.1" }, "needs -reliable"},
 		{"lossy faults with reliable", func(f *cliFlags) { f.faults = "drop=0.1"; f.reliable = true }, ""},
-		{"centralized with reliable", func(f *cliFlags) { f.runtime = "centralized"; f.reliable = true }, "distributed runtime"},
-		{"centralized with detector", func(f *cliFlags) { f.runtime = "centralized"; f.detector = "on" }, "distributed runtime"},
+		// Each runtime rejection names exactly the runtimes that accept
+		// the flag: udp takes -reliable/-detector but not -faults or
+		// -trace-spans.
+		{"centralized with reliable", func(f *cliFlags) { f.runtime = "centralized"; f.reliable = true }, "need a distributed runtime (event, goroutine or udp)"},
+		{"centralized with detector", func(f *cliFlags) { f.runtime = "centralized"; f.detector = "on" }, "need a distributed runtime (event, goroutine or udp)"},
+		{"centralized with faults", func(f *cliFlags) { f.runtime = "centralized"; f.faults = "dup=0.1" }, "needs a simulated runtime (event or goroutine)"},
 
 		// The udp interaction matrix: every simulator-only hook must be
 		// rejected explicitly, the way bare udp without -reliable is.
 		{"udp without reliable", func(f *cliFlags) { f.runtime = "udp" }, "needs -reliable"},
 		{"udp ok", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true }, ""},
-		{"udp with faults", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.faults = "dup=0.1" }, "no such hook"},
-		{"udp with tracelog", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.tracelog = "t.log" }, "simulated runtime"},
-		{"udp with trace spans", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.traceSpans = "s.ndjson" }, "simulated runtime"},
+		{"udp with faults", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.faults = "dup=0.1" }, "needs a simulated runtime (event or goroutine)"},
+		{"udp with log spans", func(f *cliFlags) {
+			f.runtime = "udp"
+			f.reliable = true
+			f.traceSpans = "t.log"
+			f.spansFormat = "log"
+		}, "needs a simulated runtime (event or goroutine)"},
+		{"udp with trace spans", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.traceSpans = "s.ndjson" }, "needs a simulated runtime (event or goroutine)"},
+		{"udp with reliable and detector", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.detector = "on" }, ""},
 		{"udp with probes", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.probeInt = 5 }, "needs -runtime event"},
 		{"udp with churn", func(f *cliFlags) { f.runtime = "udp"; f.churn = churn }, "drop -runtime udp"},
 		{"udp with greedy scheduler", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.scheduler = "greedy" }, "needs -runtime event"},
 
 		{"probe on goroutine", func(f *cliFlags) { f.runtime = "goroutine"; f.probeInt = 2 }, "needs -runtime event"},
 		{"negative probe interval", func(f *cliFlags) { f.probeInt = -1 }, "non-negative"},
-		{"spans on centralized", func(f *cliFlags) { f.runtime = "centralized"; f.traceSpans = "s" }, "distributed runtime"},
+		{"spans on centralized", func(f *cliFlags) { f.runtime = "centralized"; f.traceSpans = "s" }, "needs a simulated runtime (event or goroutine)"},
+		{"log spans on goroutine", func(f *cliFlags) { f.runtime = "goroutine"; f.traceSpans = "t.log"; f.spansFormat = "log" }, ""},
 		{"bad spans format", func(f *cliFlags) { f.spansFormat = "xml" }, "-trace-spans-format"},
-		{"bad trace format", func(f *cliFlags) { f.traceFormat = "yaml" }, "-traceformat"},
 		{"bad metrics format", func(f *cliFlags) { f.metricsFmt = "csv" }, "-metrics-format"},
 
 		// The -churn audit: the engine replaces the distributed sim, so
@@ -63,6 +72,10 @@ func TestValidateFlagsInteractionMatrix(t *testing.T) {
 		{"churn with centralized runtime", func(f *cliFlags) { f.churn = churn; f.runtime = "centralized" }, "drop -runtime centralized"},
 		{"churn with faults", func(f *cliFlags) { f.churn = churn; f.faults = "dup=0.1" }, "incompatible"},
 		{"churn with reliable", func(f *cliFlags) { f.churn = churn; f.reliable = true }, "incompatible"},
+		// The engine returns before any LID run, so a probe or span file
+		// would silently never appear.
+		{"churn with probes", func(f *cliFlags) { f.churn = churn; f.probeInt = 1 }, "-churn runs none"},
+		{"churn with trace spans", func(f *cliFlags) { f.churn = churn; f.traceSpans = "s.ndjson" }, "-churn runs none"},
 		{"churn knobs without churn", func(f *cliFlags) { f.repairRounds = 2 }, "need -churn"},
 		{"negative shed depth", func(f *cliFlags) { f.shedDepth = -1 }, "non-negative"},
 

@@ -5,14 +5,16 @@ import (
 	"testing"
 
 	"overlaymatch/internal/lid"
+	"overlaymatch/internal/obs"
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
-	"overlaymatch/internal/trace"
 )
 
 // runTraced executes one reliable-wrapped LID run on the event runtime
-// under (seed, spec, faultSeed) and returns the NDJSON trace.
+// under (seed, spec, faultSeed) and returns the recorder's NDJSON log:
+// every send (dropped ones included) and delivery, plus the protocol
+// spans.
 func runTraced(t *testing.T, w WorkloadSpec, seed uint64, spec Spec, faultSeed uint64) []byte {
 	t.Helper()
 	sys, err := w.Build()
@@ -22,26 +24,26 @@ func runTraced(t *testing.T, w WorkloadSpec, seed uint64, spec Spec, faultSeed u
 	tbl := satisfaction.NewTable(sys)
 	nodes := lid.NewNodes(sys, tbl)
 	eps := reliable.Wrap(lid.Handlers(nodes), 30, 0)
-	var col trace.Collector
+	rec := obs.NewRecorder(sys.Graph().NumNodes())
 	runner := simnet.NewRunner(sys.Graph().NumNodes(), simnet.Options{
 		Seed:    seed,
 		Latency: simnet.ExponentialLatency(4),
 		Policy:  NewInjector(spec, faultSeed),
-		Trace:   col.Record,
+		Obs:     rec,
 	})
 	if _, err := runner.Run(reliable.Handlers(eps)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := col.WriteNDJSON(&buf); err != nil {
+	if err := rec.WriteNDJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // TestGoldenFaultTraceDeterminism is the golden determinism check: a
-// fixed (seed, FaultSpec) pair yields a byte-identical NDJSON delivery
-// trace run-over-run on the event runtime — the property the whole
+// fixed (seed, FaultSpec) pair yields a byte-identical NDJSON send and
+// delivery trace run-over-run on the event runtime — the property the whole
 // record/replay design rests on.
 func TestGoldenFaultTraceDeterminism(t *testing.T) {
 	w := WorkloadSpec{Topology: "geometric", Metric: "distance", N: 40, B: 2, Seed: 11}
@@ -65,7 +67,7 @@ func TestGoldenFaultTraceDeterminism(t *testing.T) {
 
 // TestZeroSpecMatchesNilPolicy pins the hook's no-op guarantee at the
 // trace level: a zero-spec injector and no policy at all produce
-// byte-identical NDJSON traces (the injector draws nothing from any
+// byte-identical NDJSON send and delivery traces (the injector draws nothing from any
 // stream the runner uses).
 func TestZeroSpecMatchesNilPolicy(t *testing.T) {
 	w := WorkloadSpec{Topology: "gnp", Metric: "random", N: 30, B: 2, Seed: 4}
@@ -76,18 +78,18 @@ func TestZeroSpecMatchesNilPolicy(t *testing.T) {
 	run := func(policy simnet.LinkPolicy) []byte {
 		tbl := satisfaction.NewTable(sys)
 		nodes := lid.NewNodes(sys, tbl)
-		var col trace.Collector
+		rec := obs.NewRecorder(sys.Graph().NumNodes())
 		runner := simnet.NewRunner(sys.Graph().NumNodes(), simnet.Options{
 			Seed:    7,
 			Latency: simnet.ExponentialLatency(4),
 			Policy:  policy,
-			Trace:   col.Record,
+			Obs:     rec,
 		})
 		if _, err := runner.Run(lid.Handlers(nodes)); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := col.WriteNDJSON(&buf); err != nil {
+		if err := rec.WriteNDJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

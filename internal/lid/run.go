@@ -43,7 +43,7 @@ func RunEventScheduled(s *pref.System, tbl *satisfaction.Table, opts simnet.Opti
 	if err != nil {
 		return Result{Stats: stats}, err
 	}
-	return finish(nodes, stats, opts.Metrics)
+	return Finish(nodes, stats, opts.Metrics)
 }
 
 // RunEventProbed is RunEvent with the per-round stability prober
@@ -86,7 +86,7 @@ func RunEventProbedScheduled(s *pref.System, tbl *satisfaction.Table, opts simne
 	if err != nil {
 		return Result{Stats: stats}, prober, err
 	}
-	res, err := finish(nodes, stats, opts.Metrics)
+	res, err := Finish(nodes, stats, opts.Metrics)
 	return res, prober, err
 }
 
@@ -95,10 +95,6 @@ type GoOptions struct {
 	// Timeout bounds the wall-clock duration (0 = the GoRunner's 30s
 	// default).
 	Timeout time.Duration
-	// Trace, if non-nil, receives every delivery. It is called from
-	// the per-node goroutines concurrently, so it must be thread-safe
-	// (trace.Collector is).
-	Trace func(simnet.TraceEntry)
 	// Metrics, if non-nil, receives a merge of the run's instrument
 	// registry when the run finishes.
 	Metrics *metrics.Registry
@@ -121,15 +117,12 @@ func RunGoroutines(s *pref.System, tbl *satisfaction.Table, timeout time.Duratio
 	return RunGoroutinesOpts(s, tbl, GoOptions{Timeout: timeout})
 }
 
-// RunGoroutinesOpts is RunGoroutines with tracing and metrics — the
-// full observability surface of the event runtime, on the concurrent
-// one.
+// RunGoroutinesOpts is RunGoroutines with telemetry, metrics and a
+// link policy — the full observability surface of the event runtime,
+// on the concurrent one.
 func RunGoroutinesOpts(s *pref.System, tbl *satisfaction.Table, opts GoOptions) (Result, error) {
 	nodes := NewNodes(s, tbl)
 	runner := simnet.NewGoRunner(s.Graph().NumNodes(), opts.Timeout)
-	if opts.Trace != nil {
-		runner.SetTrace(opts.Trace)
-	}
 	if opts.Metrics != nil {
 		runner.SetMetricsSink(opts.Metrics)
 	}
@@ -143,13 +136,15 @@ func RunGoroutinesOpts(s *pref.System, tbl *satisfaction.Table, opts GoOptions) 
 	if err != nil {
 		return Result{Stats: stats}, err
 	}
-	return finish(nodes, stats, opts.Metrics)
+	return Finish(nodes, stats, opts.Metrics)
 }
 
-// finish assembles the matching and, when a sink registry is present,
-// publishes the protocol-level instruments (the simnet-level message
-// instruments were already merged by the runner).
-func finish(nodes []*Node, stats simnet.Stats, sink *metrics.Registry) (Result, error) {
+// Finish assembles the matching from nodes whose run ended on any
+// simnet.Transport and, when sink is non-nil, publishes the lid_*
+// protocol counters into it (the transport merges its own message
+// counters). Callers that wire a runtime by hand end their run here,
+// as the Run* helpers do.
+func Finish(nodes []*Node, stats simnet.Stats, sink *metrics.Registry) (Result, error) {
 	m, err := BuildMatching(nodes)
 	if err != nil {
 		return Result{Stats: stats}, err

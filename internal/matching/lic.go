@@ -189,21 +189,6 @@ func sortByOrderKeyParallel(ids []graph.EdgeID, ord []uint64, workers int) {
 // (ascending EdgeID = canonical lexicographic) and rng consumption are
 // identical to the rescanning version, so outcomes are bit-identical.
 func LICLiteral(s *pref.System, tbl *satisfaction.Table, src *rng.Source) *Matching {
-	return LICLiteralParallel(s, tbl, src, 1)
-}
-
-// LICLiteralParallel is LICLiteral with the initial whole-pool
-// candidate scan (the one O(m) pass over every edge) sharded over
-// `workers` goroutines; the per-round cursor advances stay serial
-// because each is O(1) amortized and causally follows the rng draw of
-// its round. Shards are aligned to 64-bit words of the candidate
-// bitset, so each worker owns a disjoint word range and a private
-// count; counts fold in shard order after the join. The bitset and
-// count — and the rng stream, draw for draw — are bit-identical to
-// LICLiteral's for any worker count; workers <= 1 is exactly the
-// serial code path.
-func LICLiteralParallel(s *pref.System, tbl *satisfaction.Table, src *rng.Source, workers int) *Matching {
-	workers = par.Workers(workers)
 	g := s.Graph()
 	nEdges := g.NumEdges()
 	words := (nEdges + 63) / 64
@@ -266,43 +251,10 @@ func LICLiteralParallel(s *pref.System, tbl *satisfaction.Table, src *rng.Source
 		}
 	}
 	// Initial candidates: both endpoint cursors sit at position 0.
-	if workers <= 1 {
-		for id := graph.EdgeID(0); int(id) < nEdges; id++ {
-			e := g.EdgeByID(id)
-			if heaviestAt(e.U) == id && heaviestAt(e.V) == id {
-				setCand(id)
-			}
-		}
-	} else {
-		// Word-aligned shards: worker-private cand words and counts,
-		// counts folded in shard order after the join. Every cursor is 0
-		// and every edge alive, so "locally heaviest" reduces to heading
-		// both endpoints' sorted incidence lists — a pure read of the
-		// immutable table.
-		shardCount := make([]int, par.NumShards(words, workers))
-		par.ForEachShard(words, workers, func(sh, loW, hiW int) {
-			total := 0
-			for w := loW; w < hiW; w++ {
-				var word uint64
-				base := w << 6
-				limit := nEdges - base
-				if limit > 64 {
-					limit = 64
-				}
-				for b := 0; b < limit; b++ {
-					id := graph.EdgeID(base + b)
-					e := g.EdgeByID(id)
-					if sortedInc[e.U][0] == id && sortedInc[e.V][0] == id {
-						word |= 1 << b
-					}
-				}
-				cand[w] = word
-				total += bits.OnesCount64(word)
-			}
-			shardCount[sh] = total
-		})
-		for _, c := range shardCount {
-			candN += c
+	for id := graph.EdgeID(0); int(id) < nEdges; id++ {
+		e := g.EdgeByID(id)
+		if heaviestAt(e.U) == id && heaviestAt(e.V) == id {
+			setCand(id)
 		}
 	}
 	counter := make([]int, g.NumNodes())

@@ -203,8 +203,23 @@ func detailSuffix(e Event) string {
 	return "(" + e.Detail + ")"
 }
 
+// WriteLog renders the message-sequence view: one line per delivery in
+// record order, e.g. "   3.420     7 -> 12   PROP". Sends, spans and
+// points are left out; on the goroutine runtime every time is 0 and the
+// line order is the sequence.
+func (r *Recorder) WriteLog(w io.Writer) error {
+	var b strings.Builder
+	for _, e := range r.Events() {
+		if e.Type == EvDeliver {
+			fmt.Fprintf(&b, "%8.3f  %4d -> %-4d %s\n", e.Time, e.Peer, e.Node, e.Kind)
+		}
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
 // WriteFormat dispatches on a -trace-spans-format flag value:
-// "ndjson", "chrome", or "tree".
+// "ndjson", "chrome", "tree", or "log".
 func (r *Recorder) WriteFormat(w io.Writer, format string) error {
 	switch format {
 	case "", "ndjson":
@@ -213,6 +228,8 @@ func (r *Recorder) WriteFormat(w io.Writer, format string) error {
 		return r.WriteChromeTrace(w)
 	case "tree":
 		return r.WriteSpanTree(w)
+	case "log":
+		return r.WriteLog(w)
 	}
-	return fmt.Errorf("obs: unknown span format %q (want ndjson, chrome or tree)", format)
+	return fmt.Errorf("obs: unknown span format %q (want ndjson, chrome, tree or log)", format)
 }

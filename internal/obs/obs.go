@@ -21,7 +21,9 @@
 //
 // Exports: NDJSON (one event per line), Chrome trace-event JSON
 // (Perfetto-loadable: spans as B/E slices per node track, message
-// causality as s/f flow arrows), and a nested text span tree.
+// causality as s/f flow arrows), a nested text span tree, and the
+// message-sequence log (one line per delivery). The Recorder is the
+// simulator's only delivery stream; both runtimes feed it.
 //
 // Determinism and cost contract: the Recorder mutates no protocol
 // state and reads no RNG, so recorded runs are bit-identical to

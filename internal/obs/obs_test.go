@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"overlaymatch/internal/metrics"
@@ -77,25 +78,29 @@ func TestNilRecorderIsInert(t *testing.T) {
 }
 
 func TestExportsDeterministic(t *testing.T) {
-	render := func() (string, string, string) {
+	render := func() (string, string, string, string) {
 		r := NewRecorder(2)
 		record(r)
-		var nd, ch, tr bytes.Buffer
-		if err := r.WriteNDJSON(&nd); err != nil {
-			t.Fatal(err)
+		var nd, ch, tr, lg bytes.Buffer
+		for _, out := range []struct {
+			format string
+			buf    *bytes.Buffer
+		}{{"ndjson", &nd}, {"chrome", &ch}, {"tree", &tr}, {"log", &lg}} {
+			if err := r.WriteFormat(out.buf, out.format); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := r.WriteChromeTrace(&ch); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.WriteSpanTree(&tr); err != nil {
-			t.Fatal(err)
-		}
-		return nd.String(), ch.String(), tr.String()
+		return nd.String(), ch.String(), tr.String(), lg.String()
 	}
-	nd1, ch1, tr1 := render()
-	nd2, ch2, tr2 := render()
-	if nd1 != nd2 || ch1 != ch2 || tr1 != tr2 {
+	nd1, ch1, tr1, lg1 := render()
+	nd2, ch2, tr2, lg2 := render()
+	if nd1 != nd2 || ch1 != ch2 || tr1 != tr2 || lg1 != lg2 {
 		t.Fatal("exports differ across identical runs")
+	}
+	// The log lists deliveries only, one line each, as time, source,
+	// destination and kind.
+	if want := "   1.000     0 -> 1    PROP\n   2.000     1 -> 0    REJ\n"; lg1 != want {
+		t.Fatalf("log =\n%q\nwant\n%q", lg1, want)
 	}
 	if got := strings.Count(nd1, "\n"); got != 7 {
 		t.Fatalf("ndjson has %d lines, want 7", got)
@@ -130,6 +135,38 @@ func TestExportsDeterministic(t *testing.T) {
 	// Unknown format rejected.
 	if err := NewRecorder(1).WriteFormat(&bytes.Buffer{}, "xml"); err == nil {
 		t.Fatal("unknown span format accepted")
+	}
+}
+
+// TestRecorderConcurrentWriters: the goroutine runtime records from
+// every node goroutine at once. No event may be lost, Seq must stay the
+// record order, and every delivery must still merge its send's stamp.
+func TestRecorderConcurrentWriters(t *testing.T) {
+	const writers, per = 8, 500
+	r := NewRecorder(2 * writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				lam := r.Send(2*w, 2*w+1, "PROP", 0)
+				r.Deliver(2*w+1, 2*w, "PROP", 0, lam)
+			}
+		}(w)
+	}
+	wg.Wait()
+	ev := r.Events()
+	if len(ev) != 2*writers*per {
+		t.Fatalf("recorded %d events, want %d", len(ev), 2*writers*per)
+	}
+	for i, e := range ev {
+		if e.Seq != i {
+			t.Fatalf("event %d has seq %d", i, e.Seq)
+		}
+		if e.Type == EvDeliver && e.Lam <= e.SendLam {
+			t.Fatalf("deliver lam=%d not after send lam=%d", e.Lam, e.SendLam)
+		}
 	}
 }
 

@@ -31,7 +31,6 @@ type GoRunner struct {
 	boxes []*mailbox
 	ins   *instruments
 	sink  *metrics.Registry
-	trace func(TraceEntry)
 	rec   *obs.Recorder
 
 	polMu  sync.Mutex // serializes policy verdicts (policies are single-threaded)
@@ -94,13 +93,6 @@ func (r *GoRunner) SetTimeUnit(d time.Duration) {
 	}
 	r.timeUnit = d
 }
-
-// SetTrace installs a delivery callback, making -tracelog work under
-// the goroutine runtime. fn is invoked from the per-node goroutines —
-// concurrently, in scheduler order, with Time 0 (the GoRunner has no
-// global clock) — so it must be safe for concurrent use
-// (trace.Collector is). Call before Run.
-func (r *GoRunner) SetTrace(fn func(TraceEntry)) { r.trace = fn }
 
 // SetMetricsSink sets a shared registry that receives a Merge of the
 // run's private instrument registry when Run finishes. Call before
@@ -222,9 +214,6 @@ func (r *GoRunner) Run(handlers []Handler) (Stats, error) {
 				d, ok := r.boxes[id].pop()
 				if !ok {
 					return
-				}
-				if r.trace != nil {
-					r.trace(TraceEntry{From: d.from, To: id, Msg: d.msg})
 				}
 				if r.rec != nil && !d.timer {
 					r.rec.Deliver(id, d.from, KindOf(d.msg), 0, d.lam)

@@ -1,11 +1,11 @@
 package simnet
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"overlaymatch/internal/metrics"
+	"overlaymatch/internal/obs"
 )
 
 // lineHandler forwards one token down a line of nodes: node 0 sends
@@ -100,20 +100,16 @@ func TestRunnerMetricsSinkAggregates(t *testing.T) {
 	}
 }
 
-// TestGoRunnerTraceAndMetrics: the goroutine runtime must feed a
-// thread-safe trace callback and the same registry instruments.
+// TestGoRunnerTraceAndMetrics: the goroutine runtime must feed the
+// shared recorder from its concurrent node goroutines and the same
+// registry instruments.
 func TestGoRunnerTraceAndMetrics(t *testing.T) {
 	n := 6
 	sink := metrics.New()
+	rec := obs.NewRecorder(n)
 	r := NewGoRunner(n, 10*time.Second)
 	r.SetMetricsSink(sink)
-	var mu sync.Mutex
-	var entries []TraceEntry
-	r.SetTrace(func(e TraceEntry) {
-		mu.Lock()
-		entries = append(entries, e)
-		mu.Unlock()
-	})
+	r.SetObserver(rec)
 	st, err := r.Run(lineHandlers(n))
 	if err != nil {
 		t.Fatal(err)
@@ -121,11 +117,8 @@ func TestGoRunnerTraceAndMetrics(t *testing.T) {
 	if st.Deliveries == 0 {
 		t.Fatal("no deliveries")
 	}
-	mu.Lock()
-	captured := len(entries)
-	mu.Unlock()
-	if captured != st.Deliveries+st.TimersFired {
-		t.Fatalf("trace captured %d, stats delivered %d", captured, st.Deliveries+st.TimersFired)
+	if got := len(deliverEvents(rec)); got != st.Deliveries {
+		t.Fatalf("recorder captured %d deliveries, stats delivered %d", got, st.Deliveries)
 	}
 	if got := r.Metrics().Counter("simnet_deliveries_total", "").Value(); int(got) != st.Deliveries {
 		t.Fatalf("registry deliveries %d != stats %d", got, st.Deliveries)

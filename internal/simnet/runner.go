@@ -79,8 +79,6 @@ type Options struct {
 	// Latency and Drop models. Package faults provides the standard
 	// implementation. Timers bypass the policy.
 	Policy LinkPolicy
-	// Trace, if non-nil, receives every delivery in order.
-	Trace func(TraceEntry)
 	// MaxDeliveries aborts a run that exceeds this many deliveries
 	// (default 0 = no limit); the guard the non-termination tests use.
 	MaxDeliveries int
@@ -384,9 +382,6 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 			}
 			r.ins.finalTime.SetMax(e.time)
 			lastTime = e.time
-			if r.opts.Trace != nil {
-				r.opts.Trace(TraceEntry{Time: e.time, From: e.from, To: e.to, Msg: e.msg})
-			}
 			ctx.id, ctx.time = e.to, e.time
 			handlers[e.to].HandleMessage(ctx, e.from, e.msg)
 		}

@@ -115,10 +115,3 @@ func KindOf(msg Message) string {
 	}
 	return ""
 }
-
-// TraceEntry records one delivery for debugging and the trace tests.
-type TraceEntry struct {
-	Time     float64
-	From, To int
-	Msg      Message
-}

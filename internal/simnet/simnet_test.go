@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"overlaymatch/internal/obs"
 )
 
 // floodMsg is the token of the flood test protocol.
@@ -75,18 +77,25 @@ func TestRunnerFlood(t *testing.T) {
 	}
 }
 
+// deliverEvents returns the recorder's delivery events in record order.
+func deliverEvents(rec *obs.Recorder) []obs.Event {
+	var out []obs.Event
+	for _, e := range rec.Events() {
+		if e.Type == obs.EvDeliver {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestRunnerDeterministicTrace(t *testing.T) {
-	run := func() []TraceEntry {
-		var trace []TraceEntry
-		r := NewRunner(6, Options{
-			Seed:    42,
-			Latency: ExponentialLatency(2.0),
-			Trace:   func(e TraceEntry) { trace = append(trace, e) },
-		})
+	run := func() []obs.Event {
+		rec := obs.NewRecorder(6)
+		r := NewRunner(6, Options{Seed: 42, Latency: ExponentialLatency(2.0), Obs: rec})
 		if _, err := r.Run(starHandlers(6)); err != nil {
 			t.Fatal(err)
 		}
-		return trace
+		return deliverEvents(rec)
 	}
 	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
 		t.Fatal("equal seeds produced different traces")
@@ -95,14 +104,14 @@ func TestRunnerDeterministicTrace(t *testing.T) {
 
 func TestRunnerSeedChangesOrder(t *testing.T) {
 	order := func(seed uint64) []int {
-		var to []int
-		r := NewRunner(8, Options{
-			Seed:    seed,
-			Latency: ExponentialLatency(5),
-			Trace:   func(e TraceEntry) { to = append(to, e.To) },
-		})
+		rec := obs.NewRecorder(8)
+		r := NewRunner(8, Options{Seed: seed, Latency: ExponentialLatency(5), Obs: rec})
 		if _, err := r.Run(starHandlers(8)); err != nil {
 			t.Fatal(err)
+		}
+		var to []int
+		for _, e := range deliverEvents(rec) {
+			to = append(to, e.Node)
 		}
 		return to
 	}

@@ -1,136 +1,19 @@
-// Package trace records and renders protocol executions: a Collector
-// captures every delivery from either simnet runtime, and renderers
-// turn the capture into (a) a human-readable message-sequence log,
-// (b) a per-kind/per-time summary, (c) newline-delimited JSON
-// (one structured record per delivery — the machine-readable form),
-// and (d) Graphviz DOT of the final overlay (potential edges gray,
-// locked connections bold, labelled with their eq.-9 weights).
-// cmd/overlaysim exposes all of them.
+// Package trace renders the final overlay of a protocol execution as
+// Graphviz DOT: potential edges gray, locked connections bold and
+// labelled with their eq.-9 weights (cmd/overlaysim -dot). The
+// execution itself — the message-sequence log, NDJSON, Chrome trace
+// and span tree — is recorded and rendered by package obs.
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
-	"sync"
 
 	"overlaymatch/internal/matching"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/satisfaction"
-	"overlaymatch/internal/simnet"
 )
-
-// Collector accumulates deliveries; plug its Record method into
-// simnet.Options.Trace (event runtime) or GoRunner.SetTrace
-// (goroutine runtime). It is mutex-guarded and safe for concurrent
-// use, which the goroutine runtime requires: its per-node goroutines
-// record deliveries concurrently, in scheduler order.
-type Collector struct {
-	mu      sync.Mutex
-	entries []simnet.TraceEntry
-}
-
-// Record implements the simnet trace callback.
-func (c *Collector) Record(e simnet.TraceEntry) {
-	c.mu.Lock()
-	c.entries = append(c.entries, e)
-	c.mu.Unlock()
-}
-
-// Len returns the number of recorded deliveries.
-func (c *Collector) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Entries returns a copy of the recorded deliveries in record order.
-func (c *Collector) Entries() []simnet.TraceEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]simnet.TraceEntry(nil), c.entries...)
-}
-
-// kindOrValue renders a message's kind label, falling back to its
-// value for unkinded messages.
-func kindOrValue(msg simnet.Message) string {
-	if kind := simnet.KindOf(msg); kind != "" {
-		return kind
-	}
-	return fmt.Sprintf("%v", msg)
-}
-
-// WriteLog renders the message-sequence log: one line per delivery,
-// in record order, e.g. "  3.42  7 -> 12  PROP".
-func (c *Collector) WriteLog(w io.Writer) error {
-	var b strings.Builder
-	for _, e := range c.Entries() {
-		fmt.Fprintf(&b, "%8.3f  %4d -> %-4d %s\n", e.Time, e.From, e.To, kindOrValue(e.Msg))
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// ndjsonEntry is the wire schema of one WriteNDJSON record.
-type ndjsonEntry struct {
-	Seq  int     `json:"seq"`
-	Time float64 `json:"time"`
-	From int     `json:"from"`
-	To   int     `json:"to"`
-	Kind string  `json:"kind"`
-}
-
-// WriteNDJSON renders the capture as newline-delimited JSON, one
-// record per delivery with a record-order sequence number — the
-// structured trace format shared by both runtimes (the goroutine
-// runtime has no virtual clock, so its records carry time 0 and rely
-// on seq for ordering).
-func (c *Collector) WriteNDJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for i, e := range c.Entries() {
-		rec := ndjsonEntry{Seq: i, Time: e.Time, From: e.From, To: e.To, Kind: kindOrValue(e.Msg)}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Summary aggregates the capture per message kind.
-type Summary struct {
-	Kind      string
-	Count     int
-	FirstTime float64
-	LastTime  float64
-}
-
-// Summarize returns per-kind aggregates sorted by kind.
-func (c *Collector) Summarize() []Summary {
-	agg := map[string]*Summary{}
-	for _, e := range c.Entries() {
-		kind := simnet.KindOf(e.Msg)
-		s, ok := agg[kind]
-		if !ok {
-			s = &Summary{Kind: kind, FirstTime: e.Time}
-			agg[kind] = s
-		}
-		s.Count++
-		if e.Time < s.FirstTime {
-			s.FirstTime = e.Time
-		}
-		if e.Time > s.LastTime {
-			s.LastTime = e.Time
-		}
-	}
-	out := make([]Summary, 0, len(agg))
-	for _, s := range agg {
-		out = append(out, *s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
-	return out
-}
 
 // WriteDOT renders the overlay and its matching as Graphviz DOT:
 // every potential edge in light gray, locked connections bold with

@@ -3,19 +3,22 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"overlaymatch/internal/gen"
 	"overlaymatch/internal/lid"
+	"overlaymatch/internal/obs"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 )
 
-func tracedRun(t *testing.T) (*Collector, *pref.System, lid.Result) {
+// tracedRun runs LID on the named runtime ("event" or "goroutine") with
+// a telemetry recorder attached.
+func tracedRun(t *testing.T, runtime string) (*obs.Recorder, *pref.System, lid.Result) {
 	t.Helper()
 	src := rng.New(3)
 	g := gen.GNP(src, 15, 0.4)
@@ -24,68 +27,66 @@ func tracedRun(t *testing.T) (*Collector, *pref.System, lid.Result) {
 		t.Fatal(err)
 	}
 	tbl := satisfaction.NewTable(s)
-	var c Collector
-	res, err := lid.RunEvent(s, tbl, simnet.Options{
-		Seed:    1,
-		Latency: simnet.ExponentialLatency(2),
-		Trace:   c.Record,
-	})
+	rec := obs.NewRecorder(g.NumNodes())
+	var res lid.Result
+	if runtime == "goroutine" {
+		res, err = lid.RunGoroutinesOpts(s, tbl, lid.GoOptions{Obs: rec})
+	} else {
+		res, err = lid.RunEvent(s, tbl, simnet.Options{
+			Seed:    1,
+			Latency: simnet.ExponentialLatency(2),
+			Obs:     rec,
+		})
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &c, s, res
+	return rec, s, res
 }
 
-func TestCollectorCapturesEveryDelivery(t *testing.T) {
-	c, _, res := tracedRun(t)
-	if c.Len() != res.Stats.Deliveries {
-		t.Fatalf("captured %d, delivered %d", c.Len(), res.Stats.Deliveries)
-	}
-	// Deliveries arrive in nondecreasing time order.
-	for i := 1; i < len(c.Entries()); i++ {
-		if c.Entries()[i].Time < c.Entries()[i-1].Time {
-			t.Fatal("trace out of time order")
-		}
-	}
-}
-
+// TestWriteLog: the message-sequence log (-trace-spans-format log) has
+// exactly one line per delivery on both runtimes — the recorder misses
+// none, even when the goroutine runtime's node goroutines record
+// concurrently — and on the event runtime the lines are in virtual-time
+// order.
 func TestWriteLog(t *testing.T) {
-	c, _, _ := tracedRun(t)
-	var b strings.Builder
-	if err := c.WriteLog(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "PROP") {
-		t.Fatalf("log missing PROP lines:\n%.200s", out)
-	}
-	if lines := strings.Count(out, "\n"); lines != c.Len() {
-		t.Fatalf("log has %d lines for %d entries", lines, c.Len())
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	c, _, res := tracedRun(t)
-	sums := c.Summarize()
-	byKind := map[string]Summary{}
-	total := 0
-	for _, s := range sums {
-		byKind[s.Kind] = s
-		total += s.Count
-	}
-	if total != res.Stats.Deliveries {
-		t.Fatalf("summary total %d != deliveries %d", total, res.Stats.Deliveries)
-	}
-	if byKind["PROP"].Count == 0 {
-		t.Fatal("no PROP messages summarized")
-	}
-	if p := byKind["PROP"]; p.FirstTime > p.LastTime {
-		t.Fatal("first/last times inverted")
+	for _, runtime := range []string{"event", "goroutine"} {
+		t.Run(runtime, func(t *testing.T) {
+			rec, _, res := tracedRun(t, runtime)
+			var b strings.Builder
+			if err := rec.WriteFormat(&b, "log"); err != nil {
+				t.Fatal(err)
+			}
+			out := b.String()
+			if !strings.Contains(out, "PROP") {
+				t.Fatalf("log missing PROP lines:\n%.200s", out)
+			}
+			lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+			if len(lines) != res.Stats.Deliveries {
+				t.Fatalf("log has %d lines for %d deliveries", len(lines), res.Stats.Deliveries)
+			}
+			prev := 0.0
+			for _, line := range lines {
+				var at float64
+				var from, to int
+				var kind string
+				if _, err := fmt.Sscanf(line, "%f %d -> %d %s", &at, &from, &to, &kind); err != nil {
+					t.Fatalf("malformed log line %q: %v", line, err)
+				}
+				if kind != "PROP" && kind != "REJ" {
+					t.Fatalf("log line %q has kind %q", line, kind)
+				}
+				if at < prev {
+					t.Fatal("log out of time order")
+				}
+				prev = at
+			}
+		})
 	}
 }
 
 func TestWriteDOT(t *testing.T) {
-	_, s, res := tracedRun(t)
+	_, s, res := tracedRun(t, "event")
 	var b strings.Builder
 	if err := WriteDOT(&b, s, res.Matching); err != nil {
 		t.Fatal(err)
@@ -103,81 +104,41 @@ func TestWriteDOT(t *testing.T) {
 	}
 }
 
+// TestWriteNDJSON: the NDJSON stream carries every send and every
+// delivery of a LID run, in record order.
 func TestWriteNDJSON(t *testing.T) {
-	c, _, res := tracedRun(t)
+	rec, _, res := tracedRun(t, "event")
 	var b bytes.Buffer
-	if err := c.WriteNDJSON(&b); err != nil {
+	if err := rec.WriteNDJSON(&b); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != res.Stats.Deliveries {
-		t.Fatalf("ndjson has %d records, want %d", len(lines), res.Stats.Deliveries)
-	}
-	for i, line := range lines {
-		var rec struct {
-			Seq  int     `json:"seq"`
-			Time float64 `json:"time"`
-			From int     `json:"from"`
-			To   int     `json:"to"`
-			Kind string  `json:"kind"`
+	sends, delivers := 0, 0
+	for i, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+		var r struct {
+			Seq  int    `json:"seq"`
+			Type string `json:"type"`
+			Kind string `json:"kind"`
 		}
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		if err := json.Unmarshal([]byte(line), &r); err != nil {
 			t.Fatalf("record %d invalid: %v (%s)", i, err, line)
 		}
-		if rec.Seq != i {
-			t.Fatalf("record %d has seq %d", i, rec.Seq)
+		if r.Seq != i {
+			t.Fatalf("record %d has seq %d", i, r.Seq)
 		}
-		if rec.Kind != "PROP" && rec.Kind != "REJ" {
-			t.Fatalf("record %d has kind %q", i, rec.Kind)
+		if r.Type != "send" && r.Type != "deliver" {
+			continue
+		}
+		if r.Kind != "PROP" && r.Kind != "REJ" {
+			t.Fatalf("record %d has kind %q", i, r.Kind)
+		}
+		if r.Type == "send" {
+			sends++
+		} else {
+			delivers++
 		}
 	}
-}
-
-// TestCollectorConcurrentRecord exercises the mutex guard: the
-// goroutine runtime records from many goroutines at once.
-func TestCollectorConcurrentRecord(t *testing.T) {
-	var c Collector
-	const writers, per = 8, 500
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.Record(simnet.TraceEntry{From: w, To: i})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if c.Len() != writers*per {
-		t.Fatalf("captured %d, want %d", c.Len(), writers*per)
-	}
-}
-
-// TestCollectorOnGoroutineRuntime runs LID on the goroutine runtime
-// with the collector attached — the satellite fix for
-// `-tracelog -runtime goroutine`.
-func TestCollectorOnGoroutineRuntime(t *testing.T) {
-	src := rng.New(3)
-	g := gen.GNP(src, 15, 0.4)
-	s, err := pref.Build(g, pref.NewRandomMetric(src.Split()), pref.UniformQuota(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := satisfaction.NewTable(s)
-	var c Collector
-	res, err := lid.RunGoroutinesOpts(s, tbl, lid.GoOptions{Trace: c.Record})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != res.Stats.Deliveries {
-		t.Fatalf("captured %d, delivered %d", c.Len(), res.Stats.Deliveries)
-	}
-	var b bytes.Buffer
-	if err := c.WriteLog(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "PROP") {
-		t.Fatal("goroutine-runtime log missing PROP lines")
+	if sends != res.Stats.TotalSent() || delivers != res.Stats.Deliveries {
+		t.Fatalf("ndjson has %d sends / %d deliveries, want %d / %d",
+			sends, delivers, res.Stats.TotalSent(), res.Stats.Deliveries)
 	}
 }
