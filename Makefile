@@ -9,7 +9,8 @@ all: build vet test
 
 # The default pre-commit gate: full build + vet + tests, plus the race
 # detector on the concurrency-bearing packages (the metrics registry,
-# both simnet runtimes, and the fault-injection explorer), the
+# both simnet runtimes, the fault-injection explorer, and the phased
+# and robust protocols, whose suites drive the GoRunner), the
 # experiment-registry coverage sweep, a short fuzz pass over the
 # parsers, the golden-output regeneration diff (possible since the
 # golden file is timing-free; any drift in any experiment fails here),
@@ -27,7 +28,7 @@ fmt-check:
 # satisfaction, matching, lid) are included: they share read-only CSR
 # slices across goroutines, which the race detector must keep honest.
 race-core: vet
-	$(GO) test -race -short ./internal/par/... ./internal/metrics/... ./internal/simnet/... ./internal/faults/... ./internal/detector/... ./internal/reliable/... ./internal/graph/... ./internal/pref/... ./internal/satisfaction/... ./internal/matching/... ./internal/lid/... ./internal/obs/... ./internal/workload/... ./internal/tournament/... ./internal/dynamic/... ./internal/transport/...
+	$(GO) test -race -short ./internal/par/... ./internal/metrics/... ./internal/simnet/... ./internal/faults/... ./internal/detector/... ./internal/reliable/... ./internal/graph/... ./internal/pref/... ./internal/satisfaction/... ./internal/matching/... ./internal/lid/... ./internal/obs/... ./internal/workload/... ./internal/tournament/... ./internal/dynamic/... ./internal/transport/... ./internal/phased/... ./internal/robust/...
 
 # Every registered experiment must still run under quick parameters —
 # catches experiments silently falling out of the registry.

@@ -46,8 +46,6 @@ func main() {
 		rto     = flag.Float64("rto", 30, "retransmission timeout of the transport-backed experiments (E11, E15), virtual time units")
 		adapt   = flag.Bool("adaptive-rto", false, "RFC-6298 adaptive retransmission timeout in the transport-backed experiments")
 		detStr  = flag.String("detector", "", "failure-detector spec for the self-healing experiment (E16): on | hb=5,phi=8,... (empty = default)")
-		hbInt   = flag.Float64("hb-interval", 0, "override E16's heartbeat interval (virtual time units)")
-		phiThr  = flag.Float64("phi-threshold", 0, "override E16's phi suspicion threshold")
 		probeIv = flag.Float64("probe-interval", 0, "virtual-time spacing of the stability probes (E17); 0 = one probe per unit-latency round")
 		churnF  = flag.String("churn", "off", `churn feed of the churn-survival experiment (E19): "events=200,leave=0.5,minalive=8,rate=2" (off = E19's built-in feed)`)
 		repairK = flag.Int("repair-rounds", 0, "repair budget of E19's truncated rows (0 = sweep {1,2,4})")
@@ -57,9 +55,6 @@ func main() {
 
 	if *rto <= 0 {
 		fail("-rto must be positive, got %v (the retransmission timer would never fire)", *rto)
-	}
-	if *hbInt < 0 || *phiThr < 0 {
-		fail("-hb-interval and -phi-threshold must be positive")
 	}
 	if *probeIv < 0 {
 		fail("-probe-interval must be non-negative")
@@ -122,24 +117,10 @@ func main() {
 	cfg := experiments.Config{Seed: *seed, Quick: *quick, Workers: *workers,
 		RTO: *rto, AdaptiveRTO: *adapt, ProbeInterval: *probeIv,
 		Churn: churnSpec, RepairRounds: *repairK, ShedDepth: *shedD}
-	if *detStr != "" || *hbInt > 0 || *phiThr > 0 {
+	if *detStr != "" {
 		det, err := detector.Parse(*detStr)
 		if err != nil {
 			fail("%v", err)
-		}
-		if !det.Enabled() && (*hbInt > 0 || *phiThr > 0) {
-			det = detector.Default()
-		}
-		if *hbInt > 0 {
-			det.Interval = *hbInt
-		}
-		if *phiThr > 0 {
-			det.Phi = *phiThr
-		}
-		if det.Enabled() {
-			if err := det.Validate(); err != nil {
-				fail("%v", err)
-			}
 		}
 		cfg.Detector = &det
 	}

@@ -29,7 +29,6 @@ import (
 	"overlaymatch/internal/detector"
 	"overlaymatch/internal/faults"
 	"overlaymatch/internal/lid"
-	"overlaymatch/internal/matching"
 	"overlaymatch/internal/metrics"
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/satisfaction"
@@ -138,13 +137,11 @@ func main() {
 
 	partners := nodes[*nodeID].Locked()
 	sort.Ints(partners)
-	local := matching.New(g.NumNodes())
 	labels := make([]string, len(partners))
 	for i, v := range partners {
 		labels[i] = strconv.Itoa(v)
-		local.Add(*nodeID, v)
 	}
-	total := local.PerNodeSatisfaction(sys)[*nodeID]
+	total := satisfaction.Value(sys, *nodeID, partners)
 	fmt.Printf("node %d quiescent after %v: %d/%d connections [%s], satisfaction %.4f\n",
 		*nodeID, time.Since(start).Round(time.Millisecond),
 		len(partners), *quota, strings.Join(labels, " "), total)

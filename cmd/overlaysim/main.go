@@ -68,8 +68,6 @@ func main() {
 		rto      = flag.Float64("rto", 30, "retransmission timeout in virtual time units (-reliable)")
 		adaptRTO = flag.Bool("adaptive-rto", false, "RFC-6298 adaptive retransmission timeout with backoff (-reliable)")
 		detStr   = flag.String("detector", "off", "heartbeat failure detector: off | on | hb=5,phi=8,... (see internal/detector)")
-		hbInt    = flag.Float64("hb-interval", 0, "heartbeat interval override in virtual time units (implies -detector on)")
-		phiThr   = flag.Float64("phi-threshold", 0, "phi suspicion threshold override (implies -detector on)")
 		replay   = flag.String("replay", "", "re-execute a frozen replay file (see faults.Explore) and report the verdict")
 		workers  = flag.Int("workers", 0, "goroutines for the deterministic parallel weight-table build (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
 		churnStr = flag.String("churn", "off", `run the churn-survival engine instead of the distributed sim: "events=200,leave=0.5,minalive=8,rate=2" (see internal/dynamic)`)
@@ -109,8 +107,6 @@ func main() {
 		rto:          *rto,
 		adaptiveRTO:  *adaptRTO,
 		reliable:     *reliab,
-		hbInterval:   *hbInt,
-		phiThreshold: *phiThr,
 		detector:     *detStr,
 		faults:       *faultStr,
 		traceSpans:   *spansOut,

@@ -35,7 +35,7 @@ func TestLatencyHelper(t *testing.T) {
 
 func TestFillHelper(t *testing.T) {
 	s := testSystem(t)
-	if f := fill(s, matching.New(s.Graph().NumNodes())); f != 0 {
+	if f := fill(s, matching.NewDense(s.Graph())); f != 0 {
 		t.Fatalf("empty fill = %v", f)
 	}
 }

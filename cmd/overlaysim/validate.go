@@ -21,8 +21,6 @@ type cliFlags struct {
 	rto          float64
 	adaptiveRTO  bool
 	reliable     bool
-	hbInterval   float64
-	phiThreshold float64
 	detector     string
 	faults       string
 	traceSpans   string
@@ -74,26 +72,9 @@ func validateFlags(f cliFlags) (runConfig, error) {
 	if f.adaptiveRTO && !f.reliable {
 		return cfg, fmt.Errorf("-adaptive-rto tunes the retransmission timer and needs -reliable")
 	}
-	if f.hbInterval < 0 || f.phiThreshold < 0 {
-		return cfg, fmt.Errorf("-hb-interval and -phi-threshold must be positive")
-	}
 	det, err := detector.Parse(f.detector)
 	if err != nil {
 		return cfg, err
-	}
-	if f.hbInterval > 0 || f.phiThreshold > 0 {
-		if !det.Enabled() {
-			det = detector.Default()
-		}
-		if f.hbInterval > 0 {
-			det.Interval = f.hbInterval
-		}
-		if f.phiThreshold > 0 {
-			det.Phi = f.phiThreshold
-		}
-		if err := det.Validate(); err != nil {
-			return cfg, err
-		}
 	}
 	cfg.det = det
 

@@ -30,7 +30,6 @@ func TestValidateFlagsInteractionMatrix(t *testing.T) {
 		{"unknown runtime", func(f *cliFlags) { f.runtime = "quantum" }, "unknown runtime"},
 		{"bad rto", func(f *cliFlags) { f.rto = 0 }, "-rto"},
 		{"adaptive rto without reliable", func(f *cliFlags) { f.adaptiveRTO = true }, "-adaptive-rto"},
-		{"negative hb interval", func(f *cliFlags) { f.hbInterval = -1 }, "-hb-interval"},
 		{"lossy faults without reliable", func(f *cliFlags) { f.faults = "drop=0.1" }, "needs -reliable"},
 		{"lossy faults with reliable", func(f *cliFlags) { f.faults = "drop=0.1"; f.reliable = true }, ""},
 		// Each runtime rejection names exactly the runtimes that accept

@@ -2,7 +2,6 @@ package dlid
 
 import (
 	"fmt"
-	"sort"
 
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
@@ -138,7 +137,7 @@ func RunMode(s *pref.System, tbl *satisfaction.Table, mode Mode, schedule []Even
 		opts.Metrics.Counter("dlid_resyncs_total", "restored peers re-greeted with HELLO").
 			Add(int64(res.Resyncs))
 	}
-	live, err := extractLive(s, nodes)
+	live, err := extractLive(s, nodes, nil)
 	if err != nil {
 		return res, err
 	}
@@ -150,43 +149,36 @@ func RunMode(s *pref.System, tbl *satisfaction.Table, mode Mode, schedule []Even
 }
 
 // extractLive builds the live matching and verifies symmetry,
-// feasibility and endpoint liveness.
-func extractLive(s *pref.System, nodes []*Node) (*matching.Matching, error) {
-	m := matching.New(len(nodes))
+// feasibility and endpoint liveness. Silenced (excluded) nodes are
+// ignored: an excluded node's own view is untrusted (it may still
+// believe in connections its partners repaired away), but every
+// reachable node must have dropped its edges toward the silenced ones.
+func extractLive(s *pref.System, nodes []*Node, excluded map[graph.NodeID]bool) (*matching.Matching, error) {
+	lists := make([][]graph.NodeID, len(nodes))
 	for _, nd := range nodes {
+		if excluded[nd.id] {
+			continue
+		}
+		conns := nd.Connections()
 		if !nd.Alive() {
-			if len(nd.Connections()) != 0 {
+			if len(conns) != 0 {
 				return nil, fmt.Errorf("dlid: dead node %d holds connections", nd.id)
 			}
 			continue
 		}
-		for _, v := range nd.Connections() {
+		for _, v := range conns {
+			if excluded[v] {
+				return nil, fmt.Errorf("dlid: node %d still connected to silenced %d", nd.id, v)
+			}
 			if !nodes[v].Alive() {
 				return nil, fmt.Errorf("dlid: node %d connected to dead %d", nd.id, v)
 			}
-			if nd.id < v {
-				m.Add(nd.id, v)
-			}
 		}
+		lists[nd.id] = conns
 	}
-	for _, nd := range nodes {
-		if !nd.Alive() {
-			continue
-		}
-		conns := nd.Connections()
-		if len(conns) != m.DegreeOf(nd.id) {
-			return nil, fmt.Errorf("dlid: asymmetric connections at node %d", nd.id)
-		}
-		if len(conns) > s.Quota(nd.id) {
-			return nil, fmt.Errorf("dlid: node %d over quota", nd.id)
-		}
-		sort.Ints(conns)
-		got := m.Connections(nd.id)
-		for i := range conns {
-			if conns[i] != got[i] {
-				return nil, fmt.Errorf("dlid: asymmetric connection %d-%d", nd.id, conns[i])
-			}
-		}
+	m, err := matching.Assemble(s, func(id graph.NodeID) []graph.NodeID { return lists[id] })
+	if err != nil {
+		return nil, fmt.Errorf("dlid: %w", err)
 	}
 	return m, nil
 }

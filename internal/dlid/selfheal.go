@@ -1,8 +1,6 @@
 package dlid
 
 import (
-	"fmt"
-
 	"overlaymatch/internal/detector"
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
@@ -111,7 +109,7 @@ func RunSelfHeal(s *pref.System, tbl *satisfaction.Table, cfg SelfHealConfig, sc
 		opts.Metrics.Counter("dlid_resyncs_total", "restored peers re-greeted with HELLO").
 			Add(int64(res.Resyncs))
 	}
-	live, err := extractLiveExcluding(s, nodes, cfg.Excluded)
+	live, err := extractLive(s, nodes, cfg.Excluded)
 	if err != nil {
 		return res, err
 	}
@@ -120,52 +118,4 @@ func RunSelfHeal(s *pref.System, tbl *satisfaction.Table, cfg SelfHealConfig, sc
 		return res, err
 	}
 	return res, nil
-}
-
-// extractLiveExcluding is extractLive with silenced nodes ignored: an
-// excluded node's own view is untrusted (it may still believe in
-// connections its partners repaired away), but every reachable node
-// must have dropped its edges toward the silenced ones.
-func extractLiveExcluding(s *pref.System, nodes []*Node, excluded map[graph.NodeID]bool) (*matching.Matching, error) {
-	if len(excluded) == 0 {
-		return extractLive(s, nodes)
-	}
-	m := matching.New(len(nodes))
-	for _, nd := range nodes {
-		if excluded[nd.id] {
-			continue
-		}
-		if !nd.Alive() {
-			if len(nd.Connections()) != 0 {
-				return nil, fmt.Errorf("dlid: dead node %d holds connections", nd.id)
-			}
-			continue
-		}
-		for _, v := range nd.Connections() {
-			if excluded[v] {
-				return nil, fmt.Errorf("dlid: node %d still connected to silenced %d", nd.id, v)
-			}
-			if !nodes[v].Alive() {
-				return nil, fmt.Errorf("dlid: node %d connected to dead %d", nd.id, v)
-			}
-			if nd.id < v {
-				m.Add(nd.id, v)
-			} else if !nodes[v].neighborView(nd.id).connected {
-				return nil, fmt.Errorf("dlid: asymmetric connection %d-%d", nd.id, v)
-			}
-		}
-	}
-	for _, nd := range nodes {
-		if excluded[nd.id] || !nd.Alive() {
-			continue
-		}
-		conns := nd.Connections()
-		if len(conns) != m.DegreeOf(nd.id) {
-			return nil, fmt.Errorf("dlid: asymmetric connections at node %d", nd.id)
-		}
-		if len(conns) > s.Quota(nd.id) {
-			return nil, fmt.Errorf("dlid: node %d over quota", nd.id)
-		}
-	}
-	return m, nil
 }

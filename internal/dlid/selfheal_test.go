@@ -141,7 +141,7 @@ func greedyLiveLIC(s *pref.System, nodes []*Node) *matching.Matching {
 		}
 		return edges[i].e.V < edges[j].e.V
 	})
-	m := matching.New(len(nodes))
+	m := matching.NewDense(s.Graph())
 	for _, we := range edges {
 		if m.DegreeOf(we.e.U) < s.Quota(we.e.U) && m.DegreeOf(we.e.V) < s.Quota(we.e.V) {
 			m.Add(we.e.U, we.e.V)

@@ -306,7 +306,7 @@ func (o *Overlay) LiveLIC() (*matching.Matching, error) {
 		return nil, err
 	}
 	subM := matching.LIC(s2, satisfaction.NewTable(s2))
-	m := matching.New(g.NumNodes())
+	m := matching.NewDense(g)
 	for _, e := range subM.Edges() {
 		m.Add(back[e.U], back[e.V])
 	}

@@ -781,7 +781,7 @@ func (o *Overlay) LiveLICInherited() *matching.Matching {
 	for i := range quota {
 		quota[i] = o.s.Quota(i)
 	}
-	m := matching.New(g.NumNodes())
+	m := matching.NewDense(g)
 	for _, k := range keys {
 		if quota[k.U] > 0 && quota[k.V] > 0 {
 			m.Add(k.U, k.V)

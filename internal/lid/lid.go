@@ -76,6 +76,7 @@ const (
 // All methods are called sequentially by the runtimes; a Node must not
 // be shared between runs.
 type Node struct {
+	sys   *pref.System // shared, read-only: BuildMatching's assembly context
 	id    graph.NodeID
 	quota int
 	// order is the weight list: neighbors in decreasing eq.-9 edge
@@ -115,6 +116,7 @@ func NewNodeRestricted(s *pref.System, tbl *satisfaction.Table, id graph.NodeID,
 		panic(fmt.Sprintf("lid: negative quota for node %d", id))
 	}
 	n := &Node{
+		sys:        s,
 		id:         id,
 		quota:      quota,
 		order:      order,
@@ -369,28 +371,16 @@ func (n *Node) Halted() bool { return n.halted }
 func (n *Node) Locked() []graph.NodeID { return n.locked }
 
 // BuildMatching assembles the global matching from all nodes' locked
-// sets, verifying that locks are symmetric — i locked j exactly when j
-// locked i, the paper's "this will happen in both endpoints".
+// sets through matching.Assemble, which rejects any lock not held at
+// both endpoints — the paper's "this will happen in both endpoints" —
+// as well as non-neighbor, duplicate and over-quota locks.
 func BuildMatching(nodes []*Node) (*matching.Matching, error) {
-	m := matching.New(len(nodes))
-	for _, nd := range nodes {
-		for _, v := range nd.locked {
-			if nd.id < v {
-				m.Add(nd.id, v)
-			}
-		}
+	if len(nodes) == 0 {
+		return matching.NewDense(graph.MustFromEdges(0, nil)), nil
 	}
-	// Symmetry check: every lock must appear on both sides.
-	for _, nd := range nodes {
-		for _, v := range nd.locked {
-			if !m.Has(nd.id, v) {
-				return nil, fmt.Errorf("lid: asymmetric lock %d->%d", nd.id, v)
-			}
-		}
-		if len(nd.locked) != m.DegreeOf(nd.id) {
-			return nil, fmt.Errorf("lid: node %d locked %d, matching degree %d",
-				nd.id, len(nd.locked), m.DegreeOf(nd.id))
-		}
+	m, err := matching.Assemble(nodes[0].sys, func(id graph.NodeID) []graph.NodeID { return nodes[id].locked })
+	if err != nil {
+		return nil, fmt.Errorf("lid: %w", err)
 	}
 	return m, nil
 }

@@ -295,3 +295,12 @@ func TestBuildMatchingDetectsAsymmetry(t *testing.T) {
 		t.Fatal("asymmetric lock not detected")
 	}
 }
+
+// TestBuildMatchingNoNodes: an empty overlay (overlaysim -n 0) has no
+// node to carry the system, and still assembles the empty matching.
+func TestBuildMatchingNoNodes(t *testing.T) {
+	m, err := BuildMatching(nil)
+	if err != nil || m.Size() != 0 || m.NumNodes() != 0 {
+		t.Fatalf("empty assembly: %v, %v", m, err)
+	}
+}

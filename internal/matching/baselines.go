@@ -22,7 +22,7 @@ func RandomMaximal(s *pref.System, src *rng.Source) *Matching {
 	for i := range cap_ {
 		cap_[i] = s.Quota(i)
 	}
-	m := New(g.NumNodes())
+	m := NewDense(g)
 	for _, e := range edges {
 		if cap_[e.U] > 0 && cap_[e.V] > 0 {
 			m.Add(e.U, e.V)
@@ -49,7 +49,7 @@ func SelfishTopB(s *pref.System) *Matching {
 			proposes[i][list[k]] = true
 		}
 	}
-	m := New(n)
+	m := NewDense(g)
 	for _, e := range g.Edges() {
 		if proposes[e.U][e.V] && proposes[e.V][e.U] {
 			m.Add(e.U, e.V)
@@ -79,7 +79,7 @@ type BestResponseResult struct {
 // Converged=false if blocking pairs remain.
 func BestResponse(s *pref.System, src *rng.Source, maxActivations int) BestResponseResult {
 	g := s.Graph()
-	m := New(g.NumNodes())
+	m := NewDense(g)
 	edges := append([]graph.Edge(nil), g.Edges()...)
 	activations := 0
 	for activations < maxActivations {

@@ -131,7 +131,7 @@ func TestBestResponseStableOnClassicCycle(t *testing.T) {
 
 func TestWorstConnectionPanicsOnUnmatched(t *testing.T) {
 	s := randomSystem(t, 1, 5, 1.0, 1)
-	m := New(5)
+	m := NewDense(s.Graph())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

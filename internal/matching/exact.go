@@ -71,7 +71,7 @@ func MaxWeightBMatching(s *pref.System, tbl *satisfaction.Table) (*Matching, flo
 	rec = func(k int, curW float64) {
 		if curW > bestW {
 			bestW = curW
-			b := New(g.NumNodes())
+			b := NewDense(g)
 			for i, c := range chosen {
 				if c {
 					b.Add(sortedEdges[i].U, sortedEdges[i].V)
@@ -165,7 +165,7 @@ func MaxSatisfactionBMatching(s *pref.System) (*Matching, float64, error) {
 		posOf[e] = idx
 	}
 
-	cur := New(n)
+	cur := NewDense(g)
 	// Incumbent: start from the LIC matching (feasible and usually strong).
 	tbl := satisfaction.NewTable(s)
 	best := LIC(s, tbl)

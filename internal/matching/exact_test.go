@@ -21,7 +21,7 @@ func bruteForce(s *pref.System, objective func(*Matching) float64) float64 {
 	}
 	best := 0.0
 	for mask := 0; mask < 1<<m; mask++ {
-		mm := New(g.NumNodes())
+		mm := NewDense(g)
 		feasible := true
 		for k := 0; k < m && feasible; k++ {
 			if mask&(1<<k) == 0 {

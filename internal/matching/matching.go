@@ -1,7 +1,8 @@
 // Package matching implements many-to-many matchings on preference
 // systems: the Matching container with the paper's feasibility
 // constraints (§2: at most bi connections per node, only graph edges),
-// the centralized LIC algorithm (§6, Algorithm 2) in both its
+// Assemble, the one verified path from a distributed protocol's
+// per-node partner lists to a Matching, the centralized LIC algorithm (§6, Algorithm 2) in both its
 // literal locally-heaviest form and the equivalent sorted-scan form,
 // exact branch-and-bound oracles for the maximum-weight and
 // maximum-satisfaction objectives (the OPT comparators of Theorems 2
@@ -20,38 +21,25 @@ import (
 )
 
 // Matching is a set of selected edges ("connections") over a graph,
-// tracked per node. The zero value is unusable; use New or NewDense.
+// tracked per node. The zero value is unusable; use NewDense, or
+// Assemble for the outcome of a distributed protocol.
 //
-// Two representations share one API. The sparse form (New) keeps only
-// the per-node connection slices — membership scans conns[u], which is
-// bounded by the quota and so effectively constant. The dense form
-// (NewDense) additionally keeps an EdgeID-indexed bitset over a known
-// graph, giving O(log deg) membership and edge enumeration straight in
-// canonical order. Both forms present identical observable behavior;
-// Edges() iterates in canonical lexicographic order either way.
+// Every Matching is bound to its graph: an EdgeID-indexed bitset gives
+// O(log deg) membership and edge enumeration straight in canonical
+// order, and the per-node connection slices (bounded by the quota)
+// give degrees and partner lists. Only graph edges can be selected.
 type Matching struct {
 	n     int
 	size  int
 	conns [][]graph.NodeID
 
-	g    *graph.Graph // nil in sparse mode
-	bits []uint64     // EdgeID bitset, dense mode only
-}
-
-// New returns an empty matching over n nodes in sparse mode, for
-// assemblies that know only the node count (e.g. collecting protocol
-// outcomes).
-func New(n int) *Matching {
-	return &Matching{
-		n:     n,
-		conns: make([][]graph.NodeID, n),
-	}
+	g    *graph.Graph
+	bits []uint64 // selected EdgeIDs
 }
 
 // NewDense returns an empty matching bound to g, backed by a dense
-// EdgeID bitset. Algorithms that hold the graph use this form: Add and
-// Has run off the CSR edge index with no hashing and no per-edge map
-// entries.
+// EdgeID bitset: Add and Has run off the CSR edge index with no
+// hashing and no per-edge map entries.
 func NewDense(g *graph.Graph) *Matching {
 	return &Matching{
 		n:     g.NumNodes(),
@@ -59,6 +47,63 @@ func NewDense(g *graph.Graph) *Matching {
 		g:     g,
 		bits:  make([]uint64, (g.NumEdges()+63)/64),
 	}
+}
+
+// Assemble builds the matching that per-node partner lists describe:
+// the outcome of a distributed protocol, where partners(u) names the
+// peers node u believes it is connected to. The lists must agree with
+// each other and with s — the paper's "this will happen in both
+// endpoints" (§5) plus the b-matching constraints of §2. Assemble
+// returns an error, never a panic, when
+//
+//   - a listed partner is not a neighbor,
+//   - a list names the same partner twice,
+//   - a pair is listed by only one of its endpoints, or
+//   - a node lists more partners than its quota.
+//
+// partners is called once per node in ascending order. Each edge is
+// added when its lower endpoint's list is read, in list order, so the
+// result is the matching a hand-written assembly loop would build.
+func Assemble(s *pref.System, partners func(graph.NodeID) []graph.NodeID) (*Matching, error) {
+	g := s.Graph()
+	m := NewDense(g)
+	m.preallocate(s)
+	// confirmed marks the edges the higher endpoint has listed back.
+	confirmed := make([]uint64, len(m.bits))
+	confirmations := 0
+	for u := 0; u < m.n; u++ {
+		for _, v := range partners(u) {
+			id, ok := g.EdgeIDOf(u, v)
+			if !ok {
+				return nil, fmt.Errorf("matching: node %d lists %d, which is not a neighbor", u, v)
+			}
+			w, bit := id>>6, uint64(1)<<(id&63)
+			switch {
+			case u < v && m.bits[w]&bit != 0, u > v && confirmed[w]&bit != 0:
+				return nil, fmt.Errorf("matching: node %d lists %d twice", u, v)
+			case u < v:
+				m.addEdgeID(id, graph.Edge{U: u, V: v})
+			case m.bits[w]&bit == 0:
+				return nil, fmt.Errorf("matching: node %d lists %d, which does not list %d", u, v, u)
+			default:
+				confirmed[w] |= bit
+				confirmations++
+			}
+		}
+		// Lower endpoints come first, so u's degree is final here.
+		if d := m.DegreeOf(u); d > s.Quota(u) {
+			return nil, fmt.Errorf("matching: node %d has %d partners, quota %d", u, d, s.Quota(u))
+		}
+	}
+	if confirmations != m.size {
+		for w, word := range m.bits {
+			if lone := word &^ confirmed[w]; lone != 0 {
+				e := g.EdgeByID(graph.EdgeID(w<<6 + bits.TrailingZeros64(lone)))
+				return nil, fmt.Errorf("matching: node %d lists %d, which does not list %d", e.U, e.V, e.U)
+			}
+		}
+	}
+	return m, nil
 }
 
 // NumNodes returns the number of nodes the matching ranges over.
@@ -69,53 +114,29 @@ func (m *Matching) Size() int { return m.size }
 
 // Has reports whether edge {u,v} is selected.
 func (m *Matching) Has(u, v graph.NodeID) bool {
-	if m.g != nil {
-		id, ok := m.g.EdgeIDOf(u, v)
-		return ok && m.bits[id>>6]&(1<<(id&63)) != 0
-	}
-	if u < 0 || u >= m.n {
-		return false
-	}
-	for _, x := range m.conns[u] {
-		if x == v {
-			return true
-		}
-	}
-	return false
+	id, ok := m.g.EdgeIDOf(u, v)
+	return ok && m.bits[id>>6]&(1<<(id&63)) != 0
 }
 
-// Add selects edge {u,v}. It panics on self loops, out-of-range nodes,
-// or already-selected edges: algorithms are expected to know what they
-// add. In dense mode it also panics on non-graph edges, which Validate
-// would reject later anyway.
+// Add selects edge {u,v}. It panics if {u,v} is not a graph edge (self
+// loops and out-of-range nodes included) or is already selected:
+// algorithms are expected to know what they add. Protocol outcomes,
+// which may be malformed, go through Assemble instead.
 func (m *Matching) Add(u, v graph.NodeID) {
-	if u < 0 || u >= m.n || v < 0 || v >= m.n {
-		panic(fmt.Sprintf("matching: edge (%d,%d) out of range [0,%d)", u, v, m.n))
+	id, ok := m.g.EdgeIDOf(u, v)
+	if !ok {
+		panic(fmt.Sprintf("matching: edge (%d,%d) is not a graph edge", u, v))
 	}
-	if u == v {
-		panic(fmt.Sprintf("matching: self loop at %d", u))
-	}
-	if m.g != nil {
-		id, ok := m.g.EdgeIDOf(u, v)
-		if !ok {
-			panic(fmt.Sprintf("matching: edge (%d,%d) is not a graph edge", u, v))
-		}
-		if m.bits[id>>6]&(1<<(id&63)) != 0 {
-			panic(fmt.Sprintf("matching: edge %v selected twice", graph.Edge{U: u, V: v}.Normalize()))
-		}
-		m.bits[id>>6] |= 1 << (id & 63)
-	} else if m.Has(u, v) {
+	if m.bits[id>>6]&(1<<(id&63)) != 0 {
 		panic(fmt.Sprintf("matching: edge %v selected twice", graph.Edge{U: u, V: v}.Normalize()))
 	}
-	m.size++
-	m.conns[u] = append(m.conns[u], v)
-	m.conns[v] = append(m.conns[v], u)
+	m.addEdgeID(id, graph.Edge{U: u, V: v})
 }
 
 // preallocate sizes every connection slice to its feasibility bound
 // min(quota, degree) out of one flat backing array, so subsequent Adds
-// never reallocate. Dense mode only; callers must hold the system the
-// matching will be filled under.
+// never reallocate. Callers must hold the system the matching will be
+// filled under.
 func (m *Matching) preallocate(s *pref.System) {
 	total := 0
 	for i := 0; i < m.n; i++ {
@@ -137,9 +158,9 @@ func (m *Matching) preallocate(s *pref.System) {
 	}
 }
 
-// addEdgeID is Add for dense-mode callers that already hold the edge's
-// id and endpoints (skipping the id lookup and the double-selection
-// check — the algorithms in this package add each edge at most once).
+// addEdgeID is Add for callers that already hold the edge's id and
+// endpoints (skipping the id lookup and the double-selection check —
+// the algorithms in this package add each edge at most once).
 func (m *Matching) addEdgeID(id graph.EdgeID, e graph.Edge) {
 	m.bits[id>>6] |= 1 << (id & 63)
 	m.size++
@@ -152,10 +173,8 @@ func (m *Matching) Remove(u, v graph.NodeID) {
 	if !m.Has(u, v) {
 		panic(fmt.Sprintf("matching: removing unselected edge %v", graph.Edge{U: u, V: v}.Normalize()))
 	}
-	if m.g != nil {
-		id, _ := m.g.EdgeIDOf(u, v)
-		m.bits[id>>6] &^= 1 << (id & 63)
-	}
+	id, _ := m.g.EdgeIDOf(u, v)
+	m.bits[id>>6] &^= 1 << (id & 63)
 	m.size--
 	m.conns[u] = removeOne(m.conns[u], v)
 	m.conns[v] = removeOne(m.conns[v], u)
@@ -182,41 +201,22 @@ func (m *Matching) Connections(i graph.NodeID) []graph.NodeID {
 // DegreeOf returns the number of connections node i holds (ci).
 func (m *Matching) DegreeOf(i graph.NodeID) int { return len(m.conns[i]) }
 
-// Edges returns the selected edges in canonical sorted order. Dense
-// mode walks the bitset — ascending EdgeID is exactly canonical order;
-// sparse mode collects each node's higher-numbered connections.
+// Edges returns the selected edges in canonical sorted order: the
+// bitset walk, since ascending EdgeID is exactly canonical order.
 func (m *Matching) Edges() []graph.Edge {
 	out := make([]graph.Edge, 0, m.size)
-	if m.g != nil {
-		for w, word := range m.bits {
-			for ; word != 0; word &= word - 1 {
-				id := graph.EdgeID(w<<6 + bits.TrailingZeros64(word))
-				out = append(out, m.g.EdgeByID(id))
-			}
+	for w, word := range m.bits {
+		for ; word != 0; word &= word - 1 {
+			id := graph.EdgeID(w<<6 + bits.TrailingZeros64(word))
+			out = append(out, m.g.EdgeByID(id))
 		}
-		return out
-	}
-	for u := 0; u < m.n; u++ {
-		start := len(out)
-		for _, v := range m.conns[u] {
-			if v > u {
-				out = append(out, graph.Edge{U: u, V: v})
-			}
-		}
-		tail := out[start:]
-		sort.Slice(tail, func(i, j int) bool { return tail[i].V < tail[j].V })
 	}
 	return out
 }
 
-// Clone returns a deep copy (same representation, same graph binding).
+// Clone returns a deep copy bound to the same graph.
 func (m *Matching) Clone() *Matching {
-	var c *Matching
-	if m.g != nil {
-		c = NewDense(m.g)
-	} else {
-		c = New(m.n)
-	}
+	c := NewDense(m.g)
 	for _, e := range m.Edges() {
 		c.Add(e.U, e.V)
 	}
@@ -224,12 +224,12 @@ func (m *Matching) Clone() *Matching {
 }
 
 // Equal reports whether two matchings select exactly the same edges,
-// regardless of representation.
+// even when they are bound to distinct (but node-compatible) graphs.
 func (m *Matching) Equal(o *Matching) bool {
 	if m.n != o.n || m.size != o.size {
 		return false
 	}
-	if m.g != nil && m.g == o.g {
+	if m.g == o.g {
 		for w, word := range m.bits {
 			if word != o.bits[w] {
 				return false

@@ -177,19 +177,16 @@ func Run(s *pref.System, tbl *satisfaction.Table, opts simnet.Options) (*matchin
 	if err != nil {
 		return nil, stats, err
 	}
-	m := matching.New(s.Graph().NumNodes())
-	for _, nd := range nodes {
-		for _, v := range nd.Connections() {
-			if nd.id < v {
-				m.Add(nd.id, v)
-			}
-		}
+	m, err := buildMatching(s, nodes)
+	return m, stats, err
+}
+
+// buildMatching assembles the union of both phases' locked sets; a
+// connection one endpoint holds and the other does not is an error.
+func buildMatching(s *pref.System, nodes []*Node) (*matching.Matching, error) {
+	m, err := matching.Assemble(s, func(id graph.NodeID) []graph.NodeID { return nodes[id].Connections() })
+	if err != nil {
+		return nil, fmt.Errorf("phased: %w", err)
 	}
-	// Symmetry check across both phases.
-	for _, nd := range nodes {
-		if len(nd.Connections()) != m.DegreeOf(nd.id) {
-			return nil, stats, fmt.Errorf("phased: asymmetric connections at node %d", nd.id)
-		}
-	}
-	return m, stats, nil
+	return m, nil
 }

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"overlaymatch/internal/gen"
+	"overlaymatch/internal/graph"
+	"overlaymatch/internal/lid"
 	"overlaymatch/internal/matching"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/rng"
@@ -159,16 +161,49 @@ func TestGoroutineRuntime(t *testing.T) {
 		if _, err := runner.Run(Handlers(nodes)); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		m := matching.New(s.Graph().NumNodes())
-		for _, nd := range nodes {
-			for _, v := range nd.Connections() {
-				if nd.id < v {
-					m.Add(nd.id, v)
-				}
-			}
+		m, err := buildMatching(s, nodes)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if !m.Equal(variants.CoverageFirst(s, tbl)) {
 			t.Fatalf("seed %d: goroutine phased != centralized coverage-first", seed)
 		}
+	}
+}
+
+// TestAsymmetricConnectionsRejected forges the 4-cycle 0–2–1–3–0 in
+// which every node holds exactly one connection, but the lists
+// 0:[2] 1:[3] 2:[1] 3:[0] pair up nobody. Every degree matches the
+// would-be matching {0–2, 1–3}, so a degree-only symmetry check accepts
+// it; assembly must reject it.
+func TestAsymmetricConnectionsRejected(t *testing.T) {
+	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 2}, {U: 1, V: 2}, {U: 1, V: 3}, {U: 0, V: 3}})
+	s, err := pref.Build(g, pref.NewRandomMetric(rng.New(1)), pref.UniformQuota(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := satisfaction.NewTable(s)
+	partner := []graph.NodeID{2, 3, 1, 0}
+	nodes := make([]*Node, 4)
+	for id := range nodes {
+		// Phase 1 locks exactly partner[id]: every other neighbor is
+		// pre-resolved, and a PROP answers the node's own proposal.
+		exclude := map[graph.NodeID]bool{}
+		for _, v := range g.Neighbors(id) {
+			if v != partner[id] {
+				exclude[v] = true
+			}
+		}
+		p1 := lid.NewNodeRestricted(s, tbl, id, 1, exclude)
+		p1.Init(noopCtx{})
+		p1.HandleMessage(noopCtx{}, partner[id], lid.Msg{IsProp: true})
+		nodes[id] = &Node{s: s, tbl: tbl, id: id, phase: 2, p1: p1,
+			p2: lid.NewNodeRestricted(s, tbl, id, 0, nil)}
+		if got := nodes[id].Connections(); len(got) != 1 || got[0] != partner[id] {
+			t.Fatalf("node %d forged connections %v, want [%d]", id, got, partner[id])
+		}
+	}
+	if m, err := buildMatching(s, nodes); err == nil {
+		t.Fatalf("asymmetric 4-cycle assembled into %v", m.Edges())
 	}
 }

@@ -119,15 +119,15 @@ func (sc Scenario) Run() (Outcome, error) {
 	}
 
 	out := Outcome{Stats: stats}
-	m := matching.New(g.NumNodes())
+	// Locks on adversaries are wasted quota, not part of the honest
+	// matching; the honest–honest rest must be symmetric.
+	lists := make([][]graph.NodeID, g.NumNodes())
 	for id, n := range honest {
 		for _, v := range n.Locked() {
 			if _, adv := sc.Adversaries[v]; adv {
 				out.DeadLocks++
-				continue
-			}
-			if id < v {
-				m.Add(id, v)
+			} else {
+				lists[id] = append(lists[id], v)
 			}
 		}
 		out.Revocations += n.Revocations
@@ -135,29 +135,14 @@ func (sc Scenario) Run() (Outcome, error) {
 		out.Violations += n.Violations
 		out.AdaptiveArms += n.AdaptiveArms
 	}
-	// Honest–honest locks must be symmetric.
-	for id, n := range honest {
-		cnt := 0
-		for _, v := range n.Locked() {
-			if _, adv := sc.Adversaries[v]; !adv {
-				cnt++
-				if !m.Has(id, v) {
-					return out, fmt.Errorf("robust: asymmetric honest lock %d-%d", id, v)
-				}
-			}
-		}
-		if cnt != m.DegreeOf(id) {
-			return out, fmt.Errorf("robust: node %d lock count mismatch", id)
-		}
+	m, err := matching.Assemble(s, func(id graph.NodeID) []graph.NodeID { return lists[id] })
+	if err != nil {
+		return out, fmt.Errorf("robust: %w", err)
 	}
 	out.HonestMatching = m
 
 	for id := range honest {
-		var conns []graph.NodeID
-		for _, v := range m.Connections(id) {
-			conns = append(conns, v)
-		}
-		out.HonestSatisfaction += satisfaction.Value(s, id, conns)
+		out.HonestSatisfaction += satisfaction.Value(s, id, m.Connections(id))
 	}
 
 	base, err := honestBaseline(s, sc.Adversaries)

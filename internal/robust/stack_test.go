@@ -5,6 +5,7 @@ import (
 
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
+	"overlaymatch/internal/pref"
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
@@ -61,28 +62,19 @@ func runStack(t *testing.T, seed uint64, dropP float64, adversaries map[graph.No
 	return honest, eps, stats
 }
 
-func honestMatchingOf(t *testing.T, honest []*TolerantNode, adversaries map[graph.NodeID]AdversaryKind) *matching.Matching {
+func honestMatchingOf(t *testing.T, s *pref.System, honest []*TolerantNode, adversaries map[graph.NodeID]AdversaryKind) *matching.Matching {
 	t.Helper()
-	m := matching.New(20)
-	locked := map[graph.NodeID]map[graph.NodeID]bool{}
+	lists := make([][]graph.NodeID, s.Graph().NumNodes())
 	for _, n := range honest {
-		locked[n.ID()] = map[graph.NodeID]bool{}
 		for _, v := range n.Locked() {
-			locked[n.ID()][v] = true
+			if _, adv := adversaries[v]; !adv {
+				lists[n.ID()] = append(lists[n.ID()], v)
+			}
 		}
 	}
-	for _, n := range honest {
-		for _, v := range n.Locked() {
-			if _, adv := adversaries[v]; adv {
-				continue
-			}
-			if !locked[v][n.ID()] {
-				t.Fatalf("asymmetric honest lock %d-%d", n.ID(), v)
-			}
-			if n.ID() < v {
-				m.Add(n.ID(), v)
-			}
-		}
+	m, err := matching.Assemble(s, func(id graph.NodeID) []graph.NodeID { return lists[id] })
+	if err != nil {
+		t.Fatalf("honest locks: %v", err)
 	}
 	return m
 }
@@ -95,7 +87,7 @@ func TestHardenedStackLossOnly(t *testing.T) {
 		s := randomSystem(t, seed, 20, 0.4, 2)
 		tbl := satisfaction.NewTable(s)
 		honest, eps, stats := runStack(t, seed, 0.3, nil)
-		m := honestMatchingOf(t, honest, nil)
+		m := honestMatchingOf(t, s, honest, nil)
 		if !m.Equal(matching.LIC(s, tbl)) {
 			t.Fatalf("seed %d: hardened stack over loss != LIC", seed)
 		}
@@ -122,7 +114,7 @@ func TestHardenedStackLossAndCrashes(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		s := randomSystem(t, seed, 20, 0.4, 2)
 		honest, _, _ := runStack(t, seed, 0.2, adversaries)
-		m := honestMatchingOf(t, honest, adversaries)
+		m := honestMatchingOf(t, s, honest, adversaries)
 		if err := m.Validate(s); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -142,7 +134,7 @@ func TestHardenedStackLossAndSpam(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		s := randomSystem(t, seed, 20, 0.4, 2)
 		honest, _, _ := runStack(t, seed, 0.25, adversaries)
-		m := honestMatchingOf(t, honest, adversaries)
+		m := honestMatchingOf(t, s, honest, adversaries)
 		if err := m.Validate(s); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

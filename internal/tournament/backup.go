@@ -131,7 +131,7 @@ func (BackupPlacement) Run(s *pref.System, tbl *satisfaction.Table, opts Options
 		return Outcome{Stats: stats, Prober: prober}, err
 	}
 	prober.PublishSummary(opts.Registry, nil)
-	m := matching.New(len(nodes))
+	m := matching.NewDense(g)
 	for _, e := range g.Edges() {
 		if matched(e.U, e.V) {
 			m.Add(e.U, e.V)

@@ -395,24 +395,21 @@ func (n *gsNode) engagedWith(v graph.NodeID) bool {
 	return ok && n.state[pos] == gsEngaged
 }
 
-// buildGSMatching assembles the matching from the engaged sets,
-// verifying engagement symmetry the way lid.BuildMatching verifies
-// locks.
-func buildGSMatching(nodes []*gsNode) (*matching.Matching, error) {
-	m := matching.New(len(nodes))
-	for _, nd := range nodes {
+// buildGSMatching assembles the matching from the engaged sets, which
+// must be symmetric exactly as lid.BuildMatching's locks are.
+func buildGSMatching(s *pref.System, nodes []*gsNode) (*matching.Matching, error) {
+	m, err := matching.Assemble(s, func(id graph.NodeID) []graph.NodeID {
+		nd := nodes[id]
+		var engaged []graph.NodeID
 		for pos, st := range nd.state {
-			if st != gsEngaged {
-				continue
-			}
-			v := nd.order[pos]
-			if !nodes[v].engagedWith(nd.id) {
-				return nil, fmt.Errorf("tournament: gs asymmetric engagement %d->%d", nd.id, v)
-			}
-			if nd.id < v {
-				m.Add(nd.id, v)
+			if st == gsEngaged {
+				engaged = append(engaged, nd.order[pos])
 			}
 		}
+		return engaged
+	})
+	if err != nil {
+		return nil, fmt.Errorf("tournament: gs %w", err)
 	}
 	return m, nil
 }
@@ -457,7 +454,7 @@ func (GaleShapley) Run(s *pref.System, tbl *satisfaction.Table, opts Options) (O
 		return Outcome{Stats: stats, Prober: prober}, err
 	}
 	prober.PublishSummary(opts.Registry, nil)
-	m, err := buildGSMatching(nodes)
+	m, err := buildGSMatching(s, nodes)
 	if err != nil {
 		return Outcome{Stats: stats, Prober: prober}, err
 	}

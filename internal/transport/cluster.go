@@ -104,7 +104,8 @@ func NewLoopbackCluster(n int, cfg ClusterConfig) (*Cluster, error) {
 func (c *Cluster) Nodes() []*UDPNode { return c.nodes }
 
 // Run implements simnet.Transport: it starts handlers[i] on node i,
-// waits for cluster-wide quiescence, and returns aggregate Stats with
+// waits for cluster-wide quiescence, closes the cluster (on every
+// return path, errors included), and returns aggregate Stats with
 // the same shape the simulator runtimes produce (FinalTime is 0 — a
 // socket cluster has no global virtual clock; Dropped counts ingress
 // discards: CRC damage, decode failures, unknown senders).
@@ -143,6 +144,7 @@ func (c *Cluster) Nodes() []*UDPNode { return c.nodes }
 // deadline error.
 func (c *Cluster) Run(handlers []simnet.Handler) (simnet.Stats, error) {
 	if len(handlers) != len(c.nodes) {
+		c.Close()
 		return simnet.Stats{}, fmt.Errorf("transport: %d handlers for %d nodes", len(handlers), len(c.nodes))
 	}
 	for i, nd := range c.nodes {

@@ -369,14 +369,21 @@ func TestListenUDPValidation(t *testing.T) {
 	}
 }
 
+// TestClusterHandlerCountMismatch also pins Run's contract that it
+// leaves the cluster closed even when it rejects its input: callers
+// such as overlaysim never call Close themselves.
 func TestClusterHandlerCountMismatch(t *testing.T) {
 	cluster, err := transport.NewLoopbackCluster(2, transport.ClusterConfig{})
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
-	defer cluster.Close()
 	if _, err := cluster.Run([]simnet.Handler{&echoTimer{}}); err == nil {
 		t.Fatal("Run accepted 1 handler for 2 nodes")
+	}
+	for _, nd := range cluster.Nodes() {
+		if !transport.Closed(nd) {
+			t.Errorf("node %d left open after the rejected Run", nd.ID())
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func CoverageFirst(s *pref.System, tbl *satisfaction.Table) *matching.Matching {
 	g := s.Graph()
 	edges := sortedEdges(s, tbl)
 
-	m := matching.New(g.NumNodes())
+	m := matching.NewDense(g)
 	// Phase 1: clamp quotas to min(1, bi).
 	cap1 := make([]int, g.NumNodes())
 	for i := range cap1 {

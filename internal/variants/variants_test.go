@@ -166,7 +166,7 @@ func TestImproveClosesGapTowardOptimum(t *testing.T) {
 func TestImproveFromEmpty(t *testing.T) {
 	s := randomSystem(t, 9, 15, 0.5, 2)
 	tbl := satisfaction.NewTable(s)
-	m := matching.New(15)
+	m := matching.NewDense(s.Graph())
 	st := Improve(s, tbl, m)
 	if st.Additions == 0 {
 		t.Fatal("no additions from empty")

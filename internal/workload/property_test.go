@@ -240,7 +240,7 @@ func TestAntilocalGadgetRatio(t *testing.T) {
 		t.Fatalf("LIC size %d, want %d", got, want)
 	}
 	// The optimum — both outer edges per gadget — weighs 3 per gadget.
-	opt := matching.New(sys.Graph().NumNodes())
+	opt := matching.NewDense(sys.Graph())
 	for k := 0; k < 10; k++ {
 		opt.Add(4*k, 4*k+1)
 		opt.Add(4*k+2, 4*k+3)
