@@ -9,8 +9,9 @@ all: build vet test
 
 # The default pre-commit gate: full build + vet + tests, plus the race
 # detector on the concurrency-bearing packages (the metrics registry,
-# both simnet runtimes, the fault-injection explorer, and the phased
-# and robust protocols, whose suites drive the GoRunner), the
+# the event simulator, the transport.Cluster runtime on both wires, the
+# fault-injection explorer, and the phased and robust protocols, whose
+# suites drive the in-process cluster), the
 # experiment-registry coverage sweep, a short fuzz pass over the
 # parsers, the golden-output regeneration diff (possible since the
 # golden file is timing-free; any drift in any experiment fails here),
@@ -100,15 +101,17 @@ golden-check:
 	diff -u experiments_full.txt .experiments_regen.txt
 	rm -f .experiments_regen.txt
 
-# Real-socket conformance: seeded workloads run once on the
-# deterministic event simulator and once on a loopback UDP cluster
-# (internal/transport) with the full reliable/detector stack; the
-# matching must be the same LIC either way — for the n=32 anchor and
-# for a sweep over the gnp, geometric, ba and ring families, four seeds
-# each. This is the gate that keeps the wire layer honest against the
-# simulator the experiments certify.
+# Wire conformance: seeded workloads run once on the deterministic
+# event simulator and once on a transport.Cluster with the full
+# reliable/detector stack; the matching must be the same LIC either
+# way — for the n=32 loopback anchor, and on both wires (loopback UDP
+# and in-process) for a sweep over the gnp, geometric, ba and ring
+# families, four seeds each, and for reliable LID under a lossy,
+# duplicating, corrupting, delaying link policy. This is the gate that
+# keeps the wire layer honest against the simulator the experiments
+# certify.
 loopback-check:
-	$(GO) test -count=1 -run 'TestLoopbackClusterLIC|TestLoopbackClusterLICSweep|TestClusterCoalescing' ./internal/transport
+	$(GO) test -count=1 -run 'TestLoopbackClusterLIC|TestLoopbackClusterLICSweep|TestClusterCoalescing|TestClusterUnderFaults' ./internal/transport
 
 # bench/ is its own module, built against the root API through a
 # replace directive, so `go vet ./...` and `go test ./...` at the root

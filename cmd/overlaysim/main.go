@@ -51,7 +51,7 @@ func main() {
 		quota    = flag.Int("b", 3, "connection quota per peer")
 		metric   = flag.String("metric", "random", "random | symmetric | distance | resource | transactions")
 		seed     = flag.Uint64("seed", 1, "seed for topology, preferences and latencies")
-		runtime_ = flag.String("runtime", "event", "event | goroutine | centralized | udp (loopback real-socket cluster; needs -reliable)")
+		runtime_ = flag.String("runtime", "event", "event | goroutine (in-process cluster) | centralized | udp (loopback real-socket cluster; needs -reliable)")
 		jitter   = flag.Float64("jitter", 3, "latency jitter scale (event runtime)")
 		workload = flag.String("workload", "", "load a frozen workload JSON (see graphgen -format workload) instead of generating")
 		dotOut   = flag.String("dot", "", "write the final overlay as Graphviz DOT to this file")
@@ -391,17 +391,19 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 			}
 			runner = simnet.NewRunner(g.NumNodes(), ropts)
 			tr = runner
-		case "goroutine":
-			runner := simnet.NewGoRunner(g.NumNodes(), 2*time.Minute)
-			runner.SetMetricsSink(reg)
-			runner.SetPolicy(policy)
-			runner.SetObserver(rec)
-			tr = runner
-		case "udp":
-			// Real loopback sockets via internal/transport: every message
-			// crosses the kernel as coalesced UDP datagrams instead of
-			// simulator deliveries.
-			c, err := transport.NewLoopbackCluster(g.NumNodes(), transport.ClusterConfig{})
+		case "goroutine", "udp":
+			// A transport.Cluster: one goroutine per node, every message
+			// an encoded frame, handed over in process or, on udp, sent
+			// across the kernel as coalesced loopback datagrams.
+			newCluster := transport.NewMemoryCluster
+			if runtime_ == "udp" {
+				newCluster = transport.NewLoopbackCluster
+			}
+			c, err := newCluster(g.NumNodes(), transport.ClusterConfig{
+				Timeout: 2 * time.Minute,
+				Policy:  policy,
+				Obs:     rec,
+			})
 			if err != nil {
 				fail("run: %v", err)
 			}
@@ -433,25 +435,23 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 					len(prober.Curve()), opts.probeInterval,
 					s[obs.EpsKey(0.1)], s[obs.EpsKey(0.01)], s[obs.EpsKey(0.001)], s[obs.EpsKey(0)])
 			}
-		case "goroutine":
-			fmt.Printf("distributed run (goroutines): %v\n", time.Since(start))
-			fmt.Printf("  messages: %d total (%d PROP, %d REJ)\n",
-				st.TotalSent(), st.SentByKind["PROP"], st.SentByKind["REJ"])
-		case "udp":
+		case "goroutine", "udp":
 			var datagrams, bytesOut int64
 			for _, nd := range cluster.Nodes() {
 				c := nd.Counters()
 				datagrams += c.DatagramsSent
 				bytesOut += c.BytesSent
-				if reg != nil {
-					nd.PublishMetrics(reg)
-				}
+				nd.PublishMetrics(reg)
 			}
-			fmt.Printf("distributed run (udp loopback cluster): %v\n", time.Since(start))
+			label, wire := "goroutines, in-process cluster", fmt.Sprintf("%d frames handed over in process", st.TotalSent())
+			if runtime_ == "udp" {
+				label, wire = "udp loopback cluster", fmt.Sprintf("%d frames coalesced into %d datagrams, %d bytes",
+					st.TotalSent(), datagrams, bytesOut)
+			}
+			fmt.Printf("distributed run (%s): %v\n", label, time.Since(start))
 			fmt.Printf("  messages: %d total (%d PROP, %d REJ)\n",
 				st.TotalSent(), st.SentByKind["PROP"], st.SentByKind["REJ"])
-			fmt.Printf("  wire: %d frames coalesced into %d datagrams, %d bytes, %d dropped\n",
-				st.TotalSent(), datagrams, bytesOut, st.Dropped)
+			fmt.Printf("  wire: %s, %d dropped\n", wire, st.Dropped)
 		}
 		if inj != nil {
 			fmt.Printf("  faults: %s -> %d injections over %d sends\n",

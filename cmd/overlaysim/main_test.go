@@ -48,12 +48,18 @@ func TestMaxInt(t *testing.T) {
 
 func TestRunAndReportAllRuntimes(t *testing.T) {
 	s := testSystem(t)
-	for _, rt := range []string{"event", "goroutine", "centralized"} {
-		runAndReport(s, reportOpts{seed: 1, runtime: rt, jitter: 2})
+	empty, err := pref.Build(gen.GNP(rng.New(1), 0, 0.5), pref.NewRandomMetric(rng.New(2)), pref.UniformQuota(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// udp rides real loopback sockets and needs the reliable layer.
-	runAndReport(s, reportOpts{seed: 1, runtime: "udp", reliable: true, rto: 30,
-		showMetrics: true, metricsFormat: "text"})
+	for _, sys := range []*pref.System{s, empty} {
+		for _, rt := range []string{"event", "goroutine", "centralized"} {
+			runAndReport(sys, reportOpts{seed: 1, runtime: rt, jitter: 2})
+		}
+		// udp rides real loopback sockets and needs the reliable layer.
+		runAndReport(sys, reportOpts{seed: 1, runtime: "udp", reliable: true, rto: 30,
+			showMetrics: true, metricsFormat: "text"})
+	}
 }
 
 func TestRunAndReportArtifacts(t *testing.T) {
@@ -140,7 +146,7 @@ func TestRunAndReportWithFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rt := range []string{"event", "goroutine"} {
+	for _, rt := range []string{"event", "goroutine", "udp"} {
 		runAndReport(s, reportOpts{seed: 4, runtime: rt, jitter: 1,
 			faults: spec, faultsSeed: 99, reliable: true, rto: 30})
 	}

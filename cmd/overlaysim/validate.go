@@ -43,7 +43,7 @@ type runConfig struct {
 
 // validateFlags parses the structured flags and rejects every
 // unsupported flag interaction with an explicit error. The rule for
-// simulator-only hooks (-faults, -probe-interval, -trace-spans,
+// runtime-specific hooks (-faults, -probe-interval, -trace-spans,
 // -churn, -scheduler greedy, -detector, -reliable) is
 // uniform: a runtime that cannot honor the hook fails loudly instead
 // of silently ignoring it.
@@ -86,12 +86,8 @@ func validateFlags(f cliFlags) (runConfig, error) {
 	if !spec.PreservesDelivery() && !f.reliable {
 		return cfg, fmt.Errorf("-faults %q loses messages; bare LID needs -reliable to survive it", f.faults)
 	}
-	simulated := f.runtime == "event" || f.runtime == "goroutine"
-	if !spec.IsZero() && !simulated {
-		return cfg, fmt.Errorf("-faults injects at the simulator boundary and needs a simulated runtime (event or goroutine)")
-	}
-	if (f.reliable || det.Enabled()) && f.runtime == "centralized" {
-		return cfg, fmt.Errorf("-reliable/-detector wrap the LID handlers and need a distributed runtime (event, goroutine or udp)")
+	if (f.reliable || det.Enabled() || !spec.IsZero()) && f.runtime == "centralized" {
+		return cfg, fmt.Errorf("-reliable/-detector/-faults act on LID's messages and need a distributed runtime (event, goroutine or udp)")
 	}
 	// The churn checks come before the udp ones: -churn plus -runtime
 	// udp must name the real contradiction (the engine uses no runtime
@@ -136,7 +132,7 @@ func validateFlags(f cliFlags) (runConfig, error) {
 	if f.probeInt > 0 && f.runtime != "event" {
 		return cfg, fmt.Errorf("-probe-interval hooks the event run loop and needs -runtime event")
 	}
-	if f.traceSpans != "" && !simulated {
+	if f.traceSpans != "" && f.runtime != "event" && f.runtime != "goroutine" {
 		return cfg, fmt.Errorf("-trace-spans records simulator deliveries and needs a simulated runtime (event or goroutine)")
 	}
 

@@ -33,17 +33,18 @@ func TestValidateFlagsInteractionMatrix(t *testing.T) {
 		{"lossy faults without reliable", func(f *cliFlags) { f.faults = "drop=0.1" }, "needs -reliable"},
 		{"lossy faults with reliable", func(f *cliFlags) { f.faults = "drop=0.1"; f.reliable = true }, ""},
 		// Each runtime rejection names exactly the runtimes that accept
-		// the flag: udp takes -reliable/-detector but not -faults or
+		// the flag: udp takes -reliable/-detector/-faults but not
 		// -trace-spans.
 		{"centralized with reliable", func(f *cliFlags) { f.runtime = "centralized"; f.reliable = true }, "need a distributed runtime (event, goroutine or udp)"},
 		{"centralized with detector", func(f *cliFlags) { f.runtime = "centralized"; f.detector = "on" }, "need a distributed runtime (event, goroutine or udp)"},
-		{"centralized with faults", func(f *cliFlags) { f.runtime = "centralized"; f.faults = "dup=0.1" }, "needs a simulated runtime (event or goroutine)"},
+		{"centralized with faults", func(f *cliFlags) { f.runtime = "centralized"; f.faults = "dup=0.1" }, "need a distributed runtime (event, goroutine or udp)"},
 
-		// The udp interaction matrix: every simulator-only hook must be
-		// rejected explicitly, the way bare udp without -reliable is.
+		// The udp interaction matrix: every hook the socket wire cannot
+		// honor must be rejected explicitly, the way bare udp without
+		// -reliable is.
 		{"udp without reliable", func(f *cliFlags) { f.runtime = "udp" }, "needs -reliable"},
 		{"udp ok", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true }, ""},
-		{"udp with faults", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.faults = "dup=0.1" }, "needs a simulated runtime (event or goroutine)"},
+		{"udp with faults", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.faults = "dup=0.1" }, ""},
 		{"udp with log spans", func(f *cliFlags) {
 			f.runtime = "udp"
 			f.reliable = true

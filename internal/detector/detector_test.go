@@ -13,6 +13,7 @@ import (
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/transport"
 )
 
 func TestConfigRoundTrip(t *testing.T) {
@@ -218,15 +219,18 @@ func TestSuspectAndRestore(t *testing.T) {
 	}
 }
 
-// TestGoRunnerQuiesces pins the goroutine-runtime path: tick timers
-// count as outstanding work, so a bounded tick budget must let the run
-// terminate (no suspicion assertions — wall-clock jitter is real
-// there).
-func TestGoRunnerQuiesces(t *testing.T) {
+// TestClusterQuiesces pins the goroutine-runtime path: tick timers
+// count as outstanding work, so a bounded tick budget must let the
+// in-process cluster terminate (no suspicion assertions — wall-clock
+// jitter is real there).
+func TestClusterQuiesces(t *testing.T) {
 	sys, _, nodes, adj := buildLID(t, 5, 12)
 	mons := Wrap(lid.Handlers(nodes), adj, Config{Interval: 3, Ticks: 5})
-	r := simnet.NewGoRunner(sys.Graph().NumNodes(), 30*time.Second)
-	if _, err := r.Run(Handlers(mons)); err != nil {
+	c, err := transport.NewMemoryCluster(sys.Graph().NumNodes(), transport.ClusterConfig{Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(Handlers(mons)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := lid.BuildMatching(nodes); err != nil {

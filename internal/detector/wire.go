@@ -1,10 +1,8 @@
 package detector
 
 import (
-	"fmt"
 	"reflect"
 
-	"overlaymatch/internal/rng"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/transport"
 )
@@ -13,24 +11,8 @@ import (
 // payload-less — a heartbeat's information is its arrival. The tick
 // token is a local timer and deliberately has no codec.
 func init() {
-	transport.Register(transport.IDDetectorHB, hbCodec("detector.hbMsg",
+	transport.Register(transport.IDDetectorHB, transport.EmptyCodec("detector.hbMsg",
 		reflect.TypeOf(hbMsg{}), func() simnet.Message { return hbMsg{} }))
-	transport.Register(transport.IDDetectorHBAck, hbCodec("detector.hbAckMsg",
+	transport.Register(transport.IDDetectorHBAck, transport.EmptyCodec("detector.hbAckMsg",
 		reflect.TypeOf(hbAckMsg{}), func() simnet.Message { return hbAckMsg{} }))
-}
-
-func hbCodec(name string, typ reflect.Type, make_ func() simnet.Message) transport.Codec {
-	return transport.Codec{
-		Name:    name,
-		Version: 1,
-		Type:    typ,
-		Encode:  func(_ simnet.Message, buf []byte) []byte { return buf },
-		Decode: func(payload []byte) (simnet.Message, error) {
-			if len(payload) != 0 {
-				return nil, fmt.Errorf("%s payload is %d bytes, want 0", name, len(payload))
-			}
-			return make_(), nil
-		},
-		Sample: func(*rng.Source) simnet.Message { return make_() },
-	}
 }

@@ -52,25 +52,8 @@ func init() {
 			}
 		},
 	})
-	transport.Register(transport.IDDlidCmdLeave, emptyCodec("dlid.CmdLeave",
+	transport.Register(transport.IDDlidCmdLeave, transport.EmptyCodec("dlid.CmdLeave",
 		reflect.TypeOf(CmdLeave{}), func() simnet.Message { return CmdLeave{} }))
-	transport.Register(transport.IDDlidCmdJoin, emptyCodec("dlid.CmdJoin",
+	transport.Register(transport.IDDlidCmdJoin, transport.EmptyCodec("dlid.CmdJoin",
 		reflect.TypeOf(CmdJoin{}), func() simnet.Message { return CmdJoin{} }))
-}
-
-// emptyCodec builds the codec for a payload-less message type.
-func emptyCodec(name string, typ reflect.Type, make_ func() simnet.Message) transport.Codec {
-	return transport.Codec{
-		Name:    name,
-		Version: 1,
-		Type:    typ,
-		Encode:  func(_ simnet.Message, buf []byte) []byte { return buf },
-		Decode: func(payload []byte) (simnet.Message, error) {
-			if len(payload) != 0 {
-				return nil, fmt.Errorf("%s payload is %d bytes, want 0", name, len(payload))
-			}
-			return make_(), nil
-		},
-		Sample: func(*rng.Source) simnet.Message { return make_() },
-	}
 }

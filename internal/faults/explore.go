@@ -199,7 +199,7 @@ func Shrink(spec Spec, seed uint64, events []Event, trial Trial, maxRuns int) (m
 		return err != nil
 	}
 	// The schedule must reproduce under replay at all before removal
-	// means anything (it can fail to: GoRunner schedules drift).
+	// means anything (it can fail to: wall-clock schedules drift).
 	if !fails(cur) {
 		return cur, runs
 	}

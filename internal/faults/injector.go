@@ -52,8 +52,8 @@ func validEvent(e Event) bool {
 // from the Spec in both modes.
 //
 // An Injector is single-use and single-threaded: the event Runner
-// calls it from its scheduler thread and the GoRunner serializes
-// verdicts under its policy mutex.
+// calls it from its scheduler thread and a transport.Cluster
+// serializes verdicts under its policy mutex.
 type Injector struct {
 	spec   Spec
 	src    *rng.Source // nil in replay mode

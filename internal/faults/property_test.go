@@ -8,7 +8,7 @@ import (
 	"overlaymatch/internal/matching"
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/satisfaction"
-	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/transport"
 )
 
 // workloadFor spreads the property seeds across topologies, metrics
@@ -99,13 +99,13 @@ func TestPropertyHealingPartitionAndCrash(t *testing.T) {
 	}
 }
 
-// TestPropertyGoRunnerUnderFaults runs the goroutine runtime through
-// the same policy: the schedule is the Go scheduler's, the verdicts
-// are serialized by the runner, and the outcome must still be the
-// unique LIC matching. Bare LID gets a delivery-preserving adversary
-// (delay only); the drop/dup/corrupt mix goes through reliable, whose
-// retransmission timers ride the GoRunner's wall clock.
-func TestPropertyGoRunnerUnderFaults(t *testing.T) {
+// TestPropertyClusterUnderFaults runs the in-process transport.Cluster
+// through the same policy: the schedule is the Go scheduler's, the
+// verdicts are serialized by the cluster, and the outcome must still
+// be the unique LIC matching. Bare LID gets a delivery-preserving
+// adversary (delay only); the drop/dup/corrupt mix goes through
+// reliable, whose retransmission timers ride the cluster's wall clock.
+func TestPropertyClusterUnderFaults(t *testing.T) {
 	cases := []struct {
 		name     string
 		spec     Spec
@@ -127,13 +127,18 @@ func TestPropertyGoRunnerUnderFaults(t *testing.T) {
 				nodes := lid.NewNodes(sys, tbl)
 				handlers := lid.Handlers(nodes)
 				if tc.reliable {
-					// RTO 50 virtual units = 50ms of GoRunner wall
-					// clock per retry.
+					// RTO 50 virtual units = 50ms of wall clock per
+					// retry.
 					handlers = reliable.Handlers(reliable.Wrap(handlers, 50, 0))
 				}
-				runner := simnet.NewGoRunner(sys.Graph().NumNodes(), 30*time.Second)
-				runner.SetPolicy(NewInjector(tc.spec, injectionSeed(seed)))
-				if _, err := runner.Run(handlers); err != nil {
+				cluster, err := transport.NewMemoryCluster(sys.Graph().NumNodes(), transport.ClusterConfig{
+					Timeout: 30 * time.Second,
+					Policy:  NewInjector(tc.spec, injectionSeed(seed)),
+				})
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if _, err := cluster.Run(handlers); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 				m, err := lid.BuildMatching(nodes)

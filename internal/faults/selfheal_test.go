@@ -11,6 +11,7 @@ import (
 	"overlaymatch/internal/robust"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/transport"
 )
 
 // TestNoHealCrashQuiesces pins the termination half of the crash-stop
@@ -20,9 +21,9 @@ import (
 // surfaced as abandonment and a LinkDown escalation, never as a hang.
 // Both runtimes are exercised: the event runtime in Quiesce mode via
 // LIDTrial's bounded-retry path (which must classify the run as
-// degraded, not as a violation), and the goroutine runtime with the
-// timeout-tolerant protocol on top (the GoRunner has no quiesce mode,
-// so termination there means every node actually halts).
+// degraded, not as a violation), and the in-process cluster with the
+// timeout-tolerant protocol on top (a Cluster has no quiesce mode, so
+// termination there means every node actually halts).
 func TestNoHealCrashQuiesces(t *testing.T) {
 	w := WorkloadSpec{Topology: "gnp", Metric: "random", N: 20, B: 2, Seed: 9}
 	sys, err := w.Build()
@@ -67,9 +68,14 @@ func TestNoHealCrashQuiesces(t *testing.T) {
 			handlers[id] = robust.NewTolerantNode(sys, tbl, id, 400)
 		}
 		eps := reliable.Wrap(handlers, 20, 3)
-		runner := simnet.NewGoRunner(n, 60*time.Second)
-		runner.SetPolicy(NewInjector(spec, injectionSeed(42)))
-		if _, err := runner.Run(reliable.Handlers(eps)); err != nil {
+		cluster, err := transport.NewMemoryCluster(n, transport.ClusterConfig{
+			Timeout: 60 * time.Second,
+			Policy:  NewInjector(spec, injectionSeed(42)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cluster.Run(reliable.Handlers(eps)); err != nil {
 			t.Fatalf("goroutine runtime did not quiesce: %v", err)
 		}
 		if reliable.TotalAbandoned(eps) == 0 {

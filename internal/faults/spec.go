@@ -77,7 +77,7 @@ type Spec struct {
 	Delay      float64
 	DelayScale float64
 	// Partitions and Crashes are timed windows, only meaningful on the
-	// event runtime (the GoRunner has no global clock).
+	// event runtime (a transport.Cluster has no global clock).
 	Partitions []Partition
 	Crashes    []Crash
 }

@@ -64,8 +64,8 @@ func TestMetricsZeroImpact(t *testing.T) {
 	}
 }
 
-// TestGoroutineMetricsSink: the goroutine runtime feeds the same sink
-// through GoOptions.
+// TestGoroutineMetricsSink: the goroutine runtime feeds the sink
+// through GoOptions — the cluster's wire counters next to lid's.
 func TestGoroutineMetricsSink(t *testing.T) {
 	src := rng.New(9)
 	g := gen.GNP(src, 20, 0.3)
@@ -79,7 +79,7 @@ func TestGoroutineMetricsSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sink.Counter("simnet_deliveries_total", "").Value(); int(got) != res.Stats.Deliveries {
+	if got := sink.Counter("transport_frames_delivered_total", "").Value(); int(got) != res.Stats.Deliveries {
 		t.Fatalf("sink deliveries = %d, want %d", got, res.Stats.Deliveries)
 	}
 	if got := sink.Counter("lid_runs_total", "").Value(); got != 1 {

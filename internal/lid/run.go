@@ -9,6 +9,7 @@ import (
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/transport"
 )
 
 // Result bundles the outcome of one LID execution.
@@ -90,18 +91,20 @@ func RunEventProbedScheduled(s *pref.System, tbl *satisfaction.Table, opts simne
 	return res, prober, err
 }
 
-// GoOptions configures a goroutine-runtime LID execution.
+// GoOptions configures a goroutine-runtime LID execution: a
+// transport.Cluster on the in-process wire.
 type GoOptions struct {
-	// Timeout bounds the wall-clock duration (0 = the GoRunner's 30s
+	// Timeout bounds the wall-clock duration (0 = the cluster's 30s
 	// default).
 	Timeout time.Duration
-	// Metrics, if non-nil, receives a merge of the run's instrument
-	// registry when the run finishes.
+	// Metrics, if non-nil, receives every node's transport_* wire
+	// counters and lid.Finish's protocol counters when the run
+	// finishes.
 	Metrics *metrics.Registry
 	// Policy, if non-nil, is the fault-injection link policy (see
-	// simnet.LinkPolicy); verdicts are serialized by the runner. Only
-	// delivery-preserving faults keep bare LID correct — wrap the
-	// handlers in package reliable for drop/corrupt faults.
+	// transport.ClusterConfig.Policy). Only delivery-preserving faults
+	// keep bare LID correct — wrap the handlers in package reliable
+	// for drop/corrupt faults.
 	Policy simnet.LinkPolicy
 	// Obs, if non-nil, is the telemetry recorder (package obs). The
 	// goroutine runtime has no virtual clock, so events carry time 0
@@ -118,21 +121,22 @@ func RunGoroutines(s *pref.System, tbl *satisfaction.Table, timeout time.Duratio
 }
 
 // RunGoroutinesOpts is RunGoroutines with telemetry, metrics and a
-// link policy — the full observability surface of the event runtime,
-// on the concurrent one.
+// link policy. Every message crosses the in-process wire as an
+// encoded frame, so the run also exercises the codecs.
 func RunGoroutinesOpts(s *pref.System, tbl *satisfaction.Table, opts GoOptions) (Result, error) {
 	nodes := NewNodes(s, tbl)
-	runner := simnet.NewGoRunner(s.Graph().NumNodes(), opts.Timeout)
-	if opts.Metrics != nil {
-		runner.SetMetricsSink(opts.Metrics)
+	cluster, err := transport.NewMemoryCluster(s.Graph().NumNodes(), transport.ClusterConfig{
+		Timeout: opts.Timeout,
+		Policy:  opts.Policy,
+		Obs:     opts.Obs,
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	if opts.Policy != nil {
-		runner.SetPolicy(opts.Policy)
+	stats, err := cluster.Run(Handlers(nodes))
+	for _, nd := range cluster.Nodes() {
+		nd.PublishMetrics(opts.Metrics)
 	}
-	if opts.Obs != nil {
-		runner.SetObserver(opts.Obs)
-	}
-	stats, err := runner.Run(Handlers(nodes))
 	if err != nil {
 		return Result{Stats: stats}, err
 	}
@@ -141,7 +145,7 @@ func RunGoroutinesOpts(s *pref.System, tbl *satisfaction.Table, opts GoOptions) 
 
 // Finish assembles the matching from nodes whose run ended on any
 // simnet.Transport and, when sink is non-nil, publishes the lid_*
-// protocol counters into it (the transport merges its own message
+// protocol counters into it (the transport publishes its own message
 // counters). Callers that wire a runtime by hand end their run here,
 // as the Run* helpers do.
 func Finish(nodes []*Node, stats simnet.Stats, sink *metrics.Registry) (Result, error) {

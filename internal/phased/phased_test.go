@@ -13,6 +13,7 @@ import (
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/transport"
 	"overlaymatch/internal/variants"
 )
 
@@ -151,14 +152,17 @@ func (noopCtx) Time() float64            { return 0 }
 
 func TestGoroutineRuntime(t *testing.T) {
 	// The two-phase protocol uses only Send/Halt, so it also runs on
-	// the real concurrent runtime; the outcome must still equal the
+	// the in-process cluster; the outcome must still equal the
 	// centralized coverage-first matching.
 	for seed := uint64(0); seed < 8; seed++ {
 		s := randomSystem(t, seed, 25, 0.3, 2)
 		tbl := satisfaction.NewTable(s)
 		nodes := NewNodes(s, tbl)
-		runner := simnet.NewGoRunner(s.Graph().NumNodes(), 20*time.Second)
-		if _, err := runner.Run(Handlers(nodes)); err != nil {
+		cluster, err := transport.NewMemoryCluster(s.Graph().NumNodes(), transport.ClusterConfig{Timeout: 20 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cluster.Run(Handlers(nodes)); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		m, err := buildMatching(s, nodes)

@@ -9,6 +9,7 @@ import (
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/transport"
 )
 
 // TestAdaptiveTimeoutTightens exercises the arming rule directly: with
@@ -139,11 +140,11 @@ func TestAdaptiveAbsorbsCrashes(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStaysStaticOnGoRunner: the goroutine runtime reports
+// TestAdaptiveStaysStaticOnCluster: the in-process cluster reports
 // virtual time 0, so the estimator never collects a sample and the
 // node must quietly stay on the static timeout — same termination,
 // zero adaptive arms.
-func TestAdaptiveStaysStaticOnGoRunner(t *testing.T) {
+func TestAdaptiveStaysStaticOnCluster(t *testing.T) {
 	s := randomSystem(t, 7, 16, 0.4, 2)
 	tbl := satisfaction.NewTable(s)
 	n := s.Graph().NumNodes()
@@ -156,8 +157,11 @@ func TestAdaptiveStaysStaticOnGoRunner(t *testing.T) {
 		handlers[id] = tn
 	}
 	eps := reliable.Wrap(handlers, 20, 0)
-	runner := simnet.NewGoRunner(n, 60*time.Second)
-	if _, err := runner.Run(reliable.Handlers(eps)); err != nil {
+	cluster, err := transport.NewMemoryCluster(n, transport.ClusterConfig{Timeout: 60 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.Run(reliable.Handlers(eps)); err != nil {
 		t.Fatalf("goroutine runtime with adaptive nodes did not terminate: %v", err)
 	}
 	for id, tn := range nodes {

@@ -131,9 +131,9 @@ func NewTolerantNode(s *pref.System, tbl *satisfaction.Table, id graph.NodeID, t
 // termination argument of the fixed-timeout protocol carries over
 // unchanged, and a nil estimator (the default) leaves the node
 // byte-identical to the fixed-timeout one. Response times are only
-// meaningful on the event runtime (the goroutine runtime reports
-// virtual time 0 everywhere), so under the GoRunner the node silently
-// stays on the static timeout. Call before Init.
+// meaningful on the event runtime (a transport.Cluster reports
+// virtual time 0 everywhere), so on a Cluster the node silently stays
+// on the static timeout. Call before Init.
 func (n *TolerantNode) SetAdaptiveTimeout(est *detector.Estimator, phi float64) {
 	if phi <= 0 {
 		panic("robust: phi threshold must be positive")

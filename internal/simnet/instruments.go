@@ -4,11 +4,10 @@ import (
 	"overlaymatch/internal/metrics"
 )
 
-// instruments is the registry-backed counter set shared by both
-// runtimes. Each run owns a private registry (so per-run Stats stay
-// exact even when many runs execute in one process); a caller-supplied
-// sink registry, if any, receives a Merge of the private registry when
-// the run finishes. Stats (the public result struct) is built as a
+// instruments is the Runner's registry-backed counter set. Each run
+// owns a private registry (so per-run Stats stay exact even when many
+// runs execute in one process); a caller-supplied sink registry, if
+// any, receives a Merge of the private registry when the run finishes. Stats (the public result struct) is built as a
 // snapshot view over these instruments, which keeps the experiment
 // tables bit-identical to the pre-registry implementation.
 type instruments struct {
@@ -40,14 +39,13 @@ func newInstruments(n int) *instruments {
 		sentByNode:     reg.Vector("simnet_sent_by_node", "messages sent per node", n),
 		receivedByNode: reg.Vector("simnet_received_by_node", "messages delivered per node", n),
 		finalTime:      reg.Gauge("simnet_final_time", "virtual time of the last delivery (event runtime)"),
-		queueDepthMax:  reg.Gauge("simnet_queue_depth_max", "high-water mark of the event queue / mailbox depth"),
+		queueDepthMax:  reg.Gauge("simnet_queue_depth_max", "high-water mark of the event queue depth"),
 		sendLatency:    reg.Histogram("simnet_send_latency", "per-message link latency in virtual time units (event runtime)", nil),
 		faults:         reg.Family("simnet_fault_injections_total", "fault injections applied by the link policy", "kind"),
 	}
 }
 
-// countSend records one network send's kind and byte accounting; both
-// runtimes call it from their Send paths.
+// countSend records one network send's kind and byte accounting.
 func (ins *instruments) countSend(node int, kind string, size int) {
 	ins.sentByNode.Inc(node)
 	ins.sent.With(kind).Inc()

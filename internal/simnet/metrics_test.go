@@ -2,10 +2,8 @@ package simnet
 
 import (
 	"testing"
-	"time"
 
 	"overlaymatch/internal/metrics"
-	"overlaymatch/internal/obs"
 )
 
 // lineHandler forwards one token down a line of nodes: node 0 sends
@@ -97,36 +95,5 @@ func TestRunnerMetricsSinkAggregates(t *testing.T) {
 	}
 	if got := sink.Counter("simnet_deliveries_total", "").Value(); int(got) != total {
 		t.Fatalf("sink deliveries = %d, want %d", got, total)
-	}
-}
-
-// TestGoRunnerTraceAndMetrics: the goroutine runtime must feed the
-// shared recorder from its concurrent node goroutines and the same
-// registry instruments.
-func TestGoRunnerTraceAndMetrics(t *testing.T) {
-	n := 6
-	sink := metrics.New()
-	rec := obs.NewRecorder(n)
-	r := NewGoRunner(n, 10*time.Second)
-	r.SetMetricsSink(sink)
-	r.SetObserver(rec)
-	st, err := r.Run(lineHandlers(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Deliveries == 0 {
-		t.Fatal("no deliveries")
-	}
-	if got := len(deliverEvents(rec)); got != st.Deliveries {
-		t.Fatalf("recorder captured %d deliveries, stats delivered %d", got, st.Deliveries)
-	}
-	if got := r.Metrics().Counter("simnet_deliveries_total", "").Value(); int(got) != st.Deliveries {
-		t.Fatalf("registry deliveries %d != stats %d", got, st.Deliveries)
-	}
-	if got := sink.Counter("simnet_deliveries_total", "").Value(); int(got) != st.Deliveries {
-		t.Fatalf("sink deliveries %d != stats %d", got, st.Deliveries)
-	}
-	if sink.Family("simnet_sent_total", "", "kind").Value("TOKEN") == 0 {
-		t.Fatal("sink missing per-kind counts")
 	}
 }

@@ -3,7 +3,6 @@ package simnet
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"overlaymatch/internal/obs"
 )
@@ -97,35 +96,6 @@ func TestRunnerObserverDeterministic(t *testing.T) {
 	}
 	if render() != render() {
 		t.Fatal("event-runtime telemetry differs across identical runs")
-	}
-}
-
-func TestGoRunnerObserverRecordsCausality(t *testing.T) {
-	const n = 4
-	rec := obs.NewRecorder(n)
-	r := NewGoRunner(n, 5*time.Second)
-	r.SetObserver(rec)
-	if _, err := r.Run(sizedHandlers(n)); err != nil {
-		t.Fatal(err)
-	}
-	sends, delivers := 0, 0
-	for _, e := range rec.Events() {
-		switch e.Type {
-		case obs.EvSend:
-			sends++
-		case obs.EvDeliver:
-			delivers++
-			if e.Lam <= e.SendLam {
-				t.Fatalf("deliver lam=%d not causally after send lam=%d", e.Lam, e.SendLam)
-			}
-		}
-	}
-	if sends != n-1 || delivers != n-1 {
-		t.Fatalf("recorded %d sends / %d delivers, want %d/%d", sends, delivers, n-1, n-1)
-	}
-	msgs, bytesSent := r.SentTotals()
-	if msgs != n-1 || bytesSent != int64(16*(n-1)) {
-		t.Fatalf("SentTotals = (%d, %d)", msgs, bytesSent)
 	}
 }
 

@@ -1,22 +1,23 @@
 // Package simnet is the message-passing substrate the distributed LID
 // protocol runs on. The paper's execution model (§5) is a static
 // overlay of peers exchanging messages with immediate neighbors over
-// reliable asynchronous links; simnet provides that model twice:
+// reliable asynchronous links. Protocols are written once against
+// simnet's Handler and Context interfaces and run on two runtimes:
 //
-//   - Runner: a deterministic discrete-event simulator. Message
-//     latencies are drawn from a seeded source, deliveries are ordered
-//     by (time, sequence), and the whole execution is reproducible —
-//     the tool the experiment suite uses to sweep thousands of
-//     interleavings.
-//   - GoRunner: a real concurrent runtime, one goroutine per peer with
-//     an unbounded mailbox. It exercises true parallelism and the Go
-//     race detector; results must agree with Runner on every workload
+//   - Runner (this package): a deterministic discrete-event simulator.
+//     Message latencies are drawn from a seeded source, deliveries are
+//     ordered by (time, sequence), and the whole execution is
+//     reproducible — the tool the experiment suite uses to sweep
+//     thousands of interleavings.
+//   - transport.Cluster: the wall-clock concurrent runtime, one
+//     goroutine per peer with an unbounded inbox, on loopback sockets
+//     or in process. It exercises true parallelism and the Go race
+//     detector; results must agree with Runner on every workload
 //     (experiment E2).
 //
-// Both runtimes share the Handler interface, so a protocol is written
-// once. Termination is structural — a handler calls Context.Halt when
-// its protocol finishes locally (Ui = ∅ in LID) — so a run that
-// completes certifies global termination rather than timing out.
+// Termination is structural — a handler calls Context.Halt when its
+// protocol finishes locally (Ui = ∅ in LID) — so a run that completes
+// certifies global termination rather than timing out.
 package simnet
 
 import (
@@ -30,7 +31,7 @@ type Message interface{}
 // Handler is a protocol's per-node behaviour. Implementations must be
 // self-contained per node: the runtimes guarantee that all calls for
 // one node happen sequentially, but calls for different nodes may be
-// concurrent (GoRunner).
+// concurrent (transport.Cluster).
 type Handler interface {
 	// Init is called once before any delivery; the handler typically
 	// sends its opening messages here and may already Halt.
@@ -49,18 +50,18 @@ type Context interface {
 	// Halt marks this node locally terminated. Messages may still
 	// arrive afterwards (and are delivered); Halt is idempotent.
 	Halt()
-	// Time returns the current virtual time (Runner) or 0 (GoRunner,
-	// which has no global clock).
+	// Time returns the current virtual time (Runner) or 0
+	// (transport.Cluster, which has no global clock).
 	Time() float64
 }
 
-// Stats summarizes one run. It is a snapshot view over the run's
-// registry-backed instruments (package metrics): both runtimes count
-// into atomic counters/vectors/families in a private per-run registry,
-// and Stats is materialized from that registry when Run returns, so
-// existing consumers stay bit-identical while the same numbers are
-// available through Runner.Metrics / GoRunner.Metrics and any shared
-// sink registry.
+// Stats summarizes one run. On the Runner it is a snapshot view over
+// the run's registry-backed instruments (package metrics): the Runner
+// counts into atomic counters/vectors/families in a private per-run
+// registry, and Stats is materialized from that registry when Run
+// returns, so the same numbers are available through Runner.Metrics
+// and any shared sink registry. transport.Cluster fills the same
+// fields from its per-node wire counters.
 type Stats struct {
 	// SentByNode[i] = messages node i sent.
 	SentByNode []int
@@ -73,7 +74,8 @@ type Stats struct {
 	FinalTime float64
 	// Deliveries is the total number of delivered messages.
 	Deliveries int
-	// Dropped counts messages lost by the loss model (Runner only).
+	// Dropped counts messages lost by the loss model or a link policy
+	// (on a transport.Cluster, also frames discarded on receipt).
 	Dropped int
 	// TimersFired counts local timer deliveries.
 	TimersFired int

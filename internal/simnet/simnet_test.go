@@ -3,9 +3,7 @@ package simnet
 import (
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"overlaymatch/internal/obs"
 )
@@ -214,35 +212,8 @@ func TestLatencyFuncs(t *testing.T) {
 	UniformLatency(0, 1)
 }
 
-func TestGoRunnerFlood(t *testing.T) {
-	const n = 10
-	r := NewGoRunner(n, 10*time.Second)
-	stats, err := r.Run(starHandlers(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.TotalSent() != n-1 || stats.Deliveries != n-1 {
-		t.Fatalf("sent %d delivered %d, want %d", stats.TotalSent(), stats.Deliveries, n-1)
-	}
-	if stats.SentByKind["FLOOD"] != n-1 {
-		t.Fatalf("kind accounting: %v", stats.SentByKind)
-	}
-}
-
-func TestGoRunnerTimeoutOnStuckProtocol(t *testing.T) {
-	r := NewGoRunner(2, 200*time.Millisecond)
-	_, err := r.Run([]Handler{stubborn{}, stubborn{}})
-	if err == nil || !strings.Contains(err.Error(), "timeout") {
-		t.Fatalf("err = %v, want timeout", err)
-	}
-	if !strings.Contains(err.Error(), "[0 1]") {
-		t.Fatalf("err should name stuck nodes: %v", err)
-	}
-}
-
 // chainHandler forwards a counter down a line of nodes; node n-1 halts
-// the chain. Every node halts after its part. Exercises cross-node
-// sequencing in the concurrent runtime.
+// the chain. Every node halts after its part.
 type chainHandler struct{ n int }
 
 func (h chainHandler) Init(ctx Context) {
@@ -258,107 +229,6 @@ func (h chainHandler) HandleMessage(ctx Context, from int, msg Message) {
 		ctx.Send(next, v+1)
 	}
 	ctx.Halt()
-}
-
-func TestGoRunnerChain(t *testing.T) {
-	const n = 50
-	hs := make([]Handler, n)
-	for i := range hs {
-		hs[i] = chainHandler{n: n}
-	}
-	r := NewGoRunner(n, 10*time.Second)
-	stats, err := r.Run(hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Deliveries != n-1 {
-		t.Fatalf("deliveries = %d, want %d", stats.Deliveries, n-1)
-	}
-}
-
-func TestGoRunnerHandlerCountMismatch(t *testing.T) {
-	r := NewGoRunner(2, time.Second)
-	if _, err := r.Run([]Handler{stubborn{}}); err == nil {
-		t.Fatal("expected handler count error")
-	}
-}
-
-func TestMailboxFIFO(t *testing.T) {
-	mb := newMailbox()
-	for i := 0; i < 10; i++ {
-		mb.push(delivery{from: i})
-	}
-	if mb.len() != 10 {
-		t.Fatalf("len = %d", mb.len())
-	}
-	for i := 0; i < 10; i++ {
-		d, ok := mb.pop()
-		if !ok || d.from != i {
-			t.Fatalf("pop %d = (%v,%v)", i, d.from, ok)
-		}
-	}
-	if _, ok := mb.tryPop(); ok {
-		t.Fatal("tryPop on empty should fail")
-	}
-}
-
-func TestMailboxCloseUnblocksPop(t *testing.T) {
-	mb := newMailbox()
-	done := make(chan bool)
-	go func() {
-		_, ok := mb.pop()
-		done <- ok
-	}()
-	time.Sleep(10 * time.Millisecond)
-	mb.close()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("pop on closed empty mailbox returned ok")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("pop did not unblock on close")
-	}
-	// Pushes after close are dropped.
-	mb.push(delivery{from: 1})
-	if mb.len() != 0 {
-		t.Fatal("push after close was queued")
-	}
-}
-
-func TestMailboxConcurrentPushers(t *testing.T) {
-	mb := newMailbox()
-	const pushers, each = 8, 500
-	var wg sync.WaitGroup
-	for p := 0; p < pushers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				mb.push(delivery{from: p, msg: i})
-			}
-		}(p)
-	}
-	last := make(map[int]int)
-	for p := 0; p < pushers; p++ {
-		last[p] = -1
-	}
-	for i := 0; i < pushers*each; i++ {
-		d, ok := mb.pop()
-		if !ok {
-			t.Fatal("pop failed mid-stream")
-		}
-		// Per-sender FIFO: each pusher's messages arrive in push order.
-		if v := d.msg.(int); v != last[d.from]+1 {
-			t.Fatalf("per-sender order violated for %d: got %d after %d", d.from, v, last[d.from])
-		} else {
-			last[d.from] = v
-		}
-	}
-	wg.Wait()
-	if mb.len() != 0 {
-		t.Fatal("messages left over")
-	}
 }
 
 func TestStatsHelpers(t *testing.T) {

@@ -7,11 +7,10 @@ package simnet
 // ID and the token as the message; timers are local events and are
 // never dropped by the loss model.
 //
-// The event Runner implements timers exactly on its virtual clock. The
-// GoRunner maps one virtual time unit to Options-configurable real
-// time (default 1ms); its timers are wall-clock approximations, which
-// is fine because the protocols only use timers for conservative
-// timeouts.
+// The event Runner implements timers exactly on its virtual clock.
+// transport.Cluster maps one virtual time unit to 1ms of real time;
+// its timers are wall-clock approximations, which is fine because the
+// protocols only use timers for conservative timeouts.
 
 // TimerSetter is implemented by Contexts that support timers. Both
 // runtimes do; the interface is separate so simple protocols don't

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // timerToken marks timer deliveries in the tests.
@@ -56,26 +55,6 @@ func TestRunnerTimersFireInVirtualOrder(t *testing.T) {
 	}
 	if stats.FinalTime != 9 {
 		t.Fatalf("final time %v, want 9", stats.FinalTime)
-	}
-}
-
-func TestGoRunnerTimers(t *testing.T) {
-	h := &timedHandler{}
-	r := NewGoRunner(1, 10*time.Second)
-	r.SetTimeUnit(time.Millisecond)
-	stats, err := r.Run([]Handler{h})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.fired) != 3 {
-		t.Fatalf("fired %v", h.fired)
-	}
-	if stats.TimersFired != 3 {
-		t.Fatalf("TimersFired = %d", stats.TimersFired)
-	}
-	// Wall-clock ordering should match virtual order with these gaps.
-	if h.fired[0] != 1 {
-		t.Fatalf("first timer = %d, want 1", h.fired[0])
 	}
 }
 

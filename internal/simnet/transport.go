@@ -5,29 +5,30 @@ package simnet
 // Init and HandleMessage (sequentially per node, possibly concurrently
 // across nodes), delivers timers, and reports the run's statistics.
 //
-// Three implementations exist:
+// Two implementations exist:
 //
 //   - Runner — the deterministic discrete-event simulator. The
 //     conformance harness: every protocol result is defined by what
 //     the Runner computes, and the experiment registry (E1–E19) gates
 //     against it bit-for-bit.
-//   - GoRunner — one goroutine per node with unbounded mailboxes;
-//     exercises real concurrency and the race detector.
-//   - transport.Cluster — real UDP sockets (package
-//     internal/transport): per-peer send loops, length-prefixed binary
-//     frames, message coalescing. The deployable backend; its runs
-//     must produce the same matchings the Runner certifies.
+//   - transport.Cluster — the wall-clock concurrent runtime (package
+//     internal/transport): one goroutine and unbounded inbox per node,
+//     every message encoded as a binary frame. It runs on loopback
+//     UDP sockets (coalesced, checksummed datagrams) or on an
+//     in-process wire that hands each decoded frame to the receiver's
+//     inbox; the latter exercises real concurrency and the race
+//     detector at simulator scale. Its runs must produce the same
+//     matchings the Runner certifies.
 //
 // The interface is deliberately minimal: protocols never see it (they
 // are written against Handler/Context), but harnesses, experiments and
-// CLIs can hold any backend behind one variable. Both simnet runtimes
-// implement it unchanged — the compile-time assertions below are the
-// whole "refactor" on their side.
+// CLIs can hold either backend behind one variable.
 type Transport interface {
 	// Run executes the protocol to termination: Init on every node,
 	// then message deliveries until the backend's termination condition
-	// holds (global halt for Runner/GoRunner, quiescence for the
-	// socket backend). One Transport value runs once.
+	// holds (an empty event queue for the Runner, a balanced
+	// activation/completion count for a Cluster). One Transport value
+	// runs once.
 	Run(handlers []Handler) (Stats, error)
 }
 
@@ -42,13 +43,11 @@ type Endpoint interface {
 	TimerSetter
 }
 
-// Compile-time conformance: both simulator runtimes are Transports and
-// both their contexts are Endpoints. The real-socket backend asserts
-// the same in package internal/transport (it cannot be asserted here
-// without an import cycle).
+// Compile-time conformance: the simulator is a Transport and its
+// context an Endpoint. transport.Cluster asserts the same in package
+// internal/transport (it cannot be asserted here without an import
+// cycle).
 var (
 	_ Transport = (*Runner)(nil)
-	_ Transport = (*GoRunner)(nil)
 	_ Endpoint  = (*runnerCtx)(nil)
-	_ Endpoint  = (*goCtx)(nil)
 )

@@ -5,38 +5,38 @@ import (
 	"strings"
 	"time"
 
+	"overlaymatch/internal/obs"
 	"overlaymatch/internal/simnet"
 )
 
-// Cluster boots n UDPNodes on loopback sockets in one process and runs
-// a handler set over real datagrams. It is the third simnet.Transport
-// backend — after the deterministic Runner and the in-memory GoRunner
-// — and the conformance bridge between them and a deployment: a test
-// seeds the same workload into a Runner and a Cluster and asserts the
-// matchings agree.
-//
-// Every socket binds 127.0.0.1:0 first; the kernel-assigned ports are
-// then exchanged as each node's peer table, so cluster tests never
-// race over fixed port numbers.
+// Cluster runs a handler set on n UDPNodes in one process, on one of
+// two wires. NewLoopbackCluster puts every node on a real loopback
+// socket: frames cross the kernel as coalesced, checksummed datagrams.
+// NewMemoryCluster's in-process wire hands each frame, decoded, to the
+// receiver's inbox. Either way each node has its own goroutine and
+// unbounded queue, every message passes through its codec, and Run
+// ends on the same termination certificate. The Cluster is the
+// repo's wall-clock concurrent runtime: interleavings come from the Go
+// scheduler, so running under -race exercises the protocols' per-node
+// isolation, and a test seeds the same workload into the
+// deterministic Runner and a Cluster and asserts the matchings agree.
 type Cluster struct {
 	nodes []*UDPNode
 	cfg   ClusterConfig
 }
 
-// Compile-time proof that a real-socket cluster satisfies the same
-// contract as the simulator runtimes. (Asserted here, not in package
-// simnet, to keep simnet import-free of the wire layer.)
-var _ simnet.Transport = (*Cluster)(nil)
+// Compile-time proof that a cluster satisfies the same contract as the
+// simulator, with contexts that carry timers and the recorder.
+// (Asserted here, not in package simnet, to keep simnet import-free
+// of the wire layer.)
+var (
+	_ simnet.Transport  = (*Cluster)(nil)
+	_ simnet.Endpoint   = (*udpCtx)(nil)
+	_ simnet.Observable = (*udpCtx)(nil)
+)
 
-// ClusterConfig parameterizes a loopback cluster. The zero value is
-// usable.
+// ClusterConfig parameterizes a cluster. The zero value is usable.
 type ClusterConfig struct {
-	// TimeUnit is the wall-clock duration of one virtual timer unit on
-	// every node (default 1ms, like GoRunner.SetTimeUnit).
-	TimeUnit time.Duration
-	// CoalesceBytes is each node's per-datagram frame budget (default
-	// 1200).
-	CoalesceBytes int
 	// Timeout bounds Run's wait for cluster quiescence (default 30s).
 	Timeout time.Duration
 	// IdleWindow is the fallback when counts never balance: after a
@@ -48,6 +48,21 @@ type ClusterConfig struct {
 	// outlast residual duplicate/heartbeat traffic. A run that loses
 	// nothing never waits for it.
 	IdleWindow time.Duration
+	// Policy, if non-nil, injects link faults (see simnet.LinkPolicy).
+	// Every send is offered to it after encoding, under one
+	// cluster-wide mutex and with now = 0, so the same policies serve
+	// the Runner and a Cluster. A dropped send is never handed to the
+	// wire; each copy is; a delayed copy is handed off from a
+	// wall-clock timer. A corrupted frame reaches the receiver as
+	// simnet.Corrupted in process, and is discarded on a socket, as
+	// the receiver's CRC check would discard it. Only
+	// delivery-preserving faults keep bare LID correct — wrap the
+	// handlers in package reliable for drop/corrupt faults.
+	Policy simnet.LinkPolicy
+	// Obs, if non-nil, records every send and delivery (package obs).
+	// The Lamport stamp rides in the inbox, so only the in-process
+	// wire can carry it; NewLoopbackCluster rejects a recorder.
+	Obs *obs.Recorder
 }
 
 func (c ClusterConfig) timeout() time.Duration {
@@ -64,26 +79,44 @@ func (c ClusterConfig) idleWindow() time.Duration {
 	return 150 * time.Millisecond
 }
 
-// NewLoopbackCluster binds n loopback sockets and wires the full peer
-// mesh. No handler runs until Run. Callers must Close (Run leaves the
-// cluster closed already; Close is idempotent).
-func NewLoopbackCluster(n int, cfg ClusterConfig) (*Cluster, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("transport: cluster size %d must be positive", n)
+// NewMemoryCluster builds n socket-less nodes on the in-process wire:
+// a send encodes the frame, strictly decodes it back, and pushes the
+// message into the receiver's inbox — no datagrams, send loops or
+// read loops. Nothing is lost in process, so the counting certificate
+// ends every run. n = 0 gives an empty cluster.
+func NewMemoryCluster(n int, cfg ClusterConfig) (*Cluster, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("transport: negative cluster size %d", n)
 	}
+	sh := &shared{policy: cfg.Policy, rec: cfg.Obs, local: make([]*UDPNode, n)}
+	for i := range sh.local {
+		sh.local[i] = newNode(UDPConfig{NodeID: i, N: n}, sh)
+	}
+	return &Cluster{nodes: sh.local, cfg: cfg}, nil
+}
+
+// NewLoopbackCluster binds n loopback sockets and wires the full peer
+// mesh. Every socket binds 127.0.0.1:0 first; the kernel-assigned
+// ports are then exchanged as each node's peer table, so cluster tests
+// never race over fixed port numbers. n = 0 gives an empty cluster. No
+// handler runs until Run. Callers must Close (Run leaves the cluster
+// closed already; Close is idempotent).
+func NewLoopbackCluster(n int, cfg ClusterConfig) (*Cluster, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("transport: negative cluster size %d", n)
+	}
+	if cfg.Obs != nil {
+		return nil, fmt.Errorf("transport: a loopback cluster cannot carry Lamport stamps; record on NewMemoryCluster")
+	}
+	sh := &shared{policy: cfg.Policy}
 	c := &Cluster{cfg: cfg}
 	for i := 0; i < n; i++ {
-		nd, err := ListenUDP(UDPConfig{
-			NodeID:        i,
-			N:             n,
-			Listen:        "127.0.0.1:0",
-			TimeUnit:      cfg.TimeUnit,
-			CoalesceBytes: cfg.CoalesceBytes,
-		})
+		nd, err := ListenUDP(UDPConfig{NodeID: i, N: n, Listen: "127.0.0.1:0"})
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
+		nd.sh = sh
 		c.nodes = append(c.nodes, nd)
 	}
 	// Exchange the kernel-assigned ports as everyone's peer table.
@@ -106,14 +139,13 @@ func (c *Cluster) Nodes() []*UDPNode { return c.nodes }
 // Run implements simnet.Transport: it starts handlers[i] on node i,
 // waits for cluster-wide quiescence, closes the cluster (on every
 // return path, errors included), and returns aggregate Stats with
-// the same shape the simulator runtimes produce (FinalTime is 0 — a
-// socket cluster has no global virtual clock; Dropped counts ingress
+// the same shape the Runner produces (FinalTime is 0 — a cluster has
+// no global virtual clock; Dropped counts policy drops and ingress
 // discards: CRC damage, decode failures, unknown senders).
 //
 // Termination is certified by counting, in the style of Mattern's
-// four-counter method — the wall-clock form of the GoRunner's
-// "nothing pending, nothing outstanding" check. Every node keeps two
-// monotone counters: activations (its Init, each frame it sends, each
+// four-counter method. Every node keeps two monotone counters:
+// activations (its Init, each frame copy it hands to the wire, each
 // timer it arms — counted before the work can start) and completions
 // (each Init or HandleMessage call that has returned). Every 1 ms Run
 // sums all completions (wave 1), then all activations (wave 2). If the
@@ -129,7 +161,8 @@ func (c *Cluster) Nodes() []*UDPNode { return c.nodes }
 // So C(t) = A(t): at t no handler was running, no frame was in flight
 // and no timer was pending. New work only starts inside a handler, so
 // nothing can ever happen again. (The inequality needs a wire that
-// never duplicates a datagram, which loopback UDP does not.) If every
+// never duplicates a frame unseen: loopback UDP does not, and each
+// copy a Policy makes is activated.) If every
 // node has halted, the run succeeded; otherwise it is deadlocked, and
 // Run returns the Runner's "never halted" error at once.
 //
@@ -140,8 +173,7 @@ func (c *Cluster) Nodes() []*UDPNode { return c.nodes }
 // whose deferred Halt makes "every node halted" an
 // all-frames-acknowledged certificate, so the window only has to
 // outlast residual traffic. On timeout Run returns the stats gathered
-// so far and an error naming the stuck nodes, mirroring GoRunner's
-// deadline error.
+// so far and an error naming the stuck nodes.
 func (c *Cluster) Run(handlers []simnet.Handler) (simnet.Stats, error) {
 	if len(handlers) != len(c.nodes) {
 		c.Close()

@@ -6,3 +6,8 @@ func DropNextDatagram(nd *UDPNode) { nd.dropNext.Store(true) }
 
 // Closed reports whether nd has been shut down.
 func Closed(nd *UDPNode) bool { return nd.closed.Load() }
+
+// InProcess reports whether c runs on the in-process wire.
+func InProcess(c *Cluster) bool {
+	return len(c.nodes) > 0 && c.nodes[0].sh.local != nil
+}

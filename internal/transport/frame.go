@@ -1,10 +1,11 @@
-// Package transport lifts the protocol stack off the in-process
-// simulator and onto a real wire. It provides the two things simnet
-// never needed: a binary representation for protocol messages (simnet
-// passes Go values between goroutines; a socket passes bytes), and a
-// socket-backed runtime (udp.go, cluster.go) that implements the same
-// simnet.Transport contract as the Runner and GoRunner, so the
-// lid/reliable/detector stack runs on it unchanged.
+// Package transport lifts the protocol stack off the event simulator
+// and onto a wire. It provides the two things simnet never needed: a
+// binary representation for protocol messages (simnet passes Go
+// values; a socket passes bytes), and the wall-clock concurrent
+// runtime (udp.go, cluster.go) — on loopback sockets or on an
+// in-process wire — that implements the same simnet.Transport contract
+// as the Runner, so the lid/reliable/detector stack runs on it
+// unchanged.
 //
 // # Frame format
 //
@@ -165,6 +166,26 @@ func RegisteredIDs() []uint16 {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
+}
+
+// EmptyCodec returns the codec of a payload-less message type, whose
+// information is its arrival (a heartbeat, an environment command):
+// the frame header is the whole message. value returns the type's
+// only value.
+func EmptyCodec(name string, typ reflect.Type, value func() simnet.Message) Codec {
+	return Codec{
+		Name:    name,
+		Version: 1,
+		Type:    typ,
+		Encode:  func(_ simnet.Message, buf []byte) []byte { return buf },
+		Decode: func(payload []byte) (simnet.Message, error) {
+			if len(payload) != 0 {
+				return nil, fmt.Errorf("%s payload is %d bytes, want 0", name, len(payload))
+			}
+			return value(), nil
+		},
+		Sample: func(*rng.Source) simnet.Message { return value() },
+	}
 }
 
 // AppendFrame encodes msg as one complete frame (header + payload)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"overlaymatch/internal/metrics"
+	"overlaymatch/internal/obs"
 	"overlaymatch/internal/simnet"
 )
 
@@ -41,7 +42,7 @@ type UDPConfig struct {
 	// cover every destination before Start.
 	Peers map[int]string
 	// TimeUnit is the real duration of one virtual time unit for
-	// timers, like GoRunner.SetTimeUnit (default 1ms).
+	// timers and policy delays (default 1ms).
 	TimeUnit time.Duration
 	// CoalesceBytes is the frame-byte budget per datagram: queued
 	// frames toward one peer are packed together up to this size
@@ -75,27 +76,34 @@ type UDPCounters struct {
 	BytesSent       int64
 	BytesRecv       int64
 	TimersFired     int64
-	// Dropped counts ingress discards: CRC or envelope damage, decode
-	// failures, and frames arriving for an unknown sender.
+	// Dropped counts frames that never reached a handler: sends the
+	// link policy dropped (or corrupted, on a socket), and ingress
+	// discards — CRC or envelope damage, decode failures, and frames
+	// arriving for an unknown sender.
 	Dropped int64
 	// Activations counts the work this node started: its Init, every
-	// frame it sent, every timer it armed. Completions counts the
-	// handler calls that finished on it: Init, then one per delivered
-	// frame or fired timer. Cluster.Run's termination check compares
-	// their cluster-wide sums.
+	// frame copy it handed to the wire, every timer it armed.
+	// Completions counts the handler calls that finished on it: Init,
+	// then one per delivered frame or fired timer. Cluster.Run's
+	// termination check compares their cluster-wide sums.
 	Activations int64
 	Completions int64
 }
 
-// delivery is one queued upcall for the node's handler goroutine.
+// udpDelivery is one queued upcall for the node's handler goroutine.
+// It stays 32 bytes: from is an int32 so the Lamport stamp fits.
 type udpDelivery struct {
-	from  int
 	msg   simnet.Message
+	lam   uint64 // the sender's Lamport stamp (0 unless a recorder is on)
+	from  int32
 	timer bool
 }
 
-// inbox is the unbounded MPSC delivery queue (the same discipline as
-// simnet's goroutine mailboxes: senders never block, one owner pops).
+// inbox is the unbounded MPSC delivery queue: senders never block, one
+// owner pops. Unboundedness matters: the paper's model assumes
+// reliable asynchronous links, so the queue must never apply
+// backpressure that could entangle protocol waits into artificial
+// deadlocks.
 type inbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -197,16 +205,20 @@ func (l *peerLink) close() {
 	l.cond.Broadcast()
 }
 
-// UDPNode is one overlay node attached to a real UDP socket. It drives
-// a simnet.Handler exactly like the in-process runtimes do — Init then
-// sequential HandleMessage calls on one goroutine, timers as
-// self-deliveries — but its sends are encoded frames coalesced into
-// datagrams, and its deliveries come off the wire. The whole protocol
-// stack (lid under reliable under detector) runs on it unchanged.
+// UDPNode is one overlay node on one of two wires: a real UDP socket,
+// or the in-process wire of NewMemoryCluster. It drives a
+// simnet.Handler the same way on both — Init then sequential
+// HandleMessage calls on one goroutine, timers as self-deliveries —
+// and every send is an encoded frame. On a socket, frames are
+// coalesced into datagrams and deliveries come off the wire; in
+// process, each frame is decoded at the send site and the message goes
+// straight into the receiver's inbox. The whole protocol stack (lid
+// under reliable under detector) runs on either unchanged.
 type UDPNode struct {
 	cfg   UDPConfig
-	conn  *net.UDPConn
+	conn  *net.UDPConn // nil on the in-process wire
 	peers map[int]*net.UDPAddr
+	sh    *shared
 
 	inbox *inbox
 
@@ -233,9 +245,9 @@ type UDPNode struct {
 	// activations and completions are the two monotone counters of the
 	// termination certificate (see Cluster.Run). An activation is
 	// counted before the work it stands for can run — Init at Start, a
-	// frame before it is queued, a timer before it is armed — and the
-	// matching completion after the handler call that consumes it
-	// returns.
+	// frame copy before it is handed to the wire, a timer before it is
+	// armed — and the matching completion after the handler call that
+	// consumes it returns.
 	activations atomic.Int64
 	completions atomic.Int64
 
@@ -243,10 +255,28 @@ type UDPNode struct {
 	// a kernel may lose one (set only by tests).
 	dropNext atomic.Bool
 
-	// sentByKind/receivedFrom are only touched on the delivery
-	// goroutine (Send happens inside handler calls), so they need no
-	// lock; they are read after the node is stopped.
+	// sentByKind is only touched on the delivery goroutine (Send
+	// happens inside handler calls), so it needs no lock; it is read
+	// after the node is stopped.
 	sentByKind map[string]int
+}
+
+// shared is what every node of one cluster consults on its send path:
+// the link policy with the mutex that serializes its verdicts, the
+// telemetry recorder, and, on the in-process wire, the nodes to
+// deliver to. A standalone socket node has an empty one.
+type shared struct {
+	policy simnet.LinkPolicy
+	polMu  sync.Mutex
+	rec    *obs.Recorder
+	local  []*UDPNode // the in-process wire, by node ID; nil on sockets
+}
+
+// newNode returns a node with no socket attached.
+func newNode(cfg UDPConfig, sh *shared) *UDPNode {
+	nd := &UDPNode{cfg: cfg, sh: sh, inbox: newInbox(), sentByKind: make(map[string]int)}
+	nd.touch()
+	return nd
 }
 
 // ListenUDP binds cfg.Listen and returns the node, not yet started.
@@ -272,15 +302,10 @@ func ListenUDP(cfg UDPConfig) (*UDPNode, error) {
 	// datagrams at one socket, and every loss costs a retransmission
 	// round trip. Best effort — some systems clamp it.
 	_ = conn.SetReadBuffer(1 << 20)
-	nd := &UDPNode{
-		cfg:        cfg,
-		conn:       conn,
-		peers:      make(map[int]*net.UDPAddr),
-		inbox:      newInbox(),
-		links:      make(map[int]*peerLink),
-		sentByKind: make(map[string]int),
-	}
-	nd.touch()
+	nd := newNode(cfg, &shared{})
+	nd.conn = conn
+	nd.peers = make(map[int]*net.UDPAddr)
+	nd.links = make(map[int]*peerLink)
 	if err := nd.SetPeers(cfg.Peers); err != nil {
 		conn.Close()
 		return nil, err
@@ -289,6 +314,7 @@ func ListenUDP(cfg UDPConfig) (*UDPNode, error) {
 }
 
 // LocalAddr returns the bound socket address (resolving ":0" listens).
+// Socket nodes only.
 func (nd *UDPNode) LocalAddr() *net.UDPAddr { return nd.conn.LocalAddr().(*net.UDPAddr) }
 
 // ID returns the node's protocol identity.
@@ -317,20 +343,31 @@ func (nd *UDPNode) SetPeers(peers map[int]string) error {
 // touch records wire activity for the quiescence detector.
 func (nd *UDPNode) touch() { nd.lastActivity.Store(time.Now().UnixNano()) }
 
-// udpCtx implements simnet.Endpoint for handler calls on this node.
+// udpCtx implements simnet.Endpoint and simnet.Observable for handler
+// calls on this node.
 type udpCtx struct {
 	nd *UDPNode
 }
 
 func (c *udpCtx) ID() int { return c.nd.cfg.NodeID }
 
-// Time implements simnet.Context. Like the GoRunner, a socket node has
-// no global virtual clock; layers that need one (adaptive RTO
-// sampling) fall back to their clockless behavior.
+// Time implements simnet.Context. A wall-clock node has no global
+// virtual clock; layers that need one (adaptive RTO sampling) fall
+// back to their clockless behavior.
 func (c *udpCtx) Time() float64 { return 0 }
 
 func (c *udpCtx) Halt() { c.nd.halted.Store(true) }
 
+// Observer implements simnet.Observable (nil when telemetry is off).
+// The recorder is mutex-guarded, so nodes record concurrently in
+// scheduler order: Lamport stamps stay causally consistent, but the
+// record order is not reproducible across runs, and times are 0.
+func (c *udpCtx) Observer() *obs.Recorder { return c.nd.sh.rec }
+
+// Send encodes msg, records it, takes the link policy's verdict, and
+// hands each surviving copy to the wire. The verdict runs under the
+// cluster-wide policy mutex with now = 0: probabilistic faults apply,
+// time-windowed ones only if they are open at time 0.
 func (c *udpCtx) Send(to int, msg simnet.Message) {
 	nd := c.nd
 	if to < 0 || to >= nd.cfg.N {
@@ -343,14 +380,67 @@ func (c *udpCtx) Send(to int, msg simnet.Message) {
 		// the send site where the stack trace names the protocol.
 		panic(fmt.Sprintf("transport: node %d sending %T: %v", nd.cfg.NodeID, msg, err))
 	}
-	nd.activations.Add(1)
+	sh := nd.sh
+	if sh.local != nil {
+		// The in-process wire delivers what the frame decodes to, so
+		// every message still round-trips through its codec, as strictly
+		// as on a socket.
+		got, used, err := DecodeFrame(frame)
+		if err != nil || used != len(frame) {
+			panic(fmt.Sprintf("transport: node %d sending %T: frame decodes to %d of its %d bytes: %v",
+				nd.cfg.NodeID, msg, used, len(frame), err))
+		}
+		msg = got
+	}
 	nd.framesSent.Add(1)
-	nd.sentByKind[simnet.KindOf(msg)]++
+	kind := simnet.KindOf(msg)
+	nd.sentByKind[kind]++
+	lam := sh.rec.Send(nd.cfg.NodeID, to, kind, 0)
+	if sh.policy == nil {
+		nd.activations.Add(1)
+		nd.handOff(to, frame, msg, lam)
+		return
+	}
+	sh.polMu.Lock()
+	v := sh.policy.Verdict(0, nd.cfg.NodeID, to, msg)
+	sh.polMu.Unlock()
+	if v.Drop || (v.Corrupt && sh.local == nil) {
+		// On a socket the receiver's CRC check would discard a damaged
+		// datagram, so a corrupted frame is discarded here.
+		nd.dropped.Add(1)
+		return
+	}
+	if v.Corrupt {
+		msg = simnet.Corrupted{Original: msg}
+	}
+	for i := 0; i <= v.Copies; i++ {
+		nd.activations.Add(1)
+		if v.ExtraDelay > 0 {
+			nd.pendingTimers.Add(1)
+			payload := msg
+			time.AfterFunc(time.Duration(v.ExtraDelay*float64(nd.cfg.timeUnit())), func() {
+				nd.pendingTimers.Add(-1)
+				nd.handOff(to, frame, payload, lam)
+			})
+			continue
+		}
+		nd.handOff(to, frame, msg, lam)
+	}
+}
+
+// handOff puts one copy of a sent frame on the wire: in process, the
+// decoded message goes straight into the receiver's inbox; on a
+// socket, the frame joins the peer's egress queue.
+func (nd *UDPNode) handOff(to int, frame []byte, msg simnet.Message, lam uint64) {
+	if local := nd.sh.local; local != nil {
+		local[to].inbox.push(udpDelivery{msg: msg, lam: lam, from: int32(nd.cfg.NodeID)})
+		return
+	}
 	nd.link(to).push(frame)
 }
 
 // SetTimer implements simnet.TimerSetter: msg comes back to this node
-// after delay virtual units of wall-clock time, like the GoRunner.
+// after delay virtual units of wall-clock time.
 func (c *udpCtx) SetTimer(delay float64, msg simnet.Message) {
 	if delay <= 0 {
 		panic("transport: SetTimer needs a positive delay")
@@ -362,7 +452,7 @@ func (c *udpCtx) SetTimer(delay float64, msg simnet.Message) {
 	time.AfterFunc(d, func() {
 		nd.pendingTimers.Add(-1)
 		nd.touch()
-		nd.inbox.push(udpDelivery{from: nd.cfg.NodeID, msg: msg, timer: true})
+		nd.inbox.push(udpDelivery{msg: msg, from: int32(nd.cfg.NodeID), timer: true})
 	})
 }
 
@@ -470,7 +560,7 @@ func (nd *UDPNode) readLoop() {
 				break
 			}
 			rest = rest[consumed:]
-			nd.inbox.push(udpDelivery{from: from, msg: msg})
+			nd.inbox.push(udpDelivery{msg: msg, from: int32(from)})
 		}
 	}
 }
@@ -478,15 +568,18 @@ func (nd *UDPNode) readLoop() {
 // Start attaches the handler and begins delivery: Init runs first on
 // the delivery goroutine, then arriving frames and timers, one at a
 // time, until Close — the same per-node sequentiality contract the
-// simulator runtimes guarantee.
+// event simulator guarantees.
 func (nd *UDPNode) Start(h simnet.Handler) {
 	if nd.started {
 		panic("transport: UDPNode started twice")
 	}
 	nd.started = true
 	nd.activations.Add(1) // Init
-	nd.wg.Add(2)
-	go nd.readLoop()
+	if nd.conn != nil {
+		nd.wg.Add(1)
+		go nd.readLoop()
+	}
+	nd.wg.Add(1)
 	go func() {
 		defer nd.wg.Done()
 		ctx := &udpCtx{nd: nd}
@@ -498,7 +591,10 @@ func (nd *UDPNode) Start(h simnet.Handler) {
 			if !ok {
 				return
 			}
-			h.HandleMessage(ctx, d.from, d.msg)
+			if rec := nd.sh.rec; rec != nil && !d.timer {
+				rec.Deliver(nd.cfg.NodeID, int(d.from), simnet.KindOf(d.msg), 0, d.lam)
+			}
+			h.HandleMessage(ctx, int(d.from), d.msg)
 			if d.timer {
 				nd.timersFired.Add(1)
 			} else {
@@ -547,14 +643,16 @@ func (nd *UDPNode) AwaitQuiescence(timeout, window time.Duration) error {
 		nd.cfg.NodeID, timeout, nd.halted.Load(), nd.inbox.len(), nd.pendingTimers.Load())
 }
 
-// Close stops the node: the socket closes (ending the read loop), the
-// delivery queue drains no further, and the send loops exit. Close is
-// idempotent and safe to call after a failed Await.
+// Close stops the node: the socket, if any, closes (ending the read
+// loop), the delivery queue drains no further, and the send loops
+// exit. Close is idempotent and safe to call after a failed Await.
 func (nd *UDPNode) Close() {
 	if nd.closed.Swap(true) {
 		return
 	}
-	nd.conn.Close()
+	if nd.conn != nil {
+		nd.conn.Close()
+	}
 	nd.inbox.close()
 	nd.linkMu.Lock()
 	for _, l := range nd.links {
@@ -594,7 +692,7 @@ func (nd *UDPNode) PublishMetrics(reg *metrics.Registry) {
 	reg.Counter("transport_datagrams_recv_total", "UDP datagrams read").Add(c.DatagramsRecv)
 	reg.Counter("transport_bytes_sent_total", "UDP payload bytes written, envelopes included").Add(c.BytesSent)
 	reg.Counter("transport_bytes_recv_total", "UDP payload bytes read, envelopes included").Add(c.BytesRecv)
-	reg.Counter("transport_dropped_total", "ingress discards (CRC, decode, unknown sender)").Add(c.Dropped)
+	reg.Counter("transport_dropped_total", "frames lost: policy drops and ingress discards (CRC, decode, unknown sender)").Add(c.Dropped)
 	kinds := make([]string, 0, len(nd.sentByKind))
 	for k := range nd.sentByKind {
 		kinds = append(kinds, k)

@@ -21,44 +21,86 @@ import (
 // the fallback.
 const certainWindow = 5 * time.Second
 
+// wires are the two ways to build a Cluster; tests that hold on both
+// run once per wire.
+var wires = []struct {
+	name string
+	new  func(n int, cfg transport.ClusterConfig) (*transport.Cluster, error)
+}{
+	{"loopback", transport.NewLoopbackCluster},
+	{"memory", transport.NewMemoryCluster},
+}
+
 // checkBalanced asserts the termination certificate's bookkeeping on a
-// finished cluster: per node, activations and completions account
-// exactly for the node's Init, frames and timers, and the cluster-wide
-// sums are equal (nothing left in flight or pending). Completions may
-// exceed activations on one node — a sink finishes frames its peers
-// started — so the inequality holds only cluster-wide.
-func checkBalanced(t *testing.T, cluster *transport.Cluster) {
+// finished cluster: per node, completions account exactly for the
+// node's Init, frames and timers, and cluster-wide the activations
+// equal the completions (nothing left in flight or pending) and
+// account exactly for every Init, frame copy handed to the wire, and
+// timer. inj is the run's link policy, or nil: its log is the oracle
+// for which sends were dropped (never activated) and how many extra
+// copies were made (each activated). Completions may exceed
+// activations on one node — a sink finishes frames its peers started
+// — so the equality holds only cluster-wide.
+func checkBalanced(t *testing.T, cluster *transport.Cluster, inj *faults.Injector) {
 	t.Helper()
-	var begun, done, sent, fired int64
+	var begun, done, sent, fired, dropped int64
 	for _, nd := range cluster.Nodes() {
 		c := nd.Counters()
 		if want := 1 + c.FramesDelivered + c.TimersFired; c.Completions != want {
 			t.Errorf("node %d: %d completions, want 1 + %d frames + %d timers",
 				nd.ID(), c.Completions, c.FramesDelivered, c.TimersFired)
 		}
-		if c.Activations < 1+c.FramesSent {
-			t.Errorf("node %d: %d activations for %d frames sent", nd.ID(), c.Activations, c.FramesSent)
+		if c.Activations < 1+c.FramesSent-c.Dropped {
+			t.Errorf("node %d: %d activations for %d frames sent, %d dropped",
+				nd.ID(), c.Activations, c.FramesSent, c.Dropped)
 		}
 		begun += c.Activations
 		done += c.Completions
 		sent += c.FramesSent
 		fired += c.TimersFired
+		dropped += c.Dropped
+	}
+	wantDropped, copies := injected(inj, transport.InProcess(cluster))
+	if dropped != wantDropped {
+		t.Errorf("cluster-wide %d frames dropped, the policy dropped %d", dropped, wantDropped)
 	}
 	n := int64(len(cluster.Nodes()))
 	if done != begun {
 		t.Errorf("cluster-wide completions %d != activations %d", done, begun)
 	}
-	if begun != n+sent+fired {
-		t.Errorf("cluster-wide activations %d != %d inits + %d frames + %d timers", begun, n, sent, fired)
+	if want := n + sent - dropped + copies + fired; begun != want {
+		t.Errorf("cluster-wide activations %d != %d inits + %d frames - %d dropped + %d copies + %d timers",
+			begun, n, sent, dropped, copies, fired)
 	}
 }
 
+// injected reads a policy's log: how many sends it kept off the wire
+// and how many extra copies it put on. A corrupted frame reaches an
+// in-process receiver but is discarded on a socket.
+func injected(inj *faults.Injector, inProcess bool) (dropped, copies int64) {
+	if inj == nil {
+		return 0, 0
+	}
+	lost := make(map[int]bool)
+	for _, e := range inj.Events() {
+		if e.Kind == faults.KindDrop || (e.Kind == faults.KindCorrupt && !inProcess) {
+			lost[e.Seq] = true
+		}
+	}
+	for _, e := range inj.Events() {
+		if e.Kind == faults.KindDup && !lost[e.Seq] {
+			copies += int64(e.Copies)
+		}
+	}
+	return int64(len(lost)), copies
+}
+
 // clusterLIC runs spec's workload on the deterministic Runner and on a
-// loopback cluster with the full lid→reliable→detector stack, fails t
-// unless both produce the centralized LIC matching, checks the
-// cluster's termination bookkeeping, and returns the cluster's stats
-// and how long its Run took.
-func clusterLIC(t *testing.T, spec faults.WorkloadSpec, cfg transport.ClusterConfig) (simnet.Stats, time.Duration) {
+// cluster built by newCluster with the full lid→reliable→detector
+// stack, fails t unless both produce the centralized LIC matching,
+// checks the cluster's termination bookkeeping, and returns the
+// cluster's stats and how long its Run took.
+func clusterLIC(t *testing.T, spec faults.WorkloadSpec, newCluster func(int, transport.ClusterConfig) (*transport.Cluster, error), cfg transport.ClusterConfig) (simnet.Stats, time.Duration) {
 	t.Helper()
 	sys, err := spec.Build()
 	if err != nil {
@@ -88,7 +130,7 @@ func clusterLIC(t *testing.T, spec faults.WorkloadSpec, cfg transport.ClusterCon
 	mons := detector.Wrap(handlers, adj, det)
 	handlers = detector.Handlers(mons)
 
-	cluster, err := transport.NewLoopbackCluster(g.NumNodes(), cfg)
+	cluster, err := newCluster(g.NumNodes(), cfg)
 	if err != nil {
 		t.Fatalf("%+v: cluster: %v", spec, err)
 	}
@@ -107,7 +149,7 @@ func clusterLIC(t *testing.T, spec faults.WorkloadSpec, cfg transport.ClusterCon
 	if !got.Equal(ref.Matching) {
 		t.Fatalf("%+v: cluster matching differs from runner LIC matching\ncluster: %v\n runner: %v", spec, got, ref.Matching)
 	}
-	checkBalanced(t, cluster)
+	checkBalanced(t, cluster, nil)
 	return st, elapsed
 }
 
@@ -126,7 +168,7 @@ func TestLoopbackClusterLIC(t *testing.T) {
 		t.Skip("real-socket cluster run in -short mode")
 	}
 	spec := faults.WorkloadSpec{Topology: "gnp", N: 32, B: 3, Metric: "random", Seed: 42}
-	st, elapsed := clusterLIC(t, spec, transport.ClusterConfig{Timeout: 60 * time.Second, IdleWindow: certainWindow})
+	st, elapsed := clusterLIC(t, spec, transport.NewLoopbackCluster, transport.ClusterConfig{Timeout: 60 * time.Second, IdleWindow: certainWindow})
 	if elapsed >= time.Second {
 		t.Errorf("run took %v: termination was not certified by the counters", elapsed)
 	}
@@ -144,17 +186,22 @@ func TestLoopbackClusterLIC(t *testing.T) {
 }
 
 // TestLoopbackClusterLICSweep widens the conformance anchor to every
-// workload family the shared spec grammar knows, four seeds each: the
-// cluster must land on the Runner's LIC matching on all of them.
+// workload family the shared spec grammar knows, four seeds each, on
+// both wires: the cluster must land on the Runner's LIC matching on
+// all of them.
 func TestLoopbackClusterLICSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster sweep in -short mode")
 	}
-	for _, topo := range []string{"gnp", "geometric", "ba", "ring"} {
-		for seed := uint64(1); seed <= 4; seed++ {
-			spec := faults.WorkloadSpec{Topology: topo, N: 32, B: 3, Metric: "random", Seed: seed}
-			clusterLIC(t, spec, transport.ClusterConfig{Timeout: 60 * time.Second})
-		}
+	for _, w := range wires {
+		t.Run(w.name, func(t *testing.T) {
+			for _, topo := range []string{"gnp", "geometric", "ba", "ring"} {
+				for seed := uint64(1); seed <= 4; seed++ {
+					spec := faults.WorkloadSpec{Topology: topo, N: 32, B: 3, Metric: "random", Seed: seed}
+					clusterLIC(t, spec, w.new, transport.ClusterConfig{Timeout: 60 * time.Second})
+				}
+			}
+		})
 	}
 }
 
@@ -218,7 +265,7 @@ func TestClusterCoalescing(t *testing.T) {
 	if c.BytesSent == 0 || st.SentByKind["RAW"] != frames {
 		t.Errorf("counters inconsistent: %+v, kinds %v", c, st.SentByKind)
 	}
-	checkBalanced(t, cluster)
+	checkBalanced(t, cluster, nil)
 }
 
 // echoTimer exercises the timer path: Init arms a timer, the timer
@@ -236,30 +283,34 @@ func (e *echoTimer) HandleMessage(ctx simnet.Context, from int, _ simnet.Message
 }
 
 func TestClusterTimers(t *testing.T) {
-	cluster, err := transport.NewLoopbackCluster(1, transport.ClusterConfig{
-		Timeout:    10 * time.Second,
-		IdleWindow: certainWindow,
-	})
-	if err != nil {
-		t.Fatalf("cluster: %v", err)
+	for _, w := range wires {
+		t.Run(w.name, func(t *testing.T) {
+			cluster, err := w.new(1, transport.ClusterConfig{
+				Timeout:    10 * time.Second,
+				IdleWindow: certainWindow,
+			})
+			if err != nil {
+				t.Fatalf("cluster: %v", err)
+			}
+			defer cluster.Close()
+			h := &echoTimer{}
+			start := time.Now()
+			st, err := cluster.Run([]simnet.Handler{h})
+			elapsed := time.Since(start)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if !h.fired || st.TimersFired != 1 {
+				t.Fatalf("timer not delivered: fired=%v stats=%+v", h.fired, st)
+			}
+			// The pending timer is an activation, so the run cannot be
+			// certified before it fires — and is, right after.
+			if elapsed >= time.Second {
+				t.Errorf("run took %v: termination was not certified by the counters", elapsed)
+			}
+			checkBalanced(t, cluster, nil)
+		})
 	}
-	defer cluster.Close()
-	h := &echoTimer{}
-	start := time.Now()
-	st, err := cluster.Run([]simnet.Handler{h})
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !h.fired || st.TimersFired != 1 {
-		t.Fatalf("timer not delivered: fired=%v stats=%+v", h.fired, st)
-	}
-	// The pending timer is an activation, so the run cannot be
-	// certified before it fires — and is, right after.
-	if elapsed >= time.Second {
-		t.Errorf("run took %v: termination was not certified by the counters", elapsed)
-	}
-	checkBalanced(t, cluster)
 }
 
 // idle neither sends nor halts.
@@ -273,21 +324,25 @@ func (idle) HandleMessage(simnet.Context, int, simnet.Message) {}
 // and Run reports the deadlock like the Runner does, instead of
 // waiting out the timeout.
 func TestClusterDeadlock(t *testing.T) {
-	cluster, err := transport.NewLoopbackCluster(2, transport.ClusterConfig{Timeout: 30 * time.Second})
-	if err != nil {
-		t.Fatalf("cluster: %v", err)
+	for _, w := range wires {
+		t.Run(w.name, func(t *testing.T) {
+			cluster, err := w.new(2, transport.ClusterConfig{Timeout: 30 * time.Second})
+			if err != nil {
+				t.Fatalf("cluster: %v", err)
+			}
+			defer cluster.Close()
+			start := time.Now()
+			_, err = cluster.Run([]simnet.Handler{idle{}, idle{}})
+			elapsed := time.Since(start)
+			if err == nil || !strings.Contains(err.Error(), "never halted (deadlock)") {
+				t.Fatalf("err = %v, want the deadlock error", err)
+			}
+			if elapsed >= time.Second {
+				t.Errorf("deadlock reported after %v, want under 1s", elapsed)
+			}
+			checkBalanced(t, cluster, nil)
+		})
 	}
-	defer cluster.Close()
-	start := time.Now()
-	_, err = cluster.Run([]simnet.Handler{idle{}, idle{}})
-	elapsed := time.Since(start)
-	if err == nil || !strings.Contains(err.Error(), "never halted (deadlock)") {
-		t.Fatalf("err = %v, want the deadlock error", err)
-	}
-	if elapsed >= time.Second {
-		t.Errorf("deadlock reported after %v, want under 1s", elapsed)
-	}
-	checkBalanced(t, cluster)
 }
 
 // oneShot sends a single frame to node 1 and halts; haltAtInit halts in
@@ -373,36 +428,53 @@ func TestListenUDPValidation(t *testing.T) {
 // leaves the cluster closed even when it rejects its input: callers
 // such as overlaysim never call Close themselves.
 func TestClusterHandlerCountMismatch(t *testing.T) {
-	cluster, err := transport.NewLoopbackCluster(2, transport.ClusterConfig{})
-	if err != nil {
-		t.Fatalf("cluster: %v", err)
-	}
-	if _, err := cluster.Run([]simnet.Handler{&echoTimer{}}); err == nil {
-		t.Fatal("Run accepted 1 handler for 2 nodes")
-	}
-	for _, nd := range cluster.Nodes() {
-		if !transport.Closed(nd) {
-			t.Errorf("node %d left open after the rejected Run", nd.ID())
-		}
+	for _, w := range wires {
+		t.Run(w.name, func(t *testing.T) {
+			cluster, err := w.new(2, transport.ClusterConfig{})
+			if err != nil {
+				t.Fatalf("cluster: %v", err)
+			}
+			if _, err := cluster.Run([]simnet.Handler{&echoTimer{}}); err == nil {
+				t.Fatal("Run accepted 1 handler for 2 nodes")
+			}
+			for _, nd := range cluster.Nodes() {
+				if !transport.Closed(nd) {
+					t.Errorf("node %d left open after the rejected Run", nd.ID())
+				}
+			}
+		})
 	}
 }
 
 // TestUDPNodeMetrics publishes one closed node's counters into a
-// registry, checking the export surface the standalone binary uses.
+// registry, checking the export surface the standalone binary and
+// lid.GoOptions.Metrics use.
 func TestUDPNodeMetrics(t *testing.T) {
-	cluster, err := transport.NewLoopbackCluster(2, transport.ClusterConfig{Timeout: 20 * time.Second})
-	if err != nil {
-		t.Fatalf("cluster: %v", err)
+	for _, w := range wires {
+		t.Run(w.name, func(t *testing.T) {
+			cluster, err := w.new(2, transport.ClusterConfig{Timeout: 20 * time.Second})
+			if err != nil {
+				t.Fatalf("cluster: %v", err)
+			}
+			defer cluster.Close()
+			if _, err := cluster.Run([]simnet.Handler{&burstSender{to: 1, count: 3}, &burstSink{want: 3}}); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			reg := metrics.New()
+			for _, nd := range cluster.Nodes() {
+				nd.PublishMetrics(reg)
+			}
+			if got := reg.Counter("transport_frames_sent_total", "").Value(); got != 3 {
+				t.Fatalf("published frames_sent = %d, want 3", got)
+			}
+			if got := reg.Counter("transport_frames_delivered_total", "").Value(); got != 3 {
+				t.Fatalf("published frames_delivered = %d, want 3", got)
+			}
+			if got := reg.Family("transport_sent_by_kind", "", "kind").Value("RAW"); got != 3 {
+				t.Fatalf("published RAW sends = %d, want 3", got)
+			}
+			checkBalanced(t, cluster, nil)
+			cluster.Nodes()[0].PublishMetrics(nil) // nil-safe
+		})
 	}
-	defer cluster.Close()
-	if _, err := cluster.Run([]simnet.Handler{&burstSender{to: 1, count: 3}, &burstSink{want: 3}}); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	reg := metrics.New()
-	cluster.Nodes()[0].PublishMetrics(reg)
-	if got := reg.Counter("transport_frames_sent_total", "").Value(); got != 3 {
-		t.Fatalf("published frames_sent = %d, want 3", got)
-	}
-	checkBalanced(t, cluster)
-	cluster.Nodes()[0].PublishMetrics(nil) // nil-safe
 }
