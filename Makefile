@@ -107,11 +107,12 @@ golden-check:
 # way — for the n=32 loopback anchor, and on both wires (loopback UDP
 # and in-process) for a sweep over the gnp, geometric, ba and ring
 # families, four seeds each, and for reliable LID under a lossy,
-# duplicating, corrupting, delaying link policy. This is the gate that
-# keeps the wire layer honest against the simulator the experiments
-# certify.
+# duplicating, corrupting, delaying link policy. On both wires it also
+# checks that a stopped timer retires its activation, racing the
+# firing included. This is the gate that keeps the wire layer honest
+# against the simulator the experiments certify.
 loopback-check:
-	$(GO) test -count=1 -run 'TestLoopbackClusterLIC|TestLoopbackClusterLICSweep|TestClusterCoalescing|TestClusterUnderFaults' ./internal/transport
+	$(GO) test -count=1 -run 'TestLoopbackClusterLIC|TestLoopbackClusterLICSweep|TestClusterCoalescing|TestClusterUnderFaults|TestClusterTimerStop|TestClusterTimerStopRace' ./internal/transport
 
 # bench/ is its own module, built against the root API through a
 # replace directive, so `go vet ./...` and `go test ./...` at the root

@@ -91,6 +91,85 @@ func TestEstimator(t *testing.T) {
 	}
 }
 
+// directThreshold is Threshold without memos: the window summary and
+// the 64-step bisection recomputed from the raw samples on every call.
+func directThreshold(samples []float64, floor, phi float64) float64 {
+	if len(samples) == 0 {
+		return math.Inf(1)
+	}
+	var mean float64
+	for _, v := range samples {
+		mean += v
+	}
+	mean /= float64(len(samples))
+	var ss float64
+	for _, v := range samples {
+		d := v - mean
+		ss += d * d
+	}
+	std := math.Sqrt(ss / float64(len(samples)))
+	if std < floor {
+		std = floor
+	}
+	if std <= 0 {
+		return mean
+	}
+	if phi >= phiCap {
+		phi = phiCap
+	}
+	lo, hi := 0.0, 45.0
+	for i := 0; i < 64; i++ {
+		z := (lo + hi) / 2
+		got := -math.Log10(0.5 * math.Erfc(z/math.Sqrt2))
+		if math.IsInf(got, 1) || got >= phi {
+			hi = z
+		} else {
+			lo = z
+		}
+	}
+	return mean + hi*std
+}
+
+// TestThresholdMemoBitIdentical: the memoized Threshold returns the
+// very bits of a direct computation, over random windows and phis,
+// with the window empty, with std at the floor (constant samples), and
+// with phi at or past phiCap, whether the memos are cold or warm.
+func TestThresholdMemoBitIdentical(t *testing.T) {
+	src := rng.New(77)
+	phis := []float64{0.5, 1, 3, 8, 8, 12.5, phiCap, phiCap + 50, 1e9}
+	for trial := 0; trial < 200; trial++ {
+		size := 1 + src.Intn(16)
+		floor := []float64{0, 0.5, 2}[src.Intn(3)]
+		e := NewEstimator(size, floor)
+		var ring []float64 // the samples the window holds, oldest evicted
+		constant := trial%4 == 0
+		for step := 0; step < 40; step++ {
+			phi := phis[src.Intn(len(phis))]
+			if src.Bool(0.3) {
+				phi = 20 * src.Float64()
+			}
+			want := directThreshold(ring, floor, phi)
+			// Ask twice: the second call answers from warm memos.
+			for k := 0; k < 2; k++ {
+				if got := e.Threshold(phi); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d step %d: Threshold(%v) = %v, direct %v (count %d)",
+						trial, step, phi, got, want, e.Count())
+				}
+			}
+			v := 1 + 3*src.Float64()
+			if constant {
+				v = 2
+			}
+			e.Observe(v)
+			if len(ring) < size {
+				ring = append(ring, v)
+			} else {
+				ring[step%size] = v
+			}
+		}
+	}
+}
+
 // buildLID constructs a small LID workload: nodes, adjacency, system.
 func buildLID(tb testing.TB, seed uint64, n int) (*pref.System, *satisfaction.Table, []*lid.Node, [][]int) {
 	tb.Helper()

@@ -13,6 +13,14 @@ type Estimator struct {
 	idx    int
 	count  int
 	floor  float64
+
+	// Memos for Threshold, which a Monitor asks once per peer per tick:
+	// the window summary changes only in Observe (stale marks it), and
+	// the normal quantile z depends only on phi.
+	stale     bool
+	mean, std float64
+	zFor, z   float64 // z is the quantile of phi zFor, once zSet
+	zSet      bool
 }
 
 // NewEstimator builds an estimator over a sliding window of the given
@@ -35,6 +43,7 @@ func (e *Estimator) Observe(v float64) {
 	if e.count < len(e.window) {
 		e.count++
 	}
+	e.stale = true
 }
 
 // Count returns the number of samples currently in the window.
@@ -46,6 +55,15 @@ func (e *Estimator) MeanStd() (mean, std float64) {
 	if e.count == 0 {
 		return 0, e.floor
 	}
+	if e.stale {
+		e.mean, e.std = e.summarize()
+		e.stale = false
+	}
+	return e.mean, e.std
+}
+
+// summarize computes MeanStd over the current window.
+func (e *Estimator) summarize() (mean, std float64) {
 	for i := 0; i < e.count; i++ {
 		mean += e.window[i]
 	}
@@ -106,11 +124,18 @@ func (e *Estimator) Threshold(phi float64) float64 {
 	if std <= 0 {
 		return mean
 	}
-	// Invert phi = -log10(0.5·erfc(z/√2)) for z by bisection; the
-	// function is monotone and the cap bounds the search interval.
 	if phi >= phiCap {
 		phi = phiCap
 	}
+	if !e.zSet || phi != e.zFor {
+		e.z, e.zFor, e.zSet = quantile(phi), phi, true
+	}
+	return mean + e.z*std
+}
+
+// quantile inverts phi = -log10(0.5·erfc(z/√2)) for z by bisection;
+// the function is monotone and the cap bounds the search interval.
+func quantile(phi float64) float64 {
 	lo, hi := 0.0, 45.0 // erfc(45/√2) underflows well past phiCap
 	for i := 0; i < 64; i++ {
 		z := (lo + hi) / 2
@@ -121,5 +146,5 @@ func (e *Estimator) Threshold(phi float64) float64 {
 			lo = z
 		}
 	}
-	return mean + hi*std
+	return hi
 }

@@ -8,15 +8,19 @@
 //   - every protocol message is wrapped in a sequenced DATA frame;
 //   - the receiver acks every DATA frame (including duplicates, since
 //     the duplicate means the ack was lost);
-//   - the sender retransmits unacked frames on a timer until acked;
+//   - the sender retransmits unacked frames on a timer until acked,
+//     and stops a frame's pending timer when its ack arrives;
 //   - the receiver deduplicates by (sender, seq), so the inner
 //     protocol sees exactly-once delivery.
 //
 // An Endpoint wraps any simnet.Handler; local termination is deferred
 // until the inner protocol has halted AND every frame this endpoint
 // sent has been acknowledged, so global quiescence still certifies
-// protocol termination. Experiment E11 runs LID through Endpoints over
-// 0–50% loss and checks the outcome still equals LIC.
+// protocol termination. Because each ack stops its frame's timer, a
+// halted Endpoint has nothing pending either: the run can end when the
+// protocol does, not one RTO after its last frame. Experiment E11 runs
+// LID through Endpoints over 0–50% loss and checks the outcome still
+// equals LIC.
 package reliable
 
 import (
@@ -58,15 +62,28 @@ func (ackMsg) Kind() string { return "ACK" }
 // WireSize implements simnet.Sizer.
 func (ackMsg) WireSize() int { return frameHeader }
 
-// retransmitToken is the Endpoint's private timer token.
+// retransmitToken is the Endpoint's private timer token. Its handle
+// lets the ack stop the timer, so an acknowledged frame leaves no
+// pending work behind.
 type retransmitToken struct {
-	To  int
-	Seq uint32
+	To    int
+	Seq   uint32
+	timer *simnet.Timer
 }
+
+// TimerHandle implements simnet.StoppableToken.
+func (t retransmitToken) TimerHandle() *simnet.Timer { return t.timer }
 
 type frameKey struct {
 	to  int
 	seq uint32
+}
+
+// pendingFrame is an unacknowledged frame: its payload and the stop
+// handle of its latest retransmission timer.
+type pendingFrame struct {
+	payload simnet.Message
+	timer   *simnet.Timer
 }
 
 // Config parameterizes an Endpoint beyond the classic static-RTO
@@ -117,7 +134,7 @@ type Endpoint struct {
 	maxRetries int // 0 = retry forever
 
 	nextSeq   map[int]uint32
-	unacked   map[frameKey]simnet.Message
+	unacked   map[frameKey]pendingFrame
 	attempts  map[frameKey]int
 	delivered map[int]map[uint32]bool
 
@@ -171,7 +188,7 @@ func NewEndpointConfig(inner simnet.Handler, cfg Config) *Endpoint {
 		rto:             cfg.RTO,
 		maxRetries:      cfg.MaxRetries,
 		nextSeq:         make(map[int]uint32),
-		unacked:         make(map[frameKey]simnet.Message),
+		unacked:         make(map[frameKey]pendingFrame),
 		attempts:        make(map[frameKey]int),
 		delivered:       make(map[int]map[uint32]bool),
 		sendTime:        make(map[frameKey]float64),
@@ -292,14 +309,22 @@ func (c *relCtx) Send(to int, msg simnet.Message) {
 	seq := e.nextSeq[to]
 	e.nextSeq[to] = seq + 1
 	k := frameKey{to: to, seq: seq}
-	e.unacked[k] = msg
 	e.attempts[k] = 1
 	if e.cfg.Adaptive {
 		e.sendTime[k] = c.ctx.Time()
 	}
 	e.frames++
 	c.ctx.Send(to, dataMsg{Seq: seq, Payload: msg})
-	simnet.SetTimerOn(c.ctx, e.rtoFor(to, 1), retransmitToken{To: to, Seq: seq})
+	e.arm(c.ctx, k, msg)
+}
+
+// arm sets the retransmission timer of frame k for its current
+// attempt and records the frame as unacknowledged with that timer's
+// stop handle.
+func (e *Endpoint) arm(ctx simnet.Context, k frameKey, payload simnet.Message) {
+	tok := retransmitToken{To: k.to, Seq: k.seq, timer: new(simnet.Timer)}
+	e.unacked[k] = pendingFrame{payload: payload, timer: tok.timer}
+	simnet.SetTimerOn(ctx, e.rtoFor(k.to, e.attempts[k]), tok)
 }
 
 func (c *relCtx) Halt() {
@@ -364,9 +389,11 @@ func (e *Endpoint) HandleMessage(ctx simnet.Context, from int, msg simnet.Messag
 			panic(fmt.Sprintf("reliable: retransmit token from foreign node %d", from))
 		}
 		k := frameKey{to: m.To, seq: m.Seq}
-		payload, pending := e.unacked[k]
+		f, pending := e.unacked[k]
 		if !pending {
-			return // acked in the meantime
+			// Acked while the timer was already firing: a wall-clock
+			// runtime can lose the race between Stop and the delivery.
+			return
 		}
 		if e.maxRetries > 0 && e.attempts[k] > e.maxRetries {
 			delete(e.unacked, k)
@@ -392,8 +419,8 @@ func (e *Endpoint) HandleMessage(ctx simnet.Context, from int, msg simnet.Messag
 		e.attempts[k]++
 		e.retransmits++
 		e.frames++
-		ctx.Send(m.To, dataMsg{Seq: m.Seq, Payload: payload})
-		simnet.SetTimerOn(ctx, e.rtoFor(m.To, e.attempts[k]), retransmitToken{To: m.To, Seq: m.Seq})
+		ctx.Send(m.To, dataMsg{Seq: m.Seq, Payload: f.payload})
+		e.arm(ctx, k, f.payload)
 	case dataMsg:
 		delete(e.down, from) // the link is audibly alive again
 		// Always ack: a duplicate means our previous ack was lost.
@@ -422,6 +449,7 @@ func (e *Endpoint) HandleMessage(ctx simnet.Context, from int, msg simnet.Messag
 			}
 			delete(e.sendTime, k)
 		}
+		e.unacked[k].timer.Stop() // a nil handle if k was acked before
 		delete(e.unacked, k)
 		delete(e.attempts, k)
 		e.retxClose(ctx, k, "acked")

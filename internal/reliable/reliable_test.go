@@ -96,6 +96,42 @@ func TestNoLossNoRetransmitWithGenerousRTO(t *testing.T) {
 	}
 }
 
+// TestAckStopsRetransmitTimer: on a lossless network whose round trip
+// is shorter than the RTO, every ack arrives first and stops its
+// frame's timer, so LID under reliable fires no timer at all and the
+// run ends at its last protocol delivery, not one RTO later.
+func TestAckStopsRetransmitTimer(t *testing.T) {
+	src := rng.New(4)
+	g := gen.GNP(src, 20, 0.35)
+	sys, err := pref.Build(g, pref.NewRandomMetric(src.Split()), pref.UniformQuota(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := satisfaction.NewTable(sys)
+	nodes := lid.NewNodes(sys, tbl)
+	const rto = 30
+	eps := Wrap(lid.Handlers(nodes), rto, 0)
+	stats, err := simnet.NewRunner(g.NumNodes(), simnet.Options{Seed: 4}).Run(Handlers(eps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := sum(eps, (*Endpoint).Frames)
+	if stats.TimersFired != 0 || stats.TimersStopped != frames {
+		t.Fatalf("%d timers fired, %d stopped for %d frames; want 0 fired, one stopped per frame",
+			stats.TimersFired, stats.TimersStopped, frames)
+	}
+	if stats.FinalTime >= rto {
+		t.Fatalf("run ended at %v: a retransmission timer outlived its ack", stats.FinalTime)
+	}
+	m, err := lid.BuildMatching(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Equal(matching.LIC(sys, tbl)) {
+		t.Fatal("LID under reliable diverged from LIC")
+	}
+}
+
 func TestSpuriousRetransmitsAreSuppressed(t *testing.T) {
 	// An RTO far below the round trip forces spurious retransmissions;
 	// the receiver must still deliver exactly once.

@@ -15,6 +15,7 @@ type instruments struct {
 	deliveries     *metrics.Counter
 	dropped        *metrics.Counter
 	timersFired    *metrics.Counter
+	timersStopped  *metrics.Counter
 	sent           *metrics.Family
 	sentByNode     *metrics.Vector
 	receivedByNode *metrics.Vector
@@ -33,6 +34,7 @@ func newInstruments(n int) *instruments {
 		deliveries:     reg.Counter("simnet_deliveries_total", "network messages delivered"),
 		dropped:        reg.Counter("simnet_dropped_total", "messages lost by the loss model"),
 		timersFired:    reg.Counter("simnet_timers_fired_total", "local timer deliveries"),
+		timersStopped:  reg.Counter("simnet_timers_stopped_total", "timers stopped before delivery"),
 		sent:           reg.Family("simnet_sent_total", "messages sent by protocol kind", "kind"),
 		sentBytes:      reg.Counter("simnet_sent_bytes_total", "payload bytes sent (messages implementing Sizer)"),
 		bytesByKind:    reg.Family("simnet_sent_bytes_by_kind", "payload bytes sent by protocol kind", "kind"),
@@ -95,6 +97,7 @@ func (ins *instruments) stats() Stats {
 		Deliveries:     int(ins.deliveries.Value()),
 		Dropped:        int(ins.dropped.Value()),
 		TimersFired:    int(ins.timersFired.Value()),
+		TimersStopped:  int(ins.timersStopped.Value()),
 	}
 	for i, v := range sentVals {
 		s.SentByNode[i] = int(v)

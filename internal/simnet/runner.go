@@ -125,6 +125,10 @@ type Runner struct {
 	halted  []bool
 	ins     *instruments
 	running bool
+	// stopped holds the sequence numbers of queued timer events whose
+	// handle was stopped; Run drops them as they pop. Allocated on the
+	// first stop, so runs that stop nothing never touch it.
+	stopped map[int]bool
 }
 
 type event struct {
@@ -288,6 +292,17 @@ func (c *runnerCtx) SetTimer(delay float64, msg Message) {
 	r.seq++
 	r.queue.push(event{time: c.time + delay, seq: r.seq, from: c.id, to: c.id, msg: msg, timer: true})
 	r.ins.queueDepthMax.SetMax(float64(len(r.queue)))
+	if h := HandleOf(msg); h != nil {
+		seq := r.seq
+		h.Bind(func() bool {
+			if r.stopped == nil {
+				r.stopped = make(map[int]bool)
+			}
+			r.stopped[seq] = true
+			r.ins.timersStopped.Inc()
+			return true
+		})
+	}
 }
 
 // Run executes the protocol: Init on every node (in ID order, at time
@@ -358,6 +373,17 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 	for {
 		for len(r.queue) > 0 {
 			e := r.queue.pop()
+			if e.timer {
+				// A stopped timer vanishes: no delivery, no count, and no
+				// effect on the clock, the probes or the admission time.
+				if r.stopped[e.seq] {
+					delete(r.stopped, e.seq)
+					continue
+				}
+				if h := HandleOf(e.msg); h != nil {
+					h.stop = nil // fired: a later Stop reports false
+				}
+			}
 			if r.opts.MaxDeliveries > 0 && delivered >= r.opts.MaxDeliveries {
 				return r.ins.stats(), fmt.Errorf("simnet: exceeded %d deliveries", r.opts.MaxDeliveries)
 			}

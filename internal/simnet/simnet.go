@@ -79,6 +79,9 @@ type Stats struct {
 	Dropped int
 	// TimersFired counts local timer deliveries.
 	TimersFired int
+	// TimersStopped counts timers stopped before they fired (see
+	// Timer); they were never delivered.
+	TimersStopped int
 }
 
 // TotalSent returns the total number of messages sent.

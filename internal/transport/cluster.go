@@ -147,10 +147,11 @@ func (c *Cluster) Nodes() []*UDPNode { return c.nodes }
 // four-counter method. Every node keeps two monotone counters:
 // activations (its Init, each frame copy it hands to the wire, each
 // timer it arms — counted before the work can start) and completions
-// (each Init or HandleMessage call that has returned). Every 1 ms Run
-// sums all completions (wave 1), then all activations (wave 2). If the
-// sums are equal, the run has terminated at some instant t between the
-// waves:
+// (each Init or HandleMessage call that has returned, and each timer
+// stopped before it fired: the stop, made inside a handler call,
+// retires the timer's activation). Every 1 ms Run sums all
+// completions (wave 1), then all activations (wave 2). If the sums are
+// equal, the run has terminated at some instant t between the waves:
 //
 //   - C(t) ≥ wave 1's sum, because completions only grow after they
 //     are read;
@@ -238,6 +239,7 @@ func (c *Cluster) Run(handlers []simnet.Handler) (simnet.Stats, error) {
 		stats.ReceivedByNode[i] = int(cnt.FramesDelivered)
 		stats.Deliveries += int(cnt.FramesDelivered)
 		stats.TimersFired += int(cnt.TimersFired)
+		stats.TimersStopped += int(cnt.TimersStopped)
 		stats.Dropped += int(cnt.Dropped)
 		for k, v := range nd.sentByKind {
 			stats.SentByKind[k] += v

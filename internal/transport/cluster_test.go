@@ -9,6 +9,7 @@ import (
 	"overlaymatch/internal/faults"
 	"overlaymatch/internal/lid"
 	"overlaymatch/internal/matching"
+	"overlaymatch/internal/metrics"
 	"overlaymatch/internal/obs"
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/satisfaction"
@@ -309,6 +310,123 @@ func TestClusterUnderFaults(t *testing.T) {
 				}
 				checkBalanced(t, cluster, inj)
 			}
+		})
+	}
+}
+
+// stopTok is a stoppable timer token.
+type stopTok struct{ t *simnet.Timer }
+
+func (s stopTok) TimerHandle() *simnet.Timer { return s.t }
+
+// stopper arms a timer a minute out and a short one; the short one's
+// delivery stops the long one, which then never arrives.
+type stopper struct {
+	long    stopTok
+	stopped bool
+	late    bool // the long timer was delivered after all
+}
+
+func (s *stopper) Init(ctx simnet.Context) {
+	s.long = stopTok{t: new(simnet.Timer)}
+	simnet.SetTimerOn(ctx, 60_000, s.long)
+	simnet.SetTimerOn(ctx, 1, transport.Raw("short"))
+}
+
+func (s *stopper) HandleMessage(ctx simnet.Context, _ int, msg simnet.Message) {
+	if _, ok := msg.(stopTok); ok {
+		s.late = true
+		return
+	}
+	s.stopped = s.long.t.Stop()
+	ctx.Halt()
+}
+
+// TestClusterTimerStop: a stopped timer retires its activation at
+// once, so the run ends on the counting certificate instead of
+// waiting a minute for the timer, and the stop is counted.
+func TestClusterTimerStop(t *testing.T) {
+	for _, w := range wires {
+		t.Run(w.name, func(t *testing.T) {
+			cluster, err := w.new(1, transport.ClusterConfig{Timeout: 10 * time.Second, IdleWindow: certainWindow})
+			if err != nil {
+				t.Fatalf("cluster: %v", err)
+			}
+			defer cluster.Close()
+			h := &stopper{}
+			start := time.Now()
+			st, err := cluster.Run([]simnet.Handler{h})
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if elapsed := time.Since(start); elapsed >= time.Second {
+				t.Errorf("run took %v: the stopped timer still held the certificate", elapsed)
+			}
+			if !h.stopped || h.late {
+				t.Fatalf("Stop reported %v, late delivery %v; want true, false", h.stopped, h.late)
+			}
+			if st.TimersFired != 1 || st.TimersStopped != 1 {
+				t.Fatalf("timers fired %d stopped %d, want 1 and 1", st.TimersFired, st.TimersStopped)
+			}
+			reg := metrics.New()
+			cluster.Nodes()[0].PublishMetrics(reg)
+			if got := reg.Counter("transport_timers_stopped_total", "").Value(); got != 1 {
+				t.Fatalf("published timers_stopped = %d, want 1", got)
+			}
+			checkBalanced(t, cluster, nil)
+		})
+	}
+}
+
+// racer arms a timer due in 200µs and, still inside Init, stops it
+// after wait, so the stop races the firing.
+type racer struct {
+	wait      time.Duration
+	stopWon   bool
+	delivered int
+}
+
+func (r *racer) Init(ctx simnet.Context) {
+	tok := stopTok{t: new(simnet.Timer)}
+	simnet.SetTimerOn(ctx, 0.2, tok)
+	time.Sleep(r.wait)
+	r.stopWon = tok.t.Stop()
+	ctx.Halt()
+}
+
+func (r *racer) HandleMessage(simnet.Context, int, simnet.Message) { r.delivered++ }
+
+// TestClusterTimerStopRace: when Stop races the firing, exactly one of
+// them happens — the delivery, or the stopped completion — and the
+// certificate balances either way.
+func TestClusterTimerStopRace(t *testing.T) {
+	for _, w := range wires {
+		t.Run(w.name, func(t *testing.T) {
+			var won, lost int
+			for i := 0; i < 20; i++ {
+				cluster, err := w.new(1, transport.ClusterConfig{Timeout: 10 * time.Second})
+				if err != nil {
+					t.Fatalf("cluster: %v", err)
+				}
+				h := &racer{wait: time.Duration(i) * 20 * time.Microsecond}
+				st, err := cluster.Run([]simnet.Handler{h})
+				if err != nil {
+					t.Fatalf("wait %v: run: %v", h.wait, err)
+				}
+				if h.stopWon {
+					won++
+				} else {
+					lost++
+				}
+				if h.stopWon == (h.delivered == 1) || h.delivered > 1 {
+					t.Fatalf("wait %v: Stop reported %v and the timer was delivered %d times", h.wait, h.stopWon, h.delivered)
+				}
+				if st.TimersFired != h.delivered || st.TimersStopped != 1-h.delivered {
+					t.Fatalf("wait %v: fired %d stopped %d, with %d deliveries", h.wait, st.TimersFired, st.TimersStopped, h.delivered)
+				}
+				checkBalanced(t, cluster, nil)
+			}
+			t.Logf("stop won %d races, the firing won %d", won, lost)
 		})
 	}
 }

@@ -76,6 +76,9 @@ type UDPCounters struct {
 	BytesSent       int64
 	BytesRecv       int64
 	TimersFired     int64
+	// TimersStopped counts timers the handler stack stopped before
+	// they fired.
+	TimersStopped int64
 	// Dropped counts frames that never reached a handler: sends the
 	// link policy dropped (or corrupted, on a socket), and ingress
 	// discards — CRC or envelope damage, decode failures, and frames
@@ -83,9 +86,10 @@ type UDPCounters struct {
 	Dropped int64
 	// Activations counts the work this node started: its Init, every
 	// frame copy it handed to the wire, every timer it armed.
-	// Completions counts the handler calls that finished on it: Init,
-	// then one per delivered frame or fired timer. Cluster.Run's
-	// termination check compares their cluster-wide sums.
+	// Completions counts the handler calls that finished on it — Init,
+	// then one per delivered frame or fired timer — plus one per
+	// stopped timer, which completes the work its arming started.
+	// Cluster.Run's termination check compares their cluster-wide sums.
 	Activations int64
 	Completions int64
 }
@@ -240,6 +244,7 @@ type UDPNode struct {
 	bytesSent       atomic.Int64
 	bytesRecv       atomic.Int64
 	timersFired     atomic.Int64
+	timersStopped   atomic.Int64
 	dropped         atomic.Int64
 
 	// activations and completions are the two monotone counters of the
@@ -247,7 +252,7 @@ type UDPNode struct {
 	// counted before the work it stands for can run — Init at Start, a
 	// frame copy before it is handed to the wire, a timer before it is
 	// armed — and the matching completion after the handler call that
-	// consumes it returns.
+	// consumes it returns, or, for a stopped timer, when the stop wins.
 	activations atomic.Int64
 	completions atomic.Int64
 
@@ -440,7 +445,11 @@ func (nd *UDPNode) handOff(to int, frame []byte, msg simnet.Message, lam uint64)
 }
 
 // SetTimer implements simnet.TimerSetter: msg comes back to this node
-// after delay virtual units of wall-clock time.
+// after delay virtual units of wall-clock time. A stoppable token's
+// handle stops the underlying time.Timer; when the stop wins, it
+// counts the completion the delivery would have counted, so the
+// termination certificate stays exact. When the timer has already
+// fired, the stop reports false and the delivery completes as usual.
 func (c *udpCtx) SetTimer(delay float64, msg simnet.Message) {
 	if delay <= 0 {
 		panic("transport: SetTimer needs a positive delay")
@@ -449,11 +458,22 @@ func (c *udpCtx) SetTimer(delay float64, msg simnet.Message) {
 	nd.activations.Add(1)
 	nd.pendingTimers.Add(1)
 	d := time.Duration(delay * float64(nd.cfg.timeUnit()))
-	time.AfterFunc(d, func() {
+	t := time.AfterFunc(d, func() {
 		nd.pendingTimers.Add(-1)
 		nd.touch()
 		nd.inbox.push(udpDelivery{msg: msg, from: int32(nd.cfg.NodeID), timer: true})
 	})
+	if h := simnet.HandleOf(msg); h != nil {
+		h.Bind(func() bool {
+			if !t.Stop() {
+				return false
+			}
+			nd.pendingTimers.Add(-1)
+			nd.timersStopped.Add(1)
+			nd.completions.Add(1)
+			return true
+		})
+	}
 }
 
 // link returns (creating on first use) the egress queue toward peer
@@ -672,6 +692,7 @@ func (nd *UDPNode) Counters() UDPCounters {
 		BytesSent:       nd.bytesSent.Load(),
 		BytesRecv:       nd.bytesRecv.Load(),
 		TimersFired:     nd.timersFired.Load(),
+		TimersStopped:   nd.timersStopped.Load(),
 		Dropped:         nd.dropped.Load(),
 		Activations:     nd.activations.Load(),
 		Completions:     nd.completions.Load(),
@@ -692,6 +713,7 @@ func (nd *UDPNode) PublishMetrics(reg *metrics.Registry) {
 	reg.Counter("transport_datagrams_recv_total", "UDP datagrams read").Add(c.DatagramsRecv)
 	reg.Counter("transport_bytes_sent_total", "UDP payload bytes written, envelopes included").Add(c.BytesSent)
 	reg.Counter("transport_bytes_recv_total", "UDP payload bytes read, envelopes included").Add(c.BytesRecv)
+	reg.Counter("transport_timers_stopped_total", "timers stopped before they fired").Add(c.TimersStopped)
 	reg.Counter("transport_dropped_total", "frames lost: policy drops and ingress discards (CRC, decode, unknown sender)").Add(c.Dropped)
 	kinds := make([]string, 0, len(nd.sentByKind))
 	for k := range nd.sentByKind {

@@ -33,22 +33,23 @@ var wires = []struct {
 
 // checkBalanced asserts the termination certificate's bookkeeping on a
 // finished cluster: per node, completions account exactly for the
-// node's Init, frames and timers, and cluster-wide the activations
-// equal the completions (nothing left in flight or pending) and
-// account exactly for every Init, frame copy handed to the wire, and
-// timer. inj is the run's link policy, or nil: its log is the oracle
-// for which sends were dropped (never activated) and how many extra
-// copies were made (each activated). Completions may exceed
-// activations on one node — a sink finishes frames its peers started
-// — so the equality holds only cluster-wide.
+// node's Init, frames, fired timers and stopped timers, and
+// cluster-wide the activations equal the completions (nothing left in
+// flight or pending) and account exactly for every Init, frame copy
+// handed to the wire, and timer, fired or stopped. inj is the run's
+// link policy, or nil: its log is the oracle for which sends were
+// dropped (never activated) and how many extra copies were made (each
+// activated). Completions may exceed activations on one node — a sink
+// finishes frames its peers started — so the equality holds only
+// cluster-wide.
 func checkBalanced(t *testing.T, cluster *transport.Cluster, inj *faults.Injector) {
 	t.Helper()
-	var begun, done, sent, fired, dropped int64
+	var begun, done, sent, armed, dropped int64
 	for _, nd := range cluster.Nodes() {
 		c := nd.Counters()
-		if want := 1 + c.FramesDelivered + c.TimersFired; c.Completions != want {
-			t.Errorf("node %d: %d completions, want 1 + %d frames + %d timers",
-				nd.ID(), c.Completions, c.FramesDelivered, c.TimersFired)
+		if want := 1 + c.FramesDelivered + c.TimersFired + c.TimersStopped; c.Completions != want {
+			t.Errorf("node %d: %d completions, want 1 + %d frames + %d timers fired + %d stopped",
+				nd.ID(), c.Completions, c.FramesDelivered, c.TimersFired, c.TimersStopped)
 		}
 		if c.Activations < 1+c.FramesSent-c.Dropped {
 			t.Errorf("node %d: %d activations for %d frames sent, %d dropped",
@@ -57,7 +58,7 @@ func checkBalanced(t *testing.T, cluster *transport.Cluster, inj *faults.Injecto
 		begun += c.Activations
 		done += c.Completions
 		sent += c.FramesSent
-		fired += c.TimersFired
+		armed += c.TimersFired + c.TimersStopped
 		dropped += c.Dropped
 	}
 	wantDropped, copies := injected(inj, transport.InProcess(cluster))
@@ -68,9 +69,9 @@ func checkBalanced(t *testing.T, cluster *transport.Cluster, inj *faults.Injecto
 	if done != begun {
 		t.Errorf("cluster-wide completions %d != activations %d", done, begun)
 	}
-	if want := n + sent - dropped + copies + fired; begun != want {
+	if want := n + sent - dropped + copies + armed; begun != want {
 		t.Errorf("cluster-wide activations %d != %d inits + %d frames - %d dropped + %d copies + %d timers",
-			begun, n, sent, dropped, copies, fired)
+			begun, n, sent, dropped, copies, armed)
 	}
 }
 
