@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check test test-short race race-core registry-coverage golden-check loopback-check bench-module fmt-check vet fuzz fuzz-smoke bench bench-json bench-check experiments examples cover clean
+.PHONY: all build check test test-short race race-core registry-coverage golden-check loopback-check bench-module fmt-check vet fuzz fuzz-smoke frame-386 bench bench-json bench-check experiments examples cover clean
 
 all: build vet test
 
@@ -16,9 +16,9 @@ all: build vet test
 # parsers, the golden-output regeneration diff (possible since the
 # golden file is timing-free; any drift in any experiment fails here),
 # the benchmark regression gate, the real-socket loopback
-# conformance sweep, the bench/ module's own vet and tests, and a
-# gofmt cleanliness check.
-check: fmt-check build vet test race-core registry-coverage fuzz-smoke golden-check bench-check loopback-check bench-module
+# conformance sweep, the bench/ module's own vet and tests, the frame
+# decoder's tests on a 32-bit build, and a gofmt cleanliness check.
+check: fmt-check build vet test race-core registry-coverage fuzz-smoke frame-386 golden-check bench-check loopback-check bench-module
 
 # Every Go file must already be gofmt-formatted.
 fmt-check:
@@ -65,6 +65,13 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzChurnSpecParse -fuzztime 30s ./internal/dynamic
 	$(GO) test -fuzz FuzzFrameDecode -fuzztime 30s ./internal/transport
 	$(GO) test -fuzz FuzzSchedulerSpecParse -fuzztime 30s ./internal/lid
+
+# The frame decoder's strictness, round-trip and fuzz seed-corpus
+# tests on a 32-bit build, where a length prefix near 2^32 once
+# wrapped the decoder's int arithmetic into a slice panic. Datagrams
+# come from the network, so the decoder must hold on every word size.
+frame-386:
+	GOARCH=386 $(GO) test -count=1 -run 'TestDecodeStrictness|TestRoundTripProperty|FuzzFrameDecode' ./internal/transport
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -4,7 +4,8 @@
 // workload seed and rebuilds the full preference system
 // deterministically (faults.WorkloadSpec), so no coordinator has to
 // distribute preference lists: node i simply runs handler i of exactly
-// the stack the simulator certifies, over internal/transport frames.
+// the stack the simulator certifies, sending the frames its
+// registered codecs encode.
 //
 // A three-node cluster on one machine:
 //

@@ -1,9 +1,4 @@
-// Package trace renders the final overlay of a protocol execution as
-// Graphviz DOT: potential edges gray, locked connections bold and
-// labelled with their eq.-9 weights (cmd/overlaysim -dot). The
-// execution itself — the message-sequence log, NDJSON, Chrome trace
-// and span tree — is recorded and rendered by package obs.
-package trace
+package main
 
 import (
 	"fmt"
@@ -15,10 +10,10 @@ import (
 	"overlaymatch/internal/satisfaction"
 )
 
-// WriteDOT renders the overlay and its matching as Graphviz DOT:
+// writeDOT renders the final overlay of a run as Graphviz DOT (-dot):
 // every potential edge in light gray, locked connections bold with
 // their eq.-9 weight as label, nodes annotated "id (ci/bi)".
-func WriteDOT(w io.Writer, s *pref.System, m *matching.Matching) error {
+func writeDOT(w io.Writer, s *pref.System, m *matching.Matching) error {
 	var b strings.Builder
 	b.WriteString("graph overlay {\n")
 	b.WriteString("  layout=neato;\n  node [shape=circle, fontsize=10];\n")

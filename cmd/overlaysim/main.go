@@ -34,7 +34,6 @@ import (
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/stats"
-	"overlaymatch/internal/trace"
 	"overlaymatch/internal/transport"
 )
 
@@ -490,7 +489,7 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 
 	if opts.dotPath != "" {
 		writeFileWith(opts.dotPath, func(w io.Writer) error {
-			return trace.WriteDOT(w, sys, result)
+			return writeDOT(w, sys, result)
 		})
 		fmt.Printf("wrote Graphviz overlay to %s\n", opts.dotPath)
 	}

@@ -15,17 +15,11 @@ type hbMsg struct{}
 // Kind implements simnet.Kinder.
 func (hbMsg) Kind() string { return "HB" }
 
-// WireSize implements simnet.Sizer: an 8-byte header plus opcode.
-func (hbMsg) WireSize() int { return 9 }
-
 // hbAckMsg answers a heartbeat.
 type hbAckMsg struct{}
 
 // Kind implements simnet.Kinder.
 func (hbAckMsg) Kind() string { return "HB-ACK" }
-
-// WireSize implements simnet.Sizer.
-func (hbAckMsg) WireSize() int { return 9 }
 
 // tickToken is the Monitor's private timer token.
 type tickToken struct{}

@@ -116,10 +116,6 @@ func (m Msg) Kind() string {
 	return fmt.Sprintf("dlid(%d)", m.K)
 }
 
-// WireSize implements simnet.Sizer: an 8-byte header plus the opcode
-// byte plus the two uint32 sequencing fields.
-func (Msg) WireSize() int { return 17 }
-
 // peer-local view of one neighbor.
 type neighborState struct {
 	alive     bool

@@ -7,20 +7,19 @@ import (
 
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/simnet"
-	"overlaymatch/internal/transport"
 )
 
-// Wire codecs for the maintenance protocol (package transport).
+// Wire codecs for the maintenance protocol (simnet's wire format).
 //
 // Msg is one opcode byte (the wireKind, BYE..DROP) followed by the two
-// big-endian uint32 sequencing fields — Seq then Ver — matching the
-// 17-byte nominal WireSize model. The environment commands CmdLeave
-// and CmdJoin carry no payload; registering them lets a deployment
-// feed membership events (package dynamic's churn schedules translate
-// into exactly these) to remote nodes over the same wire the protocol
-// uses, instead of the Runner.Schedule side door.
+// big-endian uint32 sequencing fields — Seq then Ver — a 16-byte
+// frame. The environment commands CmdLeave and CmdJoin carry no
+// payload; registering them lets a deployment feed membership events
+// (package dynamic's churn schedules translate into exactly these) to
+// remote nodes over the same wire the protocol uses, instead of the
+// Runner.Schedule side door.
 func init() {
-	transport.Register(transport.IDDlidMsg, transport.Codec{
+	simnet.Register(simnet.IDDlidMsg, simnet.Codec{
 		Name:    "dlid.Msg",
 		Version: 1,
 		Type:    reflect.TypeOf(Msg{}),
@@ -52,8 +51,8 @@ func init() {
 			}
 		},
 	})
-	transport.Register(transport.IDDlidCmdLeave, transport.EmptyCodec("dlid.CmdLeave",
+	simnet.Register(simnet.IDDlidCmdLeave, simnet.EmptyCodec("dlid.CmdLeave",
 		reflect.TypeOf(CmdLeave{}), func() simnet.Message { return CmdLeave{} }))
-	transport.Register(transport.IDDlidCmdJoin, transport.EmptyCodec("dlid.CmdJoin",
+	simnet.Register(simnet.IDDlidCmdJoin, simnet.EmptyCodec("dlid.CmdJoin",
 		reflect.TypeOf(CmdJoin{}), func() simnet.Message { return CmdJoin{} }))
 }

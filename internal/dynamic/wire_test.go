@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"overlaymatch/internal/dlid"
-	"overlaymatch/internal/transport"
+	"overlaymatch/internal/simnet"
 )
 
 // The churn engine is centralized — it has no simnet messages of its
@@ -14,10 +14,10 @@ import (
 // remote churn driver can always speak the events over the transport
 // layer.
 func TestChurnFeedEventsHaveCodecs(t *testing.T) {
-	if id, _, ok := transport.CodecFor(dlid.CmdLeave{}); !ok || id != transport.IDDlidCmdLeave {
-		t.Fatalf("dlid.CmdLeave codec = (%#04x, %v), want (%#04x, true)", id, ok, transport.IDDlidCmdLeave)
+	if id, _, ok := simnet.CodecFor(dlid.CmdLeave{}); !ok || id != simnet.IDDlidCmdLeave {
+		t.Fatalf("dlid.CmdLeave codec = (%#04x, %v), want (%#04x, true)", id, ok, simnet.IDDlidCmdLeave)
 	}
-	if id, _, ok := transport.CodecFor(dlid.CmdJoin{}); !ok || id != transport.IDDlidCmdJoin {
-		t.Fatalf("dlid.CmdJoin codec = (%#04x, %v), want (%#04x, true)", id, ok, transport.IDDlidCmdJoin)
+	if id, _, ok := simnet.CodecFor(dlid.CmdJoin{}); !ok || id != simnet.IDDlidCmdJoin {
+		t.Fatalf("dlid.CmdJoin codec = (%#04x, %v), want (%#04x, true)", id, ok, simnet.IDDlidCmdJoin)
 	}
 }

@@ -1,4 +1,4 @@
-package trace
+package lid
 
 import (
 	"bytes"
@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"overlaymatch/internal/gen"
-	"overlaymatch/internal/lid"
 	"overlaymatch/internal/obs"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/rng"
@@ -32,7 +31,7 @@ func goldenSpanTrace(t *testing.T, workers int) []byte {
 	}
 	tbl := satisfaction.NewTableParallel(sys, workers)
 	rec := obs.NewRecorder(g.NumNodes())
-	if _, err := lid.RunEvent(sys, tbl, simnet.Options{
+	if _, err := RunEvent(sys, tbl, simnet.Options{
 		Seed:    7,
 		Latency: simnet.ExponentialLatency(2),
 		Obs:     rec,
@@ -54,7 +53,7 @@ func goldenSpanTrace(t *testing.T, workers int) []byte {
 // diff at all is a (possibly intentional) trace-format or protocol
 // change. Regenerate with:
 //
-//	go test ./internal/trace -run TestObsNDJSONGolden -args -update
+//	go test ./internal/lid -run TestObsNDJSONGolden -args -update
 func TestObsNDJSONGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "obs_spans_golden.ndjson")
 	base := goldenSpanTrace(t, 1)

@@ -50,11 +50,6 @@ func (m Msg) Kind() string {
 	return "REJ"
 }
 
-// WireSize implements simnet.Sizer: a nominal 8-byte frame header plus
-// a 1-byte opcode — LID messages carry no other payload (§5: weights
-// were exchanged when the weight lists were built).
-func (m Msg) WireSize() int { return 9 }
-
 var (
 	propMsg = Msg{IsProp: true}
 	rejMsg  = Msg{IsProp: false}

@@ -79,11 +79,21 @@ func TestProbedRunMonotoneConvergence(t *testing.T) {
 				t.Fatalf("seed %d: traffic counters decreased", seed)
 			}
 		}
-		// LID messages are 9 wire bytes each; the byte curve must end
-		// at exactly 9x the message curve.
+		// Every message is billed as its encoded frame: the curves must
+		// end at exactly the run's messages and their frames' total size.
+		prop, err := simnet.EncodeFrame(propMsg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rej, err := simnet.EncodeFrame(rejMsg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantM := probed.PropMessages + probed.RejMessages
+		wantB := len(prop)*probed.PropMessages + len(rej)*probed.RejMessages
 		lastM, lastB := msgs[len(msgs)-1].V, bytesSeries[len(bytesSeries)-1].V
-		if lastB != 9*lastM {
-			t.Fatalf("seed %d: bytes %v != 9 * msgs %v", seed, lastB, lastM)
+		if lastM != float64(wantM) || lastB != float64(wantB) {
+			t.Fatalf("seed %d: curves end at %v msgs / %v bytes, want %d / %d", seed, lastM, lastB, wantM, wantB)
 		}
 
 		// Rounds-to-eps: reaching eps=0 can't precede eps=0.1, and the

@@ -1,4 +1,4 @@
-package trace
+package lid
 
 import (
 	"bytes"
@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"overlaymatch/internal/gen"
-	"overlaymatch/internal/lid"
 	"overlaymatch/internal/obs"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/rng"
@@ -18,7 +17,7 @@ import (
 
 // tracedRun runs LID on the named runtime ("event" or "goroutine") with
 // a telemetry recorder attached.
-func tracedRun(t *testing.T, runtime string) (*obs.Recorder, *pref.System, lid.Result) {
+func tracedRun(t *testing.T, runtime string) (*obs.Recorder, Result) {
 	t.Helper()
 	src := rng.New(3)
 	g := gen.GNP(src, 15, 0.4)
@@ -28,11 +27,11 @@ func tracedRun(t *testing.T, runtime string) (*obs.Recorder, *pref.System, lid.R
 	}
 	tbl := satisfaction.NewTable(s)
 	rec := obs.NewRecorder(g.NumNodes())
-	var res lid.Result
+	var res Result
 	if runtime == "goroutine" {
-		res, err = lid.RunGoroutinesOpts(s, tbl, lid.GoOptions{Obs: rec})
+		res, err = RunGoroutinesOpts(s, tbl, GoOptions{Obs: rec})
 	} else {
-		res, err = lid.RunEvent(s, tbl, simnet.Options{
+		res, err = RunEvent(s, tbl, simnet.Options{
 			Seed:    1,
 			Latency: simnet.ExponentialLatency(2),
 			Obs:     rec,
@@ -41,7 +40,7 @@ func tracedRun(t *testing.T, runtime string) (*obs.Recorder, *pref.System, lid.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rec, s, res
+	return rec, res
 }
 
 // TestWriteLog: the message-sequence log (-trace-spans-format log) has
@@ -52,7 +51,7 @@ func tracedRun(t *testing.T, runtime string) (*obs.Recorder, *pref.System, lid.R
 func TestWriteLog(t *testing.T) {
 	for _, runtime := range []string{"event", "goroutine"} {
 		t.Run(runtime, func(t *testing.T) {
-			rec, _, res := tracedRun(t, runtime)
+			rec, res := tracedRun(t, runtime)
 			var b strings.Builder
 			if err := rec.WriteFormat(&b, "log"); err != nil {
 				t.Fatal(err)
@@ -85,29 +84,10 @@ func TestWriteLog(t *testing.T) {
 	}
 }
 
-func TestWriteDOT(t *testing.T) {
-	_, s, res := tracedRun(t, "event")
-	var b strings.Builder
-	if err := WriteDOT(&b, s, res.Matching); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.HasPrefix(out, "graph overlay {") || !strings.HasSuffix(strings.TrimSpace(out), "}") {
-		t.Fatal("not a DOT document")
-	}
-	if strings.Count(out, "penwidth") != res.Matching.Size() {
-		t.Fatalf("bold edges %d != matching size %d",
-			strings.Count(out, "penwidth"), res.Matching.Size())
-	}
-	if strings.Count(out, " -- ") != s.Graph().NumEdges() {
-		t.Fatal("edge count mismatch in DOT")
-	}
-}
-
 // TestWriteNDJSON: the NDJSON stream carries every send and every
 // delivery of a LID run, in record order.
 func TestWriteNDJSON(t *testing.T) {
-	rec, _, res := tracedRun(t, "event")
+	rec, res := tracedRun(t, "event")
 	var b bytes.Buffer
 	if err := rec.WriteNDJSON(&b); err != nil {
 		t.Fatal(err)

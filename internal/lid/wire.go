@@ -6,16 +6,15 @@ import (
 
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/simnet"
-	"overlaymatch/internal/transport"
 )
 
-// Wire codec for the LID message (package transport). The payload is a
-// single opcode byte — 0x01 PROP, 0x00 REJ — matching the nominal
-// WireSize model the byte counters have used all along. Package robust
+// Wire codec for the LID message (simnet's wire format). The payload
+// is a single opcode byte — 0x01 PROP, 0x00 REJ — so a LID frame is 8
+// bytes, the size both runtimes bill. Package robust
 // registers nothing of its own: TolerantNode speaks exactly these
 // messages on the wire (its timeout token never leaves the node).
 func init() {
-	transport.Register(transport.IDLIDMsg, transport.Codec{
+	simnet.Register(simnet.IDLIDMsg, simnet.Codec{
 		Name:    "lid.Msg",
 		Version: 1,
 		Type:    reflect.TypeOf(Msg{}),

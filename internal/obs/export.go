@@ -26,7 +26,7 @@ type ndjsonEvent struct {
 // WriteNDJSON renders the log as newline-delimited JSON, one event per
 // line in record order — the machine-readable causal trace. On the
 // event runtime the bytes are a pure function of (workload, seed),
-// independent of -workers (golden-tested in internal/trace).
+// independent of -workers (golden-tested in internal/lid).
 func (r *Recorder) WriteNDJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, e := range r.Events() {

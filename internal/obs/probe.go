@@ -90,7 +90,7 @@ func NewProber(reg *metrics.Registry, interval float64, edges int, optWeight flo
 		unmatched: reg.Series("probe_unmatched_nodes", "nodes with zero locked connections at each probe"),
 		frac:      reg.Series("probe_matched_weight_frac", "locked weight / LIC-optimal weight at each probe"),
 		msgs:      reg.Series("probe_msgs_sent", "cumulative messages sent at each probe"),
-		bytes:     reg.Series("probe_bytes_sent", "cumulative payload bytes sent at each probe"),
+		bytes:     reg.Series("probe_bytes_sent", "cumulative encoded frame bytes sent at each probe"),
 	}
 }
 

@@ -7,13 +7,12 @@ import (
 	"overlaymatch/internal/lid"
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/simnet"
-	"overlaymatch/internal/transport"
 )
 
-// Wire codec for the phase-tagged LID message (package transport):
+// Wire codec for the phase-tagged LID message (simnet's wire format):
 // one phase byte (1 or 2) followed by the inner LID opcode byte.
 func init() {
-	transport.Register(transport.IDPhasedMsg, transport.Codec{
+	simnet.Register(simnet.IDPhasedMsg, simnet.Codec{
 		Name:    "phased.Msg",
 		Version: 1,
 		Type:    reflect.TypeOf(Msg{}),

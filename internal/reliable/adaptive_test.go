@@ -106,7 +106,7 @@ func TestLinkDownEscalation(t *testing.T) {
 	}
 	// Hearing from the peer clears down; the next exhaustion escalates
 	// again.
-	e.HandleMessage(ctx, 1, dataMsg{Seq: 0, Payload: 42})
+	e.HandleMessage(ctx, 1, dataMsg{Seq: 0, Payload: simnet.Raw{42}})
 	if e.Down(1) {
 		t.Fatal("down not cleared by incoming traffic")
 	}

@@ -11,9 +11,9 @@ import (
 // TestRetxSpansBalanced: under heavy loss with a telemetry recorder
 // attached, every retransmit chain opens exactly one reliable.retx
 // span and closes it when the frame is finally acked; no chain leaks
-// past termination. Byte accounting must see the framing: every frame
-// (DATA or ACK) costs the 9-byte transport framing, and the int
-// payloads of the fixture have no nominal size of their own.
+// past termination. Byte accounting must see the framing: every DATA
+// frame costs its encoded length, the 4-byte sequence number and the
+// nested one-byte Raw frame included, and every ACK frame its own.
 func TestRetxSpansBalanced(t *testing.T) {
 	const msgs = 60
 	sender := &counterHandler{want: msgs}
@@ -54,8 +54,17 @@ func TestRetxSpansBalanced(t *testing.T) {
 	if sent != int64(frames) {
 		t.Fatalf("runner counted %d sends, endpoints sent %d frames", sent, frames)
 	}
-	if bytes != int64(frameHeader*frames) {
-		t.Fatalf("runner counted %d bytes, want %d", bytes, frameHeader*frames)
+	data, err := simnet.EncodeFrame(dataMsg{Payload: simnet.Raw{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack, err := simnet.EncodeFrame(ackMsg{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(data)*sum(eps, (*Endpoint).Frames) + len(ack)*sum(eps, (*Endpoint).Acks)
+	if bytes != int64(want) {
+		t.Fatalf("runner counted %d bytes, want %d", bytes, want)
 	}
 }
 

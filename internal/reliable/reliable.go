@@ -33,10 +33,6 @@ import (
 	"overlaymatch/internal/simnet"
 )
 
-// frameHeader is the nominal wire cost of the transport framing: an
-// 8-byte header (seq, flags) plus the opcode byte.
-const frameHeader = 9
-
 // dataMsg is a sequenced frame carrying one inner protocol message.
 type dataMsg struct {
 	Seq     uint32
@@ -47,10 +43,6 @@ type dataMsg struct {
 // protocol messages (retransmissions included — that is the point).
 func (m dataMsg) Kind() string { return simnet.KindOf(m.Payload) }
 
-// WireSize implements simnet.Sizer: framing plus the payload's own
-// nominal size, so byte counters see the transport overhead.
-func (m dataMsg) WireSize() int { return frameHeader + simnet.SizeOf(m.Payload) }
-
 // ackMsg acknowledges one DATA frame.
 type ackMsg struct {
 	Seq uint32
@@ -58,9 +50,6 @@ type ackMsg struct {
 
 // Kind implements simnet.Kinder.
 func (ackMsg) Kind() string { return "ACK" }
-
-// WireSize implements simnet.Sizer.
-func (ackMsg) WireSize() int { return frameHeader }
 
 // retransmitToken is the Endpoint's private timer token. Its handle
 // lets the ack stop the timer, so an acknowledged frame leaves no

@@ -15,7 +15,8 @@ import (
 	"overlaymatch/internal/simnet"
 )
 
-// counterHandler counts deliveries of each payload value.
+// counterHandler counts deliveries of each payload value. Payloads
+// are one-byte simnet.Raw messages, so want is at most 256.
 type counterHandler struct {
 	mu   sync.Mutex
 	got  map[int]int
@@ -26,7 +27,7 @@ type counterHandler struct {
 func (h *counterHandler) Init(ctx simnet.Context) {
 	if ctx.ID() == 0 {
 		for i := 0; i < h.want; i++ {
-			ctx.Send(1, i)
+			ctx.Send(1, simnet.Raw{byte(i)})
 		}
 		ctx.Halt()
 		return
@@ -41,7 +42,7 @@ func (h *counterHandler) HandleMessage(ctx simnet.Context, from int, msg simnet.
 	if h.got == nil {
 		h.got = map[int]int{}
 	}
-	h.got[msg.(int)]++
+	h.got[int(msg.(simnet.Raw)[0])]++
 	done := len(h.got) == h.n
 	h.mu.Unlock()
 	if done {

@@ -7,10 +7,9 @@ import (
 
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/simnet"
-	"overlaymatch/internal/transport"
 )
 
-// Wire codecs for the ack/retransmit framing (package transport).
+// Wire codecs for the ack/retransmit framing (simnet's wire format).
 //
 // A DATA frame is the big-endian sequence number followed by the inner
 // protocol message encoded as a complete nested frame — the nesting is
@@ -21,17 +20,17 @@ import (
 // local self-delivery) and has no codec on purpose: encoding it would
 // hide a protocol bug.
 func init() {
-	transport.Register(transport.IDReliableData, transport.Codec{
+	simnet.Register(simnet.IDReliableData, simnet.Codec{
 		Name:    "reliable.dataMsg",
 		Version: 1,
 		Type:    reflect.TypeOf(dataMsg{}),
 		Encode: func(msg simnet.Message, buf []byte) []byte {
 			m := msg.(dataMsg)
 			buf = binary.BigEndian.AppendUint32(buf, m.Seq)
-			buf, err := transport.AppendFrame(buf, m.Payload)
+			buf, err := simnet.AppendFrame(buf, m.Payload)
 			if err != nil {
 				// Send-side failure: the inner protocol handed the
-				// transport an unregistered type. That is a wiring bug,
+				// runtime an unregistered type. That is a wiring bug,
 				// not a runtime condition — fail loudly.
 				panic(fmt.Sprintf("reliable: encoding DATA payload: %v", err))
 			}
@@ -42,7 +41,7 @@ func init() {
 				return nil, fmt.Errorf("DATA payload is %d bytes, want >= 4", len(payload))
 			}
 			seq := binary.BigEndian.Uint32(payload)
-			inner, consumed, err := transport.DecodeFrame(payload[4:])
+			inner, consumed, err := simnet.DecodeFrame(payload[4:])
 			if err != nil {
 				return nil, fmt.Errorf("DATA inner frame: %v", err)
 			}
@@ -52,16 +51,16 @@ func init() {
 			return dataMsg{Seq: seq, Payload: inner}, nil
 		},
 		Sample: func(src *rng.Source) simnet.Message {
-			// The nested payload samples transport.Raw so this package
+			// The nested payload samples simnet.Raw so this package
 			// stays below the protocols in the import order.
-			inner := make(transport.Raw, src.Uint64n(16))
+			inner := make(simnet.Raw, src.Uint64n(16))
 			for i := range inner {
 				inner[i] = byte(src.Uint64())
 			}
 			return dataMsg{Seq: uint32(src.Uint64()), Payload: inner}
 		},
 	})
-	transport.Register(transport.IDReliableAck, transport.Codec{
+	simnet.Register(simnet.IDReliableAck, simnet.Codec{
 		Name:    "reliable.ackMsg",
 		Version: 1,
 		Type:    reflect.TypeOf(ackMsg{}),

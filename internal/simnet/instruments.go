@@ -36,8 +36,8 @@ func newInstruments(n int) *instruments {
 		timersFired:    reg.Counter("simnet_timers_fired_total", "local timer deliveries"),
 		timersStopped:  reg.Counter("simnet_timers_stopped_total", "timers stopped before delivery"),
 		sent:           reg.Family("simnet_sent_total", "messages sent by protocol kind", "kind"),
-		sentBytes:      reg.Counter("simnet_sent_bytes_total", "payload bytes sent (messages implementing Sizer)"),
-		bytesByKind:    reg.Family("simnet_sent_bytes_by_kind", "payload bytes sent by protocol kind", "kind"),
+		sentBytes:      reg.Counter("simnet_sent_bytes_total", "encoded frame bytes sent, header included"),
+		bytesByKind:    reg.Family("simnet_sent_bytes_by_kind", "encoded frame bytes sent by protocol kind", "kind"),
 		sentByNode:     reg.Vector("simnet_sent_by_node", "messages sent per node", n),
 		receivedByNode: reg.Vector("simnet_received_by_node", "messages delivered per node", n),
 		finalTime:      reg.Gauge("simnet_final_time", "virtual time of the last delivery (event runtime)"),
@@ -47,14 +47,12 @@ func newInstruments(n int) *instruments {
 	}
 }
 
-// countSend records one network send's kind and byte accounting.
+// countSend records one network send's kind and encoded frame size.
 func (ins *instruments) countSend(node int, kind string, size int) {
 	ins.sentByNode.Inc(node)
 	ins.sent.With(kind).Inc()
-	if size > 0 {
-		ins.sentBytes.Add(int64(size))
-		ins.bytesByKind.With(kind).Add(int64(size))
-	}
+	ins.sentBytes.Add(int64(size))
+	ins.bytesByKind.With(kind).Add(int64(size))
 }
 
 // sentTotals reads the cumulative (messages, bytes) send counters —

@@ -13,20 +13,16 @@ type lineHandler struct {
 	n int
 }
 
-type token struct{}
-
-func (token) Kind() string { return "TOKEN" }
-
 func (h *lineHandler) Init(ctx Context) {
 	if ctx.ID() == 0 {
-		ctx.Send(1, token{})
+		ctx.Send(1, Raw{})
 		ctx.Halt()
 	}
 }
 
 func (h *lineHandler) HandleMessage(ctx Context, from int, msg Message) {
 	if ctx.ID() < h.n-1 {
-		ctx.Send(ctx.ID()+1, token{})
+		ctx.Send(ctx.ID()+1, Raw{})
 	}
 	ctx.Halt()
 }
@@ -65,8 +61,8 @@ func TestRunnerStatsMatchRegistry(t *testing.T) {
 	if int(sent) != st.TotalSent() {
 		t.Fatalf("sent: registry %d, stats %d", sent, st.TotalSent())
 	}
-	if got := reg.Family("simnet_sent_total", "", "kind").Value("TOKEN"); int(got) != st.SentByKind["TOKEN"] {
-		t.Fatalf("kind counts: registry %d, stats %d", got, st.SentByKind["TOKEN"])
+	if got := reg.Family("simnet_sent_total", "", "kind").Value("RAW"); int(got) != st.SentByKind["RAW"] {
+		t.Fatalf("kind counts: registry %d, stats %d", got, st.SentByKind["RAW"])
 	}
 	if byName["simnet_final_time"].Value != st.FinalTime {
 		t.Fatalf("final time: registry %v, stats %v", byName["simnet_final_time"].Value, st.FinalTime)

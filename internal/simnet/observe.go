@@ -2,24 +2,6 @@ package simnet
 
 import "overlaymatch/internal/obs"
 
-// Sizer lets a Message report its wire size in bytes for the byte
-// accounting instruments (simnet_sent_bytes_total and the per-kind
-// family). The sizes are nominal protocol-header models, not Go object
-// sizes: what matters is that they are deterministic and comparable
-// across protocol phases. Messages without a Sizer count zero bytes
-// (they still count as messages).
-type Sizer interface {
-	WireSize() int
-}
-
-// SizeOf returns msg's reported wire size, or 0.
-func SizeOf(msg Message) int {
-	if s, ok := msg.(Sizer); ok {
-		return s.WireSize()
-	}
-	return 0
-}
-
 // Observable is the optional Context capability handing protocol
 // layers the run's telemetry recorder, following the upcall pattern
 // (TimerSetter, SuspectHandler): layers that open spans type-assert

@@ -7,46 +7,11 @@ import (
 	"overlaymatch/internal/obs"
 )
 
-// sizedMsg reports a wire size for the byte-accounting tests.
-type sizedMsg struct{ hop int }
-
-func (sizedMsg) Kind() string  { return "SIZED" }
-func (sizedMsg) WireSize() int { return 16 }
-
-// sizedStar is floodHandler with sized tokens.
-type sizedStar struct{ neighbors []int }
-
-func (h *sizedStar) Init(ctx Context) {
-	if ctx.ID() == 0 {
-		for _, nb := range h.neighbors {
-			ctx.Send(nb, sizedMsg{hop: 1})
-		}
-	}
-	if ctx.ID() == 0 || len(h.neighbors) == 0 {
-		ctx.Halt()
-	}
-}
-
-func (h *sizedStar) HandleMessage(ctx Context, from int, msg Message) { ctx.Halt() }
-
-func sizedHandlers(n int) []Handler {
-	hs := make([]Handler, n)
-	var center []int
-	for i := 1; i < n; i++ {
-		center = append(center, i)
-	}
-	hs[0] = &sizedStar{neighbors: center}
-	for i := 1; i < n; i++ {
-		hs[i] = &sizedStar{neighbors: []int{0}}
-	}
-	return hs
-}
-
 func TestRunnerObserverRecordsCausality(t *testing.T) {
 	const n = 4
 	rec := obs.NewRecorder(n)
 	r := NewRunner(n, Options{Seed: 1, Obs: rec})
-	if _, err := r.Run(sizedHandlers(n)); err != nil {
+	if _, err := r.Run(starHandlers(n)); err != nil {
 		t.Fatal(err)
 	}
 	ev := rec.Events()
@@ -70,7 +35,7 @@ func TestRunnerObserverRecordsCausality(t *testing.T) {
 	if sends != n-1 || delivers != n-1 {
 		t.Fatalf("recorded %d sends / %d delivers, want %d/%d", sends, delivers, n-1, n-1)
 	}
-	// Byte accounting: n-1 sized messages of 16 bytes.
+	// Byte accounting: n-1 flood tokens, 16-byte frames.
 	msgs, bytesSent := r.SentTotals()
 	if msgs != n-1 || bytesSent != int64(16*(n-1)) {
 		t.Fatalf("SentTotals = (%d, %d), want (%d, %d)", msgs, bytesSent, n-1, 16*(n-1))
@@ -85,7 +50,7 @@ func TestRunnerObserverDeterministic(t *testing.T) {
 	render := func() string {
 		rec := obs.NewRecorder(6)
 		r := NewRunner(6, Options{Seed: 42, Latency: ExponentialLatency(2), Obs: rec})
-		if _, err := r.Run(sizedHandlers(6)); err != nil {
+		if _, err := r.Run(starHandlers(6)); err != nil {
 			t.Fatal(err)
 		}
 		var b bytes.Buffer
@@ -208,11 +173,13 @@ func TestRunnerHotPathAllocBudgetNoObs(t *testing.T) {
 	// per-delivery path allocates nothing. Per-run setup (instruments,
 	// registry, queue) does allocate, so compare total allocations at
 	// two message volumes — the difference is pure per-delivery cost.
+	// floodMsg is registered, so every send is also encoded to be
+	// billed: the encode must not allocate either.
 	measure := func(budget int) float64 {
 		return testing.AllocsPerRun(20, func() {
 			hs := []Handler{
-				&budgetPingpong{budget: budget, msg: floodMsg{hop: 1}},
-				&budgetPingpong{budget: budget, msg: floodMsg{hop: 1}},
+				&budgetPingpong{budget: budget, msg: floodMsg},
+				&budgetPingpong{budget: budget, msg: floodMsg},
 			}
 			r := NewRunner(2, Options{Seed: 7, Quiesce: true})
 			if _, err := r.Run(hs); err != nil {

@@ -129,6 +129,9 @@ type Runner struct {
 	// handle was stopped; Run drops them as they pop. Allocated on the
 	// first stop, so runs that stop nothing never touch it.
 	stopped map[int]bool
+	// frame is the scratch buffer each send is encoded into, to bill
+	// its length; reused, so billing allocates nothing per send.
+	frame []byte
 }
 
 type event struct {
@@ -214,9 +217,10 @@ func NewRunner(n int, opts Options) *Runner {
 // merge it after Run for per-run observability.
 func (r *Runner) Metrics() *metrics.Registry { return r.ins.reg }
 
-// SentTotals returns the cumulative (messages, bytes) send counters —
-// safe to call from an Options.Probe callback to attribute traffic to
-// convergence phases.
+// SentTotals returns the cumulative (messages, bytes) send counters,
+// bytes being encoded frame lengths, header included — safe to call
+// from an Options.Probe callback to attribute traffic to convergence
+// phases.
 func (r *Runner) SentTotals() (msgs, bytes int64) { return r.ins.sentTotals() }
 
 // runnerCtx implements Context for one delivery.
@@ -239,8 +243,15 @@ func (c *runnerCtx) Send(to int, msg Message) {
 	if to < 0 || to >= r.n {
 		panic(fmt.Sprintf("simnet: send to %d outside [0,%d)", to, r.n))
 	}
+	// Every send is billed by its encoded frame, header included. A
+	// type with no codec has no wire form: fail at the send site, as a
+	// Cluster does.
+	var err error
+	if r.frame, err = AppendFrame(r.frame[:0], msg); err != nil {
+		panic(fmt.Sprintf("simnet: node %d sending %T: %v", c.id, msg, err))
+	}
 	kind := KindOf(msg)
-	r.ins.countSend(c.id, kind, SizeOf(msg))
+	r.ins.countSend(c.id, kind, len(r.frame))
 	// The send is recorded (and the clock ticked) before the loss
 	// model, matching the sent counters: a dropped message was still
 	// sent, and its stamp documents the causal gap.

@@ -18,6 +18,11 @@
 // Termination is structural — a handler calls Context.Halt when its
 // protocol finishes locally (Ui = ∅ in LID) — so a run that completes
 // certifies global termination rather than timing out.
+//
+// Every message type has one wire form: its package registers a codec
+// (wire.go). A Cluster sends the encoded frames; the Runner passes the
+// values but bills each send by its frame's length, so byte counts on
+// both runtimes are counts of real encoded bytes.
 package simnet
 
 import (

@@ -8,10 +8,9 @@ import (
 	"overlaymatch/internal/obs"
 )
 
-// floodMsg is the token of the flood test protocol.
-type floodMsg struct{ hop int }
-
-func (floodMsg) Kind() string { return "FLOOD" }
+// floodMsg is the flood protocol's token: a 16-byte frame, the 7-byte
+// header and 9 payload bytes.
+var floodMsg = Raw("flood tok")
 
 // floodHandler: node 0 sends one token to every neighbor at Init and
 // halts; other nodes halt upon first token and forward nothing. Total
@@ -24,7 +23,7 @@ type floodHandler struct {
 func (h *floodHandler) Init(ctx Context) {
 	if ctx.ID() == 0 {
 		for _, nb := range h.neighbors {
-			ctx.Send(nb, floodMsg{hop: 1})
+			ctx.Send(nb, floodMsg)
 		}
 	}
 	if ctx.ID() == 0 || len(h.neighbors) == 0 {
@@ -67,7 +66,7 @@ func TestRunnerFlood(t *testing.T) {
 	if stats.ReceivedByNode[0] != 0 || stats.ReceivedByNode[3] != 1 {
 		t.Fatalf("per-node receives wrong: %v", stats.ReceivedByNode)
 	}
-	if stats.SentByKind["FLOOD"] != n-1 {
+	if stats.SentByKind["RAW"] != n-1 {
 		t.Fatalf("kind accounting wrong: %v", stats.SentByKind)
 	}
 	if stats.FinalTime != 1 { // unit latency
@@ -137,7 +136,7 @@ type pingpong struct{}
 
 func (pingpong) Init(ctx Context) {
 	if ctx.ID() == 0 {
-		ctx.Send(1, "ping")
+		ctx.Send(1, Raw("ping"))
 	}
 }
 func (pingpong) HandleMessage(ctx Context, from int, msg Message) {
@@ -218,15 +217,15 @@ type chainHandler struct{ n int }
 
 func (h chainHandler) Init(ctx Context) {
 	if ctx.ID() == 0 {
-		ctx.Send(1, 1)
+		ctx.Send(1, Raw{1})
 		ctx.Halt()
 	}
 }
 
 func (h chainHandler) HandleMessage(ctx Context, from int, msg Message) {
-	v := msg.(int)
+	v := msg.(Raw)[0]
 	if next := ctx.ID() + 1; next < h.n {
-		ctx.Send(next, v+1)
+		ctx.Send(next, Raw{v + 1})
 	}
 	ctx.Halt()
 }
@@ -239,7 +238,7 @@ func TestStatsHelpers(t *testing.T) {
 	if KindOf("plain") != "" {
 		t.Fatal("plain message should have empty kind")
 	}
-	if KindOf(floodMsg{}) != "FLOOD" {
+	if KindOf(Raw{}) != "RAW" {
 		t.Fatal("kinder not honored")
 	}
 	if !strings.Contains(s.String(), "sent=8") {

@@ -75,7 +75,7 @@ func TestUniformDropLosesMessages(t *testing.T) {
 	sender := handlerFunc{
 		init: func(ctx Context) {
 			for i := 0; i < 200; i++ {
-				ctx.Send(1, i)
+				ctx.Send(1, Raw{byte(i)})
 			}
 			ctx.Halt()
 		},
@@ -255,7 +255,7 @@ func TestTimerStopAfterFire(t *testing.T) {
 type delivery struct {
 	at       float64
 	to, from int
-	msg      Message
+	hop      byte
 }
 
 // TestStoppingANoOpTimerKeepsOrder: stopping a timer whose delivery
@@ -273,20 +273,21 @@ func TestStoppingANoOpTimerKeepsOrder(t *testing.T) {
 					if ctx.ID() == 0 {
 						SetTimerOn(ctx, 50, noop)
 					}
-					ctx.Send((ctx.ID()+1)%3, 0)
+					ctx.Send((ctx.ID()+1)%3, Raw{0})
 				},
 				handle: func(ctx Context, from int, msg Message) {
 					if _, ok := msg.(stopToken); ok {
 						return
 					}
-					log = append(log, delivery{ctx.Time(), ctx.ID(), from, msg})
+					hop := msg.(Raw)[0]
+					log = append(log, delivery{ctx.Time(), ctx.ID(), from, hop})
 					if stop && ctx.ID() == 0 {
 						noop.t.Stop()
 					}
-					if hop := msg.(int); hop < 60 {
-						ctx.Send((ctx.ID()+1)%3, hop+1)
+					if hop < 60 {
+						ctx.Send((ctx.ID()+1)%3, Raw{hop + 1})
 						if hop%7 == 0 {
-							ctx.Send((ctx.ID()+2)%3, hop+1)
+							ctx.Send((ctx.ID()+2)%3, Raw{hop + 1})
 						}
 					}
 				},

@@ -1,11 +1,18 @@
-// Package transport lifts the protocol stack off the event simulator
-// and onto a wire. It provides the two things simnet never needed: a
-// binary representation for protocol messages (simnet passes Go
-// values; a socket passes bytes), and the wall-clock concurrent
-// runtime (udp.go, cluster.go) — on loopback sockets or on an
-// in-process wire — that implements the same simnet.Transport contract
-// as the Runner, so the lid/reliable/detector stack runs on it
-// unchanged.
+package simnet
+
+import (
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"sort"
+	"sync"
+
+	"overlaymatch/internal/rng"
+)
+
+// Wire format: the one description of a message's bytes. Both runtimes
+// use it. A Cluster sends the frames, and the Runner passes values but
+// bills every send by its encoded frame length.
 //
 // # Frame format
 //
@@ -32,27 +39,15 @@
 // Message types register a Codec under a fixed ID (the ID* constants
 // below — a central, append-only number space). Registration happens
 // in each protocol package's wire.go init, so importing a protocol
-// brings its wire format along; the registry is how the socket runtime
-// turns simnet.Message values into frames and back without importing
-// any protocol package (which would invert the layering).
-package transport
-
-import (
-	"encoding/binary"
-	"fmt"
-	"reflect"
-	"sort"
-	"sync"
-
-	"overlaymatch/internal/rng"
-	"overlaymatch/internal/simnet"
-)
+// brings its wire format along; the registry is how the runtimes turn
+// Message values into frames and back without importing any protocol
+// package (which would invert the layering).
 
 // Registered message type IDs. The space is append-only: an ID, once
 // assigned, keeps its meaning forever (frames may be captured to disk).
 // Low byte groups by package so hexdumps stay readable.
 const (
-	// IDRaw is transport's own opaque byte payload (see Raw).
+	// IDRaw is the opaque byte payload (see Raw).
 	IDRaw uint16 = 0x0001
 
 	// Package lid (robust's TolerantNode speaks the same messages).
@@ -73,6 +68,11 @@ const (
 	// Package detector: heartbeat liveness probes.
 	IDDetectorHB    uint16 = 0x0401
 	IDDetectorHBAck uint16 = 0x0402
+
+	// Package tournament: the Gale–Shapley and backup-placement
+	// contenders' messages.
+	IDGSMsg uint16 = 0x0501
+	IDBPMsg uint16 = 0x0502
 )
 
 // frameOverhead is the fixed header cost: 4-byte length prefix, 1-byte
@@ -99,21 +99,28 @@ type Codec struct {
 	// Type is the concrete Go type this codec handles.
 	Type reflect.Type
 	// Encode appends msg's canonical payload to buf.
-	Encode func(msg simnet.Message, buf []byte) []byte
+	Encode func(msg Message, buf []byte) []byte
 	// Decode parses one payload. It must consume exactly payload and
 	// reject non-canonical bytes.
-	Decode func(payload []byte) (simnet.Message, error)
+	Decode func(payload []byte) (Message, error)
 	// Sample returns a valid pseudo-random instance drawn from src.
-	Sample func(src *rng.Source) simnet.Message
+	Sample func(src *rng.Source) Message
+}
+
+// entry is one registration. Both maps share it, so the send path's
+// type-directed lookup is a single map read.
+type entry struct {
+	id    uint16
+	codec Codec
 }
 
 var registry = struct {
 	sync.RWMutex
-	byID   map[uint16]Codec
-	byType map[reflect.Type]uint16
+	byID   map[uint16]*entry
+	byType map[reflect.Type]*entry
 }{
-	byID:   make(map[uint16]Codec),
-	byType: make(map[reflect.Type]uint16),
+	byID:   make(map[uint16]*entry),
+	byType: make(map[reflect.Type]*entry),
 }
 
 // Register installs a codec under id. It is meant to be called from
@@ -121,37 +128,52 @@ var registry = struct {
 // and incomplete codecs are programming errors and panic.
 func Register(id uint16, c Codec) {
 	if c.Name == "" || c.Type == nil || c.Encode == nil || c.Decode == nil || c.Sample == nil {
-		panic(fmt.Sprintf("transport: incomplete codec registration for ID %#04x", id))
+		panic(fmt.Sprintf("simnet: incomplete codec registration for ID %#04x", id))
 	}
 	registry.Lock()
 	defer registry.Unlock()
 	if prev, dup := registry.byID[id]; dup {
-		panic(fmt.Sprintf("transport: ID %#04x registered twice (%s, %s)", id, prev.Name, c.Name))
+		panic(fmt.Sprintf("simnet: ID %#04x registered twice (%s, %s)", id, prev.codec.Name, c.Name))
 	}
-	if prevID, dup := registry.byType[c.Type]; dup {
-		panic(fmt.Sprintf("transport: type %v registered twice (%#04x, %#04x)", c.Type, prevID, id))
+	if prev, dup := registry.byType[c.Type]; dup {
+		panic(fmt.Sprintf("simnet: type %v registered twice (%#04x, %#04x)", c.Type, prev.id, id))
 	}
-	registry.byID[id] = c
-	registry.byType[c.Type] = id
+	e := &entry{id: id, codec: c}
+	registry.byID[id] = e
+	registry.byType[c.Type] = e
+}
+
+// lookupType returns the registration of msg's concrete type, or nil.
+// It runs on every send, so it unlocks without defer.
+func lookupType(msg Message) *entry {
+	registry.RLock()
+	e := registry.byType[reflect.TypeOf(msg)]
+	registry.RUnlock()
+	return e
+}
+
+// lookupID returns the registration under id, or nil.
+func lookupID(id uint16) *entry {
+	registry.RLock()
+	e := registry.byID[id]
+	registry.RUnlock()
+	return e
 }
 
 // CodecByID returns the codec registered under id.
 func CodecByID(id uint16) (Codec, bool) {
-	registry.RLock()
-	defer registry.RUnlock()
-	c, ok := registry.byID[id]
-	return c, ok
+	if e := lookupID(id); e != nil {
+		return e.codec, true
+	}
+	return Codec{}, false
 }
 
 // CodecFor returns the registered ID and codec for msg's concrete type.
-func CodecFor(msg simnet.Message) (uint16, Codec, bool) {
-	registry.RLock()
-	defer registry.RUnlock()
-	id, ok := registry.byType[reflect.TypeOf(msg)]
-	if !ok {
-		return 0, Codec{}, false
+func CodecFor(msg Message) (uint16, Codec, bool) {
+	if e := lookupType(msg); e != nil {
+		return e.id, e.codec, true
 	}
-	return id, registry.byID[id], true
+	return 0, Codec{}, false
 }
 
 // RegisteredIDs returns every registered type ID in ascending order —
@@ -172,104 +194,103 @@ func RegisteredIDs() []uint16 {
 // information is its arrival (a heartbeat, an environment command):
 // the frame header is the whole message. value returns the type's
 // only value.
-func EmptyCodec(name string, typ reflect.Type, value func() simnet.Message) Codec {
+func EmptyCodec(name string, typ reflect.Type, value func() Message) Codec {
 	return Codec{
 		Name:    name,
 		Version: 1,
 		Type:    typ,
-		Encode:  func(_ simnet.Message, buf []byte) []byte { return buf },
-		Decode: func(payload []byte) (simnet.Message, error) {
+		Encode:  func(_ Message, buf []byte) []byte { return buf },
+		Decode: func(payload []byte) (Message, error) {
 			if len(payload) != 0 {
 				return nil, fmt.Errorf("%s payload is %d bytes, want 0", name, len(payload))
 			}
 			return value(), nil
 		},
-		Sample: func(*rng.Source) simnet.Message { return value() },
+		Sample: func(*rng.Source) Message { return value() },
 	}
 }
 
 // AppendFrame encodes msg as one complete frame (header + payload)
 // appended to buf. It fails if msg's type has no registered codec or
 // the encoded frame would exceed MaxFrame.
-func AppendFrame(buf []byte, msg simnet.Message) ([]byte, error) {
-	id, c, ok := CodecFor(msg)
-	if !ok {
-		return buf, fmt.Errorf("transport: no codec registered for %T", msg)
+func AppendFrame(buf []byte, msg Message) ([]byte, error) {
+	e := lookupType(msg)
+	if e == nil {
+		return buf, fmt.Errorf("simnet: no codec registered for %T", msg)
 	}
 	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0, c.Version, byte(id>>8), byte(id))
-	buf = c.Encode(msg, buf)
+	buf = append(buf, 0, 0, 0, 0, e.codec.Version, byte(e.id>>8), byte(e.id))
+	buf = e.codec.Encode(msg, buf)
 	frameLen := len(buf) - start - 4 // version + id + payload
 	if frameLen+4 > MaxFrame {
-		return buf[:start], fmt.Errorf("transport: %s frame of %d bytes exceeds MaxFrame", c.Name, frameLen+4)
+		return buf[:start], fmt.Errorf("simnet: %s frame of %d bytes exceeds MaxFrame", e.codec.Name, frameLen+4)
 	}
 	binary.BigEndian.PutUint32(buf[start:], uint32(frameLen))
 	return buf, nil
 }
 
 // EncodeFrame is AppendFrame into a fresh buffer.
-func EncodeFrame(msg simnet.Message) ([]byte, error) {
+func EncodeFrame(msg Message) ([]byte, error) {
 	return AppendFrame(nil, msg)
 }
 
 // DecodeFrame parses the first frame of data and returns the decoded
 // message and the number of bytes consumed (header included). Frames
 // concatenate, so callers loop: decode, advance by consumed, repeat.
-func DecodeFrame(data []byte) (simnet.Message, int, error) {
+func DecodeFrame(data []byte) (Message, int, error) {
 	if len(data) < frameOverhead {
-		return nil, 0, fmt.Errorf("transport: short frame header (%d bytes)", len(data))
+		return nil, 0, fmt.Errorf("simnet: short frame header (%d bytes)", len(data))
 	}
 	frameLen := binary.BigEndian.Uint32(data)
 	if frameLen < frameOverhead-4 {
-		return nil, 0, fmt.Errorf("transport: frame length %d below header minimum", frameLen)
+		return nil, 0, fmt.Errorf("simnet: frame length %d below header minimum", frameLen)
 	}
-	if frameLen+4 > MaxFrame {
-		return nil, 0, fmt.Errorf("transport: frame length %d exceeds MaxFrame", frameLen+4)
+	// Compared without adding to frameLen: a length prefix near 2^32
+	// would wrap the sum past the bound.
+	if frameLen > MaxFrame-4 {
+		return nil, 0, fmt.Errorf("simnet: frame length %d exceeds MaxFrame", uint64(frameLen)+4)
 	}
 	total := int(frameLen) + 4
 	if len(data) < total {
-		return nil, 0, fmt.Errorf("transport: truncated frame (%d of %d bytes)", len(data), total)
+		return nil, 0, fmt.Errorf("simnet: truncated frame (%d of %d bytes)", len(data), total)
 	}
 	ver := data[4]
 	id := uint16(data[5])<<8 | uint16(data[6])
-	c, ok := CodecByID(id)
-	if !ok {
-		return nil, 0, fmt.Errorf("transport: unknown message type %#04x", id)
+	e := lookupID(id)
+	if e == nil {
+		return nil, 0, fmt.Errorf("simnet: unknown message type %#04x", id)
 	}
-	if ver != c.Version {
-		return nil, 0, fmt.Errorf("transport: %s version %d, codec speaks %d", c.Name, ver, c.Version)
+	if ver != e.codec.Version {
+		return nil, 0, fmt.Errorf("simnet: %s version %d, codec speaks %d", e.codec.Name, ver, e.codec.Version)
 	}
-	msg, err := c.Decode(data[frameOverhead:total])
+	msg, err := e.codec.Decode(data[frameOverhead:total])
 	if err != nil {
-		return nil, 0, fmt.Errorf("transport: %s payload: %v", c.Name, err)
+		return nil, 0, fmt.Errorf("simnet: %s payload: %v", e.codec.Name, err)
 	}
 	return msg, total, nil
 }
 
-// Raw is transport's own opaque payload type: a byte string carried
-// verbatim. It gives the wire layer a message type of its own (loop
-// tests, nested-frame samples, future control traffic) and demonstrates
-// the registration pattern without touching any protocol package.
+// Raw is an opaque payload: a byte string carried verbatim. It gives
+// the wire layer a message type of its own (runtime tests, nested-frame
+// samples, future control traffic) and demonstrates the registration
+// pattern without touching any protocol package.
 type Raw []byte
 
-// Kind implements simnet.Kinder.
+// Kind implements Kinder.
 func (Raw) Kind() string { return "RAW" }
-
-// WireSize implements simnet.Sizer: header plus the bytes themselves.
-func (r Raw) WireSize() int { return frameOverhead + len(r) }
 
 func init() {
 	Register(IDRaw, Codec{
-		Name:    "transport.Raw",
+		Name:    "simnet.Raw",
 		Version: 1,
 		Type:    reflect.TypeOf(Raw(nil)),
-		Encode: func(msg simnet.Message, buf []byte) []byte {
+		Encode: func(msg Message, buf []byte) []byte {
 			return append(buf, msg.(Raw)...)
 		},
-		Decode: func(payload []byte) (simnet.Message, error) {
+		Decode: func(payload []byte) (Message, error) {
 			return Raw(append([]byte(nil), payload...)), nil
 		},
-		Sample: func(src *rng.Source) simnet.Message {
+		Sample: func(src *rng.Source) Message {
 			b := make(Raw, src.Uint64n(24))
 			for i := range b {
 				b[i] = byte(src.Uint64())

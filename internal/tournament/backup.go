@@ -29,15 +29,12 @@ type BackupPlacement struct{}
 // Name implements Algorithm.
 func (BackupPlacement) Name() string { return "bp" }
 
-// bpMsg is the single wire message: a proposal, sized like the other
-// contenders' frames.
+// bpMsg is the single wire message: a proposal. Its arrival is its
+// information, so the frame is the header alone (wire.go).
 type bpMsg struct{}
 
 // Kind implements simnet.Kinder.
 func (bpMsg) Kind() string { return "PROP" }
-
-// WireSize implements simnet.Sizer.
-func (bpMsg) WireSize() int { return 9 }
 
 // bpNode implements simnet.Handler: propose and stop, then record who
 // proposed back (deliveries keep flowing after Halt).

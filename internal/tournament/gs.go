@@ -82,11 +82,6 @@ func (m gsMsg) Kind() string {
 	}
 }
 
-// WireSize implements simnet.Sizer: the same nominal 8-byte frame plus
-// 1-byte opcode as LID — the contenders compete on message counts, not
-// on framing.
-func (m gsMsg) WireSize() int { return 9 }
-
 type gsState uint8
 
 const (

@@ -9,7 +9,8 @@
 //	weight frac    matched eq.-9 weight / the LIC optimum's weight
 //	blocking pairs under the eq.-9 weight order, via obs.Prober
 //	rounds-to-ε    first probe time with blocking pairs ≤ ε·|E|
-//	msgs / bytes   cumulative network cost at termination
+//	msgs / bytes   cumulative network cost at termination, in messages
+//	               and encoded frame bytes (wire.go)
 //
 // Contenders implement Algorithm; the built-ins are LID (the paper's
 // Algorithm 1), a distributed Gale–Shapley-style propose/accept loop

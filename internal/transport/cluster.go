@@ -1,3 +1,10 @@
+// Package transport is the wall-clock concurrent runtime (udp.go,
+// cluster.go): one goroutine per node, on loopback sockets or on an
+// in-process wire, implementing the same simnet.Transport contract as
+// the Runner, so the lid/reliable/detector stack runs on it unchanged.
+// Every message crosses the wire as the frame its registered codec
+// encodes (package simnet's wire format); a type with no codec panics
+// at the send site.
 package transport
 
 import (
@@ -283,4 +290,16 @@ func (c *Cluster) Close() {
 	for _, nd := range c.nodes {
 		nd.Close()
 	}
+}
+
+// AppendFrame forwards to simnet.AppendFrame. It is kept only for the
+// benchmark module (bench/), which calls it by this name.
+func AppendFrame(buf []byte, msg simnet.Message) ([]byte, error) {
+	return simnet.AppendFrame(buf, msg)
+}
+
+// DecodeFrame forwards to simnet.DecodeFrame. It is kept only for the
+// benchmark module (bench/), which calls it by this name.
+func DecodeFrame(data []byte) (simnet.Message, int, error) {
+	return simnet.DecodeFrame(data)
 }

@@ -24,7 +24,7 @@ type star struct{ n int }
 func (s star) Init(ctx simnet.Context) {
 	if ctx.ID() == 0 {
 		for to := 1; to < s.n; to++ {
-			ctx.Send(to, transport.Raw("flood"))
+			ctx.Send(to, simnet.Raw("flood"))
 		}
 		ctx.Halt()
 	}
@@ -75,18 +75,18 @@ type chain struct {
 
 func (c chain) Init(ctx simnet.Context) {
 	if ctx.ID() == 0 {
-		ctx.Send(1, transport.Raw{1})
+		ctx.Send(1, simnet.Raw{1})
 		ctx.Halt()
 	}
 }
 
 func (c chain) HandleMessage(ctx simnet.Context, _ int, msg simnet.Message) {
-	hop := int(msg.(transport.Raw)[0])
+	hop := int(msg.(simnet.Raw)[0])
 	if hop != ctx.ID() {
 		*c.badHops = hop
 	}
 	if next := ctx.ID() + 1; next < c.n {
-		ctx.Send(next, transport.Raw{byte(hop + 1)})
+		ctx.Send(next, simnet.Raw{byte(hop + 1)})
 	}
 	ctx.Halt()
 }
@@ -131,7 +131,7 @@ type pingPong struct{}
 
 func (pingPong) Init(ctx simnet.Context) {
 	if ctx.ID() == 0 {
-		ctx.Send(1, transport.Raw("ping"))
+		ctx.Send(1, simnet.Raw("ping"))
 	}
 }
 func (pingPong) HandleMessage(ctx simnet.Context, from int, msg simnet.Message) {
@@ -216,8 +216,7 @@ func (b *badSender) Init(ctx simnet.Context) {
 func (b *badSender) HandleMessage(simnet.Context, int, simnet.Message) {}
 
 // TestClusterUnregisteredTypePanics: a message with no wire form fails
-// at the send site on both wires — every message on the goroutine
-// runtime needs a codec, as on a socket.
+// at the send site on both wires, as it does on the Runner.
 func TestClusterUnregisteredTypePanics(t *testing.T) {
 	for _, w := range wires {
 		t.Run(w.name, func(t *testing.T) {
@@ -330,7 +329,7 @@ type stopper struct {
 func (s *stopper) Init(ctx simnet.Context) {
 	s.long = stopTok{t: new(simnet.Timer)}
 	simnet.SetTimerOn(ctx, 60_000, s.long)
-	simnet.SetTimerOn(ctx, 1, transport.Raw("short"))
+	simnet.SetTimerOn(ctx, 1, simnet.Raw("short"))
 }
 
 func (s *stopper) HandleMessage(ctx simnet.Context, _ int, msg simnet.Message) {

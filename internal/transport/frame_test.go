@@ -1,24 +1,25 @@
 package transport_test
 
-// The generic wire-codec suite. It lives in an external test package so
-// it can import every protocol package for the side effect of its
-// wire.go registration — exactly how a deployment binary acquires its
-// codec table — while package transport itself stays below the
-// protocols in the import order.
+// The generic suite of simnet's wire format, kept with the runtime that
+// sends the frames. It lives in an external test package so it can
+// import every protocol package for the side effect of its wire.go
+// registration — exactly how a deployment binary acquires its codec
+// table — while packages simnet and transport stay below the protocols
+// in the import order.
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	_ "overlaymatch/internal/detector"
 	_ "overlaymatch/internal/dlid"
+	_ "overlaymatch/internal/lid"
 	_ "overlaymatch/internal/phased"
 	_ "overlaymatch/internal/reliable"
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/simnet"
-	"overlaymatch/internal/transport"
-
-	_ "overlaymatch/internal/lid"
+	_ "overlaymatch/internal/tournament"
 )
 
 // roundTripSeeds is the per-type sample count of the property test.
@@ -30,18 +31,20 @@ const roundTripSeeds = 200
 // than at the first socket run.
 func TestRegistryCoversProtocolStack(t *testing.T) {
 	want := []uint16{
-		transport.IDRaw,
-		transport.IDLIDMsg,
-		transport.IDPhasedMsg,
-		transport.IDDlidMsg,
-		transport.IDDlidCmdLeave,
-		transport.IDDlidCmdJoin,
-		transport.IDReliableData,
-		transport.IDReliableAck,
-		transport.IDDetectorHB,
-		transport.IDDetectorHBAck,
+		simnet.IDRaw,
+		simnet.IDLIDMsg,
+		simnet.IDPhasedMsg,
+		simnet.IDDlidMsg,
+		simnet.IDDlidCmdLeave,
+		simnet.IDDlidCmdJoin,
+		simnet.IDReliableData,
+		simnet.IDReliableAck,
+		simnet.IDDetectorHB,
+		simnet.IDDetectorHBAck,
+		simnet.IDGSMsg,
+		simnet.IDBPMsg,
 	}
-	got := transport.RegisteredIDs()
+	got := simnet.RegisteredIDs()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d codecs, want %d (%#04x)", len(got), len(want), got)
 	}
@@ -60,8 +63,8 @@ func TestRegistryCoversProtocolStack(t *testing.T) {
 // canonical, which is what FuzzFrameDecode's accept-implies-canonical
 // invariant rests on.
 func TestRoundTripProperty(t *testing.T) {
-	for _, id := range transport.RegisteredIDs() {
-		c, ok := transport.CodecByID(id)
+	for _, id := range simnet.RegisteredIDs() {
+		c, ok := simnet.CodecByID(id)
 		if !ok {
 			t.Fatalf("CodecByID(%#04x) missing after RegisteredIDs listed it", id)
 		}
@@ -69,18 +72,18 @@ func TestRoundTripProperty(t *testing.T) {
 			src := rng.New(0xF4A7C15 ^ uint64(id))
 			for i := 0; i < roundTripSeeds; i++ {
 				msg := c.Sample(src)
-				first, err := transport.EncodeFrame(msg)
+				first, err := simnet.EncodeFrame(msg)
 				if err != nil {
 					t.Fatalf("sample %d: encode: %v", i, err)
 				}
-				decoded, consumed, err := transport.DecodeFrame(first)
+				decoded, consumed, err := simnet.DecodeFrame(first)
 				if err != nil {
 					t.Fatalf("sample %d: decode: %v", i, err)
 				}
 				if consumed != len(first) {
 					t.Fatalf("sample %d: decode consumed %d of %d bytes", i, consumed, len(first))
 				}
-				second, err := transport.EncodeFrame(decoded)
+				second, err := simnet.EncodeFrame(decoded)
 				if err != nil {
 					t.Fatalf("sample %d: re-encode: %v", i, err)
 				}
@@ -95,7 +98,7 @@ func TestRoundTripProperty(t *testing.T) {
 // TestFrameHeader checks the documented layout directly on one frame:
 // big-endian length covering version+ID+payload, then version, then ID.
 func TestFrameHeader(t *testing.T) {
-	frame, err := transport.EncodeFrame(transport.Raw("abc"))
+	frame, err := simnet.EncodeFrame(simnet.Raw("abc"))
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -112,25 +115,25 @@ func TestFrameConcatenation(t *testing.T) {
 	src := rng.New(7)
 	var buf []byte
 	var frames [][]byte
-	for _, id := range transport.RegisteredIDs() {
-		c, _ := transport.CodecByID(id)
+	for _, id := range simnet.RegisteredIDs() {
+		c, _ := simnet.CodecByID(id)
 		msg := c.Sample(src)
-		single, err := transport.EncodeFrame(msg)
+		single, err := simnet.EncodeFrame(msg)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", c.Name, err)
 		}
 		frames = append(frames, single)
-		if buf, err = transport.AppendFrame(buf, msg); err != nil {
+		if buf, err = simnet.AppendFrame(buf, msg); err != nil {
 			t.Fatalf("%s: append: %v", c.Name, err)
 		}
 	}
 	rest := buf
 	for i, want := range frames {
-		msg, consumed, err := transport.DecodeFrame(rest)
+		msg, consumed, err := simnet.DecodeFrame(rest)
 		if err != nil {
 			t.Fatalf("frame %d: decode: %v", i, err)
 		}
-		re, err := transport.EncodeFrame(msg)
+		re, err := simnet.EncodeFrame(msg)
 		if err != nil {
 			t.Fatalf("frame %d: re-encode: %v", i, err)
 		}
@@ -145,29 +148,37 @@ func TestFrameConcatenation(t *testing.T) {
 }
 
 // TestDecodeStrictness enumerates the malformed-input classes the
-// decoder must reject.
+// decoder must reject, each with the error it must give.
 func TestDecodeStrictness(t *testing.T) {
-	good, err := transport.EncodeFrame(transport.Raw("payload"))
+	good, err := simnet.EncodeFrame(simnet.Raw("payload"))
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	cases := []struct {
 		name string
 		data []byte
+		want string
 	}{
-		{"empty", nil},
-		{"short header", good[:6]},
-		{"truncated payload", good[:len(good)-2]},
-		{"length below header minimum", []byte{0, 0, 0, 2, 1, 0, 1}},
-		{"length above MaxFrame", []byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 1}},
-		{"unknown type ID", []byte{0, 0, 0, 3, 1, 0xEE, 0xEE}},
-		{"wrong codec version", []byte{0, 0, 0, 3, 99, 0, 1}},
-		{"non-canonical lid opcode", []byte{0, 0, 0, 4, 1, 1, 1, 7}},
-		{"lid payload too long", []byte{0, 0, 0, 5, 1, 1, 1, 1, 1}},
+		{"empty", nil, "short frame header"},
+		{"short header", good[:6], "short frame header"},
+		{"truncated payload", good[:len(good)-2], "truncated frame"},
+		{"length below header minimum", []byte{0, 0, 0, 2, 1, 0, 1}, "below header minimum"},
+		{"length above MaxFrame", []byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 1}, "exceeds MaxFrame"},
+		// Adding the 4-byte prefix to this length wraps a uint32 to 0.
+		{"length wrapping uint32", []byte{0xFF, 0xFF, 0xFF, 0xFC, 1, 0, 1}, "exceeds MaxFrame"},
+		{"unknown type ID", []byte{0, 0, 0, 3, 1, 0xEE, 0xEE}, "unknown message type 0xeeee"},
+		{"wrong codec version", []byte{0, 0, 0, 3, 99, 0, 1}, "version 99"},
+		{"non-canonical lid opcode", []byte{0, 0, 0, 4, 1, 1, 1, 7}, "lid opcode"},
+		{"lid payload too long", []byte{0, 0, 0, 5, 1, 1, 1, 1, 1}, "lid payload is 2 bytes"},
+		{"gs opcode out of range", []byte{0, 0, 0, 4, 1, 5, 1, 4}, "gs opcode 4 out of range"},
+		{"bp frame with a payload", []byte{0, 0, 0, 4, 1, 5, 2, 0}, "bpMsg payload is 1 bytes"},
 	}
 	for _, tc := range cases {
-		if _, _, err := transport.DecodeFrame(tc.data); err == nil {
+		_, _, err := simnet.DecodeFrame(tc.data)
+		if err == nil {
 			t.Errorf("%s: decode accepted %x", tc.name, tc.data)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: decode of %x failed with %q, want %q", tc.name, tc.data, err, tc.want)
 		}
 	}
 }
@@ -179,10 +190,10 @@ func (unregistered) Kind() string { return "NOPE" }
 
 func TestUnregisteredTypeFails(t *testing.T) {
 	var msg simnet.Message = unregistered{}
-	if _, err := transport.EncodeFrame(msg); err == nil {
+	if _, err := simnet.EncodeFrame(msg); err == nil {
 		t.Fatal("EncodeFrame accepted an unregistered type")
 	}
-	if _, err := transport.AppendFrame(nil, msg); err == nil {
+	if _, err := simnet.AppendFrame(nil, msg); err == nil {
 		t.Fatal("AppendFrame accepted an unregistered type")
 	}
 }
@@ -191,9 +202,9 @@ func TestUnregisteredTypeFails(t *testing.T) {
 // ID-directed one.
 func TestCodecForAgreesWithRegistry(t *testing.T) {
 	src := rng.New(11)
-	for _, id := range transport.RegisteredIDs() {
-		c, _ := transport.CodecByID(id)
-		gotID, gotC, ok := transport.CodecFor(c.Sample(src))
+	for _, id := range simnet.RegisteredIDs() {
+		c, _ := simnet.CodecByID(id)
+		gotID, gotC, ok := simnet.CodecFor(c.Sample(src))
 		if !ok || gotID != id || gotC.Name != c.Name {
 			t.Fatalf("CodecFor(%s sample) = (%#04x, %q, %v), want (%#04x, %q, true)",
 				c.Name, gotID, gotC.Name, ok, id, c.Name)

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"overlaymatch/internal/rng"
-	"overlaymatch/internal/transport"
+	"overlaymatch/internal/simnet"
 )
 
 // FuzzFrameDecode fuzzes the frame decoder with a seed corpus drawn
@@ -20,13 +20,13 @@ import (
 //     that makes byte-level goldens over captured traffic meaningful.
 func FuzzFrameDecode(f *testing.F) {
 	src := rng.New(0x5EEDC0DE)
-	for _, id := range transport.RegisteredIDs() {
-		c, ok := transport.CodecByID(id)
+	for _, id := range simnet.RegisteredIDs() {
+		c, ok := simnet.CodecByID(id)
 		if !ok {
 			f.Fatalf("CodecByID(%#04x) missing", id)
 		}
 		for i := 0; i < 4; i++ {
-			frame, err := transport.EncodeFrame(c.Sample(src))
+			frame, err := simnet.EncodeFrame(c.Sample(src))
 			if err != nil {
 				f.Fatalf("%s: seed encode: %v", c.Name, err)
 			}
@@ -40,14 +40,14 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 10, 1, 3, 1, 0, 0, 0, 0, 0, 0, 0}) // truncated DATA nest
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, consumed, err := transport.DecodeFrame(data)
+		msg, consumed, err := simnet.DecodeFrame(data)
 		if err != nil {
 			return
 		}
 		if consumed < 7 || consumed > len(data) {
 			t.Fatalf("decode consumed %d of %d bytes", consumed, len(data))
 		}
-		re, err := transport.EncodeFrame(msg)
+		re, err := simnet.EncodeFrame(msg)
 		if err != nil {
 			t.Fatalf("decoded a %T the encoder rejects: %v", msg, err)
 		}

@@ -378,11 +378,11 @@ func (c *udpCtx) Send(to int, msg simnet.Message) {
 	if to < 0 || to >= nd.cfg.N {
 		panic(fmt.Sprintf("transport: send to %d outside [0,%d)", to, nd.cfg.N))
 	}
-	frame, err := EncodeFrame(msg)
+	frame, err := simnet.EncodeFrame(msg)
 	if err != nil {
-		// An unregistered message type is a wiring bug (the simulator
-		// would have carried it silently; the wire cannot) — fail at
-		// the send site where the stack trace names the protocol.
+		// An unregistered message type is a wiring bug, on the Runner
+		// as on the wire — fail at the send site where the stack trace
+		// names the protocol.
 		panic(fmt.Sprintf("transport: node %d sending %T: %v", nd.cfg.NodeID, msg, err))
 	}
 	sh := nd.sh
@@ -390,7 +390,7 @@ func (c *udpCtx) Send(to int, msg simnet.Message) {
 		// The in-process wire delivers what the frame decodes to, so
 		// every message still round-trips through its codec, as strictly
 		// as on a socket.
-		got, used, err := DecodeFrame(frame)
+		got, used, err := simnet.DecodeFrame(frame)
 		if err != nil || used != len(frame) {
 			panic(fmt.Sprintf("transport: node %d sending %T: frame decodes to %d of its %d bytes: %v",
 				nd.cfg.NodeID, msg, used, len(frame), err))
@@ -572,7 +572,7 @@ func (nd *UDPNode) readLoop() {
 		}
 		rest := data[envelopeLen:]
 		for len(rest) > 0 {
-			msg, consumed, err := DecodeFrame(rest)
+			msg, consumed, err := simnet.DecodeFrame(rest)
 			if err != nil {
 				// One bad frame poisons the remainder (lengths can no
 				// longer be trusted); count and discard.

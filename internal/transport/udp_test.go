@@ -217,7 +217,7 @@ type burstSender struct {
 
 func (b *burstSender) Init(ctx simnet.Context) {
 	for i := 0; i < b.count; i++ {
-		ctx.Send(b.to, transport.Raw("burst"))
+		ctx.Send(b.to, simnet.Raw("burst"))
 	}
 	ctx.Halt()
 }
@@ -274,7 +274,7 @@ func TestClusterCoalescing(t *testing.T) {
 type echoTimer struct{ fired bool }
 
 func (e *echoTimer) Init(ctx simnet.Context) {
-	ctx.(simnet.TimerSetter).SetTimer(5, transport.Raw("tick"))
+	ctx.(simnet.TimerSetter).SetTimer(5, simnet.Raw("tick"))
 }
 func (e *echoTimer) HandleMessage(ctx simnet.Context, from int, _ simnet.Message) {
 	if from == ctx.ID() {
@@ -351,7 +351,7 @@ func TestClusterDeadlock(t *testing.T) {
 type oneShot struct{}
 
 func (oneShot) Init(ctx simnet.Context) {
-	ctx.Send(1, transport.Raw("lost"))
+	ctx.Send(1, simnet.Raw("lost"))
 	ctx.Halt()
 }
 func (oneShot) HandleMessage(simnet.Context, int, simnet.Message) {}
