@@ -17,8 +17,11 @@ all: build vet test
 # golden file is timing-free; any drift in any experiment fails here),
 # the benchmark regression gate, the real-socket loopback
 # conformance sweep, the bench/ module's own vet and tests, the frame
-# decoder's tests on a 32-bit build, and a gofmt cleanliness check.
-check: fmt-check build vet test race-core registry-coverage fuzz-smoke frame-386 golden-check bench-check loopback-check bench-module
+# decoder's tests on a 32-bit build, a run of every example program
+# (`go build` cannot catch an example that panics at run time, such as
+# one sending a message type with no codec), and a gofmt cleanliness
+# check.
+check: fmt-check build vet test race-core registry-coverage fuzz-smoke frame-386 golden-check bench-check loopback-check bench-module examples
 
 # Every Go file must already be gofmt-formatted.
 fmt-check:
@@ -132,6 +135,7 @@ bench-module:
 experiments:
 	$(GO) run ./cmd/experiments -run all -seed 1 -out experiments_full.txt
 
+# Run every example program end to end (part of make check).
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/filesharing

@@ -13,6 +13,7 @@ import (
 
 	"overlaymatch/internal/dlid"
 	"overlaymatch/internal/dynamic"
+	"overlaymatch/internal/faults"
 	"overlaymatch/internal/lid"
 	"overlaymatch/internal/matching"
 	"overlaymatch/internal/pref"
@@ -293,8 +294,8 @@ func BenchmarkLossyLinks(b *testing.B) {
 		eps := reliable.Wrap(lid.Handlers(nodes), 30, 0)
 		runner := simnet.NewRunner(s.Graph().NumNodes(), simnet.Options{
 			Seed:    uint64(i),
-			Drop:    simnet.UniformDrop(0.3),
 			Latency: simnet.ExponentialLatency(3),
+			Policy:  faults.NewInjector(faults.Spec{Drop: 0.3}, uint64(i)^0x5fa715ca11edc0de),
 		})
 		stats, err := runner.Run(reliable.Handlers(eps))
 		if err != nil {

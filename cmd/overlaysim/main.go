@@ -375,21 +375,13 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 				// the reliable/detector wrapping stays transparent to it.
 				ropts.Admitter = lid.NewGreedyAdmitter(sys, tbl, nodes, opts.sched)
 			}
-			// The sampler closes over the runner (for the cumulative send
-			// totals), which does not exist until after the options are
-			// final — hence the two-step wiring, mirroring RunEventProbed.
-			var runner *simnet.Runner
 			if opts.probeInterval > 0 {
 				optimum := matching.LIC(sys, tbl).Weight(sys)
-				sampler := lid.StabilitySampler(sys, tbl, nodes, func() (int64, int64) {
-					return runner.SentTotals()
-				})
-				prober = obs.NewProber(probeReg, opts.probeInterval, g.NumEdges(), optimum, sampler)
-				ropts.Probe = prober.Probe
-				ropts.ProbeInterval = opts.probeInterval
+				prober = obs.NewProber(probeReg, opts.probeInterval, g.NumEdges(), optimum,
+					obs.StabilitySampler(sys, tbl, func(u, v graph.NodeID) bool { return nodes[u].LockedWith(v) }))
+				ropts.Prober = prober
 			}
-			runner = simnet.NewRunner(g.NumNodes(), ropts)
-			tr = runner
+			tr = simnet.NewRunner(g.NumNodes(), ropts)
 		case "goroutine", "udp":
 			// A transport.Cluster: one goroutine per node, every message
 			// an encoded frame, handed over in process or, on udp, sent

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 
+	"overlaymatch/internal/faults"
 	"overlaymatch/internal/gen"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/reliable"
@@ -57,10 +58,11 @@ func main() {
 		handlers[id] = n
 	}
 	eps := reliable.Wrap(handlers, 10, 0)
+	// The loss is a link policy with its own seeded coin stream.
 	runner := simnet.NewRunner(numPeers, simnet.Options{
 		Seed:    5,
-		Drop:    simnet.UniformDrop(lossRate),
 		Latency: simnet.ExponentialLatency(1.5),
+		Policy:  faults.NewInjector(faults.Spec{Drop: lossRate}, 6),
 	})
 	stats, err := runner.Run(reliable.Handlers(eps))
 	if err != nil {

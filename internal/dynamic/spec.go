@@ -70,17 +70,19 @@ func (s ChurnSpec) Validate() error {
 }
 
 // ParseChurnSpec parses the grammar above; absent keys take their
-// documented defaults.
+// documented defaults. Each key may appear once, and empty clauses are
+// rejected.
 func ParseChurnSpec(in string) (ChurnSpec, error) {
 	s := strings.TrimSpace(in)
 	if s == "" || s == "off" {
 		return ChurnSpec{}, nil
 	}
 	spec := ChurnSpec{LeaveProb: 0.5, MinAlive: 2, Rate: 1}
+	seen := make(map[string]bool)
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
-			continue
+			return ChurnSpec{}, fmt.Errorf("dynamic: empty clause in churn spec %q", in)
 		}
 		key, val, found := strings.Cut(part, "=")
 		if !found {
@@ -88,6 +90,10 @@ func ParseChurnSpec(in string) (ChurnSpec, error) {
 		}
 		key = strings.TrimSpace(key)
 		val = strings.TrimSpace(val)
+		if seen[key] {
+			return ChurnSpec{}, fmt.Errorf("dynamic: churn spec key %q repeated", key)
+		}
+		seen[key] = true
 		switch key {
 		case "events", "minalive":
 			n, err := strconv.Atoi(val)

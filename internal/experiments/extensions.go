@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"overlaymatch/internal/faults"
 	"overlaymatch/internal/lid"
 	"overlaymatch/internal/matching"
 	"overlaymatch/internal/phased"
@@ -16,9 +17,10 @@ import (
 )
 
 // E11LossyLinks: the paper assumes reliable links; E11 runs LID through
-// the ack/retransmit substrate (package reliable) over 0–50% message
-// loss and verifies the outcome still equals LIC, reporting the
-// transport overhead the assumption really costs.
+// the ack/retransmit substrate (package reliable) over 0–50% uniform
+// message loss (a faults.Spec{Drop: p} link policy) and verifies the
+// outcome still equals LIC, reporting the transport overhead the
+// assumption really costs.
 func E11LossyLinks(cfg Config) ([]*stats.Table, error) {
 	t := stats.NewTable("E11: LID over lossy links with the reliability substrate",
 		"loss", "runs", "equal to LIC", "frames sent", "retransmits", "dup suppressed", "rounds")
@@ -35,13 +37,18 @@ func E11LossyLinks(cfg Config) ([]*stats.Table, error) {
 			tbl := satisfaction.NewTable(sys)
 			nodes := lid.NewNodes(sys, tbl)
 			eps := reliable.WrapConfig(lid.Handlers(nodes), cfg.reliableConfig())
-			var drop simnet.DropFunc
+			// The loss coins come from the injector's own stream, salted
+			// as overlaysim salts its -faults-seed default: rng.New seeds
+			// both the Runner and the injector, so the bare seed would
+			// draw the drops from the latency stream.
+			seed := cfg.Seed + uint64(r) + uint64(loss*1000)
+			var policy simnet.LinkPolicy
 			if loss > 0 {
-				drop = simnet.UniformDrop(loss)
+				policy = faults.NewInjector(faults.Spec{Drop: loss}, seed^0x5fa715ca11edc0de)
 			}
 			runner := simnet.NewRunner(sys.Graph().NumNodes(), simnet.Options{
-				Seed:    cfg.Seed + uint64(r) + uint64(loss*1000),
-				Drop:    drop,
+				Seed:    seed,
+				Policy:  policy,
 				Latency: simnet.ExponentialLatency(3),
 				Metrics: cfg.Metrics,
 			})

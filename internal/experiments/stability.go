@@ -76,8 +76,8 @@ func E17StabilityCurve(cfg Config) ([]*stats.Table, error) {
 			}
 		}
 
-		// The monotone-improving invariant, enforced (see the package
-		// comment of lid.StabilitySampler for why each piece holds).
+		// The monotone-improving invariant, enforced (see the doc
+		// comment of obs.StabilitySampler for why each piece holds).
 		bp := prober.Curve()
 		frac := reg.Series("probe_matched_weight_frac", "").Points()
 		for i := 1; i < len(bp); i++ {

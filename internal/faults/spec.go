@@ -27,8 +27,9 @@
 //     be removed without losing the failure.
 //
 // The adversary subsumes the earlier fault models: uniform loss (E11)
-// is Spec{Drop: p} under package reliable, churn (E14) is crash/join
-// at the protocol layer, and E15 sweeps the full mix.
+// is Spec{Drop: p} under package reliable (a link policy is the
+// simulator's only loss model), churn (E14) is crash/join at the
+// protocol layer, and E15 sweeps the full mix.
 package faults
 
 import (
@@ -213,16 +214,18 @@ func formatEnd(t float64) string {
 }
 
 // Parse builds a Spec from its string form: comma-separated key=value
-// fields. Keys: drop, dup, corrupt, delay, delayscale (floats);
-// partition=START:END:LO-HI and crash=START:END:NODE may repeat, END
-// may be "inf" for a window that never heals. "" and "off" are the
-// zero spec. The result is normalized (windows sorted) and validated.
+// fields. Keys: drop, dup, corrupt, delay, delayscale (floats, each at
+// most once); partition=START:END:LO-HI and crash=START:END:NODE may
+// repeat, END may be "inf" for a window that never heals. "" and "off"
+// are the zero spec. The result is normalized (windows sorted) and
+// validated.
 func Parse(in string) (Spec, error) {
 	var s Spec
 	in = strings.TrimSpace(in)
 	if in == "" || in == "off" {
 		return s, nil
 	}
+	seen := make(map[string]bool)
 	for _, field := range strings.Split(in, ",") {
 		field = strings.TrimSpace(field)
 		if field == "" {
@@ -234,6 +237,10 @@ func Parse(in string) (Spec, error) {
 		}
 		switch k {
 		case "drop", "dup", "corrupt", "delay", "delayscale":
+			if seen[k] {
+				return s, fmt.Errorf("faults: duplicate key %q", k)
+			}
+			seen[k] = true
 			f, err := strconv.ParseFloat(v, 64)
 			if err != nil {
 				return s, fmt.Errorf("faults: %s: %v", k, err)

@@ -78,6 +78,9 @@ func TestSpecParseErrors(t *testing.T) {
 		"crash=1:2:-4",        // negative node
 		"drop=0.1,,dup=0.1",   // empty field
 		"partition=NaN:2:0-3", // NaN start
+		"drop=0.1,drop=0.2",   // repeated scalar key
+		"dup=0.1,dup=0.1",     // repeated even when equal
+		"delayscale=2,delay=0.1,delayscale=3",
 	} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", in)

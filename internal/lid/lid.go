@@ -365,6 +365,12 @@ func (n *Node) Halted() bool { return n.halted }
 // lock order. The caller must not modify the result.
 func (n *Node) Locked() []graph.NodeID { return n.locked }
 
+// LockedWith reports whether this node has locked its connection to v.
+func (n *Node) LockedWith(v graph.NodeID) bool {
+	pos, ok := n.orderPos(v)
+	return ok && n.state[pos] == stLocked
+}
+
 // BuildMatching assembles the global matching from all nodes' locked
 // sets through matching.Assemble, which rejects any lock not held at
 // both endpoints — the paper's "this will happen in both endpoints" —

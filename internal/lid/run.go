@@ -3,6 +3,7 @@ package lid
 import (
 	"time"
 
+	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
 	"overlaymatch/internal/metrics"
 	"overlaymatch/internal/obs"
@@ -48,12 +49,13 @@ func RunEventScheduled(s *pref.System, tbl *satisfaction.Table, opts simnet.Opti
 }
 
 // RunEventProbed is RunEvent with the per-round stability prober
-// attached: every `interval` units of virtual time a StabilitySampler
-// measurement (blocking pairs, unmatched node mass, matched-weight
-// fraction of the LIC optimum, cumulative message/byte counters) is
-// appended to the probe_* series of reg, and the rounds-to-ε summary
-// gauges are published into reg when the run finishes. The returned
-// prober exposes the raw curve (Prober.Curve) and the summary
+// attached: every `interval` units of virtual time an
+// obs.StabilitySampler measurement over the nodes' locks (blocking
+// pairs, unmatched node mass, matched-weight fraction of the LIC
+// optimum, cumulative message/byte counters) is appended to the
+// probe_* series of reg, and the rounds-to-ε summary gauges are
+// published into reg when the run finishes. The returned prober
+// exposes the raw curve (Prober.Curve) and the summary
 // (Prober.RoundsToEps). Probing reads protocol state only — the run
 // itself is bit-identical to an unprobed RunEvent.
 func RunEventProbed(s *pref.System, tbl *satisfaction.Table, opts simnet.Options, interval float64, reg *metrics.Registry) (Result, *obs.Prober, error) {
@@ -66,18 +68,13 @@ func RunEventProbedScheduled(s *pref.System, tbl *satisfaction.Table, opts simne
 	nodes := NewNodes(s, tbl)
 	g := s.Graph()
 	optimum := matching.LIC(s, tbl).Weight(s)
-	var runner *simnet.Runner
-	sampler := StabilitySampler(s, tbl, nodes, func() (int64, int64) {
-		return runner.SentTotals()
-	})
-	prober := obs.NewProber(reg, interval, g.NumEdges(), optimum, sampler)
-	opts.Probe = prober.Probe
-	opts.ProbeInterval = interval
+	prober := obs.NewProber(reg, interval, g.NumEdges(), optimum,
+		obs.StabilitySampler(s, tbl, func(u, v graph.NodeID) bool { return nodes[u].LockedWith(v) }))
+	opts.Prober = prober
 	if spec.Greedy() {
 		opts.Admitter = NewGreedyAdmitter(s, tbl, nodes, spec)
 	}
-	runner = simnet.NewRunner(g.NumNodes(), opts)
-	stats, err := runner.Run(Handlers(nodes))
+	stats, err := simnet.NewRunner(g.NumNodes(), opts).Run(Handlers(nodes))
 	// The summary is published even when the run errored out (budget
 	// exhausted, non-termination): rungs the curve never reached carry
 	// the obs.NeverConverged sentinel, so a non-convergent run leaves

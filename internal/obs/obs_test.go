@@ -7,7 +7,10 @@ import (
 	"sync"
 	"testing"
 
+	"overlaymatch/internal/graph"
 	"overlaymatch/internal/metrics"
+	"overlaymatch/internal/pref"
+	"overlaymatch/internal/satisfaction"
 )
 
 // record builds a small fixed log: node 0 opens a wave, sends to 1,
@@ -184,11 +187,14 @@ func TestProberRoundsToEps(t *testing.T) {
 		i++
 		return s
 	})
-	for round := 0; round < len(curve); round++ {
-		p.Probe(float64(round))
+	for round, smp := range curve {
+		p.Probe(float64(round), smp.Msgs, smp.Bytes)
 	}
 	if pts := p.Curve(); len(pts) != 3 || pts[0].V != 40 || pts[2].V != 0 {
 		t.Fatalf("curve = %+v", pts)
+	}
+	if last := reg.Series("probe_bytes_sent", "").Last(); last.V != 1920 {
+		t.Fatalf("final bytes = %v, want the 1920 handed to Probe", last.V)
 	}
 	if last := reg.Series("probe_matched_weight_frac", "").Last(); last.V != 1 {
 		t.Fatalf("final weight fraction = %v, want 1", last.V)
@@ -210,16 +216,68 @@ func TestProberRoundsToEps(t *testing.T) {
 	p2 := NewProber(reg2, 1, 100, 0, func(float64) StabilitySample {
 		return StabilitySample{BlockingPairs: 50}
 	})
-	p2.Probe(0)
+	p2.Probe(0, 0, 0)
 	if got := p2.RoundsToEps([]float64{0}); got["0.000"] != -1 {
 		t.Fatalf("unconverged rounds-to-eps = %v, want -1", got["0.000"])
 	}
 
 	// Nil prober is inert.
 	var np *Prober
-	np.Probe(0)
+	np.Probe(0, 0, 0)
 	if np.Interval() != 0 || np.Curve() != nil || np.RoundsToEps(nil) != nil {
 		t.Fatal("nil prober not inert")
 	}
 	np.PublishSummary(reg, nil)
+}
+
+// TestStabilitySampler checks the sampler's definitions on a hand-built
+// star: hub 0 (quota 2) ranks leaves 1, 2, 3, 4 (quota 1 each) in that
+// order, and peer 5 is isolated with quota 0 (pref allows quota 0 only
+// on isolated peers). The eq.-9 weights follow the hub's list:
+//
+//	{0,1} = 3/2  >  {0,2} = 11/8  >  {0,3} = 5/4  >  {0,4} = 9/8
+func TestStabilitySampler(t *testing.T) {
+	star := []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4}}
+	g, err := graph.FromEdges(6, star)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists := [][]graph.NodeID{{1, 2, 3, 4}, {0}, {0}, {0}, {0}, nil}
+	s, err := pref.FromRanks(g, lists, []int{2, 1, 1, 1, 1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := map[[2]graph.NodeID]bool{}
+	set := func(pairs ...[2]graph.NodeID) {
+		clear(held)
+		for _, p := range pairs {
+			held[p] = true
+		}
+	}
+	sample := StabilitySampler(s, satisfaction.NewTable(s), func(u, v graph.NodeID) bool {
+		return held[[2]graph.NodeID{u, v}]
+	})
+
+	// 0 and 1 hold {0,1}; 0 alone holds {0,3}.
+	set([2]graph.NodeID{0, 1}, [2]graph.NodeID{1, 0}, [2]graph.NodeID{0, 3})
+	// Only {0,1} is matched: {0,3} adds no weight, and 3 holds nothing,
+	// so 2, 3, 4 and the quota-0 peer 5 are unmatched. {0,3} still fills
+	// the hub's quota and is its lightest connection, so the hub accepts
+	// {0,2} (heavier) but not {0,3} or {0,4}. 2 has free quota and
+	// accepts, so {0,2} is the one blocking pair.
+	want := StabilitySample{BlockingPairs: 1, UnmatchedNodes: 4, MatchedWeight: 1.5}
+	if got := sample(0); got != want {
+		t.Fatalf("hub holds {0,3} alone: got %+v, want %+v", got, want)
+	}
+
+	// 0 and 2 hold {0,2}; 4 alone holds {0,4}. The hub has free quota
+	// again, as do 1 and 3, so {0,1} and {0,3} block. {0,4} fills 4's
+	// quota, and 4 does not accept its own lightest connection, so
+	// {0,4} does not block; 4 is not unmatched. The first probe's
+	// counts must be gone.
+	set([2]graph.NodeID{0, 2}, [2]graph.NodeID{2, 0}, [2]graph.NodeID{4, 0})
+	want = StabilitySample{BlockingPairs: 2, UnmatchedNodes: 3, MatchedWeight: 1.375}
+	if got := sample(1); got != want {
+		t.Fatalf("leaf 4 holds {0,4} alone: got %+v, want %+v", got, want)
+	}
 }

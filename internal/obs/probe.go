@@ -4,28 +4,117 @@ import (
 	"fmt"
 	"sort"
 
+	"overlaymatch/internal/graph"
 	"overlaymatch/internal/metrics"
+	"overlaymatch/internal/pref"
+	"overlaymatch/internal/satisfaction"
 )
 
 // StabilitySample is one per-round stability measurement, produced by
-// a protocol-specific sampler (lid.StabilitySampler) and recorded by a
-// Prober. The fields mirror the stability scores of the p2p
-// matching-theory literature: blocking pairs (Floréen et al.'s
-// almost-stability measure), unmatched node mass, and the matched
-// weight the run has locked so far.
+// a StabilitySampler and recorded by a Prober. The fields mirror the
+// stability scores of the p2p matching-theory literature: blocking
+// pairs (Floréen et al.'s almost-stability measure), unmatched node
+// mass, and the matched weight the run has locked so far.
 type StabilitySample struct {
 	// BlockingPairs counts edges {u,v} outside the current matching
 	// where both endpoints would accept the other (free quota or a
 	// strict preference over their worst connection).
 	BlockingPairs int
-	// UnmatchedNodes counts nodes with zero locked connections.
+	// UnmatchedNodes counts nodes that hold no connection.
 	UnmatchedNodes int
-	// MatchedWeight is the total eq.-9 weight of locked connections.
+	// MatchedWeight is the total eq.-9 weight of matched edges.
 	MatchedWeight float64
 	// Msgs and Bytes are the cumulative network send totals at probe
 	// time, attributing traffic to the convergence phase it bought.
+	// The Prober fills them from the totals the runtime hands it.
 	Msgs  int64
 	Bytes int64
+}
+
+// StabilitySampler builds the per-round stability measurement for any
+// matching protocol. holds(u, v) reports whether node u currently
+// holds its connection to neighbor v — LID's locks, Gale–Shapley's
+// mutual engagements, a one-round baseline's mutual proposals — and
+// every measurement derives from that view alone:
+//
+//   - An edge counts as matched, and its eq.-9 weight is summed, once
+//     BOTH endpoints hold it.
+//   - A node is unmatched while it holds nothing.
+//   - {u,v} is a blocking pair if the edge is unmatched and each
+//     endpoint would accept the other: it holds fewer connections than
+//     its quota, or {u,v} has a strictly heavier WeightKey than the
+//     lightest connection it holds. A node with quota 0 accepts
+//     nothing. Preferences here are the eq.-9 weight order the
+//     protocols propose in (the shared strict total order of
+//     satisfaction.WeightKey), not the raw preference-list ranks — the
+//     paper's algorithms optimize weights, and only under the weight
+//     order is LID's final matching exactly stable.
+//
+// Under LID, with holds(u, v) = u locked {u,v}, every component is
+// provably monotone (the invariant experiment E17 enforces). Locks are
+// never revoked, so the matched set only grows and the matched weight
+// is non-decreasing. Acceptance can only flip true -> false (a node
+// below quota accepts everyone; at quota fill its locked set freezes
+// forever), and matching an edge only removes it, so the blocking-pair
+// count is non-increasing — and reaches 0 at termination: an edge left
+// unmatched by the locally-heaviest matching always has an endpoint
+// whose quota filled with strictly heavier edges.
+//
+// The sampler only reads protocol state through holds; it never
+// mutates it and never feeds back into the run (probed runs stay
+// bit-identical to unprobed ones). Its scratch buffers are reused
+// across probes, and it leaves Msgs and Bytes to the Prober.
+func StabilitySampler(s *pref.System, tbl *satisfaction.Table, holds func(u, v graph.NodeID) bool) func(t float64) StabilitySample {
+	g := s.Graph()
+	edges := g.Edges()
+	// held[u] counts u's held connections and lightest[u] is the
+	// WeightKey of the lightest one, meaningful only once held[u] > 0.
+	held := make([]int, g.NumNodes())
+	lightest := make([]satisfaction.WeightKey, g.NumNodes())
+	matched := make([]bool, len(edges))
+	hold := func(u graph.NodeID, k satisfaction.WeightKey) {
+		held[u]++
+		if held[u] == 1 || lightest[u].Heavier(k) {
+			lightest[u] = k
+		}
+	}
+	accepts := func(u graph.NodeID, k satisfaction.WeightKey) bool {
+		q := s.Quota(u)
+		return held[u] < q || (q > 0 && k.Heavier(lightest[u]))
+	}
+	return func(float64) StabilitySample {
+		var smp StabilitySample
+		clear(held)
+		for id, e := range edges {
+			k := tbl.KeyByID(graph.EdgeID(id))
+			hu, hv := holds(e.U, e.V), holds(e.V, e.U)
+			if hu {
+				hold(e.U, k)
+			}
+			if hv {
+				hold(e.V, k)
+			}
+			matched[id] = hu && hv
+			if matched[id] {
+				smp.MatchedWeight += satisfaction.EdgeWeight(s, e)
+			}
+		}
+		for _, h := range held {
+			if h == 0 {
+				smp.UnmatchedNodes++
+			}
+		}
+		for id, e := range edges {
+			if matched[id] {
+				continue
+			}
+			k := tbl.KeyByID(graph.EdgeID(id))
+			if accepts(e.U, k) && accepts(e.V, k) {
+				smp.BlockingPairs++
+			}
+		}
+		return smp
+	}
 }
 
 // Epsilons is the default ε ladder of the rounds-to-ε summary: the
@@ -54,8 +143,9 @@ func SummaryValue(m map[string]float64, eps float64) float64 {
 
 // Prober samples a stability sampler on a fixed virtual-time interval
 // and appends the results to metrics.Series instruments in a registry.
-// Plug Probe into simnet.Options.Probe / simnet.Options.ProbeInterval.
-// A nil *Prober is valid and inert, mirroring the Recorder contract.
+// Plug it into simnet.Options.Prober: the Runner calls Probe at every
+// multiple of Interval with its cumulative send totals. A nil *Prober
+// is valid and inert, mirroring the Recorder contract.
 type Prober struct {
 	interval  float64
 	edges     int
@@ -103,12 +193,15 @@ func (p *Prober) Interval() float64 {
 	return p.interval
 }
 
-// Probe takes one sample at virtual time t.
-func (p *Prober) Probe(t float64) {
+// Probe takes one sample at virtual time t. msgs and bytes are the
+// runtime's cumulative (messages, encoded frame bytes) send totals at
+// that moment, attributing traffic to the convergence phase it bought.
+func (p *Prober) Probe(t float64, msgs, bytes int64) {
 	if p == nil {
 		return
 	}
 	s := p.sample(t)
+	s.Msgs, s.Bytes = msgs, bytes
 	p.bp.Append(t, float64(s.BlockingPairs))
 	p.unmatched.Append(t, float64(s.UnmatchedNodes))
 	if p.optWeight > 0 {

@@ -127,10 +127,7 @@ func TestLinkDownEndToEnd(t *testing.T) {
 		NewEndpointConfig(sender, Config{RTO: 2, MaxRetries: 3, Adaptive: true}),
 		NewEndpointConfig(receiver, Config{RTO: 2, MaxRetries: 3, Adaptive: true}),
 	}
-	r := simnet.NewRunner(2, simnet.Options{
-		Seed: 3,
-		Drop: func(from, to int, _ *rng.Source) bool { return to == 1 },
-	})
+	r := simnet.NewRunner(2, simnet.Options{Seed: 3, Policy: deadLink(1)})
 	if _, err := r.Run(Handlers(eps)); err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +157,8 @@ func TestAdaptiveExactlyOnce(t *testing.T) {
 	eps := WrapConfig([]simnet.Handler{sender, receiver}, Config{RTO: 5, Adaptive: true})
 	r := simnet.NewRunner(2, simnet.Options{
 		Seed:    7,
-		Drop:    simnet.UniformDrop(0.4),
 		Latency: simnet.ExponentialLatency(2),
+		Policy:  uniformLoss{p: 0.4, src: rng.New(8)},
 	})
 	if _, err := r.Run(Handlers(eps)); err != nil {
 		t.Fatal(err)

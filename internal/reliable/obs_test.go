@@ -22,8 +22,8 @@ func TestRetxSpansBalanced(t *testing.T) {
 	rec := obs.NewRecorder(2)
 	r := simnet.NewRunner(2, simnet.Options{
 		Seed:    7,
-		Drop:    simnet.UniformDrop(0.4),
 		Latency: simnet.ExponentialLatency(2),
+		Policy:  uniformLoss{p: 0.4, src: rng.New(8)},
 		Obs:     rec,
 	})
 	if _, err := r.Run(Handlers(eps)); err != nil {
@@ -75,11 +75,7 @@ func TestRetxSpanAbandonClosed(t *testing.T) {
 	receiver := &counterHandler{n: 0}
 	eps := Wrap([]simnet.Handler{sender, receiver}, 2, 3)
 	rec := obs.NewRecorder(2)
-	r := simnet.NewRunner(2, simnet.Options{
-		Seed: 3,
-		Drop: func(from, to int, _ *rng.Source) bool { return to == 1 },
-		Obs:  rec,
-	})
+	r := simnet.NewRunner(2, simnet.Options{Seed: 3, Policy: deadLink(1), Obs: rec})
 	if _, err := r.Run(Handlers(eps)); err != nil {
 		t.Fatal(err)
 	}

@@ -50,6 +50,25 @@ func (h *counterHandler) HandleMessage(ctx simnet.Context, from int, msg simnet.
 	}
 }
 
+// uniformLoss is a test link policy dropping every send independently
+// with probability p, drawing its coins from its own stream. (The
+// standard policy, package faults, imports this package.)
+type uniformLoss struct {
+	p   float64
+	src *rng.Source
+}
+
+func (l uniformLoss) Verdict(float64, int, int, simnet.Message) simnet.LinkVerdict {
+	return simnet.LinkVerdict{Drop: l.src.Bool(l.p)}
+}
+
+// deadLink is a test link policy dropping every send to one node.
+type deadLink int
+
+func (d deadLink) Verdict(_ float64, _, to int, _ simnet.Message) simnet.LinkVerdict {
+	return simnet.LinkVerdict{Drop: to == int(d)}
+}
+
 func TestExactlyOnceUnderHeavyLoss(t *testing.T) {
 	const msgs = 100
 	sender := &counterHandler{want: msgs}
@@ -57,8 +76,8 @@ func TestExactlyOnceUnderHeavyLoss(t *testing.T) {
 	eps := Wrap([]simnet.Handler{sender, receiver}, 5, 0)
 	r := simnet.NewRunner(2, simnet.Options{
 		Seed:    7,
-		Drop:    simnet.UniformDrop(0.4),
 		Latency: simnet.ExponentialLatency(2),
+		Policy:  uniformLoss{p: 0.4, src: rng.New(8)},
 	})
 	stats, err := r.Run(Handlers(eps))
 	if err != nil {
@@ -73,7 +92,7 @@ func TestExactlyOnceUnderHeavyLoss(t *testing.T) {
 		}
 	}
 	if TotalRetransmits(eps) == 0 {
-		t.Fatal("40%% loss but zero retransmissions — loss model inert?")
+		t.Fatal("40%% loss but zero retransmissions — loss policy inert?")
 	}
 	if stats.Dropped == 0 {
 		t.Fatal("no drops recorded")
@@ -158,15 +177,12 @@ func TestSpuriousRetransmitsAreSuppressed(t *testing.T) {
 }
 
 func TestMaxRetriesAbandons(t *testing.T) {
-	// 100% of messages to node 1 dropped via a directional drop func;
+	// 100% of messages to node 1 dropped via a directional policy;
 	// with maxRetries=3 the sender abandons and still halts.
 	sender := &counterHandler{want: 5}
 	receiver := &counterHandler{n: 0} // halts immediately
 	eps := Wrap([]simnet.Handler{sender, receiver}, 2, 3)
-	r := simnet.NewRunner(2, simnet.Options{
-		Seed: 3,
-		Drop: func(from, to int, _ *rng.Source) bool { return to == 1 },
-	})
+	r := simnet.NewRunner(2, simnet.Options{Seed: 3, Policy: deadLink(1)})
 	if _, err := r.Run(Handlers(eps)); err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +215,8 @@ func lidOverLossy(tb testing.TB, seed uint64, n int, dropP float64) (*matching.M
 	eps := Wrap(lid.Handlers(nodes), 25, 0)
 	r := simnet.NewRunner(g.NumNodes(), simnet.Options{
 		Seed:    seed*2654435761 + 1,
-		Drop:    simnet.UniformDrop(dropP),
 		Latency: simnet.ExponentialLatency(3),
+		Policy:  uniformLoss{p: dropP, src: rng.New(seed*2654435761 + 2)},
 	})
 	stats, err := r.Run(Handlers(eps))
 	if err != nil {

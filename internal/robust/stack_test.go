@@ -3,6 +3,7 @@ package robust
 import (
 	"testing"
 
+	"overlaymatch/internal/faults"
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
 	"overlaymatch/internal/pref"
@@ -46,16 +47,11 @@ func runStack(t *testing.T, seed uint64, dropP float64, adversaries map[graph.No
 		handlers[id] = n
 	}
 	eps := reliable.Wrap(handlers, 8, 0)
-	var drop simnet.DropFunc
+	opts := simnet.Options{Seed: seed + 1, Latency: simnet.ExponentialLatency(1)}
 	if dropP > 0 {
-		drop = simnet.UniformDrop(dropP)
+		opts.Policy = faults.NewInjector(faults.Spec{Drop: dropP}, opts.Seed^0x5fa715ca11edc0de)
 	}
-	runner := simnet.NewRunner(20, simnet.Options{
-		Seed:    seed + 1,
-		Drop:    drop,
-		Latency: simnet.ExponentialLatency(1),
-	})
-	stats, err := runner.Run(reliable.Handlers(eps))
+	stats, err := simnet.NewRunner(20, opts).Run(reliable.Handlers(eps))
 	if err != nil {
 		t.Fatalf("hardened stack failed: %v", err)
 	}
@@ -95,7 +91,7 @@ func TestHardenedStackLossOnly(t *testing.T) {
 			t.Fatalf("seed %d: no retransmissions at 30%% loss", seed)
 		}
 		if stats.Dropped == 0 {
-			t.Fatalf("seed %d: loss model inert", seed)
+			t.Fatalf("seed %d: loss policy inert", seed)
 		}
 		// No honest timeout should have fired: reliability made every
 		// answer arrive eventually, well within the generous timeout.

@@ -32,7 +32,7 @@ func newInstruments(n int) *instruments {
 	return &instruments{
 		reg:            reg,
 		deliveries:     reg.Counter("simnet_deliveries_total", "network messages delivered"),
-		dropped:        reg.Counter("simnet_dropped_total", "messages lost by the loss model"),
+		dropped:        reg.Counter("simnet_dropped_total", "messages dropped by the link policy"),
 		timersFired:    reg.Counter("simnet_timers_fired_total", "local timer deliveries"),
 		timersStopped:  reg.Counter("simnet_timers_stopped_total", "timers stopped before delivery"),
 		sent:           reg.Family("simnet_sent_total", "messages sent by protocol kind", "kind"),

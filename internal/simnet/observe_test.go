@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"overlaymatch/internal/metrics"
 	"overlaymatch/internal/obs"
 )
 
@@ -64,20 +65,31 @@ func TestRunnerObserverDeterministic(t *testing.T) {
 	}
 }
 
+// timeRecorder returns a prober, sampling every interval, whose
+// sampler appends each probe time to *times.
+func timeRecorder(interval float64, times *[]float64) *obs.Prober {
+	return obs.NewProber(metrics.New(), interval, 0, 0, func(tm float64) obs.StabilitySample {
+		*times = append(*times, tm)
+		return obs.StabilitySample{}
+	})
+}
+
+// chainHandlers builds the chain protocol for n nodes.
+func chainHandlers(n int) []Handler {
+	hs := make([]Handler, n)
+	for i := range hs {
+		hs[i] = chainHandler{n: n}
+	}
+	return hs
+}
+
 func TestRunnerProbeSchedule(t *testing.T) {
 	// chainHandler (simnet_test.go) delivers one hop per unit-latency
 	// round: deliveries at t = 1, 2, 3, 4 for n = 5.
 	const n = 5
 	var times []float64
-	hs := make([]Handler, n)
-	for i := range hs {
-		hs[i] = chainHandler{n: n}
-	}
-	r := NewRunner(n, Options{
-		Seed:          1,
-		Probe:         func(tm float64) { times = append(times, tm) },
-		ProbeInterval: 1,
-	})
+	hs := chainHandlers(n)
+	r := NewRunner(n, Options{Seed: 1, Prober: timeRecorder(1, &times)})
 	if _, err := r.Run(hs); err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +116,8 @@ func TestRunnerProbeTickAligned(t *testing.T) {
 	const n = 5
 	for _, interval := range []float64{0.1, 0.25, 0.2} {
 		var times []float64
-		hs := make([]Handler, n)
-		for i := range hs {
-			hs[i] = chainHandler{n: n}
-		}
-		r := NewRunner(n, Options{
-			Seed:          1,
-			Probe:         func(tm float64) { times = append(times, tm) },
-			ProbeInterval: interval,
-		})
+		hs := chainHandlers(n)
+		r := NewRunner(n, Options{Seed: 1, Prober: timeRecorder(interval, &times)})
 		if _, err := r.Run(hs); err != nil {
 			t.Fatal(err)
 		}
@@ -131,6 +136,41 @@ func TestRunnerProbeTickAligned(t *testing.T) {
 		if len(times) != wantLen {
 			t.Fatalf("interval %v: %d probes %v, want %d (one per tick, no drift duplicates)",
 				interval, len(times), times, wantLen)
+		}
+	}
+}
+
+// TestRunnerProberTotals: at every probe the Runner hands the prober
+// exactly the send totals SentTotals reports at that moment.
+func TestRunnerProberTotals(t *testing.T) {
+	const n = 5
+	reg := metrics.New()
+	var r *Runner
+	var want [][2]int64
+	prober := obs.NewProber(reg, 1, 0, 0, func(float64) obs.StabilitySample {
+		m, b := r.SentTotals()
+		want = append(want, [2]int64{m, b})
+		return obs.StabilitySample{}
+	})
+	r = NewRunner(n, Options{Seed: 1, Prober: prober})
+	if _, err := r.Run(chainHandlers(n)); err != nil {
+		t.Fatal(err)
+	}
+	msgPts := reg.Series("probe_msgs_sent", "").Points()
+	bytePts := reg.Series("probe_bytes_sent", "").Points()
+	if len(want) != 5 || len(msgPts) != len(want) || len(bytePts) != len(want) {
+		t.Fatalf("%d samples, %d msgs points, %d bytes points, want 5 each", len(want), len(msgPts), len(bytePts))
+	}
+	for i, w := range want {
+		if msgPts[i].V != float64(w[0]) || bytePts[i].V != float64(w[1]) {
+			t.Fatalf("probe %d recorded (%v, %v), SentTotals said %v", i, msgPts[i].V, bytePts[i].V, w)
+		}
+	}
+	// One 8-byte Raw frame per hop: after round k the chain has sent
+	// k+1 frames, and the drain sample sees the final four.
+	for i, m := range []int64{1, 2, 3, 4, 4} {
+		if want[i] != [2]int64{m, 8 * m} {
+			t.Fatalf("probe totals %v, want msgs 1 2 3 4 4 at 8 bytes each", want)
 		}
 	}
 }

@@ -5,7 +5,7 @@ package simnet
 type LinkVerdict struct {
 	// Drop loses the message entirely. The paper's model assumes
 	// reliable links; package reliable restores delivery on top of a
-	// dropping policy, exactly as it does for Options.Drop.
+	// dropping policy.
 	Drop bool
 	// Copies is the number of EXTRA deliveries beyond the first
 	// (duplication). Each copy draws its own link latency, so copies

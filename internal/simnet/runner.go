@@ -37,10 +37,6 @@ func UniformLatency(lo, hi float64) LatencyFunc {
 	}
 }
 
-// DropFunc decides whether one message from -> to is lost in transit.
-// Timers are never dropped.
-type DropFunc func(from, to int, src *rng.Source) bool
-
 // Admitter schedules node initialization in batches instead of the
 // default all-at-time-0 sweep. The Runner calls NextBatch once before
 // any delivery (the batch is initialized at time 0, in the returned
@@ -54,30 +50,21 @@ type Admitter interface {
 	NextBatch() []int
 }
 
-// UniformDrop loses every message independently with probability p.
-func UniformDrop(p float64) DropFunc {
-	if p < 0 || p >= 1 {
-		panic("simnet: UniformDrop needs 0 <= p < 1")
-	}
-	return func(_, _ int, src *rng.Source) bool { return src.Bool(p) }
-}
-
 // Options configures a Runner.
 type Options struct {
-	// Seed drives all randomness (latency jitter, drops). Runs with
-	// equal seeds and workloads are identical.
+	// Seed drives the Runner's own randomness, the latency jitter. Runs
+	// with equal seeds and workloads are identical.
 	Seed uint64
 	// Latency models per-message delay; nil means UnitLatency.
 	Latency LatencyFunc
-	// Drop models message loss; nil means a lossless network. The
-	// paper's model assumes reliable links — package reliable restores
-	// that assumption on top of a lossy Drop.
-	Drop DropFunc
-	// Policy, if non-nil, is the deterministic fault-injection hook:
+	// Policy, if non-nil, is the network's only loss and fault model:
 	// every network send is submitted to it and the verdict
 	// (drop/duplicate/extra-delay/corrupt) is applied on top of the
-	// Latency and Drop models. Package faults provides the standard
-	// implementation. Timers bypass the policy.
+	// Latency model. nil means a lossless network, the paper's model;
+	// package reliable restores that assumption on top of a dropping
+	// policy. Package faults provides the standard implementation
+	// (uniform loss p is faults.Spec{Drop: p}). Timers bypass the
+	// policy.
 	Policy LinkPolicy
 	// MaxDeliveries aborts a run that exceeds this many deliveries
 	// (default 0 = no limit); the guard the non-termination tests use.
@@ -99,14 +86,14 @@ type Options struct {
 	// layers through the Observable context capability. nil costs one
 	// branch per event.
 	Obs *obs.Recorder
-	// Probe, together with a positive ProbeInterval, installs the
-	// per-round stability probe: the run loop invokes Probe(t) at
-	// every multiple t of ProbeInterval, after all events strictly
-	// before t have been processed (plus once more after the queue
-	// drains), so a probe at t sees the state "after round t". Probes
-	// observe protocol state but must not mutate it.
-	Probe         func(t float64)
-	ProbeInterval float64
+	// Prober, if non-nil, is the per-round stability probe: the run
+	// loop calls Prober.Probe at every multiple t of Prober.Interval(),
+	// after all events strictly before t have been processed (plus
+	// once more after the queue drains), so a probe at t sees the state
+	// "after round t". Each call carries the run's cumulative send
+	// totals (SentTotals). Probes observe protocol state but must not
+	// mutate it.
+	Prober *obs.Prober
 	// Admitter, if non-nil, batches node initialization: only released
 	// nodes run Init, and further batches are released whenever the
 	// event queue drains. nil keeps the canonical all-at-time-0 sweep.
@@ -218,9 +205,8 @@ func NewRunner(n int, opts Options) *Runner {
 func (r *Runner) Metrics() *metrics.Registry { return r.ins.reg }
 
 // SentTotals returns the cumulative (messages, bytes) send counters,
-// bytes being encoded frame lengths, header included — safe to call
-// from an Options.Probe callback to attribute traffic to convergence
-// phases.
+// bytes being encoded frame lengths, header included — the totals
+// Options.Prober receives at every probe.
 func (r *Runner) SentTotals() (msgs, bytes int64) { return r.ins.sentTotals() }
 
 // runnerCtx implements Context for one delivery.
@@ -252,14 +238,10 @@ func (c *runnerCtx) Send(to int, msg Message) {
 	}
 	kind := KindOf(msg)
 	r.ins.countSend(c.id, kind, len(r.frame))
-	// The send is recorded (and the clock ticked) before the loss
-	// model, matching the sent counters: a dropped message was still
+	// The send is recorded (and the clock ticked) before the link
+	// policy, matching the sent counters: a dropped message was still
 	// sent, and its stamp documents the causal gap.
 	lam := r.opts.Obs.Send(c.id, to, kind, c.time)
-	if r.opts.Drop != nil && r.opts.Drop(c.id, to, r.src) {
-		r.ins.dropped.Inc()
-		return
-	}
 	copies := 1
 	extra := 0.0
 	if r.opts.Policy != nil {
@@ -293,8 +275,8 @@ func (c *runnerCtx) Send(to int, msg Message) {
 }
 
 // SetTimer implements TimerSetter: deliver msg back to this node after
-// delay time units. Timers are exempt from the loss model and from the
-// network message statistics.
+// delay time units. Timers are exempt from the link policy and from
+// the network message statistics.
 func (c *runnerCtx) SetTimer(delay float64, msg Message) {
 	if delay <= 0 {
 		panic("simnet: SetTimer needs a positive delay")
@@ -371,7 +353,7 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 	// the atomic read path.
 	ctx := &runnerCtx{r: r}
 	delivered := 0
-	probing := r.opts.Probe != nil && r.opts.ProbeInterval > 0
+	interval := r.opts.Prober.Interval()
 	// Probe times are tick-aligned — float64(tick) * interval — instead
 	// of accumulated by repeated addition: summing a non-dyadic interval
 	// (0.1, 0.25·1.1, ...) drifts off the grid within a handful of
@@ -379,7 +361,12 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 	// sample where ten belong) and every later probe time carries the
 	// accumulated error.
 	probeTick := 0
-	nextProbe := func() float64 { return float64(probeTick) * r.opts.ProbeInterval }
+	nextProbe := func() float64 { return float64(probeTick) * interval }
+	probe := func() {
+		msgs, bytes := r.ins.sentTotals()
+		r.opts.Prober.Probe(nextProbe(), msgs, bytes)
+		probeTick++
+	}
 	lastTime := 0.0
 	for {
 		for len(r.queue) > 0 {
@@ -399,13 +386,12 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 				return r.ins.stats(), fmt.Errorf("simnet: exceeded %d deliveries", r.opts.MaxDeliveries)
 			}
 			delivered++
-			if probing {
+			if interval > 0 {
 				// A probe at t fires once every event strictly before t is
 				// processed: with unit latency, probe k reports the state
 				// after round k.
 				for nextProbe() < e.time {
-					r.opts.Probe(nextProbe())
-					probeTick++
+					probe()
 				}
 			}
 			if e.timer {
@@ -436,10 +422,10 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 			break
 		}
 	}
-	if probing {
+	if interval > 0 {
 		// Final sample at the next round boundary: the end state of the
 		// run, after the last delivery.
-		r.opts.Probe(nextProbe())
+		probe()
 	}
 	if !r.opts.Quiesce {
 		for id, h := range r.halted {

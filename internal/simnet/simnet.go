@@ -79,8 +79,8 @@ type Stats struct {
 	FinalTime float64
 	// Deliveries is the total number of delivered messages.
 	Deliveries int
-	// Dropped counts messages lost by the loss model or a link policy
-	// (on a transport.Cluster, also frames discarded on receipt).
+	// Dropped counts messages dropped by the link policy (on a
+	// transport.Cluster, also frames discarded on receipt).
 	Dropped int
 	// TimersFired counts local timer deliveries.
 	TimersFired int

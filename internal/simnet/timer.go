@@ -6,7 +6,7 @@ package simnet
 // local timers. A timer is delivered back to the node that set it as a
 // HandleMessage call with from == the node's own ID and the token as
 // the message; timers are local events and are never dropped by the
-// loss model.
+// link policy.
 //
 // A timer can be stopped. The stop handle rides on the token, not on
 // the Context: a token that carries a *Timer (see StoppableToken) is

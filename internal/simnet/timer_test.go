@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"overlaymatch/internal/rng"
 )
 
 // timerToken marks timer deliveries in the tests.
@@ -69,9 +71,27 @@ func TestSetTimerPanicsOnBadDelay(t *testing.T) {
 	_, _ = r.Run([]Handler{bad})
 }
 
+// uniformLoss is a test link policy dropping each send independently
+// with probability p, from its own coin stream.
+type uniformLoss struct {
+	p   float64
+	src *rng.Source
+}
+
+func (l uniformLoss) Verdict(float64, int, int, Message) LinkVerdict {
+	return LinkVerdict{Drop: l.src.Bool(l.p)}
+}
+
+// dropAll is a test link policy losing every send.
+type dropAll struct{}
+
+func (dropAll) Verdict(float64, int, int, Message) LinkVerdict { return LinkVerdict{Drop: true} }
+
 func TestUniformDropLosesMessages(t *testing.T) {
-	// Node 0 sends 200 messages to node 1; with p=0.5 roughly half are
-	// dropped. Node 1 halts at Init (it may receive afterwards).
+	// Node 0 sends 200 messages to node 1 through a policy losing each
+	// with p=0.5: the Runner counts every send, counts roughly half as
+	// dropped and delivers the rest. Node 1 halts at Init (it may
+	// receive afterwards).
 	sender := handlerFunc{
 		init: func(ctx Context) {
 			for i := 0; i < 200; i++ {
@@ -81,7 +101,7 @@ func TestUniformDropLosesMessages(t *testing.T) {
 		},
 	}
 	receiver := handlerFunc{init: func(ctx Context) { ctx.Halt() }}
-	r := NewRunner(2, Options{Seed: 3, Drop: UniformDrop(0.5)})
+	r := NewRunner(2, Options{Seed: 3, Policy: uniformLoss{p: 0.5, src: rng.New(4)}})
 	stats, err := r.Run([]Handler{sender, receiver})
 	if err != nil {
 		t.Fatal(err)
@@ -98,25 +118,15 @@ func TestUniformDropLosesMessages(t *testing.T) {
 	if stats.Dropped < 60 || stats.Dropped > 140 {
 		t.Fatalf("dropped = %d, implausible for p=0.5", stats.Dropped)
 	}
-}
-
-func TestUniformDropValidation(t *testing.T) {
-	for _, p := range []float64{-0.1, 1.0, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("UniformDrop(%v) should panic", p)
-				}
-			}()
-			UniformDrop(p)
-		}()
+	if got := r.Metrics().Counter("simnet_dropped_total", "").Value(); got != int64(stats.Dropped) {
+		t.Fatalf("simnet_dropped_total = %d, want %d", got, stats.Dropped)
 	}
 }
 
 func TestTimersNotDropped(t *testing.T) {
-	// Even with 90% loss, timers always fire.
+	// Even when the link policy drops every send, timers always fire.
 	h := &timedHandler{}
-	r := NewRunner(1, Options{Seed: 1, Drop: UniformDrop(0.9)})
+	r := NewRunner(1, Options{Seed: 1, Policy: dropAll{}})
 	stats, err := r.Run([]Handler{h})
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +180,7 @@ func (a *batchAdmitter) NextBatch() []int {
 func TestRunnerStoppedTimerVanishes(t *testing.T) {
 	long := stopToken{n: 1, t: new(Timer)}
 	var probes []float64
+	prober := timeRecorder(1, &probes)
 	admittedAt := -1.0
 	node0 := handlerFunc{
 		init: func(ctx Context) {
@@ -198,8 +209,7 @@ func TestRunnerStoppedTimerVanishes(t *testing.T) {
 		Seed:          1,
 		MaxDeliveries: 1,
 		Admitter:      &batchAdmitter{batches: [][]int{{0}, {1}}},
-		Probe:         func(at float64) { probes = append(probes, at) },
-		ProbeInterval: 1,
+		Prober:        prober,
 	})
 	stats, err := r.Run([]Handler{node0, node1})
 	if err != nil {

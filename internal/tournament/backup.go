@@ -110,15 +110,12 @@ func (BackupPlacement) Run(s *pref.System, tbl *satisfaction.Table, opts Options
 		handlers[id] = nodes[id]
 	}
 	matched := func(u, v graph.NodeID) bool { return nodes[u].linked(v) && nodes[v].linked(u) }
-	var runner *simnet.Runner
-	sampler := stabilitySampler(s, tbl, matched,
-		func() (int64, int64) { return runner.SentTotals() })
-	prober := obs.NewProber(opts.Registry, opts.interval(), g.NumEdges(), opts.OptWeight, sampler)
-	runner = simnet.NewRunner(g.NumNodes(), simnet.Options{
-		Seed:          opts.Seed,
-		Policy:        opts.policy(),
-		Probe:         prober.Probe,
-		ProbeInterval: opts.interval(),
+	prober := obs.NewProber(opts.Registry, opts.interval(), g.NumEdges(), opts.OptWeight,
+		obs.StabilitySampler(s, tbl, matched))
+	runner := simnet.NewRunner(g.NumNodes(), simnet.Options{
+		Seed:   opts.Seed,
+		Policy: opts.policy(),
+		Prober: prober,
 	})
 	// One round has no replacement waves to resynchronize, so the
 	// reliable wrap simply re-delivers proposals a crash window ate —
@@ -128,11 +125,17 @@ func (BackupPlacement) Run(s *pref.System, tbl *satisfaction.Table, opts Options
 		return Outcome{Stats: stats, Prober: prober}, err
 	}
 	prober.PublishSummary(opts.Registry, nil)
-	m := matching.NewDense(g)
-	for _, e := range g.Edges() {
-		if matched(e.U, e.V) {
-			m.Add(e.U, e.V)
+	m, err := matching.Assemble(s, func(id graph.NodeID) []graph.NodeID {
+		var partners []graph.NodeID
+		for _, v := range nodes[id].order {
+			if matched(id, v) {
+				partners = append(partners, v)
+			}
 		}
+		return partners
+	})
+	if err != nil {
+		return Outcome{Stats: stats, Prober: prober}, fmt.Errorf("tournament: bp %w", err)
 	}
 	return Outcome{Matching: m, Stats: stats, Prober: prober}, nil
 }

@@ -430,15 +430,16 @@ func (GaleShapley) Run(s *pref.System, tbl *satisfaction.Table, opts Options) (O
 		nodes[id] = newGSNode(s, tbl, id)
 		handlers[id] = nodes[id]
 	}
-	var runner *simnet.Runner
-	sampler := stabilitySampler(s, tbl,
-		func(u, v graph.NodeID) bool { return nodes[u].engagedWith(v) && nodes[v].engagedWith(u) },
-		func() (int64, int64) { return runner.SentTotals() })
-	prober := obs.NewProber(opts.Registry, opts.interval(), g.NumEdges(), opts.OptWeight, sampler)
-	runner = simnet.NewRunner(g.NumNodes(), simnet.Options{
-		Seed:          opts.Seed,
-		Probe:         prober.Probe,
-		ProbeInterval: opts.interval(),
+	// The sampler's view is mutual engagement, the view E18's GS
+	// columns are measured on: an engagement still one-sided holds
+	// nothing yet.
+	prober := obs.NewProber(opts.Registry, opts.interval(), g.NumEdges(), opts.OptWeight,
+		obs.StabilitySampler(s, tbl, func(u, v graph.NodeID) bool {
+			return nodes[u].engagedWith(v) && nodes[v].engagedWith(u)
+		}))
+	runner := simnet.NewRunner(g.NumNodes(), simnet.Options{
+		Seed:   opts.Seed,
+		Prober: prober,
 		// Termination is enforced by the settling argument (the
 		// heaviest unsettled edge settles in bounded time); the cap
 		// turns a bug into an error instead of a hang.

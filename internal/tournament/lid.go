@@ -1,6 +1,7 @@
 package tournament
 
 import (
+	"overlaymatch/internal/graph"
 	"overlaymatch/internal/lid"
 	"overlaymatch/internal/obs"
 	"overlaymatch/internal/pref"
@@ -29,16 +30,12 @@ func (LID) Run(s *pref.System, tbl *satisfaction.Table, opts Options) (Outcome, 
 	// frame in flight; bare LID would wedge on the loss).
 	g := s.Graph()
 	nodes := lid.NewNodes(s, tbl)
-	var runner *simnet.Runner
-	sampler := lid.StabilitySampler(s, tbl, nodes, func() (int64, int64) {
-		return runner.SentTotals()
-	})
-	prober := obs.NewProber(opts.Registry, opts.interval(), g.NumEdges(), opts.OptWeight, sampler)
-	runner = simnet.NewRunner(g.NumNodes(), simnet.Options{
-		Seed:          opts.Seed,
-		Policy:        opts.policy(),
-		Probe:         prober.Probe,
-		ProbeInterval: opts.interval(),
+	prober := obs.NewProber(opts.Registry, opts.interval(), g.NumEdges(), opts.OptWeight,
+		obs.StabilitySampler(s, tbl, func(u, v graph.NodeID) bool { return nodes[u].LockedWith(v) }))
+	runner := simnet.NewRunner(g.NumNodes(), simnet.Options{
+		Seed:   opts.Seed,
+		Policy: opts.policy(),
+		Prober: prober,
 	})
 	stats, err := runner.Run(opts.wrapReliable(lid.Handlers(nodes)))
 	if err != nil {

@@ -260,9 +260,10 @@ func TestInstanceSeedStable(t *testing.T) {
 	}
 }
 
-// TestSamplerMatchesLIDSampler: on a probed LID run, the generic
+// TestSamplerMatchesLIDSampler: on a probed LID run, the stability
 // sampler fed with the final matching must agree with the cell's final
-// probe — same blocking pairs (zero), same matched weight.
+// probe over the nodes' locks — same blocking pairs (zero), same
+// matched weight.
 func TestSamplerMatchesLIDSampler(t *testing.T) {
 	inst, err := workload.Build(workload.Spec{Family: "hetero", N: 64}, 9, 1)
 	if err != nil {
@@ -273,13 +274,13 @@ func TestSamplerMatchesLIDSampler(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := satisfaction.NewTable(inst.System)
-	sampler := stabilitySampler(inst.System, tbl, out.Matching.Has, nil)
+	sampler := obs.StabilitySampler(inst.System, tbl, out.Matching.Has)
 	smp := sampler(0)
 	if smp.BlockingPairs != cell.BlockingPairs {
-		t.Fatalf("generic sampler found %d blocking pairs, cell %d", smp.BlockingPairs, cell.BlockingPairs)
+		t.Fatalf("sampler over the matching found %d blocking pairs, cell %d", smp.BlockingPairs, cell.BlockingPairs)
 	}
 	if smp.MatchedWeight != cell.MatchedWeight {
-		t.Fatalf("generic sampler weight %v, cell %v", smp.MatchedWeight, cell.MatchedWeight)
+		t.Fatalf("sampler over the matching weighs %v, cell %v", smp.MatchedWeight, cell.MatchedWeight)
 	}
 	if fmt.Sprintf("%.6f", cell.WeightFrac) != "1.000000" {
 		t.Fatalf("LID weight fraction %v", cell.WeightFrac)
