@@ -135,7 +135,9 @@ bench-module:
 experiments:
 	$(GO) run ./cmd/experiments -run all -seed 1 -out experiments_full.txt
 
-# Run every example program end to end (part of make check).
+# Run every example program end to end (part of make check), then one
+# graphgen -format workload file through overlaysim -workload, so the
+# graphgen binary runs in the gate too.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/filesharing
@@ -143,10 +145,13 @@ examples:
 	$(GO) run ./examples/geooverlay
 	$(GO) run ./examples/churn
 	$(GO) run ./examples/hostile
+	$(GO) run ./cmd/graphgen -topology ws -n 60 -metric transactions -seed 3 -format workload -out .graphgen_workload.json
+	$(GO) run ./cmd/overlaysim -workload .graphgen_workload.json
+	rm -f .graphgen_workload.json
 
 cover:
 	$(GO) test ./... -coverprofile=cover.out -covermode=count
 	$(GO) tool cover -func=cover.out | tail -1
 
 clean:
-	rm -f cover.out .experiments_regen.txt
+	rm -f cover.out .experiments_regen.txt .graphgen_workload.json

@@ -23,15 +23,13 @@ import (
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/variants"
-
-	"overlaymatch/internal/gen"
+	"overlaymatch/internal/workload"
 )
 
-// benchSystem builds the standard benchmark workload.
+// benchSystem builds the standard benchmark workload, the oracle-sized
+// G(n,p) instance of workload.OracleGNP.
 func benchSystem(seed uint64, n int, p float64, bq int) *pref.System {
-	src := rng.New(seed)
-	g := gen.GNP(src, n, p)
-	s, err := pref.Build(g, pref.NewRandomMetric(src.Split()), pref.UniformQuota(bq))
+	s, err := workload.OracleGNP(seed, n, p, bq)
 	if err != nil {
 		panic(err)
 	}

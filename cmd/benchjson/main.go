@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"overlaymatch/internal/dynamic"
-	"overlaymatch/internal/gen"
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/lid"
 	"overlaymatch/internal/matching"
@@ -66,12 +65,10 @@ type File struct {
 	Rows    []Row  `json:"rows"`
 }
 
-// benchSystem mirrors the workload of the root bench_test.go harness.
+// benchSystem is the workload of the root bench_test.go harness at
+// average degree 8.
 func benchSystem(seed uint64, n int, bq int) *pref.System {
-	src := rng.New(seed)
-	p := 8.0 / float64(n-1)
-	g := gen.GNP(src, n, p)
-	s, err := pref.Build(g, pref.NewRandomMetric(src.Split()), pref.UniformQuota(bq))
+	s, err := workload.OracleGNP(seed, n, 8.0/float64(n-1), bq)
 	if err != nil {
 		panic(err)
 	}

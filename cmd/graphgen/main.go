@@ -1,6 +1,9 @@
 // Command graphgen generates overlay topologies and writes them in the
 // textual edge-list format (or JSON), so experiments can be re-run on
-// frozen inputs and external tools can consume the same graphs.
+// frozen inputs and external tools can consume the same graphs. The
+// instance flags name a workload.Synthetic instance: -format workload
+// writes the preference system overlaysim and overlaynode build for the
+// same flags, and overlaysim -workload loads it.
 //
 // Examples:
 //
@@ -16,28 +19,16 @@ import (
 	"io"
 	"os"
 
-	"overlaymatch/internal/gen"
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/obs"
 	"overlaymatch/internal/pref"
-	"overlaymatch/internal/rng"
+	"overlaymatch/internal/workload"
 )
 
 func main() {
+	spec := instanceFlags(flag.CommandLine)
 	var (
-		topology = flag.String("topology", "gnp", "gnp | gnm | geometric | ba | ws | ring | grid | complete | star | tree")
-		n        = flag.Int("n", 100, "number of nodes")
-		p        = flag.Float64("p", 0.05, "edge probability (gnp)")
-		mEdges   = flag.Int("edges", 200, "edge count (gnm)")
-		radius   = flag.Float64("radius", 0.15, "radius (geometric)")
-		mAttach  = flag.Int("m", 3, "attachments (ba)")
-		k        = flag.Int("k", 6, "lattice degree (ws)")
-		beta     = flag.Float64("beta", 0.2, "rewiring probability (ws)")
-		rows     = flag.Int("rows", 10, "rows (grid)")
-		seed     = flag.Uint64("seed", 1, "generator seed")
 		format   = flag.String("format", "edgelist", "edgelist | json | workload (graph + preferences)")
-		metric   = flag.String("metric", "random", "preference metric for -format workload (random | symmetric | resource)")
-		quota    = flag.Int("b", 3, "connection quota for -format workload")
 		out      = flag.String("out", "", "output file (default stdout)")
 		showStat = flag.Bool("stats", false, "print degree statistics to stderr")
 		spansOut = flag.String("spans", "", "write a span trace of the generation pipeline to this file")
@@ -50,6 +41,10 @@ func main() {
 	default:
 		fail("unknown -spans-format %q", *spansFmt)
 	}
+	// Validate before -out is created, so a bad spec leaves no file.
+	if err := spec.Validate(); err != nil {
+		fail("%v", err)
+	}
 	// The pipeline trace uses a standalone single-node recorder: no
 	// virtual clock exists here, so spans carry time 0 and the Lamport
 	// stamps order the phases.
@@ -57,39 +52,6 @@ func main() {
 	if *spansOut != "" {
 		rec = obs.NewRecorder(1)
 	}
-	phase := func(kind, detail string) obs.SpanID {
-		return rec.OpenSpan(0, kind, detail, 0)
-	}
-
-	src := rng.New(*seed)
-	var g *graph.Graph
-	genSpan := phase("graphgen.generate", fmt.Sprintf("topology=%s n=%d seed=%d", *topology, *n, *seed))
-	switch *topology {
-	case "gnp":
-		g = gen.GNP(src, *n, *p)
-	case "gnm":
-		g = gen.GNM(src, *n, *mEdges)
-	case "geometric":
-		g, _ = gen.Geometric(src, *n, *radius)
-	case "ba":
-		g = gen.BarabasiAlbert(src, *n, *mAttach)
-	case "ws":
-		g = gen.WattsStrogatz(src, *n, *k, *beta)
-	case "ring":
-		g = gen.Ring(*n)
-	case "grid":
-		cols := (*n + *rows - 1) / *rows
-		g = gen.Grid(*rows, cols)
-	case "complete":
-		g = gen.Complete(*n)
-	case "star":
-		g = gen.Star(*n)
-	case "tree":
-		g = gen.RandomTree(src, *n)
-	default:
-		fail("unknown topology %q", *topology)
-	}
-	rec.CloseSpan(0, genSpan, fmt.Sprintf("m=%d", g.NumEdges()), 0)
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
@@ -100,47 +62,10 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-
-	writeSpan := phase("graphgen.write", "format="+*format)
-	switch *format {
-	case "edgelist":
-		if err := graph.WriteEdgeList(w, g); err != nil {
-			fail("%v", err)
-		}
-	case "json":
-		enc := json.NewEncoder(w)
-		if err := enc.Encode(g); err != nil {
-			fail("%v", err)
-		}
-	case "workload":
-		prefSpan := phase("graphgen.prefs", fmt.Sprintf("metric=%s b=%d", *metric, *quota))
-		var m pref.Metric
-		switch *metric {
-		case "random":
-			m = pref.NewRandomMetric(src)
-		case "symmetric":
-			m = pref.NewSymmetricRandomMetric(src)
-		case "resource":
-			capacity := make([]float64, g.NumNodes())
-			for i := range capacity {
-				capacity[i] = src.Float64()
-			}
-			m = pref.ResourceMetric{Capacity: capacity}
-		default:
-			fail("unknown metric %q", *metric)
-		}
-		sys, err := pref.Build(g, m, pref.UniformQuota(*quota))
-		if err != nil {
-			fail("%v", err)
-		}
-		rec.CloseSpan(0, prefSpan, "built", 0)
-		if err := pref.WriteJSON(w, sys); err != nil {
-			fail("%v", err)
-		}
-	default:
-		fail("unknown format %q", *format)
+	g, err := generate(*spec, *format, w, rec)
+	if err != nil {
+		fail("%v", err)
 	}
-	rec.CloseSpan(0, writeSpan, "", 0)
 
 	if *spansOut != "" {
 		f, err := os.Create(*spansOut)
@@ -163,6 +88,46 @@ func main() {
 		fmt.Fprintf(os.Stderr, "graphgen: n=%d m=%d avg-degree=%.2f min=%d max=%d components=%d\n",
 			g.NumNodes(), g.NumEdges(), g.AvgDegree(), g.MinDegree(), g.MaxDegree(), len(comps))
 	}
+}
+
+// instanceFlags binds the instance flags, with every shape flag.
+func instanceFlags(fs *flag.FlagSet) *workload.Synthetic {
+	return workload.BindFlags(fs, 100, "p", "radius", "m", "k", "beta", "rows", "edges")
+}
+
+// generate draws spec's graph and writes it to w in format — for
+// workload, ranked by the spec's metric — tracing the phases on rec
+// (nil records nothing).
+func generate(spec workload.Synthetic, format string, w io.Writer, rec *obs.Recorder) (*graph.Graph, error) {
+	phase := func(kind, detail string) obs.SpanID {
+		return rec.OpenSpan(0, kind, detail, 0)
+	}
+	genSpan := phase("graphgen.generate", fmt.Sprintf("topology=%s n=%d seed=%d", spec.Topology, spec.N, spec.Seed))
+	g, coords, err := spec.Graph()
+	if err != nil {
+		return nil, err
+	}
+	rec.CloseSpan(0, genSpan, fmt.Sprintf("m=%d", g.NumEdges()), 0)
+
+	writeSpan := phase("graphgen.write", "format="+format)
+	switch format {
+	case "edgelist":
+		err = graph.WriteEdgeList(w, g)
+	case "json":
+		err = json.NewEncoder(w).Encode(g)
+	case "workload":
+		prefSpan := phase("graphgen.prefs", fmt.Sprintf("metric=%s b=%d", spec.Metric, spec.B))
+		var sys *pref.System
+		if sys, err = spec.System(g, coords); err != nil {
+			return nil, err
+		}
+		rec.CloseSpan(0, prefSpan, "built", 0)
+		err = pref.WriteJSON(w, sys)
+	default:
+		err = fmt.Errorf("unknown format %q", format)
+	}
+	rec.CloseSpan(0, writeSpan, "", 0)
+	return g, err
 }
 
 func fail(format string, args ...interface{}) {

@@ -1,11 +1,12 @@
 // Command overlaynode runs ONE overlay node of the LID matching
 // protocol on a real UDP socket — the deployable counterpart of
 // overlaysim's in-process cluster. Every process is handed the same
-// workload seed and rebuilds the full preference system
-// deterministically (faults.WorkloadSpec), so no coordinator has to
-// distribute preference lists: node i simply runs handler i of exactly
-// the stack the simulator certifies, sending the frames its
-// registered codecs encode.
+// instance flags and rebuilds the full preference system
+// deterministically (workload.Synthetic, the recipe overlaysim and
+// graphgen build through), so no coordinator has to distribute
+// preference lists: node i simply runs handler i of exactly the stack
+// the simulator certifies, sending the frames its registered codecs
+// encode.
 //
 // A three-node cluster on one machine:
 //
@@ -15,7 +16,7 @@
 //
 // Each process prints its locked partner set once the protocol
 // quiesces; corresponding lines across processes agree, and agree with
-// `overlaysim -runtime event` on the same workload flags.
+// `overlaysim -runtime event` on the same instance flags.
 package main
 
 import (
@@ -28,12 +29,12 @@ import (
 	"time"
 
 	"overlaymatch/internal/detector"
-	"overlaymatch/internal/faults"
 	"overlaymatch/internal/lid"
 	"overlaymatch/internal/metrics"
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/transport"
+	"overlaymatch/internal/workload"
 )
 
 func fail(format string, args ...interface{}) {
@@ -42,18 +43,11 @@ func fail(format string, args ...interface{}) {
 }
 
 func main() {
+	spec := instanceFlags(flag.CommandLine)
 	var (
 		listen   = flag.String("listen", "", "UDP listen address, e.g. 127.0.0.1:7000 (required)")
 		peersStr = flag.String("peers", "", "comma-separated peer routes id=host:port (required)")
 		nodeID   = flag.Int("node-id", -1, "this node's ID in [0,n) (required)")
-		n        = flag.Int("n", 0, "overlay size = workload size (required)")
-		topology = flag.String("topology", "gnp", "workload topology: gnp | geometric | ba | ring")
-		quota    = flag.Int("b", 3, "connection quota per peer")
-		metric   = flag.String("metric", "random", "preference metric: random | symmetric | distance")
-		seed     = flag.Uint64("seed", 1, "workload seed (identical across the cluster)")
-		p        = flag.Float64("p", 0, "edge probability (gnp; 0 = spec default)")
-		radius   = flag.Float64("radius", 0, "connection radius (geometric; 0 = spec default)")
-		mAttach  = flag.Int("m", 0, "attachments per node (ba; 0 = spec default)")
 		rto      = flag.Float64("rto", 30, "retransmission timeout in virtual time units")
 		adaptive = flag.Bool("adaptive-rto", false, "RFC-6298 adaptive retransmission timeout")
 		detStr   = flag.String("detector", "off", "heartbeat failure detector: off | on | hb=5,phi=8,... (see internal/detector)")
@@ -70,7 +64,7 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	if err := validate(*listen, *nodeID, *n, peers); err != nil {
+	if err := validate(*listen, *nodeID, spec.N, peers); err != nil {
 		fail("%v", err)
 	}
 	det, err := detector.Parse(*detStr)
@@ -78,10 +72,6 @@ func main() {
 		fail("%v", err)
 	}
 
-	spec := faults.WorkloadSpec{
-		Topology: *topology, N: *n, B: *quota, Metric: *metric, Seed: *seed,
-		P: *p, Radius: *radius, M: *mAttach,
-	}
 	sys, err := spec.Build()
 	if err != nil {
 		fail("%v", err)
@@ -117,7 +107,7 @@ func main() {
 
 	nd, err := transport.ListenUDP(transport.UDPConfig{
 		NodeID:        *nodeID,
-		N:             *n,
+		N:             spec.N,
 		Listen:        *listen,
 		Peers:         peers,
 		TimeUnit:      *timeUnit,
@@ -145,7 +135,7 @@ func main() {
 	total := satisfaction.Value(sys, *nodeID, partners)
 	fmt.Printf("node %d quiescent after %v: %d/%d connections [%s], satisfaction %.4f\n",
 		*nodeID, time.Since(start).Round(time.Millisecond),
-		len(partners), *quota, strings.Join(labels, " "), total)
+		len(partners), spec.B, strings.Join(labels, " "), total)
 	c := nd.Counters()
 	fmt.Printf("  wire: %d frames out / %d in, %d datagrams out / %d in, %d bytes out / %d in, %d dropped\n",
 		c.FramesSent, c.FramesDelivered, c.DatagramsSent, c.DatagramsRecv,
@@ -159,6 +149,13 @@ func main() {
 			fail("metrics: %v", err)
 		}
 	}
+}
+
+// instanceFlags binds the instance flags with -n required (default 0)
+// and the shape flags -p, -radius and -m, so ws, grid and gnm always
+// take their default shapes here.
+func instanceFlags(fs *flag.FlagSet) *workload.Synthetic {
+	return workload.BindFlags(fs, 0, "p", "radius", "m")
 }
 
 // parsePeers parses "1=127.0.0.1:7001,2=127.0.0.1:7002" into a route

@@ -1,8 +1,14 @@
 package main
 
 import (
+	"encoding/json"
+	"flag"
+	"io"
+	"os"
 	"strings"
 	"testing"
+
+	"overlaymatch/internal/workload"
 )
 
 func TestParsePeers(t *testing.T) {
@@ -68,5 +74,41 @@ func TestValidate(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestInstanceFlagsBuildTheSharedRecipe: every row of
+// cmd/testdata/instance_flags.json that names only overlaynode's flags
+// parses into exactly the row's workload.Synthetic, whose Build is the
+// system every node runs — the system overlaysim and graphgen -format
+// workload build for the same flags (their tests check the same rows).
+// The -k/-beta, -rows and -edges rows are not overlaynode's.
+func TestInstanceFlagsBuildTheSharedRecipe(t *testing.T) {
+	data, err := os.ReadFile("../testdata/instance_flags.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []struct {
+		Args string
+		Spec workload.Synthetic
+	}
+	if err := json.Unmarshal(data, &rows); err != nil {
+		t.Fatal(err)
+	}
+	rejected := 0
+	for _, row := range rows {
+		fs := flag.NewFlagSet("overlaynode", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		spec := instanceFlags(fs)
+		if err := fs.Parse(strings.Fields(row.Args)); err != nil {
+			rejected++
+			continue
+		}
+		if *spec != row.Spec {
+			t.Errorf("%s: overlaynode builds %+v, not %+v", row.Args, *spec, row.Spec)
+		}
+	}
+	if rejected != 3 {
+		t.Fatalf("%d rows name a flag overlaynode lacks, want 3", rejected)
 	}
 }

@@ -4,6 +4,10 @@
 // run's message/round statistics, and the satisfaction the peers
 // achieved (with the Theorem-3 guarantee for reference).
 //
+// The instance flags (-topology, -n, -b, -metric, -seed and the shape
+// flags) name a workload.Synthetic instance, the one graphgen and
+// overlaynode build for the same flags.
+//
 // Examples:
 //
 //	overlaysim -topology gnp -n 200 -p 0.05 -b 3 -metric random
@@ -22,7 +26,6 @@ import (
 	"overlaymatch/internal/detector"
 	"overlaymatch/internal/dynamic"
 	"overlaymatch/internal/faults"
-	"overlaymatch/internal/gen"
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/lid"
 	"overlaymatch/internal/matching"
@@ -30,29 +33,19 @@ import (
 	"overlaymatch/internal/obs"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/reliable"
-	"overlaymatch/internal/rng"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/stats"
 	"overlaymatch/internal/transport"
+	"overlaymatch/internal/workload"
 )
 
 func main() {
+	spec := instanceFlags(flag.CommandLine)
 	var (
-		topology = flag.String("topology", "gnp", "gnp | geometric | ba | ws | ring | grid | complete | tree")
-		n        = flag.Int("n", 100, "number of peers")
-		p        = flag.Float64("p", 0.05, "edge probability (gnp)")
-		radius   = flag.Float64("radius", 0.15, "connection radius (geometric)")
-		mAttach  = flag.Int("m", 3, "attachments per node (ba)")
-		k        = flag.Int("k", 6, "lattice degree (ws, even)")
-		beta     = flag.Float64("beta", 0.2, "rewiring probability (ws)")
-		rows     = flag.Int("rows", 10, "rows (grid)")
-		quota    = flag.Int("b", 3, "connection quota per peer")
-		metric   = flag.String("metric", "random", "random | symmetric | distance | resource | transactions")
-		seed     = flag.Uint64("seed", 1, "seed for topology, preferences and latencies")
 		runtime_ = flag.String("runtime", "event", "event | goroutine (in-process cluster) | centralized | udp (loopback real-socket cluster; needs -reliable)")
 		jitter   = flag.Float64("jitter", 3, "latency jitter scale (event runtime)")
-		workload = flag.String("workload", "", "load a frozen workload JSON (see graphgen -format workload) instead of generating")
+		wlFile   = flag.String("workload", "", "load a frozen workload JSON (see graphgen -format workload) instead of generating")
 		dotOut   = flag.String("dot", "", "write the final overlay as Graphviz DOT to this file")
 		spansOut = flag.String("trace-spans", "", "write the causal span trace (Lamport clocks, protocol spans) to this file")
 		spansFmt = flag.String("trace-spans-format", "ndjson", "span trace format: ndjson | chrome | tree | log (one line per delivery)")
@@ -122,9 +115,9 @@ func main() {
 	}
 	fseed := *faultSd
 	if fseed == 0 {
-		fseed = *seed ^ 0x5fa715ca11edc0de
+		fseed = spec.Seed ^ 0x5fa715ca11edc0de
 	}
-	opts := reportOpts{seed: *seed, runtime: *runtime_, jitter: *jitter,
+	opts := reportOpts{seed: spec.Seed, runtime: *runtime_, jitter: *jitter,
 		verbose: *verbose, dotPath: *dotOut,
 		spansPath: *spansOut, spansFormat: *spansFmt, probeInterval: *probeInt,
 		showMetrics: *metOut, metricsFormat: *metFmt,
@@ -133,77 +126,26 @@ func main() {
 		churn: cfg.churn, repairRounds: *repairK, shedDepth: *shedD,
 		sched: cfg.sched}
 
-	if *workload != "" {
-		runWorkloadFile(*workload, opts)
+	if *wlFile != "" {
+		runWorkloadFile(*wlFile, opts)
 		return
 	}
 
-	src := rng.New(*seed)
-	var g *graph.Graph
-	var coords [][2]float64
-	switch *topology {
-	case "gnp":
-		g = gen.GNP(src.Split(), *n, *p)
-	case "geometric":
-		g, coords = gen.Geometric(src.Split(), *n, *radius)
-	case "ba":
-		g = gen.BarabasiAlbert(src.Split(), *n, *mAttach)
-	case "ws":
-		g = gen.WattsStrogatz(src.Split(), *n, *k, *beta)
-	case "ring":
-		g = gen.Ring(*n)
-	case "grid":
-		cols := (*n + *rows - 1) / *rows
-		g = gen.Grid(*rows, cols)
-	case "complete":
-		g = gen.Complete(*n)
-	case "tree":
-		g = gen.RandomTree(src.Split(), *n)
-	default:
-		fail("unknown topology %q", *topology)
-	}
-
-	var m pref.Metric
-	switch *metric {
-	case "random":
-		m = pref.NewRandomMetric(src.Split())
-	case "symmetric":
-		m = pref.NewSymmetricRandomMetric(src.Split())
-	case "distance":
-		if coords == nil {
-			coords = make([][2]float64, g.NumNodes())
-			for i := range coords {
-				coords[i] = [2]float64{src.Float64(), src.Float64()}
-			}
-		}
-		m = pref.DistanceMetric{Coords: coords}
-	case "resource":
-		capacity := make([]float64, g.NumNodes())
-		for i := range capacity {
-			capacity[i] = src.Float64()
-		}
-		m = pref.ResourceMetric{Capacity: capacity}
-	case "transactions":
-		hist := make([][]float64, g.NumNodes())
-		for i := range hist {
-			hist[i] = make([]float64, g.NumNodes())
-			for _, j := range g.Neighbors(i) {
-				hist[i][j] = src.NormFloat64()
-			}
-		}
-		m = pref.TransactionMetric{History: hist}
-	default:
-		fail("unknown metric %q", *metric)
-	}
-
-	sys, err := pref.Build(g, m, pref.UniformQuota(*quota))
+	sys, err := spec.Build()
 	if err != nil {
-		fail("building preferences: %v", err)
+		fail("%v", err)
 	}
+	g := sys.Graph()
 	fmt.Printf("overlay: %s, n=%d m=%d, avg degree %.2f (min %d, max %d)\n",
-		*topology, g.NumNodes(), g.NumEdges(), g.AvgDegree(), g.MinDegree(), g.MaxDegree())
-	fmt.Printf("preferences: metric=%s, quota b=%d\n", *metric, *quota)
+		spec.Topology, g.NumNodes(), g.NumEdges(), g.AvgDegree(), g.MinDegree(), g.MaxDegree())
+	fmt.Printf("preferences: metric=%s, quota b=%d\n", spec.Metric, spec.B)
 	runAndReport(sys, opts)
+}
+
+// instanceFlags binds the instance flags; overlaysim has every shape
+// flag but -edges, so gnm always has the default 4n edges here.
+func instanceFlags(fs *flag.FlagSet) *workload.Synthetic {
+	return workload.BindFlags(fs, 100, "p", "radius", "m", "k", "beta", "rows")
 }
 
 // reportOpts carries the run/report configuration.

@@ -11,6 +11,7 @@ import (
 	"overlaymatch/internal/matching"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/rng"
+	"overlaymatch/internal/workload"
 )
 
 func testSystem(t *testing.T) *pref.System {
@@ -162,7 +163,7 @@ func TestRunAndReportWithFaults(t *testing.T) {
 func TestRunReplayFile(t *testing.T) {
 	// Freeze a real violation (bare LID under duplication) and drive
 	// the -replay path with it.
-	w := faults.WorkloadSpec{Topology: "gnp", Metric: "random", N: 24, B: 2, Seed: 9}
+	w := workload.Synthetic{Topology: "gnp", Metric: "random", N: 24, B: 2, Seed: 9}
 	sys, err := w.Build()
 	if err != nil {
 		t.Fatal(err)

@@ -5,10 +5,10 @@
 // matched-weight fraction of the LIC optimum, blocking pairs under the
 // eq.-9 weight order, rounds-to-ε, and message/byte cost.
 //
-// Scenarios are named in the internal/workload grammar, so a CLI run, a
-// bracket cell of experiment E18 and a replay file all name the same
-// instance the same way. Everything is deterministic given (-scenarios,
-// -seed) and bit-identical for any -workers value.
+// Scenarios are named in the internal/workload scenario grammar, so a
+// CLI run and a bracket cell of experiment E18 name the same instance
+// the same way. Everything is deterministic given (-scenarios, -seed)
+// and bit-identical for any -workers value.
 //
 // Examples:
 //

@@ -212,32 +212,7 @@ func VerifyMaximalExcluding(s *pref.System, nodes []*Node, live *matching.Matchi
 // LiveLICWeight computes the weight of a fresh LIC on the live
 // subgraph — the repair-quality yardstick.
 func LiveLICWeight(s *pref.System, nodes []*Node) (float64, error) {
-	g := s.Graph()
-	var keep []graph.NodeID
-	for id, nd := range nodes {
-		if nd.Alive() {
-			keep = append(keep, id)
-		}
-	}
-	sub, back, err := g.Subgraph(keep)
-	if err != nil {
-		return 0, err
-	}
-	fwd := make(map[graph.NodeID]int, len(back))
-	for newID, oldID := range back {
-		fwd[oldID] = newID
-	}
-	lists := make([][]graph.NodeID, sub.NumNodes())
-	quotas := make([]int, sub.NumNodes())
-	for newID, oldID := range back {
-		for _, j := range s.List(oldID) {
-			if nj, ok := fwd[j]; ok {
-				lists[newID] = append(lists[newID], nj)
-			}
-		}
-		quotas[newID] = s.Quota(oldID)
-	}
-	s2, err := pref.FromRanks(sub, lists, quotas)
+	s2, back, err := s.Induced(func(id graph.NodeID) bool { return nodes[id].Alive() })
 	if err != nil {
 		return 0, err
 	}

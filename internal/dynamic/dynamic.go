@@ -272,41 +272,15 @@ func (o *Overlay) repair(seeds []graph.NodeID, st *EventStats) {
 }
 
 // LiveLIC computes the fresh LIC matching of the live subgraph — the
-// quality yardstick for repair. It builds the induced subgraph,
-// re-derives preference lists restricted to alive neighbors, runs LIC,
-// and maps the result back to universe IDs.
+// quality yardstick for repair. It runs LIC on the system induced by
+// the alive nodes and maps the result back to universe IDs.
 func (o *Overlay) LiveLIC() (*matching.Matching, error) {
-	g := o.s.Graph()
-	var keep []graph.NodeID
-	for x := 0; x < g.NumNodes(); x++ {
-		if o.alive[x] {
-			keep = append(keep, x)
-		}
-	}
-	sub, back, err := g.Subgraph(keep)
-	if err != nil {
-		return nil, err
-	}
-	fwd := make(map[graph.NodeID]int, len(back))
-	for newID, oldID := range back {
-		fwd[oldID] = newID
-	}
-	lists := make([][]graph.NodeID, sub.NumNodes())
-	quotas := make([]int, sub.NumNodes())
-	for newID, oldID := range back {
-		for _, j := range o.s.List(oldID) {
-			if o.alive[j] {
-				lists[newID] = append(lists[newID], fwd[j])
-			}
-		}
-		quotas[newID] = o.s.Quota(oldID)
-	}
-	s2, err := pref.FromRanks(sub, lists, quotas)
+	s2, back, err := o.s.Induced(func(x graph.NodeID) bool { return o.alive[x] })
 	if err != nil {
 		return nil, err
 	}
 	subM := matching.LIC(s2, satisfaction.NewTable(s2))
-	m := matching.NewDense(g)
+	m := matching.NewDense(o.s.Graph())
 	for _, e := range subM.Edges() {
 		m.Add(back[e.U], back[e.V])
 	}

@@ -6,6 +6,7 @@ import (
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/stats"
+	"overlaymatch/internal/workload"
 )
 
 // E7Baselines: who wins, and by how much. For each topology × metric
@@ -26,13 +27,12 @@ func E7Baselines(cfg Config) ([]*stats.Table, error) {
 		"topology", "metric", "acyclic", "strategy", "mean sat", "total weight", "fill", "fairness", "conv")
 	n := cfg.pick(40, 150)
 	b := 3
-	for _, topo := range topologies()[:3] {
-		for _, metric := range metrics() {
-			w, err := buildWorkload(cfg.Seed^0x77, topo, metric, n, b)
+	for _, topo := range suiteTopologies {
+		for _, metric := range []string{"random", "symmetric", "distance", "resource", "transactions"} {
+			sys, err := workload.Synthetic{Topology: topo, Metric: metric, N: n, B: b, Seed: cfg.Seed ^ 0x77}.Build()
 			if err != nil {
 				return nil, err
 			}
-			sys := w.System
 			acyclic := pref.IsAcyclic(sys)
 			tbl := satisfaction.NewTable(sys)
 
@@ -55,7 +55,7 @@ func E7Baselines(cfg Config) ([]*stats.Table, error) {
 			for _, e := range entries {
 				per := e.m.PerNodeSatisfaction(sys)
 				fill := quotaFill(sys, e.m)
-				t.AddRowf(topo.name, metric.name, boolStr(acyclic), e.name,
+				t.AddRowf(topo, metric, boolStr(acyclic), e.name,
 					stats.Mean(per), e.m.Weight(sys), fill, stats.JainFairness(per), e.conv)
 			}
 		}

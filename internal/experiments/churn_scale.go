@@ -10,6 +10,7 @@ import (
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/stats"
+	"overlaymatch/internal/workload"
 )
 
 // E9Churn (§7 extension): run leave/join churn through the dynamic
@@ -24,16 +25,16 @@ func E9Churn(cfg Config) ([]*stats.Table, error) {
 		"mean quality", "min quality", "mean live sat")
 	n := cfg.pick(30, 120)
 	events := cfg.pick(20, 120)
-	for _, topo := range topologies()[:3] {
+	for _, topo := range suiteTopologies {
 		for _, policy := range []struct {
 			name string
 			p    dynamic.Policy
 		}{{"complete", dynamic.CompleteOnly}, {"preempt", dynamic.PreemptLighter}} {
-			w, err := buildWorkload(cfg.Seed^0x99, topo, metrics()[0], n, 3)
+			sys, err := workload.Synthetic{Topology: topo, Metric: "random", N: n, B: 3, Seed: cfg.Seed ^ 0x99}.Build()
 			if err != nil {
 				return nil, err
 			}
-			o := dynamic.NewOverlay(w.System, policy.p)
+			o := dynamic.NewOverlay(sys, policy.p)
 			recs, err := dynamic.RunChurn(o, dynamic.ChurnOptions{
 				Events: events, Seed: cfg.Seed + 17, LeaveProb: 0.5, MinAlive: n / 3,
 			})
@@ -51,7 +52,7 @@ func E9Churn(cfg Config) ([]*stats.Table, error) {
 				qual = append(qual, r.Quality)
 				sat = append(sat, r.Satisfaction)
 			}
-			t.AddRowf(topo.name, policy.name, len(recs),
+			t.AddRowf(topo, policy.name, len(recs),
 				stats.Mean(ex), stats.Mean(add), stats.Mean(rem),
 				stats.Mean(qual), stats.Min(qual), stats.Mean(sat))
 		}
@@ -76,11 +77,10 @@ func E10Scalability(cfg Config) ([]*stats.Table, error) {
 		ns = []int{200, 400}
 	}
 	for _, n := range ns {
-		w, err := buildWorkload(cfg.Seed^uint64(10*n), topologies()[0], metrics()[0], n, 3)
+		sys, err := workload.Synthetic{Topology: "gnp", Metric: "random", N: n, B: 3, Seed: cfg.Seed ^ uint64(10*n)}.Build()
 		if err != nil {
 			return nil, err
 		}
-		sys := w.System
 		tbl := satisfaction.NewTableParallel(sys, cfg.Workers)
 
 		t0 := time.Now()

@@ -6,10 +6,10 @@ import (
 
 	"overlaymatch/internal/lid"
 	"overlaymatch/internal/matching"
-	"overlaymatch/internal/pref"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/stats"
+	"overlaymatch/internal/workload"
 )
 
 // E2LIDEquivalence (Lemmas 3–6): LID must lock exactly the LIC edge set
@@ -26,14 +26,13 @@ func E2LIDEquivalence(cfg Config) ([]*stats.Table, error) {
 	}
 	eventRuns := cfg.pick(5, 40)
 	goRuns := cfg.pick(2, 8)
-	for _, topo := range topologies()[:3] {
-		for _, metric := range []metricSpec{metrics()[0], metrics()[1]} {
+	for _, topo := range suiteTopologies {
+		for _, metric := range []string{"random", "symmetric"} {
 			for _, n := range ns {
-				w, err := buildWorkload(cfg.Seed^uint64(n), topo, metric, n, 3)
+				sys, err := workload.Synthetic{Topology: topo, Metric: metric, N: n, B: 3, Seed: cfg.Seed ^ uint64(n)}.Build()
 				if err != nil {
 					return nil, err
 				}
-				sys := w.System
 				tbl := satisfaction.NewTable(sys)
 				want := matching.LIC(sys, tbl)
 				equal, total := 0, 0
@@ -65,9 +64,9 @@ func E2LIDEquivalence(cfg Config) ([]*stats.Table, error) {
 					}
 				}
 				rate := float64(equal) / float64(total)
-				t.AddRowf(topo.name, metric.name, n, eventRuns, goRuns, equal, rate)
+				t.AddRowf(topo, metric, n, eventRuns, goRuns, equal, rate)
 				if equal != total {
-					return nil, fmt.Errorf("E2: %s/%s n=%d equality rate %v < 1", topo.name, metric.name, n, rate)
+					return nil, fmt.Errorf("E2: %s/%s n=%d equality rate %v < 1", topo, metric, n, rate)
 				}
 			}
 		}
@@ -87,13 +86,12 @@ func E5MessageComplexity(cfg Config) ([]*stats.Table, error) {
 	if cfg.Quick {
 		ns = []int{50, 100}
 	}
-	for _, topo := range topologies()[:3] {
+	for _, topo := range suiteTopologies {
 		for _, n := range ns {
-			w, err := buildWorkload(cfg.Seed^uint64(3*n), topo, metrics()[0], n, 3)
+			sys, err := workload.Synthetic{Topology: topo, Metric: "random", N: n, B: 3, Seed: cfg.Seed ^ uint64(3*n)}.Build()
 			if err != nil {
 				return nil, err
 			}
-			sys := w.System
 			res, err := lid.RunEvent(sys, satisfaction.NewTable(sys), simnet.Options{
 				Seed:    cfg.Seed + uint64(n),
 				Latency: simnet.ExponentialLatency(4),
@@ -108,7 +106,7 @@ func E5MessageComplexity(cfg Config) ([]*stats.Table, error) {
 				perNode[i] = float64(c)
 			}
 			sum := stats.Summarize(perNode)
-			scale.AddRowf(topo.name, n, sys.Graph().NumEdges(), res.Stats.TotalSent(),
+			scale.AddRowf(topo, n, sys.Graph().NumEdges(), res.Stats.TotalSent(),
 				sum.Mean, sum.Max, res.PropMessages, res.RejMessages)
 			if res.Stats.TotalSent() > 2*sys.Graph().NumEdges() {
 				return nil, fmt.Errorf("E5: message count exceeded 2m")
@@ -120,11 +118,10 @@ func E5MessageComplexity(cfg Config) ([]*stats.Table, error) {
 		"b", "total msgs", "msgs/node mean", "PROP", "REJ", "locked edges")
 	n := cfg.pick(100, 400)
 	for _, b := range []int{1, 2, 4, 8, 16} {
-		w, err := buildWorkload(cfg.Seed^0xb0b^uint64(b), topologies()[0], metrics()[0], n, b)
+		sys, err := workload.Synthetic{Topology: "gnp", Metric: "random", N: n, B: b, Seed: cfg.Seed ^ 0xb0b ^ uint64(b)}.Build()
 		if err != nil {
 			return nil, err
 		}
-		sys := w.System
 		res, err := lid.RunEvent(sys, satisfaction.NewTable(sys), simnet.Options{
 			Seed:    cfg.Seed + uint64(b),
 			Latency: simnet.ExponentialLatency(4),
@@ -142,7 +139,7 @@ func E5MessageComplexity(cfg Config) ([]*stats.Table, error) {
 	density := stats.NewTable("E5c: messages vs density (gnp, n fixed, b=3)",
 		"avg degree", "edges", "total msgs", "msgs/node mean", "msgs per edge")
 	for _, deg := range []float64{4, 8, 16, 32} {
-		sys, err := smallishGNP(cfg.Seed^0xdd, n, deg, 3)
+		sys, err := workload.OracleGNP(cfg.Seed^0xdd, n, min(deg/float64(n-1), 1), 3)
 		if err != nil {
 			return nil, err
 		}
@@ -172,20 +169,19 @@ func E6ConvergenceRounds(cfg Config) ([]*stats.Table, error) {
 	if cfg.Quick {
 		ns = []int{50, 100}
 	}
-	for _, topo := range topologies()[:4] { // include ring: the adversarial chain case
+	for _, topo := range []string{"gnp", "geometric", "ba", "ring"} { // ring: the adversarial chain case
 		for _, n := range ns {
-			w, err := buildWorkload(cfg.Seed^uint64(5*n), topo, metrics()[0], n, 3)
+			sys, err := workload.Synthetic{Topology: topo, Metric: "random", N: n, B: 3, Seed: cfg.Seed ^ uint64(5*n)}.Build()
 			if err != nil {
 				return nil, err
 			}
-			sys := w.System
 			res, err := lid.RunEvent(sys, satisfaction.NewTable(sys), simnet.Options{
 				Seed: cfg.Seed, Metrics: cfg.Metrics, Policy: cfg.policy(uint64(7 * n)),
 			})
 			if err != nil {
 				return nil, err
 			}
-			bySize.AddRowf(topo.name, n, res.Stats.FinalTime, res.Stats.Deliveries)
+			bySize.AddRowf(topo, n, res.Stats.FinalTime, res.Stats.Deliveries)
 		}
 	}
 
@@ -193,11 +189,10 @@ func E6ConvergenceRounds(cfg Config) ([]*stats.Table, error) {
 		"b", "rounds", "deliveries")
 	n := cfg.pick(100, 400)
 	for _, b := range []int{1, 2, 4, 8} {
-		w, err := buildWorkload(cfg.Seed^0xe6^uint64(b), topologies()[0], metrics()[0], n, b)
+		sys, err := workload.Synthetic{Topology: "gnp", Metric: "random", N: n, B: b, Seed: cfg.Seed ^ 0xe6 ^ uint64(b)}.Build()
 		if err != nil {
 			return nil, err
 		}
-		sys := w.System
 		res, err := lid.RunEvent(sys, satisfaction.NewTable(sys), simnet.Options{
 			Seed: cfg.Seed, Metrics: cfg.Metrics, Policy: cfg.policy(0xe6 ^ uint64(b)),
 		})
@@ -207,13 +202,4 @@ func E6ConvergenceRounds(cfg Config) ([]*stats.Table, error) {
 		byQuota.AddRowf(b, res.Stats.FinalTime, res.Stats.Deliveries)
 	}
 	return []*stats.Table{bySize, byQuota}, nil
-}
-
-// smallishGNP builds a G(n, deg/(n-1)) system with random preferences.
-func smallishGNP(seed uint64, n int, avgDeg float64, b int) (*pref.System, error) {
-	p := avgDeg / float64(n-1)
-	if p > 1 {
-		p = 1
-	}
-	return smallGNPSystem(seed, n, p, b)
 }

@@ -14,6 +14,7 @@ import (
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/stats"
 	"overlaymatch/internal/variants"
+	"overlaymatch/internal/workload"
 )
 
 // E11LossyLinks: the paper assumes reliable links; E11 runs LID through
@@ -30,7 +31,7 @@ func E11LossyLinks(cfg Config) ([]*stats.Table, error) {
 		equal, frames, retrans, dups := 0, 0, 0, 0
 		var rounds float64
 		for r := 0; r < runs; r++ {
-			sys, err := smallGNPSystem(cfg.Seed+uint64(r)*7919, n, 8.0/float64(n-1), 2)
+			sys, err := workload.OracleGNP(cfg.Seed+uint64(r)*7919, n, 8.0/float64(n-1), 2)
 			if err != nil {
 				return nil, err
 			}
@@ -92,7 +93,7 @@ func E12Adversaries(cfg Config) ([]*stats.Table, error) {
 			var ratios []float64
 			rev, dis, dead := 0, 0, 0
 			for r := 0; r < runs; r++ {
-				sys, err := smallGNPSystem(cfg.Seed+uint64(r)*104729, n, 8.0/float64(n-1), 2)
+				sys, err := workload.OracleGNP(cfg.Seed+uint64(r)*104729, n, 8.0/float64(n-1), 2)
 				if err != nil {
 					return nil, err
 				}
@@ -135,13 +136,12 @@ func E13Variants(cfg Config) ([]*stats.Table, error) {
 		"topology", "b", "LIC zero-conn", "cov zero-conn", "LIC min sat", "cov min sat",
 		"LIC total sat", "cov total sat", "dist")
 	n := cfg.pick(40, 150)
-	for _, topo := range topologies()[:3] {
+	for _, topo := range suiteTopologies {
 		for _, b := range []int{2, 3} {
-			w, err := buildWorkload(cfg.Seed^0x13a^uint64(b), topo, metrics()[0], n, b)
+			sys, err := workload.Synthetic{Topology: topo, Metric: "random", N: n, B: b, Seed: cfg.Seed ^ 0x13a ^ uint64(b)}.Build()
 			if err != nil {
 				return nil, err
 			}
-			sys := w.System
 			tbl := satisfaction.NewTable(sys)
 			lic := matching.LIC(sys, tbl)
 			cov := variants.CoverageFirst(sys, tbl)
@@ -156,12 +156,12 @@ func E13Variants(cfg Config) ([]*stats.Table, error) {
 			if !dist.Equal(cov) {
 				distEq = "DIFFERS"
 			}
-			coverage.AddRowf(topo.name, b,
+			coverage.AddRowf(topo, b,
 				zeroConn(sys, lic), zeroConn(sys, cov),
 				stats.Min(lic.PerNodeSatisfaction(sys)), stats.Min(cov.PerNodeSatisfaction(sys)),
 				lic.TotalSatisfaction(sys), cov.TotalSatisfaction(sys), distEq)
 			if distEq != "==" {
-				return nil, fmt.Errorf("E13: distributed coverage-first diverged on %s b=%d", topo.name, b)
+				return nil, fmt.Errorf("E13: distributed coverage-first diverged on %s b=%d", topo, b)
 			}
 		}
 	}
@@ -173,7 +173,7 @@ func E13Variants(cfg Config) ([]*stats.Table, error) {
 	count := 0
 	seeds := cfg.pick(10, 60)
 	for s := 0; s < seeds; s++ {
-		sys, err := smallGNPSystem(cfg.Seed+uint64(s)*31, 10, 0.4, 2)
+		sys, err := workload.OracleGNP(cfg.Seed+uint64(s)*31, 10, 0.4, 2)
 		if err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@ import (
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/stats"
+	"overlaymatch/internal/workload"
 )
 
 // e15Intensity is one rung of the fault-intensity ladder.
@@ -48,17 +49,16 @@ func E15FaultSweep(cfg Config) ([]*stats.Table, error) {
 	}
 	baseRounds := map[string]float64{} // topology -> fault-free mean rounds
 	for _, step := range ladder {
-		for _, topo := range topologies()[:3] {
+		for _, topo := range suiteTopologies {
 			var (
 				equal, injections, frames, retrans, corrupted int
 				rounds                                        float64
 			)
 			for r := 0; r < runs; r++ {
-				w, err := buildWorkload(cfg.Seed^uint64(15*n)^uint64(r)*7919, topo, metrics()[0], n, 2)
+				sys, err := workload.Synthetic{Topology: topo, Metric: "random", N: n, B: 2, Seed: cfg.Seed ^ uint64(15*n) ^ uint64(r)*7919}.Build()
 				if err != nil {
 					return nil, err
 				}
-				sys := w.System
 				tbl := satisfaction.NewTable(sys)
 				nodes := lid.NewNodes(sys, tbl)
 				eps := reliable.WrapConfig(lid.Handlers(nodes), cfg.reliableConfig())
@@ -76,12 +76,12 @@ func E15FaultSweep(cfg Config) ([]*stats.Table, error) {
 				})
 				st, err := runner.Run(reliable.Handlers(eps))
 				if err != nil {
-					return nil, fmt.Errorf("E15 %s/%s run %d: %w", step.name, topo.name, r, err)
+					return nil, fmt.Errorf("E15 %s/%s run %d: %w", step.name, topo, r, err)
 				}
 				reliable.PublishMetrics(cfg.Metrics, eps)
 				m, err := lid.BuildMatching(nodes)
 				if err != nil {
-					return nil, fmt.Errorf("E15 %s/%s run %d: %w", step.name, topo.name, r, err)
+					return nil, fmt.Errorf("E15 %s/%s run %d: %w", step.name, topo, r, err)
 				}
 				if m.Equal(matching.LIC(sys, tbl)) {
 					equal++
@@ -96,17 +96,17 @@ func E15FaultSweep(cfg Config) ([]*stats.Table, error) {
 			}
 			mean := rounds / float64(runs)
 			if step.name == "off" {
-				baseRounds[topo.name] = mean
+				baseRounds[topo] = mean
 			}
 			inflation := 0.0
-			if base := baseRounds[topo.name]; base > 0 {
+			if base := baseRounds[topo]; base > 0 {
 				inflation = mean / base
 			}
-			t.AddRowf(step.name, topo.name, runs, equal, injections,
+			t.AddRowf(step.name, topo, runs, equal, injections,
 				frames/runs, retrans/runs, corrupted/runs, mean, inflation)
 			if equal != runs {
 				return nil, fmt.Errorf("E15: %s/%s broke the LIC equivalence (%d/%d) — delivery restored by reliable must preserve Lemmas 3-6",
-					step.name, topo.name, equal, runs)
+					step.name, topo, equal, runs)
 			}
 		}
 	}

@@ -57,12 +57,12 @@ func E20GreedyScheduler(cfg Config) ([]*stats.Table, error) {
 	}
 	var cases []e20Case
 	n := cfg.pick(32, 200)
-	for _, topo := range topologies()[:3] { // gnp, geometric, ba
-		w, err := buildWorkload(cfg.Seed^uint64(20*n), topo, metrics()[0], n, 3)
+	for _, topo := range suiteTopologies {
+		sys, err := workload.Synthetic{Topology: topo, Metric: "random", N: n, B: 3, Seed: cfg.Seed ^ uint64(20*n)}.Build()
 		if err != nil {
 			return nil, err
 		}
-		cases = append(cases, e20Case{topo.name, w.System})
+		cases = append(cases, e20Case{topo, sys})
 	}
 	wn := cfg.pick(48, 256)
 	for _, spec := range workload.DefaultSuite(wn) {

@@ -9,6 +9,7 @@ import (
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/stats"
+	"overlaymatch/internal/workload"
 )
 
 // E14Maintenance (§7, the distributed answer): run the dlid
@@ -26,12 +27,11 @@ func E14Maintenance(cfg Config) ([]*stats.Table, error) {
 		"topology", "events", "msgs/event", "props/event", "quality dlid", "quality centralized", "final alive")
 	n := cfg.pick(30, 120)
 	events := cfg.pick(15, 100)
-	for _, topo := range topologies()[:3] {
-		w, err := buildWorkload(cfg.Seed^0x14e, topo, metrics()[0], n, 3)
+	for _, topo := range suiteTopologies {
+		sys, err := workload.Synthetic{Topology: topo, Metric: "random", N: n, B: 3, Seed: cfg.Seed ^ 0x14e}.Build()
 		if err != nil {
 			return nil, err
 		}
-		sys := w.System
 		tbl := satisfaction.NewTable(sys)
 		schedule := dlid.Schedule(sys, rng.New(cfg.Seed+3), events, 60, 0.5, n/3)
 		res, err := dlid.Run(sys, tbl, schedule, simnet.Options{
@@ -40,7 +40,7 @@ func E14Maintenance(cfg Config) ([]*stats.Table, error) {
 			Metrics: cfg.Metrics,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("E14 %s: %w", topo.name, err)
+			return nil, fmt.Errorf("E14 %s: %w", topo, err)
 		}
 		fresh, err := dlid.LiveLICWeight(sys, res.Nodes)
 		if err != nil {
@@ -72,12 +72,12 @@ func E14Maintenance(cfg Config) ([]*stats.Table, error) {
 			}
 		}
 		nEvents := len(schedule)
-		t.AddRowf(topo.name, nEvents,
+		t.AddRowf(topo, nEvents,
 			float64(res.Stats.TotalSent())/float64(nEvents),
 			float64(res.Proposals)/float64(nEvents),
 			quality, centralQ, alive)
 		if quality < 0.5 {
-			return nil, fmt.Errorf("E14 %s: distributed repair quality %v under the greedy floor", topo.name, quality)
+			return nil, fmt.Errorf("E14 %s: distributed repair quality %v under the greedy floor", topo, quality)
 		}
 	}
 	return []*stats.Table{t}, nil

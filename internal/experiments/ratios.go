@@ -6,6 +6,7 @@ import (
 	"overlaymatch/internal/matching"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/stats"
+	"overlaymatch/internal/workload"
 )
 
 // E1LICWeightRatio (Theorem 2): measure LIC(=LID) weight against the
@@ -29,7 +30,7 @@ func E1LICWeightRatio(cfg Config) ([]*stats.Table, error) {
 				n, p, b := n, p, b
 				vals, err := parallelFor(cfg.Workers, seeds, func(s int) (float64, error) {
 					seed := cfg.Seed ^ uint64(s)*0x9e37 + uint64(n*1000) + uint64(b)
-					sys, err := smallGNPSystem(seed, n, p, b)
+					sys, err := workload.OracleGNP(seed, n, p, b)
 					if err != nil {
 						return -1, err
 					}
@@ -85,7 +86,7 @@ func E3SatisfactionRatio(cfg Config) ([]*stats.Table, error) {
 			n, b := n, b
 			vals, err := parallelFor(cfg.Workers, seeds, func(s int) (float64, error) {
 				seed := cfg.Seed ^ uint64(s)*0x85eb + uint64(n*77+b)
-				sys, err := smallGNPSystem(seed, n, 0.4, b)
+				sys, err := workload.OracleGNP(seed, n, 0.4, b)
 				if err != nil {
 					return -1, err
 				}
@@ -133,13 +134,12 @@ func E4StaticShare(cfg Config) ([]*stats.Table, error) {
 	sweep := stats.NewTable("E4a (Lemma 1): observed static share of satisfaction vs bound",
 		"topology", "b", "nodes", "min share", "mean share", "bound ½(1+1/b)")
 	n := cfg.pick(60, 300)
-	for _, topo := range topologies()[:3] { // gnp, geometric, ba
+	for _, topo := range suiteTopologies { // gnp, geometric, ba
 		for _, b := range []int{1, 2, 4, 8} {
-			w, err := buildWorkload(cfg.Seed+uint64(b), topo, metrics()[0], n, b)
+			sys, err := workload.Synthetic{Topology: topo, Metric: "random", N: n, B: b, Seed: cfg.Seed + uint64(b)}.Build()
 			if err != nil {
 				return nil, err
 			}
-			sys := w.System
 			tbl := satisfaction.NewTable(sys)
 			m := matching.LIC(sys, tbl)
 			var shares []float64
@@ -155,7 +155,7 @@ func E4StaticShare(cfg Config) ([]*stats.Table, error) {
 			}
 			sum := stats.Summarize(shares)
 			bound := satisfaction.Lemma1Bound(b)
-			sweep.AddRowf(topo.name, b, sum.N, sum.Min, sum.Mean, bound)
+			sweep.AddRowf(topo, b, sum.N, sum.Min, sum.Mean, bound)
 			if sum.Min < bound-1e-9 {
 				return nil, fmt.Errorf("E4: share %v under bound %v", sum.Min, bound)
 			}
@@ -187,12 +187,11 @@ func E8Identities(cfg Config) ([]*stats.Table, error) {
 	t := stats.NewTable("E8 (§3, Fig. 1): satisfaction identity residuals",
 		"topology", "nodes", "max |eq1 - Σeq4|", "max |eq1 - (static+dynamic)|")
 	n := cfg.pick(50, 200)
-	for _, topo := range topologies()[:3] {
-		w, err := buildWorkload(cfg.Seed+7, topo, metrics()[0], n, 3)
+	for _, topo := range suiteTopologies {
+		sys, err := workload.Synthetic{Topology: topo, Metric: "random", N: n, B: 3, Seed: cfg.Seed + 7}.Build()
 		if err != nil {
 			return nil, err
 		}
-		sys := w.System
 		tbl := satisfaction.NewTable(sys)
 		m := matching.LIC(sys, tbl)
 		var maxSum, maxSplit float64
@@ -211,7 +210,7 @@ func E8Identities(cfg Config) ([]*stats.Table, error) {
 				maxSplit = d
 			}
 		}
-		t.AddRowf(topo.name, n, maxSum, maxSplit)
+		t.AddRowf(topo, n, maxSum, maxSplit)
 		if maxSum > 1e-9 || maxSplit > 1e-9 {
 			return nil, fmt.Errorf("E8: identity residual too large (%v, %v)", maxSum, maxSplit)
 		}

@@ -11,6 +11,7 @@ import (
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/stats"
+	"overlaymatch/internal/workload"
 )
 
 // e16Window is the healing crash window swept by E16: the victim is
@@ -44,7 +45,7 @@ func E16SelfHealing(cfg Config) ([]*stats.Table, error) {
 		"topology", "b", "runs", "false suspicions", "identical matching", "hb frames")
 	n := cfg.pick(30, 80)
 	runs := cfg.pick(2, 5)
-	for _, topo := range topologies()[:3] {
+	for _, topo := range suiteTopologies {
 		for b := 1; b <= 3; b++ {
 			var (
 				equal, suspicions, restores, synthByes, resyncs, repairFrames int
@@ -57,11 +58,10 @@ func E16SelfHealing(cfg Config) ([]*stats.Table, error) {
 			// suspicions of its healthy neighbors land in the false column.
 			vreg := mreg.New()
 			for r := 0; r < runs; r++ {
-				w, err := buildWorkload(cfg.Seed^uint64(16*n)^uint64(r)*7919, topo, metrics()[0], n, b)
+				sys, err := workload.Synthetic{Topology: topo, Metric: "random", N: n, B: b, Seed: cfg.Seed ^ uint64(16*n) ^ uint64(r)*7919}.Build()
 				if err != nil {
 					return nil, err
 				}
-				sys := w.System
 				tbl := satisfaction.NewTable(sys)
 				lic := matching.LIC(sys, tbl)
 				crash := 0
@@ -82,7 +82,7 @@ func E16SelfHealing(cfg Config) ([]*stats.Table, error) {
 					Metrics: cfg.Metrics,
 				})
 				if err != nil {
-					return nil, fmt.Errorf("E16 %s/b=%d run %d: %w", topo.name, b, r, err)
+					return nil, fmt.Errorf("E16 %s/b=%d run %d: %w", topo, b, r, err)
 				}
 				if res.Live.Equal(lic) {
 					equal++
@@ -115,17 +115,17 @@ func E16SelfHealing(cfg Config) ([]*stats.Table, error) {
 			falseSusp := int(vreg.Counter("detector_false_suspicions_total", "").Value())
 			if got := int(vreg.Counter("detector_suspicions_total", "").Value()); got != suspicions {
 				return nil, fmt.Errorf("E16: %s/b=%d registry counted %d suspicions, monitors say %d",
-					topo.name, b, got, suspicions)
+					topo, b, got, suspicions)
 			}
-			sweep.AddRowf(topo.name, b, runs, equal, suspicions, restores, falseSusp,
+			sweep.AddRowf(topo, b, runs, equal, suspicions, restores, falseSusp,
 				synthByes, resyncs, lat, repairFrames/runs)
 			if equal != runs {
 				return nil, fmt.Errorf("E16: %s/b=%d healed into a non-LIC matching (%d/%d) — repair must converge to the stable greedy state",
-					topo.name, b, equal, runs)
+					topo, b, equal, runs)
 			}
 			if suspicions == 0 || resyncs == 0 {
 				return nil, fmt.Errorf("E16: %s/b=%d crash went undetected (suspicions=%d resyncs=%d)",
-					topo.name, b, suspicions, resyncs)
+					topo, b, suspicions, resyncs)
 			}
 		}
 
@@ -138,11 +138,10 @@ func E16SelfHealing(cfg Config) ([]*stats.Table, error) {
 		creg := mreg.New()
 		var identical, hbFrames int
 		for r := 0; r < runs; r++ {
-			w, err := buildWorkload(cfg.Seed^uint64(16*n)^uint64(r)*7919, topo, metrics()[0], n, cb)
+			sys, err := workload.Synthetic{Topology: topo, Metric: "random", N: n, B: cb, Seed: cfg.Seed ^ uint64(16*n) ^ uint64(r)*7919}.Build()
 			if err != nil {
 				return nil, err
 			}
-			sys := w.System
 			tbl := satisfaction.NewTable(sys)
 			opts := simnet.Options{
 				Seed:    cfg.Seed + uint64(r)*131 + 16,
@@ -153,11 +152,11 @@ func E16SelfHealing(cfg Config) ([]*stats.Table, error) {
 				Detector: cfg.detectorConfig(),
 			}, nil, opts)
 			if err != nil {
-				return nil, fmt.Errorf("E16 control %s run %d (detector on): %w", topo.name, r, err)
+				return nil, fmt.Errorf("E16 control %s run %d (detector on): %w", topo, r, err)
 			}
 			off, err := dlid.RunSelfHeal(sys, tbl, dlid.SelfHealConfig{Mode: dlid.Rematch}, nil, opts)
 			if err != nil {
-				return nil, fmt.Errorf("E16 control %s run %d (detector off): %w", topo.name, r, err)
+				return nil, fmt.Errorf("E16 control %s run %d (detector off): %w", topo, r, err)
 			}
 			detector.PublishVerdicts(creg, on.Monitors, nil)
 			if on.Live.Equal(off.Live) {
@@ -166,14 +165,14 @@ func E16SelfHealing(cfg Config) ([]*stats.Table, error) {
 			hbFrames += on.Stats.SentByKind["HB"] + on.Stats.SentByKind["HB-ACK"]
 		}
 		falseSusp := int(creg.Counter("detector_false_suspicions_total", "").Value())
-		control.AddRowf(topo.name, cb, runs, falseSusp, identical, hbFrames/runs)
+		control.AddRowf(topo, cb, runs, falseSusp, identical, hbFrames/runs)
 		if falseSusp != 0 {
 			return nil, fmt.Errorf("E16 control: %s reported %d suspicions with zero faults",
-				topo.name, falseSusp)
+				topo, falseSusp)
 		}
 		if identical != runs {
 			return nil, fmt.Errorf("E16 control: %s matching changed under monitoring (%d/%d identical) — the detector must be observationally free",
-				topo.name, identical, runs)
+				topo, identical, runs)
 		}
 	}
 	return []*stats.Table{sweep, control}, nil

@@ -9,6 +9,7 @@ import (
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/stats"
+	"overlaymatch/internal/workload"
 )
 
 // e17Workers is the worker sweep of E17's determinism check: the probe
@@ -45,12 +46,11 @@ func E17StabilityCurve(cfg Config) ([]*stats.Table, error) {
 		"topology", "n", "eps=0.1", "eps=0.01", "eps=0.001", "eps=0", "workers")
 	n := cfg.pick(24, 100)
 	interval := cfg.probeInterval()
-	for _, topo := range topologies()[:3] {
-		w, err := buildWorkload(cfg.Seed^uint64(17*n), topo, metrics()[0], n, 2)
+	for _, topo := range suiteTopologies {
+		sys, err := workload.Synthetic{Topology: topo, Metric: "random", N: n, B: 2, Seed: cfg.Seed ^ uint64(17*n)}.Build()
 		if err != nil {
 			return nil, err
 		}
-		sys := w.System
 
 		var (
 			prober   *obs.Prober
@@ -62,7 +62,7 @@ func E17StabilityCurve(cfg Config) ([]*stats.Table, error) {
 			r := mreg.New()
 			_, p, err := lid.RunEventProbed(sys, tbl, simnet.Options{Seed: cfg.Seed + 17}, interval, r)
 			if err != nil {
-				return nil, fmt.Errorf("E17 %s workers=%d: %w", topo.name, workers, err)
+				return nil, fmt.Errorf("E17 %s workers=%d: %w", topo, workers, err)
 			}
 			raw, err := r.Snapshot().MarshalJSON()
 			if err != nil {
@@ -72,7 +72,7 @@ func E17StabilityCurve(cfg Config) ([]*stats.Table, error) {
 				prober, reg, baseline = p, r, string(raw)
 			} else if string(raw) != baseline {
 				return nil, fmt.Errorf("E17 %s: probe series with %d workers differ from %d workers — the telemetry plane must be schedule-free",
-					topo.name, workers, e17Workers[0])
+					topo, workers, e17Workers[0])
 			}
 		}
 
@@ -83,37 +83,37 @@ func E17StabilityCurve(cfg Config) ([]*stats.Table, error) {
 		for i := 1; i < len(bp); i++ {
 			if bp[i].V > bp[i-1].V {
 				return nil, fmt.Errorf("E17 %s: blocking pairs increased %v -> %v at t=%v",
-					topo.name, bp[i-1].V, bp[i].V, bp[i].T)
+					topo, bp[i-1].V, bp[i].V, bp[i].T)
 			}
 			if frac[i].V < frac[i-1].V {
-				return nil, fmt.Errorf("E17 %s: matched-weight fraction decreased at t=%v", topo.name, frac[i].T)
+				return nil, fmt.Errorf("E17 %s: matched-weight fraction decreased at t=%v", topo, frac[i].T)
 			}
 		}
 		if last := bp[len(bp)-1].V; last != 0 {
 			return nil, fmt.Errorf("E17 %s: %v blocking pairs at termination, want 0 (LID must end exactly stable)",
-				topo.name, last)
+				topo, last)
 		}
 		if last := frac[len(frac)-1].V; last != 1 {
 			return nil, fmt.Errorf("E17 %s: final weight fraction %v, want 1 (LID must end in the LIC matching)",
-				topo.name, last)
+				topo, last)
 		}
 
 		unmatched := reg.Series("probe_unmatched_nodes", "").Points()
 		msgs := reg.Series("probe_msgs_sent", "").Points()
 		bytes := reg.Series("probe_bytes_sent", "").Points()
 		for i := range bp {
-			curve.AddRowf(topo.name, n, bp[i].T, int64(bp[i].V), int64(unmatched[i].V),
+			curve.AddRowf(topo, n, bp[i].T, int64(bp[i].V), int64(unmatched[i].V),
 				frac[i].V, int64(msgs[i].V), int64(bytes[i].V))
 		}
 		// Rungs are read through obs.SummaryValue, never by bare map
 		// index: an absent rung must render as the NeverConverged
 		// sentinel, not as the zero value (instant convergence).
 		s := prober.RoundsToEps(nil)
-		summary.AddRowf(topo.name, n,
+		summary.AddRowf(topo, n,
 			obs.SummaryValue(s, 0.1), obs.SummaryValue(s, 0.01),
 			obs.SummaryValue(s, 0.001), obs.SummaryValue(s, 0),
 			fmt.Sprintf("identical x%d", len(e17Workers)))
-		if topo.name == "gnp" {
+		if topo == "gnp" {
 			// The canonical workload's summary feeds the run manifest
 			// (nil-safe when no sink registry is attached).
 			prober.PublishSummary(cfg.Metrics, nil)

@@ -21,17 +21,11 @@
 package experiments
 
 import (
-	"fmt"
-
 	"overlaymatch/internal/detector"
 	"overlaymatch/internal/dynamic"
 	"overlaymatch/internal/faults"
-	"overlaymatch/internal/gen"
-	"overlaymatch/internal/graph"
 	mreg "overlaymatch/internal/metrics"
-	"overlaymatch/internal/pref"
 	"overlaymatch/internal/reliable"
-	"overlaymatch/internal/rng"
 	"overlaymatch/internal/simnet"
 )
 
@@ -137,143 +131,7 @@ func (c Config) pick(quick, full int) int {
 	return full
 }
 
-// Workload is one (graph, preferences) instance plus labels.
-type Workload struct {
-	Name   string
-	Metric string
-	System *pref.System
-}
-
-// topologySpec names a generator at a target size.
-type topologySpec struct {
-	name  string
-	build func(src *rng.Source, n int) (*graph.Graph, [][2]float64)
-}
-
-// topologies returns the standard topology family, each returning
-// optional coordinates (for the distance metric).
-func topologies() []topologySpec {
-	return []topologySpec{
-		{"gnp", func(src *rng.Source, n int) (*graph.Graph, [][2]float64) {
-			// Constant expected average degree ~8 keeps density
-			// comparable across sizes.
-			p := 8.0 / float64(n-1)
-			if p > 1 {
-				p = 1
-			}
-			return gen.GNP(src, n, p), nil
-		}},
-		{"geometric", func(src *rng.Source, n int) (*graph.Graph, [][2]float64) {
-			// Radius for expected degree ≈ 8: deg ≈ πr²n ⇒ r ≈ 1.6/√n.
-			radius := 1.0
-			if n > 0 {
-				radius = 1.6 / sqrtFloat(float64(n))
-			}
-			g, pts := gen.Geometric(src, n, radius)
-			return g, pts
-		}},
-		{"ba", func(src *rng.Source, n int) (*graph.Graph, [][2]float64) {
-			m := 4
-			if n <= m {
-				m = n - 1
-			}
-			if m < 1 {
-				return graph.NewBuilder(n).MustGraph(), nil
-			}
-			return gen.BarabasiAlbert(src, n, m), nil
-		}},
-		{"ring", func(_ *rng.Source, n int) (*graph.Graph, [][2]float64) {
-			return gen.Ring(n), nil
-		}},
-		{"ws", func(src *rng.Source, n int) (*graph.Graph, [][2]float64) {
-			k := 6
-			if k >= n {
-				k = (n - 1) / 2 * 2
-			}
-			if k < 2 {
-				return gen.Ring(n), nil
-			}
-			return gen.WattsStrogatz(src, n, k, 0.2), nil
-		}},
-	}
-}
-
-func sqrtFloat(x float64) float64 {
-	// Newton's iterations would be silly; math.Sqrt via the math import
-	// kept out of this file's head — tiny helper for readability.
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
-}
-
-// metricSpec names a metric builder.
-type metricSpec struct {
-	name  string
-	build func(src *rng.Source, g *graph.Graph, coords [][2]float64) pref.Metric
-}
-
-// metrics returns the standard metric family from the paper's intro:
-// private random scores (cyclic-prone), symmetric affinity (acyclic),
-// geometric distance, global resources, transaction history.
-func metrics() []metricSpec {
-	return []metricSpec{
-		{"random", func(src *rng.Source, _ *graph.Graph, _ [][2]float64) pref.Metric {
-			return pref.NewRandomMetric(src)
-		}},
-		{"symmetric", func(src *rng.Source, _ *graph.Graph, _ [][2]float64) pref.Metric {
-			return pref.NewSymmetricRandomMetric(src)
-		}},
-		{"distance", func(src *rng.Source, g *graph.Graph, coords [][2]float64) pref.Metric {
-			if coords == nil {
-				// Synthesize coordinates when the topology has none.
-				coords = make([][2]float64, g.NumNodes())
-				for i := range coords {
-					coords[i] = [2]float64{src.Float64(), src.Float64()}
-				}
-			}
-			return pref.DistanceMetric{Coords: coords}
-		}},
-		{"resource", func(src *rng.Source, g *graph.Graph, _ [][2]float64) pref.Metric {
-			capacity := make([]float64, g.NumNodes())
-			for i := range capacity {
-				capacity[i] = src.Float64()
-			}
-			return pref.ResourceMetric{Capacity: capacity}
-		}},
-		{"transactions", func(src *rng.Source, g *graph.Graph, _ [][2]float64) pref.Metric {
-			n := g.NumNodes()
-			history := make([][]float64, n)
-			for i := range history {
-				history[i] = make([]float64, n)
-				for _, j := range g.Neighbors(i) {
-					history[i][j] = src.NormFloat64()
-				}
-			}
-			return pref.TransactionMetric{History: history}
-		}},
-	}
-}
-
-// buildWorkload constructs one named workload deterministically.
-func buildWorkload(seed uint64, topo topologySpec, metric metricSpec, n, b int) (Workload, error) {
-	src := rng.New(seed)
-	g, coords := topo.build(src.Split(), n)
-	m := metric.build(src.Split(), g, coords)
-	s, err := pref.Build(g, m, pref.UniformQuota(b))
-	if err != nil {
-		return Workload{}, fmt.Errorf("experiments: workload %s/%s n=%d: %w", topo.name, metric.name, n, err)
-	}
-	return Workload{Name: topo.name, Metric: metric.name, System: s}, nil
-}
-
-// smallGNPSystem builds an oracle-sized instance (for E1/E3).
-func smallGNPSystem(seed uint64, n int, p float64, b int) (*pref.System, error) {
-	src := rng.New(seed)
-	g := gen.GNP(src, n, p)
-	return pref.Build(g, pref.NewRandomMetric(src.Split()), pref.UniformQuota(b))
-}
+// suiteTopologies are the suite's standard overlay families at average
+// degree ≈ 8 (the workload.Synthetic defaults): G(n,p), random
+// geometric and Barabási–Albert.
+var suiteTopologies = []string{"gnp", "geometric", "ba"}

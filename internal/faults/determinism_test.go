@@ -9,13 +9,14 @@ import (
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/workload"
 )
 
 // runTraced executes one reliable-wrapped LID run on the event runtime
 // under (seed, spec, faultSeed) and returns the recorder's NDJSON log:
 // every send (dropped ones included) and delivery, plus the protocol
 // spans.
-func runTraced(t *testing.T, w WorkloadSpec, seed uint64, spec Spec, faultSeed uint64) []byte {
+func runTraced(t *testing.T, w workload.Synthetic, seed uint64, spec Spec, faultSeed uint64) []byte {
 	t.Helper()
 	sys, err := w.Build()
 	if err != nil {
@@ -46,7 +47,7 @@ func runTraced(t *testing.T, w WorkloadSpec, seed uint64, spec Spec, faultSeed u
 // delivery trace run-over-run on the event runtime — the property the whole
 // record/replay design rests on.
 func TestGoldenFaultTraceDeterminism(t *testing.T) {
-	w := WorkloadSpec{Topology: "geometric", Metric: "distance", N: 40, B: 2, Seed: 11}
+	w := workload.Synthetic{Topology: "geometric", Metric: "distance", N: 40, B: 2, Seed: 11}
 	spec := Spec{Drop: 0.12, Dup: 0.08, Corrupt: 0.04, Delay: 0.2, DelayScale: 5,
 		Partitions: []Partition{{Start: 8, End: 60, Lo: 0, Hi: 12}}}
 	first := runTraced(t, w, 99, spec, injectionSeed(99))
@@ -70,7 +71,7 @@ func TestGoldenFaultTraceDeterminism(t *testing.T) {
 // byte-identical NDJSON send and delivery traces (the injector draws nothing from any
 // stream the runner uses).
 func TestZeroSpecMatchesNilPolicy(t *testing.T) {
-	w := WorkloadSpec{Topology: "gnp", Metric: "random", N: 30, B: 2, Seed: 4}
+	w := workload.Synthetic{Topology: "gnp", Metric: "random", N: 30, B: 2, Seed: 4}
 	sys, err := w.Build()
 	if err != nil {
 		t.Fatal(err)

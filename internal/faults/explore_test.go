@@ -3,7 +3,10 @@ package faults
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
+
+	"overlaymatch/internal/workload"
 )
 
 // TestExploreSweepFindsNoViolations is the acceptance sweep: thousands
@@ -19,7 +22,7 @@ func TestExploreSweepFindsNoViolations(t *testing.T) {
 	trials, injections := 0, 0
 	for _, topo := range []string{"gnp", "geometric", "ba"} {
 		for b := 1; b <= 3; b++ {
-			w := WorkloadSpec{Topology: topo, Metric: "random", N: 80, B: b, Seed: uint64(b)*31 + 17}
+			w := workload.Synthetic{Topology: topo, Metric: "random", N: 80, B: b, Seed: uint64(b)*31 + 17}
 			sys, err := w.Build()
 			if err != nil {
 				t.Fatalf("%s/b=%d: build: %v", topo, b, err)
@@ -62,7 +65,7 @@ func TestExploreGreedySchedulerFindsNoViolations(t *testing.T) {
 	spec := Spec{Drop: 0.08, Dup: 0.06, Corrupt: 0.04, Delay: 0.12, DelayScale: 5}
 	trials, injections := 0, 0
 	for _, topo := range []string{"gnp", "geometric", "ba"} {
-		w := WorkloadSpec{Topology: topo, Metric: "random", N: 60, B: 2, Seed: 77}
+		w := workload.Synthetic{Topology: topo, Metric: "random", N: 60, B: 2, Seed: 77}
 		sys, err := w.Build()
 		if err != nil {
 			t.Fatalf("%s: build: %v", topo, err)
@@ -94,7 +97,7 @@ func TestExploreGreedySchedulerFindsNoViolations(t *testing.T) {
 // minimize the replay to at most 25 events (the real minimum is one
 // duplicated PROP).
 func TestExploreCatchesBrokenProtocol(t *testing.T) {
-	w := WorkloadSpec{Topology: "gnp", Metric: "random", N: 30, B: 2, Seed: 9}
+	w := workload.Synthetic{Topology: "gnp", Metric: "random", N: 30, B: 2, Seed: 9}
 	sys, err := w.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +132,7 @@ func TestExploreCatchesBrokenProtocol(t *testing.T) {
 // variant: removing ANY single event from the minimized schedule makes
 // the failure vanish (local 1-minimality), given budget.
 func TestShrinkIsOneMinimal(t *testing.T) {
-	w := WorkloadSpec{Topology: "gnp", Metric: "random", N: 24, B: 2, Seed: 2}
+	w := workload.Synthetic{Topology: "gnp", Metric: "random", N: 24, B: 2, Seed: 2}
 	sys, err := w.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +166,7 @@ func TestShrinkIsOneMinimal(t *testing.T) {
 // file, reloads it through the strict loader, and re-executes it — the
 // overlaysim -replay path end to end, minus the CLI.
 func TestReplayFileRoundTrip(t *testing.T) {
-	w := WorkloadSpec{Topology: "gnp", Metric: "random", N: 30, B: 2, Seed: 9}
+	w := workload.Synthetic{Topology: "gnp", Metric: "random", N: 30, B: 2, Seed: 9}
 	sys, err := w.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -212,15 +215,32 @@ func TestLoadReplayRejectsGarbage(t *testing.T) {
 		"not json",
 		"{}",
 		`{"version":99,"workload":{"topology":"gnp","n":10,"b":1,"metric":"random"},"spec":"off","events":[]}`,
-		`{"version":1,"workload":{"topology":"gnp","n":10,"b":1,"metric":"random"},"spec":"off","events":[]} trailing`,
-		`{"version":1,"workload":{"topology":"evil","n":10,"b":1,"metric":"random"},"spec":"off","events":[]}`,
-		`{"version":1,"workload":{"topology":"gnp","n":10,"b":1,"metric":"random"},"spec":"drop=2","events":[]}`,
-		`{"version":1,"workload":{"topology":"gnp","n":10,"b":1,"metric":"random"},"spec":"off","events":[{"seq":-1,"kind":"drop"}]}`,
-		`{"version":1,"workload":{"topology":"gnp","n":10,"b":1,"metric":"random"},"spec":"off","events":[],"surprise":1}`,
+		`{"version":2,"workload":{"topology":"gnp","n":10,"b":1,"metric":"random"},"spec":"off","events":[]} trailing`,
+		`{"version":2,"workload":{"topology":"evil","n":10,"b":1,"metric":"random"},"spec":"off","events":[]}`,
+		`{"version":2,"workload":{"topology":"gnp","n":10,"b":1,"metric":"random"},"spec":"drop=2","events":[]}`,
+		`{"version":2,"workload":{"topology":"gnp","n":10,"b":1,"metric":"random"},"spec":"off","events":[{"seq":-1,"kind":"drop"}]}`,
+		`{"version":2,"workload":{"topology":"gnp","n":10,"b":1,"metric":"random"},"spec":"off","events":[],"surprise":1}`,
+		`{"version":2,"workload":{"topology":"gnp","n":1048576,"b":1,"metric":"random","p":1},"spec":"off","events":[]}`,
+		`{"version":2,"workload":{"topology":"complete","n":8192,"b":1,"metric":"random"},"spec":"off","events":[]}`,
+		`{"version":2,"workload":{"topology":"ring","n":5000,"b":1,"metric":"transactions"},"spec":"off","events":[]}`,
 	} {
 		if _, err := LoadReplay(bytes.NewReader([]byte(in))); err == nil {
 			t.Errorf("LoadReplay(%q) succeeded, want error", in)
 		}
+	}
+}
+
+// TestLoadReplayRejectsVersion1: a version-1 file named its instance
+// in the recipe before workload.Synthetic, so the loader refuses it and
+// says why instead of replaying a different instance.
+func TestLoadReplayRejectsVersion1(t *testing.T) {
+	in := `{"version":1,"workload":{"topology":"ring","n":5,"b":1,"metric":"random"},"spec":"off","events":[]}`
+	_, err := LoadReplay(bytes.NewReader([]byte(in)))
+	if err == nil || !strings.Contains(err.Error(), "recipe") {
+		t.Fatalf("LoadReplay(version 1) = %v, want an error naming the recipe change", err)
+	}
+	if _, err := LoadReplay(bytes.NewReader([]byte(strings.Replace(in, `"version":1`, `"version":2`, 1)))); err != nil {
+		t.Fatalf("the same file as version 2: %v", err)
 	}
 }
 
@@ -231,7 +251,7 @@ func TestLoadReplayRejectsGarbage(t *testing.T) {
 // early-stop check happens before claiming a seed — with MaxViolations
 // high enough neither stop path triggers).
 func TestExploreDeterministicReport(t *testing.T) {
-	w := WorkloadSpec{Topology: "gnp", Metric: "random", N: 24, B: 2, Seed: 2}
+	w := workload.Synthetic{Topology: "gnp", Metric: "random", N: 24, B: 2, Seed: 2}
 	sys, err := w.Build()
 	if err != nil {
 		t.Fatal(err)

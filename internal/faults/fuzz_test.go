@@ -45,8 +45,15 @@ func FuzzFaultSpecParse(f *testing.F) {
 // panic — they either load as a fully valid replay file or return an
 // error. Anything that loads must survive Validate and re-Save.
 func FuzzReplayFile(f *testing.F) {
+	// Version-1 files name their instance in the recipe before
+	// workload.Synthetic and are rejected; their version-2 copies load.
 	f.Add([]byte(`{"version":1,"workload":{"topology":"gnp","n":10,"b":1,"metric":"random","seed":3},"seed":7,"spec":"dup=0.3","events":[{"seq":4,"kind":"dup","copies":1}]}`))
 	f.Add([]byte(`{"version":1,"workload":{"topology":"ring","n":5,"b":1,"metric":"random"},"spec":"off","events":[]}`))
+	f.Add([]byte(`{"version":2,"workload":{"topology":"gnp","n":10,"b":1,"metric":"random","seed":3},"seed":7,"spec":"dup=0.3","events":[{"seq":4,"kind":"dup","copies":1}]}`))
+	f.Add([]byte(`{"version":2,"workload":{"topology":"ring","n":5,"b":1,"metric":"random"},"spec":"off","events":[]}`))
+	f.Add([]byte(`{"version":2,"workload":{"topology":"ws","n":12,"b":2,"metric":"transactions","k":4,"beta":0.5},"spec":"off","events":[]}`))
+	// Over-size: G(2^20, 1) would expand about 5.5e11 edges.
+	f.Add([]byte(`{"version":2,"workload":{"topology":"gnp","n":1048576,"b":1,"metric":"random","p":1},"spec":"off","events":[]}`))
 	f.Add([]byte(`{"version":2}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))

@@ -9,6 +9,7 @@ import (
 	"overlaymatch/internal/robust"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/workload"
 )
 
 // The churn-maintenance and adversary subsystems take simnet.Options
@@ -19,7 +20,7 @@ import (
 // robust's tolerant nodes check their own.
 
 func TestDlidChurnUnderDelayFaults(t *testing.T) {
-	w := WorkloadSpec{Topology: "gnp", Metric: "random", N: 30, B: 2, Seed: 6}
+	w := workload.Synthetic{Topology: "gnp", Metric: "random", N: 30, B: 2, Seed: 6}
 	sys, err := w.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +44,7 @@ func TestDlidChurnUnderDelayFaults(t *testing.T) {
 }
 
 func TestRobustScenarioUnderDelayFaults(t *testing.T) {
-	w := WorkloadSpec{Topology: "gnp", Metric: "random", N: 20, B: 2, Seed: 8}
+	w := workload.Synthetic{Topology: "gnp", Metric: "random", N: 20, B: 2, Seed: 8}
 	sys, err := w.Build()
 	if err != nil {
 		t.Fatal(err)

@@ -9,14 +9,15 @@ import (
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/transport"
+	"overlaymatch/internal/workload"
 )
 
 // workloadFor spreads the property seeds across topologies, metrics
 // and quotas so the 500-schedule sweep also varies the instance.
-func workloadFor(seed uint64) WorkloadSpec {
+func workloadFor(seed uint64) workload.Synthetic {
 	topos := []string{"gnp", "geometric", "ba", "ring"}
 	metrics := []string{"random", "symmetric", "distance"}
-	return WorkloadSpec{
+	return workload.Synthetic{
 		Topology: topos[seed%uint64(len(topos))],
 		Metric:   metrics[(seed/4)%uint64(len(metrics))],
 		N:        20 + int(seed%5)*10, // 20..60
@@ -87,7 +88,7 @@ func TestPropertyHealingPartitionAndCrash(t *testing.T) {
 		Crashes:    []Crash{{Start: 10, End: 150, Node: 12}},
 	}
 	for seed := uint64(0); seed < 40; seed++ {
-		w := WorkloadSpec{Topology: "gnp", Metric: "random", N: 30, B: 2, Seed: seed + 1}
+		w := workload.Synthetic{Topology: "gnp", Metric: "random", N: 30, B: 2, Seed: seed + 1}
 		sys, err := w.Build()
 		if err != nil {
 			t.Fatalf("seed %d: build: %v", seed, err)
@@ -117,7 +118,7 @@ func TestPropertyClusterUnderFaults(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := uint64(0); seed < 6; seed++ {
-				w := WorkloadSpec{Topology: "gnp", Metric: "random", N: 24, B: 2, Seed: seed + 7}
+				w := workload.Synthetic{Topology: "gnp", Metric: "random", N: 24, B: 2, Seed: seed + 7}
 				sys, err := w.Build()
 				if err != nil {
 					t.Fatalf("seed %d: build: %v", seed, err)
@@ -159,7 +160,7 @@ func TestPropertyClusterUnderFaults(t *testing.T) {
 // TestTrialCatchesBrokenOutcome sanity-checks the oracle itself: a
 // trial whose expected matching is perturbed must report a violation.
 func TestTrialCatchesBrokenOutcome(t *testing.T) {
-	w := WorkloadSpec{Topology: "gnp", Metric: "random", N: 20, B: 2, Seed: 3}
+	w := workload.Synthetic{Topology: "gnp", Metric: "random", N: 20, B: 2, Seed: 3}
 	sys, err := w.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +191,7 @@ func TestTrialCatchesBrokenOutcome(t *testing.T) {
 // can never terminate, and the delivery bound must turn that into an
 // error rather than an infinite loop.
 func TestMaxDeliveriesGuardFires(t *testing.T) {
-	w := WorkloadSpec{Topology: "gnp", Metric: "random", N: 16, B: 2, Seed: 5}
+	w := workload.Synthetic{Topology: "gnp", Metric: "random", N: 16, B: 2, Seed: 5}
 	sys, err := w.Build()
 	if err != nil {
 		t.Fatal(err)

@@ -6,120 +6,14 @@ import (
 	"fmt"
 	"io"
 
-	"overlaymatch/internal/gen"
-	"overlaymatch/internal/graph"
 	"overlaymatch/internal/lid"
 	"overlaymatch/internal/matching"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/reliable"
-	"overlaymatch/internal/rng"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/workload"
 )
-
-// WorkloadSpec describes a reproducible workload compactly enough to
-// freeze into a replay file: generator family, size, quota, metric and
-// the workload seed. Zero-valued shape parameters get the same
-// defaults the experiment suite uses (average degree ≈ 8).
-type WorkloadSpec struct {
-	Topology string  `json:"topology"` // gnp | geometric | ba | ring
-	N        int     `json:"n"`
-	B        int     `json:"b"`
-	Metric   string  `json:"metric"` // random | symmetric | distance
-	Seed     uint64  `json:"seed"`
-	P        float64 `json:"p,omitempty"`      // gnp edge probability
-	Radius   float64 `json:"radius,omitempty"` // geometric radius
-	M        int     `json:"m,omitempty"`      // ba attachments
-}
-
-// Validate bounds the spec so corrupted replay files fail fast instead
-// of allocating absurd instances.
-func (w WorkloadSpec) Validate() error {
-	switch w.Topology {
-	case "gnp", "geometric", "ba", "ring":
-	default:
-		return fmt.Errorf("faults: unknown topology %q", w.Topology)
-	}
-	switch w.Metric {
-	case "random", "symmetric", "distance":
-	default:
-		return fmt.Errorf("faults: unknown metric %q", w.Metric)
-	}
-	if w.N < 1 || w.N > 1<<20 {
-		return fmt.Errorf("faults: n=%d outside [1,2^20]", w.N)
-	}
-	if w.B < 0 || w.B > w.N {
-		return fmt.Errorf("faults: b=%d outside [0,n]", w.B)
-	}
-	if !(w.P >= 0 && w.P <= 1) {
-		return fmt.Errorf("faults: p=%v outside [0,1]", w.P)
-	}
-	if !(w.Radius >= 0 && w.Radius <= 2) {
-		return fmt.Errorf("faults: radius=%v outside [0,2]", w.Radius)
-	}
-	if w.M < 0 || w.M > w.N {
-		return fmt.Errorf("faults: m=%d outside [0,n]", w.M)
-	}
-	return nil
-}
-
-// Build materializes the workload.
-func (w WorkloadSpec) Build() (*pref.System, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	src := rng.New(w.Seed)
-	var g *graph.Graph
-	var coords [][2]float64
-	switch w.Topology {
-	case "gnp":
-		p := w.P
-		if p == 0 {
-			p = 8.0 / float64(maxInt(w.N-1, 1))
-			if p > 1 {
-				p = 1
-			}
-		}
-		g = gen.GNP(src.Split(), w.N, p)
-	case "geometric":
-		r := w.Radius
-		if r == 0 {
-			r = 1.6 / sqrt(float64(w.N))
-		}
-		g, coords = gen.Geometric(src.Split(), w.N, r)
-	case "ba":
-		m := w.M
-		if m == 0 {
-			m = 4
-		}
-		if m >= w.N {
-			m = maxInt(w.N-1, 1)
-		}
-		if w.N < 2 {
-			g = graph.NewBuilder(w.N).MustGraph()
-		} else {
-			g = gen.BarabasiAlbert(src.Split(), w.N, m)
-		}
-	case "ring":
-		g = gen.Ring(w.N)
-	}
-	var metric pref.Metric
-	switch w.Metric {
-	case "random":
-		metric = pref.NewRandomMetric(src.Split())
-	case "symmetric":
-		metric = pref.NewSymmetricRandomMetric(src.Split())
-	case "distance":
-		if coords == nil {
-			coords = make([][2]float64, g.NumNodes())
-			for i := range coords {
-				coords[i] = [2]float64{src.Float64(), src.Float64()}
-			}
-		}
-		metric = pref.DistanceMetric{Coords: coords}
-	}
-	return pref.Build(g, metric, pref.UniformQuota(w.B))
-}
 
 // TrialOptions configures how one LID execution runs under the
 // adversary.
@@ -314,8 +208,9 @@ func runLID(sys *pref.System, tbl *satisfaction.Table, seed uint64, inj *Injecto
 // ReplayFile freezes one failing (or interesting) run: everything
 // needed to re-execute it bit-identically on the event runtime.
 type ReplayFile struct {
-	Version  int          `json:"version"`
-	Workload WorkloadSpec `json:"workload"`
+	Version int `json:"version"`
+	// Workload is the instance, in workload.Synthetic's recipe.
+	Workload workload.Synthetic `json:"workload"`
 	// Seed is the event-runner seed (latency stream).
 	Seed uint64 `json:"seed"`
 	// Spec is the adversary in canonical string form; its timed
@@ -334,11 +229,17 @@ type ReplayFile struct {
 	Events []Event `json:"events"`
 }
 
-// ReplayVersion is the current replay file format version.
-const ReplayVersion = 1
+// ReplayVersion is the current replay file format version. Version 2
+// builds its workload with workload.Synthetic; version 1 files named
+// their instance in an older recipe, which draws some of the same
+// specs differently (ring, and distance on non-geometric topologies).
+const ReplayVersion = 2
 
 // Validate checks the file strictly; Load calls it.
 func (f *ReplayFile) Validate() error {
+	if f.Version == 1 {
+		return errors.New("faults: replay version 1 predates the shared instance recipe (workload.Synthetic), which changed how its workload is drawn; record the run again")
+	}
 	if f.Version != ReplayVersion {
 		return fmt.Errorf("faults: replay version %d unsupported (want %d)", f.Version, ReplayVersion)
 	}
@@ -445,23 +346,4 @@ func runTrial(trial Trial, seed uint64, inj *Injector) (err error) {
 		}
 	}()
 	return trial(seed, inj)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// sqrt by Newton iteration (keeps the file's import set stable).
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
 }

@@ -12,6 +12,7 @@ import (
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/transport"
+	"overlaymatch/internal/workload"
 )
 
 // TestNoHealCrashQuiesces pins the termination half of the crash-stop
@@ -25,7 +26,7 @@ import (
 // timeout-tolerant protocol on top (a Cluster has no quiesce mode, so
 // termination there means every node actually halts).
 func TestNoHealCrashQuiesces(t *testing.T) {
-	w := WorkloadSpec{Topology: "gnp", Metric: "random", N: 20, B: 2, Seed: 9}
+	w := workload.Synthetic{Topology: "gnp", Metric: "random", N: 20, B: 2, Seed: 9}
 	sys, err := w.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +93,7 @@ func TestNoHealCrashQuiesces(t *testing.T) {
 // with abandoned frames — and none in Violations, proving the
 // termination oracle distinguishes loss-degradation from breakage.
 func TestExploreClassifiesDegraded(t *testing.T) {
-	w := WorkloadSpec{Topology: "gnp", Metric: "random", N: 16, B: 2, Seed: 9}
+	w := workload.Synthetic{Topology: "gnp", Metric: "random", N: 16, B: 2, Seed: 9}
 	sys, err := w.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +114,7 @@ func TestExploreClassifiesDegraded(t *testing.T) {
 // the detector must carry every trial through suspicion, repair and
 // restore without a single structural violation.
 func TestExploreSelfHealCrashWindows(t *testing.T) {
-	w := WorkloadSpec{Topology: "gnp", Metric: "random", N: 24, B: 2, Seed: 4}
+	w := workload.Synthetic{Topology: "gnp", Metric: "random", N: 24, B: 2, Seed: 4}
 	sys, err := w.Build()
 	if err != nil {
 		t.Fatal(err)

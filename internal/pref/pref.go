@@ -156,6 +156,42 @@ func FromRanks(g *graph.Graph, lists [][]graph.NodeID, quotas []int) (*System, e
 	return fromOwnedLists(g, owned, append([]int(nil), quotas...), 1)
 }
 
+// Induced restricts the system to the nodes keep accepts: the induced
+// subgraph with the kept nodes relabelled 0..k−1 in ascending order,
+// every list filtered to its kept neighbours in preference order, and
+// each kept node's quota (clamped to its shorter list as FromRanks
+// clamps). back maps each new ID to its original ID.
+func (s *System) Induced(keep func(i graph.NodeID) bool) (sub *System, back []graph.NodeID, err error) {
+	fwd := make([]int, s.g.NumNodes())
+	var ids []graph.NodeID
+	for i := range fwd {
+		fwd[i] = -1
+		if keep(i) {
+			fwd[i] = len(ids)
+			ids = append(ids, i)
+		}
+	}
+	g, back, err := s.g.Subgraph(ids)
+	if err != nil {
+		return nil, nil, err
+	}
+	lists := make([][]graph.NodeID, len(back))
+	quotas := make([]int, len(back))
+	for newID, oldID := range back {
+		for _, j := range s.lists[oldID] {
+			if fwd[j] >= 0 {
+				lists[newID] = append(lists[newID], fwd[j])
+			}
+		}
+		quotas[newID] = s.quota[oldID]
+	}
+	sub, err = fromOwnedLists(g, lists, quotas, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sub, back, nil
+}
+
 // fromOwnedLists finalizes a System from lists the caller hands over
 // (no copies). Rank-map construction and quota clamping are fanned out
 // per node across `workers` goroutines; the result is identical for

@@ -55,6 +55,36 @@ func TestFromRanksQuotaClamping(t *testing.T) {
 	}
 }
 
+// TestInduced: dropping node 1 of a 4-cycle with a chord relabels
+// 0,2,3 as 0,1,2, filters every list in preference order, and clamps
+// node 0's quota to its shorter list.
+func TestInduced(t *testing.T) {
+	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 0, V: 3}, {U: 0, V: 2}})
+	s, err := FromRanks(g,
+		[][]graph.NodeID{{1, 3, 2}, {2, 0}, {3, 0, 1}, {2, 0}},
+		[]int{3, 1, 2, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, back, err := s.Induced(func(i graph.NodeID) bool { return i != 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, []graph.NodeID{0, 2, 3}) {
+		t.Fatalf("back = %v", back)
+	}
+	if got := sub.Graph().NumEdges(); got != 3 {
+		t.Fatalf("induced graph has %d edges, want 3", got)
+	}
+	wantLists := [][]graph.NodeID{{2, 1}, {2, 0}, {1, 0}}
+	wantQuotas := []int{2, 2, 1}
+	for i := range wantLists {
+		if !reflect.DeepEqual(sub.List(i), wantLists[i]) || sub.Quota(i) != wantQuotas[i] {
+			t.Fatalf("node %d: list %v quota %d, want %v and %d", i, sub.List(i), sub.Quota(i), wantLists[i], wantQuotas[i])
+		}
+	}
+}
+
 func TestFromRanksIsolatedNode(t *testing.T) {
 	g := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1}})
 	s, err := FromRanks(g, [][]graph.NodeID{{1}, {0}, {}}, []int{1, 1, 1})

@@ -2,7 +2,6 @@ package robust
 
 import (
 	"fmt"
-	"sort"
 
 	"overlaymatch/internal/detector"
 	"overlaymatch/internal/graph"
@@ -179,33 +178,10 @@ func (out *Outcome) publish(reg *metrics.Registry) {
 // honest-induced subgraph, evaluated with the original (full) lists so
 // it is comparable to HonestSatisfaction.
 func honestBaseline(s *pref.System, adversaries map[graph.NodeID]AdversaryKind) (float64, error) {
-	g := s.Graph()
-	var keep []graph.NodeID
-	for id := 0; id < g.NumNodes(); id++ {
-		if _, adv := adversaries[id]; !adv {
-			keep = append(keep, id)
-		}
-	}
-	sort.Ints(keep)
-	sub, back, err := g.Subgraph(keep)
-	if err != nil {
-		return 0, err
-	}
-	fwd := make(map[graph.NodeID]int, len(back))
-	for newID, oldID := range back {
-		fwd[oldID] = newID
-	}
-	lists := make([][]graph.NodeID, sub.NumNodes())
-	quotas := make([]int, sub.NumNodes())
-	for newID, oldID := range back {
-		for _, j := range s.List(oldID) {
-			if nj, ok := fwd[j]; ok {
-				lists[newID] = append(lists[newID], nj)
-			}
-		}
-		quotas[newID] = s.Quota(oldID)
-	}
-	s2, err := pref.FromRanks(sub, lists, quotas)
+	s2, back, err := s.Induced(func(id graph.NodeID) bool {
+		_, adv := adversaries[id]
+		return !adv
+	})
 	if err != nil {
 		return 0, err
 	}

@@ -15,6 +15,7 @@ import (
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/transport"
+	"overlaymatch/internal/workload"
 )
 
 // star floods one frame from node 0 to every other node; each leaf
@@ -273,7 +274,7 @@ func TestClusterUnderFaults(t *testing.T) {
 	for _, w := range wires {
 		t.Run(w.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 4; seed++ {
-				ws := faults.WorkloadSpec{Topology: "gnp", Metric: "random", N: 24, B: 2, Seed: seed}
+				ws := workload.Synthetic{Topology: "gnp", Metric: "random", N: 24, B: 2, Seed: seed}
 				sys, err := ws.Build()
 				if err != nil {
 					t.Fatalf("seed %d: build: %v", seed, err)

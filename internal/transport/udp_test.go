@@ -14,6 +14,7 @@ import (
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/transport"
+	"overlaymatch/internal/workload"
 )
 
 // certainWindow is an idle window no test run should ever reach: a run
@@ -101,7 +102,7 @@ func injected(inj *faults.Injector, inProcess bool) (dropped, copies int64) {
 // stack, fails t unless both produce the centralized LIC matching,
 // checks the cluster's termination bookkeeping, and returns the
 // cluster's stats and how long its Run took.
-func clusterLIC(t *testing.T, spec faults.WorkloadSpec, newCluster func(int, transport.ClusterConfig) (*transport.Cluster, error), cfg transport.ClusterConfig) (simnet.Stats, time.Duration) {
+func clusterLIC(t *testing.T, spec workload.Synthetic, newCluster func(int, transport.ClusterConfig) (*transport.Cluster, error), cfg transport.ClusterConfig) (simnet.Stats, time.Duration) {
 	t.Helper()
 	sys, err := spec.Build()
 	if err != nil {
@@ -168,7 +169,7 @@ func TestLoopbackClusterLIC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket cluster run in -short mode")
 	}
-	spec := faults.WorkloadSpec{Topology: "gnp", N: 32, B: 3, Metric: "random", Seed: 42}
+	spec := workload.Synthetic{Topology: "gnp", N: 32, B: 3, Metric: "random", Seed: 42}
 	st, elapsed := clusterLIC(t, spec, transport.NewLoopbackCluster, transport.ClusterConfig{Timeout: 60 * time.Second, IdleWindow: certainWindow})
 	if elapsed >= time.Second {
 		t.Errorf("run took %v: termination was not certified by the counters", elapsed)
@@ -198,7 +199,7 @@ func TestLoopbackClusterLICSweep(t *testing.T) {
 		t.Run(w.name, func(t *testing.T) {
 			for _, topo := range []string{"gnp", "geometric", "ba", "ring"} {
 				for seed := uint64(1); seed <= 4; seed++ {
-					spec := faults.WorkloadSpec{Topology: topo, N: 32, B: 3, Metric: "random", Seed: seed}
+					spec := workload.Synthetic{Topology: topo, N: 32, B: 3, Metric: "random", Seed: seed}
 					clusterLIC(t, spec, w.new, transport.ClusterConfig{Timeout: 60 * time.Second})
 				}
 			}

@@ -1,11 +1,19 @@
-// Package workload is the production-shaped scenario suite: seeded,
-// replayable generators for the overlay populations the paper's
-// introduction motivates but the synthetic E-registry topologies only
-// approximate. Each scenario is described by a Spec — a family name
-// plus typed parameters — with a canonical flag-friendly string form
+// Package workload builds the instances the algorithms run on, in two
+// kinds.
+//
+// Synthetic is the instance recipe of the experiment suite, of the
+// overlaysim, overlaynode and graphgen instance flags, and of fault
+// replay files: one generator topology × one suitability metric from a
+// single seed (see Synthetic).
+//
+// The rest of the package is the production-shaped scenario suite:
+// seeded, replayable generators for the overlay populations the paper's
+// introduction motivates but the synthetic topologies only approximate.
+// Each scenario is described by a Spec — a family name plus typed
+// parameters — with a canonical flag-friendly string form
 // ("swarm:n=512,zipf=1.4") that round-trips through Parse/String the
-// way faults.Spec does, so a tournament cell, a CLI invocation and a
-// replay file all name the same instance the same way.
+// way faults.Spec does, so a tournament cell and a tournament CLI
+// invocation name the same instance the same way.
 //
 // Families:
 //
