@@ -178,25 +178,31 @@ func BenchmarkBaselines(b *testing.B) {
 }
 
 // BenchmarkChurn (E9 / §7): one churn event (leave or join) through the
-// preemptive repair path; reports mean edges examined per event.
+// engine's preemptive repair, one epoch per event; reports mean edges
+// examined per event.
 func BenchmarkChurn(b *testing.B) {
 	s := benchSystem(19, 200, 0.04, 3)
-	o := dynamic.NewOverlay(s, dynamic.PreemptLighter)
+	e, err := dynamic.NewEngine(s, dynamic.EngineOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := e.Overlay()
 	src := rng.New(99)
 	examined := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x := src.Intn(s.Graph().NumNodes())
-		var st dynamic.EventStats
-		if o.Alive(x) {
+		ev := dynamic.TimedEvent{Kind: dynamic.UpdateJoin, Node: src.Intn(s.Graph().NumNodes())}
+		if o.Alive(ev.Node) {
 			if o.NumAlive() <= 2 {
 				continue
 			}
-			st = o.Leave(x)
-		} else {
-			st = o.Join(x)
+			ev.Kind = dynamic.UpdateLeave
 		}
-		examined += st.Examined
+		rec, err := e.Step(ev)
+		if err != nil {
+			b.Fatal(err)
+		}
+		examined += rec.Stats.Examined
 	}
 	b.StopTimer()
 	if b.N > 0 {

@@ -1,15 +1,17 @@
 // Churn: the paper's §7 future-work scenario — peers joining and
 // leaving a live overlay. This example exercises the repository's
 // dynamic extension (internal/dynamic): the overlay starts from the
-// LIC matching, then absorbs a stream of leave/join events, repairing
-// locally after each one, and reports how closely the repaired overlay
-// tracks a from-scratch recomputation under both repair policies.
+// LIC matching, then absorbs a stream of leave/join events, which the
+// repair engine applies one epoch per event, and reports how closely
+// the repaired overlay tracks a from-scratch recomputation under both
+// repair policies.
 package main
 
 import (
 	"fmt"
 	"log"
 
+	"overlaymatch/internal/dlid"
 	"overlaymatch/internal/dynamic"
 	"overlaymatch/internal/gen"
 	"overlaymatch/internal/pref"
@@ -33,36 +35,47 @@ func main() {
 	fmt.Printf("universe: %d peers, %d potential links, quota %d, %d churn events\n\n",
 		numPeers, g.NumEdges(), quota, events)
 
+	schedule := dlid.Schedule(sys, rng.New(4), events, 1, 0.5, numPeers/2)
 	for _, pol := range []struct {
-		name   string
-		policy dynamic.Policy
+		name         string
+		completeOnly bool
 	}{
-		{"completion-only repair", dynamic.CompleteOnly},
-		{"preemptive repair", dynamic.PreemptLighter},
+		{"completion-only repair", true},
+		{"preemptive repair", false},
 	} {
-		o := dynamic.NewOverlay(sys, pol.policy)
-		recs, err := dynamic.RunChurn(o, dynamic.ChurnOptions{
-			Events: events, Seed: 4, LeaveProb: 0.5, MinAlive: numPeers / 2,
-		})
+		e, err := dynamic.NewEngine(sys, dynamic.EngineOptions{CompleteOnly: pol.completeOnly})
 		if err != nil {
 			log.Fatal(err)
+		}
+		o := e.Overlay()
+		var examined, added, removed int
+		var qualSum, qualMin float64 = 0, 2
+		for _, ev := range schedule {
+			kind := dynamic.UpdateJoin
+			if ev.Leave {
+				kind = dynamic.UpdateLeave
+			}
+			rec, err := e.Step(dynamic.TimedEvent{Kind: kind, Node: ev.Node})
+			if err != nil {
+				log.Fatal(err)
+			}
+			q, err := o.QualityRatio()
+			if err != nil {
+				log.Fatal(err)
+			}
+			examined += rec.Stats.Examined
+			added += rec.Stats.Added
+			removed += rec.Stats.Removed
+			qualSum += q
+			if q < qualMin {
+				qualMin = q
+			}
 		}
 		if err := o.Validate(); err != nil {
 			log.Fatal(err)
 		}
 
-		var examined, added, removed int
-		var qualSum, qualMin float64 = 0, 2
-		for _, r := range recs {
-			examined += r.Stats.Examined
-			added += r.Stats.Added
-			removed += r.Stats.Removed
-			qualSum += r.Quality
-			if r.Quality < qualMin {
-				qualMin = r.Quality
-			}
-		}
-		n := float64(len(recs))
+		n := float64(len(schedule))
 		fmt.Printf("%s:\n", pol.name)
 		fmt.Printf("  per event: %.1f edges examined, %.2f added, %.2f removed\n",
 			float64(examined)/n, float64(added)/n, float64(removed)/n)

@@ -38,8 +38,9 @@
 // repair quality relative to a fresh LIC recomputation is measured by
 // experiment E14. Unlike LID proper, maintenance repair is greedy
 // *completion*: it does not preempt existing connections, trading
-// optimality for minimal disruption (the centralized analogue is
-// dynamic.CompleteOnly, its quality yardstick).
+// optimality for minimal disruption (the centralized analogue, its
+// quality yardstick, is the dynamic Engine under
+// EngineOptions.CompleteOnly).
 //
 // The protocol runs on the deterministic event Runner with Quiesce
 // mode and injected Schedule commands.

@@ -210,18 +210,12 @@ func VerifyMaximalExcluding(s *pref.System, nodes []*Node, live *matching.Matchi
 }
 
 // LiveLICWeight computes the weight of a fresh LIC on the live
-// subgraph — the repair-quality yardstick.
+// subgraph — the repair-quality yardstick. The weight is taken under
+// the original system, so it compares with the live matching's.
 func LiveLICWeight(s *pref.System, nodes []*Node) (float64, error) {
-	s2, back, err := s.Induced(func(id graph.NodeID) bool { return nodes[id].Alive() })
+	m, err := matching.InducedLIC(s, func(id graph.NodeID) bool { return nodes[id].Alive() })
 	if err != nil {
 		return 0, err
 	}
-	m := matching.LIC(s2, satisfaction.NewTable(s2))
-	// Weight must be computed against the ORIGINAL system so it is
-	// comparable to the live matching's weight.
-	var w float64
-	for _, e := range m.Edges() {
-		w += satisfaction.EdgeWeight(s, graph.Edge{U: back[e.U], V: back[e.V]}.Normalize())
-	}
-	return w, nil
+	return m.Weight(s), nil
 }

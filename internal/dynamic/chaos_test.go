@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"overlaymatch/internal/faults"
+	"overlaymatch/internal/graph"
+	"overlaymatch/internal/matching"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/workload"
 )
@@ -12,7 +14,8 @@ import (
 // TestChaosGateEngine is the PR's chaos gate: seed-swept churn over
 // three workload families (drift included), each run under seeded
 // faults crash windows — one healing, one permanent — merged into the
-// membership feed, at three repair budgets. The gates:
+// membership feed, at three preemptive repair budgets and under
+// completion-only repair. The gates:
 //
 //   - full budget: every epoch drains completely (no truncation, no
 //     deferred backlog, zero blocking edges) and the final matching
@@ -22,7 +25,11 @@ import (
 //     holds, and healing epochs reconverge to live-LIC;
 //   - shedding (depth 2 under a hot feed): sheds actually engage,
 //     the bound still holds, validity always holds, and healing
-//     reconverges.
+//     reconverges;
+//   - completion-only: no epoch removes a connection except through
+//     a leave or a rerank quota cut, and the live matching is valid
+//     and maximal after every epoch. Deferred bounds blocking edges
+//     only under preemption, so that assertion skips this row.
 //
 // 36 seeds × 3 families = 108 instances ≥ the 100-seed floor.
 func TestChaosGateEngine(t *testing.T) {
@@ -71,16 +78,23 @@ func TestChaosGateEngine(t *testing.T) {
 				{"full", EngineOptions{MeasureStability: true}},
 				{"k1", EngineOptions{RepairRounds: 1, MeasureStability: true}},
 				{"shed", EngineOptions{ShedDepth: 2, MeasureStability: true}},
+				{"complete", EngineOptions{CompleteOnly: true}},
 			} {
 				e, err := NewEngine(base, cfg.opts)
 				if err != nil {
 					t.Fatal(err)
 				}
+				tag := fmt.Sprintf("%s seed %d %s", fam, seed, cfg.name)
+				if cfg.opts.CompleteOnly {
+					runEpochs(t, e, sched, func(before *matching.Matching, batch []TimedEvent) {
+						checkCompletionEpoch(t, tag, e, before, batch)
+					})
+					continue
+				}
 				recs, err := RunSchedule(e, sched)
 				if err != nil {
-					t.Fatalf("%s seed %d %s: %v", fam, seed, cfg.name, err)
+					t.Fatalf("%s: %v", tag, err)
 				}
-				tag := fmt.Sprintf("%s seed %d %s", fam, seed, cfg.name)
 				for _, r := range recs {
 					if r.Blocking > r.Deferred {
 						t.Fatalf("%s epoch %d: blocking %d > certified bound %d",
@@ -107,6 +121,60 @@ func TestChaosGateEngine(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// runEpochs is RunSchedule with a hook: check runs after every epoch
+// with the matching the epoch started from and the batch it applied.
+func runEpochs(tb testing.TB, e *Engine, evs []TimedEvent, check func(before *matching.Matching, batch []TimedEvent)) {
+	tb.Helper()
+	watch := func(batch []TimedEvent, apply func()) {
+		before, epochs := e.o.m.Clone(), len(e.records)
+		apply()
+		if len(e.records) > epochs {
+			check(before, batch)
+		}
+	}
+	for i, ev := range evs {
+		var err error
+		watch(append(append([]TimedEvent(nil), e.pending...), ev), func() { err = e.submit(ev) })
+		if err != nil {
+			tb.Fatalf("schedule event %d: %v", i, err)
+		}
+	}
+	watch(e.pending, e.Drain)
+}
+
+// checkCompletionEpoch asserts what completion-only repair promises
+// after one epoch: every connection it dropped touched a node that left
+// in the batch or a rerank-dirty node whose degree exceeded its new
+// quota, and the live matching is valid and maximal.
+func checkCompletionEpoch(tb testing.TB, tag string, e *Engine, before *matching.Matching, batch []TimedEvent) {
+	tb.Helper()
+	mayDrop := make(map[graph.NodeID]bool)
+	for _, u := range batch {
+		switch u.Kind {
+		case UpdateLeave:
+			mayDrop[u.Node] = true
+		case UpdateRerank:
+			for _, x := range u.Dirty {
+				if before.DegreeOf(x) > u.System.Quota(x) {
+					mayDrop[x] = true
+				}
+			}
+		}
+	}
+	o := e.Overlay()
+	for _, eg := range before.Edges() {
+		if !o.Matching().Has(eg.U, eg.V) && !mayDrop[eg.U] && !mayDrop[eg.V] {
+			tb.Fatalf("%s epoch %d: dropped %v without a leave or a quota cut", tag, e.epoch, eg)
+		}
+	}
+	if err := o.Validate(); err != nil {
+		tb.Fatalf("%s epoch %d: invalid overlay: %v", tag, e.epoch, err)
+	}
+	if eg, free := freeEdge(o); free {
+		tb.Fatalf("%s epoch %d: live edge %v has free quota at both ends", tag, e.epoch, eg)
 	}
 }
 

@@ -5,26 +5,29 @@
 //
 // The model is a fixed universe graph of potential connections whose
 // peers come and go: a live overlay is the subgraph induced by the
-// alive nodes. On every event the overlay repairs its matching
-// locally instead of recomputing from scratch:
+// alive nodes. Engine is the one repairer: every join, leave and
+// rerank is submitted to it, and it repairs the matching locally
+// instead of recomputing from scratch:
 //
-//   - Completion repair adds, heaviest first, every unmatched edge
-//     whose endpoints are alive and have free quota — restoring the
-//     maximality LIC guarantees.
-//   - Preemptive repair (Policy PreemptLighter) additionally lets a
-//     candidate edge displace a strictly lighter connection at a full
-//     endpoint, cascading until no displacement applies. Each swap
-//     strictly increases total weight, so repair terminates.
+//   - Preemptive repair (the default) tries candidate edges heaviest
+//     first and lets one displace a strictly lighter connection at a
+//     full endpoint, cascading to the displaced peers. Each swap
+//     strictly raises the matching's sorted weight vector, so repair
+//     terminates, at the live subgraph's unique stable matching.
+//   - Completion-only repair (EngineOptions.CompleteOnly) adds, heaviest
+//     first, every candidate edge whose endpoints are alive and have
+//     free quota, restoring the maximality LIC guarantees, and never
+//     displaces an established connection.
 //
 // Repair is measured (edges examined ≈ message cost, edges changed)
 // and judged against the fresh LIC matching of the live subgraph —
-// experiment E9 reports both. Preemptive repair tracks fresh LIC
-// closely; completion-only repair is cheaper but drifts, which is
-// exactly the trade-off the paper's future-work discussion anticipates.
+// experiment E9 steps one event per epoch under both policies and
+// reports both. Preemptive repair tracks fresh LIC closely;
+// completion-only repair is cheaper but drifts, which is exactly the
+// trade-off the paper's future-work discussion anticipates.
 package dynamic
 
 import (
-	"container/heap"
 	"fmt"
 
 	"overlaymatch/internal/graph"
@@ -33,49 +36,38 @@ import (
 	"overlaymatch/internal/satisfaction"
 )
 
-// Policy selects the repair strategy.
-type Policy int
-
-const (
-	// CompleteOnly restores maximality but never displaces an
-	// established connection.
-	CompleteOnly Policy = iota
-	// PreemptLighter also displaces strictly lighter connections,
-	// cascading repairs to the displaced peers.
-	PreemptLighter
-)
-
-// EventStats reports the cost of one churn event's repair.
+// EventStats reports the cost of one repair epoch.
 type EventStats struct {
 	Examined int // candidate edges inspected (proxy for repair messages)
 	Added    int // connections created
-	Removed  int // connections dropped (leave cleanup + preemptions)
+	Removed  int // connections dropped (leave cleanup, quota cuts, preemptions)
 }
 
 // Overlay is a live matching over the alive subset of a universe
-// graph, repaired incrementally under churn.
+// graph. An Engine owns and repairs it; readers reach it through
+// Engine.Overlay and use the read-only yardsticks below.
 type Overlay struct {
-	s      *pref.System
-	tbl    *satisfaction.Table
-	m      *matching.Matching
-	alive  []bool
-	policy Policy
+	s     *pref.System
+	tbl   *satisfaction.Table
+	m     *matching.Matching
+	alive []bool
 }
 
-// NewOverlay starts an overlay with every node alive and the LIC
-// matching of the full graph.
-func NewOverlay(s *pref.System, policy Policy) *Overlay {
-	tbl := satisfaction.NewTable(s)
+// newOverlay starts an overlay with every node alive and the LIC
+// matching of the full graph, the table and LIC built under `workers`
+// goroutines — bit-identical to the serial build for any worker count
+// (the internal/par contract).
+func newOverlay(s *pref.System, workers int) *Overlay {
+	tbl := satisfaction.NewTableParallel(s, workers)
 	alive := make([]bool, s.Graph().NumNodes())
 	for i := range alive {
 		alive[i] = true
 	}
 	return &Overlay{
-		s:      s,
-		tbl:    tbl,
-		m:      matching.LIC(s, tbl),
-		alive:  alive,
-		policy: policy,
+		s:     s,
+		tbl:   tbl,
+		m:     matching.LICParallel(s, tbl, workers),
+		alive: alive,
 	}
 }
 
@@ -99,59 +91,6 @@ func (o *Overlay) NumAlive() int {
 	return c
 }
 
-// Leave removes node x from the overlay: its connections are dropped
-// and the freed partners repair locally. It panics if x is not alive.
-func (o *Overlay) Leave(x graph.NodeID) EventStats {
-	if !o.alive[x] {
-		panic(fmt.Sprintf("dynamic: Leave of dead node %d", x))
-	}
-	o.alive[x] = false
-	var st EventStats
-	freed := o.m.Connections(x)
-	for _, v := range freed {
-		o.m.Remove(x, v)
-		st.Removed++
-	}
-	o.repair(freed, &st)
-	return st
-}
-
-// Join restores node x to the overlay and repairs around it. It panics
-// if x is already alive.
-func (o *Overlay) Join(x graph.NodeID) EventStats {
-	if o.alive[x] {
-		panic(fmt.Sprintf("dynamic: Join of alive node %d", x))
-	}
-	o.alive[x] = true
-	var st EventStats
-	o.repair([]graph.NodeID{x}, &st)
-	return st
-}
-
-// SetSystem replaces the preference system (same graph required) after
-// some nodes changed their preference lists or quotas, then repairs
-// around the dirty nodes. Connections that now exceed a reduced quota
-// are dropped lightest-first before repair.
-func (o *Overlay) SetSystem(s2 *pref.System, dirty []graph.NodeID) EventStats {
-	if s2.Graph() != o.s.Graph() {
-		panic("dynamic: SetSystem requires the same underlying graph")
-	}
-	o.s = s2
-	o.tbl = satisfaction.NewTable(s2)
-	var st EventStats
-	seeds := append([]graph.NodeID(nil), dirty...)
-	for _, x := range dirty {
-		for o.m.DegreeOf(x) > s2.Quota(x) {
-			v := o.lightestConnection(x)
-			o.m.Remove(x, v)
-			st.Removed++
-			seeds = append(seeds, v)
-		}
-	}
-	o.repair(seeds, &st)
-	return st
-}
-
 // lightestConnection returns x's lightest current connection by the
 // weight order.
 func (o *Overlay) lightestConnection(x graph.NodeID) graph.NodeID {
@@ -168,123 +107,11 @@ func (o *Overlay) lightestConnection(x graph.NodeID) graph.NodeID {
 	return lightest
 }
 
-// candidateHeap orders candidate edges heaviest-first.
-type candidateHeap struct {
-	keys []satisfaction.WeightKey
-}
-
-func (h candidateHeap) Len() int            { return len(h.keys) }
-func (h candidateHeap) Less(i, j int) bool  { return h.keys[i].Heavier(h.keys[j]) }
-func (h candidateHeap) Swap(i, j int)       { h.keys[i], h.keys[j] = h.keys[j], h.keys[i] }
-func (h *candidateHeap) Push(x interface{}) { h.keys = append(h.keys, x.(satisfaction.WeightKey)) }
-func (h *candidateHeap) Pop() interface{} {
-	old := h.keys
-	n := len(old)
-	k := old[n-1]
-	h.keys = old[:n-1]
-	return k
-}
-
-// repair processes the seed nodes: every edge incident to a seed is a
-// candidate; candidates are tried heaviest-first; preemption (if the
-// policy allows) re-seeds the displaced partner.
-func (o *Overlay) repair(seeds []graph.NodeID, st *EventStats) {
-	g := o.s.Graph()
-	h := &candidateHeap{}
-	pushed := make(map[graph.Edge]bool)
-	pushNode := func(x graph.NodeID) {
-		if !o.alive[x] {
-			return
-		}
-		for _, nb := range g.Neighbors(x) {
-			e := graph.Edge{U: x, V: nb}.Normalize()
-			if !pushed[e] {
-				pushed[e] = true
-				heap.Push(h, o.tbl.Key(e.U, e.V))
-			}
-		}
-	}
-	for _, x := range seeds {
-		pushNode(x)
-	}
-	for h.Len() > 0 {
-		k := heap.Pop(h).(satisfaction.WeightKey)
-		e := k.Edge()
-		st.Examined++
-		if !o.alive[e.U] || !o.alive[e.V] || o.m.Has(e.U, e.V) {
-			continue
-		}
-		uFree := o.m.DegreeOf(e.U) < o.s.Quota(e.U)
-		vFree := o.m.DegreeOf(e.V) < o.s.Quota(e.V)
-		if uFree && vFree {
-			o.m.Add(e.U, e.V)
-			st.Added++
-			continue
-		}
-		if o.policy != PreemptLighter {
-			continue
-		}
-		// Preemption: e must be heavier than the lightest connection at
-		// every full endpoint; displace those, re-seed their partners.
-		var drops []graph.Edge
-		ok := true
-		for _, x := range []graph.NodeID{e.U, e.V} {
-			if o.m.DegreeOf(x) < o.s.Quota(x) {
-				continue
-			}
-			l := o.lightestConnection(x)
-			if !k.Heavier(o.tbl.Key(x, l)) {
-				ok = false
-				break
-			}
-			drops = append(drops, graph.Edge{U: x, V: l})
-		}
-		if !ok {
-			continue
-		}
-		if swapHook != nil {
-			dk := make([]satisfaction.WeightKey, 0, len(drops))
-			for _, d := range drops {
-				if o.m.Has(d.U, d.V) {
-					dk = append(dk, o.tbl.Key(d.U, d.V))
-				}
-			}
-			swapHook(k, dk)
-		}
-		for _, d := range drops {
-			if o.m.Has(d.U, d.V) { // both endpoints full with the same lightest edge
-				o.m.Remove(d.U, d.V)
-				st.Removed++
-				// Re-seed the displaced partner: allow its edges to be
-				// reconsidered, including ones popped earlier.
-				partner := d.V
-				for _, nb := range g.Neighbors(partner) {
-					pe := graph.Edge{U: partner, V: nb}.Normalize()
-					if !o.m.Has(pe.U, pe.V) {
-						heap.Push(h, o.tbl.Key(pe.U, pe.V))
-					}
-				}
-			}
-		}
-		o.m.Add(e.U, e.V)
-		st.Added++
-	}
-}
-
 // LiveLIC computes the fresh LIC matching of the live subgraph — the
 // quality yardstick for repair. It runs LIC on the system induced by
-// the alive nodes and maps the result back to universe IDs.
+// the alive nodes, in universe IDs.
 func (o *Overlay) LiveLIC() (*matching.Matching, error) {
-	s2, back, err := o.s.Induced(func(x graph.NodeID) bool { return o.alive[x] })
-	if err != nil {
-		return nil, err
-	}
-	subM := matching.LIC(s2, satisfaction.NewTable(s2))
-	m := matching.NewDense(o.s.Graph())
-	for _, e := range subM.Edges() {
-		m.Add(back[e.U], back[e.V])
-	}
-	return m, nil
+	return matching.InducedLIC(o.s, func(x graph.NodeID) bool { return o.alive[x] })
 }
 
 // LiveSatisfaction returns Σ Si over alive nodes for the current

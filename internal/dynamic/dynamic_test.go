@@ -21,27 +21,43 @@ func randomSystem(tb testing.TB, seed uint64, n int, p float64, b int) *pref.Sys
 	return s
 }
 
-func TestNewOverlayStartsAtLIC(t *testing.T) {
-	s := randomSystem(t, 1, 20, 0.3, 2)
-	o := NewOverlay(s, PreemptLighter)
-	if o.NumAlive() != 20 {
-		t.Fatal("not everyone alive at start")
-	}
-	fresh, err := o.LiveLIC()
+// stepChurn steps the spec's membership feed through e one epoch per
+// event, calling after (when non-nil) with each epoch's record.
+func stepChurn(tb testing.TB, e *Engine, spec ChurnSpec, seed uint64, after func(EpochRecord)) {
+	tb.Helper()
+	evs, err := spec.Schedule(e.o.s.Graph().NumNodes(), seed)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if !o.Matching().Equal(fresh) {
-		t.Fatal("initial matching is not LIC")
-	}
-	if q, err := o.QualityRatio(); err != nil || q != 1 {
-		t.Fatalf("initial quality = %v, %v", q, err)
+	for _, ev := range evs {
+		rec, err := e.Step(ev)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if after != nil {
+			after(rec)
+		}
 	}
 }
 
+// freeEdge returns an unmatched live edge with free quota at both ends,
+// if there is one: the live matching is maximal exactly when there is
+// none.
+func freeEdge(o *Overlay) (graph.Edge, bool) {
+	for _, e := range o.s.Graph().Edges() {
+		if !o.alive[e.U] || !o.alive[e.V] || o.m.Has(e.U, e.V) {
+			continue
+		}
+		if o.m.DegreeOf(e.U) < o.s.Quota(e.U) && o.m.DegreeOf(e.V) < o.s.Quota(e.V) {
+			return e, true
+		}
+	}
+	return graph.Edge{}, false
+}
+
 func TestLeaveDropsConnections(t *testing.T) {
-	s := randomSystem(t, 2, 15, 0.5, 2)
-	o := NewOverlay(s, CompleteOnly)
+	e := mustEngine(t, 2, 15, 0.5, 2, EngineOptions{CompleteOnly: true})
+	o := e.Overlay()
 	// Pick a matched node.
 	var x graph.NodeID = -1
 	for i := 0; i < 15; i++ {
@@ -53,102 +69,89 @@ func TestLeaveDropsConnections(t *testing.T) {
 	if x < 0 {
 		t.Skip("no matched node")
 	}
-	st := o.Leave(x)
-	if st.Removed == 0 {
-		t.Fatal("leave removed nothing")
+	degree := o.Matching().DegreeOf(x)
+	rec, err := e.Step(TimedEvent{Kind: UpdateLeave, Node: x})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if o.Matching().DegreeOf(x) != 0 {
-		t.Fatal("dead node still matched")
+	// Completion repair never preempts, so the leave's own
+	// connections are the only ones dropped.
+	if rec.Stats.Removed != degree {
+		t.Fatalf("leave removed %d connections, want the node's %d", rec.Stats.Removed, degree)
+	}
+	if o.Alive(x) || o.Matching().DegreeOf(x) != 0 {
+		t.Fatal("dead node still alive or matched")
 	}
 	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestLeaveJoinPanics(t *testing.T) {
-	s := randomSystem(t, 3, 6, 0.8, 1)
-	o := NewOverlay(s, CompleteOnly)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Join of alive node should panic")
-			}
-		}()
-		o.Join(0)
-	}()
-	o.Leave(0)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Leave of dead node should panic")
-			}
-		}()
-		o.Leave(0)
-	}()
-}
-
-// TestRepairMaximality: after any churn sequence, the live matching is
-// maximal — no unmatched live edge has free quota at both ends (both
-// policies guarantee this).
+// TestRepairMaximality: after every epoch of any churn sequence, the
+// live matching is maximal — no unmatched live edge has free quota at
+// both ends — under both policies.
 func TestRepairMaximality(t *testing.T) {
-	check := func(seed uint64, nRaw uint8, preempt bool) bool {
-		s := randomSystem(t, seed, int(nRaw)%15+5, 0.4, 2)
-		policy := CompleteOnly
-		if preempt {
-			policy = PreemptLighter
-		}
-		o := NewOverlay(s, policy)
-		if _, err := RunChurn(o, ChurnOptions{Events: 20, Seed: seed ^ 0xaa, SkipQuality: true}); err != nil {
-			return false
-		}
-		if o.Validate() != nil {
-			return false
-		}
-		for _, e := range s.Graph().Edges() {
-			if !o.Alive(e.U) || !o.Alive(e.V) || o.Matching().Has(e.U, e.V) {
-				continue
-			}
-			if o.Matching().DegreeOf(e.U) < s.Quota(e.U) && o.Matching().DegreeOf(e.V) < s.Quota(e.V) {
-				return false
-			}
-		}
-		return true
+	check := func(seed uint64, nRaw uint8, completeOnly bool) bool {
+		e := mustEngine(t, seed, int(nRaw)%15+5, 0.4, 2, EngineOptions{CompleteOnly: completeOnly})
+		ok := true
+		spec := ChurnSpec{Events: 20, LeaveProb: 0.5, MinAlive: 2, Rate: 1}
+		stepChurn(t, e, spec, seed^0xaa, func(EpochRecord) {
+			_, free := freeEdge(e.Overlay())
+			ok = ok && !free && e.Overlay().Validate() == nil
+		})
+		return ok
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestPreemptiveLocalStability: under PreemptLighter no unmatched live
-// edge is heavier than the lightest connection at both of its (full)
-// endpoints — the local-stability property fresh LIC would give.
+// TestPreemptiveLocalStability: after every preemptive epoch no
+// unmatched live edge is heavier than the lightest connection at both
+// of its (full) endpoints — the local-stability property fresh LIC
+// would give.
 func TestPreemptiveLocalStability(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
-		s := randomSystem(t, seed, 16, 0.4, 2)
-		o := NewOverlay(s, PreemptLighter)
-		if _, err := RunChurn(o, ChurnOptions{Events: 30, Seed: seed, SkipQuality: true}); err != nil {
-			t.Fatal(err)
-		}
-		m := o.Matching()
-		for _, e := range s.Graph().Edges() {
-			if !o.Alive(e.U) || !o.Alive(e.V) || m.Has(e.U, e.V) {
-				continue
-			}
-			k := o.tbl.Key(e.U, e.V)
-			blocked := false
-			for _, x := range []graph.NodeID{e.U, e.V} {
-				if m.DegreeOf(x) < s.Quota(x) {
+		e := mustEngine(t, seed, 16, 0.4, 2, EngineOptions{})
+		o := e.Overlay()
+		spec := ChurnSpec{Events: 30, LeaveProb: 0.5, MinAlive: 2, Rate: 1}
+		stepChurn(t, e, spec, seed, func(rec EpochRecord) {
+			s, m := o.System(), o.Matching()
+			for _, eg := range s.Graph().Edges() {
+				if !o.Alive(eg.U) || !o.Alive(eg.V) || m.Has(eg.U, eg.V) {
 					continue
 				}
-				if o.tbl.Key(x, o.lightestConnection(x)).Heavier(k) {
-					blocked = true
+				k := o.tbl.Key(eg.U, eg.V)
+				blocked := false
+				for _, x := range []graph.NodeID{eg.U, eg.V} {
+					if m.DegreeOf(x) < s.Quota(x) {
+						continue
+					}
+					if o.tbl.Key(x, o.lightestConnection(x)).Heavier(k) {
+						blocked = true
+					}
+				}
+				if !blocked {
+					t.Fatalf("seed %d epoch %d: edge %v would preempt but was not applied", seed, rec.Epoch, eg)
 				}
 			}
-			if !blocked {
-				t.Fatalf("seed %d: edge %v would preempt but was not applied", seed, e)
-			}
-		}
+		})
 	}
+}
+
+// qualityPerEvent steps the spec's feed through e and returns the
+// quality ratio after every event.
+func qualityPerEvent(tb testing.TB, e *Engine, spec ChurnSpec, seed uint64) []float64 {
+	tb.Helper()
+	var qs []float64
+	stepChurn(tb, e, spec, seed, func(EpochRecord) {
+		q, err := e.Overlay().QualityRatio()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		qs = append(qs, q)
+	})
+	return qs
 }
 
 // TestPreemptiveQualityBeatsCompletion: averaged over many churn runs,
@@ -157,21 +160,21 @@ func TestPreemptiveLocalStability(t *testing.T) {
 func TestPreemptiveQualityBeatsCompletion(t *testing.T) {
 	var qComplete, qPreempt float64
 	const runs = 10
+	spec := ChurnSpec{Events: 25, LeaveProb: 0.5, MinAlive: 2, Rate: 1}
 	for seed := uint64(0); seed < runs; seed++ {
 		s := randomSystem(t, seed, 18, 0.4, 2)
-		oc := NewOverlay(s, CompleteOnly)
-		op := NewOverlay(s, PreemptLighter)
-		rc, err := RunChurn(oc, ChurnOptions{Events: 25, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp, err := RunChurn(op, ChurnOptions{Events: 25, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range rc {
-			qComplete += rc[i].Quality
-			qPreempt += rp[i].Quality
+		for _, completeOnly := range []bool{true, false} {
+			e, err := NewEngine(s, EngineOptions{CompleteOnly: completeOnly})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range qualityPerEvent(t, e, spec, seed) {
+				if completeOnly {
+					qComplete += q
+				} else {
+					qPreempt += q
+				}
+			}
 		}
 	}
 	if qPreempt < qComplete-1e-9 {
@@ -184,24 +187,20 @@ func TestPreemptiveQualityBeatsCompletion(t *testing.T) {
 // greedy ½-approx structure), and preemptive repair stays close to 1.
 func TestQualityRatioBounded(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
-		s := randomSystem(t, seed, 15, 0.5, 2)
-		o := NewOverlay(s, PreemptLighter)
-		recs, err := RunChurn(o, ChurnOptions{Events: 20, Seed: seed * 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range recs {
-			if r.Quality < 0.5-1e-9 {
-				t.Fatalf("seed %d event %d: quality %v below greedy floor", seed, i, r.Quality)
+		e := mustEngine(t, seed, 15, 0.5, 2, EngineOptions{})
+		spec := ChurnSpec{Events: 20, LeaveProb: 0.5, MinAlive: 2, Rate: 1}
+		for i, q := range qualityPerEvent(t, e, spec, seed*7) {
+			if q < 0.5-1e-9 {
+				t.Fatalf("seed %d event %d: quality %v below greedy floor", seed, i, q)
 			}
 		}
 	}
 }
 
-func TestSetSystemQuotaReduction(t *testing.T) {
-	s := randomSystem(t, 9, 12, 0.7, 3)
-	o := NewOverlay(s, PreemptLighter)
-	// Reduce node 0's quota to 1 via a rebuilt system.
+// rebuilt copies s's lists and quotas, lets edit change them, and
+// builds the edited system over the same graph.
+func rebuilt(tb testing.TB, s *pref.System, edit func(lists [][]graph.NodeID, quotas []int)) *pref.System {
+	tb.Helper()
 	g := s.Graph()
 	lists := make([][]graph.NodeID, g.NumNodes())
 	quotas := make([]int, g.NumNodes())
@@ -209,17 +208,36 @@ func TestSetSystemQuotaReduction(t *testing.T) {
 		lists[i] = append([]graph.NodeID(nil), s.List(i)...)
 		quotas[i] = s.Quota(i)
 	}
-	quotas[0] = 1
+	edit(lists, quotas)
 	s2, err := pref.FromRanks(g, lists, quotas)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return s2
+}
+
+// rerank submits a rerank at the engine's clock and drains it,
+// returning the epoch's record.
+func rerank(tb testing.TB, e *Engine, s2 *pref.System, dirty []graph.NodeID) EpochRecord {
+	tb.Helper()
+	if err := e.SubmitRerank(e.Now(), s2, dirty); err != nil {
+		tb.Fatal(err)
+	}
+	e.Drain()
+	return e.Records()[len(e.Records())-1]
+}
+
+func TestSetSystemQuotaReduction(t *testing.T) {
+	e := mustEngine(t, 9, 12, 0.7, 3, EngineOptions{})
+	o := e.Overlay()
+	// Reduce node 0's quota to 1 via a rebuilt system.
+	s2 := rebuilt(t, o.System(), func(_ [][]graph.NodeID, quotas []int) { quotas[0] = 1 })
 	before := o.Matching().DegreeOf(0)
-	st := o.SetSystem(s2, []graph.NodeID{0})
+	rec := rerank(t, e, s2, []graph.NodeID{0})
 	if o.Matching().DegreeOf(0) > 1 {
 		t.Fatalf("node 0 still has %d connections after quota cut", o.Matching().DegreeOf(0))
 	}
-	if before > 1 && st.Removed == 0 {
+	if before > 1 && rec.Stats.Removed == 0 {
 		t.Fatal("quota cut removed nothing")
 	}
 	if err := o.Validate(); err != nil {
@@ -230,94 +248,64 @@ func TestSetSystemQuotaReduction(t *testing.T) {
 func TestSetSystemPreferenceFlip(t *testing.T) {
 	// Flipping a node's preference list upside down must keep the
 	// overlay valid and locally stable after repair.
-	s := randomSystem(t, 11, 12, 0.6, 2)
-	o := NewOverlay(s, PreemptLighter)
-	g := s.Graph()
-	lists := make([][]graph.NodeID, g.NumNodes())
-	quotas := make([]int, g.NumNodes())
-	for i := 0; i < g.NumNodes(); i++ {
-		lists[i] = append([]graph.NodeID(nil), s.List(i)...)
-		quotas[i] = s.Quota(i)
-	}
-	for a, b := 0, len(lists[0])-1; a < b; a, b = a+1, b-1 {
-		lists[0][a], lists[0][b] = lists[0][b], lists[0][a]
-	}
-	s2, err := pref.FromRanks(g, lists, quotas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.SetSystem(s2, []graph.NodeID{0})
-	if err := o.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if o.System() != s2 {
+	e := mustEngine(t, 11, 12, 0.6, 2, EngineOptions{})
+	s2 := rebuilt(t, e.Overlay().System(), func(lists [][]graph.NodeID, _ []int) {
+		l := lists[0]
+		for a, b := 0, len(l)-1; a < b; a, b = a+1, b-1 {
+			l[a], l[b] = l[b], l[a]
+		}
+	})
+	rerank(t, e, s2, []graph.NodeID{0})
+	if e.Overlay().System() != s2 {
 		t.Fatal("system not swapped")
 	}
+	assertConverged(t, e)
 }
 
-func TestChurnDeterminism(t *testing.T) {
-	run := func() []ChurnRecord {
-		s := randomSystem(t, 21, 14, 0.4, 2)
-		o := NewOverlay(s, PreemptLighter)
-		recs, err := RunChurn(o, ChurnOptions{Events: 15, Seed: 5})
-		if err != nil {
+// TestChurnRespectsMinAlive: ChurnSpec.Schedule rejects a floor the
+// population can never satisfy and suppresses leaves at the MinAlive
+// floor, so stepping its feed never drops the population below it, and
+// a leave-heavy feed does reach it.
+func TestChurnRespectsMinAlive(t *testing.T) {
+	for _, floor := range []int{10, 13} {
+		spec := ChurnSpec{Events: 10, LeaveProb: 0.5, MinAlive: floor, Rate: 1}
+		if _, err := spec.Schedule(10, 2); err == nil {
+			t.Fatalf("Schedule accepted minalive=%d on 10 nodes", floor)
+		}
+	}
+	e := mustEngine(t, 31, 10, 0.5, 1, EngineOptions{CompleteOnly: true})
+	lowest := e.Overlay().NumAlive()
+	spec := ChurnSpec{Events: 100, LeaveProb: 0.99, MinAlive: 5, Rate: 1}
+	stepChurn(t, e, spec, 2, func(rec EpochRecord) {
+		alive := e.Overlay().NumAlive()
+		if alive < spec.MinAlive {
+			t.Fatalf("epoch %d dropped population to %d", rec.Epoch, alive)
+		}
+		lowest = min(lowest, alive)
+	})
+	if lowest != spec.MinAlive {
+		t.Fatalf("population bottomed out at %d, want the floor %d", lowest, spec.MinAlive)
+	}
+}
+
+// TestLiveLICAfterChurn: the quality yardstick itself must be correct —
+// the live LIC matches no dead node and is a valid matching of the
+// universe system.
+func TestLiveLICAfterChurn(t *testing.T) {
+	e := mustEngine(t, 41, 12, 0.5, 2, EngineOptions{})
+	for _, x := range []graph.NodeID{3, 7} {
+		if _, err := e.Step(TimedEvent{Kind: UpdateLeave, Node: x}); err != nil {
 			t.Fatal(err)
 		}
-		return recs
 	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatal("lengths differ")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("record %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestChurnRespectsMinAlive(t *testing.T) {
-	s := randomSystem(t, 31, 10, 0.5, 1)
-	o := NewOverlay(s, CompleteOnly)
-	recs, err := RunChurn(o, ChurnOptions{Events: 100, LeaveProb: 0.99, MinAlive: 5, Seed: 2, SkipQuality: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range recs {
-		if r.Alive < 5 {
-			t.Fatalf("event %d dropped population to %d", i, r.Alive)
-		}
-	}
-}
-
-// TestLiveLICAfterChurnMatchesManualSubgraph: the quality yardstick
-// itself must be correct — compare against LIC on a hand-built
-// restricted system.
-func TestLiveLICAfterChurn(t *testing.T) {
-	s := randomSystem(t, 41, 12, 0.5, 2)
-	o := NewOverlay(s, PreemptLighter)
-	o.Leave(3)
-	o.Leave(7)
-	fresh, err := o.LiveLIC()
+	fresh, err := e.Overlay().LiveLIC()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fresh.DegreeOf(3) != 0 || fresh.DegreeOf(7) != 0 {
 		t.Fatal("LiveLIC matched dead nodes")
 	}
-	if err := fresh.Validate(s); err != nil {
+	if err := fresh.Validate(e.Overlay().System()); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestSetSystemRequiresSameGraph(t *testing.T) {
-	s1 := randomSystem(t, 51, 10, 0.5, 2)
-	s2 := randomSystem(t, 52, 10, 0.5, 2) // different graph object
-	o := NewOverlay(s1, CompleteOnly)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetSystem with a foreign graph should panic")
-		}
-	}()
-	o.SetSystem(s2, nil)
 }

@@ -1,10 +1,12 @@
 // Churn-survival engine: an epoch-batched, budget-bounded incremental
-// repair loop over the dynamic Overlay.
+// repair loop over the dynamic Overlay, and the only code that applies
+// a membership or preference update to it.
 //
-// Where Overlay.Leave/Join/SetSystem repair synchronously per event,
-// the Engine models the operating regime the ROADMAP targets — a
-// streaming membership feed against a live overlay — with three
-// defenses layered on top of the same locally-heaviest repair rule:
+// The Engine models a streaming membership feed against a live
+// overlay, with three defenses layered on top of the locally-heaviest
+// repair rule. A driver that wants each event repaired on its own, to
+// score the overlay after every event, steps the feed one epoch per
+// event (Step).
 //
 //   - Epoch batching. Updates are queued and coalesced; a repair epoch
 //     launches only when the previous one has finished (epoch cost is
@@ -37,6 +39,7 @@ package dynamic
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 
 	"overlaymatch/internal/graph"
@@ -87,14 +90,14 @@ func (k UpdateKind) String() string {
 	return fmt.Sprintf("UpdateKind(%d)", int(k))
 }
 
-// Update is one entry of the engine's pending queue.
-type Update struct {
-	Kind UpdateKind
-	At   float64 // submission time (virtual)
-	Node graph.NodeID
-	// Rerank only:
-	System *pref.System
-	Dirty  []graph.NodeID
+// TimedEvent is one overlay update: an entry of a pre-computed
+// schedule and of the engine's pending queue.
+type TimedEvent struct {
+	At     float64 // submission time (virtual)
+	Kind   UpdateKind
+	Node   graph.NodeID   // UpdateJoin and UpdateLeave only
+	System *pref.System   // UpdateRerank only
+	Dirty  []graph.NodeID // UpdateRerank only
 }
 
 // EpochRecord is the per-epoch telemetry row: what was coalesced, how
@@ -131,11 +134,18 @@ type EngineOptions struct {
 	// MeasureStability counts blocking edges (O(m)) after every epoch
 	// so records carry Blocking alongside the Deferred bound.
 	MeasureStability bool
-	// DisablePrefixCache turns off the weight-list-prefix cache that
+	// CompleteOnly restricts repair to completion: candidate edges are
+	// added heaviest first while both endpoints have free quota, and
+	// an established connection is never displaced. The zero value
+	// keeps preemptive repair. Under CompleteOnly an edge that would
+	// preempt is skipped, not deferred, so Deferred no longer bounds
+	// the blocking edges.
+	CompleteOnly bool
+	// disablePrefixCache turns off the weight-list-prefix cache that
 	// shed epochs reuse across repairs (satisfaction.PrefixCache). The
-	// cache is exact — results are bit-identical either way — so this
-	// exists only for A/B equivalence tests and benchmarks.
-	DisablePrefixCache bool
+	// cache is exact — results are bit-identical either way — so only
+	// the in-package A/B equivalence test sets it.
+	disablePrefixCache bool
 	// Obs, when non-nil, receives one "dynamic.repair" span per epoch
 	// and a "dynamic.shed" point per shed decision.
 	Obs *obs.Recorder
@@ -166,11 +176,11 @@ type Engine struct {
 	backoff   float64 // current collision backoff (0 = none pending)
 	retries   int     // collisions since the last flush
 
-	pending  []Update
+	pending  []TimedEvent
 	deferred map[graph.Edge]bool
 
 	// cache is the cross-epoch weight-list-prefix cache shed scans
-	// resume from (nil when opts.DisablePrefixCache). Every matching
+	// resume from (nil when opts.disablePrefixCache). Every matching
 	// removal and every rejoin must invalidate through it — the
 	// invalidation sites are the ones DESIGN.md §13 lists.
 	cache       *satisfaction.PrefixCache
@@ -200,20 +210,20 @@ type Engine struct {
 var swapHook func(added satisfaction.WeightKey, dropped []satisfaction.WeightKey)
 
 // NewEngine starts an engine over a fresh all-alive overlay (parallel
-// table + LIC build under opts.Workers) with preemptive repair.
+// table + LIC build under opts.Workers).
 func NewEngine(s *pref.System, opts EngineOptions) (*Engine, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	n := s.Graph().NumNodes()
 	e := &Engine{
-		o:           NewOverlayParallel(s, PreemptLighter, opts.Workers),
+		o:           newOverlay(s, opts.Workers),
 		opts:        opts,
 		deferred:    make(map[graph.Edge]bool),
 		incarnation: make([]uint64, n),
 		inRegion:    make([]bool, n),
 	}
-	if !opts.DisablePrefixCache {
+	if !opts.disablePrefixCache {
 		e.cache = satisfaction.NewPrefixCache(s, e.o.tbl)
 	}
 	if reg := opts.Metrics; reg != nil {
@@ -230,24 +240,6 @@ func NewEngine(s *pref.System, opts EngineOptions) (*Engine, error) {
 		e.mQueue = reg.Gauge("dynamic_queue_depth", "pending updates at last submit")
 	}
 	return e, nil
-}
-
-// NewOverlayParallel is NewOverlay with the table and LIC built under
-// `workers` goroutines — bit-identical to the serial build for any
-// worker count (the internal/par contract).
-func NewOverlayParallel(s *pref.System, policy Policy, workers int) *Overlay {
-	tbl := satisfaction.NewTableParallel(s, workers)
-	alive := make([]bool, s.Graph().NumNodes())
-	for i := range alive {
-		alive[i] = true
-	}
-	return &Overlay{
-		s:      s,
-		tbl:    tbl,
-		m:      matching.LICParallel(s, tbl, workers),
-		alive:  alive,
-		policy: policy,
-	}
 }
 
 // Overlay exposes the live overlay (shared; treat as read-only).
@@ -279,38 +271,72 @@ func (e *Engine) Incarnation(x graph.NodeID) uint64 { return e.incarnation[x] }
 
 // SubmitJoin queues a join of node x at virtual time at.
 func (e *Engine) SubmitJoin(at float64, x graph.NodeID) error {
-	return e.submit(Update{Kind: UpdateJoin, At: at, Node: x})
+	return e.submit(TimedEvent{At: at, Kind: UpdateJoin, Node: x})
 }
 
 // SubmitLeave queues a leave of node x at virtual time at.
 func (e *Engine) SubmitLeave(at float64, x graph.NodeID) error {
-	return e.submit(Update{Kind: UpdateLeave, At: at, Node: x})
+	return e.submit(TimedEvent{At: at, Kind: UpdateLeave, Node: x})
 }
 
 // SubmitRerank queues a preference-system swap (same graph required)
 // at virtual time at; dirty names the nodes whose lists or quotas
 // changed.
 func (e *Engine) SubmitRerank(at float64, s2 *pref.System, dirty []graph.NodeID) error {
-	if s2 == nil {
-		return fmt.Errorf("dynamic: SubmitRerank with nil system")
-	}
-	if s2.Graph() != e.o.s.Graph() {
-		return fmt.Errorf("dynamic: SubmitRerank requires the same underlying graph")
-	}
-	return e.submit(Update{Kind: UpdateRerank, At: at, System: s2, Dirty: dirty})
+	return e.submit(TimedEvent{At: at, Kind: UpdateRerank, System: s2, Dirty: dirty})
 }
 
-// Submit queues an arbitrary update (the Submit* helpers in one call).
-func (e *Engine) Submit(u Update) error { return e.submit(u) }
+// Step repairs one update in an epoch of its own and returns that
+// epoch's record: it submits u at the engine's clock, whatever u.At
+// says, and drains. Drivers that score the overlay after every event
+// step through their feed this way.
+func (e *Engine) Step(u TimedEvent) (EpochRecord, error) {
+	u.At = e.now
+	if err := e.submit(u); err != nil {
+		return EpochRecord{}, err
+	}
+	e.Drain()
+	return e.records[len(e.records)-1], nil
+}
 
-func (e *Engine) submit(u Update) error {
+// submit is the one gate every update passes. It rejects an update the
+// engine could not apply — a time that is not finite or lies before
+// the clock, a node out of range, a rerank without a system over the
+// engine's graph or naming a dirty node out of range, an unknown kind —
+// before it touches the queue or the clock.
+func (e *Engine) submit(u TimedEvent) error {
+	n := len(e.inRegion)
+	inRange := func(x graph.NodeID) error {
+		if x < 0 || x >= n {
+			return fmt.Errorf("dynamic: %v of node %d out of range [0,%d)", u.Kind, x, n)
+		}
+		return nil
+	}
+	if math.IsNaN(u.At) || math.IsInf(u.At, 0) {
+		return fmt.Errorf("dynamic: %v at t=%v: time is not finite", u.Kind, u.At)
+	}
 	if u.At < e.now {
 		return fmt.Errorf("dynamic: update at t=%v submitted after engine clock t=%v", u.At, e.now)
 	}
-	if u.Kind != UpdateRerank {
-		if u.Node < 0 || u.Node >= len(e.inRegion) {
-			return fmt.Errorf("dynamic: node %d out of range [0,%d)", u.Node, len(e.inRegion))
+	switch u.Kind {
+	case UpdateJoin, UpdateLeave:
+		if err := inRange(u.Node); err != nil {
+			return err
 		}
+	case UpdateRerank:
+		if u.System == nil {
+			return fmt.Errorf("dynamic: rerank with nil system")
+		}
+		if u.System.Graph() != e.o.s.Graph() {
+			return fmt.Errorf("dynamic: rerank requires the same underlying graph")
+		}
+		for _, x := range u.Dirty {
+			if err := inRange(x); err != nil {
+				return err
+			}
+		}
+	default:
+		return fmt.Errorf("dynamic: unknown update kind %v", u.Kind)
 	}
 	e.now = u.At
 	e.pending = append(e.pending, u)
@@ -550,11 +576,29 @@ func (e *Engine) pruneDeferred() {
 	}
 }
 
-// repairBounded runs preemptive repair from the seeds plus the
-// deferred backlog, sweeping cascade rounds until quiescence or the
-// round budget.
+// candidateHeap orders candidate edges heaviest-first.
+type candidateHeap struct {
+	keys []satisfaction.WeightKey
+}
+
+func (h candidateHeap) Len() int            { return len(h.keys) }
+func (h candidateHeap) Less(i, j int) bool  { return h.keys[i].Heavier(h.keys[j]) }
+func (h candidateHeap) Swap(i, j int)       { h.keys[i], h.keys[j] = h.keys[j], h.keys[i] }
+func (h *candidateHeap) Push(x interface{}) { h.keys = append(h.keys, x.(satisfaction.WeightKey)) }
+func (h *candidateHeap) Pop() interface{} {
+	old := h.keys
+	n := len(old)
+	k := old[n-1]
+	h.keys = old[:n-1]
+	return k
+}
+
+// repairBounded runs repair from the seeds plus the deferred backlog,
+// sweeping cascade rounds until quiescence or the round budget.
 //
-// Invariant (the certified bound): entering an epoch, every blocking
+// Invariant (the certified bound, preemptive repair only: completion
+// repair skips an edge that would preempt, so that edge may stay
+// blocking without being parked): entering an epoch, every blocking
 // edge of the live matching is in the deferred set; edges that *become*
 // blocking through this batch are incident to a seed. During repair an
 // edge can only become blocking when an endpoint loses a connection,
@@ -616,6 +660,9 @@ func (e *Engine) repairBounded(seeds []graph.NodeID, rec *EpochRecord) {
 			if uFree && vFree {
 				e.o.m.Add(eg.U, eg.V)
 				st.Added++
+				continue
+			}
+			if e.opts.CompleteOnly {
 				continue
 			}
 			// Preemption: heavier than the lightest connection at

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -36,42 +37,6 @@ func assertConverged(tb testing.TB, e *Engine) {
 	}
 	if !e.Overlay().Matching().Equal(e.Overlay().LiveLICInherited()) {
 		tb.Fatal("converged matching != live-LIC (inherited order)")
-	}
-}
-
-func TestChurnOptionsValidate(t *testing.T) {
-	const n = 20
-	bad := []ChurnOptions{
-		{Events: 0},
-		{Events: -5},
-		{Events: 10, LeaveProb: -0.1},
-		{Events: 10, LeaveProb: 1.5},
-		{Events: 10, MinAlive: -1},
-		{Events: 10, MinAlive: n},
-		{Events: 10, MinAlive: n + 3},
-	}
-	for i, opts := range bad {
-		if err := opts.Validate(n); err == nil {
-			t.Errorf("case %d: Validate(%+v) accepted invalid options", i, opts)
-		}
-	}
-	good := []ChurnOptions{
-		{Events: 1},
-		{Events: 10, LeaveProb: 1, MinAlive: n - 1},
-		{Events: 10, LeaveProb: 0.25, MinAlive: 2},
-	}
-	for i, opts := range good {
-		if err := opts.Validate(n); err != nil {
-			t.Errorf("case %d: Validate(%+v) rejected valid options: %v", i, opts, err)
-		}
-	}
-	// RunChurn surfaces the same errors instead of looping silently.
-	o := NewOverlay(randomSystem(t, 11, n, 0.3, 2), PreemptLighter)
-	if _, err := RunChurn(o, ChurnOptions{Events: 10, MinAlive: n}); err == nil {
-		t.Fatal("RunChurn accepted MinAlive = n")
-	}
-	if _, err := RunChurn(o, ChurnOptions{Events: 10, LeaveProb: 2}); err == nil {
-		t.Fatal("RunChurn accepted LeaveProb = 2")
 	}
 }
 
@@ -293,26 +258,60 @@ func TestEngineIncarnationsAndStaleEvents(t *testing.T) {
 	assertConverged(t, e)
 }
 
+// TestEngineSubmitErrors: submit is the one gate for every update, so
+// each row is rejected however it arrives — through a Submit* call or
+// a schedule — and leaves the clock, the queue and the records as they
+// were. The engine's clock stands at t=5 with that leave's epoch in
+// flight when each row runs.
 func TestEngineSubmitErrors(t *testing.T) {
-	e := mustEngine(t, 9, 10, 0.4, 1, EngineOptions{})
-	if err := e.SubmitLeave(5, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SubmitLeave(1, 1); err == nil {
-		t.Fatal("time-travel submit accepted")
-	}
-	if err := e.SubmitJoin(6, -1); err == nil {
-		t.Fatal("negative node accepted")
-	}
-	if err := e.SubmitJoin(6, 10); err == nil {
-		t.Fatal("out-of-range node accepted")
-	}
 	other := randomSystem(t, 10, 10, 0.4, 1)
-	if err := e.SubmitRerank(7, other, nil); err == nil {
-		t.Fatal("rerank onto a different graph accepted")
+	schedule := func(ev TimedEvent) func(*Engine) error {
+		return func(e *Engine) error {
+			_, err := RunSchedule(e, []TimedEvent{ev})
+			return err
+		}
 	}
-	if err := e.SubmitRerank(7, nil, nil); err == nil {
-		t.Fatal("nil rerank system accepted")
+	for _, row := range []struct {
+		name   string
+		submit func(*Engine) error
+	}{
+		{"time travel", func(e *Engine) error { return e.SubmitLeave(1, 1) }},
+		{"negative node", func(e *Engine) error { return e.SubmitJoin(6, -1) }},
+		{"out-of-range node", func(e *Engine) error { return e.SubmitJoin(6, 10) }},
+		{"rerank onto a different graph", func(e *Engine) error { return e.SubmitRerank(7, other, nil) }},
+		{"nil rerank system", func(e *Engine) error { return e.SubmitRerank(7, nil, nil) }},
+		{"rerank dirty node out of range, epoch in flight", func(e *Engine) error {
+			return e.SubmitRerank(5, e.Overlay().System(), []graph.NodeID{1, 99})
+		}},
+		{"rerank dirty node out of range, engine idle", func(e *Engine) error {
+			return e.SubmitRerank(100, e.Overlay().System(), []graph.NodeID{99})
+		}},
+		{"negative rerank dirty node", func(e *Engine) error {
+			return e.SubmitRerank(100, e.Overlay().System(), []graph.NodeID{-1})
+		}},
+		{"NaN time", func(e *Engine) error { return e.SubmitLeave(math.NaN(), 1) }},
+		{"+Inf time", func(e *Engine) error { return e.SubmitJoin(math.Inf(1), 0) }},
+		{"unknown kind in a schedule", schedule(TimedEvent{At: 7, Kind: UpdateKind(7), Node: 1})},
+		{"nil system in a schedule", schedule(TimedEvent{At: 7, Kind: UpdateRerank})},
+		{"foreign system in a schedule", schedule(TimedEvent{At: 7, Kind: UpdateRerank, System: other})},
+		{"dirty node out of range in a schedule", func(e *Engine) error {
+			return schedule(TimedEvent{At: 7, Kind: UpdateRerank, System: e.Overlay().System(), Dirty: []graph.NodeID{99}})(e)
+		}},
+		{"NaN time in a schedule", schedule(TimedEvent{At: math.NaN(), Kind: UpdateLeave, Node: 1})},
+	} {
+		e := mustEngine(t, 9, 10, 0.4, 1, EngineOptions{})
+		if err := e.SubmitLeave(5, 0); err != nil {
+			t.Fatal(err)
+		}
+		now, epochs := e.Now(), len(e.Records())
+		if err := row.submit(e); err == nil {
+			t.Errorf("%s: accepted", row.name)
+			continue
+		}
+		if e.Now() != now || len(e.Records()) != epochs || e.PendingDepth() != 0 {
+			t.Errorf("%s: the rejected update moved the engine (clock %v, %d epochs, %d pending)",
+				row.name, e.Now(), len(e.Records()), e.PendingDepth())
+		}
 	}
 }
 
@@ -368,7 +367,7 @@ func TestEngineObsAndMetrics(t *testing.T) {
 }
 
 // TestPreemptiveCascadeProperty is the cascade property test: across
-// 200 seeds, every PreemptLighter swap must strictly improve — the
+// 200 seeds, every preemptive swap must strictly improve — the
 // added connection is strictly heavier, in the shared total order,
 // than every connection it displaces (the lexicographic potential that
 // proves termination) — and the repaired state must equal the fresh
@@ -409,27 +408,23 @@ func TestPreemptiveCascadeProperty(t *testing.T) {
 				}
 			}
 		}
-		// Half the seeds drive the synchronous Overlay path, half the
-		// batched Engine path: the hook guards both repair loops.
+		// Half the seeds step one epoch per event, half batch the
+		// feed: the hook guards the repair loop in both regimes.
+		e := mustEngine(t, seed, 35, 0.25, 2, EngineOptions{})
 		if seed%2 == 0 {
-			o := NewOverlay(randomSystem(t, seed, 35, 0.25, 2), PreemptLighter)
-			if _, err := RunChurn(o, ChurnOptions{Events: 30, Seed: seed ^ 0xc0de, SkipQuality: true}); err != nil {
-				t.Fatal(err)
-			}
-			if !o.Matching().Equal(o.LiveLICInherited()) {
-				t.Fatalf("seed %d: overlay post-repair != live-LIC (inherited order)", seed)
-			}
+			spec := ChurnSpec{Events: 30, LeaveProb: 0.5, MinAlive: 2, Rate: 1}
+			stepChurn(t, e, spec, seed^0xc0de, func(rec EpochRecord) {
+				if !e.Overlay().Matching().Equal(e.Overlay().LiveLICInherited()) {
+					t.Fatalf("seed %d epoch %d: post-repair != live-LIC (inherited order)", seed, rec.Epoch)
+				}
+			})
 		} else {
-			e, err := NewEngine(randomSystem(t, seed, 35, 0.25, 2), EngineOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			spec := ChurnSpec{Events: 30, LeaveProb: 0.55, MinAlive: 4, Rate: 4}
 			if _, err := RunEngineChurn(e, spec, seed^0xbeef); err != nil {
 				t.Fatal(err)
 			}
-			assertConverged(t, e)
 		}
+		assertConverged(t, e)
 		if failed {
 			t.FailNow()
 		}

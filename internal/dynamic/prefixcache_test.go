@@ -19,7 +19,7 @@ func TestEnginePrefixCacheBitIdentical(t *testing.T) {
 				ShedDepth:          1, // every multi-update epoch sheds
 				RepairRounds:       2,
 				MeasureStability:   true,
-				DisablePrefixCache: disable,
+				disablePrefixCache: disable,
 			})
 			// Low rate spreads the events over many epochs so nodes are
 			// re-scanned across sheds — the regime the cache exists for.

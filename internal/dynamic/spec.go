@@ -128,15 +128,6 @@ func ParseChurnSpec(in string) (ChurnSpec, error) {
 	return spec, nil
 }
 
-// TimedEvent is one entry of a pre-computed update schedule.
-type TimedEvent struct {
-	At     float64
-	Kind   UpdateKind
-	Node   graph.NodeID
-	System *pref.System   // UpdateRerank only
-	Dirty  []graph.NodeID // UpdateRerank only
-}
-
 // Schedule expands the spec into a concrete membership feed over an
 // n-node overlay that starts fully alive. The feed is deterministic
 // for a given seed and respects MinAlive against its own projection of
@@ -272,18 +263,7 @@ func sortSchedule(evs []TimedEvent) {
 // it. Returns the engine's epoch records.
 func RunSchedule(e *Engine, evs []TimedEvent) ([]EpochRecord, error) {
 	for i, ev := range evs {
-		var err error
-		switch ev.Kind {
-		case UpdateRerank:
-			err = e.SubmitRerank(ev.At, ev.System, ev.Dirty)
-		case UpdateJoin:
-			err = e.SubmitJoin(ev.At, ev.Node)
-		case UpdateLeave:
-			err = e.SubmitLeave(ev.At, ev.Node)
-		default:
-			err = fmt.Errorf("dynamic: unknown event kind %v", ev.Kind)
-		}
-		if err != nil {
+		if err := e.submit(ev); err != nil {
 			return e.Records(), fmt.Errorf("dynamic: schedule event %d: %w", i, err)
 		}
 	}
@@ -292,7 +272,7 @@ func RunSchedule(e *Engine, evs []TimedEvent) ([]EpochRecord, error) {
 }
 
 // RunEngineChurn generates the spec's membership feed and drives it
-// through the engine — the engine-level counterpart of RunChurn.
+// through the engine in batched epochs.
 func RunEngineChurn(e *Engine, spec ChurnSpec, seed uint64) ([]EpochRecord, error) {
 	evs, err := spec.Schedule(e.o.s.Graph().NumNodes(), seed)
 	if err != nil {

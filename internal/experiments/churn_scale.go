@@ -4,21 +4,24 @@ import (
 	"fmt"
 	"time"
 
+	"overlaymatch/internal/dlid"
 	"overlaymatch/internal/dynamic"
 	"overlaymatch/internal/lid"
 	"overlaymatch/internal/matching"
+	"overlaymatch/internal/rng"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/stats"
 	"overlaymatch/internal/workload"
 )
 
-// E9Churn (§7 extension): run leave/join churn through the dynamic
-// overlay under both repair policies and report repair cost (edges
-// examined/changed per event) and repair quality (live weight vs a
-// fresh LIC of the live subgraph). Expected shape: preemptive repair
-// holds quality ≈ 1 at a modest extra cost; completion-only repair is
-// cheaper but drifts below 1.
+// E9Churn (§7 extension): step leave/join churn through the dynamic
+// Engine, one epoch per event, under both repair policies, and report
+// repair cost (edges examined/changed per event) and repair quality
+// (live weight vs a fresh LIC of the live subgraph) after every event.
+// The events come from dlid.Schedule, the feed E14 replays. Expected
+// shape: preemptive repair holds quality ≈ 1 at a modest extra cost;
+// completion-only repair is cheaper but drifts below 1.
 func E9Churn(cfg Config) ([]*stats.Table, error) {
 	t := stats.NewTable("E9 (§7): churn repair cost and quality",
 		"topology", "policy", "events", "mean examined", "mean added", "mean removed",
@@ -27,37 +30,52 @@ func E9Churn(cfg Config) ([]*stats.Table, error) {
 	events := cfg.pick(20, 120)
 	for _, topo := range suiteTopologies {
 		for _, policy := range []struct {
-			name string
-			p    dynamic.Policy
-		}{{"complete", dynamic.CompleteOnly}, {"preempt", dynamic.PreemptLighter}} {
+			name         string
+			completeOnly bool
+		}{{"complete", true}, {"preempt", false}} {
 			sys, err := workload.Synthetic{Topology: topo, Metric: "random", N: n, B: 3, Seed: cfg.Seed ^ 0x99}.Build()
 			if err != nil {
 				return nil, err
 			}
-			o := dynamic.NewOverlay(sys, policy.p)
-			recs, err := dynamic.RunChurn(o, dynamic.ChurnOptions{
-				Events: events, Seed: cfg.Seed + 17, LeaveProb: 0.5, MinAlive: n / 3,
-			})
+			e, err := dynamic.NewEngine(sys, dynamic.EngineOptions{CompleteOnly: policy.completeOnly})
 			if err != nil {
 				return nil, err
+			}
+			o := e.Overlay()
+			var ex, add, rem, qual, sat []float64
+			for _, ev := range dlid.Schedule(sys, rng.New(cfg.Seed+17), events, 1, 0.5, n/3) {
+				rec, err := e.Step(timedEvent(ev))
+				if err != nil {
+					return nil, err
+				}
+				q, err := o.QualityRatio()
+				if err != nil {
+					return nil, err
+				}
+				ex = append(ex, float64(rec.Stats.Examined))
+				add = append(add, float64(rec.Stats.Added))
+				rem = append(rem, float64(rec.Stats.Removed))
+				qual = append(qual, q)
+				sat = append(sat, o.LiveSatisfaction())
 			}
 			if err := o.Validate(); err != nil {
 				return nil, fmt.Errorf("E9: overlay invalid after churn: %w", err)
 			}
-			var ex, add, rem, qual, sat []float64
-			for _, r := range recs {
-				ex = append(ex, float64(r.Stats.Examined))
-				add = append(add, float64(r.Stats.Added))
-				rem = append(rem, float64(r.Stats.Removed))
-				qual = append(qual, r.Quality)
-				sat = append(sat, r.Satisfaction)
-			}
-			t.AddRowf(topo, policy.name, len(recs),
+			t.AddRowf(topo, policy.name, len(ex),
 				stats.Mean(ex), stats.Mean(add), stats.Mean(rem),
 				stats.Mean(qual), stats.Min(qual), stats.Mean(sat))
 		}
 	}
 	return []*stats.Table{t}, nil
+}
+
+// timedEvent converts a dlid schedule entry into the Engine's update.
+func timedEvent(ev dlid.Event) dynamic.TimedEvent {
+	kind := dynamic.UpdateJoin
+	if ev.Leave {
+		kind = dynamic.UpdateLeave
+	}
+	return dynamic.TimedEvent{At: ev.At, Kind: kind, Node: ev.Node}
 }
 
 // E10Scalability: scalability of the centralized LIC scan, the

@@ -15,13 +15,13 @@ import (
 // E14Maintenance (§7, the distributed answer): run the dlid
 // maintenance protocol through churn schedules and compare its repair
 // quality and message cost against (a) a fresh LIC recomputation of
-// the live subgraph and (b) the centralized completion repair
-// (dynamic.CompleteOnly) on the same event sequence. The shape to
-// verify: the distributed protocol matches the centralized
-// completion-repair quality band (both are greedy completions) at a
-// per-event message cost of a few times the affected degree, with
-// every run quiescing and passing the structural invariants (Run
-// enforces them).
+// the live subgraph and (b) the centralized completion repair (the
+// dynamic Engine under CompleteOnly, one epoch per event) on the same
+// event sequence. The shape to verify: the distributed protocol
+// matches the centralized completion-repair quality band (both are
+// greedy completions) at a per-event message cost of a few times the
+// affected degree, with every run quiescing and passing the structural
+// invariants (Run enforces them).
 func E14Maintenance(cfg Config) ([]*stats.Table, error) {
 	t := stats.NewTable("E14 (§7): distributed churn maintenance (dlid) vs fresh LIC and centralized repair",
 		"topology", "events", "msgs/event", "props/event", "quality dlid", "quality centralized", "final alive")
@@ -52,15 +52,16 @@ func E14Maintenance(cfg Config) ([]*stats.Table, error) {
 		}
 
 		// Centralized completion repair on the same event sequence.
-		o := dynamic.NewOverlay(sys, dynamic.CompleteOnly)
+		e, err := dynamic.NewEngine(sys, dynamic.EngineOptions{CompleteOnly: true})
+		if err != nil {
+			return nil, err
+		}
 		for _, ev := range schedule {
-			if ev.Leave {
-				o.Leave(ev.Node)
-			} else {
-				o.Join(ev.Node)
+			if _, err := e.Step(timedEvent(ev)); err != nil {
+				return nil, err
 			}
 		}
-		centralQ, err := o.QualityRatio()
+		centralQ, err := e.Overlay().QualityRatio()
 		if err != nil {
 			return nil, err
 		}

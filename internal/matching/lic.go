@@ -22,6 +22,23 @@ func LIC(s *pref.System, tbl *satisfaction.Table) *Matching {
 	return LICParallel(s, tbl, 1)
 }
 
+// InducedLIC runs LIC on the subsystem induced by the nodes keep
+// accepts (pref.System.Induced: each list keeps only kept neighbors, so
+// ranks, and with them weights, are recomputed) and returns the result
+// on s's graph, in s's node IDs. It is the fresh-recomputation
+// yardstick for a system some of whose peers are gone.
+func InducedLIC(s *pref.System, keep func(graph.NodeID) bool) (*Matching, error) {
+	sub, back, err := s.Induced(keep)
+	if err != nil {
+		return nil, err
+	}
+	m := NewDense(s.Graph())
+	for _, e := range LIC(sub, satisfaction.NewTable(sub)).Edges() {
+		m.Add(back[e.U], back[e.V])
+	}
+	return m, nil
+}
+
 // LICParallel is LIC with the radix sort (and the trivial fills) fanned
 // out over `workers` goroutines (0 = GOMAXPROCS); see
 // sortByOrderKeyParallel for why the sorted order — and therefore the

@@ -42,6 +42,43 @@ func TestLICMaximal(t *testing.T) {
 	}
 }
 
+// TestInducedLIC: keeping every node gives LIC itself; dropping nodes
+// gives exactly the induced subsystem's LIC in s's IDs, a valid
+// matching of s that touches no dropped node.
+func TestInducedLIC(t *testing.T) {
+	check := func(seed uint64, nRaw uint8) bool {
+		s := randomSystem(t, seed, int(nRaw)%15+3, 0.5, 2)
+		all, err := InducedLIC(s, func(graph.NodeID) bool { return true })
+		if err != nil || !all.Equal(LIC(s, satisfaction.NewTable(s))) {
+			return false
+		}
+		keep := func(x graph.NodeID) bool { return x%3 != 0 }
+		m, err := InducedLIC(s, keep)
+		if err != nil || m.Validate(s) != nil {
+			return false
+		}
+		for _, e := range m.Edges() {
+			if !keep(e.U) || !keep(e.V) {
+				return false
+			}
+		}
+		sub, back, err := s.Induced(keep)
+		if err != nil {
+			return false
+		}
+		subM := LIC(sub, satisfaction.NewTable(sub))
+		for _, e := range subM.Edges() {
+			if !m.Has(back[e.U], back[e.V]) {
+				return false
+			}
+		}
+		return m.Size() == subM.Size()
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLICQuotaOneIsMatching(t *testing.T) {
 	// With b=1 everywhere the result must be a classical matching:
 	// no two selected edges share an endpoint.

@@ -178,23 +178,19 @@ func (out *Outcome) publish(reg *metrics.Registry) {
 // honest-induced subgraph, evaluated with the original (full) lists so
 // it is comparable to HonestSatisfaction.
 func honestBaseline(s *pref.System, adversaries map[graph.NodeID]AdversaryKind) (float64, error) {
-	s2, back, err := s.Induced(func(id graph.NodeID) bool {
+	honest := func(id graph.NodeID) bool {
 		_, adv := adversaries[id]
 		return !adv
-	})
+	}
+	m, err := matching.InducedLIC(s, honest)
 	if err != nil {
 		return 0, err
 	}
-	m := matching.LIC(s2, satisfaction.NewTable(s2))
-	// Evaluate against the ORIGINAL ranks/list lengths for an
-	// apples-to-apples comparison with HonestSatisfaction.
 	var total float64
-	for newID, oldID := range back {
-		var conns []graph.NodeID
-		for _, v := range m.Connections(newID) {
-			conns = append(conns, back[v])
+	for id := 0; id < s.Graph().NumNodes(); id++ {
+		if honest(id) {
+			total += satisfaction.Value(s, id, m.Connections(id))
 		}
-		total += satisfaction.Value(s, oldID, conns)
 	}
 	return total, nil
 }
