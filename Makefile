@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check test test-short race race-core registry-coverage golden-check loopback-check bench-module fmt-check vet fuzz fuzz-smoke frame-386 bench bench-json bench-check experiments examples cover clean
+.PHONY: all build check test test-short race race-core registry-coverage golden-check loopback-check bench-module fmt-check vet layering fuzz fuzz-smoke frame-386 bench bench-json bench-check experiments examples cover clean
 
 all: build vet test
 
@@ -16,12 +16,13 @@ all: build vet test
 # parsers, the golden-output regeneration diff (possible since the
 # golden file is timing-free; any drift in any experiment fails here),
 # the benchmark regression gate, the real-socket loopback
-# conformance sweep, the bench/ module's own vet and tests, the frame
+# conformance sweep, the protocol packages' independence from the
+# socket runtime, the bench/ module's own vet and tests, the frame
 # decoder's tests on a 32-bit build, a run of every example program
 # (`go build` cannot catch an example that panics at run time, such as
 # one sending a message type with no codec), and a gofmt cleanliness
 # check.
-check: fmt-check build vet test race-core registry-coverage fuzz-smoke frame-386 golden-check bench-check loopback-check bench-module examples
+check: fmt-check build vet layering test race-core registry-coverage fuzz-smoke frame-386 golden-check bench-check loopback-check bench-module examples
 
 # Every Go file must already be gofmt-formatted.
 fmt-check:
@@ -33,6 +34,14 @@ fmt-check:
 # slices across goroutines, which the race detector must keep honest.
 race-core: vet
 	$(GO) test -race -short ./internal/par/... ./internal/metrics/... ./internal/simnet/... ./internal/faults/... ./internal/detector/... ./internal/reliable/... ./internal/graph/... ./internal/pref/... ./internal/satisfaction/... ./internal/matching/... ./internal/lid/... ./internal/obs/... ./internal/workload/... ./internal/tournament/... ./internal/dynamic/... ./internal/transport/... ./internal/phased/... ./internal/robust/...
+
+# The protocol packages run on any simnet.Runtime, so none of them may
+# depend on the wall-clock runtime (internal/transport): only the
+# callers that pick a runtime import it. A failed `go list` fails the
+# leg too.
+layering:
+	deps="$$($(GO) list -deps ./internal/lid ./internal/dlid ./internal/phased ./internal/robust ./internal/tournament ./internal/faults)" && \
+	! echo "$$deps" | grep -x overlaymatch/internal/transport
 
 # Every registered experiment must still run under quick parameters —
 # catches experiments silently falling out of the registry.
@@ -119,10 +128,11 @@ golden-check:
 # families, four seeds each, and for reliable LID under a lossy,
 # duplicating, corrupting, delaying link policy. On both wires it also
 # checks that a stopped timer retires its activation, racing the
-# firing included. This is the gate that keeps the wire layer honest
-# against the simulator the experiments certify.
+# firing included. lid.Run's matrix runs LID on the event, in-process
+# and loopback runtimes under every stack. This is the gate that keeps
+# the wire layer honest against the simulator the experiments certify.
 loopback-check:
-	$(GO) test -count=1 -run 'TestLoopbackClusterLIC|TestLoopbackClusterLICSweep|TestClusterCoalescing|TestClusterUnderFaults|TestClusterTimerStop|TestClusterTimerStopRace' ./internal/transport
+	$(GO) test -count=1 -run 'TestLoopbackClusterLIC|TestLoopbackClusterLICSweep|TestClusterCoalescing|TestClusterUnderFaults|TestClusterTimerStop|TestClusterTimerStopRace|TestRunMatrix' ./internal/transport ./internal/lid
 
 # bench/ is its own module, built against the root API through a
 # replace directive, so `go vet ./...` and `go test ./...` at the root

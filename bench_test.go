@@ -22,6 +22,7 @@ import (
 	"overlaymatch/internal/robust"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/transport"
 	"overlaymatch/internal/variants"
 	"overlaymatch/internal/workload"
 )
@@ -238,7 +239,7 @@ func BenchmarkScaleLIDGoroutines(b *testing.B) {
 	tbl := satisfaction.NewTable(s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lid.RunGoroutines(s, tbl, 60*time.Second); err != nil {
+		if _, err := lid.Run(s, tbl, transport.Memory(transport.ClusterConfig{Timeout: 60 * time.Second}), lid.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -295,7 +296,7 @@ func BenchmarkLossyLinks(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nodes := lid.NewNodes(s, tbl)
-		eps := reliable.Wrap(lid.Handlers(nodes), 30, 0)
+		eps := reliable.WrapConfig(lid.Handlers(nodes), reliable.Config{RTO: 30})
 		runner := simnet.NewRunner(s.Graph().NumNodes(), simnet.Options{
 			Seed:    uint64(i),
 			Latency: simnet.ExponentialLatency(3),

@@ -300,7 +300,7 @@ func runBenchmarks(phase string, sweep []int, quick bool) []Row {
 		} {
 			spec := sched.spec
 			run := func() lid.Result {
-				res, err := lid.RunEventScheduled(s, tbl, simnet.Options{Seed: 11}, spec)
+				res, err := lid.Run(s, tbl, simnet.Event(simnet.Options{Seed: 11}), lid.RunOptions{Scheduler: spec})
 				if err != nil {
 					panic(err)
 				}

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -24,6 +25,7 @@ import (
 	"overlaymatch/internal/experiments"
 	"overlaymatch/internal/faults"
 	"overlaymatch/internal/metrics"
+	"overlaymatch/internal/reliable"
 )
 
 func main() {
@@ -53,11 +55,11 @@ func main() {
 	)
 	flag.Parse()
 
-	if *rto <= 0 {
-		fail("-rto must be positive, got %v (the retransmission timer would never fire)", *rto)
+	if err := (reliable.Config{RTO: *rto}).Validate(); err != nil {
+		fail("-rto: %v", err)
 	}
-	if *probeIv < 0 {
-		fail("-probe-interval must be non-negative")
+	if !(*probeIv >= 0) || math.IsInf(*probeIv, 1) {
+		fail("-probe-interval must be non-negative and finite, got %v", *probeIv)
 	}
 
 	switch *metFmt {

@@ -33,6 +33,7 @@ import (
 	"overlaymatch/internal/metrics"
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/satisfaction"
+	"overlaymatch/internal/stack"
 	"overlaymatch/internal/transport"
 	"overlaymatch/internal/workload"
 )
@@ -64,7 +65,8 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	if err := validate(*listen, *nodeID, spec.N, peers); err != nil {
+	rel := reliable.Config{RTO: *rto, Adaptive: *adaptive}
+	if err := validate(*listen, *nodeID, spec.N, peers, rel); err != nil {
 		fail("%v", err)
 	}
 	det, err := detector.Parse(*detStr)
@@ -90,20 +92,11 @@ func main() {
 
 	// The full handler slice is built (it is cheap — protocol state is
 	// lazy) and only handler[node-id] attaches to the socket; the rest
-	// exist so the wrap helpers see the same shape the simulator does.
+	// exist so the stack sees the same shape the simulator does. A real
+	// datagram socket loses and reorders, so the reliable layer is not
+	// optional here the way it is on the simulator.
 	nodes := lid.NewNodes(sys, tbl)
-	handlers := lid.Handlers(nodes)
-	// A real datagram socket loses and reorders, so the reliable layer
-	// is not optional here the way it is on the simulator.
-	eps := reliable.WrapConfig(handlers, reliable.Config{RTO: *rto, Adaptive: *adaptive})
-	handlers = reliable.Handlers(eps)
-	if det.Enabled() {
-		adj := make([][]int, g.NumNodes())
-		for i := range adj {
-			adj[i] = g.Neighbors(i)
-		}
-		handlers = detector.Handlers(detector.Wrap(handlers, adj, det))
-	}
+	handlers, _ := stack.Spec{Reliable: rel, Detector: det}.Wrap(g, lid.Handlers(nodes))
 
 	nd, err := transport.ListenUDP(transport.UDPConfig{
 		NodeID:        *nodeID,
@@ -187,7 +180,10 @@ func parsePeers(s string) (map[int]string, error) {
 }
 
 // validate checks the flag combination before any socket is bound.
-func validate(listen string, nodeID, n int, peers map[int]string) error {
+func validate(listen string, nodeID, n int, peers map[int]string, rel reliable.Config) error {
+	if err := rel.Validate(); err != nil {
+		return fmt.Errorf("-rto: %v", err)
+	}
 	if listen == "" {
 		return fmt.Errorf("-listen is required")
 	}

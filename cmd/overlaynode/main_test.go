@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"testing"
 
+	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/workload"
 )
 
@@ -47,7 +49,8 @@ func TestParsePeersRejectsMalformed(t *testing.T) {
 
 func TestValidate(t *testing.T) {
 	full := map[int]string{1: "127.0.0.1:7001", 2: "127.0.0.1:7002"}
-	if err := validate("127.0.0.1:7000", 0, 3, full); err != nil {
+	rel := reliable.Config{RTO: 30}
+	if err := validate("127.0.0.1:7000", 0, 3, full, rel); err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
 	cases := []struct {
@@ -66,13 +69,21 @@ func TestValidate(t *testing.T) {
 		{"missing route", "127.0.0.1:7000", 0, 3, map[int]string{1: "a:1"}, "missing a route for node 2"},
 	}
 	for _, tc := range cases {
-		err := validate(tc.listen, tc.nodeID, tc.n, tc.peers)
+		err := validate(tc.listen, tc.nodeID, tc.n, tc.peers, rel)
 		if err == nil {
 			t.Errorf("%s: validate accepted", tc.name)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+	// A zero -rto once died in the reliable layer with a panic and a
+	// stack trace; NaN and +Inf break the retransmission timer.
+	for _, rto := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		err := validate("127.0.0.1:7000", 0, 3, full, reliable.Config{RTO: rto})
+		if err == nil || !strings.Contains(err.Error(), "-rto") {
+			t.Errorf("-rto %v: error %v does not name the flag", rto, err)
 		}
 	}
 }

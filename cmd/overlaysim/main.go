@@ -26,7 +26,6 @@ import (
 	"overlaymatch/internal/detector"
 	"overlaymatch/internal/dynamic"
 	"overlaymatch/internal/faults"
-	"overlaymatch/internal/graph"
 	"overlaymatch/internal/lid"
 	"overlaymatch/internal/matching"
 	"overlaymatch/internal/metrics"
@@ -35,6 +34,7 @@ import (
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 	"overlaymatch/internal/stats"
 	"overlaymatch/internal/transport"
 	"overlaymatch/internal/workload"
@@ -47,9 +47,9 @@ func main() {
 		jitter   = flag.Float64("jitter", 3, "latency jitter scale (event runtime)")
 		wlFile   = flag.String("workload", "", "load a frozen workload JSON (see graphgen -format workload) instead of generating")
 		dotOut   = flag.String("dot", "", "write the final overlay as Graphviz DOT to this file")
-		spansOut = flag.String("trace-spans", "", "write the causal span trace (Lamport clocks, protocol spans) to this file")
+		spansOut = flag.String("trace-spans", "", "write the causal span trace (Lamport clocks, protocol spans) to this file (event or goroutine runtime: udp fails the run)")
 		spansFmt = flag.String("trace-spans-format", "ndjson", "span trace format: ndjson | chrome | tree | log (one line per delivery)")
-		probeInt = flag.Float64("probe-interval", 0, "virtual-time spacing of per-round stability probes (0 = off; event runtime only)")
+		probeInt = flag.Float64("probe-interval", 0, "virtual-time spacing of per-round stability probes (0 = off; the event runtime only: a cluster runtime fails the run)")
 		metOut   = flag.Bool("metrics", false, "print the run's metric snapshot after the report")
 		metFmt   = flag.String("metrics-format", "text", "metric snapshot format: text | json | prom")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -65,7 +65,7 @@ func main() {
 		churnStr = flag.String("churn", "off", `run the churn-survival engine instead of the distributed sim: "events=200,leave=0.5,minalive=8,rate=2" (see internal/dynamic)`)
 		repairK  = flag.Int("repair-rounds", 0, "truncate each repair epoch after this many cascade rounds (0 = full budget; needs -churn)")
 		shedD    = flag.Int("shed-depth", 0, "shed epochs whose batch exceeds this to one-round backup placement (0 = never; needs -churn)")
-		schedStr = flag.String("scheduler", "canonical", "proposal admission order: canonical | greedy | greedy:batch=N (greedy needs -runtime event; same matching, fewer messages)")
+		schedStr = flag.String("scheduler", "canonical", "proposal admission order: canonical | greedy | greedy:batch=N (greedy runs on the event runtime only: a cluster runtime fails the run; same matching, fewer messages)")
 		verbose  = flag.Bool("v", false, "print per-peer connections")
 	)
 	flag.Parse()
@@ -96,6 +96,7 @@ func main() {
 
 	cfg, err := validateFlags(cliFlags{
 		runtime:      *runtime_,
+		jitter:       *jitter,
 		rto:          *rto,
 		adaptiveRTO:  *adaptRTO,
 		reliable:     *reliab,
@@ -121,8 +122,7 @@ func main() {
 		verbose: *verbose, dotPath: *dotOut,
 		spansPath: *spansOut, spansFormat: *spansFmt, probeInterval: *probeInt,
 		showMetrics: *metOut, metricsFormat: *metFmt,
-		faults: cfg.spec, faultsSeed: fseed, reliable: *reliab, rto: *rto,
-		adaptiveRTO: *adaptRTO, det: cfg.det, workers: *workers,
+		faults: cfg.spec, faultsSeed: fseed, stack: cfg.stack, workers: *workers,
 		churn: cfg.churn, repairRounds: *repairK, shedDepth: *shedD,
 		sched: cfg.sched}
 
@@ -162,10 +162,7 @@ type reportOpts struct {
 	metricsFormat string // text | json | prom
 	faults        faults.Spec
 	faultsSeed    uint64
-	reliable      bool
-	rto           float64
-	adaptiveRTO   bool
-	det           detector.Config
+	stack         stack.Spec // -reliable, -rto, -adaptive-rto and -detector
 	workers       int
 	churn         dynamic.ChurnSpec
 	repairRounds  int
@@ -257,103 +254,54 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 	if opts.spansPath != "" {
 		rec = obs.NewRecorder(g.NumNodes())
 	}
-	// The probe series need a registry even when -metrics is off; a
-	// private one keeps the report output unchanged in that case.
-	var prober *obs.Prober
-	probeReg := reg
-	if opts.probeInterval > 0 && probeReg == nil {
-		probeReg = metrics.New()
-	}
 	fmt.Printf("acyclic=%v; guarantee: LID achieves >= %.4f of optimal total satisfaction (Theorem 3)\n\n",
 		pref.IsAcyclic(sys), satisfaction.Theorem3Bound(maxInt(sys.MaxQuota(), 1)))
 
 	policy := opts.policy()
-	var inj *faults.Injector
-	if in, ok := policy.(*faults.Injector); ok {
-		inj = in
-	}
-	var eps []*reliable.Endpoint
-	var mons []*detector.Monitor
-	// wrap stacks the optional layers inside-out: transport below the
-	// failure detector, mirroring dlid.RunSelfHeal.
-	wrap := func(handlers []simnet.Handler) []simnet.Handler {
-		if opts.reliable {
-			eps = reliable.WrapConfig(handlers, reliable.Config{RTO: opts.rto, Adaptive: opts.adaptiveRTO})
-			handlers = reliable.Handlers(eps)
-		}
-		if opts.det.Enabled() {
-			adj := make([][]int, g.NumNodes())
-			for i := range adj {
-				adj[i] = g.Neighbors(i)
-			}
-			mons = detector.Wrap(handlers, adj, opts.det)
-			handlers = detector.Handlers(mons)
-		}
-		return handlers
-	}
-
 	var result *matching.Matching
 	start := time.Now()
 	if runtime_ == "centralized" {
 		result = matching.LIC(sys, tbl)
 		fmt.Printf("centralized run (LIC scan): %v\n", time.Since(start))
 	} else {
-		// Every distributed runtime runs the same stack: LID nodes, the
-		// optional layers, the runtime's Transport, then lid.Finish.
-		nodes := lid.NewNodes(sys, tbl)
-		var tr simnet.Transport
-		var cluster *transport.Cluster
+		// Every distributed runtime runs the same recipe: LID nodes
+		// under the stacked layers, on the runtime's Transport. The
+		// runtime rejects a hook it cannot honour.
+		var rt simnet.Runtime
+		var wire *metrics.Registry // a cluster's transport_* counters
 		switch runtime_ {
 		case "event":
-			ropts := simnet.Options{
+			rt = simnet.Event(simnet.Options{
 				Seed:    seed,
 				Latency: latency(jitter),
 				Metrics: reg,
 				Policy:  policy,
 				Obs:     rec,
-			}
-			if opts.sched.Greedy() {
-				// The admitter watches the LID state machines directly, so
-				// the reliable/detector wrapping stays transparent to it.
-				ropts.Admitter = lid.NewGreedyAdmitter(sys, tbl, nodes, opts.sched)
-			}
-			if opts.probeInterval > 0 {
-				optimum := matching.LIC(sys, tbl).Weight(sys)
-				prober = obs.NewProber(probeReg, opts.probeInterval, g.NumEdges(), optimum,
-					obs.StabilitySampler(sys, tbl, func(u, v graph.NodeID) bool { return nodes[u].LockedWith(v) }))
-				ropts.Prober = prober
-			}
-			tr = simnet.NewRunner(g.NumNodes(), ropts)
+			})
 		case "goroutine", "udp":
 			// A transport.Cluster: one goroutine per node, every message
 			// an encoded frame, handed over in process or, on udp, sent
 			// across the kernel as coalesced loopback datagrams.
-			newCluster := transport.NewMemoryCluster
+			wire = metrics.New()
+			cfg := transport.ClusterConfig{Timeout: 2 * time.Minute, Policy: policy, Obs: rec, Metrics: wire}
+			rt = transport.Memory(cfg)
 			if runtime_ == "udp" {
-				newCluster = transport.NewLoopbackCluster
+				rt = transport.Loopback(cfg)
 			}
-			c, err := newCluster(g.NumNodes(), transport.ClusterConfig{
-				Timeout: 2 * time.Minute,
-				Policy:  policy,
-				Obs:     rec,
-			})
-			if err != nil {
-				fail("run: %v", err)
-			}
-			cluster, tr = c, c
 		default:
 			fail("unknown runtime %q", runtime_)
 		}
-		st, err := tr.Run(wrap(lid.Handlers(nodes)))
-		if err != nil {
-			fail("run: %v", err)
-		}
-		prober.PublishSummary(probeReg, nil)
-		res, err := lid.Finish(nodes, st, reg)
+		res, err := lid.Run(sys, tbl, rt, lid.RunOptions{
+			Stack:         opts.stack,
+			Scheduler:     opts.sched,
+			ProbeInterval: opts.probeInterval,
+			Metrics:       reg,
+		})
 		if err != nil {
 			fail("run: %v", err)
 		}
 		result = res.Matching
+		st := res.Stats
 		switch runtime_ {
 		case "event":
 			fmt.Printf("distributed run (event simulator, jitter %.1f, scheduler %s): %v\n",
@@ -362,47 +310,42 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 				st.TotalSent(), st.SentByKind["PROP"], st.SentByKind["REJ"],
 				float64(st.TotalSent())/float64(g.NumNodes()), st.MaxSentByNode())
 			fmt.Printf("  virtual time to quiescence: %.2f\n", st.FinalTime)
-			if prober != nil {
-				s := prober.RoundsToEps(nil)
+			if p := res.Prober; p != nil {
+				s := p.RoundsToEps(nil)
 				fmt.Printf("  stability: %d probes every %.1f; rounds to eps 0.1/0.01/0.001/0: %.0f / %.0f / %.0f / %.0f (-1 = never)\n",
-					len(prober.Curve()), opts.probeInterval,
+					len(p.Curve()), opts.probeInterval,
 					s[obs.EpsKey(0.1)], s[obs.EpsKey(0.01)], s[obs.EpsKey(0.001)], s[obs.EpsKey(0)])
 			}
 		case "goroutine", "udp":
-			var datagrams, bytesOut int64
-			for _, nd := range cluster.Nodes() {
-				c := nd.Counters()
-				datagrams += c.DatagramsSent
-				bytesOut += c.BytesSent
-				nd.PublishMetrics(reg)
+			if reg != nil {
+				reg.Merge(wire.Snapshot())
 			}
-			label, wire := "goroutines, in-process cluster", fmt.Sprintf("%d frames handed over in process", st.TotalSent())
+			label, wireLine := "goroutines, in-process cluster", fmt.Sprintf("%d frames handed over in process", st.TotalSent())
 			if runtime_ == "udp" {
-				label, wire = "udp loopback cluster", fmt.Sprintf("%d frames coalesced into %d datagrams, %d bytes",
-					st.TotalSent(), datagrams, bytesOut)
+				label, wireLine = "udp loopback cluster", fmt.Sprintf("%d frames coalesced into %d datagrams, %d bytes",
+					st.TotalSent(), wire.Counter("transport_datagrams_sent_total", "").Value(),
+					wire.Counter("transport_bytes_sent_total", "").Value())
 			}
 			fmt.Printf("distributed run (%s): %v\n", label, time.Since(start))
 			fmt.Printf("  messages: %d total (%d PROP, %d REJ)\n",
 				st.TotalSent(), st.SentByKind["PROP"], st.SentByKind["REJ"])
-			fmt.Printf("  wire: %s, %d dropped\n", wire, st.Dropped)
+			fmt.Printf("  wire: %s, %d dropped\n", wireLine, st.Dropped)
 		}
-		if inj != nil {
+		if inj, ok := policy.(*faults.Injector); ok {
 			fmt.Printf("  faults: %s -> %d injections over %d sends\n",
 				opts.faults, len(inj.Events()), inj.Sends())
 		}
-		if eps != nil {
-			reliable.PublishMetrics(reg, eps)
+		if eps := res.Layers.Endpoints; eps != nil {
 			mode := "static"
-			if opts.adaptiveRTO {
+			if opts.stack.Reliable.Adaptive {
 				mode = "adaptive"
 			}
 			fmt.Printf("  transport: rto %.1f (%s), %d retransmits, %d duplicates suppressed, %d corrupt discarded\n",
-				opts.rto, mode, reliable.TotalRetransmits(eps), reliable.TotalDuplicates(eps), reliable.TotalCorrupted(eps))
+				opts.stack.Reliable.RTO, mode, reliable.TotalRetransmits(eps), reliable.TotalDuplicates(eps), reliable.TotalCorrupted(eps))
 		}
-		if mons != nil {
-			detector.PublishMetrics(reg, mons)
+		if mons := res.Layers.Monitors; mons != nil {
 			fmt.Printf("  detector: %s -> %d suspicions, %d restores (%d HB, %d HB-ACK)\n",
-				opts.det, detector.TotalSuspicions(mons), detector.TotalRestores(mons),
+				opts.stack.Detector, detector.TotalSuspicions(mons), detector.TotalRestores(mons),
 				st.SentByKind["HB"], st.SentByKind["HB-ACK"])
 		}
 	}

@@ -3,14 +3,18 @@ package main
 import (
 	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"overlaymatch/internal/faults"
 	"overlaymatch/internal/gen"
 	"overlaymatch/internal/matching"
 	"overlaymatch/internal/pref"
+	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/rng"
+	"overlaymatch/internal/stack"
 	"overlaymatch/internal/workload"
 )
 
@@ -24,6 +28,9 @@ func testSystem(t *testing.T) *pref.System {
 	}
 	return s
 }
+
+// reliableStack is -reliable at the default -rto.
+var reliableStack = stack.Spec{Reliable: reliable.Config{RTO: 30}}
 
 func TestLatencyHelper(t *testing.T) {
 	if latency(0) == nil || latency(-1) == nil || latency(2) == nil {
@@ -58,7 +65,7 @@ func TestRunAndReportAllRuntimes(t *testing.T) {
 			runAndReport(sys, reportOpts{seed: 1, runtime: rt, jitter: 2})
 		}
 		// udp rides real loopback sockets and needs the reliable layer.
-		runAndReport(sys, reportOpts{seed: 1, runtime: "udp", reliable: true, rto: 30,
+		runAndReport(sys, reportOpts{seed: 1, runtime: "udp", stack: reliableStack,
 			showMetrics: true, metricsFormat: "text"})
 	}
 }
@@ -149,7 +156,7 @@ func TestRunAndReportWithFaults(t *testing.T) {
 	}
 	for _, rt := range []string{"event", "goroutine", "udp"} {
 		runAndReport(s, reportOpts{seed: 4, runtime: rt, jitter: 1,
-			faults: spec, faultsSeed: 99, reliable: true, rto: 30})
+			faults: spec, faultsSeed: 99, stack: reliableStack})
 	}
 	// Delivery-preserving faults on bare LID, no transport.
 	delayOnly, err := faults.Parse("delay=0.3,delayscale=8")
@@ -194,4 +201,52 @@ func TestRunReplayFile(t *testing.T) {
 	}
 	f.Close()
 	runReplayFile(path) // exits non-zero if the violation fails to reproduce
+}
+
+// TestCLIRejectsUnrunnableFlags drives the binary's main in a child
+// process and checks that each flag combination exits 1 with an error
+// naming the hook or the flag. The hooks a cluster cannot honour pass
+// flag validation and fail the run, after the instance header is
+// printed; centralized runs no LID, so its rejection is a flag error.
+// The non-finite values once hung a run (NaN -rto, +Inf -jitter with
+// probes) or reported NaN virtual time (NaN -jitter).
+func TestCLIRejectsUnrunnableFlags(t *testing.T) {
+	if args := os.Getenv("OVERLAYSIM_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"overlaysim"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	spans := filepath.Join(t.TempDir(), "s.ndjson")
+	cases := []struct {
+		name, args, want string
+		header           bool // the run started: the instance header precedes the error
+	}{
+		{"probe on goroutine", "-runtime goroutine -probe-interval 2", "stability probes", true},
+		{"greedy on udp", "-runtime udp -reliable -scheduler greedy", "admission", true},
+		{"spans on udp", "-runtime udp -reliable -trace-spans " + spans, "span traces", true},
+		{"probe on centralized", "-runtime centralized -probe-interval 2", "need a distributed runtime", false},
+		{"greedy on centralized", "-runtime centralized -scheduler greedy", "need a distributed runtime", false},
+		{"spans on centralized", "-runtime centralized -trace-spans " + spans, "need a distributed runtime", false},
+		{"nan rto", "-reliable -rto NaN", "-rto", false},
+		{"inf jitter with probes", "-jitter +Inf -probe-interval 1", "-jitter must be finite", false},
+		{"nan jitter", "-jitter NaN", "-jitter must be finite", false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-test.run=^TestCLIRejectsUnrunnableFlags$")
+			cmd.Env = append(os.Environ(), "OVERLAYSIM_TEST_ARGS=-n 12 "+c.args)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 {
+				t.Fatalf("exit = %v, want status 1; stderr: %s", err, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), c.want) {
+				t.Fatalf("stderr %q does not name %q", stderr.String(), c.want)
+			}
+			if got := strings.HasPrefix(stdout.String(), "overlay: "); got != c.header {
+				t.Fatalf("instance header printed = %v, want %v; stdout: %q", got, c.header, stdout.String())
+			}
+		})
+	}
 }

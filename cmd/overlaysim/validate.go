@@ -2,11 +2,14 @@ package main
 
 import (
 	"fmt"
+	"math"
 
 	"overlaymatch/internal/detector"
 	"overlaymatch/internal/dynamic"
 	"overlaymatch/internal/faults"
 	"overlaymatch/internal/lid"
+	"overlaymatch/internal/reliable"
+	"overlaymatch/internal/stack"
 )
 
 // cliFlags is the raw cross-checkable flag surface of overlaysim —
@@ -18,6 +21,7 @@ import (
 // simulator-only hook already errored explicitly.
 type cliFlags struct {
 	runtime      string
+	jitter       float64
 	rto          float64
 	adaptiveRTO  bool
 	reliable     bool
@@ -35,18 +39,19 @@ type cliFlags struct {
 
 // runConfig is the parsed outcome of validateFlags.
 type runConfig struct {
-	det   detector.Config
+	stack stack.Spec
 	spec  faults.Spec
 	churn dynamic.ChurnSpec
 	sched lid.SchedulerSpec
 }
 
 // validateFlags parses the structured flags and rejects every
-// unsupported flag interaction with an explicit error. The rule for
-// runtime-specific hooks (-faults, -probe-interval, -trace-spans,
-// -churn, -scheduler greedy, -detector, -reliable) is
-// uniform: a runtime that cannot honor the hook fails loudly instead
-// of silently ignoring it.
+// unsupported flag interaction with an explicit error. A hook that a
+// distributed runtime cannot honour (-probe-interval, -scheduler
+// greedy, -trace-spans on udp) is rejected by that runtime when the
+// run starts (see simnet.Runtime), not here. The rules here cover what
+// no runtime can run: any LID hook under -runtime centralized, which
+// runs no LID, and the churn engine's contradictions.
 func validateFlags(f cliFlags) (runConfig, error) {
 	var cfg runConfig
 
@@ -66,8 +71,11 @@ func validateFlags(f cliFlags) (runConfig, error) {
 		return cfg, fmt.Errorf("unknown -metrics-format %q", f.metricsFmt)
 	}
 
-	if f.rto <= 0 {
-		return cfg, fmt.Errorf("-rto must be positive, got %v (the retransmission timer would never fire)", f.rto)
+	if err := (reliable.Config{RTO: f.rto}).Validate(); err != nil {
+		return cfg, fmt.Errorf("-rto: %v", err)
+	}
+	if math.IsNaN(f.jitter) || math.IsInf(f.jitter, 0) {
+		return cfg, fmt.Errorf("-jitter must be finite, got %v", f.jitter)
 	}
 	if f.adaptiveRTO && !f.reliable {
 		return cfg, fmt.Errorf("-adaptive-rto tunes the retransmission timer and needs -reliable")
@@ -76,7 +84,10 @@ func validateFlags(f cliFlags) (runConfig, error) {
 	if err != nil {
 		return cfg, err
 	}
-	cfg.det = det
+	cfg.stack.Detector = det
+	if f.reliable {
+		cfg.stack.Reliable = reliable.Config{RTO: f.rto, Adaptive: f.adaptiveRTO}
+	}
 
 	spec, err := faults.Parse(f.faults)
 	if err != nil {
@@ -86,8 +97,14 @@ func validateFlags(f cliFlags) (runConfig, error) {
 	if !spec.PreservesDelivery() && !f.reliable {
 		return cfg, fmt.Errorf("-faults %q loses messages; bare LID needs -reliable to survive it", f.faults)
 	}
-	if (f.reliable || det.Enabled() || !spec.IsZero()) && f.runtime == "centralized" {
-		return cfg, fmt.Errorf("-reliable/-detector/-faults act on LID's messages and need a distributed runtime (event, goroutine or udp)")
+	sched, err := lid.ParseSchedulerSpec(f.scheduler)
+	if err != nil {
+		return cfg, err
+	}
+	cfg.sched = sched
+	if f.runtime == "centralized" && (f.reliable || det.Enabled() || !spec.IsZero() ||
+		f.probeInt != 0 || f.traceSpans != "" || sched.Greedy()) {
+		return cfg, fmt.Errorf("-reliable/-detector/-faults/-probe-interval/-trace-spans/-scheduler act on LID's run and need a distributed runtime (event, goroutine or udp)")
 	}
 	// The churn checks come before the udp ones: -churn plus -runtime
 	// udp must name the real contradiction (the engine uses no runtime
@@ -126,28 +143,11 @@ func validateFlags(f cliFlags) (runConfig, error) {
 	if f.runtime == "udp" && !f.reliable {
 		return cfg, fmt.Errorf("-runtime udp rides a real datagram socket and needs -reliable")
 	}
-	if f.probeInt < 0 {
-		return cfg, fmt.Errorf("-probe-interval must be non-negative")
+	if !(f.probeInt >= 0) || math.IsInf(f.probeInt, 1) {
+		return cfg, fmt.Errorf("-probe-interval must be non-negative and finite, got %v", f.probeInt)
 	}
-	if f.probeInt > 0 && f.runtime != "event" {
-		return cfg, fmt.Errorf("-probe-interval hooks the event run loop and needs -runtime event")
-	}
-	if f.traceSpans != "" && f.runtime != "event" && f.runtime != "goroutine" {
-		return cfg, fmt.Errorf("-trace-spans records simulator deliveries and needs a simulated runtime (event or goroutine)")
-	}
-
-	sched, err := lid.ParseSchedulerSpec(f.scheduler)
-	if err != nil {
-		return cfg, err
-	}
-	cfg.sched = sched
-	if sched.Greedy() {
-		if f.runtime != "event" {
-			return cfg, fmt.Errorf("-scheduler %s drives the event runner's admission queue and needs -runtime event", sched)
-		}
-		if !churnSpec.IsZero() {
-			return cfg, fmt.Errorf("-scheduler configures the LID run; it has no effect under -churn")
-		}
+	if sched.Greedy() && !churnSpec.IsZero() {
+		return cfg, fmt.Errorf("-scheduler configures the LID run; it has no effect under -churn")
 	}
 	return cfg, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -29,19 +30,30 @@ func TestValidateFlagsInteractionMatrix(t *testing.T) {
 		{"defaults", func(f *cliFlags) {}, ""},
 		{"unknown runtime", func(f *cliFlags) { f.runtime = "quantum" }, "unknown runtime"},
 		{"bad rto", func(f *cliFlags) { f.rto = 0 }, "-rto"},
+		// Non-finite values once hung a run (NaN rto, +Inf jitter with
+		// probes) or reported NaN virtual time (NaN jitter).
+		{"nan rto", func(f *cliFlags) { f.rto = math.NaN(); f.reliable = true }, "-rto"},
+		{"inf rto", func(f *cliFlags) { f.rto = math.Inf(1) }, "-rto"},
+		{"nan jitter", func(f *cliFlags) { f.jitter = math.NaN() }, "-jitter must be finite"},
+		{"inf jitter with probes", func(f *cliFlags) { f.jitter = math.Inf(1); f.probeInt = 1 }, "-jitter must be finite"},
+		{"negative jitter", func(f *cliFlags) { f.jitter = -1 }, ""},
+		{"nan probe interval", func(f *cliFlags) { f.probeInt = math.NaN() }, "-probe-interval"},
+		{"inf probe interval", func(f *cliFlags) { f.probeInt = math.Inf(1) }, "-probe-interval"},
 		{"adaptive rto without reliable", func(f *cliFlags) { f.adaptiveRTO = true }, "-adaptive-rto"},
 		{"lossy faults without reliable", func(f *cliFlags) { f.faults = "drop=0.1" }, "needs -reliable"},
 		{"lossy faults with reliable", func(f *cliFlags) { f.faults = "drop=0.1"; f.reliable = true }, ""},
-		// Each runtime rejection names exactly the runtimes that accept
-		// the flag: udp takes -reliable/-detector/-faults but not
-		// -trace-spans.
+		// Centralized runs no LID, so every LID hook is rejected there.
 		{"centralized with reliable", func(f *cliFlags) { f.runtime = "centralized"; f.reliable = true }, "need a distributed runtime (event, goroutine or udp)"},
 		{"centralized with detector", func(f *cliFlags) { f.runtime = "centralized"; f.detector = "on" }, "need a distributed runtime (event, goroutine or udp)"},
 		{"centralized with faults", func(f *cliFlags) { f.runtime = "centralized"; f.faults = "dup=0.1" }, "need a distributed runtime (event, goroutine or udp)"},
+		{"probe on centralized", func(f *cliFlags) { f.runtime = "centralized"; f.probeInt = 2 }, "need a distributed runtime (event, goroutine or udp)"},
+		{"spans on centralized", func(f *cliFlags) { f.runtime = "centralized"; f.traceSpans = "s" }, "need a distributed runtime (event, goroutine or udp)"},
+		{"greedy on centralized", func(f *cliFlags) { f.scheduler = "greedy"; f.runtime = "centralized" }, "need a distributed runtime (event, goroutine or udp)"},
 
-		// The udp interaction matrix: every hook the socket wire cannot
-		// honor must be rejected explicitly, the way bare udp without
-		// -reliable is.
+		// The udp interaction matrix. Bare udp without -reliable is a
+		// flag error; the hooks a cluster cannot honour (probes, greedy
+		// admission, span traces on sockets) pass the flags and fail
+		// the run in the runtime (TestRunRejectsHooksTheRuntimeCannotHonour).
 		{"udp without reliable", func(f *cliFlags) { f.runtime = "udp" }, "needs -reliable"},
 		{"udp ok", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true }, ""},
 		{"udp with faults", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.faults = "dup=0.1" }, ""},
@@ -50,16 +62,15 @@ func TestValidateFlagsInteractionMatrix(t *testing.T) {
 			f.reliable = true
 			f.traceSpans = "t.log"
 			f.spansFormat = "log"
-		}, "needs a simulated runtime (event or goroutine)"},
-		{"udp with trace spans", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.traceSpans = "s.ndjson" }, "needs a simulated runtime (event or goroutine)"},
+		}, ""},
+		{"udp with trace spans", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.traceSpans = "s.ndjson" }, ""},
 		{"udp with reliable and detector", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.detector = "on" }, ""},
-		{"udp with probes", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.probeInt = 5 }, "needs -runtime event"},
+		{"udp with probes", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.probeInt = 5 }, ""},
 		{"udp with churn", func(f *cliFlags) { f.runtime = "udp"; f.churn = churn }, "drop -runtime udp"},
-		{"udp with greedy scheduler", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.scheduler = "greedy" }, "needs -runtime event"},
+		{"udp with greedy scheduler", func(f *cliFlags) { f.runtime = "udp"; f.reliable = true; f.scheduler = "greedy" }, ""},
 
-		{"probe on goroutine", func(f *cliFlags) { f.runtime = "goroutine"; f.probeInt = 2 }, "needs -runtime event"},
+		{"probe on goroutine", func(f *cliFlags) { f.runtime = "goroutine"; f.probeInt = 2 }, ""},
 		{"negative probe interval", func(f *cliFlags) { f.probeInt = -1 }, "non-negative"},
-		{"spans on centralized", func(f *cliFlags) { f.runtime = "centralized"; f.traceSpans = "s" }, "needs a simulated runtime (event or goroutine)"},
 		{"log spans on goroutine", func(f *cliFlags) { f.runtime = "goroutine"; f.traceSpans = "t.log"; f.spansFormat = "log" }, ""},
 		{"bad spans format", func(f *cliFlags) { f.spansFormat = "xml" }, "-trace-spans-format"},
 		{"bad metrics format", func(f *cliFlags) { f.metricsFmt = "csv" }, "-metrics-format"},
@@ -83,8 +94,7 @@ func TestValidateFlagsInteractionMatrix(t *testing.T) {
 		{"greedy batch ok", func(f *cliFlags) { f.scheduler = "greedy:batch=4" }, ""},
 		{"greedy with reliable", func(f *cliFlags) { f.scheduler = "greedy"; f.reliable = true }, ""},
 		{"bad scheduler", func(f *cliFlags) { f.scheduler = "eager" }, "scheduler"},
-		{"greedy on goroutine", func(f *cliFlags) { f.scheduler = "greedy"; f.runtime = "goroutine" }, "needs -runtime event"},
-		{"greedy on centralized", func(f *cliFlags) { f.scheduler = "greedy"; f.runtime = "centralized" }, "needs -runtime event"},
+		{"greedy on goroutine", func(f *cliFlags) { f.scheduler = "greedy"; f.runtime = "goroutine" }, ""},
 		{"greedy with churn", func(f *cliFlags) { f.scheduler = "greedy"; f.churn = churn }, "no effect under -churn"},
 	}
 	for _, c := range cases {

@@ -21,6 +21,7 @@ import (
 	"overlaymatch/internal/robust"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 )
 
 const (
@@ -57,14 +58,15 @@ func main() {
 		honest = append(honest, n)
 		handlers[id] = n
 	}
-	eps := reliable.Wrap(handlers, 10, 0)
+	wrapped, layers := stack.Spec{Reliable: reliable.Config{RTO: 10}}.Wrap(g, handlers)
+	eps := layers.Endpoints
 	// The loss is a link policy with its own seeded coin stream.
 	runner := simnet.NewRunner(numPeers, simnet.Options{
 		Seed:    5,
 		Latency: simnet.ExponentialLatency(1.5),
 		Policy:  faults.NewInjector(faults.Spec{Drop: lossRate}, 6),
 	})
-	stats, err := runner.Run(reliable.Handlers(eps))
+	stats, err := runner.Run(wrapped)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,17 +3,9 @@ package detector
 import (
 	"math"
 	"testing"
-	"time"
 
-	"overlaymatch/internal/gen"
-	"overlaymatch/internal/lid"
-	"overlaymatch/internal/matching"
-	"overlaymatch/internal/metrics"
-	"overlaymatch/internal/pref"
 	"overlaymatch/internal/rng"
-	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
-	"overlaymatch/internal/transport"
 )
 
 func TestConfigRoundTrip(t *testing.T) {
@@ -170,58 +162,6 @@ func TestThresholdMemoBitIdentical(t *testing.T) {
 	}
 }
 
-// buildLID constructs a small LID workload: nodes, adjacency, system.
-func buildLID(tb testing.TB, seed uint64, n int) (*pref.System, *satisfaction.Table, []*lid.Node, [][]int) {
-	tb.Helper()
-	src := rng.New(seed)
-	g := gen.GNP(src, n, 0.3)
-	sys, err := pref.Build(g, pref.NewRandomMetric(src.Split()), pref.UniformQuota(2))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tbl := satisfaction.NewTable(sys)
-	nodes := lid.NewNodes(sys, tbl)
-	adj := make([][]int, g.NumNodes())
-	for i := range adj {
-		adj[i] = g.Neighbors(i)
-	}
-	return sys, tbl, nodes, adj
-}
-
-// TestZeroFaultAccuracyPin is the detector accuracy pin: on a clean
-// network the monitor must never suspect anyone, and the monitored run
-// must produce the identical matching to an unmonitored one.
-func TestZeroFaultAccuracyPin(t *testing.T) {
-	for seed := uint64(1); seed <= 8; seed++ {
-		sys, tbl, nodes, adj := buildLID(t, seed, 24)
-		mons := Wrap(lid.Handlers(nodes), adj, Default())
-		r := simnet.NewRunner(len(nodes), simnet.Options{
-			Seed:    seed,
-			Latency: simnet.ExponentialLatency(3),
-		})
-		stats, err := r.Run(Handlers(mons))
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if s := TotalSuspicions(mons); s != 0 {
-			t.Fatalf("seed %d: %d false suspicions on a fault-free network", seed, s)
-		}
-		if TotalRestores(mons) != 0 {
-			t.Fatalf("seed %d: restores without suspicions", seed)
-		}
-		m, err := lid.BuildMatching(nodes)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !m.Equal(matching.LIC(sys, tbl)) {
-			t.Fatalf("seed %d: monitored LID diverged from LIC", seed)
-		}
-		if stats.SentByKind["HB"] == 0 || stats.SentByKind["HB-ACK"] == 0 {
-			t.Fatalf("seed %d: heartbeats not flowing (%v)", seed, stats.SentByKind)
-		}
-	}
-}
-
 // recorder is a minimal inner handler implementing the suspect upcall.
 type recorder struct {
 	suspects []int
@@ -295,43 +235,5 @@ func TestSuspectAndRestore(t *testing.T) {
 	}
 	if mons[0].Suspected(1) || mons[1].Suspected(0) {
 		t.Fatal("still suspected after heal")
-	}
-}
-
-// TestClusterQuiesces pins the goroutine-runtime path: tick timers
-// count as outstanding work, so a bounded tick budget must let the
-// in-process cluster terminate (no suspicion assertions — wall-clock
-// jitter is real there).
-func TestClusterQuiesces(t *testing.T) {
-	sys, _, nodes, adj := buildLID(t, 5, 12)
-	mons := Wrap(lid.Handlers(nodes), adj, Config{Interval: 3, Ticks: 5})
-	c, err := transport.NewMemoryCluster(sys.Graph().NumNodes(), transport.ClusterConfig{Timeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(Handlers(mons)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lid.BuildMatching(nodes); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPublishMetrics(t *testing.T) {
-	_, _, nodes, adj := buildLID(t, 2, 16)
-	mons := Wrap(lid.Handlers(nodes), adj, Config{Interval: 5, Ticks: 10})
-	r := simnet.NewRunner(len(nodes), simnet.Options{Seed: 2})
-	if _, err := r.Run(Handlers(mons)); err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.New()
-	PublishMetrics(reg, mons)
-	PublishMetrics(nil, mons) // nil sink must be a no-op
-	var hb int
-	for _, m := range mons {
-		hb += m.Heartbeats
-	}
-	if got := int(reg.Counter("detector_heartbeats_total", "").Value()); got != hb {
-		t.Fatalf("heartbeat counter %d, monitors say %d", got, hb)
 	}
 }

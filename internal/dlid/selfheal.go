@@ -5,26 +5,25 @@ import (
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
 	"overlaymatch/internal/pref"
-	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 )
 
 // SelfHealConfig assembles the self-healing stack around the
 // maintenance nodes: an optional reliable transport below an optional
 // heartbeat failure detector (detector.Monitor wrapping
-// reliable.Endpoint wrapping Node). Zero-valued layers are simply not
-// stacked, so the zero config reproduces a plain RunMode.
+// reliable.Endpoint wrapping Node, the order stack.Spec stacks).
+// Zero-valued layers are simply not stacked, so the zero config
+// reproduces a plain RunMode.
 type SelfHealConfig struct {
 	Mode Mode
-	// Detector enables the heartbeat monitor layer when
-	// Detector.Enabled(). Suspicions and restores reach the nodes as
-	// synthesized BYEs and HELLO resyncs.
-	Detector detector.Config
-	// Reliable enables the transport layer when Reliable.RTO > 0.
-	// With MaxRetries set, exhausted frames escalate LinkDown to the
-	// node — the crash-stop detection path that needs no heartbeats.
-	Reliable reliable.Config
+	// Stack names the layers. With Stack.Detector enabled, suspicions
+	// and restores reach the nodes as synthesized BYEs and HELLO
+	// resyncs. With Stack.Reliable.MaxRetries set, exhausted frames
+	// escalate LinkDown to the node — the crash-stop detection path
+	// that needs no heartbeats.
+	Stack stack.Spec
 	// Excluded marks nodes silenced by a permanent (never healing)
 	// link cut. They are formally alive — a cut node sends no BYE —
 	// but unreachable, so extraction ignores their state and
@@ -32,27 +31,14 @@ type SelfHealConfig struct {
 	Excluded map[graph.NodeID]bool
 }
 
-// SelfHealResult extends Result with the stack's own telemetry.
+// SelfHealResult extends Result with the stack's own telemetry. The
+// embedded layers are nil when not stacked; Monitors[i].Events holds
+// the verdict log for latency analysis.
 type SelfHealResult struct {
 	Result
-	// Monitors are the detector layer instances (nil when disabled);
-	// Monitors[i].Events holds the verdict log for latency analysis.
-	Monitors []*detector.Monitor
-	// Endpoints are the transport layer instances (nil when disabled).
-	Endpoints  []*reliable.Endpoint
+	stack.Layers
 	Suspicions int
 	Restores   int
-}
-
-// Adjacency returns the per-node neighbor lists of the system's graph
-// (the monitor set for the detector layer).
-func Adjacency(s *pref.System) [][]int {
-	g := s.Graph()
-	adj := make([][]int, g.NumNodes())
-	for i := range adj {
-		adj[i] = g.Neighbors(i)
-	}
-	return adj
 }
 
 // RunSelfHeal seeds the maintenance protocol with the LID/LIC
@@ -64,16 +50,9 @@ func Adjacency(s *pref.System) [][]int {
 func RunSelfHeal(s *pref.System, tbl *satisfaction.Table, cfg SelfHealConfig, schedule []Event, opts simnet.Options) (SelfHealResult, error) {
 	initial := matching.LIC(s, tbl)
 	nodes := NewNodesMode(s, tbl, initial, cfg.Mode)
-	handlers := Handlers(nodes)
 	var res SelfHealResult
-	if cfg.Reliable.RTO > 0 {
-		res.Endpoints = reliable.WrapConfig(handlers, cfg.Reliable)
-		handlers = reliable.Handlers(res.Endpoints)
-	}
-	if cfg.Detector.Enabled() {
-		res.Monitors = detector.Wrap(handlers, Adjacency(s), cfg.Detector)
-		handlers = detector.Handlers(res.Monitors)
-	}
+	handlers, layers := cfg.Stack.Wrap(s.Graph(), Handlers(nodes))
+	res.Layers = layers
 	opts.Quiesce = true
 	runner := simnet.NewRunner(s.Graph().NumNodes(), opts)
 	for _, ev := range schedule {
@@ -100,8 +79,7 @@ func RunSelfHeal(s *pref.System, tbl *satisfaction.Table, cfg SelfHealConfig, sc
 	res.Suspicions = detector.TotalSuspicions(res.Monitors)
 	res.Restores = detector.TotalRestores(res.Monitors)
 	if opts.Metrics != nil {
-		detector.PublishMetrics(opts.Metrics, res.Monitors)
-		reliable.PublishMetrics(opts.Metrics, res.Endpoints)
+		res.Layers.Publish(opts.Metrics)
 		opts.Metrics.Counter("dlid_preemptions_total", "connections dropped for a better proposer").
 			Add(int64(res.Preemptions))
 		opts.Metrics.Counter("dlid_synth_byes_total", "suspected peers handled as synthesized BYEs").

@@ -13,6 +13,7 @@ import (
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 )
 
 // cutNode drops every message to or from node during [start, end).
@@ -201,8 +202,8 @@ func TestSelfHealCrashRecovery(t *testing.T) {
 			continue
 		}
 		res, err := RunSelfHeal(s, tbl, SelfHealConfig{
-			Mode:     Rematch,
-			Detector: detector.Default(),
+			Mode:  Rematch,
+			Stack: stack.Spec{Detector: detector.Default()},
 		}, nil, simnet.Options{
 			Seed:    seed,
 			Latency: simnet.ExponentialLatency(0.5),
@@ -241,7 +242,7 @@ func TestCrashStopDetectorRepairs(t *testing.T) {
 	}
 	res, err := RunSelfHeal(s, tbl, SelfHealConfig{
 		Mode:     Rematch,
-		Detector: detector.Default(),
+		Stack:    stack.Spec{Detector: detector.Default()},
 		Excluded: map[graph.NodeID]bool{crash: true},
 	}, nil, simnet.Options{
 		Seed:    11,
@@ -272,8 +273,8 @@ func TestSelfHealZeroFaultControl(t *testing.T) {
 		s := randomSystem(t, seed, 20, 0.4, 2)
 		tbl := satisfaction.NewTable(s)
 		res, err := RunSelfHeal(s, tbl, SelfHealConfig{
-			Mode:     Rematch,
-			Detector: detector.Default(),
+			Mode:  Rematch,
+			Stack: stack.Spec{Detector: detector.Default()},
 		}, nil, simnet.Options{Seed: seed, Latency: simnet.ExponentialLatency(0.5)})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

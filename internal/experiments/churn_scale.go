@@ -12,6 +12,7 @@ import (
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/stats"
+	"overlaymatch/internal/transport"
 	"overlaymatch/internal/workload"
 )
 
@@ -114,7 +115,7 @@ func E10Scalability(cfg Config) ([]*stats.Table, error) {
 		evDur := time.Since(t1)
 
 		t2 := time.Now()
-		resG, err := lid.RunGoroutines(sys, tbl, 120*time.Second)
+		resG, err := lid.Run(sys, tbl, transport.Memory(transport.ClusterConfig{Timeout: 120 * time.Second}), lid.RunOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ import (
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/stats"
+	"overlaymatch/internal/transport"
 	"overlaymatch/internal/workload"
 )
 
@@ -51,10 +52,10 @@ func E2LIDEquivalence(cfg Config) ([]*stats.Table, error) {
 					}
 				}
 				for r := 0; r < goRuns; r++ {
-					res, err := lid.RunGoroutinesOpts(sys, tbl, lid.GoOptions{
+					res, err := lid.Run(sys, tbl, transport.Memory(transport.ClusterConfig{
 						Timeout: 30 * time.Second,
 						Policy:  cfg.policy(uint64(n)*2027 + uint64(r)),
-					})
+					}), lid.RunOptions{})
 					if err != nil {
 						return nil, fmt.Errorf("E2 goroutine run: %w", err)
 					}

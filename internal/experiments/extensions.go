@@ -12,6 +12,7 @@ import (
 	"overlaymatch/internal/robust"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 	"overlaymatch/internal/stats"
 	"overlaymatch/internal/variants"
 	"overlaymatch/internal/workload"
@@ -36,8 +37,6 @@ func E11LossyLinks(cfg Config) ([]*stats.Table, error) {
 				return nil, err
 			}
 			tbl := satisfaction.NewTable(sys)
-			nodes := lid.NewNodes(sys, tbl)
-			eps := reliable.WrapConfig(lid.Handlers(nodes), cfg.reliableConfig())
 			// The loss coins come from the injector's own stream, salted
 			// as overlaysim salts its -faults-seed default: rng.New seeds
 			// both the Runner and the injector, so the bare seed would
@@ -47,28 +46,23 @@ func E11LossyLinks(cfg Config) ([]*stats.Table, error) {
 			if loss > 0 {
 				policy = faults.NewInjector(faults.Spec{Drop: loss}, seed^0x5fa715ca11edc0de)
 			}
-			runner := simnet.NewRunner(sys.Graph().NumNodes(), simnet.Options{
+			res, err := lid.Run(sys, tbl, simnet.Event(simnet.Options{
 				Seed:    seed,
 				Policy:  policy,
 				Latency: simnet.ExponentialLatency(3),
 				Metrics: cfg.Metrics,
-			})
-			st, err := runner.Run(reliable.Handlers(eps))
+			}), lid.RunOptions{Stack: stack.Spec{Reliable: cfg.reliableConfig()}, Metrics: cfg.Metrics})
 			if err != nil {
 				return nil, fmt.Errorf("E11 loss=%.1f: %w", loss, err)
 			}
-			reliable.PublishMetrics(cfg.Metrics, eps)
-			m, err := lid.BuildMatching(nodes)
-			if err != nil {
-				return nil, err
-			}
-			if m.Equal(matching.LIC(sys, tbl)) {
+			if res.Matching.Equal(matching.LIC(sys, tbl)) {
 				equal++
 			}
-			frames += st.TotalSent()
+			eps := res.Layers.Endpoints
+			frames += res.Stats.TotalSent()
 			retrans += reliable.TotalRetransmits(eps)
 			dups += reliable.TotalDuplicates(eps)
-			rounds += st.FinalTime
+			rounds += res.Stats.FinalTime
 		}
 		t.AddRowf(loss, runs, equal, frames/runs, retrans/runs, dups/runs, rounds/float64(runs))
 		if equal != runs {

@@ -9,6 +9,7 @@ import (
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 	"overlaymatch/internal/stats"
 	"overlaymatch/internal/workload"
 )
@@ -60,32 +61,25 @@ func E15FaultSweep(cfg Config) ([]*stats.Table, error) {
 					return nil, err
 				}
 				tbl := satisfaction.NewTable(sys)
-				nodes := lid.NewNodes(sys, tbl)
-				eps := reliable.WrapConfig(lid.Handlers(nodes), cfg.reliableConfig())
 				var policy simnet.LinkPolicy
 				var inj *faults.Injector
 				if !step.spec.IsZero() {
 					inj = faults.NewInjector(step.spec, cfg.FaultsSeed^(cfg.Seed+uint64(r)*104729))
 					policy = inj
 				}
-				runner := simnet.NewRunner(sys.Graph().NumNodes(), simnet.Options{
+				res, err := lid.Run(sys, tbl, simnet.Event(simnet.Options{
 					Seed:    cfg.Seed + uint64(r)*131 + 15,
 					Latency: simnet.ExponentialLatency(3),
 					Policy:  policy,
 					Metrics: cfg.Metrics,
-				})
-				st, err := runner.Run(reliable.Handlers(eps))
+				}), lid.RunOptions{Stack: stack.Spec{Reliable: cfg.reliableConfig()}, Metrics: cfg.Metrics})
 				if err != nil {
 					return nil, fmt.Errorf("E15 %s/%s run %d: %w", step.name, topo, r, err)
 				}
-				reliable.PublishMetrics(cfg.Metrics, eps)
-				m, err := lid.BuildMatching(nodes)
-				if err != nil {
-					return nil, fmt.Errorf("E15 %s/%s run %d: %w", step.name, topo, r, err)
-				}
-				if m.Equal(matching.LIC(sys, tbl)) {
+				if res.Matching.Equal(matching.LIC(sys, tbl)) {
 					equal++
 				}
+				eps, st := res.Layers.Endpoints, res.Stats
 				if inj != nil {
 					injections += len(inj.Events())
 				}

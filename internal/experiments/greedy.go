@@ -96,7 +96,7 @@ func E20GreedyScheduler(cfg Config) ([]*stats.Table, error) {
 			sink := mreg.New()
 			gopts := opts
 			gopts.Metrics = sink
-			res, err := lid.RunEventScheduled(sys, wtbl, gopts, spec)
+			res, err := lid.Run(sys, wtbl, simnet.Event(gopts), lid.RunOptions{Scheduler: spec, Metrics: sink})
 			if err != nil {
 				return nil, fmt.Errorf("E20 %s greedy workers=%d: %w", c.name, workers, err)
 			}

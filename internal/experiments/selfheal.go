@@ -10,6 +10,7 @@ import (
 	mreg "overlaymatch/internal/metrics"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 	"overlaymatch/internal/stats"
 	"overlaymatch/internal/workload"
 )
@@ -73,8 +74,8 @@ func E16SelfHealing(cfg Config) ([]*stats.Table, error) {
 				spec := faults.Spec{Crashes: []faults.Crash{
 					{Start: e16CrashStart, End: e16CrashEnd, Node: crash}}}
 				res, err := dlid.RunSelfHeal(sys, tbl, dlid.SelfHealConfig{
-					Mode:     dlid.Rematch,
-					Detector: cfg.detectorConfig(),
+					Mode:  dlid.Rematch,
+					Stack: stack.Spec{Detector: cfg.detectorConfig()},
 				}, nil, simnet.Options{
 					Seed:    cfg.Seed + uint64(r)*131 + 16,
 					Latency: simnet.ExponentialLatency(0.5),
@@ -148,8 +149,8 @@ func E16SelfHealing(cfg Config) ([]*stats.Table, error) {
 				Latency: simnet.ExponentialLatency(0.5),
 			}
 			on, err := dlid.RunSelfHeal(sys, tbl, dlid.SelfHealConfig{
-				Mode:     dlid.Rematch,
-				Detector: cfg.detectorConfig(),
+				Mode:  dlid.Rematch,
+				Stack: stack.Spec{Detector: cfg.detectorConfig()},
 			}, nil, opts)
 			if err != nil {
 				return nil, fmt.Errorf("E16 control %s run %d (detector on): %w", topo, r, err)

@@ -19,8 +19,8 @@ import (
 var e17Workers = []int{1, 2, 4}
 
 // E17StabilityCurve: the convergence trajectory of LID, measured by
-// the per-round stability prober (obs.Prober through
-// lid.RunEventProbed). Per topology the event runtime runs under unit
+// the per-round stability prober (obs.Prober through lid.Run with a
+// probe interval). Per topology the event runtime runs under unit
 // latency with a probe every cfg.ProbeInterval time units; each probe
 // records blocking pairs (under the eq.-9 weight order — the order LID
 // actually proposes in), unmatched node mass, the matched-weight
@@ -60,10 +60,12 @@ func E17StabilityCurve(cfg Config) ([]*stats.Table, error) {
 		for i, workers := range e17Workers {
 			tbl := satisfaction.NewTableParallel(sys, workers)
 			r := mreg.New()
-			_, p, err := lid.RunEventProbed(sys, tbl, simnet.Options{Seed: cfg.Seed + 17}, interval, r)
+			res, err := lid.Run(sys, tbl, simnet.Event(simnet.Options{Seed: cfg.Seed + 17}),
+				lid.RunOptions{ProbeInterval: interval, Metrics: r})
 			if err != nil {
 				return nil, fmt.Errorf("E17 %s workers=%d: %w", topo, workers, err)
 			}
+			p := res.Prober
 			raw, err := r.Snapshot().MarshalJSON()
 			if err != nil {
 				return nil, err

@@ -107,7 +107,7 @@ func (c Config) policy(salt uint64) simnet.LinkPolicy {
 
 // reliableConfig is the transport configuration of the
 // transport-backed experiments; the zero Config reproduces the
-// historical reliable.Wrap(handlers, 30, 0).
+// historical static RTO of 30.
 func (c Config) reliableConfig() reliable.Config {
 	rto := c.RTO
 	if rto <= 0 {

@@ -24,7 +24,7 @@ func runTraced(t *testing.T, w workload.Synthetic, seed uint64, spec Spec, fault
 	}
 	tbl := satisfaction.NewTable(sys)
 	nodes := lid.NewNodes(sys, tbl)
-	eps := reliable.Wrap(lid.Handlers(nodes), 30, 0)
+	eps := reliable.WrapConfig(lid.Handlers(nodes), reliable.Config{RTO: 30})
 	rec := obs.NewRecorder(sys.Graph().NumNodes())
 	runner := simnet.NewRunner(sys.Graph().NumNodes(), simnet.Options{
 		Seed:    seed,

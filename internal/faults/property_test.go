@@ -130,7 +130,7 @@ func TestPropertyClusterUnderFaults(t *testing.T) {
 				if tc.reliable {
 					// RTO 50 virtual units = 50ms of wall clock per
 					// retry.
-					handlers = reliable.Handlers(reliable.Wrap(handlers, 50, 0))
+					handlers = reliable.Handlers(reliable.WrapConfig(handlers, reliable.Config{RTO: 50}))
 				}
 				cluster, err := transport.NewMemoryCluster(sys.Graph().NumNodes(), transport.ClusterConfig{
 					Timeout: 30 * time.Second,

@@ -12,6 +12,7 @@ import (
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 	"overlaymatch/internal/workload"
 )
 
@@ -161,19 +162,21 @@ func abandonedByPeer(eps []*reliable.Endpoint) map[int]int {
 // runLID executes one LID run under the injector and checks the
 // structural invariants, returning the resulting matching, the
 // transport endpoints (nil when bare) and stats. Runner failures come
-// back as runError; structural violations as plain errors.
+// back as runError; structural violations as plain errors. It drives
+// its own Runner rather than lid.Run, which returns both kinds as one
+// error.
 func runLID(sys *pref.System, tbl *satisfaction.Table, seed uint64, inj *Injector, opts TrialOptions) (*matching.Matching, []*reliable.Endpoint, simnet.Stats, error) {
 	sched, err := lid.ParseSchedulerSpec(opts.Scheduler)
 	if err != nil {
 		return nil, nil, simnet.Stats{}, runError{err}
 	}
 	nodes := lid.NewNodes(sys, tbl)
-	handlers := lid.Handlers(nodes)
-	var eps []*reliable.Endpoint
+	var spec stack.Spec
 	if opts.Reliable {
-		eps = reliable.Wrap(handlers, opts.rto(), opts.MaxRetries)
-		handlers = reliable.Handlers(eps)
+		spec.Reliable = reliable.Config{RTO: opts.rto(), MaxRetries: opts.MaxRetries}
 	}
+	handlers, layers := spec.Wrap(sys.Graph(), lid.Handlers(nodes))
+	eps := layers.Endpoints
 	simOpts := simnet.Options{
 		Seed:          seed,
 		Latency:       simnet.ExponentialLatency(opts.jitter()),

@@ -11,6 +11,7 @@ import (
 	"overlaymatch/internal/robust"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 	"overlaymatch/internal/transport"
 	"overlaymatch/internal/workload"
 )
@@ -68,7 +69,7 @@ func TestNoHealCrashQuiesces(t *testing.T) {
 			// answers beat the reaper.
 			handlers[id] = robust.NewTolerantNode(sys, tbl, id, 400)
 		}
-		eps := reliable.Wrap(handlers, 20, 3)
+		eps := reliable.WrapConfig(handlers, reliable.Config{RTO: 20, MaxRetries: 3})
 		cluster, err := transport.NewMemoryCluster(n, transport.ClusterConfig{
 			Timeout: 60 * time.Second,
 			Policy:  NewInjector(spec, injectionSeed(42)),
@@ -121,8 +122,8 @@ func TestExploreSelfHealCrashWindows(t *testing.T) {
 	}
 	spec := Spec{Crashes: []Crash{{Start: 40, End: 260, Node: 5}}}
 	trial := SelfHealTrial(sys, dlid.SelfHealConfig{
-		Mode:     dlid.Rematch,
-		Detector: detector.Default(),
+		Mode:  dlid.Rematch,
+		Stack: stack.Spec{Detector: detector.Default()},
 	}, nil, TrialOptions{Jitter: 0.5})
 	rep := Explore(ExploreOptions{Spec: spec, BaseSeed: 1, Count: 8}, trial)
 	if len(rep.Violations) != 0 {

@@ -12,6 +12,7 @@ import (
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/transport"
 )
 
 // randomSystem builds a G(n,p) graph with random private preferences.
@@ -76,7 +77,7 @@ func TestLIDGoroutineRuntime(t *testing.T) {
 	for seed := uint64(0); seed < 15; seed++ {
 		s := randomSystem(t, seed, 30, 0.3, 2)
 		tbl := satisfaction.NewTable(s)
-		res, err := RunGoroutines(s, tbl, 20*time.Second)
+		res, err := Run(s, tbl, transport.Memory(transport.ClusterConfig{Timeout: 20 * time.Second}), RunOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

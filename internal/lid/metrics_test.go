@@ -10,6 +10,7 @@ import (
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/transport"
 )
 
 // TestMetricsZeroImpact: attaching a metrics sink must not change the
@@ -65,7 +66,8 @@ func TestMetricsZeroImpact(t *testing.T) {
 }
 
 // TestGoroutineMetricsSink: the goroutine runtime feeds the sink
-// through GoOptions — the cluster's wire counters next to lid's.
+// through ClusterConfig.Metrics — the cluster's wire counters next to
+// lid's.
 func TestGoroutineMetricsSink(t *testing.T) {
 	src := rng.New(9)
 	g := gen.GNP(src, 20, 0.3)
@@ -75,7 +77,7 @@ func TestGoroutineMetricsSink(t *testing.T) {
 	}
 	tbl := satisfaction.NewTable(s)
 	sink := metrics.New()
-	res, err := RunGoroutinesOpts(s, tbl, GoOptions{Metrics: sink})
+	res, err := Run(s, tbl, transport.Memory(transport.ClusterConfig{Metrics: sink}), RunOptions{Metrics: sink})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,10 +40,11 @@ func TestProbedRunMonotoneConvergence(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := metrics.New()
-		probed, prober, err := RunEventProbed(s, tbl, opts, 1, reg)
+		probed, err := Run(s, tbl, simnet.Event(opts), RunOptions{ProbeInterval: 1, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
+		prober := probed.Prober
 		if !plain.Matching.Equal(probed.Matching) {
 			t.Fatalf("seed %d: probing changed the matching", seed)
 		}

@@ -127,7 +127,7 @@ func TestGreedySchedulerEquivalence(t *testing.T) {
 		}
 		for _, workers := range workerGrid {
 			wtbl := satisfaction.NewTableParallel(s, workers)
-			greedy, err := RunEventScheduled(s, wtbl, simnet.Options{Seed: uint64(i)}, SchedulerSpec{Kind: SchedGreedy})
+			greedy, err := Run(s, wtbl, simnet.Event(simnet.Options{Seed: uint64(i)}), RunOptions{Scheduler: SchedulerSpec{Kind: SchedGreedy}})
 			if err != nil {
 				t.Fatalf("system %d greedy workers=%d: %v", i, workers, err)
 			}
@@ -147,7 +147,7 @@ func TestGreedyBatchCapEquivalence(t *testing.T) {
 			s := systems[i]
 			tbl := satisfaction.NewTable(s)
 			want := matching.LIC(s, tbl)
-			res, err := RunEventScheduled(s, tbl, simnet.Options{Seed: uint64(i)}, SchedulerSpec{Kind: SchedGreedy, Batch: batch})
+			res, err := Run(s, tbl, simnet.Event(simnet.Options{Seed: uint64(i)}), RunOptions{Scheduler: SchedulerSpec{Kind: SchedGreedy, Batch: batch}})
 			if err != nil {
 				t.Fatalf("system %d batch=%d: %v", i, batch, err)
 			}
@@ -248,7 +248,7 @@ func TestGreedyBitIdenticalAcrossWorkers(t *testing.T) {
 			tbl := satisfaction.NewTableParallel(s, workers)
 			sink := metrics.New()
 			probe := metrics.New()
-			_, _, err := RunEventProbedScheduled(s, tbl, simnet.Options{Seed: cfg.seed, Metrics: sink}, 1, probe, SchedulerSpec{Kind: SchedGreedy})
+			_, err := Run(s, tbl, simnet.Event(simnet.Options{Seed: cfg.seed, Metrics: sink}), RunOptions{Scheduler: SchedulerSpec{Kind: SchedGreedy}, ProbeInterval: 1, Metrics: probe})
 			if err != nil {
 				t.Fatalf("cfg %d workers=%d: %v", i, workers, err)
 			}
@@ -284,7 +284,7 @@ func TestGreedySavesMessages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := RunEventScheduled(s, tbl, simnet.Options{Seed: uint64(i)}, SchedulerSpec{Kind: SchedGreedy})
+		g, err := Run(s, tbl, simnet.Event(simnet.Options{Seed: uint64(i)}), RunOptions{Scheduler: SchedulerSpec{Kind: SchedGreedy}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestGreedyAdmitterCoversAllNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := satisfaction.NewTable(s)
-	res, err := RunEventScheduled(s, tbl, simnet.Options{Seed: 1}, SchedulerSpec{Kind: SchedGreedy})
+	res, err := Run(s, tbl, simnet.Event(simnet.Options{Seed: 1}), RunOptions{Scheduler: SchedulerSpec{Kind: SchedGreedy}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func BenchmarkSchedulers(b *testing.B) {
 			tbl := satisfaction.NewTable(s)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunEventScheduled(s, tbl, simnet.Options{Seed: 11}, sched); err != nil {
+				if _, err := Run(s, tbl, simnet.Event(simnet.Options{Seed: 11}), RunOptions{Scheduler: sched}); err != nil {
 					b.Fatal(err)
 				}
 			}

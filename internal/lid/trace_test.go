@@ -13,6 +13,7 @@ import (
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/transport"
 )
 
 // tracedRun runs LID on the named runtime ("event" or "goroutine") with
@@ -29,7 +30,7 @@ func tracedRun(t *testing.T, runtime string) (*obs.Recorder, Result) {
 	rec := obs.NewRecorder(g.NumNodes())
 	var res Result
 	if runtime == "goroutine" {
-		res, err = RunGoroutinesOpts(s, tbl, GoOptions{Obs: rec})
+		res, err = Run(s, tbl, transport.Memory(transport.ClusterConfig{Obs: rec}), RunOptions{})
 	} else {
 		res, err = RunEvent(s, tbl, simnet.Options{
 			Seed:    1,

@@ -18,7 +18,7 @@ func TestRetxSpansBalanced(t *testing.T) {
 	const msgs = 60
 	sender := &counterHandler{want: msgs}
 	receiver := &counterHandler{n: msgs}
-	eps := Wrap([]simnet.Handler{sender, receiver}, 5, 0)
+	eps := WrapConfig([]simnet.Handler{sender, receiver}, Config{RTO: 5})
 	rec := obs.NewRecorder(2)
 	r := simnet.NewRunner(2, simnet.Options{
 		Seed:    7,
@@ -73,7 +73,7 @@ func TestRetxSpansBalanced(t *testing.T) {
 func TestRetxSpanAbandonClosed(t *testing.T) {
 	sender := &counterHandler{want: 5}
 	receiver := &counterHandler{n: 0}
-	eps := Wrap([]simnet.Handler{sender, receiver}, 2, 3)
+	eps := WrapConfig([]simnet.Handler{sender, receiver}, Config{RTO: 2, MaxRetries: 3})
 	rec := obs.NewRecorder(2)
 	r := simnet.NewRunner(2, simnet.Options{Seed: 3, Policy: deadLink(1), Obs: rec})
 	if _, err := r.Run(Handlers(eps)); err != nil {

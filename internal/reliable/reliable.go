@@ -25,6 +25,7 @@ package reliable
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
@@ -81,7 +82,7 @@ type pendingFrame struct {
 // backoff (the experiment goldens depend on it).
 type Config struct {
 	// RTO is the (initial) retransmission timeout in virtual time
-	// units; must be positive.
+	// units; must be positive and finite.
 	RTO float64
 	// MaxRetries bounds retransmissions per frame (0 = unlimited).
 	// When the budget is exhausted the frame is abandoned, counted
@@ -99,6 +100,26 @@ type Config struct {
 	MinRTO float64
 	// MaxRTO caps estimate and backoff (default 16×RTO).
 	MaxRTO float64
+}
+
+// Validate checks the config of a stacked layer: RTO finite and
+// positive, MaxRetries non-negative, MinRTO and MaxRTO finite and
+// non-negative (zero takes the default). Positive tests reject NaN
+// with the rest.
+func (c Config) Validate() error {
+	if !(c.RTO > 0) || math.IsInf(c.RTO, 1) {
+		return fmt.Errorf("reliable: rto=%v must be positive and finite (the retransmission timer would never fire)", c.RTO)
+	}
+	if c.MaxRetries < 0 {
+		return fmt.Errorf("reliable: max retries %d must be non-negative", c.MaxRetries)
+	}
+	if !(c.MinRTO >= 0) || math.IsInf(c.MinRTO, 1) {
+		return fmt.Errorf("reliable: min rto=%v must be non-negative and finite", c.MinRTO)
+	}
+	if !(c.MaxRTO >= 0) || math.IsInf(c.MaxRTO, 1) {
+		return fmt.Errorf("reliable: max rto=%v must be non-negative and finite", c.MaxRTO)
+	}
+	return nil
 }
 
 func (c Config) minRTO() float64 {
@@ -166,10 +187,11 @@ func NewEndpoint(inner simnet.Handler, rto float64, maxRetries int) *Endpoint {
 	return NewEndpointConfig(inner, Config{RTO: rto, MaxRetries: maxRetries})
 }
 
-// NewEndpointConfig wraps inner with the full configuration.
+// NewEndpointConfig wraps inner with the full configuration. It
+// panics on a config that fails Validate.
 func NewEndpointConfig(inner simnet.Handler, cfg Config) *Endpoint {
-	if cfg.RTO <= 0 {
-		panic("reliable: rto must be positive")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	return &Endpoint{
 		inner:           inner,
@@ -471,15 +493,6 @@ func (e *Endpoint) HandleRestore(ctx simnet.Context, peer int) {
 	if sh, ok := e.inner.(simnet.SuspectHandler); ok {
 		sh.HandleRestore(&relCtx{e: e, ctx: ctx}, peer)
 	}
-}
-
-// Wrap builds one Endpoint per handler with shared parameters.
-func Wrap(handlers []simnet.Handler, rto float64, maxRetries int) []*Endpoint {
-	out := make([]*Endpoint, len(handlers))
-	for i, h := range handlers {
-		out[i] = NewEndpoint(h, rto, maxRetries)
-	}
-	return out
 }
 
 // WrapConfig builds one Endpoint per handler with a shared config.

@@ -1,17 +1,11 @@
 package reliable
 
 import (
+	"math"
 	"sync"
 	"testing"
-	"testing/quick"
 
-	"overlaymatch/internal/gen"
-	"overlaymatch/internal/lid"
-	"overlaymatch/internal/matching"
-	"overlaymatch/internal/metrics"
-	"overlaymatch/internal/pref"
 	"overlaymatch/internal/rng"
-	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 )
 
@@ -73,7 +67,7 @@ func TestExactlyOnceUnderHeavyLoss(t *testing.T) {
 	const msgs = 100
 	sender := &counterHandler{want: msgs}
 	receiver := &counterHandler{n: msgs}
-	eps := Wrap([]simnet.Handler{sender, receiver}, 5, 0)
+	eps := WrapConfig([]simnet.Handler{sender, receiver}, Config{RTO: 5})
 	r := simnet.NewRunner(2, simnet.Options{
 		Seed:    7,
 		Latency: simnet.ExponentialLatency(2),
@@ -103,7 +97,7 @@ func TestNoLossNoRetransmitWithGenerousRTO(t *testing.T) {
 	const msgs = 50
 	sender := &counterHandler{want: msgs}
 	receiver := &counterHandler{n: msgs}
-	eps := Wrap([]simnet.Handler{sender, receiver}, 1000, 0)
+	eps := WrapConfig([]simnet.Handler{sender, receiver}, Config{RTO: 1000})
 	r := simnet.NewRunner(2, simnet.Options{Seed: 1})
 	if _, err := r.Run(Handlers(eps)); err != nil {
 		t.Fatal(err)
@@ -116,49 +110,13 @@ func TestNoLossNoRetransmitWithGenerousRTO(t *testing.T) {
 	}
 }
 
-// TestAckStopsRetransmitTimer: on a lossless network whose round trip
-// is shorter than the RTO, every ack arrives first and stops its
-// frame's timer, so LID under reliable fires no timer at all and the
-// run ends at its last protocol delivery, not one RTO later.
-func TestAckStopsRetransmitTimer(t *testing.T) {
-	src := rng.New(4)
-	g := gen.GNP(src, 20, 0.35)
-	sys, err := pref.Build(g, pref.NewRandomMetric(src.Split()), pref.UniformQuota(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := satisfaction.NewTable(sys)
-	nodes := lid.NewNodes(sys, tbl)
-	const rto = 30
-	eps := Wrap(lid.Handlers(nodes), rto, 0)
-	stats, err := simnet.NewRunner(g.NumNodes(), simnet.Options{Seed: 4}).Run(Handlers(eps))
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := sum(eps, (*Endpoint).Frames)
-	if stats.TimersFired != 0 || stats.TimersStopped != frames {
-		t.Fatalf("%d timers fired, %d stopped for %d frames; want 0 fired, one stopped per frame",
-			stats.TimersFired, stats.TimersStopped, frames)
-	}
-	if stats.FinalTime >= rto {
-		t.Fatalf("run ended at %v: a retransmission timer outlived its ack", stats.FinalTime)
-	}
-	m, err := lid.BuildMatching(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Equal(matching.LIC(sys, tbl)) {
-		t.Fatal("LID under reliable diverged from LIC")
-	}
-}
-
 func TestSpuriousRetransmitsAreSuppressed(t *testing.T) {
 	// An RTO far below the round trip forces spurious retransmissions;
 	// the receiver must still deliver exactly once.
 	const msgs = 30
 	sender := &counterHandler{want: msgs}
 	receiver := &counterHandler{n: msgs}
-	eps := Wrap([]simnet.Handler{sender, receiver}, 0.1, 0)
+	eps := WrapConfig([]simnet.Handler{sender, receiver}, Config{RTO: 0.1})
 	r := simnet.NewRunner(2, simnet.Options{Seed: 2, Latency: simnet.UniformLatency(5, 10)})
 	if _, err := r.Run(Handlers(eps)); err != nil {
 		t.Fatal(err)
@@ -181,7 +139,7 @@ func TestMaxRetriesAbandons(t *testing.T) {
 	// with maxRetries=3 the sender abandons and still halts.
 	sender := &counterHandler{want: 5}
 	receiver := &counterHandler{n: 0} // halts immediately
-	eps := Wrap([]simnet.Handler{sender, receiver}, 2, 3)
+	eps := WrapConfig([]simnet.Handler{sender, receiver}, Config{RTO: 2, MaxRetries: 3})
 	r := simnet.NewRunner(2, simnet.Options{Seed: 3, Policy: deadLink(1)})
 	if _, err := r.Run(Handlers(eps)); err != nil {
 		t.Fatal(err)
@@ -200,92 +158,43 @@ func TestBadRTOPanics(t *testing.T) {
 	NewEndpoint(&counterHandler{}, 0, 0)
 }
 
-// lidOverLossySystem builds a workload and runs LID through reliable
-// endpoints over a lossy network.
-func lidOverLossy(tb testing.TB, seed uint64, n int, dropP float64) (*matching.Matching, *pref.System, []*Endpoint, simnet.Stats) {
-	tb.Helper()
-	src := rng.New(seed)
-	g := gen.GNP(src, n, 0.35)
-	sys, err := pref.Build(g, pref.NewRandomMetric(src.Split()), pref.UniformQuota(2))
-	if err != nil {
-		tb.Fatal(err)
+// TestConfigValidate: positive tests reject NaN alongside zero and
+// negatives, and +Inf is rejected explicitly. NewEndpointConfig panics
+// on every config Validate rejects: a NaN RTO once broke the event
+// queue's heap order, and its retransmission timer popped forever.
+func TestConfigValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"static", Config{RTO: 30}, true},
+		{"adaptive bounds", Config{RTO: 30, Adaptive: true, MinRTO: 2, MaxRTO: 400, MaxRetries: 3}, true},
+		{"zero rto", Config{}, false},
+		{"negative rto", Config{RTO: -1}, false},
+		{"nan rto", Config{RTO: nan}, false},
+		{"inf rto", Config{RTO: inf}, false},
+		{"negative retries", Config{RTO: 30, MaxRetries: -1}, false},
+		{"nan min rto", Config{RTO: 30, MinRTO: nan}, false},
+		{"negative min rto", Config{RTO: 30, MinRTO: -2}, false},
+		{"inf max rto", Config{RTO: 30, MaxRTO: inf}, false},
+		{"nan max rto", Config{RTO: 30, MaxRTO: nan}, false},
 	}
-	tbl := satisfaction.NewTable(sys)
-	nodes := lid.NewNodes(sys, tbl)
-	eps := Wrap(lid.Handlers(nodes), 25, 0)
-	r := simnet.NewRunner(g.NumNodes(), simnet.Options{
-		Seed:    seed*2654435761 + 1,
-		Latency: simnet.ExponentialLatency(3),
-		Policy:  uniformLoss{p: dropP, src: rng.New(seed*2654435761 + 2)},
-	})
-	stats, err := r.Run(Handlers(eps))
-	if err != nil {
-		tb.Fatalf("LID over lossy network failed: %v", err)
-	}
-	m, err := lid.BuildMatching(nodes)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return m, sys, eps, stats
-}
-
-// TestLIDOverLossyEqualsLIC is the substrate's headline property: with
-// the reliability layer underneath, LID on a lossy network still
-// produces exactly the LIC matching (the paper's reliable-link
-// assumption is restored).
-func TestLIDOverLossyEqualsLIC(t *testing.T) {
-	check := func(seed uint64, nRaw uint8, dropRaw uint8) bool {
-		n := int(nRaw)%15 + 5
-		dropP := float64(dropRaw%50) / 100.0
-		m, sys, _, _ := lidOverLossy(t, seed, n, dropP)
-		return m.Equal(matching.LIC(sys, satisfaction.NewTable(sys)))
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPublishMetrics(t *testing.T) {
-	_, _, eps, stats := lidOverLossy(t, 11, 20, 0.3)
-	reg := metrics.New()
-	PublishMetrics(reg, eps)
-	PublishMetrics(nil, eps) // nil sink must be a no-op, not a panic
-
-	counter := func(name string) int { return int(reg.Counter(name, "").Value()) }
-	if counter("reliable_retransmits_total") != TotalRetransmits(eps) {
-		t.Fatal("retransmit counter disagrees with endpoint view")
-	}
-	if counter("reliable_duplicates_total") != TotalDuplicates(eps) {
-		t.Fatal("duplicate counter disagrees with endpoint view")
-	}
-	if counter("reliable_abandoned_total") != TotalAbandoned(eps) {
-		t.Fatal("abandoned counter disagrees with endpoint view")
-	}
-	// Every DATA frame and every ACK the endpoints sent went through
-	// simnet (drops happen after send), so the frame/ack totals must
-	// equal the per-kind send counts.
-	if counter("reliable_acks_total") != stats.SentByKind["ACK"] {
-		t.Fatalf("acks: registry %d, simnet %d",
-			counter("reliable_acks_total"), stats.SentByKind["ACK"])
-	}
-	wantFrames := stats.TotalSent() - stats.SentByKind["ACK"]
-	if counter("reliable_frames_total") != wantFrames {
-		t.Fatalf("frames: registry %d, simnet non-ack sends %d",
-			counter("reliable_frames_total"), wantFrames)
-	}
-}
-
-func TestLIDOverLossyRetransmissionCost(t *testing.T) {
-	_, _, epsLossy, statsLossy := lidOverLossy(t, 9, 20, 0.3)
-	_, _, epsClean, _ := lidOverLossy(t, 9, 20, 0.0)
-	if TotalRetransmits(epsLossy) <= TotalRetransmits(epsClean) {
-		t.Fatalf("lossy run should retransmit more: %d vs %d",
-			TotalRetransmits(epsLossy), TotalRetransmits(epsClean))
-	}
-	if statsLossy.SentByKind["ACK"] == 0 {
-		t.Fatal("no acks counted")
-	}
-	if statsLossy.SentByKind["PROP"] == 0 {
-		t.Fatal("PROP kind lost through the wrapper")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.cfg.Validate(); (err == nil) != c.ok {
+				t.Fatalf("Validate(%+v) = %v, want ok=%v", c.cfg, err, c.ok)
+			}
+			if c.ok {
+				return
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewEndpointConfig accepted %+v", c.cfg)
+				}
+			}()
+			NewEndpointConfig(&counterHandler{}, c.cfg)
+		})
 	}
 }

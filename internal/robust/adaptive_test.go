@@ -156,7 +156,7 @@ func TestAdaptiveStaysStaticOnCluster(t *testing.T) {
 		nodes[id] = tn
 		handlers[id] = tn
 	}
-	eps := reliable.Wrap(handlers, 20, 0)
+	eps := reliable.WrapConfig(handlers, reliable.Config{RTO: 20})
 	cluster, err := transport.NewMemoryCluster(n, transport.ClusterConfig{Timeout: 60 * time.Second})
 	if err != nil {
 		t.Fatal(err)

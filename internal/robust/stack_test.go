@@ -46,7 +46,7 @@ func runStack(t *testing.T, seed uint64, dropP float64, adversaries map[graph.No
 		honest = append(honest, n)
 		handlers[id] = n
 	}
-	eps := reliable.Wrap(handlers, 8, 0)
+	eps := reliable.WrapConfig(handlers, reliable.Config{RTO: 8})
 	opts := simnet.Options{Seed: seed + 1, Latency: simnet.ExponentialLatency(1)}
 	if dropP > 0 {
 		opts.Policy = faults.NewInjector(faults.Spec{Drop: dropP}, opts.Seed^0x5fa715ca11edc0de)

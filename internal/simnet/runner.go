@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 
 	"overlaymatch/internal/metrics"
 	"overlaymatch/internal/obs"
@@ -264,8 +265,8 @@ func (c *runnerCtx) Send(to int, msg Message) {
 	}
 	for i := 0; i < copies; i++ {
 		lat := r.opts.Latency(c.id, to, r.src) + extra
-		if lat <= 0 {
-			panic("simnet: non-positive latency")
+		if !(lat > 0) || math.IsInf(lat, 1) {
+			panic(fmt.Sprintf("simnet: latency %v is not positive and finite", lat))
 		}
 		r.ins.sendLatency.Observe(lat)
 		r.seq++
@@ -278,8 +279,8 @@ func (c *runnerCtx) Send(to int, msg Message) {
 // delay time units. Timers are exempt from the link policy and from
 // the network message statistics.
 func (c *runnerCtx) SetTimer(delay float64, msg Message) {
-	if delay <= 0 {
-		panic("simnet: SetTimer needs a positive delay")
+	if !(delay > 0) || math.IsInf(delay, 1) {
+		panic(fmt.Sprintf("simnet: SetTimer delay %v is not positive and finite", delay))
 	}
 	r := c.r
 	r.seq++
@@ -448,8 +449,8 @@ func (r *Runner) Schedule(at float64, to int, msg Message) {
 	if to < 0 || to >= r.n {
 		panic(fmt.Sprintf("simnet: Schedule to %d outside [0,%d)", to, r.n))
 	}
-	if at < 0 {
-		panic("simnet: Schedule with negative time")
+	if !(at >= 0) || math.IsInf(at, 1) {
+		panic(fmt.Sprintf("simnet: Schedule time %v is not non-negative and finite", at))
 	}
 	r.seq++
 	r.queue.push(event{time: at, seq: r.seq, from: to, to: to, msg: msg, timer: true})

@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -325,5 +327,45 @@ func TestStoppingANoOpTimerKeepsOrder(t *testing.T) {
 		if fired[i] != stopped[i] {
 			t.Fatalf("delivery %d: %+v with the timer firing, %+v with it stopped", i, fired[i], stopped[i])
 		}
+	}
+}
+
+// TestNonFiniteTimesPanic: every virtual time the Runner queues must be
+// finite. A NaN breaks the event heap's order (a NaN retransmission
+// timer once popped forever), and +Inf sends the probe loop chasing an
+// infinite event time. Positive tests reject NaN with the rest.
+func TestNonFiniteTimesPanic(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	mustPanic := func(t *testing.T, run func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected panic")
+			}
+		}()
+		run()
+	}
+	send := handlerFunc{init: func(ctx Context) {
+		if ctx.ID() == 0 {
+			ctx.Send(1, Raw{1})
+		}
+	}}
+	for _, lat := range []float64{nan, inf, 0, -1} {
+		t.Run(fmt.Sprintf("latency %v", lat), func(t *testing.T) {
+			r := NewRunner(2, Options{Latency: func(int, int, *rng.Source) float64 { return lat }})
+			mustPanic(t, func() { _, _ = r.Run([]Handler{send, send}) })
+		})
+	}
+	for _, d := range []float64{nan, inf, -1} {
+		t.Run(fmt.Sprintf("timer %v", d), func(t *testing.T) {
+			r := NewRunner(1, Options{})
+			bad := handlerFunc{init: func(ctx Context) { SetTimerOn(ctx, d, "x") }}
+			mustPanic(t, func() { _, _ = r.Run([]Handler{bad}) })
+		})
+	}
+	for _, at := range []float64{nan, inf, -1} {
+		t.Run(fmt.Sprintf("schedule %v", at), func(t *testing.T) {
+			mustPanic(t, func() { NewRunner(1, Options{}).Schedule(at, 0, "x") })
+		})
 	}
 }

@@ -1,5 +1,11 @@
 package simnet
 
+import (
+	"fmt"
+
+	"overlaymatch/internal/obs"
+)
+
 // Transport is the runtime-agnostic execution substrate the protocol
 // stack runs on: something that takes one Handler per node, drives
 // Init and HandleMessage (sequentially per node, possibly concurrently
@@ -30,6 +36,29 @@ type Transport interface {
 	// activation/completion count for a Cluster). One Transport value
 	// runs once.
 	Run(handlers []Handler) (Stats, error)
+}
+
+// Runtime builds the Transport for one run of n nodes. The run passes
+// its two hooks: probe, the stability prober, and admit, the admission
+// scheduler; either may be nil. A Runtime is the one place where a
+// hook meets the runtime, so a runtime that cannot honour a hook
+// returns an error here, before any node starts.
+//
+// Event builds the Runner. Package transport's Memory and Loopback
+// build a Cluster, which honours neither hook.
+type Runtime func(n int, probe *obs.Prober, admit Admitter) (Transport, error)
+
+// Event returns the Runtime of the event Runner under opts. The run's
+// hooks fill opts.Prober and opts.Admitter; opts that already set
+// either one are an error, so a hook is never replaced silently.
+func Event(opts Options) Runtime {
+	return func(n int, probe *obs.Prober, admit Admitter) (Transport, error) {
+		if opts.Prober != nil || opts.Admitter != nil {
+			return nil, fmt.Errorf("simnet: Event options set a Prober or an Admitter; pass them to the run instead")
+		}
+		opts.Prober, opts.Admitter = probe, admit
+		return NewRunner(n, opts), nil
+	}
 }
 
 // Endpoint is the per-node attachment surface a Transport hands its

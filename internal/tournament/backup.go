@@ -120,7 +120,8 @@ func (BackupPlacement) Run(s *pref.System, tbl *satisfaction.Table, opts Options
 	// One round has no replacement waves to resynchronize, so the
 	// reliable wrap simply re-delivers proposals a crash window ate —
 	// the mutual-proposal rule is unaffected by reordering.
-	stats, err := runner.Run(opts.wrapReliable(handlers))
+	wrapped, _ := opts.layers().Wrap(g, handlers)
+	stats, err := runner.Run(wrapped)
 	if err != nil {
 		return Outcome{Stats: stats, Prober: prober}, err
 	}

@@ -32,6 +32,7 @@ import (
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 	"overlaymatch/internal/workload"
 )
 
@@ -100,14 +101,13 @@ func (o Options) rto() float64 {
 	return 20
 }
 
-// wrapReliable stacks the ack/retransmit transport under a contender's
-// handlers when the options ask for it.
-func (o Options) wrapReliable(handlers []simnet.Handler) []simnet.Handler {
+// layers names the layers a contender's handlers run under: the
+// adaptive ack/retransmit transport when the options ask for it.
+func (o Options) layers() stack.Spec {
 	if !o.Reliable {
-		return handlers
+		return stack.Spec{}
 	}
-	eps := reliable.WrapConfig(handlers, reliable.Config{RTO: o.rto(), Adaptive: true})
-	return reliable.Handlers(eps)
+	return stack.Spec{Reliable: reliable.Config{RTO: o.rto(), Adaptive: true}}
 }
 
 // faulted reports whether this cell deviates from the clean bracket

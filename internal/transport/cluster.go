@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"overlaymatch/internal/metrics"
 	"overlaymatch/internal/obs"
 	"overlaymatch/internal/simnet"
 )
@@ -70,6 +71,35 @@ type ClusterConfig struct {
 	// The Lamport stamp rides in the inbox, so only the in-process
 	// wire can carry it; NewLoopbackCluster rejects a recorder.
 	Obs *obs.Recorder
+	// Metrics, if non-nil, receives every node's transport_* counters
+	// when Run returns, errors included, as a Runner merges into
+	// simnet.Options.Metrics.
+	Metrics *metrics.Registry
+}
+
+// Memory returns the simnet.Runtime of an in-process Cluster under
+// cfg (NewMemoryCluster).
+func Memory(cfg ClusterConfig) simnet.Runtime { return clusterRuntime(cfg, NewMemoryCluster) }
+
+// Loopback returns the simnet.Runtime of a loopback Cluster under cfg
+// (NewLoopbackCluster).
+func Loopback(cfg ClusterConfig) simnet.Runtime { return clusterRuntime(cfg, NewLoopbackCluster) }
+
+// clusterRuntime rejects the run hooks a Cluster cannot honour before any
+// node starts or any socket is bound. Stability probes sample the
+// state "after round t", which needs the Runner's virtual clock;
+// greedy admission releases a batch each time the event queue drains,
+// which a Cluster does not yet detect.
+func clusterRuntime(cfg ClusterConfig, build func(int, ClusterConfig) (*Cluster, error)) simnet.Runtime {
+	return func(n int, probe *obs.Prober, admit simnet.Admitter) (simnet.Transport, error) {
+		if probe != nil {
+			return nil, fmt.Errorf("transport: a cluster cannot take stability probes: it has no virtual clock to probe on; use the event runtime")
+		}
+		if admit != nil {
+			return nil, fmt.Errorf("transport: a cluster cannot schedule admission: it starts every node at once; use the event runtime")
+		}
+		return build(n, cfg)
+	}
 }
 
 func (c ClusterConfig) timeout() time.Duration {
@@ -113,7 +143,7 @@ func NewLoopbackCluster(n int, cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("transport: negative cluster size %d", n)
 	}
 	if cfg.Obs != nil {
-		return nil, fmt.Errorf("transport: a loopback cluster cannot carry Lamport stamps; record on NewMemoryCluster")
+		return nil, fmt.Errorf("transport: a loopback cluster cannot record span traces: its sockets do not carry Lamport stamps; record on the in-process cluster")
 	}
 	sh := &shared{policy: cfg.Policy}
 	c := &Cluster{cfg: cfg}
@@ -234,6 +264,9 @@ func (c *Cluster) Run(handlers []simnet.Handler) (simnet.Stats, error) {
 		}
 	}
 	c.Close()
+	for _, nd := range c.nodes {
+		nd.PublishMetrics(c.cfg.Metrics)
+	}
 
 	stats := simnet.Stats{
 		SentByNode:     make([]int, len(c.nodes)),

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"hash/crc32"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -451,8 +452,8 @@ func (nd *UDPNode) handOff(to int, frame []byte, msg simnet.Message, lam uint64)
 // termination certificate stays exact. When the timer has already
 // fired, the stop reports false and the delivery completes as usual.
 func (c *udpCtx) SetTimer(delay float64, msg simnet.Message) {
-	if delay <= 0 {
-		panic("transport: SetTimer needs a positive delay")
+	if !(delay > 0) || math.IsInf(delay, 1) {
+		panic(fmt.Sprintf("transport: SetTimer delay %v is not positive and finite", delay))
 	}
 	nd := c.nd
 	nd.activations.Add(1)

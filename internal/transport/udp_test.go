@@ -1,6 +1,8 @@
 package transport_test
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -450,7 +452,7 @@ func TestClusterHandlerCountMismatch(t *testing.T) {
 
 // TestUDPNodeMetrics publishes one closed node's counters into a
 // registry, checking the export surface the standalone binary and
-// lid.GoOptions.Metrics use.
+// ClusterConfig.Metrics use.
 func TestUDPNodeMetrics(t *testing.T) {
 	for _, w := range wires {
 		t.Run(w.name, func(t *testing.T) {
@@ -477,6 +479,58 @@ func TestUDPNodeMetrics(t *testing.T) {
 			}
 			checkBalanced(t, cluster, nil)
 			cluster.Nodes()[0].PublishMetrics(nil) // nil-safe
+		})
+	}
+}
+
+// TestClusterMetricsSink: a cluster built with ClusterConfig.Metrics
+// adds every node's transport_* counters there when Run returns.
+func TestClusterMetricsSink(t *testing.T) {
+	for _, w := range wires {
+		t.Run(w.name, func(t *testing.T) {
+			reg := metrics.New()
+			cluster, err := w.new(2, transport.ClusterConfig{Timeout: 20 * time.Second, Metrics: reg})
+			if err != nil {
+				t.Fatalf("cluster: %v", err)
+			}
+			defer cluster.Close()
+			if _, err := cluster.Run([]simnet.Handler{&burstSender{to: 1, count: 3}, &burstSink{want: 3}}); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			var datagrams int64
+			for _, nd := range cluster.Nodes() {
+				datagrams += nd.Counters().DatagramsSent
+			}
+			if got := reg.Counter("transport_frames_delivered_total", "").Value(); got != 3 {
+				t.Fatalf("sink frames_delivered = %d, want 3", got)
+			}
+			if got := reg.Counter("transport_datagrams_sent_total", "").Value(); got != datagrams {
+				t.Fatalf("sink datagrams_sent = %d, nodes say %d", got, datagrams)
+			}
+		})
+	}
+}
+
+// TestClusterSetTimerRejectsNonFinite: a timer delay must be positive
+// and finite; the guard fires before the timer counts as an activation.
+func TestClusterSetTimerRejectsNonFinite(t *testing.T) {
+	for _, d := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		t.Run(fmt.Sprint(d), func(t *testing.T) {
+			cluster, err := transport.NewMemoryCluster(1, transport.ClusterConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Close()
+			nd := cluster.Nodes()[0]
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("SetTimer accepted delay %v", d)
+				}
+				if a := nd.Counters().Activations; a != 0 {
+					t.Fatalf("rejected timer counted %d activations", a)
+				}
+			}()
+			transport.SetTimer(nd, d, simnet.Raw("t"))
 		})
 	}
 }

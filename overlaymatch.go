@@ -36,6 +36,7 @@ import (
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/transport"
 )
 
 // Edge is an undirected potential connection between two peers,
@@ -198,7 +199,7 @@ func (n *Network) RunDistributed(opts RunOptions) (*Result, error) {
 // real concurrency under the Go scheduler. timeout bounds the run
 // (0 means 30s).
 func (n *Network) RunDistributedGoroutines(timeout time.Duration) (*Result, error) {
-	res, err := lid.RunGoroutines(n.sys, n.tbl, timeout)
+	res, err := lid.Run(n.sys, n.tbl, transport.Memory(transport.ClusterConfig{Timeout: timeout}), lid.RunOptions{})
 	if err != nil {
 		return nil, err
 	}
