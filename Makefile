@@ -89,25 +89,32 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Deterministic machine-readable benchmark trajectory: fixed seeds and
-# iteration counts. PR10 adds the scheduler rows (the same LID workload
-# under canonical and greedy admission — the message-count delta is the
-# scheduler's payoff); the *Par benchmarks sweep worker counts 1/2/4
-# (the workload columns must be identical at each count); BENCH_PR4.json
-# through BENCH_PR8.json stay committed as the previous points of the
-# trajectory.
+# iteration counts. The LIDCanonical/LIDGreedy rows run the same LID
+# workload under canonical and greedy admission (the message-count delta
+# is the scheduler's payoff); the *Par benchmarks sweep worker counts
+# 1/2/4 (the workload columns must be identical at each count).
+# BENCH_PR22.json is the current point: its "before" rows measure the
+# event Runner with atomic counters and a binary heap, its "after" rows
+# the Runner with plain counters and a recycled 4-ary heap. This target
+# rewrites its "after" rows. BENCH_PR4.json through BENCH_PR10.json stay
+# committed as the earlier points of the trajectory.
 bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_PR10.json -phase after -merge -workers-sweep 1,2,4
+	$(GO) run ./cmd/benchjson -out BENCH_PR22.json -phase after -merge -workers-sweep 1,2,4
 
 # Benchmark regression gate: fresh -quick measurements must stay within
-# tolerance of the committed PR8 baseline (allocation figures gated,
-# workload metrics exact, wall clock report-only; rows new in PR10 are
-# notes, not failures), and — the negative controls — must FAIL against
-# a synthetically regressed fixture and against a baseline that mixes
-# workers=0 rows with explicit worker counts in one family (the PR 10
-# matchBaseline fallback bug), so a broken gate cannot pass silently.
+# tolerance of the "after" rows of the committed BENCH_PR22.json
+# (allocation figures gated, workload metrics exact, wall clock
+# report-only; its "before" rows are notes, not failures), and — the
+# negative controls — must FAIL against a synthetically regressed
+# fixture and against a baseline that mixes workers=0 rows with explicit
+# worker counts in one family (the PR 10 matchBaseline fallback bug), so
+# a broken gate cannot pass silently. The event Runner recycles its
+# queue through a sync.Pool, so the LID rows' B/op depends on how many
+# of the timed runs find the pool empty; the recorded LIDCanonical n=1000
+# row is the one-miss figure.
 bench-check:
 	$(GO) test -count=1 ./cmd/benchjson
-	$(GO) run ./cmd/benchjson -quick -compare BENCH_PR8.json
+	$(GO) run ./cmd/benchjson -quick -compare BENCH_PR22.json
 	! $(GO) run ./cmd/benchjson -quick -compare cmd/benchjson/testdata/regressed_baseline.json
 	! $(GO) run ./cmd/benchjson -quick -compare cmd/benchjson/testdata/mixed_workers_baseline.json
 

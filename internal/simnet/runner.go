@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"overlaymatch/internal/metrics"
 	"overlaymatch/internal/obs"
@@ -30,8 +31,8 @@ func ExponentialLatency(jitter float64) LatencyFunc {
 
 // UniformLatency returns latencies uniform in [lo, hi).
 func UniformLatency(lo, hi float64) LatencyFunc {
-	if lo <= 0 || hi < lo {
-		panic("simnet: UniformLatency needs 0 < lo <= hi")
+	if !(lo > 0) || !(hi >= lo) || math.IsInf(hi, 1) {
+		panic("simnet: UniformLatency needs 0 < lo <= hi < +Inf")
 	}
 	return func(_, _ int, src *rng.Source) float64 {
 		return lo + (hi-lo)*src.Float64()
@@ -67,8 +68,10 @@ type Options struct {
 	// (uniform loss p is faults.Spec{Drop: p}). Timers bypass the
 	// policy.
 	Policy LinkPolicy
-	// MaxDeliveries aborts a run that exceeds this many deliveries
-	// (default 0 = no limit); the guard the non-termination tests use.
+	// MaxDeliveries aborts a run that exceeds this many deliveries and
+	// timer firings together (default 0 = no limit); the guard the
+	// non-termination tests use. Counting timer firings is what stops a
+	// run whose timers rearm forever.
 	MaxDeliveries int
 	// Quiesce makes Run return successfully when the event queue
 	// drains even if nodes never called Halt — the mode for long-lived
@@ -101,17 +104,17 @@ type Options struct {
 	Admitter Admitter
 }
 
-// Runner is the deterministic discrete-event simulator. Its counters
-// are registry-backed (see instruments); Stats is derived from them as
-// a snapshot view when Run returns.
+// Runner is the deterministic discrete-event simulator. It counts into
+// plain per-run counters (see instruments); Stats is built from them,
+// and they are folded into the run's registry when Run returns.
 type Runner struct {
 	n       int
 	opts    Options
 	src     *rng.Source
-	queue   eventQueue
+	queue   *eventQueue // from queuePool; nil once Run has returned it
 	seq     int
 	halted  []bool
-	ins     *instruments
+	ins     instruments
 	running bool
 	// stopped holds the sequence numbers of queued timer events whose
 	// handle was stopped; Run drops them as they pop. Allocated on the
@@ -122,72 +125,88 @@ type Runner struct {
 	frame []byte
 }
 
+// event is one queued delivery, 48 bytes on 64-bit platforms. A timer
+// or a scheduled command, delivered back to its own node, has from < 0.
 type event struct {
 	time     float64
 	seq      int // FIFO tie-break: lower seq delivered first at equal times
-	from, to int
 	msg      Message
 	lam      uint64 // sender's Lamport stamp (telemetry only; 0 when off)
-	timer    bool   // local timer delivery, not a network message
+	from, to int32
 }
 
-// eventQueue is a binary min-heap ordered by (time, seq). It is
-// hand-rolled rather than container/heap because the interface{}
-// boxing there costs one allocation per message — measurably the
-// hottest path of large event-driven runs.
+// before orders events by (time, seq). seq is unique, so the order is
+// total and every correct heap pops the same sequence.
+func (e *event) before(f *event) bool {
+	return e.time < f.time || e.time == f.time && e.seq < f.seq
+}
+
+// eventQueue is a 4-ary min-heap of events ordered by (time, seq). It
+// is hand-rolled rather than container/heap, whose interface{} boxing
+// costs one allocation per message. Both sifts move a hole instead of
+// swapping, and the 4-ary shape halves the depth a pop walks.
 type eventQueue []event
 
-func (q eventQueue) less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	return q[i].seq < q[j].seq
-}
-
 func (q *eventQueue) push(e event) {
-	*q = append(*q, e)
-	h := *q
+	h := append(*q, e)
 	i := len(h) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		parent := (i - 1) / 4
+		if !e.before(&h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = e
+	*q = h
 }
 
 func (q *eventQueue) pop() event {
 	h := *q
 	top := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
+	last := h[n]
 	h[n] = event{} // release references for GC
-	*q = h[:n]
 	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
+		first := 4*i + 1
+		if first >= n {
+			break
 		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
+		least := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if h[c].before(&h[least]) {
+				least = c
+			}
 		}
-		if smallest == i {
-			return top
+		if !h[least].before(&last) {
+			break
 		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
+		h[i] = h[least]
+		i = least
 	}
+	h[i] = last
+	return top
 }
+
+// queuePool recycles event-queue backing arrays across Runners. A
+// run's peak depth is not known up front, and regrowing an array from
+// empty in every run would be most of a large run's allocation.
+var queuePool = sync.Pool{New: func() any { return new(eventQueue) }}
 
 // NewRunner returns a Runner for n nodes.
 func NewRunner(n int, opts Options) *Runner {
 	if n < 0 {
 		panic("simnet: negative node count")
+	}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("simnet: %d nodes exceed the event's int32 node ids", n))
 	}
 	if opts.Latency == nil {
 		opts.Latency = UnitLatency
@@ -196,19 +215,39 @@ func NewRunner(n int, opts Options) *Runner {
 		n:      n,
 		opts:   opts,
 		src:    rng.New(opts.Seed),
+		queue:  queuePool.Get().(*eventQueue),
 		halted: make([]bool, n),
 		ins:    newInstruments(n),
 	}
 }
 
+// push queues one event under the next sequence number.
+func (r *Runner) push(at float64, from, to int, msg Message, lam uint64) {
+	r.seq++
+	r.queue.push(event{time: at, seq: r.seq, msg: msg, lam: lam, from: int32(from), to: int32(to)})
+	r.ins.queueDepthMax = max(r.ins.queueDepthMax, len(*r.queue))
+}
+
+// finish publishes the run's counters and returns the queue's backing
+// array to queuePool, cleared of the messages a failed run left queued.
+func (r *Runner) finish() {
+	r.ins.publish(r.opts.Metrics)
+	q := *r.queue
+	clear(q)
+	*r.queue = q[:0]
+	queuePool.Put(r.queue)
+	r.queue = nil
+}
+
 // Metrics returns the run's private instrument registry — render or
-// merge it after Run for per-run observability.
+// merge it after Run for per-run observability. It is complete once
+// Run returns: the per-message counters are folded into it then.
 func (r *Runner) Metrics() *metrics.Registry { return r.ins.reg }
 
 // SentTotals returns the cumulative (messages, bytes) send counters,
 // bytes being encoded frame lengths, header included — the totals
 // Options.Prober receives at every probe.
-func (r *Runner) SentTotals() (msgs, bytes int64) { return r.ins.sentTotals() }
+func (r *Runner) SentTotals() (msgs, bytes int64) { return r.ins.sent, r.ins.sentBytes }
 
 // runnerCtx implements Context for one delivery.
 type runnerCtx struct {
@@ -249,7 +288,7 @@ func (c *runnerCtx) Send(to int, msg Message) {
 		v := r.opts.Policy.Verdict(c.time, c.id, to, msg)
 		r.ins.countVerdict(v)
 		if v.Drop {
-			r.ins.dropped.Inc()
+			r.ins.dropped++
 			return
 		}
 		if v.Corrupt {
@@ -268,11 +307,9 @@ func (c *runnerCtx) Send(to int, msg Message) {
 		if !(lat > 0) || math.IsInf(lat, 1) {
 			panic(fmt.Sprintf("simnet: latency %v is not positive and finite", lat))
 		}
-		r.ins.sendLatency.Observe(lat)
-		r.seq++
-		r.queue.push(event{time: c.time + lat, seq: r.seq, from: c.id, to: to, msg: msg, lam: lam})
+		r.ins.observeLatency(lat)
+		r.push(c.time+lat, c.id, to, msg, lam)
 	}
-	r.ins.queueDepthMax.SetMax(float64(len(r.queue)))
 }
 
 // SetTimer implements TimerSetter: deliver msg back to this node after
@@ -283,9 +320,7 @@ func (c *runnerCtx) SetTimer(delay float64, msg Message) {
 		panic(fmt.Sprintf("simnet: SetTimer delay %v is not positive and finite", delay))
 	}
 	r := c.r
-	r.seq++
-	r.queue.push(event{time: c.time + delay, seq: r.seq, from: c.id, to: c.id, msg: msg, timer: true})
-	r.ins.queueDepthMax.SetMax(float64(len(r.queue)))
+	r.push(c.time+delay, -1, c.id, msg, 0)
 	if h := HandleOf(msg); h != nil {
 		seq := r.seq
 		h.Bind(func() bool {
@@ -293,7 +328,7 @@ func (c *runnerCtx) SetTimer(delay float64, msg Message) {
 				r.stopped = make(map[int]bool)
 			}
 			r.stopped[seq] = true
-			r.ins.timersStopped.Inc()
+			r.ins.timersStopped++
 			return true
 		})
 	}
@@ -304,16 +339,18 @@ func (c *runnerCtx) SetTimer(delay float64, msg Message) {
 // returns the run statistics and an error if MaxDeliveries was
 // exceeded or if the queue drained while some node had not halted
 // (which for a correct protocol means a node is waiting forever — the
-// situation Lemma 5 excludes for LID).
+// situation Lemma 5 excludes for LID). The first call spends the
+// Runner and, on every return, publishes its counters (see Metrics);
+// a later call returns the same Stats and an error.
 func (r *Runner) Run(handlers []Handler) (Stats, error) {
-	defer r.ins.mergeInto(r.opts.Metrics)
-	if len(handlers) != r.n {
-		return r.ins.stats(), fmt.Errorf("simnet: %d handlers for %d nodes", len(handlers), r.n)
-	}
 	if r.running {
 		return r.ins.stats(), fmt.Errorf("simnet: Runner is single-use")
 	}
 	r.running = true
+	defer r.finish()
+	if len(handlers) != r.n {
+		return r.ins.stats(), fmt.Errorf("simnet: %d handlers for %d nodes", len(handlers), r.n)
+	}
 	// admit releases one admitter batch at virtual time t. Batches are
 	// initialized in the returned order; double or out-of-range release
 	// is an admitter bug and fails the run.
@@ -349,11 +386,9 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 	}
 	// ctx is reused across deliveries: Contexts are documented as only
 	// valid for the duration of the handler call, and reusing the one
-	// allocation removes per-delivery garbage. delivered mirrors the
-	// delivery counters locally to keep the MaxDeliveries guard off
-	// the atomic read path.
+	// allocation removes per-delivery garbage.
 	ctx := &runnerCtx{r: r}
-	delivered := 0
+	ins := &r.ins
 	interval := r.opts.Prober.Interval()
 	// Probe times are tick-aligned — float64(tick) * interval — instead
 	// of accumulated by repeated addition: summing a non-dyadic interval
@@ -364,16 +399,16 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 	probeTick := 0
 	nextProbe := func() float64 { return float64(probeTick) * interval }
 	probe := func() {
-		msgs, bytes := r.ins.sentTotals()
-		r.opts.Prober.Probe(nextProbe(), msgs, bytes)
+		r.opts.Prober.Probe(nextProbe(), ins.sent, ins.sentBytes)
 		probeTick++
 	}
-	lastTime := 0.0
 	for {
-		for len(r.queue) > 0 {
+		for len(*r.queue) > 0 {
 			e := r.queue.pop()
-			if e.timer {
-				// A stopped timer vanishes: no delivery, no count, and no
+			from := int(e.from)
+			if from < 0 {
+				// A timer or a scheduled command, from the node itself. A
+				// stopped timer vanishes: no delivery, no count, and no
 				// effect on the clock, the probes or the admission time.
 				if r.stopped[e.seq] {
 					delete(r.stopped, e.seq)
@@ -382,11 +417,11 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 				if h := HandleOf(e.msg); h != nil {
 					h.stop = nil // fired: a later Stop reports false
 				}
+				from = int(e.to)
 			}
-			if r.opts.MaxDeliveries > 0 && delivered >= r.opts.MaxDeliveries {
-				return r.ins.stats(), fmt.Errorf("simnet: exceeded %d deliveries", r.opts.MaxDeliveries)
+			if limit := r.opts.MaxDeliveries; limit > 0 && ins.deliveries+ins.timersFired >= int64(limit) {
+				return ins.stats(), fmt.Errorf("simnet: exceeded %d deliveries and timer firings", limit)
 			}
-			delivered++
 			if interval > 0 {
 				// A probe at t fires once every event strictly before t is
 				// processed: with unit latency, probe k reports the state
@@ -395,19 +430,19 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 					probe()
 				}
 			}
-			if e.timer {
-				r.ins.timersFired.Inc()
+			if e.from < 0 {
+				ins.timersFired++
 			} else {
-				r.ins.deliveries.Inc()
-				r.ins.receivedByNode.Inc(e.to)
+				ins.deliveries++
+				ins.receivedByNode[e.to]++
 				if r.opts.Obs != nil {
-					r.opts.Obs.Deliver(e.to, e.from, KindOf(e.msg), e.time, e.lam)
+					r.opts.Obs.Deliver(int(e.to), from, KindOf(e.msg), e.time, e.lam)
 				}
 			}
-			r.ins.finalTime.SetMax(e.time)
-			lastTime = e.time
-			ctx.id, ctx.time = e.to, e.time
-			handlers[e.to].HandleMessage(ctx, e.from, e.msg)
+			// Events pop in time order, so the last one is the latest.
+			ins.finalTime = e.time
+			ctx.id, ctx.time = int(e.to), e.time
+			handlers[e.to].HandleMessage(ctx, from, e.msg)
 		}
 		if r.opts.Admitter == nil {
 			break
@@ -415,9 +450,9 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 		// Queue drained: release the next admission batch at the time
 		// of the last delivery (keeping virtual time monotone). The run
 		// ends when the admitter is exhausted too.
-		k, err := admit(lastTime)
+		k, err := admit(ins.finalTime)
 		if err != nil {
-			return r.ins.stats(), err
+			return ins.stats(), err
 		}
 		if k == 0 {
 			break
@@ -431,11 +466,11 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 	if !r.opts.Quiesce {
 		for id, h := range r.halted {
 			if !h {
-				return r.ins.stats(), fmt.Errorf("simnet: node %d never halted (deadlock)", id)
+				return ins.stats(), fmt.Errorf("simnet: node %d never halted (deadlock)", id)
 			}
 		}
 	}
-	return r.ins.stats(), nil
+	return ins.stats(), nil
 }
 
 // Schedule enqueues an external command to be delivered to node `to`
@@ -452,7 +487,5 @@ func (r *Runner) Schedule(at float64, to int, msg Message) {
 	if !(at >= 0) || math.IsInf(at, 1) {
 		panic(fmt.Sprintf("simnet: Schedule time %v is not non-negative and finite", at))
 	}
-	r.seq++
-	r.queue.push(event{time: at, seq: r.seq, from: to, to: to, msg: msg, timer: true})
-	r.ins.queueDepthMax.SetMax(float64(len(r.queue)))
+	r.push(at, -1, to, msg, 0)
 }

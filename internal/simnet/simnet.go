@@ -60,13 +60,11 @@ type Context interface {
 	Time() float64
 }
 
-// Stats summarizes one run. On the Runner it is a snapshot view over
-// the run's registry-backed instruments (package metrics): the Runner
-// counts into atomic counters/vectors/families in a private per-run
-// registry, and Stats is materialized from that registry when Run
-// returns, so the same numbers are available through Runner.Metrics
-// and any shared sink registry. transport.Cluster fills the same
-// fields from its per-node wire counters.
+// Stats summarizes one run. The Runner counts into plain per-run
+// counters, builds Stats from them, and folds the same numbers into
+// its registry (package metrics) when Run returns, so Runner.Metrics
+// and any shared sink registry report them too. transport.Cluster
+// fills the same fields from its per-node wire counters.
 type Stats struct {
 	// SentByNode[i] = messages node i sent.
 	SentByNode []int

@@ -1,11 +1,13 @@
 package simnet
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"overlaymatch/internal/obs"
+	"overlaymatch/internal/rng"
 )
 
 // floodMsg is the flood protocol's token: a 16-byte frame, the 7-byte
@@ -143,11 +145,34 @@ func (pingpong) HandleMessage(ctx Context, from int, msg Message) {
 	ctx.Send(from, msg)
 }
 
+// TestRunnerMaxDeliveriesGuard: the cap counts deliveries and timer
+// firings together, so it stops a message loop and a timer loop alike.
+// The timer loop ends by itself after 200 firings: a cap that stopped
+// counting timers would let it finish without an error.
 func TestRunnerMaxDeliveriesGuard(t *testing.T) {
 	r := NewRunner(2, Options{Seed: 1, MaxDeliveries: 100})
 	_, err := r.Run([]Handler{pingpong{}, pingpong{}})
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Fatalf("err = %v, want delivery-cap error", err)
+	}
+
+	fired := 0
+	rearm := handlerFunc{
+		init: func(ctx Context) { SetTimerOn(ctx, 1, "tick") },
+		handle: func(ctx Context, _ int, _ Message) {
+			if fired++; fired < 200 {
+				SetTimerOn(ctx, 1, "tick")
+			} else {
+				ctx.Halt()
+			}
+		},
+	}
+	st, err := NewRunner(1, Options{MaxDeliveries: 50}).Run([]Handler{rearm})
+	if err == nil || !strings.Contains(err.Error(), "exceeded 50 deliveries and timer firings") {
+		t.Fatalf("timer loop: err = %v, want the cap naming deliveries and timer firings", err)
+	}
+	if st.Deliveries != 0 || st.TimersFired != 50 {
+		t.Fatalf("timer loop stopped after %d deliveries and %d timer firings, want 0 and 50", st.Deliveries, st.TimersFired)
 	}
 }
 
@@ -203,12 +228,20 @@ func TestLatencyFuncs(t *testing.T) {
 	if UnitLatency(0, 1, nil) != 1 {
 		t.Fatal("unit latency != 1")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("UniformLatency(0,..) should panic")
-		}
-	}()
-	UniformLatency(0, 1)
+	if lat := UniformLatency(2, 3)(0, 1, rng.New(1)); !(lat >= 2 && lat < 3) {
+		t.Fatalf("UniformLatency(2, 3) drew %v", lat)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range [][2]float64{{0, 1}, {-1, 1}, {2, 1}, {nan, 1}, {1, nan}, {1, inf}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("UniformLatency(%v, %v) should panic", c[0], c[1])
+				}
+			}()
+			UniformLatency(c[0], c[1])
+		}()
+	}
 }
 
 // chainHandler forwards a counter down a line of nodes; node n-1 halts

@@ -3,9 +3,11 @@ package simnet
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"overlaymatch/internal/rng"
 )
@@ -114,55 +116,75 @@ type entry struct {
 	codec Codec
 }
 
-var registry = struct {
-	sync.RWMutex
+// codecTable is one immutable generation of the registry. Register
+// publishes a new table; a reader loads whichever table is current and
+// reads its maps without a lock.
+type codecTable struct {
 	byID   map[uint16]*entry
 	byType map[reflect.Type]*entry
-}{
-	byID:   make(map[uint16]*entry),
-	byType: make(map[reflect.Type]*entry),
+}
+
+// codecRegistry is a copy-on-write codec registry. Lookups run on
+// every Runner send and every Cluster encode and decode, so they take
+// no lock. Codecs register in init, so Register's copy of the table is
+// paid at start-up only.
+type codecRegistry struct {
+	mu    sync.Mutex // serializes writers; readers never take it
+	table atomic.Pointer[codecTable]
+}
+
+// registry is the process-wide registry behind the exported functions.
+var registry codecRegistry
+
+// noCodecs is the table of a registry nothing has registered with.
+var noCodecs = codecTable{byID: map[uint16]*entry{}, byType: map[reflect.Type]*entry{}}
+
+// load returns the current table.
+func (r *codecRegistry) load() *codecTable {
+	if t := r.table.Load(); t != nil {
+		return t
+	}
+	return &noCodecs
+}
+
+func (r *codecRegistry) register(id uint16, c Codec) {
+	if c.Name == "" || c.Type == nil || c.Encode == nil || c.Decode == nil || c.Sample == nil {
+		panic(fmt.Sprintf("simnet: incomplete codec registration for ID %#04x", id))
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	old := r.load()
+	if prev, dup := old.byID[id]; dup {
+		panic(fmt.Sprintf("simnet: ID %#04x registered twice (%s, %s)", id, prev.codec.Name, c.Name))
+	}
+	if prev, dup := old.byType[c.Type]; dup {
+		panic(fmt.Sprintf("simnet: type %v registered twice (%#04x, %#04x)", c.Type, prev.id, id))
+	}
+	next := &codecTable{byID: maps.Clone(old.byID), byType: maps.Clone(old.byType)}
+	e := &entry{id: id, codec: c}
+	next.byID[id] = e
+	next.byType[c.Type] = e
+	r.table.Store(next)
 }
 
 // Register installs a codec under id. It is meant to be called from
 // protocol packages' init functions; duplicate IDs, duplicate types,
 // and incomplete codecs are programming errors and panic.
-func Register(id uint16, c Codec) {
-	if c.Name == "" || c.Type == nil || c.Encode == nil || c.Decode == nil || c.Sample == nil {
-		panic(fmt.Sprintf("simnet: incomplete codec registration for ID %#04x", id))
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if prev, dup := registry.byID[id]; dup {
-		panic(fmt.Sprintf("simnet: ID %#04x registered twice (%s, %s)", id, prev.codec.Name, c.Name))
-	}
-	if prev, dup := registry.byType[c.Type]; dup {
-		panic(fmt.Sprintf("simnet: type %v registered twice (%#04x, %#04x)", c.Type, prev.id, id))
-	}
-	e := &entry{id: id, codec: c}
-	registry.byID[id] = e
-	registry.byType[c.Type] = e
-}
+func Register(id uint16, c Codec) { registry.register(id, c) }
 
 // lookupType returns the registration of msg's concrete type, or nil.
-// It runs on every send, so it unlocks without defer.
-func lookupType(msg Message) *entry {
-	registry.RLock()
-	e := registry.byType[reflect.TypeOf(msg)]
-	registry.RUnlock()
-	return e
+func (r *codecRegistry) lookupType(msg Message) *entry {
+	return r.load().byType[reflect.TypeOf(msg)]
 }
 
 // lookupID returns the registration under id, or nil.
-func lookupID(id uint16) *entry {
-	registry.RLock()
-	e := registry.byID[id]
-	registry.RUnlock()
-	return e
+func (r *codecRegistry) lookupID(id uint16) *entry {
+	return r.load().byID[id]
 }
 
 // CodecByID returns the codec registered under id.
 func CodecByID(id uint16) (Codec, bool) {
-	if e := lookupID(id); e != nil {
+	if e := registry.lookupID(id); e != nil {
 		return e.codec, true
 	}
 	return Codec{}, false
@@ -170,7 +192,7 @@ func CodecByID(id uint16) (Codec, bool) {
 
 // CodecFor returns the registered ID and codec for msg's concrete type.
 func CodecFor(msg Message) (uint16, Codec, bool) {
-	if e := lookupType(msg); e != nil {
+	if e := registry.lookupType(msg); e != nil {
 		return e.id, e.codec, true
 	}
 	return 0, Codec{}, false
@@ -180,10 +202,9 @@ func CodecFor(msg Message) (uint16, Codec, bool) {
 // the iteration surface of the generic round-trip tests and the fuzz
 // corpus builder.
 func RegisteredIDs() []uint16 {
-	registry.RLock()
-	defer registry.RUnlock()
-	ids := make([]uint16, 0, len(registry.byID))
-	for id := range registry.byID {
+	byID := registry.load().byID
+	ids := make([]uint16, 0, len(byID))
+	for id := range byID {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -214,7 +235,11 @@ func EmptyCodec(name string, typ reflect.Type, value func() Message) Codec {
 // appended to buf. It fails if msg's type has no registered codec or
 // the encoded frame would exceed MaxFrame.
 func AppendFrame(buf []byte, msg Message) ([]byte, error) {
-	e := lookupType(msg)
+	return registry.appendFrame(buf, msg)
+}
+
+func (r *codecRegistry) appendFrame(buf []byte, msg Message) ([]byte, error) {
+	e := r.lookupType(msg)
 	if e == nil {
 		return buf, fmt.Errorf("simnet: no codec registered for %T", msg)
 	}
@@ -238,6 +263,10 @@ func EncodeFrame(msg Message) ([]byte, error) {
 // message and the number of bytes consumed (header included). Frames
 // concatenate, so callers loop: decode, advance by consumed, repeat.
 func DecodeFrame(data []byte) (Message, int, error) {
+	return registry.decodeFrame(data)
+}
+
+func (r *codecRegistry) decodeFrame(data []byte) (Message, int, error) {
 	if len(data) < frameOverhead {
 		return nil, 0, fmt.Errorf("simnet: short frame header (%d bytes)", len(data))
 	}
@@ -256,7 +285,7 @@ func DecodeFrame(data []byte) (Message, int, error) {
 	}
 	ver := data[4]
 	id := uint16(data[5])<<8 | uint16(data[6])
-	e := lookupID(id)
+	e := r.lookupID(id)
 	if e == nil {
 		return nil, 0, fmt.Errorf("simnet: unknown message type %#04x", id)
 	}
