@@ -135,11 +135,15 @@ golden-check:
 # families, four seeds each, and for reliable LID under a lossy,
 # duplicating, corrupting, delaying link policy. On both wires it also
 # checks that a stopped timer retires its activation, racing the
-# firing included. lid.Run's matrix runs LID on the event, in-process
-# and loopback runtimes under every stack. This is the gate that keeps
-# the wire layer honest against the simulator the experiments certify.
+# firing included. A socket node must discard every malformed datagram
+# a plain socket sends it, each counted once, and a Cluster or a lone
+# node may publish only the socket's own transport_* series. lid.Run's
+# matrix runs LID on the event, in-process and loopback runtimes under
+# every stack, each publishing its Stats as the same simnet_* series.
+# This is the gate that keeps the wire layer honest against the
+# simulator the experiments certify.
 loopback-check:
-	$(GO) test -count=1 -run 'TestLoopbackClusterLIC|TestLoopbackClusterLICSweep|TestClusterCoalescing|TestClusterUnderFaults|TestClusterTimerStop|TestClusterTimerStopRace|TestRunMatrix' ./internal/transport ./internal/lid
+	$(GO) test -count=1 -run 'TestLoopbackClusterLIC|TestLoopbackClusterLICSweep|TestClusterCoalescing|TestClusterUnderFaults|TestClusterTimerStop|TestClusterTimerStopRace|TestUDPIngressDiscards|TestTransportMetricNames|TestRunMatrix' ./internal/transport ./internal/lid
 
 # bench/ is its own module, built against the root API through a
 # replace directive, so `go vet ./...` and `go test ./...` at the root

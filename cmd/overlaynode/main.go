@@ -56,7 +56,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 60*time.Second, "give up if the node is not quiescent by then")
 		idle     = flag.Duration("idle", 500*time.Millisecond, "silence window that declares the run complete")
 		coalesce = flag.Int("coalesce", 0, "frame-byte budget per datagram (0 = default 1200)")
-		metOut   = flag.Bool("metrics", false, "print the node's wire metrics after the report")
+		metOut   = flag.Bool("metrics", false, "print the node's simnet_* and transport_* metrics after the report")
 		verbose  = flag.Bool("v", false, "print the workload and stack configuration")
 	)
 	flag.Parse()
@@ -130,9 +130,9 @@ func main() {
 		*nodeID, time.Since(start).Round(time.Millisecond),
 		len(partners), spec.B, strings.Join(labels, " "), total)
 	c := nd.Counters()
-	fmt.Printf("  wire: %d frames out / %d in, %d datagrams out / %d in, %d bytes out / %d in, %d dropped\n",
+	fmt.Printf("  wire: %d frames out / %d in, %d datagrams out / %d in, %d bytes out / %d in, %d datagrams discarded\n",
 		c.FramesSent, c.FramesDelivered, c.DatagramsSent, c.DatagramsRecv,
-		c.BytesSent, c.BytesRecv, c.Dropped)
+		c.BytesSent, c.BytesRecv, c.Discarded)
 
 	if *metOut {
 		reg := metrics.New()

@@ -246,10 +246,9 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 	seed, runtime_, jitter, verbose := opts.seed, opts.runtime, opts.jitter, opts.verbose
 	g := sys.Graph()
 	tbl := satisfaction.NewTableParallel(sys, opts.workers)
-	var reg *metrics.Registry
-	if opts.showMetrics {
-		reg = metrics.New()
-	}
+	// The run's one sink: -metrics prints it, and the udp report reads
+	// its datagram counters.
+	reg := metrics.New()
 	var rec *obs.Recorder
 	if opts.spansPath != "" {
 		rec = obs.NewRecorder(g.NumNodes())
@@ -268,13 +267,11 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 		// under the stacked layers, on the runtime's Transport. The
 		// runtime rejects a hook it cannot honour.
 		var rt simnet.Runtime
-		var wire *metrics.Registry // a cluster's transport_* counters
 		switch runtime_ {
 		case "event":
 			rt = simnet.Event(simnet.Options{
 				Seed:    seed,
 				Latency: latency(jitter),
-				Metrics: reg,
 				Policy:  policy,
 				Obs:     rec,
 			})
@@ -282,8 +279,7 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 			// A transport.Cluster: one goroutine per node, every message
 			// an encoded frame, handed over in process or, on udp, sent
 			// across the kernel as coalesced loopback datagrams.
-			wire = metrics.New()
-			cfg := transport.ClusterConfig{Timeout: 2 * time.Minute, Policy: policy, Obs: rec, Metrics: wire}
+			cfg := transport.ClusterConfig{Timeout: 2 * time.Minute, Policy: policy, Obs: rec}
 			rt = transport.Memory(cfg)
 			if runtime_ == "udp" {
 				rt = transport.Loopback(cfg)
@@ -317,14 +313,11 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 					s[obs.EpsKey(0.1)], s[obs.EpsKey(0.01)], s[obs.EpsKey(0.001)], s[obs.EpsKey(0)])
 			}
 		case "goroutine", "udp":
-			if reg != nil {
-				reg.Merge(wire.Snapshot())
-			}
 			label, wireLine := "goroutines, in-process cluster", fmt.Sprintf("%d frames handed over in process", st.TotalSent())
 			if runtime_ == "udp" {
 				label, wireLine = "udp loopback cluster", fmt.Sprintf("%d frames coalesced into %d datagrams, %d bytes",
-					st.TotalSent(), wire.Counter("transport_datagrams_sent_total", "").Value(),
-					wire.Counter("transport_bytes_sent_total", "").Value())
+					st.TotalSent(), reg.Counter("transport_datagrams_sent_total", "").Value(),
+					reg.Counter("transport_bytes_sent_total", "").Value())
 			}
 			fmt.Printf("distributed run (%s): %v\n", label, time.Since(start))
 			fmt.Printf("  messages: %d total (%d PROP, %d REJ)\n",
@@ -377,7 +370,7 @@ func runAndReport(sys *pref.System, opts reportOpts) {
 		fmt.Printf("wrote span trace (%s, %d events) to %s\n",
 			opts.spansFormat, rec.Len(), opts.spansPath)
 	}
-	if reg != nil {
+	if opts.showMetrics {
 		fmt.Println("\nmetrics:")
 		if err := reg.Snapshot().WriteFormat(os.Stdout, opts.metricsFormat); err != nil {
 			fail("metrics: %v", err)

@@ -91,61 +91,11 @@ func Run(s *pref.System, tbl *satisfaction.Table, schedule []Event, opts simnet.
 	return RunMode(s, tbl, Complete, schedule, opts)
 }
 
-// RunMode is Run with an explicit repair discipline.
+// RunMode is Run with an explicit repair discipline: RunSelfHeal
+// with no layer stacked.
 func RunMode(s *pref.System, tbl *satisfaction.Table, mode Mode, schedule []Event, opts simnet.Options) (Result, error) {
-	initial := matching.LIC(s, tbl)
-	nodes := NewNodesMode(s, tbl, initial, mode)
-	opts.Quiesce = true
-	runner := simnet.NewRunner(s.Graph().NumNodes(), opts)
-	for _, ev := range schedule {
-		if ev.Leave {
-			runner.Schedule(ev.At, ev.Node, CmdLeave{})
-		} else {
-			runner.Schedule(ev.At, ev.Node, CmdJoin{})
-		}
-	}
-	stats, err := runner.Run(Handlers(nodes))
-	if err != nil {
-		return Result{Stats: stats}, err
-	}
-	res := Result{Nodes: nodes, Stats: stats}
-	for _, nd := range nodes {
-		res.Proposals += nd.Proposals
-		res.Accepts += nd.Accepts
-		res.Declines += nd.Declines
-		res.Preemptions += nd.Preemptions
-		res.SynthByes += nd.SynthByes
-		res.Resyncs += nd.Resyncs
-	}
-	// The simnet message instruments already merged into opts.Metrics
-	// when the runner finished; add the protocol-level counters on top.
-	// The per-node ints stay the exact per-run view.
-	if opts.Metrics != nil {
-		opts.Metrics.Counter("dlid_runs_total", "completed maintenance runs").Inc()
-		opts.Metrics.Counter("dlid_churn_events_total", "join/leave commands injected").
-			Add(int64(len(schedule)))
-		opts.Metrics.Counter("dlid_proposals_total", "repair proposals sent").
-			Add(int64(res.Proposals))
-		opts.Metrics.Counter("dlid_accepts_total", "repair proposals accepted").
-			Add(int64(res.Accepts))
-		opts.Metrics.Counter("dlid_declines_total", "repair proposals declined").
-			Add(int64(res.Declines))
-		opts.Metrics.Counter("dlid_preemptions_total", "connections dropped for a better proposer").
-			Add(int64(res.Preemptions))
-		opts.Metrics.Counter("dlid_synth_byes_total", "suspected peers handled as synthesized BYEs").
-			Add(int64(res.SynthByes))
-		opts.Metrics.Counter("dlid_resyncs_total", "restored peers re-greeted with HELLO").
-			Add(int64(res.Resyncs))
-	}
-	live, err := extractLive(s, nodes, nil)
-	if err != nil {
-		return res, err
-	}
-	res.Live = live
-	if err := verifyMaximal(s, nodes, live); err != nil {
-		return res, err
-	}
-	return res, nil
+	res, err := RunSelfHeal(s, tbl, SelfHealConfig{Mode: mode}, schedule, opts)
+	return res.Result, err
 }
 
 // extractLive builds the live matching and verifies symmetry,
@@ -181,12 +131,6 @@ func extractLive(s *pref.System, nodes []*Node, excluded map[graph.NodeID]bool) 
 		return nil, fmt.Errorf("dlid: %w", err)
 	}
 	return m, nil
-}
-
-// verifyMaximal checks that no unmatched live edge has free quota at
-// both endpoints.
-func verifyMaximal(s *pref.System, nodes []*Node, live *matching.Matching) error {
-	return VerifyMaximalExcluding(s, nodes, live, nil)
 }
 
 // VerifyMaximalExcluding checks maximality of the live matching while

@@ -14,8 +14,8 @@ import (
 // maintenance nodes: an optional reliable transport below an optional
 // heartbeat failure detector (detector.Monitor wrapping
 // reliable.Endpoint wrapping Node, the order stack.Spec stacks).
-// Zero-valued layers are simply not stacked, so the zero config
-// reproduces a plain RunMode.
+// Zero-valued layers are simply not stacked: RunMode is the run with
+// a zero Stack.
 type SelfHealConfig struct {
 	Mode Mode
 	// Stack names the layers. With Stack.Detector enabled, suspicions
@@ -46,13 +46,15 @@ type SelfHealResult struct {
 // schedule, runs to global quiescence under the options' link policy
 // (crash windows are injected there), and verifies the structural
 // invariants. Faults that the stack failed to repair surface as
-// errors, exactly as protocol bugs do in Run.
+// errors, exactly as protocol bugs do in Run. The result keeps the
+// nodes of a failed run. opts.Metrics receives the runner's simnet_*
+// counters on every return and, after the run quiesces, the dlid_*
+// counters and the stacked layers' totals.
 func RunSelfHeal(s *pref.System, tbl *satisfaction.Table, cfg SelfHealConfig, schedule []Event, opts simnet.Options) (SelfHealResult, error) {
 	initial := matching.LIC(s, tbl)
 	nodes := NewNodesMode(s, tbl, initial, cfg.Mode)
-	var res SelfHealResult
 	handlers, layers := cfg.Stack.Wrap(s.Graph(), Handlers(nodes))
-	res.Layers = layers
+	res := SelfHealResult{Result: Result{Nodes: nodes}, Layers: layers}
 	opts.Quiesce = true
 	runner := simnet.NewRunner(s.Graph().NumNodes(), opts)
 	for _, ev := range schedule {
@@ -62,10 +64,8 @@ func RunSelfHeal(s *pref.System, tbl *satisfaction.Table, cfg SelfHealConfig, sc
 			runner.Schedule(ev.At, ev.Node, CmdJoin{})
 		}
 	}
-	stats, err := runner.Run(handlers)
-	res.Stats = stats
-	res.Nodes = nodes
-	if err != nil {
+	var err error
+	if res.Stats, err = runner.Run(handlers); err != nil {
 		return res, err
 	}
 	for _, nd := range nodes {
@@ -78,14 +78,16 @@ func RunSelfHeal(s *pref.System, tbl *satisfaction.Table, cfg SelfHealConfig, sc
 	}
 	res.Suspicions = detector.TotalSuspicions(res.Monitors)
 	res.Restores = detector.TotalRestores(res.Monitors)
-	if opts.Metrics != nil {
-		res.Layers.Publish(opts.Metrics)
-		opts.Metrics.Counter("dlid_preemptions_total", "connections dropped for a better proposer").
-			Add(int64(res.Preemptions))
-		opts.Metrics.Counter("dlid_synth_byes_total", "suspected peers handled as synthesized BYEs").
-			Add(int64(res.SynthByes))
-		opts.Metrics.Counter("dlid_resyncs_total", "restored peers re-greeted with HELLO").
-			Add(int64(res.Resyncs))
+	if reg := opts.Metrics; reg != nil {
+		res.Layers.Publish(reg)
+		reg.Counter("dlid_runs_total", "completed maintenance runs").Inc()
+		reg.Counter("dlid_churn_events_total", "join/leave commands injected").Add(int64(len(schedule)))
+		reg.Counter("dlid_proposals_total", "repair proposals sent").Add(int64(res.Proposals))
+		reg.Counter("dlid_accepts_total", "repair proposals accepted").Add(int64(res.Accepts))
+		reg.Counter("dlid_declines_total", "repair proposals declined").Add(int64(res.Declines))
+		reg.Counter("dlid_preemptions_total", "connections dropped for a better proposer").Add(int64(res.Preemptions))
+		reg.Counter("dlid_synth_byes_total", "suspected peers handled as synthesized BYEs").Add(int64(res.SynthByes))
+		reg.Counter("dlid_resyncs_total", "restored peers re-greeted with HELLO").Add(int64(res.Resyncs))
 	}
 	live, err := extractLive(s, nodes, cfg.Excluded)
 	if err != nil {

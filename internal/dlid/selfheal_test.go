@@ -2,13 +2,16 @@ package dlid
 
 import (
 	"math"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"overlaymatch/internal/detector"
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
+	"overlaymatch/internal/metrics"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/satisfaction"
@@ -179,6 +182,49 @@ func TestRematchEqualsLICUnderChurn(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEntryPointsPublishOneSet: RunMode is RunSelfHeal with a zero
+// Stack, so on one run both entry points return the same outcome and
+// publish the same dlid_* samples into the options' sink.
+func TestEntryPointsPublishOneSet(t *testing.T) {
+	s := randomSystem(t, 4, 40, 0.15, 2)
+	tbl := satisfaction.NewTable(s)
+	schedule := Schedule(s, rng.New(9), 10, 60, 0.5, 13)
+	opts := func(reg *metrics.Registry) simnet.Options {
+		return simnet.Options{Seed: 4, Latency: simnet.ExponentialLatency(0.5), Metrics: reg}
+	}
+	viaMode, viaHeal := metrics.New(), metrics.New()
+	mode, err := RunMode(s, tbl, Rematch, schedule, opts(viaMode))
+	if err != nil {
+		t.Fatal(err)
+	}
+	heal, err := RunSelfHeal(s, tbl, SelfHealConfig{Mode: Rematch}, schedule, opts(viaHeal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mode.Live.Equal(heal.Live) || !reflect.DeepEqual(mode.Stats, heal.Stats) {
+		t.Fatal("the two entry points ran different protocols")
+	}
+	dlidSamples := func(reg *metrics.Registry) []metrics.Sample {
+		var out []metrics.Sample
+		for _, smp := range reg.Snapshot().Samples {
+			if strings.HasPrefix(smp.Name, "dlid_") {
+				out = append(out, smp)
+			}
+		}
+		return out
+	}
+	got, want := dlidSamples(viaHeal), dlidSamples(viaMode)
+	if len(want) != 8 || want[0].Name != "dlid_accepts_total" {
+		t.Fatalf("RunMode published %d dlid_* samples, want the 8 counters", len(want))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("RunSelfHeal published\n%+v\nRunMode published\n%+v", got, want)
+	}
+	if runs := viaHeal.Counter("dlid_runs_total", "").Value(); runs != 1 {
+		t.Fatalf("dlid_runs_total = %d, want 1", runs)
 	}
 }
 

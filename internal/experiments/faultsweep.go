@@ -71,7 +71,6 @@ func E15FaultSweep(cfg Config) ([]*stats.Table, error) {
 					Seed:    cfg.Seed + uint64(r)*131 + 15,
 					Latency: simnet.ExponentialLatency(3),
 					Policy:  policy,
-					Metrics: cfg.Metrics,
 				}), lid.RunOptions{Stack: stack.Spec{Reliable: cfg.reliableConfig()}, Metrics: cfg.Metrics})
 				if err != nil {
 					return nil, fmt.Errorf("E15 %s/%s run %d: %w", step.name, topo, r, err)

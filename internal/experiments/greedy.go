@@ -94,9 +94,7 @@ func E20GreedyScheduler(cfg Config) ([]*stats.Table, error) {
 		for k, workers := range e20Workers {
 			wtbl := satisfaction.NewTableParallel(sys, workers)
 			sink := mreg.New()
-			gopts := opts
-			gopts.Metrics = sink
-			res, err := lid.Run(sys, wtbl, simnet.Event(gopts), lid.RunOptions{Scheduler: spec, Metrics: sink})
+			res, err := lid.Run(sys, wtbl, simnet.Event(opts), lid.RunOptions{Scheduler: spec, Metrics: sink})
 			if err != nil {
 				return nil, fmt.Errorf("E20 %s greedy workers=%d: %w", c.name, workers, err)
 			}

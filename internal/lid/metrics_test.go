@@ -65,9 +65,9 @@ func TestMetricsZeroImpact(t *testing.T) {
 	}
 }
 
-// TestGoroutineMetricsSink: the goroutine runtime feeds the sink
-// through ClusterConfig.Metrics — the cluster's wire counters next to
-// lid's.
+// TestGoroutineMetricsSink: the goroutine runtime feeds the one sink
+// given in RunOptions.Metrics — the cluster's wire counters, under the
+// shared simnet_* names, next to lid's.
 func TestGoroutineMetricsSink(t *testing.T) {
 	src := rng.New(9)
 	g := gen.GNP(src, 20, 0.3)
@@ -77,14 +77,57 @@ func TestGoroutineMetricsSink(t *testing.T) {
 	}
 	tbl := satisfaction.NewTable(s)
 	sink := metrics.New()
-	res, err := Run(s, tbl, transport.Memory(transport.ClusterConfig{Metrics: sink}), RunOptions{Metrics: sink})
+	res, err := Run(s, tbl, transport.Memory(transport.ClusterConfig{}), RunOptions{Metrics: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sink.Counter("transport_frames_delivered_total", "").Value(); int(got) != res.Stats.Deliveries {
+	if got := sink.Counter("simnet_deliveries_total", "").Value(); int(got) != res.Stats.Deliveries {
 		t.Fatalf("sink deliveries = %d, want %d", got, res.Stats.Deliveries)
 	}
 	if got := sink.Counter("lid_runs_total", "").Value(); got != 1 {
 		t.Fatalf("lid_runs_total = %d, want 1", got)
+	}
+}
+
+// TestSharedSinkAcrossRuntimes: one sink shared by an event run and
+// two Cluster runs of different sizes adds every count and never sees
+// a per-node vector, whose size differs from run to run.
+func TestSharedSinkAcrossRuntimes(t *testing.T) {
+	sink := metrics.New()
+	var deliveries int
+	kinds := map[string]int{}
+	for i, run := range []struct {
+		n  int
+		rt simnet.Runtime
+	}{
+		{16, simnet.Event(simnet.Options{Seed: 1})},
+		{12, transport.Memory(transport.ClusterConfig{})},
+		{20, transport.Memory(transport.ClusterConfig{})},
+	} {
+		s := randomSystem(t, uint64(i+1), run.n, 0.3, 2)
+		res, err := Run(s, satisfaction.NewTable(s), run.rt, RunOptions{Metrics: sink})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deliveries += res.Stats.Deliveries
+		for k, v := range res.Stats.SentByKind {
+			kinds[k] += v
+		}
+	}
+	if got := sink.Counter("simnet_deliveries_total", "").Value(); got != int64(deliveries) {
+		t.Fatalf("sink deliveries = %d, runs say %d", got, deliveries)
+	}
+	for k, v := range kinds {
+		if got := sink.Family("simnet_sent_total", "", "kind").Value(k); got != int64(v) {
+			t.Fatalf("sink %s sends = %d, runs say %d", k, got, v)
+		}
+	}
+	if got := sink.Counter("lid_runs_total", "").Value(); got != 3 {
+		t.Fatalf("lid_runs_total = %d, want 3", got)
+	}
+	for _, smp := range sink.Snapshot().Samples {
+		if smp.Kind == metrics.KindVector {
+			t.Fatalf("per-node vector %s reached the shared sink", smp.Name)
+		}
 	}
 }

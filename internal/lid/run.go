@@ -42,19 +42,23 @@ type RunOptions struct {
 	// probe_* series of Metrics. Probing reads protocol state only, so
 	// the run itself is bit-identical to an unprobed one.
 	ProbeInterval float64
-	// Metrics receives the probe series and the rounds-to-ε summary
-	// (a private registry when nil), and, after a successful run, the
-	// lid_* protocol counters and the stacked layers' totals. The
-	// runtime publishes its own message counters.
+	// Metrics is the run's one sink. It receives the probe series and
+	// the rounds-to-ε summary (a private registry when nil), the
+	// runtime's simnet_* counters (the simnet.Runtime sink hook) on
+	// every return, and, after a successful run, the lid_* protocol
+	// counters and the stacked layers' totals.
 	Metrics *metrics.Registry
 }
 
 // RunEvent executes LID on the deterministic event simulator with the
-// given options. The returned error is non-nil only on protocol
-// failure (non-termination or asymmetric locks), which Lemma 5 and the
-// mutual-PROP argument exclude — tests treat an error as a bug.
+// given options; opts.Metrics becomes the run's sink. The returned
+// error is non-nil only on protocol failure (non-termination or
+// asymmetric locks), which Lemma 5 and the mutual-PROP argument
+// exclude — tests treat an error as a bug.
 func RunEvent(s *pref.System, tbl *satisfaction.Table, opts simnet.Options) (Result, error) {
-	return Run(s, tbl, simnet.Event(opts), RunOptions{Metrics: opts.Metrics})
+	sink := opts.Metrics
+	opts.Metrics = nil
+	return Run(s, tbl, simnet.Event(opts), RunOptions{Metrics: sink})
 }
 
 // Run executes LID on the Transport rt builds, with the options' layers
@@ -84,7 +88,7 @@ func Run(s *pref.System, tbl *satisfaction.Table, rt simnet.Runtime, o RunOption
 	}
 	hs, layers := o.Stack.Wrap(g, Handlers(nodes))
 	res.Layers = layers
-	tr, err := rt(g.NumNodes(), res.Prober, admit)
+	tr, err := rt(g.NumNodes(), res.Prober, admit, o.Metrics)
 	if err != nil {
 		return res, err
 	}

@@ -82,7 +82,8 @@ type Options struct {
 	// finishes (normally or not), the run's private instrument
 	// registry is merged into it (counters/histograms add, gauges take
 	// the max). The runner never writes to the sink on the hot path,
-	// so a sink shared across runs costs nothing per message.
+	// so a sink shared across runs costs nothing per message. A run
+	// through Event takes its sink from the run's hook instead.
 	Metrics *metrics.Registry
 	// Obs, if non-nil, is the telemetry recorder (package obs): the
 	// runner records every network send/delivery with Lamport stamps
@@ -244,10 +245,13 @@ func (r *Runner) finish() {
 // Run returns: the per-message counters are folded into it then.
 func (r *Runner) Metrics() *metrics.Registry { return r.ins.reg }
 
+// stats builds the run's Stats from its counters.
+func (r *Runner) stats() Stats { return r.ins.Stats(r.ins.finalTime) }
+
 // SentTotals returns the cumulative (messages, bytes) send counters,
 // bytes being encoded frame lengths, header included — the totals
 // Options.Prober receives at every probe.
-func (r *Runner) SentTotals() (msgs, bytes int64) { return r.ins.sent, r.ins.sentBytes }
+func (r *Runner) SentTotals() (msgs, bytes int64) { return r.ins.sentTotals() }
 
 // runnerCtx implements Context for one delivery.
 type runnerCtx struct {
@@ -277,7 +281,8 @@ func (c *runnerCtx) Send(to int, msg Message) {
 		panic(fmt.Sprintf("simnet: node %d sending %T: %v", c.id, msg, err))
 	}
 	kind := KindOf(msg)
-	r.ins.countSend(c.id, kind, len(r.frame))
+	r.ins.SentByNode[c.id]++
+	r.ins.Kinds.Add(kind, 1, int64(len(r.frame)))
 	// The send is recorded (and the clock ticked) before the link
 	// policy, matching the sent counters: a dropped message was still
 	// sent, and its stamp documents the causal gap.
@@ -286,9 +291,9 @@ func (c *runnerCtx) Send(to int, msg Message) {
 	extra := 0.0
 	if r.opts.Policy != nil {
 		v := r.opts.Policy.Verdict(c.time, c.id, to, msg)
-		r.ins.countVerdict(v)
+		r.ins.Faults.Add(v)
 		if v.Drop {
-			r.ins.dropped++
+			r.ins.Dropped++
 			return
 		}
 		if v.Corrupt {
@@ -328,7 +333,7 @@ func (c *runnerCtx) SetTimer(delay float64, msg Message) {
 				r.stopped = make(map[int]bool)
 			}
 			r.stopped[seq] = true
-			r.ins.timersStopped++
+			r.ins.TimersStopped++
 			return true
 		})
 	}
@@ -344,12 +349,12 @@ func (c *runnerCtx) SetTimer(delay float64, msg Message) {
 // a later call returns the same Stats and an error.
 func (r *Runner) Run(handlers []Handler) (Stats, error) {
 	if r.running {
-		return r.ins.stats(), fmt.Errorf("simnet: Runner is single-use")
+		return r.stats(), fmt.Errorf("simnet: Runner is single-use")
 	}
 	r.running = true
 	defer r.finish()
 	if len(handlers) != r.n {
-		return r.ins.stats(), fmt.Errorf("simnet: %d handlers for %d nodes", len(handlers), r.n)
+		return r.stats(), fmt.Errorf("simnet: %d handlers for %d nodes", len(handlers), r.n)
 	}
 	// admit releases one admitter batch at virtual time t. Batches are
 	// initialized in the returned order; double or out-of-range release
@@ -377,7 +382,7 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 		inited = make([]bool, r.n)
 		batches = r.ins.reg.Counter("simnet_admission_batches_total", "admission batches released by Options.Admitter")
 		if _, err := admit(0); err != nil {
-			return r.ins.stats(), err
+			return r.stats(), err
 		}
 	} else {
 		for id := 0; id < r.n; id++ {
@@ -399,7 +404,8 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 	probeTick := 0
 	nextProbe := func() float64 { return float64(probeTick) * interval }
 	probe := func() {
-		r.opts.Prober.Probe(nextProbe(), ins.sent, ins.sentBytes)
+		msgs, bytes := r.SentTotals()
+		r.opts.Prober.Probe(nextProbe(), msgs, bytes)
 		probeTick++
 	}
 	for {
@@ -419,8 +425,8 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 				}
 				from = int(e.to)
 			}
-			if limit := r.opts.MaxDeliveries; limit > 0 && ins.deliveries+ins.timersFired >= int64(limit) {
-				return ins.stats(), fmt.Errorf("simnet: exceeded %d deliveries and timer firings", limit)
+			if limit := r.opts.MaxDeliveries; limit > 0 && ins.Deliveries+ins.TimersFired >= int64(limit) {
+				return r.stats(), fmt.Errorf("simnet: exceeded %d deliveries and timer firings", limit)
 			}
 			if interval > 0 {
 				// A probe at t fires once every event strictly before t is
@@ -431,10 +437,10 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 				}
 			}
 			if e.from < 0 {
-				ins.timersFired++
+				ins.TimersFired++
 			} else {
-				ins.deliveries++
-				ins.receivedByNode[e.to]++
+				ins.Deliveries++
+				ins.ReceivedByNode[e.to]++
 				if r.opts.Obs != nil {
 					r.opts.Obs.Deliver(int(e.to), from, KindOf(e.msg), e.time, e.lam)
 				}
@@ -452,7 +458,7 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 		// ends when the admitter is exhausted too.
 		k, err := admit(ins.finalTime)
 		if err != nil {
-			return ins.stats(), err
+			return r.stats(), err
 		}
 		if k == 0 {
 			break
@@ -466,11 +472,11 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 	if !r.opts.Quiesce {
 		for id, h := range r.halted {
 			if !h {
-				return ins.stats(), fmt.Errorf("simnet: node %d never halted (deadlock)", id)
+				return r.stats(), fmt.Errorf("simnet: node %d never halted (deadlock)", id)
 			}
 		}
 	}
-	return ins.stats(), nil
+	return r.stats(), nil
 }
 
 // Schedule enqueues an external command to be delivered to node `to`

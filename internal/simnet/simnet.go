@@ -60,11 +60,10 @@ type Context interface {
 	Time() float64
 }
 
-// Stats summarizes one run. The Runner counts into plain per-run
-// counters, builds Stats from them, and folds the same numbers into
-// its registry (package metrics) when Run returns, so Runner.Metrics
-// and any shared sink registry report them too. transport.Cluster
-// fills the same fields from its per-node wire counters.
+// Stats summarizes one run. Every runtime builds it from its Counts,
+// and Counts.Publish writes the same numbers as simnet_* series into
+// the run's registry (package metrics), so Runner.Metrics and the
+// run's sink report them too.
 type Stats struct {
 	// SentByNode[i] = messages node i sent.
 	SentByNode []int
@@ -77,8 +76,11 @@ type Stats struct {
 	FinalTime float64
 	// Deliveries is the total number of delivered messages.
 	Deliveries int
-	// Dropped counts messages dropped by the link policy (on a
-	// transport.Cluster, also frames discarded on receipt).
+	// Dropped counts the frames the link policy dropped, on every
+	// runtime. On a socket a corrupted frame counts too: it is
+	// discarded at the sender, as the receiver's checksum would discard
+	// it. Datagrams discarded on receipt are socket counters (package
+	// transport), not drops.
 	Dropped int
 	// TimersFired counts local timer deliveries.
 	TimersFired int

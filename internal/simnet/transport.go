@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 
+	"overlaymatch/internal/metrics"
 	"overlaymatch/internal/obs"
 )
 
@@ -39,25 +40,29 @@ type Transport interface {
 }
 
 // Runtime builds the Transport for one run of n nodes. The run passes
-// its two hooks: probe, the stability prober, and admit, the admission
-// scheduler; either may be nil. A Runtime is the one place where a
-// hook meets the runtime, so a runtime that cannot honour a hook
-// returns an error here, before any node starts.
+// its three hooks: probe, the stability prober; admit, the admission
+// scheduler; and sink, the run's one metrics registry. Any of them may
+// be nil. A Runtime is the one place where a hook meets the runtime, so
+// a runtime that cannot honour a hook returns an error here, before any
+// node starts. Every runtime merges its simnet_* counters (Counts) into
+// the sink when its run returns, and publishes nothing without one.
 //
 // Event builds the Runner. Package transport's Memory and Loopback
-// build a Cluster, which honours neither hook.
-type Runtime func(n int, probe *obs.Prober, admit Admitter) (Transport, error)
+// build a Cluster, which honours the sink only.
+type Runtime func(n int, probe *obs.Prober, admit Admitter, sink *metrics.Registry) (Transport, error)
 
 // Event returns the Runtime of the event Runner under opts. The run's
-// hooks fill opts.Prober and opts.Admitter; opts that already set
-// either one are an error, so a hook is never replaced silently.
+// hooks fill a copy of opts; opts that already set a Prober, an
+// Admitter or Metrics are an error, so a hook is never replaced
+// silently, and one Runtime serves any number of runs.
 func Event(opts Options) Runtime {
-	return func(n int, probe *obs.Prober, admit Admitter) (Transport, error) {
-		if opts.Prober != nil || opts.Admitter != nil {
-			return nil, fmt.Errorf("simnet: Event options set a Prober or an Admitter; pass them to the run instead")
+	return func(n int, probe *obs.Prober, admit Admitter, sink *metrics.Registry) (Transport, error) {
+		if opts.Prober != nil || opts.Admitter != nil || opts.Metrics != nil {
+			return nil, fmt.Errorf("simnet: Event options set a Prober, an Admitter or Metrics; pass them to the run instead")
 		}
-		opts.Prober, opts.Admitter = probe, admit
-		return NewRunner(n, opts), nil
+		run := opts
+		run.Prober, run.Admitter, run.Metrics = probe, admit, sink
+		return NewRunner(n, run), nil
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 type Cluster struct {
 	nodes []*UDPNode
 	cfg   ClusterConfig
+	sink  *metrics.Registry // the run's sink hook (see Memory); nil publishes nothing
 }
 
 // Compile-time proof that a cluster satisfies the same contract as the
@@ -71,14 +72,13 @@ type ClusterConfig struct {
 	// The Lamport stamp rides in the inbox, so only the in-process
 	// wire can carry it; NewLoopbackCluster rejects a recorder.
 	Obs *obs.Recorder
-	// Metrics, if non-nil, receives every node's transport_* counters
-	// when Run returns, errors included, as a Runner merges into
-	// simnet.Options.Metrics.
-	Metrics *metrics.Registry
 }
 
 // Memory returns the simnet.Runtime of an in-process Cluster under
-// cfg (NewMemoryCluster).
+// cfg (NewMemoryCluster). Once Run has started and stopped the nodes,
+// errors included, the run's sink receives the Cluster's counters: the
+// simnet_* series every runtime publishes and, on sockets, the
+// transport_* datagram series.
 func Memory(cfg ClusterConfig) simnet.Runtime { return clusterRuntime(cfg, NewMemoryCluster) }
 
 // Loopback returns the simnet.Runtime of a loopback Cluster under cfg
@@ -91,14 +91,19 @@ func Loopback(cfg ClusterConfig) simnet.Runtime { return clusterRuntime(cfg, New
 // greedy admission releases a batch each time the event queue drains,
 // which a Cluster does not yet detect.
 func clusterRuntime(cfg ClusterConfig, build func(int, ClusterConfig) (*Cluster, error)) simnet.Runtime {
-	return func(n int, probe *obs.Prober, admit simnet.Admitter) (simnet.Transport, error) {
+	return func(n int, probe *obs.Prober, admit simnet.Admitter, sink *metrics.Registry) (simnet.Transport, error) {
 		if probe != nil {
 			return nil, fmt.Errorf("transport: a cluster cannot take stability probes: it has no virtual clock to probe on; use the event runtime")
 		}
 		if admit != nil {
 			return nil, fmt.Errorf("transport: a cluster cannot schedule admission: it starts every node at once; use the event runtime")
 		}
-		return build(n, cfg)
+		c, err := build(n, cfg)
+		if err != nil {
+			return nil, err
+		}
+		c.sink = sink
+		return c, nil
 	}
 }
 
@@ -177,8 +182,8 @@ func (c *Cluster) Nodes() []*UDPNode { return c.nodes }
 // waits for cluster-wide quiescence, closes the cluster (on every
 // return path, errors included), and returns aggregate Stats with
 // the same shape the Runner produces (FinalTime is 0 — a cluster has
-// no global virtual clock; Dropped counts policy drops and ingress
-// discards: CRC damage, decode failures, unknown senders).
+// no global virtual clock), publishing the same counters into the
+// run's sink.
 //
 // Termination is certified by counting, in the style of Mattern's
 // four-counter method. Every node keeps two monotone counters:
@@ -252,7 +257,8 @@ func (c *Cluster) Run(handlers []simnet.Handler) (simnet.Stats, error) {
 	}
 	// Close before reading stats: stopping every goroutine both
 	// quiesces the counters and establishes the happens-before edge
-	// that makes the unlocked sentByKind maps safe to read.
+	// that makes each node's unlocked kind and verdict counts safe to
+	// read.
 	var stuck []string
 	if timedOut {
 		for _, nd := range c.nodes {
@@ -264,27 +270,7 @@ func (c *Cluster) Run(handlers []simnet.Handler) (simnet.Stats, error) {
 		}
 	}
 	c.Close()
-	for _, nd := range c.nodes {
-		nd.PublishMetrics(c.cfg.Metrics)
-	}
-
-	stats := simnet.Stats{
-		SentByNode:     make([]int, len(c.nodes)),
-		ReceivedByNode: make([]int, len(c.nodes)),
-		SentByKind:     make(map[string]int),
-	}
-	for i, nd := range c.nodes {
-		cnt := nd.Counters()
-		stats.SentByNode[i] = int(cnt.FramesSent)
-		stats.ReceivedByNode[i] = int(cnt.FramesDelivered)
-		stats.Deliveries += int(cnt.FramesDelivered)
-		stats.TimersFired += int(cnt.TimersFired)
-		stats.TimersStopped += int(cnt.TimersStopped)
-		stats.Dropped += int(cnt.Dropped)
-		for k, v := range nd.sentByKind {
-			stats.SentByKind[k] += v
-		}
-	}
+	stats := publishRun(len(c.nodes), c.nodes, c.sink)
 	if deadlocked >= 0 {
 		return stats, fmt.Errorf("transport: node %d never halted (deadlock)", deadlocked)
 	}

@@ -2,6 +2,7 @@ package transport_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -283,16 +284,15 @@ func TestClusterUnderFaults(t *testing.T) {
 				nodes := lid.NewNodes(sys, tbl)
 				eps := reliable.WrapConfig(lid.Handlers(nodes), reliable.Config{RTO: 40})
 				inj := faults.NewInjector(spec, seed*7919)
-				cluster, err := w.new(len(nodes), transport.ClusterConfig{
+				sink := metrics.New()
+				cluster := w.withSink(t, len(nodes), transport.ClusterConfig{
 					Timeout:    30 * time.Second,
 					IdleWindow: certainWindow,
 					Policy:     inj,
-				})
-				if err != nil {
-					t.Fatalf("seed %d: cluster: %v", seed, err)
-				}
+				}, sink)
 				start := time.Now()
-				if _, err := cluster.Run(reliable.Handlers(eps)); err != nil {
+				st, err := cluster.Run(reliable.Handlers(eps))
+				if err != nil {
 					t.Fatalf("seed %d: run: %v", seed, err)
 				}
 				if elapsed := time.Since(start); elapsed >= certainWindow/2 {
@@ -307,6 +307,17 @@ func TestClusterUnderFaults(t *testing.T) {
 				}
 				if len(inj.Events()) == 0 {
 					t.Fatalf("seed %d: the policy injected nothing", seed)
+				}
+				// The sink's verdicts by kind are the policy's log.
+				want := map[string]int64{}
+				for _, e := range inj.Events() {
+					want[e.Kind]++
+				}
+				if got := sink.Family("simnet_fault_injections_total", "", "kind").Counts(); !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d: sink fault verdicts %v, policy log %v", seed, got, want)
+				}
+				if got := sink.Counter("simnet_dropped_total", "").Value(); got != int64(st.Dropped) {
+					t.Errorf("seed %d: sink drops %d, stats %d", seed, got, st.Dropped)
 				}
 				checkBalanced(t, cluster, inj)
 			}
@@ -370,7 +381,7 @@ func TestClusterTimerStop(t *testing.T) {
 			}
 			reg := metrics.New()
 			cluster.Nodes()[0].PublishMetrics(reg)
-			if got := reg.Counter("transport_timers_stopped_total", "").Value(); got != 1 {
+			if got := reg.Counter("simnet_timers_stopped_total", "").Value(); got != 1 {
 				t.Fatalf("published timers_stopped = %d, want 1", got)
 			}
 			checkBalanced(t, cluster, nil)

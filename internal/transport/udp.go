@@ -5,7 +5,6 @@ import (
 	"hash/crc32"
 	"math"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,11 +79,15 @@ type UDPCounters struct {
 	// TimersStopped counts timers the handler stack stopped before
 	// they fired.
 	TimersStopped int64
-	// Dropped counts frames that never reached a handler: sends the
-	// link policy dropped (or corrupted, on a socket), and ingress
-	// discards — CRC or envelope damage, decode failures, and frames
-	// arriving for an unknown sender.
+	// Dropped counts the frames the link policy dropped or, on a
+	// socket, corrupted (simnet.Stats.Dropped).
 	Dropped int64
+	// Discarded counts datagrams lost on a socket, each once: a failed
+	// write, and on receipt one too short for the envelope, with a bad
+	// magic number, from the node itself or an ID outside [0, N), with
+	// a CRC mismatch, or with a frame that does not decode, which also
+	// discards every frame after it.
+	Discarded int64
 	// Activations counts the work this node started: its Init, every
 	// frame copy it handed to the wire, every timer it armed.
 	// Completions counts the handler calls that finished on it — Init,
@@ -247,6 +250,7 @@ type UDPNode struct {
 	timersFired     atomic.Int64
 	timersStopped   atomic.Int64
 	dropped         atomic.Int64
+	discarded       atomic.Int64
 
 	// activations and completions are the two monotone counters of the
 	// termination certificate (see Cluster.Run). An activation is
@@ -261,10 +265,11 @@ type UDPNode struct {
 	// a kernel may lose one (set only by tests).
 	dropNext atomic.Bool
 
-	// sentByKind is only touched on the delivery goroutine (Send
-	// happens inside handler calls), so it needs no lock; it is read
-	// after the node is stopped.
-	sentByKind map[string]int
+	// kinds and faults are only touched on the delivery goroutine
+	// (Send happens inside handler calls), so they need no lock; they
+	// are read after the node is stopped.
+	kinds  simnet.KindCounts
+	faults simnet.VerdictCounts
 }
 
 // shared is what every node of one cluster consults on its send path:
@@ -280,7 +285,7 @@ type shared struct {
 
 // newNode returns a node with no socket attached.
 func newNode(cfg UDPConfig, sh *shared) *UDPNode {
-	nd := &UDPNode{cfg: cfg, sh: sh, inbox: newInbox(), sentByKind: make(map[string]int)}
+	nd := &UDPNode{cfg: cfg, sh: sh, inbox: newInbox()}
 	nd.touch()
 	return nd
 }
@@ -400,7 +405,7 @@ func (c *udpCtx) Send(to int, msg simnet.Message) {
 	}
 	nd.framesSent.Add(1)
 	kind := simnet.KindOf(msg)
-	nd.sentByKind[kind]++
+	nd.kinds.Add(kind, 1, int64(len(frame)))
 	lam := sh.rec.Send(nd.cfg.NodeID, to, kind, 0)
 	if sh.policy == nil {
 		nd.activations.Add(1)
@@ -410,6 +415,7 @@ func (c *udpCtx) Send(to int, msg simnet.Message) {
 	sh.polMu.Lock()
 	v := sh.policy.Verdict(0, nd.cfg.NodeID, to, msg)
 	sh.polMu.Unlock()
+	nd.faults.Add(v)
 	if v.Drop || (v.Corrupt && sh.local == nil) {
 		// On a socket the receiver's CRC check would discard a damaged
 		// datagram, so a corrupted frame is discarded here.
@@ -530,7 +536,7 @@ func (nd *UDPNode) sendLoop(l *peerLink, addr *net.UDPAddr) {
 				if nd.closed.Load() {
 					return
 				}
-				nd.dropped.Add(1)
+				nd.discarded.Add(1)
 				continue
 			}
 			nd.datagramsSent.Add(1)
@@ -555,20 +561,20 @@ func (nd *UDPNode) readLoop() {
 		data := buf[:n]
 		if len(data) < envelopeLen ||
 			uint32(data[0])<<24|uint32(data[1])<<16|uint32(data[2])<<8|uint32(data[3]) != datagramMagic {
-			nd.dropped.Add(1)
+			nd.discarded.Add(1)
 			continue
 		}
 		from := int(uint32(data[4])<<24 | uint32(data[5])<<16 | uint32(data[6])<<8 | uint32(data[7]))
 		crc := uint32(data[8])<<24 | uint32(data[9])<<16 | uint32(data[10])<<8 | uint32(data[11])
 		if from < 0 || from >= nd.cfg.N || from == nd.cfg.NodeID {
-			nd.dropped.Add(1)
+			nd.discarded.Add(1)
 			continue
 		}
 		if crc32.ChecksumIEEE(data[envelopeLen:]) != crc {
 			// Damaged in transit: drop the whole datagram. The reliable
 			// layer's retransmission recovers, exactly as it does from a
 			// simulated corrupt verdict.
-			nd.dropped.Add(1)
+			nd.discarded.Add(1)
 			continue
 		}
 		rest := data[envelopeLen:]
@@ -577,7 +583,7 @@ func (nd *UDPNode) readLoop() {
 			if err != nil {
 				// One bad frame poisons the remainder (lengths can no
 				// longer be trusted); count and discard.
-				nd.dropped.Add(1)
+				nd.discarded.Add(1)
 				break
 			}
 			rest = rest[consumed:]
@@ -695,34 +701,53 @@ func (nd *UDPNode) Counters() UDPCounters {
 		TimersFired:     nd.timersFired.Load(),
 		TimersStopped:   nd.timersStopped.Load(),
 		Dropped:         nd.dropped.Load(),
+		Discarded:       nd.discarded.Load(),
 		Activations:     nd.activations.Load(),
 		Completions:     nd.completions.Load(),
 	}
 }
 
-// PublishMetrics adds the node's wire counters to reg with the node ID
-// as a label value, mirroring the publish pattern of the protocol
-// layers. Nil-safe. Call after the node is closed.
+// PublishMetrics merges into reg what a standalone node
+// (cmd/overlaynode) can report of a run: the simnet_* series counted
+// over this node alone and, on a socket, its transport_* series.
+// Nil-safe. Call after the node is closed.
 func (nd *UDPNode) PublishMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
+	if reg != nil {
+		publishRun(nd.cfg.N, []*UDPNode{nd}, reg)
 	}
-	c := nd.Counters()
-	reg.Counter("transport_frames_sent_total", "protocol frames encoded and queued").Add(c.FramesSent)
-	reg.Counter("transport_frames_delivered_total", "frames decoded and delivered").Add(c.FramesDelivered)
-	reg.Counter("transport_datagrams_sent_total", "UDP datagrams written").Add(c.DatagramsSent)
-	reg.Counter("transport_datagrams_recv_total", "UDP datagrams read").Add(c.DatagramsRecv)
-	reg.Counter("transport_bytes_sent_total", "UDP payload bytes written, envelopes included").Add(c.BytesSent)
-	reg.Counter("transport_bytes_recv_total", "UDP payload bytes read, envelopes included").Add(c.BytesRecv)
-	reg.Counter("transport_timers_stopped_total", "timers stopped before they fired").Add(c.TimersStopped)
-	reg.Counter("transport_dropped_total", "frames lost: policy drops and ingress discards (CRC, decode, unknown sender)").Add(c.Dropped)
-	kinds := make([]string, 0, len(nd.sentByKind))
-	for k := range nd.sentByKind {
-		kinds = append(kinds, k)
+}
+
+// publishRun builds the Stats of a run of n nodes from the given
+// closed nodes' counters. With a sink, it also publishes them there:
+// the simnet_* series every runtime shares (simnet.Counts.Publish) and,
+// on sockets, the transport_* series only a socket has.
+func publishRun(n int, nodes []*UDPNode, sink *metrics.Registry) simnet.Stats {
+	c := simnet.Counts{SentByNode: make([]int, n), ReceivedByNode: make([]int, n)}
+	reg := metrics.New()
+	for _, nd := range nodes {
+		c.SentByNode[nd.cfg.NodeID] += int(nd.framesSent.Load())
+		c.ReceivedByNode[nd.cfg.NodeID] += int(nd.framesDelivered.Load())
+		c.Deliveries += nd.framesDelivered.Load()
+		c.TimersFired += nd.timersFired.Load()
+		c.TimersStopped += nd.timersStopped.Load()
+		c.Dropped += nd.dropped.Load()
+		for _, k := range nd.kinds {
+			c.Kinds.Add(k.Kind, k.Msgs, k.Bytes)
+		}
+		c.Faults.Drop += nd.faults.Drop
+		c.Faults.Dup += nd.faults.Dup
+		c.Faults.Delay += nd.faults.Delay
+		c.Faults.Corrupt += nd.faults.Corrupt
+		if nd.conn != nil && sink != nil {
+			reg.Counter("transport_datagrams_sent_total", "UDP datagrams written").Add(nd.datagramsSent.Load())
+			reg.Counter("transport_datagrams_recv_total", "UDP datagrams read").Add(nd.datagramsRecv.Load())
+			reg.Counter("transport_bytes_sent_total", "UDP payload bytes written, envelopes included").Add(nd.bytesSent.Load())
+			reg.Counter("transport_bytes_recv_total", "UDP payload bytes read, envelopes included").Add(nd.bytesRecv.Load())
+			reg.Counter("transport_datagrams_discarded_total", "datagrams lost on a failed write or discarded on receipt (envelope, sender, CRC or frame damage)").Add(nd.discarded.Load())
+		}
 	}
-	sort.Strings(kinds)
-	fam := reg.Family("transport_sent_by_kind", "frames sent by protocol kind", "kind")
-	for _, k := range kinds {
-		fam.With(k).Add(int64(nd.sentByKind[k]))
+	if sink != nil {
+		c.Publish(reg, sink)
 	}
+	return c.Stats(0)
 }

@@ -3,6 +3,7 @@ package transport_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -24,14 +25,29 @@ import (
 // the fallback.
 const certainWindow = 5 * time.Second
 
-// wires are the two ways to build a Cluster; tests that hold on both
-// run once per wire.
-var wires = []struct {
+// wire is one way to build a Cluster: directly, or through its
+// Runtime, as a run does.
+type wire struct {
 	name string
 	new  func(n int, cfg transport.ClusterConfig) (*transport.Cluster, error)
-}{
-	{"loopback", transport.NewLoopbackCluster},
-	{"memory", transport.NewMemoryCluster},
+	rt   func(cfg transport.ClusterConfig) simnet.Runtime
+}
+
+// wires are the two wires; tests that hold on both run once per wire.
+var wires = []wire{
+	{"loopback", transport.NewLoopbackCluster, transport.Loopback},
+	{"memory", transport.NewMemoryCluster, transport.Memory},
+}
+
+// withSink builds a Cluster through w's Runtime with sink as the run's
+// sink hook.
+func (w wire) withSink(t *testing.T, n int, cfg transport.ClusterConfig, sink *metrics.Registry) *transport.Cluster {
+	t.Helper()
+	tr, err := w.rt(cfg)(n, nil, nil, sink)
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	return tr.(*transport.Cluster)
 }
 
 // checkBalanced asserts the termination certificate's bookkeeping on a
@@ -450,10 +466,14 @@ func TestClusterHandlerCountMismatch(t *testing.T) {
 	}
 }
 
-// TestUDPNodeMetrics publishes one closed node's counters into a
-// registry, checking the export surface the standalone binary and
-// ClusterConfig.Metrics use.
+// TestUDPNodeMetrics publishes each closed node's counters into one
+// registry, the export surface of the standalone binary: the simnet_*
+// series every runtime shares, bytes in real encoded frames.
 func TestUDPNodeMetrics(t *testing.T) {
+	frame, err := simnet.EncodeFrame(simnet.Raw("burst"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range wires {
 		t.Run(w.name, func(t *testing.T) {
 			cluster, err := w.new(2, transport.ClusterConfig{Timeout: 20 * time.Second})
@@ -468,14 +488,14 @@ func TestUDPNodeMetrics(t *testing.T) {
 			for _, nd := range cluster.Nodes() {
 				nd.PublishMetrics(reg)
 			}
-			if got := reg.Counter("transport_frames_sent_total", "").Value(); got != 3 {
-				t.Fatalf("published frames_sent = %d, want 3", got)
-			}
-			if got := reg.Counter("transport_frames_delivered_total", "").Value(); got != 3 {
-				t.Fatalf("published frames_delivered = %d, want 3", got)
-			}
-			if got := reg.Family("transport_sent_by_kind", "", "kind").Value("RAW"); got != 3 {
+			if got := reg.Family("simnet_sent_total", "", "kind").Value("RAW"); got != 3 {
 				t.Fatalf("published RAW sends = %d, want 3", got)
+			}
+			if got, want := reg.Family("simnet_sent_bytes_by_kind", "", "kind").Value("RAW"), int64(3*len(frame)); got != want {
+				t.Fatalf("published RAW bytes = %d, want %d", got, want)
+			}
+			if got := reg.Counter("simnet_deliveries_total", "").Value(); got != 3 {
+				t.Fatalf("published deliveries = %d, want 3", got)
 			}
 			checkBalanced(t, cluster, nil)
 			cluster.Nodes()[0].PublishMetrics(nil) // nil-safe
@@ -483,32 +503,87 @@ func TestUDPNodeMetrics(t *testing.T) {
 	}
 }
 
-// TestClusterMetricsSink: a cluster built with ClusterConfig.Metrics
-// adds every node's transport_* counters there when Run returns.
+// TestClusterMetricsSink: a Cluster built through its Runtime merges
+// its counters into the run's sink when Run returns — the Stats under
+// the simnet_* names, and on sockets the datagram counters — and one
+// sink adds runs of different sizes.
 func TestClusterMetricsSink(t *testing.T) {
 	for _, w := range wires {
 		t.Run(w.name, func(t *testing.T) {
 			reg := metrics.New()
-			cluster, err := w.new(2, transport.ClusterConfig{Timeout: 20 * time.Second, Metrics: reg})
-			if err != nil {
-				t.Fatalf("cluster: %v", err)
+			var deliveries, datagrams int64
+			for _, n := range []int{2, 3} {
+				cluster := w.withSink(t, n, transport.ClusterConfig{Timeout: 20 * time.Second}, reg)
+				hs := []simnet.Handler{&burstSender{to: 1, count: 3}, &burstSink{want: 3}, &haltAtInit{}}
+				st, err := cluster.Run(hs[:n])
+				if err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				deliveries += int64(st.Deliveries)
+				for _, nd := range cluster.Nodes() {
+					datagrams += nd.Counters().DatagramsSent
+				}
 			}
-			defer cluster.Close()
-			if _, err := cluster.Run([]simnet.Handler{&burstSender{to: 1, count: 3}, &burstSink{want: 3}}); err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			var datagrams int64
-			for _, nd := range cluster.Nodes() {
-				datagrams += nd.Counters().DatagramsSent
-			}
-			if got := reg.Counter("transport_frames_delivered_total", "").Value(); got != 3 {
-				t.Fatalf("sink frames_delivered = %d, want 3", got)
+			if got := reg.Counter("simnet_deliveries_total", "").Value(); got != deliveries || got != 6 {
+				t.Fatalf("sink deliveries = %d, runs say %d, want 6", got, deliveries)
 			}
 			if got := reg.Counter("transport_datagrams_sent_total", "").Value(); got != datagrams {
 				t.Fatalf("sink datagrams_sent = %d, nodes say %d", got, datagrams)
 			}
 		})
 	}
+}
+
+// TestTransportMetricNames pins the transport_* names: the socket's
+// own series only, so a duplicate of a simnet_* quantity cannot return
+// unnoticed. A loopback Cluster run and a lone socket node, as
+// overlaynode publishes it, publish exactly these; the in-process wire
+// has no socket and publishes none.
+func TestTransportMetricNames(t *testing.T) {
+	socket := []string{
+		"transport_bytes_recv_total",
+		"transport_bytes_sent_total",
+		"transport_datagrams_discarded_total",
+		"transport_datagrams_recv_total",
+		"transport_datagrams_sent_total",
+	}
+	names := func(reg *metrics.Registry) []string {
+		var out []string
+		for _, s := range reg.Snapshot().Samples {
+			if strings.HasPrefix(s.Name, "transport_") {
+				out = append(out, s.Name)
+			}
+		}
+		return out
+	}
+	for _, w := range wires {
+		t.Run(w.name, func(t *testing.T) {
+			reg := metrics.New()
+			cluster := w.withSink(t, 2, transport.ClusterConfig{Timeout: 20 * time.Second}, reg)
+			if _, err := cluster.Run([]simnet.Handler{&burstSender{to: 1, count: 3}, &burstSink{want: 3}}); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			want := socket
+			if w.name == "memory" {
+				want = nil
+			}
+			if got := names(reg); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cluster published %q, want %q", got, want)
+			}
+		})
+	}
+	t.Run("node", func(t *testing.T) {
+		nd, err := transport.ListenUDP(transport.UDPConfig{NodeID: 0, N: 2, Listen: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd.Close()
+		reg := metrics.New()
+		nd.PublishMetrics(reg)
+		if got := names(reg); !reflect.DeepEqual(got, socket) {
+			t.Fatalf("node published %q, want %q", got, socket)
+		}
+	})
 }
 
 // TestClusterSetTimerRejectsNonFinite: a timer delay must be positive
