@@ -93,16 +93,17 @@ bench:
 # workload under canonical and greedy admission (the message-count delta
 # is the scheduler's payoff); the *Par benchmarks sweep worker counts
 # 1/2/4 (the workload columns must be identical at each count).
-# BENCH_PR22.json is the current point: its "before" rows measure the
-# event Runner with atomic counters and a binary heap, its "after" rows
-# the Runner with plain counters and a recycled 4-ary heap. This target
-# rewrites its "after" rows. BENCH_PR4.json through BENCH_PR10.json stay
+# BENCH_PR24.json is the current point: its "before" rows measure the
+# churn engine repairing through WeightKeys, a container/heap queue and
+# a push-set map per epoch, its "after" rows the engine repairing in
+# EdgeIDs with a typed candidate heap and reused scratch. This target
+# rewrites its "after" rows. BENCH_PR4.json through BENCH_PR22.json stay
 # committed as the earlier points of the trajectory.
 bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_PR22.json -phase after -merge -workers-sweep 1,2,4
+	$(GO) run ./cmd/benchjson -out BENCH_PR24.json -phase after -merge -workers-sweep 1,2,4
 
 # Benchmark regression gate: fresh -quick measurements must stay within
-# tolerance of the "after" rows of the committed BENCH_PR22.json
+# tolerance of the "after" rows of the committed BENCH_PR24.json
 # (allocation figures gated, workload metrics exact, wall clock
 # report-only; its "before" rows are notes, not failures), and — the
 # negative controls — must FAIL against a synthetically regressed
@@ -114,7 +115,7 @@ bench-json:
 # row is the one-miss figure.
 bench-check:
 	$(GO) test -count=1 ./cmd/benchjson
-	$(GO) run ./cmd/benchjson -quick -compare BENCH_PR22.json
+	$(GO) run ./cmd/benchjson -quick -compare BENCH_PR24.json
 	! $(GO) run ./cmd/benchjson -quick -compare cmd/benchjson/testdata/regressed_baseline.json
 	! $(GO) run ./cmd/benchjson -quick -compare cmd/benchjson/testdata/mixed_workers_baseline.json
 

@@ -2,7 +2,7 @@
 // seeds and fixed iteration counts and writes the results as JSON rows
 // (ns/op, B/op, allocs/op plus headline metrics). It seeds the repo's
 // persisted perf trajectory: `make bench-json` regenerates the "after"
-// rows of BENCH_PR22.json. Rows are tagged with a phase
+// rows of BENCH_PR24.json. Rows are tagged with a phase
 // ("before"/"after") so a representation change can commit its own
 // measured payoff next to the baseline it replaced.
 //
@@ -347,7 +347,7 @@ func runBenchmarks(phase string, sweep []int, quick bool) []Row {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_PR22.json", "output file")
+	out := flag.String("out", "BENCH_PR24.json", "output file")
 	phase := flag.String("phase", "after", "phase tag for the emitted rows (before|after)")
 	merge := flag.Bool("merge", true, "keep rows of other phases already in the output file")
 	sweepFlag := flag.String("workers-sweep", "8", "comma-separated worker counts for the *Par rows (workload output must be identical at every count)")

@@ -142,7 +142,8 @@ func runEpochs(tb testing.TB, e *Engine, evs []TimedEvent, check func(before *ma
 			tb.Fatalf("schedule event %d: %v", i, err)
 		}
 	}
-	watch(e.pending, e.Drain)
+	// A copy: the engine reuses the queue's storage once it flushes.
+	watch(append([]TimedEvent(nil), e.pending...), e.Drain)
 }
 
 // checkCompletionEpoch asserts what completion-only repair promises

@@ -91,20 +91,48 @@ func (o *Overlay) NumAlive() int {
 	return c
 }
 
-// lightestConnection returns x's lightest current connection by the
-// weight order.
-func (o *Overlay) lightestConnection(x graph.NodeID) graph.NodeID {
-	conns := o.m.Connections(x)
-	if len(conns) == 0 {
-		panic("dynamic: lightestConnection of unmatched node")
-	}
-	lightest := conns[0]
-	for _, v := range conns[1:] {
-		if o.tbl.Key(x, lightest).Heavier(o.tbl.Key(x, v)) {
-			lightest = v
+// noEdge stands for "no connection" where an EdgeID is expected.
+const noEdge = graph.EdgeID(-1)
+
+// candidate returns edge id's repair-queue entry under the current
+// weight table.
+func (o *Overlay) candidate(id graph.EdgeID) candidate {
+	return candidate{ord: o.tbl.OrderKeys()[id], id: id}
+}
+
+// lightestEdge returns the EdgeID of x's lightest current connection by
+// the weight order. It reads x's partner list in place, one EdgeIDOf
+// per partner.
+func (o *Overlay) lightestEdge(x graph.NodeID) graph.EdgeID {
+	g := o.s.Graph()
+	lightest := noEdge
+	for _, v := range o.m.Partners(x) {
+		id, _ := g.EdgeIDOf(x, v)
+		if lightest == noEdge || o.candidate(lightest).before(o.candidate(id)) {
+			lightest = id
 		}
 	}
+	if lightest == noEdge {
+		panic("dynamic: lightestEdge of unmatched node")
+	}
 	return lightest
+}
+
+// displaced applies the preemption rule at endpoint x of the unmatched
+// edge id. x accepts id when it has free quota — it gives up nothing,
+// and drop is noEdge — or when id is strictly heavier than its lightest
+// connection, which is then drop. ok is false when x refuses id: its
+// quota is 0, or id is not heavier than every connection it holds.
+func (o *Overlay) displaced(x graph.NodeID, id graph.EdgeID) (drop graph.EdgeID, ok bool) {
+	d := o.m.DegreeOf(x)
+	if d < o.s.Quota(x) {
+		return noEdge, true
+	}
+	if d == 0 {
+		return noEdge, false // quota 0: can never accept
+	}
+	l := o.lightestEdge(x)
+	return l, o.candidate(id).before(o.candidate(l))
 }
 
 // LiveLIC computes the fresh LIC matching of the live subgraph — the

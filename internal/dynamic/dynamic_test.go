@@ -127,7 +127,7 @@ func TestPreemptiveLocalStability(t *testing.T) {
 					if m.DegreeOf(x) < s.Quota(x) {
 						continue
 					}
-					if o.tbl.Key(x, o.lightestConnection(x)).Heavier(k) {
+					if o.tbl.KeyByID(o.lightestEdge(x)).Heavier(k) {
 						blocked = true
 					}
 				}

@@ -37,7 +37,6 @@
 package dynamic
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -176,8 +175,10 @@ type Engine struct {
 	backoff   float64 // current collision backoff (0 = none pending)
 	retries   int     // collisions since the last flush
 
-	pending  []TimedEvent
-	deferred map[graph.Edge]bool
+	// pending queues updates for the next flush; spare is the storage
+	// of the last flushed batch, which the next flush queues into.
+	pending, spare []TimedEvent
+	deferred       map[graph.EdgeID]struct{}
 
 	// cache is the cross-epoch weight-list-prefix cache shed scans
 	// resume from (nil when opts.disablePrefixCache). Every matching
@@ -196,6 +197,16 @@ type Engine struct {
 	// Region scratch, reused across epochs.
 	inRegion []bool
 	region   []graph.NodeID
+
+	// Repair scratch, reused across epochs. pushedAt[id] == stamp marks
+	// edge id as queued in the current epoch's initial push set, and
+	// bumping stamp clears every mark at once. pushedAt is allocated on
+	// the first repair, so an engine that never repairs holds no
+	// per-edge array.
+	seeds     []graph.NodeID
+	cur, next candidateQueue
+	pushedAt  []uint32
+	stamp     uint32
 
 	// Metrics instruments (nil when opts.Metrics is nil).
 	mEpochs, mUpdates, mSheds, mRetries *metrics.Counter
@@ -219,7 +230,7 @@ func NewEngine(s *pref.System, opts EngineOptions) (*Engine, error) {
 	e := &Engine{
 		o:           newOverlay(s, opts.Workers),
 		opts:        opts,
-		deferred:    make(map[graph.Edge]bool),
+		deferred:    make(map[graph.EdgeID]struct{}),
 		incarnation: make([]uint64, n),
 		inRegion:    make([]bool, n),
 	}
@@ -413,7 +424,7 @@ func (e *Engine) Heal() int {
 // flush coalesces the pending queue into one repair epoch.
 func (e *Engine) flush() {
 	batch := e.pending
-	e.pending = nil
+	e.pending = e.spare[:0]
 	e.epoch++
 	rec := EpochRecord{
 		Epoch:    e.epoch,
@@ -426,13 +437,16 @@ func (e *Engine) flush() {
 	e.backoff = 0
 	shed := e.opts.ShedDepth > 0 && len(batch) > e.opts.ShedDepth
 	rec.Shed = shed
-	sid := e.opts.Obs.OpenSpan(0, "dynamic.repair",
-		fmt.Sprintf("epoch=%d batch=%d shed=%v", e.epoch, len(batch), shed), rec.Start)
+	var sid obs.SpanID
+	if e.opts.Obs != nil {
+		sid = e.opts.Obs.OpenSpan(0, "dynamic.repair",
+			fmt.Sprintf("epoch=%d batch=%d shed=%v", e.epoch, len(batch), shed), rec.Start)
+	}
 
 	// Phase 1 — apply the batch in arrival order. Membership cleanup
 	// always runs, shed or not: a leave dropping its edges is a
 	// correctness action, never sheddable work.
-	var seeds []graph.NodeID
+	seeds := e.seeds[:0]
 	st := &rec.Stats
 	for _, u := range batch {
 		switch u.Kind {
@@ -442,13 +456,14 @@ func (e *Engine) flush() {
 			}
 			e.o.alive[u.Node] = false
 			e.incarnation[u.Node]++
-			freed := e.o.m.Connections(u.Node)
-			for _, v := range freed {
+			// Copy the partners out first: each Remove edits the list.
+			start := len(seeds)
+			seeds = append(seeds, e.o.m.Partners(u.Node)...)
+			for _, v := range seeds[start:] {
 				e.o.m.Remove(u.Node, v)
 				e.invalidateEdge(u.Node, v)
 				st.Removed++
 			}
-			seeds = append(seeds, freed...)
 		case UpdateJoin:
 			if e.o.alive[u.Node] {
 				continue // stale: already up
@@ -471,10 +486,10 @@ func (e *Engine) flush() {
 			for _, x := range u.Dirty {
 				seeds = append(seeds, x)
 				for e.o.m.DegreeOf(x) > u.System.Quota(x) {
-					v := e.o.lightestConnection(x)
-					e.o.m.Remove(x, v)
+					id := e.o.lightestEdge(x)
+					e.o.m.RemoveID(id)
 					st.Removed++
-					seeds = append(seeds, v)
+					seeds = append(seeds, u.System.Graph().OtherEndpoint(id, x))
 				}
 			}
 		}
@@ -490,12 +505,17 @@ func (e *Engine) flush() {
 		if e.mSheds != nil {
 			e.mSheds.Inc()
 		}
-		e.opts.Obs.Point(0, "dynamic.shed",
-			fmt.Sprintf("epoch=%d depth=%d threshold=%d", e.epoch, len(batch), e.opts.ShedDepth), rec.Start)
+		if e.opts.Obs != nil {
+			e.opts.Obs.Point(0, "dynamic.shed",
+				fmt.Sprintf("epoch=%d depth=%d threshold=%d", e.epoch, len(batch), e.opts.ShedDepth), rec.Start)
+		}
 		e.shedRepair(seeds, &rec)
 	} else {
 		e.repairBounded(seeds, &rec)
 	}
+	e.seeds = seeds
+	clear(batch) // drop the batch's systems before its storage is reused
+	e.spare = batch[:0]
 	rec.Region = len(e.region)
 	for _, x := range e.region {
 		e.inRegion[x] = false
@@ -511,8 +531,10 @@ func (e *Engine) flush() {
 		epochExaminedCost*float64(rec.Stats.Examined)
 	e.busyUntil = rec.End
 	e.records = append(e.records, rec)
-	e.opts.Obs.CloseSpan(0, sid,
-		fmt.Sprintf("rounds=%d region=%d deferred=%d", rec.Rounds, rec.Region, rec.Deferred), rec.End)
+	if e.opts.Obs != nil {
+		e.opts.Obs.CloseSpan(0, sid,
+			fmt.Sprintf("rounds=%d region=%d deferred=%d", rec.Rounds, rec.Region, rec.Deferred), rec.End)
+	}
 	if e.mEpochs != nil {
 		e.mEpochs.Inc()
 		e.mLatency.Observe(rec.Latency())
@@ -544,53 +566,99 @@ func (e *Engine) mark(x graph.NodeID) {
 	}
 }
 
-// takeDeferred drains the deferred set in canonical edge order (the
-// map's iteration order must never reach the repair heap: heap pops
-// are order-insensitive for a fixed key set, but Examined counts and
-// region marking follow processing order, so the hand-off is sorted).
-func (e *Engine) takeDeferred() []graph.Edge {
-	if len(e.deferred) == 0 {
-		return nil
-	}
-	edges := make([]graph.Edge, 0, len(e.deferred))
-	for eg := range e.deferred {
-		edges = append(edges, eg)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
-	clear(e.deferred)
-	return edges
-}
-
 // pruneDeferred drops deferred candidates that died or got matched —
 // the published bound stays honest.
 func (e *Engine) pruneDeferred() {
-	for eg := range e.deferred {
-		if !e.o.alive[eg.U] || !e.o.alive[eg.V] || e.o.m.Has(eg.U, eg.V) {
-			delete(e.deferred, eg)
+	g := e.o.s.Graph()
+	for id := range e.deferred {
+		eg := g.EdgeByID(id)
+		if !e.o.alive[eg.U] || !e.o.alive[eg.V] || e.o.m.HasID(id) {
+			delete(e.deferred, id)
 		}
 	}
 }
 
-// candidateHeap orders candidate edges heaviest-first.
-type candidateHeap struct {
-	keys []satisfaction.WeightKey
+// park parks edge id as an unresolved candidate if it is live and
+// unmatched.
+func (e *Engine) park(id graph.EdgeID) {
+	eg := e.o.s.Graph().EdgeByID(id)
+	if e.o.alive[eg.U] && e.o.alive[eg.V] && !e.o.m.HasID(id) {
+		e.deferred[id] = struct{}{}
+	}
 }
 
-func (h candidateHeap) Len() int            { return len(h.keys) }
-func (h candidateHeap) Less(i, j int) bool  { return h.keys[i].Heavier(h.keys[j]) }
-func (h candidateHeap) Swap(i, j int)       { h.keys[i], h.keys[j] = h.keys[j], h.keys[i] }
-func (h *candidateHeap) Push(x interface{}) { h.keys = append(h.keys, x.(satisfaction.WeightKey)) }
-func (h *candidateHeap) Pop() interface{} {
-	old := h.keys
-	n := len(old)
-	k := old[n-1]
-	h.keys = old[:n-1]
-	return k
+// candidate is one repair-queue entry: an edge and its packed order
+// key. (ord, id) ascending is exactly WeightKey.Heavier's heaviest-first
+// order (satisfaction.Table.OrderKeys), so comparing two candidates
+// costs two integer compares and no table lookup.
+type candidate struct {
+	ord uint64
+	id  graph.EdgeID
+}
+
+func (a candidate) before(b candidate) bool {
+	return a.ord < b.ord || a.ord == b.ord && a.id < b.id
+}
+
+// candidateQueue is a binary min-heap of candidates: it pops the
+// heaviest edge first. Under a strict total order the pop sequence is
+// fixed by the multiset pushed, whatever the push order.
+type candidateQueue []candidate
+
+func (q *candidateQueue) push(c candidate) {
+	*q = append(*q, c)
+	h := *q
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !c.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = c
+}
+
+func (q *candidateQueue) pop() candidate {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	*q = h
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	return top
+}
+
+// nextStamp opens a new epoch of the push set, allocating pushedAt on
+// the first repair and clearing it only when the stamp wraps.
+func (e *Engine) nextStamp() {
+	if e.pushedAt == nil {
+		e.pushedAt = make([]uint32, e.o.s.Graph().NumEdges())
+	}
+	e.stamp++
+	if e.stamp == 0 {
+		clear(e.pushedAt)
+		e.stamp = 1
+	}
 }
 
 // repairBounded runs repair from the seeds plus the deferred backlog,
@@ -608,57 +676,62 @@ func (h *candidateHeap) Pop() interface{} {
 // after every epoch, and a full-budget epoch (empty heaps, empty
 // deferred) has zero blocking edges — i.e. the unique stable matching
 // of the live edge set under the inherited order, LiveLICInherited.
+//
+// The loop works in EdgeIDs off the graph's incidence arrays, and every
+// queue, the push set and the seed list are engine scratch, so an
+// epoch allocates nothing once the scratch has grown.
 func (e *Engine) repairBounded(seeds []graph.NodeID, rec *EpochRecord) {
-	g := e.o.s.Graph()
+	o := e.o
+	g := o.s.Graph()
 	st := &rec.Stats
-	cur, next := &candidateHeap{}, &candidateHeap{}
-	pushed := make(map[graph.Edge]bool)
-	pushNode := func(x graph.NodeID) {
-		if !e.o.alive[x] {
-			return
-		}
-		e.mark(x)
-		for _, nb := range g.Neighbors(x) {
-			eg := graph.Edge{U: x, V: nb}.Normalize()
-			if !pushed[eg] {
-				pushed[eg] = true
-				heap.Push(cur, e.o.tbl.Key(eg.U, eg.V))
-			}
+	cur, next := &e.cur, &e.next
+	e.nextStamp()
+	pushOnce := func(id graph.EdgeID) {
+		if e.pushedAt[id] != e.stamp {
+			e.pushedAt[id] = e.stamp
+			cur.push(o.candidate(id))
 		}
 	}
 	for _, x := range seeds {
-		pushNode(x)
-	}
-	for _, eg := range e.takeDeferred() {
-		if !e.o.alive[eg.U] || !e.o.alive[eg.V] || e.o.m.Has(eg.U, eg.V) {
+		if !o.alive[x] {
 			continue
 		}
-		if !pushed[eg] {
-			pushed[eg] = true
-			heap.Push(cur, e.o.tbl.Key(eg.U, eg.V))
+		e.mark(x)
+		for _, id := range g.IncidentEdges(x) {
+			pushOnce(id)
 		}
 	}
+	// The deferred backlog joins the push set. Map order cannot reach
+	// the repair: the queue pops in the total order whatever the push
+	// order, and these pushes mark no region node.
+	for id := range e.deferred {
+		eg := g.EdgeByID(id)
+		if o.alive[eg.U] && o.alive[eg.V] && !o.m.HasID(id) {
+			pushOnce(id)
+		}
+	}
+	clear(e.deferred)
 
 	budget := e.opts.RepairRounds
-	for cur.Len() > 0 {
+	for len(*cur) > 0 {
 		if budget > 0 && rec.Rounds >= budget {
 			rec.Truncated = true
 			break
 		}
 		rec.Rounds++
-		for cur.Len() > 0 {
-			k := heap.Pop(cur).(satisfaction.WeightKey)
-			eg := k.Edge()
+		for len(*cur) > 0 {
+			id := cur.pop().id
+			eg := g.EdgeByID(id)
 			st.Examined++
-			if !e.o.alive[eg.U] || !e.o.alive[eg.V] || e.o.m.Has(eg.U, eg.V) {
+			if !o.alive[eg.U] || !o.alive[eg.V] || o.m.HasID(id) {
 				continue
 			}
 			e.mark(eg.U)
 			e.mark(eg.V)
-			uFree := e.o.m.DegreeOf(eg.U) < e.o.s.Quota(eg.U)
-			vFree := e.o.m.DegreeOf(eg.V) < e.o.s.Quota(eg.V)
+			uFree := o.m.DegreeOf(eg.U) < o.s.Quota(eg.U)
+			vFree := o.m.DegreeOf(eg.V) < o.s.Quota(eg.V)
 			if uFree && vFree {
-				e.o.m.Add(eg.U, eg.V)
+				o.m.AddID(id)
 				st.Added++
 				continue
 			}
@@ -666,66 +739,57 @@ func (e *Engine) repairBounded(seeds []graph.NodeID, rec *EpochRecord) {
 				continue
 			}
 			// Preemption: heavier than the lightest connection at
-			// every full endpoint, else skip.
-			var drops []graph.Edge
+			// every full endpoint, else skip. drops[k] is the
+			// connection ends[k] gives up (noEdge if it has room); the
+			// two differ, since neither is the unmatched edge id.
+			ends := [2]graph.NodeID{eg.U, eg.V}
+			var drops [2]graph.EdgeID
 			ok := true
-			for _, x := range []graph.NodeID{eg.U, eg.V} {
-				if e.o.m.DegreeOf(x) < e.o.s.Quota(x) {
-					continue
-				}
-				if e.o.m.DegreeOf(x) == 0 {
-					ok = false // quota 0: can never accept
+			for k, x := range ends {
+				if drops[k], ok = o.displaced(x, id); !ok {
 					break
 				}
-				l := e.o.lightestConnection(x)
-				if !k.Heavier(e.o.tbl.Key(x, l)) {
-					ok = false
-					break
-				}
-				drops = append(drops, graph.Edge{U: x, V: l})
 			}
 			if !ok {
 				continue
 			}
 			if swapHook != nil {
-				dk := make([]satisfaction.WeightKey, 0, len(drops))
+				dk := make([]satisfaction.WeightKey, 0, 2)
 				for _, d := range drops {
-					if e.o.m.Has(d.U, d.V) {
-						dk = append(dk, e.o.tbl.Key(d.U, d.V))
+					if d != noEdge {
+						dk = append(dk, o.tbl.KeyByID(d))
 					}
 				}
-				swapHook(k, dk)
+				swapHook(o.tbl.KeyByID(id), dk)
 			}
-			for _, d := range drops {
-				if e.o.m.Has(d.U, d.V) { // both endpoints may share the same lightest edge
-					e.o.m.Remove(d.U, d.V)
-					e.invalidateEdge(d.U, d.V)
-					st.Removed++
-					partner := d.V
-					e.mark(partner)
-					// Re-seed the displaced partner in the next round:
-					// its unmatched edges may now be blocking.
-					for _, nb := range g.Neighbors(partner) {
-						pe := graph.Edge{U: partner, V: nb}.Normalize()
-						if !e.o.m.Has(pe.U, pe.V) {
-							heap.Push(next, e.o.tbl.Key(pe.U, pe.V))
-						}
+			for k, d := range drops {
+				if d == noEdge {
+					continue
+				}
+				partner := g.OtherEndpoint(d, ends[k])
+				o.m.RemoveID(d)
+				e.invalidateEdge(ends[k], partner)
+				st.Removed++
+				e.mark(partner)
+				// Re-seed the displaced partner in the next round:
+				// its unmatched edges may now be blocking.
+				for _, pid := range g.IncidentEdges(partner) {
+					if !o.m.HasID(pid) {
+						next.push(o.candidate(pid))
 					}
 				}
 			}
-			e.o.m.Add(eg.U, eg.V)
+			o.m.AddID(id)
 			st.Added++
 		}
 		cur, next = next, cur
 	}
 	// Park whatever the budget left behind.
-	for _, h := range []*candidateHeap{cur, next} {
-		for _, k := range h.keys {
-			eg := k.Edge()
-			if e.o.alive[eg.U] && e.o.alive[eg.V] && !e.o.m.Has(eg.U, eg.V) {
-				e.deferred[eg] = true
-			}
+	for _, q := range [2]*candidateQueue{cur, next} {
+		for _, c := range *q {
+			e.park(c.id)
 		}
+		*q = (*q)[:0]
 	}
 }
 
@@ -746,13 +810,16 @@ func (e *Engine) shedRepair(seeds []graph.NodeID, rec *EpochRecord) {
 			e.mark(x)
 		}
 	}
-	var props []satisfaction.WeightKey
+	// Proposals queue heaviest first in the repair queue, which a shed
+	// epoch leaves free.
+	props := &e.cur
 	for _, x := range e.region {
 		free := e.o.s.Quota(x) - e.o.m.DegreeOf(x)
 		if free <= 0 {
 			continue
 		}
 		neigh := e.o.tbl.SortedNeighbors(e.o.s, x)
+		inc := e.o.tbl.SortedIncident(e.o.s, x)
 		// Resume past the prefix previous epochs proved exhausted. The
 		// cursor may only extend over entries skipped here for a
 		// persistent reason (dead neighbor or matched edge) with no
@@ -768,8 +835,7 @@ func (e *Engine) shedRepair(seeds []graph.NodeID, rec *EpochRecord) {
 			if cnt >= free {
 				break
 			}
-			nb := neigh[pos]
-			if !e.o.alive[nb] || e.o.m.Has(x, nb) {
+			if !e.o.alive[neigh[pos]] || e.o.m.HasID(inc[pos]) {
 				if contig {
 					run = pos + 1
 				}
@@ -777,32 +843,29 @@ func (e *Engine) shedRepair(seeds []graph.NodeID, rec *EpochRecord) {
 			}
 			contig = false
 			st.Examined++
-			props = append(props, e.o.tbl.Key(x, nb))
+			props.push(e.o.candidate(inc[pos]))
 			cnt++
 		}
 		if e.cache != nil {
 			e.cache.Advance(x, run)
 		}
 	}
-	sort.Slice(props, func(i, j int) bool { return props[i].Heavier(props[j]) })
-	for _, k := range props {
-		eg := k.Edge()
-		if e.o.m.Has(eg.U, eg.V) {
+	for len(*props) > 0 {
+		id := props.pop().id
+		if e.o.m.HasID(id) {
 			continue // proposed from both sides
 		}
+		eg := g.EdgeByID(id)
 		if e.o.m.DegreeOf(eg.U) < e.o.s.Quota(eg.U) && e.o.m.DegreeOf(eg.V) < e.o.s.Quota(eg.V) {
-			e.o.m.Add(eg.U, eg.V)
+			e.o.m.AddID(id)
 			st.Added++
 		}
 	}
 	// Defer every unresolved candidate incident to the region: the
 	// bound must cover everything a bounded epoch would have examined.
 	for _, x := range e.region {
-		for _, nb := range g.Neighbors(x) {
-			eg := graph.Edge{U: x, V: nb}.Normalize()
-			if e.o.alive[eg.U] && e.o.alive[eg.V] && !e.o.m.Has(eg.U, eg.V) {
-				e.deferred[eg] = true
-			}
+		for _, id := range g.IncidentEdges(x) {
+			e.park(id)
 		}
 	}
 }
@@ -848,23 +911,16 @@ func (o *Overlay) LiveLICInherited() *matching.Matching {
 func (o *Overlay) BlockingEdges() int {
 	g := o.s.Graph()
 	count := 0
-	for id := 0; id < g.NumEdges(); id++ {
-		eg := g.EdgeByID(graph.EdgeID(id))
-		if !o.alive[eg.U] || !o.alive[eg.V] || o.m.Has(eg.U, eg.V) {
+	for i := range g.NumEdges() {
+		id := graph.EdgeID(i)
+		eg := g.EdgeByID(id)
+		if !o.alive[eg.U] || !o.alive[eg.V] || o.m.HasID(id) {
 			continue
 		}
-		k := o.tbl.Key(eg.U, eg.V)
-		blocking := true
-		for _, x := range []graph.NodeID{eg.U, eg.V} {
-			if o.m.DegreeOf(x) < o.s.Quota(x) {
-				continue // free: accepts
-			}
-			if o.m.DegreeOf(x) == 0 || !k.Heavier(o.tbl.Key(x, o.lightestConnection(x))) {
-				blocking = false
-				break
-			}
+		if _, ok := o.displaced(eg.U, id); !ok {
+			continue
 		}
-		if blocking {
+		if _, ok := o.displaced(eg.V, id); ok {
 			count++
 		}
 	}

@@ -431,3 +431,40 @@ func TestPreemptiveCascadeProperty(t *testing.T) {
 	}
 	swapHook = nil
 }
+
+// TestEngineStepAllocFree: once its scratch has grown, a full-budget
+// engine repairs a leave or a join without allocating — no per-epoch
+// push-set map, no boxed heap entries, no partner-list copies, no span
+// strings without a recorder. The records slice still doubles now and
+// then, so the guard is an average under one allocation per epoch.
+func TestEngineStepAllocFree(t *testing.T) {
+	const n, warm, runs = 400, 200, 300
+	e := mustEngine(t, 5, n, 0.02, 3, EngineOptions{})
+	feed, err := ChurnSpec{Events: 800, LeaveProb: 0.55, MinAlive: n / 4, Rate: 1}.Schedule(n, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(feed) < warm+runs+1 {
+		t.Fatalf("feed has %d events, want %d", len(feed), warm+runs+1)
+	}
+	for _, ev := range feed[:warm] {
+		if _, err := e.Step(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next, examined := warm, 0
+	avg := testing.AllocsPerRun(runs, func() {
+		rec, err := e.Step(feed[next])
+		if err != nil {
+			t.Fatal(err)
+		}
+		next++
+		examined += rec.Stats.Examined
+	})
+	if examined == 0 {
+		t.Fatal("the measured epochs repaired nothing")
+	}
+	if avg >= 1 {
+		t.Fatalf("Step allocates %v times per epoch, want under 1", avg)
+	}
+}

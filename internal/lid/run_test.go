@@ -97,8 +97,8 @@ func TestRunMatrix(t *testing.T) {
 
 // TestClusterRuntimesRejectHooks: a Cluster honours neither the prober
 // nor the admitter, so Run fails with an error naming the hook before
-// any node starts — no Init ran, and nothing but the prober's empty
-// series reached the run's sink.
+// any node starts — no Init ran, and nothing reached the run's sink:
+// the prober registers its series only once it samples.
 func TestClusterRuntimesRejectHooks(t *testing.T) {
 	s := randomSystem(t, 2, 12, 0.4, 2)
 	tbl := satisfaction.NewTable(s)
@@ -127,9 +127,7 @@ func TestClusterRuntimesRejectHooks(t *testing.T) {
 					t.Fatalf("the rejected run did work: %+v", res.Stats)
 				}
 				for _, smp := range reg.Snapshot().Samples {
-					if !strings.HasPrefix(smp.Name, "probe_") {
-						t.Fatalf("the rejected run published %s", smp.Name)
-					}
+					t.Errorf("the rejected run published %s", smp.Name)
 				}
 			})
 		}

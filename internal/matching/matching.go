@@ -115,7 +115,13 @@ func (m *Matching) Size() int { return m.size }
 // Has reports whether edge {u,v} is selected.
 func (m *Matching) Has(u, v graph.NodeID) bool {
 	id, ok := m.g.EdgeIDOf(u, v)
-	return ok && m.bits[id>>6]&(1<<(id&63)) != 0
+	return ok && m.HasID(id)
+}
+
+// HasID reports whether the edge with the given dense id is selected:
+// one bit test, for callers already holding EdgeIDs.
+func (m *Matching) HasID(id graph.EdgeID) bool {
+	return m.bits[id>>6]&(1<<(id&63)) != 0
 }
 
 // Add selects edge {u,v}. It panics if {u,v} is not a graph edge (self
@@ -127,10 +133,16 @@ func (m *Matching) Add(u, v graph.NodeID) {
 	if !ok {
 		panic(fmt.Sprintf("matching: edge (%d,%d) is not a graph edge", u, v))
 	}
-	if m.bits[id>>6]&(1<<(id&63)) != 0 {
-		panic(fmt.Sprintf("matching: edge %v selected twice", graph.Edge{U: u, V: v}.Normalize()))
+	m.AddID(id)
+}
+
+// AddID is Add for the edge with the given dense id. It panics if the
+// edge is already selected.
+func (m *Matching) AddID(id graph.EdgeID) {
+	if m.HasID(id) {
+		panic(fmt.Sprintf("matching: edge %v selected twice", m.g.EdgeByID(id)))
 	}
-	m.addEdgeID(id, graph.Edge{U: u, V: v})
+	m.addEdgeID(id, m.g.EdgeByID(id))
 }
 
 // preallocate sizes every connection slice to its feasibility bound
@@ -170,14 +182,24 @@ func (m *Matching) addEdgeID(id graph.EdgeID, e graph.Edge) {
 
 // Remove deselects edge {u,v}. It panics if the edge is not selected.
 func (m *Matching) Remove(u, v graph.NodeID) {
-	if !m.Has(u, v) {
+	id, ok := m.g.EdgeIDOf(u, v)
+	if !ok {
 		panic(fmt.Sprintf("matching: removing unselected edge %v", graph.Edge{U: u, V: v}.Normalize()))
 	}
-	id, _ := m.g.EdgeIDOf(u, v)
+	m.RemoveID(id)
+}
+
+// RemoveID is Remove for the edge with the given dense id. It panics
+// if the edge is not selected.
+func (m *Matching) RemoveID(id graph.EdgeID) {
+	e := m.g.EdgeByID(id)
+	if !m.HasID(id) {
+		panic(fmt.Sprintf("matching: removing unselected edge %v", e))
+	}
 	m.bits[id>>6] &^= 1 << (id & 63)
 	m.size--
-	m.conns[u] = removeOne(m.conns[u], v)
-	m.conns[v] = removeOne(m.conns[v], u)
+	m.conns[e.U] = removeOne(m.conns[e.U], e.V)
+	m.conns[e.V] = removeOne(m.conns[e.V], e.U)
 }
 
 func removeOne(s []graph.NodeID, x graph.NodeID) []graph.NodeID {
@@ -197,6 +219,12 @@ func (m *Matching) Connections(i graph.NodeID) []graph.NodeID {
 	sort.Ints(out)
 	return out
 }
+
+// Partners returns the nodes matched to i in no particular order,
+// without the copy and sort Connections makes. The slice is the
+// matching's own: read it before the next Add or Remove and do not
+// modify it.
+func (m *Matching) Partners(i graph.NodeID) []graph.NodeID { return m.conns[i] }
 
 // DegreeOf returns the number of connections node i holds (ci).
 func (m *Matching) DegreeOf(i graph.NodeID) int { return len(m.conns[i]) }

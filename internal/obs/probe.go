@@ -152,6 +152,10 @@ type Prober struct {
 	optWeight float64
 	sample    func(t float64) StabilitySample
 
+	// The series live in reg from the first Probe on, so a prober that
+	// never samples — its runtime refused the hook, say — leaves reg as
+	// it found it.
+	reg       *metrics.Registry
 	bp        *metrics.Series
 	unmatched *metrics.Series
 	frac      *metrics.Series
@@ -160,10 +164,11 @@ type Prober struct {
 }
 
 // NewProber builds a prober that records into reg every interval time
-// units. edges is |E| of the workload (the denominator of the ε
-// thresholds); optWeight is the LIC-optimal matched weight used for
-// the matched-weight fraction series (0 disables the fraction and
-// records the raw weight instead).
+// units, registering its probe_* series there on the first sample.
+// edges is |E| of the workload (the denominator of the ε thresholds);
+// optWeight is the LIC-optimal matched weight used for the
+// matched-weight fraction series (0 disables the fraction and records
+// the raw weight instead).
 func NewProber(reg *metrics.Registry, interval float64, edges int, optWeight float64, sample func(t float64) StabilitySample) *Prober {
 	if interval <= 0 {
 		panic("obs: NewProber needs a positive interval")
@@ -176,11 +181,7 @@ func NewProber(reg *metrics.Registry, interval float64, edges int, optWeight flo
 		edges:     edges,
 		optWeight: optWeight,
 		sample:    sample,
-		bp:        reg.Series("probe_blocking_pairs", "blocking pairs at each probe"),
-		unmatched: reg.Series("probe_unmatched_nodes", "nodes with zero locked connections at each probe"),
-		frac:      reg.Series("probe_matched_weight_frac", "locked weight / LIC-optimal weight at each probe"),
-		msgs:      reg.Series("probe_msgs_sent", "cumulative messages sent at each probe"),
-		bytes:     reg.Series("probe_bytes_sent", "cumulative encoded frame bytes sent at each probe"),
+		reg:       reg,
 	}
 }
 
@@ -200,6 +201,14 @@ func (p *Prober) Probe(t float64, msgs, bytes int64) {
 	if p == nil {
 		return
 	}
+	if p.bp == nil {
+		reg := p.reg
+		p.bp = reg.Series("probe_blocking_pairs", "blocking pairs at each probe")
+		p.unmatched = reg.Series("probe_unmatched_nodes", "nodes with zero locked connections at each probe")
+		p.frac = reg.Series("probe_matched_weight_frac", "locked weight / LIC-optimal weight at each probe")
+		p.msgs = reg.Series("probe_msgs_sent", "cumulative messages sent at each probe")
+		p.bytes = reg.Series("probe_bytes_sent", "cumulative encoded frame bytes sent at each probe")
+	}
 	s := p.sample(t)
 	s.Msgs, s.Bytes = msgs, bytes
 	p.bp.Append(t, float64(s.BlockingPairs))
@@ -213,9 +222,10 @@ func (p *Prober) Probe(t float64, msgs, bytes int64) {
 	p.bytes.Append(t, float64(s.Bytes))
 }
 
-// Curve returns the recorded blocking-pair series (nil on nil).
+// Curve returns the recorded blocking-pair series (nil on nil or
+// before the first probe).
 func (p *Prober) Curve() []metrics.SeriesPoint {
-	if p == nil {
+	if p == nil || p.bp == nil {
 		return nil
 	}
 	return p.bp.Points()
@@ -233,7 +243,7 @@ func (p *Prober) RoundsToEps(eps []float64) map[string]float64 {
 	if eps == nil {
 		eps = Epsilons
 	}
-	points := p.bp.Points()
+	points := p.Curve()
 	out := make(map[string]float64, len(eps))
 	for _, e := range eps {
 		threshold := e * float64(p.edges)

@@ -184,3 +184,53 @@ func TestTableHeavierConvenience(t *testing.T) {
 		t.Fatalf("Heavier = %v, want %v", got, want)
 	}
 }
+
+// TestOrderKeysMatchHeavier: sorting EdgeIDs by (OrderKeys()[id], id)
+// ascending gives exactly the order sorting WeightKeys by Heavier
+// gives, on tables with many exact weight ties. Repair queues and the
+// LIC sort order EdgeIDs this way in place of comparing WeightKeys, so
+// a tie the packed key broke differently would reorder them.
+func TestOrderKeysMatchHeavier(t *testing.T) {
+	byID := pref.MetricFunc(func(i, j graph.NodeID) float64 { return -float64(j) })
+	tied := func(g *graph.Graph, b int) *pref.System {
+		s, err := pref.Build(g, byID, pref.UniformQuota(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	systems := map[string]*pref.System{
+		"complete12": tied(gen.Complete(12), 2),
+		"ring30":     tied(gen.Ring(30), 1),
+		"grid6x7":    tied(gen.Grid(6, 7), 2),
+		"random":     randomSystem(t, 41, 40, 0.2, 2),
+	}
+	for name, s := range systems {
+		tbl := NewTable(s)
+		g := s.Graph()
+		ord := tbl.OrderKeys()
+		ids := make([]graph.EdgeID, g.NumEdges())
+		keys := make([]WeightKey, g.NumEdges())
+		for i := range ids {
+			ids[i] = graph.EdgeID(i)
+			keys[i] = tbl.KeyByID(graph.EdgeID(i))
+		}
+		sort.Slice(ids, func(i, j int) bool {
+			a, b := ids[i], ids[j]
+			return ord[a] < ord[b] || ord[a] == ord[b] && a < b
+		})
+		sort.Slice(keys, func(i, j int) bool { return keys[i].Heavier(keys[j]) })
+		ties := 0
+		for i, id := range ids {
+			if got, want := g.EdgeByID(id), keys[i].Edge(); got != want {
+				t.Fatalf("%s: position %d holds %v by order key, %v by Heavier", name, i, got, want)
+			}
+			if i > 0 && keys[i].W == keys[i-1].W {
+				ties++
+			}
+		}
+		if name != "random" && ties == 0 {
+			t.Fatalf("%s: no weight ties, so the tie-break went untested", name)
+		}
+	}
+}
