@@ -176,20 +176,6 @@ type Node struct {
 	state     []neighborState // indexed by weight-list position
 	alive     bool
 
-	// scanFrom is the propose-scan cursor: every weight-list position
-	// before it is in the scan's skip set, so proposeMore/proposeRematch
-	// resume there instead of re-walking the heavy prefix on every
-	// repair event. The invariant is maintained by wake(): every state
-	// transition that can lift a position out of its skip set rewinds
-	// the cursor to that position (and epoch-level resets rewind to 0),
-	// so the cursored scan is behavior-identical to the full scan — same
-	// proposals, same messages, same order. The skip sets differ by
-	// mode: Complete may pass connected/pending/declined positions (its
-	// slot budget is computed globally), Rematch only dead and declined
-	// ones (held and pending positions consume its rank budget, so the
-	// scan must still visit them).
-	scanFrom int32
-
 	// Per-pair wire sequencing (see Msg.Seq), indexed by weight-list
 	// position. Never reset, not even across leave/rejoin, so
 	// receivers' high-water marks stay valid.
@@ -242,15 +228,6 @@ func NewNodeMode(s *pref.System, tbl *satisfaction.Table, id graph.NodeID, initi
 		n.state[p].connected = true
 	}
 	return n
-}
-
-// wake rewinds the propose-scan cursor to position p: some transition
-// just made p potentially proposable again (or moved it between skip
-// classes — rewinding is always safe, never rewinding is not).
-func (n *Node) wake(p int32) {
-	if p < n.scanFrom {
-		n.scanFrom = p
-	}
 }
 
 // posOf locates v's weight-list position through the shared CSR index
@@ -446,7 +423,6 @@ func (n *Node) HandleRestore(ctx simnet.Context, peer int) {
 	ns.pending = false
 	ns.declined = false
 	ns.waiting = false
-	n.wake(p)
 	n.sendMsg(ctx, p, kHello)
 }
 
@@ -473,7 +449,6 @@ func (n *Node) leave(ctx simnet.Context) {
 		ns.declined = false
 		ns.waiting = false
 	}
-	n.scanFrom = 0
 }
 
 // join processes a CmdJoin.
@@ -493,7 +468,6 @@ func (n *Node) join(ctx simnet.Context) {
 		ns.waiting = false
 		n.sendMsg(ctx, int32(i), kHello)
 	}
-	n.scanFrom = 0
 }
 
 // onBye: the neighbor left.
@@ -506,7 +480,6 @@ func (n *Node) onBye(ctx simnet.Context, p int32) {
 	ns.pending = false
 	ns.declined = false
 	ns.waiting = false
-	n.wake(p)
 	if freed {
 		// Capacity gained: new repair epoch.
 		n.newEpoch(ctx)
@@ -531,7 +504,6 @@ func (n *Node) onHello(ctx simnet.Context, p int32) {
 	ns.pending = false
 	ns.declined = false
 	ns.waiting = false
-	n.wake(p)
 	n.sendMsg(ctx, p, kHelloAck)
 	if freed {
 		n.newEpoch(ctx)
@@ -544,7 +516,6 @@ func (n *Node) onHello(ctx simnet.Context, p int32) {
 // onHelloAck: our HELLO was answered; the sender is alive.
 func (n *Node) onHelloAck(ctx simnet.Context, p int32) {
 	n.state[p].alive = true
-	n.wake(p)
 	n.proposeMore(ctx)
 }
 
@@ -558,7 +529,6 @@ func (n *Node) onHelloAck(ctx simnet.Context, p int32) {
 func (n *Node) onProp(ctx simnet.Context, fromPos int32, p uint32) {
 	ns := &n.state[fromPos]
 	ns.alive = true
-	n.wake(fromPos) // the sender is audibly alive and interacting
 	if ns.connected {
 		if n.mode == Rematch && p < ns.connVer {
 			// The proposal predates our current connection incarnation
@@ -657,7 +627,6 @@ func (n *Node) onAccept(ctx simnet.Context, p int32, v uint32) {
 		ns.pending = false
 		ns.connected = true
 		ns.connVer = v
-		n.wake(p)
 		if n.mode == Rematch {
 			// Crossing accepts can overfill the quota; shed the worst.
 			n.enforceQuota(ctx)
@@ -701,7 +670,6 @@ func (n *Node) onDrop(ctx simnet.Context, p int32, v uint32) {
 		// pair is a decline.
 		ns.pending = false
 		ns.declined = true
-		n.wake(p)
 		n.proposeMore(ctx)
 		return
 	}
@@ -716,7 +684,6 @@ func (n *Node) onDrop(ctx simnet.Context, p int32, v uint32) {
 		n.state[i].declined = false
 	}
 	ns.declined = true
-	n.scanFrom = 0 // declined memory cleared everywhere: full rescan
 	n.proposeMore(ctx)
 }
 
@@ -728,7 +695,6 @@ func (n *Node) onDecline(ctx simnet.Context, p int32, v uint32) {
 	}
 	ns.pending = false
 	ns.declined = true
-	n.wake(p)
 	n.proposeMore(ctx)
 }
 
@@ -748,7 +714,6 @@ func (n *Node) newEpoch(ctx simnet.Context) {
 	for i := range n.state {
 		n.state[i].declined = false
 	}
-	n.scanFrom = 0
 	n.proposeMore(ctx)
 }
 
@@ -787,18 +752,8 @@ func (n *Node) proposeMore(ctx simnet.Context) {
 	if free <= 0 {
 		return
 	}
-	// Resume at the cursor: the prefix holds only dead, connected,
-	// pending, or declined-and-not-waiting positions (all skip classes
-	// here — the slot budget was computed globally above), and every
-	// exit from those classes rewinds via wake. Every position this
-	// scan visits lands in a skip class too (proposing makes it
-	// pending), so the cursor simply tracks the scan.
-	for i := int(n.scanFrom); i < len(n.order); i++ {
-		if free == 0 {
-			return
-		}
+	for i := 0; i < len(n.order) && free > 0; i++ {
 		ns := &n.state[i]
-		n.scanFrom = int32(i + 1)
 		// A declined candidate is retried only if it asked us since (we
 		// owe the freed capacity to waiters); otherwise skip until an
 		// epoch clears the flag.
@@ -820,28 +775,15 @@ func (n *Node) proposeMore(ctx simnet.Context) {
 // even when the quota is full — acceptance there preempts the worst.
 func (n *Node) proposeRematch(ctx simnet.Context) {
 	budget := n.quota
-	// Resume at the cursor. Unlike the Complete scan, held and pending
-	// positions consume the rank budget, so the cursor may only pass
-	// budget-neutral skips (dead, or declined without a waiter claim) —
-	// the first budget-consuming position pins it.
-	contig := true
-	for i := int(n.scanFrom); i < len(n.order); i++ {
-		if budget <= 0 {
-			return
-		}
+	for i := 0; i < len(n.order) && budget > 0; i++ {
 		ns := &n.state[i]
 		if ns.connected || ns.pending {
-			contig = false
 			budget--
 			continue
 		}
 		if !ns.alive || (ns.declined && !ns.waiting) {
-			if contig {
-				n.scanFrom = int32(i + 1)
-			}
 			continue
 		}
-		contig = false
 		ns.pending = true
 		ns.waiting = false
 		ns.ver++
@@ -869,7 +811,6 @@ func (n *Node) worstConnected() (int32, bool) {
 func (n *Node) dropConnection(ctx simnet.Context, p int32) {
 	ns := &n.state[p]
 	ns.connected = false
-	n.wake(p)
 	n.Preemptions++
 	n.sendMsgVer(ctx, p, kDrop, ns.connVer)
 }

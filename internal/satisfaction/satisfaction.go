@@ -358,18 +358,6 @@ func (t *Table) SortedIncident(s *pref.System, u graph.NodeID) []graph.EdgeID {
 	return t.sortedInc[off : int(off)+t.g.Degree(u)]
 }
 
-// SortedIndex returns the position of neighbor v in u's weight list
-// (the inverse of SortedNeighbors); shared and read-only like the
-// lists themselves. It panics if v is not a neighbor of u.
-func (t *Table) SortedIndex(s *pref.System, u, v graph.NodeID) int32 {
-	t.buildSorted(s)
-	k, ok := t.g.NeighborIndex(u, v)
-	if !ok {
-		panic(fmt.Sprintf("satisfaction: %d is not a neighbor of %d", v, u))
-	}
-	return t.posInSorted[t.g.IncidenceOffset(u)+int32(k)]
-}
-
 // WeightListPos returns u's full CSR-aligned position table: entry k is
 // the weight-list position of Neighbors(u)[k] (shared, read-only).
 // Protocol nodes use it as their neighbor→weight-list index, replacing
