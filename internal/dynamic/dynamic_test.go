@@ -216,6 +216,31 @@ func rebuilt(tb testing.TB, s *pref.System, edit func(lists [][]graph.NodeID, qu
 	return s2
 }
 
+// partialRerank rebuilds s with a sparse subset of nodes changed: every
+// seventh node's quota is cut to 1 and a disjoint eleventh of the lists
+// is reversed. It returns the new system and the nodes it changed.
+func partialRerank(tb testing.TB, s *pref.System) (*pref.System, []graph.NodeID) {
+	tb.Helper()
+	var dirty []graph.NodeID
+	cut := rebuilt(tb, s, func(lists [][]graph.NodeID, quotas []int) {
+		for x := range lists {
+			switch {
+			case x%7 == 0:
+				quotas[x] = 1
+			case x%11 == 3:
+				l := lists[x]
+				for a, b := 0, len(l)-1; a < b; a, b = a+1, b-1 {
+					l[a], l[b] = l[b], l[a]
+				}
+			default:
+				continue
+			}
+			dirty = append(dirty, x)
+		}
+	})
+	return cut, dirty
+}
+
 // rerank submits a rerank at the engine's clock and drains it,
 // returning the epoch's record.
 func rerank(tb testing.TB, e *Engine, s2 *pref.System, dirty []graph.NodeID) EpochRecord {

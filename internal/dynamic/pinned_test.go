@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
-
-	"overlaymatch/internal/graph"
 )
 
 // TestEngineRecordsPinned pins the engine's observable output on fixed
@@ -41,37 +39,21 @@ func TestEngineRecordsPinned(t *testing.T) {
 		want map[string]uint64
 	}{
 		{77, 90, 0.08, 2, map[string]uint64{
-			"full": 0xd646edea7c48d710, "k1": 0x304ef083a886e089,
-			"shed2": 0xb0ef71c5d7c7cef9, "complete": 0x0f11175f2a21ee16,
-			"stability": 0xb7900b6fcc1d1e4b, "stability-k1": 0x4607ea852ad95ff2,
-			"stability-complete": 0x32c72781d3ad93ae,
+			"full": 0xd4d0e136804ea152, "k1": 0xc32b115140a88e73,
+			"shed2": 0x7a16c5634754e4a9, "complete": 0x6eea833c87c2437c,
+			"stability": 0xc31e48f6ef32f7ac, "stability-k1": 0xcb9dae1979106a9c,
+			"stability-complete": 0x64f02470429277c7,
 		}},
 		{78, 300, 0.03, 3, map[string]uint64{
-			"full": 0x9c298044ce581f49, "k1": 0xa65286ffa872effb,
-			"shed2": 0x837209764a6075a3, "complete": 0x547c573e0b5c15b3,
-			"stability": 0x21cd7dd0873d5603, "stability-k1": 0x222404b3f4976af4,
-			"stability-complete": 0x57556817785c0019,
+			"full": 0x314bf9a065694c7d, "k1": 0x013a3ea856d5073b,
+			"shed2": 0x376304a28ad827d2, "complete": 0x7bf60ce362ef6f6f,
+			"stability": 0x74fb1bbf4d1646d7, "stability-k1": 0x0c6f1a4dbeca5f97,
+			"stability-complete": 0xd85c4f11ab66bd7a,
 		}},
 	}
 	for _, in := range instances {
 		base := randomSystem(t, in.seed, in.n, in.p, in.b)
-		var dirty []graph.NodeID
-		cut := rebuilt(t, base, func(lists [][]graph.NodeID, quotas []int) {
-			for x := range lists {
-				switch {
-				case x%7 == 0:
-					quotas[x] = 1
-				case x%11 == 3:
-					l := lists[x]
-					for a, b := 0, len(l)-1; a < b; a, b = a+1, b-1 {
-						l[a], l[b] = l[b], l[a]
-					}
-				default:
-					continue
-				}
-				dirty = append(dirty, x)
-			}
-		})
+		cut, dirty := partialRerank(t, base)
 		feed, err := ChurnSpec{Events: 160, LeaveProb: 0.55, MinAlive: in.n / 4, Rate: 0.6}.Schedule(in.n, in.seed)
 		if err != nil {
 			t.Fatal(err)
