@@ -92,7 +92,8 @@ bench:
 # iteration counts. The LIDCanonical/LIDGreedy rows run the same LID
 # workload under canonical and greedy admission (the message-count delta
 # is the scheduler's payoff); the *Par benchmarks sweep worker counts
-# 1/2/4 (the workload columns must be identical at each count).
+# 1/2/4, a constant in cmd/benchjson (the workload columns must be
+# identical at each count, and bench-check measures the same sweep).
 # BENCH_PR24.json is the current point: its "before" rows measure the
 # churn engine repairing through WeightKeys, a container/heap queue and
 # a push-set map per epoch, its "after" rows the engine repairing in
@@ -100,7 +101,7 @@ bench:
 # rewrites its "after" rows. BENCH_PR4.json through BENCH_PR22.json stay
 # committed as the earlier points of the trajectory.
 bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_PR24.json -phase after -merge -workers-sweep 1,2,4
+	$(GO) run ./cmd/benchjson -out BENCH_PR24.json -phase after -merge
 
 # Benchmark regression gate: fresh -quick measurements must stay within
 # tolerance of the "after" rows of the committed BENCH_PR24.json

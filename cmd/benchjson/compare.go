@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Absolute slack added on top of the percentage tolerance, so rows
@@ -36,11 +35,11 @@ type rowKey struct {
 //     bug, not a perf regression ("workers" is exempt: it names the
 //     sweep point, not the workload).
 //
-// ns_per_op is hardware-dependent: it is gated only when nsTolPct > 0
-// and otherwise reported as a note. Baseline rows with no fresh
-// counterpart (and vice versa) are notes, never failures, so -quick
-// runs can gate against full baselines.
-func compareRows(baseline, fresh []Row, tolPct, nsTolPct float64) (failures, notes []string) {
+// ns_per_op is hardware-dependent and reported as a note; the bench/
+// module gates wall clock. Baseline rows with no fresh counterpart
+// (and vice versa) are notes, never failures, so -quick runs can gate
+// against full baselines.
+func compareRows(baseline, fresh []Row, tolPct float64) (failures, notes []string) {
 	byKey := make(map[rowKey]Row, len(fresh))
 	for _, r := range fresh {
 		byKey[rowKey{r.Name, r.N, r.Phase, r.Workers}] = r
@@ -65,9 +64,7 @@ func compareRows(baseline, fresh []Row, tolPct, nsTolPct float64) (failures, not
 		}
 		gate("allocs_per_op", old.AllocsPerOp, cur.AllocsPerOp, allocSlack)
 		gate("b_per_op", old.BPerOp, cur.BPerOp, byteSlack)
-		if nsTolPct > 0 {
-			gate("ns_per_op", old.NsPerOp, cur.NsPerOp, 0)
-		} else if old.NsPerOp > 0 {
+		if old.NsPerOp > 0 {
 			notes = append(notes, fmt.Sprintf("%s: ns/op %.0f -> %.0f (%+.1f%%, not gated)",
 				label, old.NsPerOp, cur.NsPerOp, 100*(cur.NsPerOp-old.NsPerOp)/old.NsPerOp))
 		}
@@ -159,24 +156,4 @@ func sortedMetricNames(m map[string]float64) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// parseWorkersSweep parses the -workers-sweep flag ("1,2,4").
-func parseWorkersSweep(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		w, err := strconv.Atoi(f)
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("benchjson: bad -workers-sweep entry %q", f)
-		}
-		out = append(out, w)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("benchjson: -workers-sweep is empty")
-	}
-	return out, nil
 }

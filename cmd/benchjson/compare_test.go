@@ -1,6 +1,12 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -17,7 +23,7 @@ func TestCompareRowsDetectsAllocRegression(t *testing.T) {
 	// 10 → 20 allocs/op is a 100% regression: past 25% tolerance plus
 	// the 2-alloc slack.
 	fresh := []Row{mkRow("LIC", 1000, 0, 100, 1000, 20, nil)}
-	failures, _ := compareRows(base, fresh, 25, 0)
+	failures, _ := compareRows(base, fresh, 25)
 	if len(failures) != 1 || !strings.Contains(failures[0], "allocs_per_op") {
 		t.Fatalf("expected one allocs_per_op failure, got %v", failures)
 	}
@@ -32,7 +38,7 @@ func TestCompareRowsRespectsToleranceAndSlack(t *testing.T) {
 		mkRow("LIC", 1000, 0, 500, 1200, 12, nil), // +20% < 25% tolerance; ns 5x not gated
 		mkRow("Sort", 1000, 0, 100, 48, 1.5, nil), // within absolute slack (2 allocs / 64 B)
 	}
-	failures, notes := compareRows(base, fresh, 25, 0)
+	failures, notes := compareRows(base, fresh, 25)
 	if len(failures) != 0 {
 		t.Fatalf("expected no failures, got %v", failures)
 	}
@@ -47,21 +53,12 @@ func TestCompareRowsRespectsToleranceAndSlack(t *testing.T) {
 	}
 }
 
-func TestCompareRowsGatesNsWhenAsked(t *testing.T) {
-	base := []Row{mkRow("LIC", 1000, 0, 100, 1000, 10, nil)}
-	fresh := []Row{mkRow("LIC", 1000, 0, 500, 1000, 10, nil)}
-	failures, _ := compareRows(base, fresh, 25, 50)
-	if len(failures) != 1 || !strings.Contains(failures[0], "ns_per_op") {
-		t.Fatalf("expected one ns_per_op failure with -ns-tolerance 50, got %v", failures)
-	}
-}
-
 func TestCompareRowsDetectsWorkloadDrift(t *testing.T) {
 	base := []Row{mkRow("LIC", 1000, 0, 100, 1000, 10,
 		map[string]float64{"edges": 4000, "matched": 900, "workers": 8})}
 	fresh := []Row{mkRow("LIC", 1000, 0, 100, 1000, 10,
 		map[string]float64{"matched": 901, "workers": 2})}
-	failures, _ := compareRows(base, fresh, 25, 0)
+	failures, _ := compareRows(base, fresh, 25)
 	// "edges" disappeared and "matched" drifted; "workers" is exempt.
 	if len(failures) != 2 {
 		t.Fatalf("expected 2 failures (missing metric + drift), got %v", failures)
@@ -92,7 +89,7 @@ func TestMatchBaselineWorkersFallback(t *testing.T) {
 			t.Fatalf("row %d: expected fallback to workers=0, got %d", i, r.Workers)
 		}
 	}
-	failures, _ := compareRows(base, adj, 25, 0)
+	failures, _ := compareRows(base, adj, 25)
 	if len(failures) != 1 || !strings.Contains(failures[0], "allocs_per_op") {
 		t.Fatalf("expected the regressed swept row to fail vs the workers=0 baseline, got %v", failures)
 	}
@@ -126,7 +123,7 @@ func TestMatchBaselineNeverCrossesWorkerCounts(t *testing.T) {
 	if adj[0].Workers != 8 {
 		t.Fatalf("swept family: fresh w=8 row must keep its key, got workers=%d", adj[0].Workers)
 	}
-	failures, notes := compareRows(base, adj, 25, 0)
+	failures, notes := compareRows(base, adj, 25)
 	if len(failures) != 0 {
 		t.Fatalf("a worker count the baseline never measured must not gate, got %v", failures)
 	}
@@ -163,7 +160,7 @@ func TestCompareRowsMissingRowsAreNotes(t *testing.T) {
 		mkRow("LIC", 1000, 0, 100, 1000, 10, nil),
 		mkRow("NewThing", 1000, 0, 100, 1000, 10, nil), // no baseline yet
 	}
-	failures, notes := compareRows(base, fresh, 25, 0)
+	failures, notes := compareRows(base, fresh, 25)
 	if len(failures) != 0 {
 		t.Fatalf("coverage gaps must be notes, not failures: %v", failures)
 	}
@@ -173,14 +170,47 @@ func TestCompareRowsMissingRowsAreNotes(t *testing.T) {
 	}
 }
 
-func TestParseWorkersSweep(t *testing.T) {
-	got, err := parseWorkersSweep("1, 2,4")
-	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 4 {
-		t.Fatalf("parseWorkersSweep: got %v, %v", got, err)
+// TestSweepMatchesGatedBaseline: a gate run compares a *Par row only
+// at a worker count its baseline holds, so the after-phase *Par rows
+// of the file `make bench-check` gates against must hold exactly
+// workerSweep in every family. The sweep {8} must fail the check, or a
+// gate that drifts off its baseline would pass it.
+func TestSweepMatchesGatedBaseline(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", gatedFile))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, bad := range []string{"", "0", "x", "2,-1"} {
-		if _, err := parseWorkersSweep(bad); err == nil {
-			t.Fatalf("parseWorkersSweep(%q): expected error", bad)
+	var f File
+	if err := json.Unmarshal(raw, &f); err != nil {
+		t.Fatal(err)
+	}
+	if err := sweepMismatch(f.Rows, workerSweep); err != nil {
+		t.Fatalf("%s: %v", gatedFile, err)
+	}
+	if sweepMismatch(f.Rows, []int{8}) == nil {
+		t.Fatalf("%s: the sweep {8} matched its *Par rows", gatedFile)
+	}
+}
+
+// sweepMismatch names a (name, n) family of after-phase *Par rows
+// whose worker counts are not exactly sweep.
+func sweepMismatch(rows []Row, sweep []int) error {
+	fams := make(map[famKey][]int)
+	for _, r := range rows {
+		if r.Phase == "after" && strings.HasSuffix(r.Name, "Par") {
+			fam := famKey{r.Name, r.N, r.Phase}
+			fams[fam] = append(fams[fam], r.Workers)
 		}
 	}
+	if len(fams) == 0 {
+		return errors.New("no after-phase *Par rows")
+	}
+	want := slices.Clone(sweep)
+	slices.Sort(want)
+	for fam, ws := range fams {
+		if slices.Sort(ws); !slices.Equal(ws, want) {
+			return fmt.Errorf("%s/n=%d holds workers %v, the sweep is %v", fam.Name, fam.N, ws, want)
+		}
+	}
+	return nil
 }

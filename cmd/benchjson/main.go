@@ -15,11 +15,12 @@
 // Regression-gate mode: -compare old.json measures fresh rows and
 // gates them against the baseline file instead of writing output —
 // allocation figures within -tolerance percent, workload metrics
-// exactly equal, ns/op report-only unless -ns-tolerance is set (see
-// compareRows). Non-zero exit on any regression; `make bench-check`
-// wires this into CI. -quick drops the slowest tiers so the gate runs
-// in seconds; -workers-sweep measures the *Par rows at several worker
-// counts (their workload output must be identical at every count).
+// exactly equal, ns/op report-only (see compareRows; wall clock is
+// gated by the bench/ module). Non-zero exit on any regression;
+// `make bench-check` wires this into CI. -quick drops the slowest
+// tiers so the gate runs in seconds. The *Par rows are measured at
+// each count of workerSweep (their workload output must be identical
+// at every count).
 package main
 
 import (
@@ -65,8 +66,17 @@ type File struct {
 	Rows    []Row  `json:"rows"`
 }
 
-// benchSystem is the workload of the root bench_test.go harness at
-// average degree 8.
+// gatedFile is the baseline `make bench-check` gates against and the
+// default output `make bench-json` rewrites.
+const gatedFile = "BENCH_PR24.json"
+
+// workerSweep is the worker counts the *Par rows are measured at. It
+// is the sweep gatedFile was written with, so a gate run measures
+// every *Par row the baseline holds.
+var workerSweep = []int{1, 2, 4}
+
+// benchSystem is the standard benchmark workload: the G(n,p) instance
+// of workload.OracleGNP at average degree 8.
 func benchSystem(seed uint64, n int, bq int) *pref.System {
 	s, err := workload.OracleGNP(seed, n, 8.0/float64(n-1), bq)
 	if err != nil {
@@ -94,10 +104,10 @@ func measure(iters int, fn func()) (nsPerOp, bPerOp, allocsPerOp float64) {
 		float64(m1.Mallocs-m0.Mallocs) / fi
 }
 
-// runBenchmarks measures the full row set. sweep is the worker counts
-// the *Par rows are measured at; quick drops the n=100000 tier and the
-// larger LICLiteral size so the regression gate runs in seconds.
-func runBenchmarks(phase string, sweep []int, quick bool) []Row {
+// runBenchmarks measures the full row set. quick drops the n=100000
+// tier and the larger LICLiteral size so the regression gate runs in
+// seconds.
+func runBenchmarks(phase string, quick bool) []Row {
 	var rows []Row
 	add := func(name string, n, workers, iters int, metrics map[string]float64, fn func()) {
 		ns, b, allocs := measure(iters, fn)
@@ -151,7 +161,7 @@ func runBenchmarks(phase string, sweep []int, quick bool) []Row {
 			}
 			matching.SortEdgeIDs(ids, tbl.OrderKeys(), 1)
 		})
-		for _, workers := range sweep {
+		for _, workers := range workerSweep {
 			metPar := map[string]float64{
 				"edges":   float64(g.NumEdges()),
 				"matched": float64(m.Size()),
@@ -347,22 +357,15 @@ func runBenchmarks(phase string, sweep []int, quick bool) []Row {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_PR24.json", "output file")
+	out := flag.String("out", gatedFile, "output file")
 	phase := flag.String("phase", "after", "phase tag for the emitted rows (before|after)")
 	merge := flag.Bool("merge", true, "keep rows of other phases already in the output file")
-	sweepFlag := flag.String("workers-sweep", "8", "comma-separated worker counts for the *Par rows (workload output must be identical at every count)")
 	quick := flag.Bool("quick", false, "drop the slowest tiers (n=100000 and LICLiteral n=3000)")
 	compare := flag.String("compare", "", "baseline JSON to gate fresh measurements against instead of writing -out; exits 1 on regression")
 	tolerance := flag.Float64("tolerance", 25, "allowed regression of allocs_per_op and b_per_op vs -compare, in percent")
-	nsTolerance := flag.Float64("ns-tolerance", 0, "allowed ns/op regression in percent; 0 (the default) reports wall clock without gating it, since it is hardware-dependent")
 	flag.Parse()
 
-	sweep, err := parseWorkersSweep(*sweepFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	rows := runBenchmarks(*phase, sweep, *quick)
+	rows := runBenchmarks(*phase, *quick)
 
 	if *compare != "" {
 		raw, err := os.ReadFile(*compare)
@@ -380,7 +383,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", *compare, err)
 			os.Exit(2)
 		}
-		failures, notes := compareRows(baseline.Rows, adjusted, *tolerance, *nsTolerance)
+		failures, notes := compareRows(baseline.Rows, adjusted, *tolerance)
 		for _, n := range notes {
 			fmt.Printf("note: %s\n", n)
 		}

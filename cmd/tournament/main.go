@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -54,8 +55,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *probeIv < 0 {
-		fmt.Fprintln(stderr, "tournament: -probe-interval must be non-negative")
+	if !(*probeIv >= 0) || math.IsInf(*probeIv, 1) {
+		fmt.Fprintf(stderr, "tournament: -probe-interval must be non-negative and finite, got %v\n", *probeIv)
 		return 2
 	}
 	if *list {

@@ -113,8 +113,10 @@ func TestBadFlagsAndSpecs(t *testing.T) {
 	if _, _, code := runCLI(t, "-scenarios", "swarm:radius=2"); code != 2 {
 		t.Fatalf("inapplicable key: exit %d, want 2", code)
 	}
-	if _, _, code := runCLI(t, "-probe-interval", "-1"); code != 2 {
-		t.Fatalf("negative probe interval: exit %d, want 2", code)
+	for _, iv := range []string{"-1", "NaN", "+Inf", "-Inf"} {
+		if _, errb, code := runCLI(t, "-probe-interval", iv); code != 2 || !strings.Contains(errb, "non-negative and finite") {
+			t.Fatalf("probe interval %s: exit %d (%s), want 2", iv, code, errb)
+		}
 	}
 	if _, errb, code := runCLI(t, "-scenarios", "   /  "); code != 2 || !strings.Contains(errb, "no scenarios") {
 		t.Fatalf("empty list: exit %d (%s)", code, errb)

@@ -20,9 +20,6 @@ type ExploreOptions struct {
 	// Workers bounds trial parallelism (0 = 4). Trials are independent;
 	// the report is deterministic regardless of worker count.
 	Workers int
-	// MaxShrinkRuns caps re-executions per violation during
-	// minimization (0 = 500).
-	MaxShrinkRuns int
 	// MaxViolations stops the sweep early once this many failures are
 	// in hand (0 = 16) — shrinking dominates cost, not finding.
 	MaxViolations int
@@ -33,13 +30,6 @@ func (o ExploreOptions) workers() int {
 		return o.Workers
 	}
 	return 4
-}
-
-func (o ExploreOptions) maxShrinkRuns() int {
-	if o.MaxShrinkRuns > 0 {
-		return o.MaxShrinkRuns
-	}
-	return 500
 }
 
 func (o ExploreOptions) maxViolations() int {
@@ -152,8 +142,9 @@ func Explore(opts ExploreOptions, trial Trial) Report {
 	if len(violations) > opts.maxViolations() {
 		violations = violations[:opts.maxViolations()]
 	}
+	const maxShrinkRuns = 500 // re-executions per violation
 	for _, v := range violations {
-		min, runs := Shrink(opts.Spec, v.seed, v.events, trial, opts.maxShrinkRuns())
+		min, runs := Shrink(opts.Spec, v.seed, v.events, trial, maxShrinkRuns)
 		// Minimization may land on a different (smaller) failure than
 		// the recorded one; report the error the minimized schedule
 		// actually produces so a frozen replay file is self-consistent.

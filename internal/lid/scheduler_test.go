@@ -314,23 +314,3 @@ func TestGreedyAdmitterCoversAllNodes(t *testing.T) {
 		t.Fatal("greedy LID != LIC on the path-with-isolates instance")
 	}
 }
-
-func BenchmarkSchedulers(b *testing.B) {
-	for _, sched := range []SchedulerSpec{{Kind: SchedCanonical}, {Kind: SchedGreedy}} {
-		b.Run(sched.String(), func(b *testing.B) {
-			src := rng.New(11)
-			g := gen.GNP(src, 2000, 8.0/1999)
-			s, err := pref.Build(g, pref.NewRandomMetric(src.Split()), pref.UniformQuota(3))
-			if err != nil {
-				b.Fatal(err)
-			}
-			tbl := satisfaction.NewTable(s)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(s, tbl, simnet.Event(simnet.Options{Seed: 11}), RunOptions{Scheduler: sched}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

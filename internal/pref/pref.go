@@ -55,12 +55,6 @@ func (s *System) Rank(i, j graph.NodeID) int {
 	return int(s.rank[s.g.IncidenceOffset(i)+int32(k)])
 }
 
-// RankAt returns Ri(adj(i)[k]) for neighbor position k of node i — the
-// map-free rank lookup for callers already iterating CSR adjacency.
-func (s *System) RankAt(i graph.NodeID, k int) int {
-	return int(s.rank[s.g.IncidenceOffset(i)+int32(k)])
-}
-
 // Quota returns bi, node i's connection quota.
 func (s *System) Quota(i graph.NodeID) int { return s.quota[i] }
 

@@ -53,7 +53,7 @@ func TestAdaptiveRTOEstimation(t *testing.T) {
 	if got := e.rtoFor(1, 1); got != 12 {
 		t.Fatalf("adaptive rto = %v, want srtt+4*rttvar = 12", got)
 	}
-	// Exponential backoff doubles per retry and caps at MaxRTO (16*RTO).
+	// Exponential backoff doubles per retry and caps at 16*RTO.
 	if got := e.rtoFor(1, 3); got != 48 {
 		t.Fatalf("backed-off rto = %v, want 48", got)
 	}

@@ -92,19 +92,15 @@ type Config struct {
 	// Adaptive enables RFC-6298-style RTO estimation: SRTT/RTTVAR per
 	// peer fed by acknowledged first transmissions (Karn's rule —
 	// retransmitted frames never produce samples), plus exponential
-	// backoff per retry, capped at MaxRTO. On a runtime without a
-	// clock (Context.Time reporting 0) no samples accumulate and the
-	// static RTO is used, still with backoff.
+	// backoff per retry; the estimate is clamped to [1, 16×RTO] and
+	// the backoff capped at 16×RTO. On a runtime without a clock
+	// (Context.Time reporting 0) no samples accumulate and the static
+	// RTO is used, still with backoff.
 	Adaptive bool
-	// MinRTO clamps the adaptive estimate from below (default 1).
-	MinRTO float64
-	// MaxRTO caps estimate and backoff (default 16×RTO).
-	MaxRTO float64
 }
 
 // Validate checks the config of a stacked layer: RTO finite and
-// positive, MaxRetries non-negative, MinRTO and MaxRTO finite and
-// non-negative (zero takes the default). Positive tests reject NaN
+// positive, MaxRetries non-negative. The positive test rejects NaN
 // with the rest.
 func (c Config) Validate() error {
 	if !(c.RTO > 0) || math.IsInf(c.RTO, 1) {
@@ -113,27 +109,7 @@ func (c Config) Validate() error {
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("reliable: max retries %d must be non-negative", c.MaxRetries)
 	}
-	if !(c.MinRTO >= 0) || math.IsInf(c.MinRTO, 1) {
-		return fmt.Errorf("reliable: min rto=%v must be non-negative and finite", c.MinRTO)
-	}
-	if !(c.MaxRTO >= 0) || math.IsInf(c.MaxRTO, 1) {
-		return fmt.Errorf("reliable: max rto=%v must be non-negative and finite", c.MaxRTO)
-	}
 	return nil
-}
-
-func (c Config) minRTO() float64 {
-	if c.MinRTO > 0 {
-		return c.MinRTO
-	}
-	return 1
-}
-
-func (c Config) maxRTO() float64 {
-	if c.MaxRTO > 0 {
-		return c.MaxRTO
-	}
-	return 16 * c.RTO
 }
 
 // Endpoint wraps an inner protocol handler with reliable delivery.
@@ -258,19 +234,20 @@ func (e *Endpoint) Down(peer int) bool { return e.down[peer] }
 // rtoFor computes the timeout armed for the given transmission attempt
 // (1 = first send). The static path is a constant — byte-identical to
 // the original scheme; the adaptive path uses SRTT + 4·RTTVAR when
-// samples exist, clamped to [MinRTO, MaxRTO], doubled per retry.
+// samples exist, clamped to [1, 16×RTO], doubled per retry.
 func (e *Endpoint) rtoFor(to, attempt int) float64 {
 	if !e.cfg.Adaptive {
 		return e.rto
 	}
+	const minRTO, maxRTOFactor = 1, 16
 	base := e.rto
 	if s, ok := e.srtt[to]; ok {
 		base = s + 4*e.rttvar[to]
 	}
-	if min := e.cfg.minRTO(); base < min {
-		base = min
+	if base < minRTO {
+		base = minRTO
 	}
-	max := e.cfg.maxRTO()
+	max := maxRTOFactor * e.rto
 	for i := 1; i < attempt && base < max; i++ {
 		base *= 2
 	}
