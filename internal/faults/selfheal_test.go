@@ -7,6 +7,7 @@ import (
 
 	"overlaymatch/internal/detector"
 	"overlaymatch/internal/dlid"
+	"overlaymatch/internal/lid"
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/robust"
 	"overlaymatch/internal/satisfaction"
@@ -107,6 +108,57 @@ func TestExploreClassifiesDegraded(t *testing.T) {
 	}
 	if rep.Degraded != rep.Trials {
 		t.Fatalf("only %d/%d trials classified degraded (%s)", rep.Degraded, rep.Trials, rep.Summary())
+	}
+}
+
+// TestBoundedRetryCapIsViolation: abandonment waives the LIC oracle,
+// never the termination guard. A bounded-retry LIDTrial whose run
+// abandons frames and then exceeds MaxDeliveries is a plain violation,
+// not a *DegradedError: a transport that gives up is supposed to
+// quiesce, so a run still going at the cap is the non-termination
+// failure the guard exists for.
+func TestBoundedRetryCapIsViolation(t *testing.T) {
+	w := workload.Synthetic{Topology: "gnp", Metric: "random", N: 20, B: 2, Seed: 9}
+	sys, err := w.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := satisfaction.NewTable(sys)
+	spec := Spec{Crashes: []Crash{{Start: 0, End: NoHeal, Node: 3}}}
+	const seed = 1
+	// run mirrors the trial's run: its latency, its injector stream and
+	// its stack, in Quiesce mode as bounded retries require.
+	run := func(limit int) (lid.Result, error) {
+		return lid.Run(sys, tbl, simnet.Event(simnet.Options{
+			Seed:          seed,
+			Latency:       simnet.ExponentialLatency(4),
+			Policy:        NewInjector(spec, injectionSeed(seed)),
+			MaxDeliveries: limit,
+			Quiesce:       true,
+		}), lid.RunOptions{Stack: stack.Spec{Reliable: reliable.Config{RTO: 20, MaxRetries: 3}}})
+	}
+	full, err := run(0)
+	if err != nil {
+		t.Fatalf("uncapped run: %v", err)
+	}
+	if reliable.TotalAbandoned(full.Layers.Endpoints) == 0 {
+		t.Fatal("the unhealed crash abandoned no frames")
+	}
+	// A cap one below the run's events fires at its last event, after
+	// the transport has abandoned frames.
+	limit := full.Stats.Deliveries + full.Stats.TimersFired - 1
+	capped, err := run(limit)
+	if err == nil {
+		t.Fatalf("a cap of %d events did not fire", limit)
+	}
+	if reliable.TotalAbandoned(capped.Layers.Endpoints) == 0 {
+		t.Fatal("the capped run abandoned no frames before the cap fired")
+	}
+	trial := LIDTrial(sys, TrialOptions{Reliable: true, RTO: 20, MaxRetries: 3, MaxDeliveries: limit})
+	verr := runTrial(trial, seed, NewInjector(spec, injectionSeed(seed)))
+	var de *DegradedError
+	if verr == nil || errors.As(verr, &de) {
+		t.Fatalf("capped bounded-retry run returned %v, want a plain violation", verr)
 	}
 }
 
