@@ -35,12 +35,12 @@ fmt-check:
 race-core: vet
 	$(GO) test -race -short ./internal/par/... ./internal/metrics/... ./internal/simnet/... ./internal/faults/... ./internal/detector/... ./internal/reliable/... ./internal/graph/... ./internal/pref/... ./internal/satisfaction/... ./internal/matching/... ./internal/lid/... ./internal/obs/... ./internal/workload/... ./internal/tournament/... ./internal/dynamic/... ./internal/transport/... ./internal/phased/... ./internal/robust/...
 
-# The protocol packages run on any simnet.Runtime, so none of them may
-# depend on the wall-clock runtime (internal/transport): only the
-# callers that pick a runtime import it. A failed `go list` fails the
-# leg too.
+# The protocol packages and the run recipe (internal/stack) run on any
+# simnet.Runtime, so none of them may depend on the wall-clock runtime
+# (internal/transport): only the callers that pick a runtime import
+# it. A failed `go list` fails the leg too.
 layering:
-	deps="$$($(GO) list -deps ./internal/lid ./internal/dlid ./internal/phased ./internal/robust ./internal/tournament ./internal/faults)" && \
+	deps="$$($(GO) list -deps ./internal/stack ./internal/lid ./internal/dlid ./internal/phased ./internal/robust ./internal/tournament ./internal/faults)" && \
 	! echo "$$deps" | grep -x overlaymatch/internal/transport
 
 # Every registered experiment must still run under quick parameters —

@@ -19,7 +19,6 @@ import (
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/robust"
-	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/stack"
 )
@@ -38,62 +37,37 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tbl := satisfaction.NewTable(sys)
 	adversaries := robust.FractionAdversaries(numPeers, crashFrac, robust.AdvCrash)
 
 	fmt.Printf("overlay: %d peers (%d crash-faulty), %d potential links\n",
 		numPeers, len(adversaries), g.NumEdges())
 	fmt.Printf("network: %.0f%% message loss, heavy-tailed latency\n\n", 100*lossRate)
 
-	// Assemble the stack: tolerant nodes (or adversaries) wrapped in
-	// reliability endpoints, over a lossy event-simulated network.
-	handlers := make([]simnet.Handler, numPeers)
-	var honest []*robust.TolerantNode
-	for id := 0; id < numPeers; id++ {
-		if _, bad := adversaries[id]; bad {
-			handlers[id] = robust.Crash{}
-			continue
-		}
-		n := robust.NewTolerantNode(sys, tbl, id, 500)
-		honest = append(honest, n)
-		handlers[id] = n
-	}
-	wrapped, layers := stack.Spec{Reliable: reliable.Config{RTO: 10}}.Wrap(g, handlers)
-	eps := layers.Endpoints
-	// The loss is a link policy with its own seeded coin stream.
-	runner := simnet.NewRunner(numPeers, simnet.Options{
+	// The scenario: tolerant nodes (or adversaries), each wrapped in a
+	// reliability endpoint, over a lossy event-simulated network. The
+	// loss is a link policy with its own seeded coin stream.
+	sc := robust.Scenario{System: sys, Adversaries: adversaries, Timeout: 500}
+	out, err := sc.Run(simnet.Event(simnet.Options{
 		Seed:    5,
 		Latency: simnet.ExponentialLatency(1.5),
 		Policy:  faults.NewInjector(faults.Spec{Drop: lossRate}, 6),
-	})
-	stats, err := runner.Run(wrapped)
+	}), stack.Options{Stack: stack.Spec{Reliable: reliable.Config{RTO: 10}}})
 	if err != nil {
 		log.Fatal(err)
 	}
 
+	eps := out.Layers.Endpoints
 	fmt.Printf("run quiesced: %d frames sent, %d dropped by the network,\n",
-		stats.TotalSent(), stats.Dropped)
+		out.Stats.TotalSent(), out.Stats.Dropped)
 	fmt.Printf("  %d retransmissions, %d duplicates suppressed by the substrate\n",
 		reliable.TotalRetransmits(eps), reliable.TotalDuplicates(eps))
+	fmt.Printf("  %d proposals revoked by timeout (crashed peers absorbed)\n\n", out.Revocations)
 
-	var revocations, connections int
-	var honestSat float64
-	for _, n := range honest {
-		revocations += n.Revocations
-		conns := n.Locked()
-		live := conns[:0]
-		for _, v := range conns {
-			if _, bad := adversaries[v]; !bad {
-				live = append(live, v)
-			}
-		}
-		connections += len(live)
-		honestSat += satisfaction.Value(sys, n.ID(), live)
-	}
-	fmt.Printf("  %d proposals revoked by timeout (crashed peers absorbed)\n\n", revocations)
-
+	honest := numPeers - len(adversaries)
 	fmt.Printf("honest peers: %d, connections: %d, total satisfaction %.2f (mean %.3f)\n",
-		len(honest), connections/2, honestSat, honestSat/float64(len(honest)))
+		honest, out.Matching.Size(), out.HonestSatisfaction, out.HonestSatisfaction/float64(honest))
+	fmt.Printf("clean run on the honest subgraph: total satisfaction %.2f (the hostile run keeps %.1f%%)\n",
+		out.BaselineSatisfaction, 100*out.HonestSatisfaction/out.BaselineSatisfaction)
 	fmt.Println("the same protocol deadlocks without timeouts and corrupts state without acks;")
 	fmt.Println("see internal/robust and internal/reliable tests for the proofs-by-simulation.")
 }

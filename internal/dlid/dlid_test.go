@@ -29,7 +29,7 @@ func TestNoEventsNoMessages(t *testing.T) {
 	// must stay completely silent (the matching is already maximal).
 	s := randomSystem(t, 1, 20, 0.4, 2)
 	tbl := satisfaction.NewTable(s)
-	res, err := Run(s, tbl, nil, simnet.Options{Seed: 1})
+	res, err := RunSelfHeal(s, tbl, SelfHealConfig{}, nil, simnet.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSingleLeaveRepairs(t *testing.T) {
 			leaver = i
 		}
 	}
-	res, err := Run(s, tbl, []Event{{At: 10, Node: leaver, Leave: true}},
+	res, err := RunSelfHeal(s, tbl, SelfHealConfig{}, []Event{{At: 10, Node: leaver, Leave: true}},
 		simnet.Options{Seed: 3, Latency: simnet.ExponentialLatency(0.3)})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestChurnInvariants(t *testing.T) {
 		s := randomSystem(t, seed, n, 0.4, b)
 		tbl := satisfaction.NewTable(s)
 		schedule := Schedule(s, rng.New(seed^0xd11d), 15, 50, 0.5, n/3)
-		_, err := Run(s, tbl, schedule, simnet.Options{
+		_, err := RunSelfHeal(s, tbl, SelfHealConfig{}, schedule, simnet.Options{
 			Seed:    seed,
 			Latency: simnet.ExponentialLatency(0.5),
 		})
@@ -106,7 +106,7 @@ func TestLeaveThenRejoin(t *testing.T) {
 	if x < 0 {
 		t.Skip("nothing matched")
 	}
-	res, err := Run(s, tbl, []Event{
+	res, err := RunSelfHeal(s, tbl, SelfHealConfig{}, []Event{
 		{At: 10, Node: x, Leave: true},
 		{At: 60, Node: x, Leave: false},
 	}, simnet.Options{Seed: 4, Latency: simnet.ExponentialLatency(0.3)})
@@ -138,7 +138,7 @@ func TestRepairQualityTracksFreshLIC(t *testing.T) {
 		s := randomSystem(t, seed, 30, 0.3, 2)
 		tbl := satisfaction.NewTable(s)
 		schedule := Schedule(s, rng.New(seed+500), 20, 40, 0.5, 10)
-		res, err := Run(s, tbl, schedule, simnet.Options{
+		res, err := RunSelfHeal(s, tbl, SelfHealConfig{}, schedule, simnet.Options{
 			Seed:    seed,
 			Latency: simnet.ExponentialLatency(0.4),
 		})
@@ -207,7 +207,7 @@ func TestMessageCostBounded(t *testing.T) {
 	tbl := satisfaction.NewTable(s)
 	const events = 30
 	schedule := Schedule(s, rng.New(3), events, 40, 0.5, 15)
-	res, err := Run(s, tbl, schedule, simnet.Options{Seed: 6, Latency: simnet.ExponentialLatency(0.4)})
+	res, err := RunSelfHeal(s, tbl, SelfHealConfig{}, schedule, simnet.Options{Seed: 6, Latency: simnet.ExponentialLatency(0.4)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,11 @@ import (
 
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
+	"overlaymatch/internal/obs"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/rng"
-	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 )
 
 // Event is one scheduled churn command.
@@ -73,6 +74,12 @@ type Result struct {
 	Stats simnet.Stats
 	// Live is the final matching among alive peers.
 	Live *matching.Matching
+	// Layers are the stacked layers' instances, nil when not stacked;
+	// Monitors[i].Events holds the verdict log for latency analysis.
+	stack.Layers
+	// Prober holds the stability curve (nil when
+	// SelfHealConfig.ProbeInterval is 0).
+	Prober *obs.Prober
 	// Aggregated protocol counters.
 	Proposals   int
 	Accepts     int
@@ -80,22 +87,9 @@ type Result struct {
 	Preemptions int
 	SynthByes   int
 	Resyncs     int
-}
-
-// Run seeds the maintenance protocol with the LID/LIC matching,
-// injects the event schedule, runs to global quiescence, and verifies
-// the structural invariants (symmetry, feasibility, liveness of
-// endpoints, maximality on the live subgraph). Any violation is an
-// error — the tests treat it as a protocol bug.
-func Run(s *pref.System, tbl *satisfaction.Table, schedule []Event, opts simnet.Options) (Result, error) {
-	return RunMode(s, tbl, Complete, schedule, opts)
-}
-
-// RunMode is Run with an explicit repair discipline: RunSelfHeal
-// with no layer stacked.
-func RunMode(s *pref.System, tbl *satisfaction.Table, mode Mode, schedule []Event, opts simnet.Options) (Result, error) {
-	res, err := RunSelfHeal(s, tbl, SelfHealConfig{Mode: mode}, schedule, opts)
-	return res.Result, err
+	// The stacked detector's verdict totals.
+	Suspicions int
+	Restores   int
 }
 
 // extractLive builds the live matching and verifies symmetry,

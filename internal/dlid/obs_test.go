@@ -26,12 +26,12 @@ func TestRepairSpansBalanced(t *testing.T) {
 	tbl := satisfaction.NewTable(s)
 	sched := Schedule(s, src.Split(), 12, 50, 0.6, 5)
 
-	plain, err := Run(s, tbl, sched, simnet.Options{Seed: 9})
+	plain, err := RunSelfHeal(s, tbl, SelfHealConfig{}, sched, simnet.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder(g.NumNodes())
-	res, err := Run(s, tbl, sched, simnet.Options{Seed: 9, Obs: rec})
+	res, err := RunSelfHeal(s, tbl, SelfHealConfig{}, sched, simnet.Options{Seed: 9, Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,10 @@ import (
 // TestRunsPinned pins the maintenance protocol's observable output on
 // fixed churn feeds: a digest of every node's Proposals, Accepts,
 // Declines and Preemptions, the run's sends by kind, its final virtual
-// time and the live matching. Complete runs go through Run; Rematch
-// runs go through RunSelfHeal with a heartbeat detector stacked and the
-// highest-degree LIC node cut off for a healing window, so suspicions,
-// restores and preemptions drive the proposal scans too. Each runs
+// time and the live matching. Complete runs stack nothing; Rematch
+// runs stack a heartbeat detector and cut the highest-degree LIC node
+// off for a healing window, so suspicions, restores and preemptions
+// drive the proposal scans too. Each runs
 // under unit and exponential latency. The proposal scans may be
 // rewritten, never their output: any change in whom a node proposes
 // to, or when, moves a digest here.
@@ -66,22 +66,15 @@ func TestRunsPinned(t *testing.T) {
 		for _, lat := range latencies {
 			for _, mode := range []string{"complete", "rematch"} {
 				opts := simnet.Options{Seed: in.seed, Latency: lat.fn}
-				var res Result
-				var err error
-				if mode == "complete" {
-					res, err = Run(s, tbl, schedule, opts)
-				} else {
+				cfg := SelfHealConfig{}
+				if mode == "rematch" {
 					opts.Policy = cutNode{node: crash, start: 50, end: 230}
-					var heal SelfHealResult
-					heal, err = RunSelfHeal(s, tbl, SelfHealConfig{
-						Mode:  Rematch,
-						Stack: stack.Spec{Detector: detector.Default()},
-					}, schedule, opts)
-					res = heal.Result
-					if err == nil && (heal.Resyncs == 0 || heal.Preemptions == 0) {
-						err = fmt.Errorf("the cut drove %d resyncs and %d preemptions; the pin needs both",
-							heal.Resyncs, heal.Preemptions)
-					}
+					cfg = SelfHealConfig{Mode: Rematch, Stack: stack.Spec{Detector: detector.Default()}}
+				}
+				res, err := RunSelfHeal(s, tbl, cfg, schedule, opts)
+				if err == nil && mode == "rematch" && (res.Resyncs == 0 || res.Preemptions == 0) {
+					err = fmt.Errorf("the cut drove %d resyncs and %d preemptions; the pin needs both",
+						res.Resyncs, res.Preemptions)
 				}
 				name := mode + "-" + lat.name
 				if err != nil {

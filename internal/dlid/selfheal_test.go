@@ -12,6 +12,7 @@ import (
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
 	"overlaymatch/internal/metrics"
+	"overlaymatch/internal/obs"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/satisfaction"
@@ -107,7 +108,7 @@ func TestPeerDownUpcalls(t *testing.T) {
 func TestRematchIdleStaysSilent(t *testing.T) {
 	s := randomSystem(t, 5, 20, 0.4, 2)
 	tbl := satisfaction.NewTable(s)
-	res, err := RunMode(s, tbl, Rematch, nil, simnet.Options{Seed: 5})
+	res, err := RunSelfHeal(s, tbl, SelfHealConfig{Mode: Rematch}, nil, simnet.Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestRematchEqualsLICUnderChurn(t *testing.T) {
 		s := randomSystem(t, seed, n, 0.4, b)
 		tbl := satisfaction.NewTable(s)
 		schedule := Schedule(s, rng.New(seed^0xbeef), 10, 60, 0.5, n/3)
-		res, err := RunMode(s, tbl, Rematch, schedule, simnet.Options{
+		res, err := RunSelfHeal(s, tbl, SelfHealConfig{Mode: Rematch}, schedule, simnet.Options{
 			Seed:    seed,
 			Latency: simnet.ExponentialLatency(0.5),
 		})
@@ -185,27 +186,30 @@ func TestRematchEqualsLICUnderChurn(t *testing.T) {
 	}
 }
 
-// TestEntryPointsPublishOneSet: RunMode is RunSelfHeal with a zero
-// Stack, so on one run both entry points return the same outcome and
-// publish the same dlid_* samples into the options' sink.
+// TestEntryPointsPublishOneSet: RunSelfHeal, dlid's one entry point,
+// publishes one set of the 8 dlid_* counters per run into its sink,
+// equal to the result's own counts, next to the runtime's simnet_*
+// series. A probed run is the same run, and adds the probe series and
+// the rounds-to-ε summary.
 func TestEntryPointsPublishOneSet(t *testing.T) {
 	s := randomSystem(t, 4, 40, 0.15, 2)
 	tbl := satisfaction.NewTable(s)
 	schedule := Schedule(s, rng.New(9), 10, 60, 0.5, 13)
-	opts := func(reg *metrics.Registry) simnet.Options {
-		return simnet.Options{Seed: 4, Latency: simnet.ExponentialLatency(0.5), Metrics: reg}
-	}
-	viaMode, viaHeal := metrics.New(), metrics.New()
-	mode, err := RunMode(s, tbl, Rematch, schedule, opts(viaMode))
+	opts := simnet.Options{Seed: 4, Latency: simnet.ExponentialLatency(0.5)}
+	plain, probed := metrics.New(), metrics.New()
+	res, err := RunSelfHeal(s, tbl, SelfHealConfig{Mode: Rematch, Metrics: plain}, schedule, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heal, err := RunSelfHeal(s, tbl, SelfHealConfig{Mode: Rematch}, schedule, opts(viaHeal))
+	again, err := RunSelfHeal(s, tbl, SelfHealConfig{Mode: Rematch, ProbeInterval: 5, Metrics: probed}, schedule, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mode.Live.Equal(heal.Live) || !reflect.DeepEqual(mode.Stats, heal.Stats) {
-		t.Fatal("the two entry points ran different protocols")
+	if !res.Live.Equal(again.Live) || !reflect.DeepEqual(res.Stats, again.Stats) {
+		t.Fatal("the probe changed the run")
+	}
+	if res.Prober != nil || again.Prober == nil || len(again.Prober.Curve()) == 0 {
+		t.Fatal("the prober is attached to the wrong run")
 	}
 	dlidSamples := func(reg *metrics.Registry) []metrics.Sample {
 		var out []metrics.Sample
@@ -216,15 +220,32 @@ func TestEntryPointsPublishOneSet(t *testing.T) {
 		}
 		return out
 	}
-	got, want := dlidSamples(viaHeal), dlidSamples(viaMode)
-	if len(want) != 8 || want[0].Name != "dlid_accepts_total" {
-		t.Fatalf("RunMode published %d dlid_* samples, want the 8 counters", len(want))
+	got := dlidSamples(plain)
+	if len(got) != 8 || got[0].Name != "dlid_accepts_total" {
+		t.Fatalf("RunSelfHeal published %d dlid_* samples, want the 8 counters", len(got))
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("RunSelfHeal published\n%+v\nRunMode published\n%+v", got, want)
+	if !reflect.DeepEqual(dlidSamples(probed), got) {
+		t.Fatal("the probed run published other dlid_* samples")
 	}
-	if runs := viaHeal.Counter("dlid_runs_total", "").Value(); runs != 1 {
-		t.Fatalf("dlid_runs_total = %d, want 1", runs)
+	counter := func(name string) int { return int(plain.Counter(name, "").Value()) }
+	if counter("dlid_runs_total") != 1 || counter("dlid_proposals_total") != res.Proposals ||
+		counter("dlid_accepts_total") != res.Accepts || counter("dlid_preemptions_total") != res.Preemptions {
+		t.Fatalf("dlid_* counters disagree with the result: %+v", got)
+	}
+	if counter("simnet_deliveries_total") != res.Stats.Deliveries {
+		t.Fatal("the runtime's simnet_* series missing from the sink")
+	}
+	if pts := probed.Series("probe_blocking_pairs", "").Points(); len(pts) != len(again.Prober.Curve()) {
+		t.Fatalf("the sink holds %d probe points, the prober %d", len(pts), len(again.Prober.Curve()))
+	}
+	summary := 0
+	for _, smp := range probed.Snapshot().Samples {
+		if strings.HasPrefix(smp.Name, obs.SummaryPrefix) {
+			summary++
+		}
+	}
+	if summary != len(obs.Epsilons) {
+		t.Fatalf("the probed run published %d rounds-to-eps gauges, want %d", summary, len(obs.Epsilons))
 	}
 }
 

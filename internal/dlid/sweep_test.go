@@ -24,7 +24,7 @@ func TestChurnSweep(t *testing.T) {
 		s := randomSystem(t, seed*2654435761+17, n, 0.4, b)
 		tbl := satisfaction.NewTable(s)
 		schedule := Schedule(s, rng.New(seed^0xd11d), 15, 50, 0.5, n/3)
-		_, err := Run(s, tbl, schedule, simnet.Options{
+		_, err := RunSelfHeal(s, tbl, SelfHealConfig{}, schedule, simnet.Options{
 			Seed:    seed,
 			Latency: simnet.ExponentialLatency(0.5),
 		})

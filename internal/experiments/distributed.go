@@ -93,12 +93,11 @@ func E5MessageComplexity(cfg Config) ([]*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := lid.RunEvent(sys, satisfaction.NewTable(sys), simnet.Options{
+			res, err := lid.Run(sys, satisfaction.NewTable(sys), simnet.Event(simnet.Options{
 				Seed:    cfg.Seed + uint64(n),
 				Latency: simnet.ExponentialLatency(4),
-				Metrics: cfg.Metrics,
 				Policy:  cfg.policy(uint64(5 * n)),
-			})
+			}), lid.RunOptions{Metrics: cfg.Metrics})
 			if err != nil {
 				return nil, err
 			}
@@ -123,12 +122,11 @@ func E5MessageComplexity(cfg Config) ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := lid.RunEvent(sys, satisfaction.NewTable(sys), simnet.Options{
+		res, err := lid.Run(sys, satisfaction.NewTable(sys), simnet.Event(simnet.Options{
 			Seed:    cfg.Seed + uint64(b),
 			Latency: simnet.ExponentialLatency(4),
-			Metrics: cfg.Metrics,
 			Policy:  cfg.policy(0xb0b ^ uint64(b)),
-		})
+		}), lid.RunOptions{Metrics: cfg.Metrics})
 		if err != nil {
 			return nil, err
 		}
@@ -144,12 +142,11 @@ func E5MessageComplexity(cfg Config) ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := lid.RunEvent(sys, satisfaction.NewTable(sys), simnet.Options{
+		res, err := lid.Run(sys, satisfaction.NewTable(sys), simnet.Event(simnet.Options{
 			Seed:    cfg.Seed + uint64(deg),
 			Latency: simnet.ExponentialLatency(4),
-			Metrics: cfg.Metrics,
 			Policy:  cfg.policy(0xdd ^ uint64(deg)),
-		})
+		}), lid.RunOptions{Metrics: cfg.Metrics})
 		if err != nil {
 			return nil, err
 		}
@@ -176,9 +173,9 @@ func E6ConvergenceRounds(cfg Config) ([]*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := lid.RunEvent(sys, satisfaction.NewTable(sys), simnet.Options{
-				Seed: cfg.Seed, Metrics: cfg.Metrics, Policy: cfg.policy(uint64(7 * n)),
-			})
+			res, err := lid.Run(sys, satisfaction.NewTable(sys), simnet.Event(simnet.Options{
+				Seed: cfg.Seed, Policy: cfg.policy(uint64(7 * n)),
+			}), lid.RunOptions{Metrics: cfg.Metrics})
 			if err != nil {
 				return nil, err
 			}
@@ -194,9 +191,9 @@ func E6ConvergenceRounds(cfg Config) ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := lid.RunEvent(sys, satisfaction.NewTable(sys), simnet.Options{
-			Seed: cfg.Seed, Metrics: cfg.Metrics, Policy: cfg.policy(0xe6 ^ uint64(b)),
-		})
+		res, err := lid.Run(sys, satisfaction.NewTable(sys), simnet.Event(simnet.Options{
+			Seed: cfg.Seed, Policy: cfg.policy(0xe6 ^ uint64(b)),
+		}), lid.RunOptions{Metrics: cfg.Metrics})
 		if err != nil {
 			return nil, err
 		}

@@ -95,12 +95,11 @@ func E12Adversaries(cfg Config) ([]*stats.Table, error) {
 					Adversaries: robust.FractionAdversaries(n, frac, kind),
 					Timeout:     60,
 					CrashAfterK: 3,
-					Options: simnet.Options{
-						Seed:    cfg.Seed + uint64(r),
-						Latency: simnet.UniformLatency(1, 3),
-					},
 				}
-				out, err := sc.Run()
+				out, err := sc.Run(simnet.Event(simnet.Options{
+					Seed:    cfg.Seed + uint64(r),
+					Latency: simnet.UniformLatency(1, 3),
+				}), stack.Options{})
 				if err != nil {
 					return nil, fmt.Errorf("E12 %v/%v: %w", kind, frac, err)
 				}
@@ -138,15 +137,15 @@ func E13Variants(cfg Config) ([]*stats.Table, error) {
 			tbl := satisfaction.NewTable(sys)
 			lic := matching.LIC(sys, tbl)
 			cov := variants.CoverageFirst(sys, tbl)
-			dist, _, err := phased.Run(sys, tbl, simnet.Options{
+			dist, err := phased.Run(sys, tbl, simnet.Event(simnet.Options{
 				Seed:    cfg.Seed + uint64(b),
 				Latency: simnet.ExponentialLatency(4),
-			})
+			}), stack.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("E13 phased: %w", err)
 			}
 			distEq := "=="
-			if !dist.Equal(cov) {
+			if !dist.Matching.Equal(cov) {
 				distEq = "DIFFERS"
 			}
 			coverage.AddRowf(topo, b,

@@ -21,7 +21,7 @@ import (
 // matches the centralized completion-repair quality band (both are
 // greedy completions) at a per-event message cost of a few times the
 // affected degree, with every run quiescing and passing the structural
-// invariants (Run enforces them).
+// invariants (RunSelfHeal enforces them).
 func E14Maintenance(cfg Config) ([]*stats.Table, error) {
 	t := stats.NewTable("E14 (§7): distributed churn maintenance (dlid) vs fresh LIC and centralized repair",
 		"topology", "events", "msgs/event", "props/event", "quality dlid", "quality centralized", "final alive")
@@ -34,10 +34,9 @@ func E14Maintenance(cfg Config) ([]*stats.Table, error) {
 		}
 		tbl := satisfaction.NewTable(sys)
 		schedule := dlid.Schedule(sys, rng.New(cfg.Seed+3), events, 60, 0.5, n/3)
-		res, err := dlid.Run(sys, tbl, schedule, simnet.Options{
+		res, err := dlid.RunSelfHeal(sys, tbl, dlid.SelfHealConfig{Metrics: cfg.Metrics}, schedule, simnet.Options{
 			Seed:    cfg.Seed,
 			Latency: simnet.ExponentialLatency(0.5),
-			Metrics: cfg.Metrics,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E14 %s: %w", topo, err)

@@ -1,46 +1,11 @@
 package experiments
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
 	"overlaymatch/internal/stats"
 )
-
-func TestParallelForOrderedResults(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
-		got, err := parallelFor(workers, 50, func(i int) (int, error) { return i * i, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: got[%d]=%d", workers, i, v)
-			}
-		}
-	}
-}
-
-func TestParallelForError(t *testing.T) {
-	sentinel := errors.New("boom")
-	_, err := parallelFor(4, 20, func(i int) (int, error) {
-		if i == 7 || i == 13 {
-			return 0, sentinel
-		}
-		return i, nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestParallelForEmpty(t *testing.T) {
-	got, err := parallelFor(4, 0, func(i int) (int, error) { return 0, nil })
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty case: %v %v", got, err)
-	}
-}
 
 // TestParallelDeterminism: the oracle experiments must produce
 // bit-identical tables for every worker count.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"overlaymatch/internal/matching"
+	"overlaymatch/internal/par"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/stats"
 	"overlaymatch/internal/workload"
@@ -25,10 +26,13 @@ func E1LICWeightRatio(cfg Config) ([]*stats.Table, error) {
 	for _, n := range ns {
 		for _, p := range []float64{0.3, 0.5} {
 			for _, b := range []int{1, 2, 3} {
-				// The exact-oracle comparisons are independent; sweep
-				// them in parallel (-1 marks a skipped instance).
+				// The exact-oracle comparisons are independent and
+				// uneven in cost (branch and bound), so they sweep on
+				// par.Map's dynamic queue; results come back in index
+				// order for any worker count (-1 marks a skipped
+				// instance).
 				n, p, b := n, p, b
-				vals, err := parallelFor(cfg.Workers, seeds, func(s int) (float64, error) {
+				vals, err := par.Map(par.Workers(cfg.Workers), seeds, func(s int) (float64, error) {
 					seed := cfg.Seed ^ uint64(s)*0x9e37 + uint64(n*1000) + uint64(b)
 					sys, err := workload.OracleGNP(seed, n, p, b)
 					if err != nil {
@@ -84,7 +88,7 @@ func E3SatisfactionRatio(cfg Config) ([]*stats.Table, error) {
 	for _, n := range ns {
 		for _, b := range []int{1, 2, 3, 4} {
 			n, b := n, b
-			vals, err := parallelFor(cfg.Workers, seeds, func(s int) (float64, error) {
+			vals, err := par.Map(par.Workers(cfg.Workers), seeds, func(s int) (float64, error) {
 				seed := cfg.Seed ^ uint64(s)*0x85eb + uint64(n*77+b)
 				sys, err := workload.OracleGNP(seed, n, 0.4, b)
 				if err != nil {

@@ -74,13 +74,13 @@ func E16SelfHealing(cfg Config) ([]*stats.Table, error) {
 				spec := faults.Spec{Crashes: []faults.Crash{
 					{Start: e16CrashStart, End: e16CrashEnd, Node: crash}}}
 				res, err := dlid.RunSelfHeal(sys, tbl, dlid.SelfHealConfig{
-					Mode:  dlid.Rematch,
-					Stack: stack.Spec{Detector: cfg.detectorConfig()},
+					Mode:    dlid.Rematch,
+					Stack:   stack.Spec{Detector: cfg.detectorConfig()},
+					Metrics: cfg.Metrics,
 				}, nil, simnet.Options{
 					Seed:    cfg.Seed + uint64(r)*131 + 16,
 					Latency: simnet.ExponentialLatency(0.5),
 					Policy:  faults.NewInjector(spec, cfg.FaultsSeed^(cfg.Seed+uint64(r)*104729)),
-					Metrics: cfg.Metrics,
 				})
 				if err != nil {
 					return nil, fmt.Errorf("E16 %s/b=%d run %d: %w", topo, b, r, err)

@@ -6,6 +6,8 @@ import (
 
 	"overlaymatch/internal/faults"
 	"overlaymatch/internal/obs"
+	"overlaymatch/internal/reliable"
+	"overlaymatch/internal/stack"
 	"overlaymatch/internal/stats"
 	"overlaymatch/internal/tournament"
 	"overlaymatch/internal/workload"
@@ -162,8 +164,7 @@ func e18Faulted(cfg Config, specs []workload.Spec) (*stats.Table, error) {
 		ProbeInterval: cfg.ProbeInterval,
 		Faults:        fs,
 		FaultsSeed:    cfg.Seed*77 + 18,
-		Reliable:      true,
-		RTO:           15,
+		Stack:         stack.Spec{Reliable: reliable.Config{RTO: 15, Adaptive: true}},
 	}
 
 	var (

@@ -41,9 +41,11 @@ type Config struct {
 	// bit-identical for any worker count.
 	Workers int
 	// Metrics, when non-nil, is the shared sink registry the
-	// message-heavy experiments (E5, E6, E11, E14) merge their simnet
-	// instruments into. Purely additive: the tables are computed from
-	// the per-run Stats views and are bit-identical with or without it.
+	// experiments publish into: E5, E6, E11, E14, E15 and E16 merge
+	// their runs' simnet_* series and protocol counters, E10 its
+	// wall-clock gauges, E16 its detector verdicts and E17 its
+	// rounds-to-ε summary. Purely additive: the tables are computed
+	// from the per-run views and are bit-identical with or without it.
 	Metrics *mreg.Registry
 	// Faults, when non-nil, is the link-level adversary threaded into
 	// the message-level experiments (E2, E5, E6 and E15's custom row)

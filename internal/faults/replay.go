@@ -108,28 +108,48 @@ func (e *DegradedError) Error() string {
 
 func (e *DegradedError) Unwrap() error { return e.Err }
 
-// runError marks failures of the run itself — deadlock or the
-// delivery-bound guard — which the degraded-run classification must
-// never waive: a bounded-retry transport is supposed to quiesce.
-type runError struct{ error }
-
-func (e runError) Unwrap() error { return e.error }
-
 // LIDTrial builds the standard trial: run LID on sys under the
 // injector and verify the full invariant set — termination (bounded
-// deliveries), symmetric locks and quota feasibility (BuildMatching +
-// Validate), and outcome ≡ LIC edge-for-edge (Lemmas 3–6). With
-// bounded retries (opts.MaxRetries > 0) a run whose transport
+// deliveries), symmetric locks and quota feasibility (lid.Run's
+// assembly + Validate), and outcome ≡ LIC edge-for-edge (Lemmas 3–6).
+// With bounded retries (opts.MaxRetries > 0) a run whose transport
 // abandoned frames comes back as a *DegradedError instead: it must
 // still quiesce, but the LIC oracle is void without eventual delivery.
+// A failure of the run itself — deadlock or the delivery-bound guard —
+// is never waived: a bounded-retry transport is supposed to quiesce.
 func LIDTrial(sys *pref.System, opts TrialOptions) Trial {
 	tbl := satisfaction.NewTable(sys)
 	want := matching.LIC(sys, tbl)
 	return func(seed uint64, inj *Injector) error {
-		m, eps, _, err := runLID(sys, tbl, seed, inj, opts)
-		if _, isRun := err.(runError); isRun {
+		sched, err := lid.ParseSchedulerSpec(opts.Scheduler)
+		if err != nil {
 			return err
 		}
+		var spec stack.Spec
+		if opts.Reliable {
+			spec.Reliable = reliable.Config{RTO: opts.rto(), MaxRetries: opts.MaxRetries}
+		}
+		res, err := lid.Run(sys, tbl, simnet.Event(simnet.Options{
+			Seed:          seed,
+			Latency:       simnet.ExponentialLatency(opts.jitter()),
+			Policy:        inj,
+			MaxDeliveries: opts.maxDeliveries(sys),
+			// With a bounded retry budget abandonment is a legal outcome:
+			// nodes starved of answers idle rather than halt, and the run
+			// ends when the event queue drains.
+			Quiesce: opts.MaxRetries > 0,
+		}), lid.RunOptions{Stack: spec, Scheduler: sched})
+		var assembly *stack.AssemblyError
+		if err != nil && !errors.As(err, &assembly) {
+			return fmt.Errorf("faults: run: %w", err)
+		}
+		if err == nil {
+			err = res.Matching.Validate(sys)
+		}
+		if err != nil {
+			err = fmt.Errorf("faults: %w", err)
+		}
+		eps := res.Layers.Endpoints
 		if ab := reliable.TotalAbandoned(eps); ab > 0 {
 			return &DegradedError{
 				Abandoned: ab,
@@ -141,8 +161,8 @@ func LIDTrial(sys *pref.System, opts TrialOptions) Trial {
 		if err != nil {
 			return err
 		}
-		if !m.Equal(want) {
-			return fmt.Errorf("faults: LID outcome differs from LIC (%d vs %d edges)", m.Size(), want.Size())
+		if !res.Matching.Equal(want) {
+			return fmt.Errorf("faults: LID outcome differs from LIC (%d vs %d edges)", res.Matching.Size(), want.Size())
 		}
 		return nil
 	}
@@ -157,55 +177,6 @@ func abandonedByPeer(eps []*reliable.Endpoint) map[int]int {
 		}
 	}
 	return merged
-}
-
-// runLID executes one LID run under the injector and checks the
-// structural invariants, returning the resulting matching, the
-// transport endpoints (nil when bare) and stats. Runner failures come
-// back as runError; structural violations as plain errors. It drives
-// its own Runner rather than lid.Run, which returns both kinds as one
-// error.
-func runLID(sys *pref.System, tbl *satisfaction.Table, seed uint64, inj *Injector, opts TrialOptions) (*matching.Matching, []*reliable.Endpoint, simnet.Stats, error) {
-	sched, err := lid.ParseSchedulerSpec(opts.Scheduler)
-	if err != nil {
-		return nil, nil, simnet.Stats{}, runError{err}
-	}
-	nodes := lid.NewNodes(sys, tbl)
-	var spec stack.Spec
-	if opts.Reliable {
-		spec.Reliable = reliable.Config{RTO: opts.rto(), MaxRetries: opts.MaxRetries}
-	}
-	handlers, layers := spec.Wrap(sys.Graph(), lid.Handlers(nodes))
-	eps := layers.Endpoints
-	simOpts := simnet.Options{
-		Seed:          seed,
-		Latency:       simnet.ExponentialLatency(opts.jitter()),
-		Policy:        inj,
-		MaxDeliveries: opts.maxDeliveries(sys),
-		// With a bounded retry budget abandonment is a legal outcome:
-		// nodes starved of answers idle rather than halt, and the run
-		// ends when the event queue drains.
-		Quiesce: opts.MaxRetries > 0,
-	}
-	if sched.Greedy() {
-		// The admitter watches the LID state machines directly; the
-		// reliable wrapping is transparent to it (endpoints are safe
-		// to receive through before their own deferred Init).
-		simOpts.Admitter = lid.NewGreedyAdmitter(sys, tbl, nodes, sched)
-	}
-	runner := simnet.NewRunner(sys.Graph().NumNodes(), simOpts)
-	stats, err := runner.Run(handlers)
-	if err != nil {
-		return nil, eps, stats, runError{fmt.Errorf("faults: run: %w", err)}
-	}
-	m, err := lid.BuildMatching(nodes)
-	if err != nil {
-		return nil, eps, stats, fmt.Errorf("faults: %w", err)
-	}
-	if err := m.Validate(sys); err != nil {
-		return nil, eps, stats, fmt.Errorf("faults: %w", err)
-	}
-	return m, eps, stats, nil
 }
 
 // ReplayFile freezes one failing (or interesting) run: everything

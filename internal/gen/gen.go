@@ -113,8 +113,18 @@ func Geometric(src *rng.Source, n int, radius float64) (*graph.Graph, [][2]float
 		pts[i] = [2]float64{src.Float64(), src.Float64()}
 	}
 	b := graph.NewBuilder(n)
+	AddRadiusEdges(b, pts, radius)
+	return b.MustGraph(), pts
+}
+
+// AddRadiusEdges adds to b an edge between every two of pts within
+// Euclidean distance radius. Points are bucketed into a grid of
+// radius-sized cells, so each scans only its own and the 8 adjacent
+// cells and construction stays near linear. A pair b already holds is
+// skipped, which lets a caller union the radius graphs of several
+// snapshots (a mobility trace) into one builder.
+func AddRadiusEdges(b *graph.Builder, pts [][2]float64, radius float64) {
 	r2 := radius * radius
-	// Grid bucketing for near-linear construction.
 	cell := radius
 	if cell <= 0 || cell > 1 {
 		cell = 1
@@ -137,13 +147,12 @@ func Geometric(src *rng.Source, n int, radius float64) (*graph.Graph, [][2]float
 					ddx := p[0] - pts[j][0]
 					ddy := p[1] - pts[j][1]
 					if ddx*ddx+ddy*ddy <= r2 {
-						b.AddEdge(i, j)
+						b.TryAddEdge(i, j)
 					}
 				}
 			}
 		}
 	}
-	return b.MustGraph(), pts
 }
 
 // BarabasiAlbert returns a preferential-attachment graph: starts from a

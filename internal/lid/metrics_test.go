@@ -34,9 +34,9 @@ func TestMetricsZeroImpact(t *testing.T) {
 			t.Fatal(err)
 		}
 		sink := metrics.New()
-		instrumented, err := RunEvent(s, tbl, simnet.Options{
-			Seed: seed, Latency: simnet.ExponentialLatency(4), Metrics: sink,
-		})
+		instrumented, err := Run(s, tbl, simnet.Event(simnet.Options{
+			Seed: seed, Latency: simnet.ExponentialLatency(4),
+		}), RunOptions{Metrics: sink})
 		if err != nil {
 			t.Fatal(err)
 		}

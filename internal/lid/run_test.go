@@ -135,23 +135,17 @@ func TestClusterRuntimesRejectHooks(t *testing.T) {
 }
 
 // TestEventRejectsPresetHooks: simnet.Event refuses options that
-// already carry a Prober, an Admitter or a Metrics sink, so Run never
-// replaces a hook silently.
+// already carry an Admitter, the one hook simnet.Options keeps for
+// Runners built by hand, so Run never replaces a hook silently.
 func TestEventRejectsPresetHooks(t *testing.T) {
 	s := randomSystem(t, 4, 10, 0.4, 2)
 	tbl := satisfaction.NewTable(s)
-	prober := obs.NewProber(metrics.New(), 1, 0, 1, func(float64) obs.StabilitySample { return obs.StabilitySample{} })
-	for name, opts := range map[string]simnet.Options{
-		"prober":   {Prober: prober},
-		"admitter": {Admitter: NewGreedyAdmitter(s, tbl, NewNodes(s, tbl), SchedulerSpec{Kind: SchedGreedy})},
-		"metrics":  {Metrics: metrics.New()},
-	} {
-		t.Run(name, func(t *testing.T) {
-			if _, err := Run(s, tbl, simnet.Event(opts), RunOptions{}); err == nil {
-				t.Fatal("Event accepted options with a preset hook")
-			}
-		})
-	}
+	t.Run("admitter", func(t *testing.T) {
+		opts := simnet.Options{Admitter: NewGreedyAdmitter(s, tbl, NewNodes(s, tbl), SchedulerSpec{Kind: SchedGreedy})}
+		if _, err := Run(s, tbl, simnet.Event(opts), RunOptions{}); err == nil {
+			t.Fatal("Event accepted options with a preset hook")
+		}
+	})
 }
 
 // TestEventRuntimeReusable: one simnet.Event Runtime serves several

@@ -143,14 +143,16 @@ func SummaryValue(m map[string]float64, eps float64) float64 {
 
 // Prober samples a stability sampler on a fixed virtual-time interval
 // and appends the results to metrics.Series instruments in a registry.
-// Plug it into simnet.Options.Prober: the Runner calls Probe at every
-// multiple of Interval with its cumulative send totals. A nil *Prober
-// is valid and inert, mirroring the Recorder contract.
+// A run hands it to its runtime as the simnet.Runtime probe hook (see
+// stack.Run): the event Runner calls Probe at every multiple of
+// Interval with its cumulative send totals. A nil *Prober is valid and
+// inert, mirroring the Recorder contract.
 type Prober struct {
 	interval  float64
 	edges     int
 	optWeight float64
 	sample    func(t float64) StabilitySample
+	last      StabilitySample
 
 	// The series live in reg from the first Probe on, so a prober that
 	// never samples — its runtime refused the hook, say — leaves reg as
@@ -211,6 +213,7 @@ func (p *Prober) Probe(t float64, msgs, bytes int64) {
 	}
 	s := p.sample(t)
 	s.Msgs, s.Bytes = msgs, bytes
+	p.last = s
 	p.bp.Append(t, float64(s.BlockingPairs))
 	p.unmatched.Append(t, float64(s.UnmatchedNodes))
 	if p.optWeight > 0 {
@@ -220,6 +223,15 @@ func (p *Prober) Probe(t float64, msgs, bytes int64) {
 	}
 	p.msgs.Append(t, float64(s.Msgs))
 	p.bytes.Append(t, float64(s.Bytes))
+}
+
+// Last returns the most recent sample, send totals included: the end
+// state of a finished run (zero on nil or before the first probe).
+func (p *Prober) Last() StabilitySample {
+	if p == nil {
+		return StabilitySample{}
+	}
+	return p.last
 }
 
 // Curve returns the recorded blocking-pair series (nil on nil or

@@ -125,7 +125,7 @@ func TestMapOrderAndError(t *testing.T) {
 			t.Fatalf("workers=%d: err = %v, want boom 7", workers, err)
 		}
 	}
-	if _, err := Map(4, 0, func(i int) (int, error) { return 0, errors.New("x") }); err != nil {
-		t.Fatalf("empty Map returned %v", err)
+	if got, err := Map(4, 0, func(i int) (int, error) { return 0, errors.New("x") }); err != nil || len(got) != 0 {
+		t.Fatalf("empty Map returned %v, %v", got, err)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 )
 
 // Msg tags a LID message with its phase.
@@ -168,17 +169,24 @@ func (n *Node) Connections() []graph.NodeID {
 	return append(out, n.p2.Locked()...)
 }
 
-// Run executes the two-phase protocol on the event simulator and
-// returns the combined matching plus run statistics.
-func Run(s *pref.System, tbl *satisfaction.Table, opts simnet.Options) (*matching.Matching, simnet.Stats, error) {
+// holds reports whether either phase has locked the connection to v.
+// A phase machine exists from its start on, so the sampler sees a node
+// that has not started a phase hold nothing in it.
+func (n *Node) holds(v graph.NodeID) bool {
+	return n.p1 != nil && n.p1.LockedWith(v) || n.p2 != nil && n.p2.LockedWith(v)
+}
+
+// Run executes the two-phase protocol through the run recipe
+// (stack.Run) on the Transport rt builds, with the options' layers and
+// hooks, and assembles the combined matching. The stability sampler
+// reads both phases' locks.
+func Run(s *pref.System, tbl *satisfaction.Table, rt simnet.Runtime, o stack.Options) (stack.Result, error) {
 	nodes := NewNodes(s, tbl)
-	runner := simnet.NewRunner(s.Graph().NumNodes(), opts)
-	stats, err := runner.Run(Handlers(nodes))
-	if err != nil {
-		return nil, stats, err
-	}
-	m, err := buildMatching(s, nodes)
-	return m, stats, err
+	return stack.Run(s, tbl, stack.Protocol{
+		Handlers: Handlers(nodes),
+		Holds:    func(u, v graph.NodeID) bool { return nodes[u].holds(v) },
+		Assemble: func() (*matching.Matching, error) { return buildMatching(s, nodes) },
+	}, rt, o)
 }
 
 // buildMatching assembles the union of both phases' locked sets; a

@@ -13,6 +13,7 @@ import (
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 	"overlaymatch/internal/transport"
 	"overlaymatch/internal/variants"
 )
@@ -35,14 +36,14 @@ func TestEqualsCentralizedCoverageFirst(t *testing.T) {
 	check := func(seed uint64, nRaw, bRaw uint8, latSeed uint64) bool {
 		s := randomSystem(t, seed, int(nRaw)%20+3, 0.4, int(bRaw)%3+1)
 		tbl := satisfaction.NewTable(s)
-		m, _, err := Run(s, tbl, simnet.Options{
+		res, err := Run(s, tbl, simnet.Event(simnet.Options{
 			Seed:    latSeed,
 			Latency: simnet.ExponentialLatency(5),
-		})
+		}), stack.Options{})
 		if err != nil {
 			return false
 		}
-		return m.Equal(variants.CoverageFirst(s, tbl))
+		return res.Matching.Equal(variants.CoverageFirst(s, tbl))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -53,10 +54,11 @@ func TestFeasibleAndValidates(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		s := randomSystem(t, seed, 25, 0.3, 3)
 		tbl := satisfaction.NewTable(s)
-		m, stats, err := Run(s, tbl, simnet.Options{Seed: seed, Latency: simnet.ExponentialLatency(2)})
+		res, err := Run(s, tbl, simnet.Event(simnet.Options{Seed: seed, Latency: simnet.ExponentialLatency(2)}), stack.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		m, stats := res.Matching, res.Stats
 		if err := m.Validate(s); err != nil {
 			t.Fatal(err)
 		}
@@ -77,10 +79,11 @@ func TestCoverageAggregate(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
 		s := randomSystem(t, seed, 30, 0.2, 3)
 		tbl := satisfaction.NewTable(s)
-		m, _, err := Run(s, tbl, simnet.Options{Seed: seed})
+		res, err := Run(s, tbl, simnet.Event(simnet.Options{Seed: seed}), stack.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := res.Matching
 		lic := matching.LIC(s, tbl)
 		for i := 0; i < 30; i++ {
 			if s.Graph().Degree(i) == 0 {
@@ -106,10 +109,11 @@ func TestQuotaOneCollapsesToLID(t *testing.T) {
 	for seed := uint64(0); seed < 15; seed++ {
 		s := randomSystem(t, seed, 18, 0.4, 1)
 		tbl := satisfaction.NewTable(s)
-		m, _, err := Run(s, tbl, simnet.Options{Seed: seed, Latency: simnet.ExponentialLatency(3)})
+		res, err := Run(s, tbl, simnet.Event(simnet.Options{Seed: seed, Latency: simnet.ExponentialLatency(3)}), stack.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := res.Matching
 		if !m.Equal(matching.LIC(s, tbl)) {
 			t.Fatalf("seed %d: b=1 phased != LIC", seed)
 		}
@@ -121,10 +125,11 @@ func TestInterleavingInvariance(t *testing.T) {
 	tbl := satisfaction.NewTable(s)
 	want := variants.CoverageFirst(s, tbl)
 	for latSeed := uint64(0); latSeed < 20; latSeed++ {
-		m, _, err := Run(s, tbl, simnet.Options{Seed: latSeed, Latency: simnet.ExponentialLatency(8)})
+		res, err := Run(s, tbl, simnet.Event(simnet.Options{Seed: latSeed, Latency: simnet.ExponentialLatency(8)}), stack.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := res.Matching
 		if !m.Equal(want) {
 			t.Fatalf("latSeed %d: matching differs", latSeed)
 		}
@@ -157,19 +162,11 @@ func TestGoroutineRuntime(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		s := randomSystem(t, seed, 25, 0.3, 2)
 		tbl := satisfaction.NewTable(s)
-		nodes := NewNodes(s, tbl)
-		cluster, err := transport.NewMemoryCluster(s.Graph().NumNodes(), transport.ClusterConfig{Timeout: 20 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cluster.Run(Handlers(nodes)); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		m, err := buildMatching(s, nodes)
+		res, err := Run(s, tbl, transport.Memory(transport.ClusterConfig{Timeout: 20 * time.Second}), stack.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !m.Equal(variants.CoverageFirst(s, tbl)) {
+		if !res.Matching.Equal(variants.CoverageFirst(s, tbl)) {
 			t.Fatalf("seed %d: goroutine phased != centralized coverage-first", seed)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 	"overlaymatch/internal/transport"
 )
 
@@ -84,22 +85,21 @@ func TestAdaptiveHonestMostlyEqualsLIC(t *testing.T) {
 			System:      s,
 			Timeout:     1e7,
 			AdaptivePhi: 12, // generous: honest tails rarely trip it
-			Options:     simnet.Options{Seed: seed, Latency: simnet.UniformLatency(1, 3)},
 		}
-		out, err := sc.Run()
+		out, err := sc.Run(simnet.Event(simnet.Options{Seed: seed, Latency: simnet.UniformLatency(1, 3)}), stack.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if out.Violations != 0 {
 			t.Fatalf("seed %d: honest-only run counted %d violations", seed, out.Violations)
 		}
-		if err := out.HonestMatching.Validate(s); err != nil {
+		if err := out.Matching.Validate(s); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if out.Revocations == 0 && out.DissolvedLocks == 0 {
 			clean++
 			want := matching.LIC(s, satisfaction.NewTable(s))
-			if !out.HonestMatching.Equal(want) {
+			if !out.Matching.Equal(want) {
 				t.Fatalf("seed %d: revocation-free adaptive outcome differs from LIC", seed)
 			}
 		}
@@ -125,16 +125,15 @@ func TestAdaptiveAbsorbsCrashes(t *testing.T) {
 			Adversaries: FractionAdversaries(30, 0.2, AdvCrash),
 			Timeout:     200,
 			AdaptivePhi: 10,
-			Options:     simnet.Options{Seed: seed, Latency: simnet.UniformLatency(1, 3)},
 		}
-		out, err := sc.Run()
+		out, err := sc.Run(simnet.Event(simnet.Options{Seed: seed, Latency: simnet.UniformLatency(1, 3)}), stack.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if out.Revocations == 0 {
 			t.Fatalf("seed %d: crashes present but nothing revoked", seed)
 		}
-		if err := out.HonestMatching.Validate(s); err != nil {
+		if err := out.Matching.Validate(s); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 
 	"overlaymatch/internal/metrics"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 )
 
 // TestScenarioPublishesMetrics: a scenario run with a sink registry
@@ -12,25 +13,23 @@ import (
 // simnet instruments) without changing the outcome.
 func TestScenarioPublishesMetrics(t *testing.T) {
 	s := randomSystem(t, 4, 30, 0.3, 2)
-	base := Scenario{
+	sc := Scenario{
 		System:      s,
 		Adversaries: FractionAdversaries(30, 0.2, AdvCrash),
 		Timeout:     50,
-		Options:     simnet.Options{Seed: 4, Latency: simnet.UniformLatency(1, 3)},
 	}
-	plain, err := base.Run()
+	rt := simnet.Event(simnet.Options{Seed: 4, Latency: simnet.UniformLatency(1, 3)})
+	plain, err := sc.Run(rt, stack.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	sink := metrics.New()
-	instrumented := base
-	instrumented.Options.Metrics = sink
-	out, err := instrumented.Run()
+	out, err := sc.Run(rt, stack.Options{Metrics: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.HonestMatching.Equal(plain.HonestMatching) {
+	if !out.Matching.Equal(plain.Matching) {
 		t.Fatal("metrics sink changed the honest matching")
 	}
 
@@ -46,7 +45,7 @@ func TestScenarioPublishesMetrics(t *testing.T) {
 		t.Fatalf("dead locks: registry %d, outcome %d",
 			counter("robust_dead_locks_total"), out.DeadLocks)
 	}
-	if counter("robust_honest_locked_edges_total") != out.HonestMatching.Size() {
+	if counter("robust_honest_locked_edges_total") != out.Matching.Size() {
 		t.Fatal("locked-edge counter disagrees with the matching")
 	}
 	if counter("simnet_deliveries_total") != out.Stats.Deliveries {

@@ -12,6 +12,7 @@ import (
 	"overlaymatch/internal/rng"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 )
 
 func randomSystem(tb testing.TB, seed uint64, n int, p float64, b int) *pref.System {
@@ -34,9 +35,8 @@ func TestHonestOnlyEqualsLIC(t *testing.T) {
 		sc := Scenario{
 			System:  s,
 			Timeout: 1e7, // effectively never fires before quiescence
-			Options: simnet.Options{Seed: seed, Latency: simnet.ExponentialLatency(3)},
 		}
-		out, err := sc.Run()
+		out, err := sc.Run(simnet.Event(simnet.Options{Seed: seed, Latency: simnet.ExponentialLatency(3)}), stack.Options{})
 		if err != nil {
 			return false
 		}
@@ -44,10 +44,32 @@ func TestHonestOnlyEqualsLIC(t *testing.T) {
 			return false
 		}
 		want := matching.LIC(s, satisfaction.NewTable(s))
-		return out.HonestMatching.Equal(want)
+		return out.Matching.Equal(want)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScenarioDeterministic: equal scenario runs give equal outcomes,
+// down to the bits of the satisfaction sums, which must not depend on
+// the order of a map walk.
+func TestScenarioDeterministic(t *testing.T) {
+	s := randomSystem(t, 36, 60, 0.15, 3)
+	sc := Scenario{System: s, Adversaries: FractionAdversaries(60, 0.2, AdvCrash), Timeout: 60}
+	rt := simnet.Event(simnet.Options{Seed: 36})
+	first, err := sc.Run(rt, stack.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		out, err := sc.Run(rt, stack.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.HonestSatisfaction != first.HonestSatisfaction || !out.Matching.Equal(first.Matching) {
+			t.Fatalf("run %d: satisfaction %v, first run %v", i+2, out.HonestSatisfaction, first.HonestSatisfaction)
+		}
 	}
 }
 
@@ -76,9 +98,8 @@ func TestCrashAdversariesAbsorbed(t *testing.T) {
 			System:      s,
 			Adversaries: FractionAdversaries(30, 0.2, AdvCrash),
 			Timeout:     50,
-			Options:     simnet.Options{Seed: seed, Latency: simnet.UniformLatency(1, 3)},
 		}
-		out, err := sc.Run()
+		out, err := sc.Run(simnet.Event(simnet.Options{Seed: seed, Latency: simnet.UniformLatency(1, 3)}), stack.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -91,7 +112,7 @@ func TestCrashAdversariesAbsorbed(t *testing.T) {
 				t.Fatalf("seed %d: honest satisfaction ratio %v under 0.5", seed, ratio)
 			}
 		}
-		if err := out.HonestMatching.Validate(s); err != nil {
+		if err := out.Matching.Validate(s); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -106,13 +127,12 @@ func TestSpammerAbsorbed(t *testing.T) {
 			System:      s,
 			Adversaries: FractionAdversaries(25, 0.15, AdvSpammer),
 			Timeout:     50,
-			Options:     simnet.Options{Seed: seed, Latency: simnet.UniformLatency(1, 3)},
 		}
-		out, err := sc.Run()
+		out, err := sc.Run(simnet.Event(simnet.Options{Seed: seed, Latency: simnet.UniformLatency(1, 3)}), stack.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := out.HonestMatching.Validate(s); err != nil {
+		if err := out.Matching.Validate(s); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -129,14 +149,13 @@ func TestCrashAfterAbsorbed(t *testing.T) {
 			Adversaries: FractionAdversaries(25, 0.2, AdvCrashAfter),
 			Timeout:     50,
 			CrashAfterK: 2,
-			Options:     simnet.Options{Seed: seed, Latency: simnet.UniformLatency(1, 3)},
 		}
-		out, err := sc.Run()
+		out, err := sc.Run(simnet.Event(simnet.Options{Seed: seed, Latency: simnet.UniformLatency(1, 3)}), stack.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		deadLocksSeen += out.DeadLocks
-		if err := out.HonestMatching.Validate(s); err != nil {
+		if err := out.Matching.Validate(s); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -154,13 +173,12 @@ func TestAggressiveTimeoutsStayConsistent(t *testing.T) {
 		sc := Scenario{
 			System:  s,
 			Timeout: 1.5, // below typical answer latency
-			Options: simnet.Options{Seed: seed, Latency: simnet.UniformLatency(1, 4)},
 		}
-		out, err := sc.Run()
+		out, err := sc.Run(simnet.Event(simnet.Options{Seed: seed, Latency: simnet.UniformLatency(1, 4)}), stack.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := out.HonestMatching.Validate(s); err != nil {
+		if err := out.Matching.Validate(s); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -223,13 +241,12 @@ func TestCrashAfterZeroKActsLikeCrash(t *testing.T) {
 		Adversaries: map[graph.NodeID]AdversaryKind{0: AdvCrashAfter},
 		Timeout:     40,
 		CrashAfterK: -1,
-		Options:     simnet.Options{Seed: 2, Latency: simnet.UniformLatency(1, 2)},
 	}
-	out, err := sc.Run()
+	out, err := sc.Run(simnet.Event(simnet.Options{Seed: 2, Latency: simnet.UniformLatency(1, 2)}), stack.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.HonestMatching.DegreeOf(0) != 0 {
+	if out.Matching.DegreeOf(0) != 0 {
 		t.Fatal("crashed-at-zero peer got matched")
 	}
 }

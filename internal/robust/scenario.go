@@ -2,6 +2,7 @@ package robust
 
 import (
 	"fmt"
+	"slices"
 
 	"overlaymatch/internal/detector"
 	"overlaymatch/internal/graph"
@@ -10,6 +11,7 @@ import (
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 )
 
 // AdversaryKind selects a behavior for Scenario.
@@ -47,13 +49,13 @@ type Scenario struct {
 	// (TolerantNode.SetAdaptiveTimeout); Timeout stays the hard ceiling.
 	AdaptivePhi float64
 	CrashAfterK int // K for AdvCrashAfter (default 5)
-	Options     simnet.Options
 }
 
 // Outcome reports the result of a Scenario run.
 type Outcome struct {
-	// HonestMatching contains only honest–honest connections.
-	HonestMatching *matching.Matching
+	// Result is the run recipe's result; its Matching contains only
+	// honest–honest connections.
+	stack.Result
 	// DeadLocks counts honest connections whose peer was adversarial
 	// (e.g. locked right before a crash) — wasted quota slots.
 	DeadLocks int
@@ -72,11 +74,13 @@ type Outcome struct {
 	// estimator instead of the static timeout (zero unless AdaptivePhi
 	// is set).
 	AdaptiveArms int
-	Stats        simnet.Stats
 }
 
-// Run executes the scenario on the event simulator.
-func (sc Scenario) Run() (Outcome, error) {
+// Run executes the scenario through the run recipe (stack.Run) on the
+// Transport rt builds, with the options' layers and hooks. The sink
+// also receives the robust_* counters of a completed run. The
+// stability sampler reads the honest nodes' locks.
+func (sc Scenario) Run(rt simnet.Runtime, o stack.Options) (Outcome, error) {
 	s := sc.System
 	g := s.Graph()
 	tbl := satisfaction.NewTable(s)
@@ -86,7 +90,9 @@ func (sc Scenario) Run() (Outcome, error) {
 	}
 
 	handlers := make([]simnet.Handler, g.NumNodes())
-	honest := make(map[graph.NodeID]*TolerantNode)
+	// honest is indexed by node, nil at an adversary; the outcome's
+	// sums walk it in node order, so equal runs give equal floats.
+	honest := make([]*TolerantNode, g.NumNodes())
 	for id := 0; id < g.NumNodes(); id++ {
 		kind, isAdv := sc.Adversaries[id]
 		if !isAdv {
@@ -111,37 +117,49 @@ func (sc Scenario) Run() (Outcome, error) {
 		}
 	}
 
-	runner := simnet.NewRunner(g.NumNodes(), sc.Options)
-	stats, err := runner.Run(handlers)
-	if err != nil {
-		return Outcome{Stats: stats}, err
-	}
-
-	out := Outcome{Stats: stats}
-	// Locks on adversaries are wasted quota, not part of the honest
-	// matching; the honest–honest rest must be symmetric.
-	lists := make([][]graph.NodeID, g.NumNodes())
-	for id, n := range honest {
-		for _, v := range n.Locked() {
-			if _, adv := sc.Adversaries[v]; adv {
-				out.DeadLocks++
-			} else {
-				lists[id] = append(lists[id], v)
+	var out Outcome
+	r, err := stack.Run(s, tbl, stack.Protocol{
+		Handlers: handlers,
+		Holds: func(u, v graph.NodeID) bool {
+			n := honest[u]
+			return n != nil && slices.Contains(n.locked, v)
+		},
+		// Locks on adversaries are wasted quota, not part of the honest
+		// matching; the honest–honest rest must be symmetric.
+		Assemble: func() (*matching.Matching, error) {
+			lists := make([][]graph.NodeID, g.NumNodes())
+			for id, n := range honest {
+				if n == nil {
+					continue
+				}
+				for _, v := range n.locked {
+					if _, adv := sc.Adversaries[v]; adv {
+						out.DeadLocks++
+					} else {
+						lists[id] = append(lists[id], v)
+					}
+				}
 			}
+			m, err := matching.Assemble(s, func(id graph.NodeID) []graph.NodeID { return lists[id] })
+			if err != nil {
+				return nil, fmt.Errorf("robust: %w", err)
+			}
+			return m, nil
+		},
+	}, rt, o)
+	out.Result = r
+	if err != nil {
+		return out, err
+	}
+	for id, n := range honest {
+		if n == nil {
+			continue
 		}
 		out.Revocations += n.Revocations
 		out.DissolvedLocks += n.DissolvedLocks
 		out.Violations += n.Violations
 		out.AdaptiveArms += n.AdaptiveArms
-	}
-	m, err := matching.Assemble(s, func(id graph.NodeID) []graph.NodeID { return lists[id] })
-	if err != nil {
-		return out, fmt.Errorf("robust: %w", err)
-	}
-	out.HonestMatching = m
-
-	for id := range honest {
-		out.HonestSatisfaction += satisfaction.Value(s, id, m.Connections(id))
+		out.HonestSatisfaction += satisfaction.Value(s, id, out.Matching.Connections(id))
 	}
 
 	base, err := honestBaseline(s, sc.Adversaries)
@@ -149,7 +167,7 @@ func (sc Scenario) Run() (Outcome, error) {
 		return out, err
 	}
 	out.BaselineSatisfaction = base
-	out.publish(sc.Options.Metrics)
+	out.publish(o.Metrics)
 	return out, nil
 }
 
@@ -171,7 +189,7 @@ func (out *Outcome) publish(reg *metrics.Registry) {
 	reg.Counter("robust_dead_locks_total", "honest locks wasted on adversarial peers").
 		Add(int64(out.DeadLocks))
 	reg.Counter("robust_honest_locked_edges_total", "honest-honest connections locked").
-		Add(int64(out.HonestMatching.Size()))
+		Add(int64(out.Matching.Size()))
 }
 
 // honestBaseline computes the total satisfaction of LIC on the

@@ -108,7 +108,7 @@ func stopLastTimer(n int) []Handler {
 }
 
 // TestRunnerStatsMatchRegistry: Stats, Runner.Metrics() and an
-// Options.Metrics sink must report the same run exactly, on clean,
+// Event-hooked sink must report the same run exactly, on clean,
 // lossy, timer-stopping and failed runs alike. The send-latency
 // histogram is checked against a reference fed every latency the run
 // drew, extra policy delay included.
@@ -174,8 +174,7 @@ func TestRunnerStatsMatchRegistry(t *testing.T) {
 				return lat
 			}
 			tc.opts.Seed = 3
-			tc.opts.Metrics = metrics.New()
-			r := NewRunner(tc.n, tc.opts)
+			r := eventRunner(t, tc.n, tc.opts, nil, nil, metrics.New())
 			st, err := r.Run(tc.hs(tc.n))
 			if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
 				t.Fatalf("err = %v, want %q", err, tc.wantErr)
@@ -197,7 +196,7 @@ func (f policyFunc) Verdict(now float64, from, to int, msg Message) LinkVerdict 
 }
 
 // checkStatsMatchRegistry compares a finished run's Stats with its
-// registry and its Options.Metrics sink, and its send-latency
+// registry and its sink, and its send-latency
 // histogram with the one in ref.
 func checkStatsMatchRegistry(t *testing.T, r *Runner, st Stats, ref *metrics.Registry) {
 	t.Helper()
@@ -268,7 +267,7 @@ func checkStatsMatchRegistry(t *testing.T, r *Runner, st Stats, ref *metrics.Reg
 			private = append(private, s)
 		}
 	}
-	if sink := r.opts.Metrics.Snapshot().Samples; !reflect.DeepEqual(sink, private) {
+	if sink := r.sink.Snapshot().Samples; !reflect.DeepEqual(sink, private) {
 		t.Errorf("sink and private registry differ:\nsink    %+v\nprivate %+v", sink, private)
 	}
 }
@@ -279,7 +278,7 @@ func TestRunnerMetricsSinkAggregates(t *testing.T) {
 	sink := metrics.New()
 	var total int
 	for _, seed := range []uint64{1, 2} {
-		r := NewRunner(4, Options{Seed: seed, Metrics: sink})
+		r := eventRunner(t, 4, Options{Seed: seed}, nil, nil, sink)
 		st, err := r.Run(lineHandlers(4))
 		if err != nil {
 			t.Fatal(err)

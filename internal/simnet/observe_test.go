@@ -67,6 +67,17 @@ func TestRunnerObserverDeterministic(t *testing.T) {
 
 // timeRecorder returns a prober, sampling every interval, whose
 // sampler appends each probe time to *times.
+// eventRunner builds the Runner that Event builds for one run with the
+// given hooks.
+func eventRunner(t testing.TB, n int, opts Options, probe *obs.Prober, admit Admitter, sink *metrics.Registry) *Runner {
+	t.Helper()
+	tr, err := Event(opts)(n, probe, admit, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.(*Runner)
+}
+
 func timeRecorder(interval float64, times *[]float64) *obs.Prober {
 	return obs.NewProber(metrics.New(), interval, 0, 0, func(tm float64) obs.StabilitySample {
 		*times = append(*times, tm)
@@ -89,7 +100,7 @@ func TestRunnerProbeSchedule(t *testing.T) {
 	const n = 5
 	var times []float64
 	hs := chainHandlers(n)
-	r := NewRunner(n, Options{Seed: 1, Prober: timeRecorder(1, &times)})
+	r := eventRunner(t, n, Options{Seed: 1}, timeRecorder(1, &times), nil, nil)
 	if _, err := r.Run(hs); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +128,7 @@ func TestRunnerProbeTickAligned(t *testing.T) {
 	for _, interval := range []float64{0.1, 0.25, 0.2} {
 		var times []float64
 		hs := chainHandlers(n)
-		r := NewRunner(n, Options{Seed: 1, Prober: timeRecorder(interval, &times)})
+		r := eventRunner(t, n, Options{Seed: 1}, timeRecorder(interval, &times), nil, nil)
 		if _, err := r.Run(hs); err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +163,7 @@ func TestRunnerProberTotals(t *testing.T) {
 		want = append(want, [2]int64{m, b})
 		return obs.StabilitySample{}
 	})
-	r = NewRunner(n, Options{Seed: 1, Prober: prober})
+	r = eventRunner(t, n, Options{Seed: 1}, prober, nil, nil)
 	if _, err := r.Run(chainHandlers(n)); err != nil {
 		t.Fatal(err)
 	}

@@ -78,30 +78,17 @@ type Options struct {
 	// maintenance protocols (package dlid) that idle between injected
 	// events rather than terminating.
 	Quiesce bool
-	// Metrics, if non-nil, is a shared sink registry: when Run
-	// finishes (normally or not), the run's private instrument
-	// registry is merged into it (counters/histograms add, gauges take
-	// the max). The runner never writes to the sink on the hot path,
-	// so a sink shared across runs costs nothing per message. A run
-	// through Event takes its sink from the run's hook instead.
-	Metrics *metrics.Registry
 	// Obs, if non-nil, is the telemetry recorder (package obs): the
 	// runner records every network send/delivery with Lamport stamps
 	// carried across the link, and exposes the recorder to protocol
 	// layers through the Observable context capability. nil costs one
 	// branch per event.
 	Obs *obs.Recorder
-	// Prober, if non-nil, is the per-round stability probe: the run
-	// loop calls Prober.Probe at every multiple t of Prober.Interval(),
-	// after all events strictly before t have been processed (plus
-	// once more after the queue drains), so a probe at t sees the state
-	// "after round t". Each call carries the run's cumulative send
-	// totals (SentTotals). Probes observe protocol state but must not
-	// mutate it.
-	Prober *obs.Prober
 	// Admitter, if non-nil, batches node initialization: only released
 	// nodes run Init, and further batches are released whenever the
 	// event queue drains. nil keeps the canonical all-at-time-0 sweep.
+	// A run through Event takes its admitter from the run's hook
+	// instead; this field serves a Runner built by hand.
 	Admitter Admitter
 }
 
@@ -109,8 +96,19 @@ type Options struct {
 // plain per-run counters (see instruments); Stats is built from them,
 // and they are folded into the run's registry when Run returns.
 type Runner struct {
-	n       int
-	opts    Options
+	n    int
+	opts Options
+	// probe and sink are the run's stability prober and metrics sink,
+	// which only Event sets (from the run's hooks); nil for a Runner
+	// built by hand. The prober is called at every multiple t of its
+	// interval, after all events strictly before t have been processed
+	// (plus once more after the queue drains), so a probe at t sees the
+	// state "after round t"; each call carries the run's cumulative
+	// send totals (SentTotals). The run's private registry is merged
+	// into the sink when Run returns (counters and histograms add,
+	// gauges take the max), never on the hot path.
+	probe   *obs.Prober
+	sink    *metrics.Registry
 	src     *rng.Source
 	queue   *eventQueue // from queuePool; nil once Run has returned it
 	seq     int
@@ -232,7 +230,7 @@ func (r *Runner) push(at float64, from, to int, msg Message, lam uint64) {
 // finish publishes the run's counters and returns the queue's backing
 // array to queuePool, cleared of the messages a failed run left queued.
 func (r *Runner) finish() {
-	r.ins.publish(r.opts.Metrics)
+	r.ins.publish(r.sink)
 	q := *r.queue
 	clear(q)
 	*r.queue = q[:0]
@@ -249,8 +247,8 @@ func (r *Runner) Metrics() *metrics.Registry { return r.ins.reg }
 func (r *Runner) stats() Stats { return r.ins.Stats(r.ins.finalTime) }
 
 // SentTotals returns the cumulative (messages, bytes) send counters,
-// bytes being encoded frame lengths, header included — the totals
-// Options.Prober receives at every probe.
+// bytes being encoded frame lengths, header included — the totals the
+// run's prober receives at every probe.
 func (r *Runner) SentTotals() (msgs, bytes int64) { return r.ins.sentTotals() }
 
 // runnerCtx implements Context for one delivery.
@@ -394,7 +392,7 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 	// allocation removes per-delivery garbage.
 	ctx := &runnerCtx{r: r}
 	ins := &r.ins
-	interval := r.opts.Prober.Interval()
+	interval := r.probe.Interval()
 	// Probe times are tick-aligned — float64(tick) * interval — instead
 	// of accumulated by repeated addition: summing a non-dyadic interval
 	// (0.1, 0.25·1.1, ...) drifts off the grid within a handful of
@@ -405,7 +403,7 @@ func (r *Runner) Run(handlers []Handler) (Stats, error) {
 	nextProbe := func() float64 { return float64(probeTick) * interval }
 	probe := func() {
 		msgs, bytes := r.SentTotals()
-		r.opts.Prober.Probe(nextProbe(), msgs, bytes)
+		r.probe.Probe(nextProbe(), msgs, bytes)
 		probeTick++
 	}
 	for {

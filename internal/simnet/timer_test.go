@@ -207,12 +207,8 @@ func TestRunnerStoppedTimerVanishes(t *testing.T) {
 		admittedAt = ctx.Time()
 		ctx.Halt()
 	}}
-	r := NewRunner(2, Options{
-		Seed:          1,
-		MaxDeliveries: 1,
-		Admitter:      &batchAdmitter{batches: [][]int{{0}, {1}}},
-		Prober:        prober,
-	})
+	r := eventRunner(t, 2, Options{Seed: 1, MaxDeliveries: 1}, prober,
+		&batchAdmitter{batches: [][]int{{0}, {1}}}, nil)
 	stats, err := r.Run([]Handler{node0, node1})
 	if err != nil {
 		t.Fatal(err)

@@ -51,18 +51,21 @@ type Transport interface {
 // build a Cluster, which honours the sink only.
 type Runtime func(n int, probe *obs.Prober, admit Admitter, sink *metrics.Registry) (Transport, error)
 
-// Event returns the Runtime of the event Runner under opts. The run's
-// hooks fill a copy of opts; opts that already set a Prober, an
-// Admitter or Metrics are an error, so a hook is never replaced
-// silently, and one Runtime serves any number of runs.
+// Event returns the Runtime of the event Runner under opts, and the
+// only way a prober or a sink reaches a Runner. The run's hooks fill a
+// copy of opts, so one Runtime serves any number of runs. Options
+// keeps an Admitter field for Runners built by hand; opts that set it
+// are an error here, so the run's admitter never replaces it silently.
 func Event(opts Options) Runtime {
 	return func(n int, probe *obs.Prober, admit Admitter, sink *metrics.Registry) (Transport, error) {
-		if opts.Prober != nil || opts.Admitter != nil || opts.Metrics != nil {
-			return nil, fmt.Errorf("simnet: Event options set a Prober, an Admitter or Metrics; pass them to the run instead")
+		if opts.Admitter != nil {
+			return nil, fmt.Errorf("simnet: Event options set an Admitter; pass it to the run instead")
 		}
 		run := opts
-		run.Prober, run.Admitter, run.Metrics = probe, admit, sink
-		return NewRunner(n, run), nil
+		run.Admitter = admit
+		r := NewRunner(n, run)
+		r.probe, r.sink = probe, sink
+		return r, nil
 	}
 }
 

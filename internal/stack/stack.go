@@ -4,6 +4,10 @@
 // package detector's heartbeat monitor, the failure detection the §7
 // churn questions need. Every run that stacks a layer takes it from a
 // Spec, so the layer order and the layers' metrics have one owner.
+//
+// The package also owns the run recipe that every protocol's run goes
+// through (Run): the stability prober, the layers, the runtime's hooks,
+// the published totals and the assembled matching.
 package stack
 
 import (

@@ -1,13 +1,17 @@
 package stack_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"overlaymatch/internal/detector"
 	"overlaymatch/internal/gen"
+	"overlaymatch/internal/graph"
 	"overlaymatch/internal/lid"
+	"overlaymatch/internal/matching"
 	"overlaymatch/internal/metrics"
+	"overlaymatch/internal/obs"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/rng"
@@ -118,5 +122,71 @@ func TestBadRTOIsStacked(t *testing.T) {
 			}()
 			stack.Spec{Reliable: reliable.Config{RTO: rto}}.Wrap(s.Graph(), lid.Handlers(lid.NewNodes(s, tbl)))
 		}()
+	}
+}
+
+// TestRunTellsAssemblyFromRunFailure: only a run that ended in a state
+// that assembles no matching returns a *stack.AssemblyError, after the
+// layers' totals are published; a refused hook and a failed run return
+// the runtime's own error and publish no layer totals. The rounds-to-ε
+// summary is published whenever the run started.
+func TestRunTellsAssemblyFromRunFailure(t *testing.T) {
+	s, tbl := system(t)
+	broken := errors.New("asymmetric locks")
+	protocol := func(assemble error) stack.Protocol {
+		nodes := lid.NewNodes(s, tbl)
+		return stack.Protocol{
+			Handlers: lid.Handlers(nodes),
+			Holds:    func(u, v graph.NodeID) bool { return nodes[u].LockedWith(v) },
+			Assemble: func() (*matching.Matching, error) {
+				if assemble != nil {
+					return nil, assemble
+				}
+				return lid.BuildMatching(nodes)
+			},
+		}
+	}
+	refuse := func(int, *obs.Prober, simnet.Admitter, *metrics.Registry) (simnet.Transport, error) {
+		return nil, errors.New("refused")
+	}
+	for _, c := range []struct {
+		name              string
+		p                 stack.Protocol
+		rt                simnet.Runtime
+		assembly, ran, ok bool
+	}{
+		{"ok", protocol(nil), simnet.Event(simnet.Options{Seed: 1}), false, true, true},
+		{"assembly", protocol(broken), simnet.Event(simnet.Options{Seed: 1}), true, true, false},
+		{"refused", protocol(nil), refuse, false, false, false},
+		{"capped", protocol(nil), simnet.Event(simnet.Options{Seed: 1, MaxDeliveries: 5}), false, true, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			reg := metrics.New()
+			res, err := stack.Run(s, tbl, c.p, c.rt, stack.Options{
+				Stack:         stack.Spec{Reliable: reliable.Config{RTO: 30}},
+				ProbeInterval: 1,
+				Metrics:       reg,
+			})
+			var assembly *stack.AssemblyError
+			if (err == nil) != c.ok || errors.As(err, &assembly) != c.assembly {
+				t.Fatalf("error %v: want ok %v, assembly error %v", err, c.ok, c.assembly)
+			}
+			if c.assembly && !errors.Is(err, broken) {
+				t.Fatalf("the assembly error %v does not wrap the protocol's", err)
+			}
+			if (res.Matching != nil) != c.ok {
+				t.Fatalf("matching %v after error %v", res.Matching, err)
+			}
+			names := map[string]bool{}
+			for _, sm := range reg.Snapshot().Samples {
+				names[sm.Name] = true
+			}
+			if got, want := names["reliable_frames_total"], c.ok || c.assembly; got != want {
+				t.Fatalf("layer totals published = %v, want %v", got, want)
+			}
+			if got := names[obs.SummaryPrefix+obs.EpsKey(0)]; got != c.ran {
+				t.Fatalf("rounds-to-eps summary published = %v, want %v", got, c.ran)
+			}
+		})
 	}
 }

@@ -6,10 +6,10 @@ import (
 
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
-	"overlaymatch/internal/obs"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 )
 
 // BackupPlacement is the one-round baseline in the style of Barenboim
@@ -100,43 +100,35 @@ func (n *bpNode) linked(v graph.NodeID) bool {
 	return ok && n.proposed[pos] && n.received[pos]
 }
 
-// Run implements Algorithm.
-func (BackupPlacement) Run(s *pref.System, tbl *satisfaction.Table, opts Options) (Outcome, error) {
-	g := s.Graph()
-	nodes := make([]*bpNode, g.NumNodes())
+// Run implements Algorithm. One round has no replacement waves to
+// resynchronize, so a stacked reliable transport simply re-delivers
+// the proposals a crash window ate — the mutual-proposal rule is
+// unaffected by reordering.
+func (BackupPlacement) Run(s *pref.System, tbl *satisfaction.Table, opts Options) (stack.Result, error) {
+	nodes := make([]*bpNode, s.Graph().NumNodes())
 	handlers := make([]simnet.Handler, len(nodes))
 	for id := range nodes {
 		nodes[id] = newBPNode(s, tbl, id)
 		handlers[id] = nodes[id]
 	}
 	matched := func(u, v graph.NodeID) bool { return nodes[u].linked(v) && nodes[v].linked(u) }
-	prober := obs.NewProber(opts.Registry, opts.interval(), g.NumEdges(), opts.OptWeight,
-		obs.StabilitySampler(s, tbl, matched))
-	runner := simnet.NewRunner(g.NumNodes(), simnet.Options{
-		Seed:   opts.Seed,
-		Policy: opts.policy(),
-		Prober: prober,
-	})
-	// One round has no replacement waves to resynchronize, so the
-	// reliable wrap simply re-delivers proposals a crash window ate —
-	// the mutual-proposal rule is unaffected by reordering.
-	wrapped, _ := opts.layers().Wrap(g, handlers)
-	stats, err := runner.Run(wrapped)
-	if err != nil {
-		return Outcome{Stats: stats, Prober: prober}, err
-	}
-	prober.PublishSummary(opts.Registry, nil)
-	m, err := matching.Assemble(s, func(id graph.NodeID) []graph.NodeID {
-		var partners []graph.NodeID
-		for _, v := range nodes[id].order {
-			if matched(id, v) {
-				partners = append(partners, v)
+	return stack.Run(s, tbl, stack.Protocol{
+		Handlers: handlers,
+		Holds:    matched,
+		Assemble: func() (*matching.Matching, error) {
+			m, err := matching.Assemble(s, func(id graph.NodeID) []graph.NodeID {
+				var partners []graph.NodeID
+				for _, v := range nodes[id].order {
+					if matched(id, v) {
+						partners = append(partners, v)
+					}
+				}
+				return partners
+			})
+			if err != nil {
+				return nil, fmt.Errorf("tournament: bp %w", err)
 			}
-		}
-		return partners
-	})
-	if err != nil {
-		return Outcome{Stats: stats, Prober: prober}, fmt.Errorf("tournament: bp %w", err)
-	}
-	return Outcome{Matching: m, Stats: stats, Prober: prober}, nil
+			return m, nil
+		},
+	}, opts.runtime(), stack.Options{Stack: opts.Stack, ProbeInterval: opts.interval()})
 }

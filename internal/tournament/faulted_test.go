@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"overlaymatch/internal/faults"
+	"overlaymatch/internal/reliable"
+	"overlaymatch/internal/stack"
 	"overlaymatch/internal/workload"
 )
 
@@ -28,8 +30,7 @@ func TestFaultedBracketValidity(t *testing.T) {
 			Seed:       seed,
 			Faults:     fs,
 			FaultsSeed: seed * 77,
-			Reliable:   true,
-			RTO:        15,
+			Stack:      stack.Spec{Reliable: reliable.Config{RTO: 15, Adaptive: true}},
 		}
 		results, err := RunBracket(specs, FaultTolerantAlgorithms(), opts)
 		if err != nil {
@@ -65,8 +66,12 @@ func TestGSRefusesFaultedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = RunCell(inst, GaleShapley{}, Options{Seed: 1, Reliable: true})
-	if err == nil {
-		t.Fatal("gs accepted a faulted cell")
+	for _, opts := range []Options{
+		{Seed: 1, Faults: faults.Spec{Delay: 0.1, DelayScale: 2}},
+		{Seed: 1, Stack: stack.Spec{Reliable: reliable.Config{RTO: 15, Adaptive: true}}},
+	} {
+		if _, _, err = RunCell(inst, GaleShapley{}, opts); err == nil {
+			t.Fatalf("gs accepted a faulted cell: %+v", opts)
+		}
 	}
 }

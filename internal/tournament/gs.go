@@ -6,10 +6,10 @@ import (
 
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
-	"overlaymatch/internal/obs"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
+	"overlaymatch/internal/stack"
 )
 
 // GaleShapley is a distributed propose/accept contender in the style
@@ -413,15 +413,16 @@ func buildGSMatching(s *pref.System, nodes []*gsNode) (*matching.Matching, error
 // latency: the FSM's crossing rules (stale answers overtaking drops,
 // breaks before re-proposals) assume per-link FIFO delivery, which
 // the unit-latency event order guarantees. That assumption is also
-// why GS declines faulted cells: the reliable transport restores
-// exactly-once delivery after a crash window but retransmission can
-// reorder a link's frames, and a reordered PROP/ANSWER pair drives
-// the FSM into states its crossing rules never anticipate (observed
-// as a PROP arriving at an already-engaged position). The faulted
-// bracket therefore runs FaultTolerantAlgorithms.
-func (GaleShapley) Run(s *pref.System, tbl *satisfaction.Table, opts Options) (Outcome, error) {
-	if opts.faulted() {
-		return Outcome{}, fmt.Errorf("tournament: gs requires per-link FIFO delivery and cannot run under faults or the reliable transport")
+// why GS declines faulted cells, and cells that stack a layer: the
+// reliable transport restores exactly-once delivery after a crash
+// window but retransmission can reorder a link's frames, and a
+// reordered PROP/ANSWER pair drives the FSM into states its crossing
+// rules never anticipate (observed as a PROP arriving at an
+// already-engaged position). The faulted bracket therefore runs
+// FaultTolerantAlgorithms.
+func (GaleShapley) Run(s *pref.System, tbl *satisfaction.Table, opts Options) (stack.Result, error) {
+	if !opts.Faults.IsZero() || opts.Stack != (stack.Spec{}) {
+		return stack.Result{}, fmt.Errorf("tournament: gs requires per-link FIFO delivery and cannot run under faults or a stacked layer")
 	}
 	g := s.Graph()
 	nodes := make([]*gsNode, g.NumNodes())
@@ -430,29 +431,20 @@ func (GaleShapley) Run(s *pref.System, tbl *satisfaction.Table, opts Options) (O
 		nodes[id] = newGSNode(s, tbl, id)
 		handlers[id] = nodes[id]
 	}
-	// The sampler's view is mutual engagement, the view E18's GS
-	// columns are measured on: an engagement still one-sided holds
-	// nothing yet.
-	prober := obs.NewProber(opts.Registry, opts.interval(), g.NumEdges(), opts.OptWeight,
-		obs.StabilitySampler(s, tbl, func(u, v graph.NodeID) bool {
+	return stack.Run(s, tbl, stack.Protocol{
+		Handlers: handlers,
+		// The sampler's view is mutual engagement, the view E18's GS
+		// columns are measured on: an engagement still one-sided holds
+		// nothing yet.
+		Holds: func(u, v graph.NodeID) bool {
 			return nodes[u].engagedWith(v) && nodes[v].engagedWith(u)
-		}))
-	runner := simnet.NewRunner(g.NumNodes(), simnet.Options{
-		Seed:   opts.Seed,
-		Prober: prober,
+		},
+		Assemble: func() (*matching.Matching, error) { return buildGSMatching(s, nodes) },
+	}, simnet.Event(simnet.Options{
+		Seed: opts.Seed,
 		// Termination is enforced by the settling argument (the
 		// heaviest unsettled edge settles in bounded time); the cap
 		// turns a bug into an error instead of a hang.
 		MaxDeliveries: 1000*g.NumEdges() + 100_000,
-	})
-	stats, err := runner.Run(handlers)
-	if err != nil {
-		return Outcome{Stats: stats, Prober: prober}, err
-	}
-	prober.PublishSummary(opts.Registry, nil)
-	m, err := buildGSMatching(s, nodes)
-	if err != nil {
-		return Outcome{Stats: stats, Prober: prober}, err
-	}
-	return Outcome{Matching: m, Stats: stats, Prober: prober}, nil
+	}), stack.Options{ProbeInterval: opts.interval()})
 }

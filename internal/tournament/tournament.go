@@ -26,10 +26,7 @@ import (
 
 	"overlaymatch/internal/faults"
 	"overlaymatch/internal/matching"
-	"overlaymatch/internal/metrics"
-	"overlaymatch/internal/obs"
 	"overlaymatch/internal/pref"
-	"overlaymatch/internal/reliable"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
 	"overlaymatch/internal/stack"
@@ -55,20 +52,11 @@ type Options struct {
 	// adversary's coin flips are identical across contenders.
 	Faults     faults.Spec
 	FaultsSeed uint64
-	// Reliable wraps each contender's handlers in the ack/retransmit
-	// transport — required whenever Faults can lose messages (a
-	// healing crash window still drops everything in flight). RTO is
-	// the transport's base timeout (0 = 20), with adaptive RFC-6298
-	// estimation on top.
-	Reliable bool
-	RTO      float64
-
-	// Registry and OptWeight are filled by RunCell before handing the
-	// options to Algorithm.Run: the per-cell metrics registry the
-	// prober records into, and the LIC-optimal weight (the fraction
-	// denominator).
-	Registry  *metrics.Registry
-	OptWeight float64
+	// Stack names the layers every contender's handlers run under. A
+	// run whose Faults can lose messages needs the reliable transport
+	// (a healing crash window still drops everything in flight); the
+	// faulted axis stacks it with adaptive RFC-6298 estimation.
+	Stack stack.Spec
 }
 
 func (o Options) interval() float64 {
@@ -85,52 +73,24 @@ func (o Options) workers() int {
 	return 1
 }
 
-// policy builds a fresh per-cell fault injector (nil when no faults
-// are configured, leaving the zero-spec path byte-identical).
-func (o Options) policy() simnet.LinkPolicy {
-	if o.Faults.IsZero() {
-		return nil
+// runtime returns the event runtime of one cell: the cell's seed and a
+// fresh fault injector (none when no faults are configured, leaving
+// the zero-spec path byte-identical).
+func (o Options) runtime() simnet.Runtime {
+	opts := simnet.Options{Seed: o.Seed}
+	if !o.Faults.IsZero() {
+		opts.Policy = faults.NewInjector(o.Faults, o.FaultsSeed)
 	}
-	return faults.NewInjector(o.Faults, o.FaultsSeed)
-}
-
-func (o Options) rto() float64 {
-	if o.RTO > 0 {
-		return o.RTO
-	}
-	return 20
-}
-
-// layers names the layers a contender's handlers run under: the
-// adaptive ack/retransmit transport when the options ask for it.
-func (o Options) layers() stack.Spec {
-	if !o.Reliable {
-		return stack.Spec{}
-	}
-	return stack.Spec{Reliable: reliable.Config{RTO: o.rto(), Adaptive: true}}
-}
-
-// faulted reports whether this cell deviates from the clean bracket
-// configuration.
-func (o Options) faulted() bool { return !o.Faults.IsZero() || o.Reliable }
-
-// Outcome is what one contender returns: its matching plus the run's
-// accounting.
-type Outcome struct {
-	Matching *matching.Matching
-	Stats    simnet.Stats
-	// Prober holds the stability curve the run recorded; RunCell reads
-	// the final sample and the rounds-to-ε ladder from it.
-	Prober *obs.Prober
+	return simnet.Event(opts)
 }
 
 // Algorithm is one tournament contender. Run executes the contender
-// on the instance and must attach a stability prober through
-// opts.Registry / opts.interval() so every cell's stability columns
-// are populated the same way.
+// on the instance through the run recipe (stack.Run) with the cell's
+// runtime and options, so every cell's stability columns come from
+// the same prober.
 type Algorithm interface {
 	Name() string
-	Run(s *pref.System, tbl *satisfaction.Table, opts Options) (Outcome, error)
+	Run(s *pref.System, tbl *satisfaction.Table, opts Options) (stack.Result, error)
 }
 
 // DefaultAlgorithms returns the bracket's standard contenders in
@@ -176,15 +136,13 @@ type Cell struct {
 }
 
 // RunCell executes one contender on one built instance and scores it.
-// The returned Outcome carries the raw matching and prober for callers
+// The returned result carries the raw matching and prober for callers
 // that verify beyond the scores (the equivalence guards).
-func RunCell(inst *workload.Instance, alg Algorithm, opts Options) (Cell, Outcome, error) {
+func RunCell(inst *workload.Instance, alg Algorithm, opts Options) (Cell, stack.Result, error) {
 	sys := inst.System
 	g := sys.Graph()
 	tbl := satisfaction.NewTableParallel(sys, opts.workers())
 	lic := matching.LICParallel(sys, tbl, opts.workers())
-	opts.OptWeight = lic.Weight(sys)
-	opts.Registry = metrics.New()
 
 	out, err := alg.Run(sys, tbl, opts)
 	if err != nil {
@@ -192,9 +150,6 @@ func RunCell(inst *workload.Instance, alg Algorithm, opts Options) (Cell, Outcom
 	}
 	if err := out.Matching.Validate(sys); err != nil {
 		return Cell{}, out, fmt.Errorf("tournament: %s on %s produced an invalid matching: %w", alg.Name(), inst.Spec, err)
-	}
-	if out.Prober == nil {
-		return Cell{}, out, fmt.Errorf("tournament: %s did not attach a stability prober", alg.Name())
 	}
 
 	cell := Cell{
@@ -205,7 +160,7 @@ func RunCell(inst *workload.Instance, alg Algorithm, opts Options) (Cell, Outcom
 		N:             g.NumNodes(),
 		Edges:         g.NumEdges(),
 		MatchedWeight: out.Matching.Weight(sys),
-		LICWeight:     opts.OptWeight,
+		LICWeight:     lic.Weight(sys),
 		Matched:       out.Matching.Size(),
 		RoundsToEps:   out.Prober.RoundsToEps(nil),
 		FinalTime:     out.Stats.FinalTime,
@@ -216,21 +171,12 @@ func RunCell(inst *workload.Instance, alg Algorithm, opts Options) (Cell, Outcom
 	} else {
 		cell.WeightFrac = 1
 	}
-	curve := out.Prober.Curve()
-	if len(curve) == 0 {
+	if len(out.Prober.Curve()) == 0 {
 		return Cell{}, out, fmt.Errorf("tournament: %s recorded no probes", alg.Name())
 	}
-	cell.BlockingPairs = int(curve[len(curve)-1].V)
-	reg := opts.Registry
-	if pts := reg.Series("probe_unmatched_nodes", "").Points(); len(pts) > 0 {
-		cell.Unmatched = int(pts[len(pts)-1].V)
-	}
-	if pts := reg.Series("probe_msgs_sent", "").Points(); len(pts) > 0 {
-		cell.Msgs = int64(pts[len(pts)-1].V)
-	}
-	if pts := reg.Series("probe_bytes_sent", "").Points(); len(pts) > 0 {
-		cell.Bytes = int64(pts[len(pts)-1].V)
-	}
+	last := out.Prober.Last()
+	cell.BlockingPairs, cell.Unmatched = last.BlockingPairs, last.UnmatchedNodes
+	cell.Msgs, cell.Bytes = last.Msgs, last.Bytes
 	return cell, out, nil
 }
 

@@ -197,7 +197,7 @@ func buildGeo(r Spec, src *rng.Source, workers int) (*Instance, error) {
 	b := graph.NewBuilder(n)
 	moveSrc := src.Split()
 	for step := 0; step <= r.Steps; step++ {
-		addGeometricEdges(b, pts, r.Radius)
+		gen.AddRadiusEdges(b, pts, r.Radius)
 		if step == r.Steps {
 			break
 		}
@@ -212,41 +212,6 @@ func buildGeo(r Spec, src *rng.Source, workers int) (*Instance, error) {
 		return nil, err
 	}
 	return &Instance{System: sys, Coords: pts}, nil
-}
-
-// addGeometricEdges unions the radius graph of one snapshot into b,
-// grid-bucketed like gen.Geometric so a mobility trace stays near
-// linear.
-func addGeometricEdges(b *graph.Builder, pts [][2]float64, radius float64) {
-	cell := radius
-	if cell <= 0 || cell > 1 {
-		cell = 1
-	}
-	r2 := radius * radius
-	buckets := make(map[[2]int][]int)
-	key := func(p [2]float64) [2]int {
-		return [2]int{int(p[0] / cell), int(p[1] / cell)}
-	}
-	for i, p := range pts {
-		buckets[key(p)] = append(buckets[key(p)], i)
-	}
-	for i, p := range pts {
-		k := key(p)
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				for _, j := range buckets[[2]int{k[0] + dx, k[1] + dy}] {
-					if j <= i {
-						continue
-					}
-					ddx := p[0] - pts[j][0]
-					ddy := p[1] - pts[j][1]
-					if ddx*ddx+ddy*ddy <= r2 {
-						b.TryAddEdge(i, j)
-					}
-				}
-			}
-		}
-	}
 }
 
 // reflect01 folds x back into [0,1] by reflection at the borders.
