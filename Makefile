@@ -38,10 +38,14 @@ race-core: vet
 # The protocol packages and the run recipe (internal/stack) run on any
 # simnet.Runtime, so none of them may depend on the wall-clock runtime
 # (internal/transport): only the callers that pick a runtime import
-# it. A failed `go list` fails the leg too.
+# it. A failed `go list` fails the leg too. The edge order keeps one
+# stored form, the table's packed order keys: outside
+# internal/satisfaction only tests may name the reference
+# satisfaction.WeightKey or satisfaction.KeyFor.
 layering:
 	deps="$$($(GO) list -deps ./internal/stack ./internal/lid ./internal/dlid ./internal/phased ./internal/robust ./internal/tournament ./internal/faults)" && \
 	! echo "$$deps" | grep -x overlaymatch/internal/transport
+	! grep -rnE --include='*.go' --exclude='*_test.go' 'satisfaction\.(WeightKey|KeyFor)\b' . | grep -v '^\./internal/satisfaction/'
 
 # Every registered experiment must still run under quick parameters —
 # catches experiments silently falling out of the registry.

@@ -48,7 +48,6 @@ package dlid
 
 import (
 	"fmt"
-	"sort"
 
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
@@ -162,19 +161,15 @@ const (
 // Node is the per-peer maintenance state machine. All per-neighbor
 // state is held in slices indexed by weight-list position — a
 // neighbor's position doubles as its preference rank — and senders are
-// located through the shared CSR index (sorted adjacency + flat
-// position table), so a node allocates no maps at all.
+// located through the weight list's inverse lookup, so a node
+// allocates no maps at all.
 type Node struct {
 	id    graph.NodeID
 	quota int
 	mode  Mode
-	order []graph.NodeID // weight list (descending); index = rank
-	// neighbors is the sorted adjacency, pos the CSR-aligned weight-list
-	// position of each adjacency slot (both shared, read-only).
-	neighbors []graph.NodeID
-	pos       []int32
-	state     []neighborState // indexed by weight-list position
-	alive     bool
+	list  satisfaction.WeightList // weight list (descending; index = rank), shared
+	state []neighborState         // indexed by weight-list position
+	alive bool
 
 	// Per-pair wire sequencing (see Msg.Seq), indexed by weight-list
 	// position. Never reset, not even across leave/rejoin, so
@@ -204,24 +199,23 @@ func NewNode(s *pref.System, tbl *satisfaction.Table, id graph.NodeID, initial [
 
 // NewNodeMode is NewNode with an explicit repair discipline.
 func NewNodeMode(s *pref.System, tbl *satisfaction.Table, id graph.NodeID, initial []graph.NodeID, mode Mode) *Node {
-	order := tbl.SortedNeighbors(s, id)
+	list := tbl.WeightList(s, id)
+	deg := len(list.Order)
 	n := &Node{
-		id:        id,
-		quota:     s.Quota(id),
-		mode:      mode,
-		order:     order,
-		neighbors: s.Graph().Neighbors(id),
-		pos:       tbl.WeightListPos(s, id),
-		state:     make([]neighborState, len(order)),
-		alive:     true,
-		outSeq:    make([]uint32, len(order)),
-		lastSeq:   make([]uint32, len(order)),
+		id:      id,
+		quota:   s.Quota(id),
+		mode:    mode,
+		list:    list,
+		state:   make([]neighborState, deg),
+		alive:   true,
+		outSeq:  make([]uint32, deg),
+		lastSeq: make([]uint32, deg),
 	}
 	for i := range n.state {
 		n.state[i].alive = true
 	}
 	for _, c := range initial {
-		p, ok := n.posOf(c)
+		p, ok := n.list.Pos(c)
 		if !ok {
 			panic(fmt.Sprintf("dlid: initial connection %d is not a neighbor of %d", c, id))
 		}
@@ -230,22 +224,11 @@ func NewNodeMode(s *pref.System, tbl *satisfaction.Table, id graph.NodeID, initi
 	return n
 }
 
-// posOf locates v's weight-list position through the shared CSR index
-// (binary search in the sorted adjacency, then the flat position
-// table). Reports false if v is not a neighbor.
-func (n *Node) posOf(v graph.NodeID) (int32, bool) {
-	i := sort.SearchInts(n.neighbors, v)
-	if i >= len(n.neighbors) || n.neighbors[i] != v {
-		return 0, false
-	}
-	return n.pos[i], true
-}
-
 // neighborView returns the state record for neighbor v; it panics if v
 // is not a neighbor. Package-internal observers (the self-heal harness
 // and tests) use it where they used to index the state map.
 func (n *Node) neighborView(v graph.NodeID) *neighborState {
-	p, ok := n.posOf(v)
+	p, ok := n.list.Pos(v)
 	if !ok {
 		panic(fmt.Sprintf("dlid: node %d is not a neighbor of %d", v, n.id))
 	}
@@ -316,7 +299,7 @@ func (n *Node) sendMsg(ctx simnet.Context, toPos int32, k wireKind) {
 // sendMsgVer is sendMsg with an explicit pair incarnation version.
 func (n *Node) sendMsgVer(ctx simnet.Context, toPos int32, k wireKind, ver uint32) {
 	n.outSeq[toPos]++
-	ctx.Send(n.order[toPos], Msg{K: k, Seq: n.outSeq[toPos], Ver: ver})
+	ctx.Send(n.list.Order[toPos], Msg{K: k, Seq: n.outSeq[toPos], Ver: ver})
 }
 
 // HandleMessage implements simnet.Handler.
@@ -336,7 +319,7 @@ func (n *Node) HandleMessage(ctx simnet.Context, from int, msg simnet.Message) {
 	if !ok {
 		panic(fmt.Sprintf("dlid: node %d received %T", n.id, msg))
 	}
-	p, known := n.posOf(from)
+	p, known := n.list.Pos(from)
 	if !known {
 		panic(fmt.Sprintf("dlid: node %d received message from non-neighbor %d", n.id, from))
 	}
@@ -392,7 +375,7 @@ func (n *Node) peerDown(ctx simnet.Context, peer graph.NodeID) {
 	if !n.alive {
 		return
 	}
-	p, ok := n.posOf(peer)
+	p, ok := n.list.Pos(peer)
 	if !ok || !n.state[p].alive {
 		return // not a neighbor, or already mourned
 	}
@@ -413,7 +396,7 @@ func (n *Node) HandleRestore(ctx simnet.Context, peer int) {
 	if !n.alive {
 		return
 	}
-	p, ok := n.posOf(peer)
+	p, ok := n.list.Pos(peer)
 	if !ok || n.state[p].alive {
 		return // not a neighbor, or never mourned (no resync needed)
 	}
@@ -438,7 +421,7 @@ func (n *Node) leave(ctx simnet.Context) {
 		}
 		n.repairSpan = 0
 	}
-	for i := range n.order { // weight-list order: deterministic
+	for i := range n.list.Order { // weight-list order: deterministic
 		ns := &n.state[i]
 		if ns.alive {
 			n.sendMsg(ctx, int32(i), kBye)
@@ -457,7 +440,7 @@ func (n *Node) join(ctx simnet.Context) {
 		panic(fmt.Sprintf("dlid: CmdJoin to alive node %d", n.id))
 	}
 	n.alive = true
-	for i := range n.order { // weight-list order: deterministic
+	for i := range n.list.Order { // weight-list order: deterministic
 		ns := &n.state[i]
 		// Optimistically greet everyone; dead neighbors ignore it. The
 		// alive view is rebuilt from HELLO-ACKs.
@@ -752,7 +735,7 @@ func (n *Node) proposeMore(ctx simnet.Context) {
 	if free <= 0 {
 		return
 	}
-	for i := 0; i < len(n.order) && free > 0; i++ {
+	for i := 0; i < len(n.list.Order) && free > 0; i++ {
 		ns := &n.state[i]
 		// A declined candidate is retried only if it asked us since (we
 		// owe the freed capacity to waiters); otherwise skip until an
@@ -775,7 +758,7 @@ func (n *Node) proposeMore(ctx simnet.Context) {
 // even when the quota is full — acceptance there preempts the worst.
 func (n *Node) proposeRematch(ctx simnet.Context) {
 	budget := n.quota
-	for i := 0; i < len(n.order) && budget > 0; i++ {
+	for i := 0; i < len(n.list.Order) && budget > 0; i++ {
 		ns := &n.state[i]
 		if ns.connected || ns.pending {
 			budget--
@@ -833,7 +816,7 @@ func (n *Node) Alive() bool { return n.alive }
 // Connections returns the node's current connections.
 func (n *Node) Connections() []graph.NodeID {
 	var out []graph.NodeID
-	for i, nb := range n.order {
+	for i, nb := range n.list.Order {
 		if n.state[i].connected {
 			out = append(out, nb)
 		}

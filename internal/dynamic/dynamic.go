@@ -108,7 +108,7 @@ func (o *Overlay) lightestEdge(x graph.NodeID) graph.EdgeID {
 	lightest := noEdge
 	for _, v := range o.m.Partners(x) {
 		id, _ := g.EdgeIDOf(x, v)
-		if lightest == noEdge || o.candidate(lightest).before(o.candidate(id)) {
+		if lightest == noEdge || o.tbl.Heavier(lightest, id) {
 			lightest = id
 		}
 	}
@@ -132,7 +132,7 @@ func (o *Overlay) displaced(x graph.NodeID, id graph.EdgeID) (drop graph.EdgeID,
 		return noEdge, false // quota 0: can never accept
 	}
 	l := o.lightestEdge(x)
-	return l, o.candidate(id).before(o.candidate(l))
+	return l, o.tbl.Heavier(id, l)
 }
 
 // LiveLIC computes the fresh LIC matching of the live subgraph — the

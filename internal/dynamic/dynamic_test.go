@@ -8,6 +8,7 @@ import (
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/rng"
+	"overlaymatch/internal/satisfaction"
 )
 
 func randomSystem(tb testing.TB, seed uint64, n int, p float64, b int) *pref.System {
@@ -121,13 +122,13 @@ func TestPreemptiveLocalStability(t *testing.T) {
 				if !o.Alive(eg.U) || !o.Alive(eg.V) || m.Has(eg.U, eg.V) {
 					continue
 				}
-				k := o.tbl.Key(eg.U, eg.V)
+				k := satisfaction.KeyFor(s, eg)
 				blocked := false
 				for _, x := range []graph.NodeID{eg.U, eg.V} {
 					if m.DegreeOf(x) < s.Quota(x) {
 						continue
 					}
-					if o.tbl.KeyByID(o.lightestEdge(x)).Heavier(k) {
+					if satisfaction.KeyFor(s, s.Graph().EdgeByID(o.lightestEdge(x))).Heavier(k) {
 						blocked = true
 					}
 				}

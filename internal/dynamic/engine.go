@@ -39,7 +39,6 @@ package dynamic
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
@@ -202,9 +201,9 @@ type Engine struct {
 }
 
 // swapHook, when non-nil, observes every preemptive swap: the added
-// edge's key and the keys of the connection(s) it displaced. Test-only;
-// the nil check keeps the hot path allocation- and behavior-free.
-var swapHook func(added satisfaction.WeightKey, dropped []satisfaction.WeightKey)
+// edge and the connection(s) it displaced. Test-only; the nil check
+// keeps the hot path allocation- and behavior-free.
+var swapHook func(added graph.EdgeID, dropped []graph.EdgeID)
 
 // NewEngine starts an engine over a fresh all-alive overlay (parallel
 // table + LIC build under opts.Workers).
@@ -542,9 +541,9 @@ func (e *Engine) park(id graph.EdgeID) {
 }
 
 // candidate is one repair-queue entry: an edge and its packed order
-// key. (ord, id) ascending is exactly WeightKey.Heavier's heaviest-first
-// order (satisfaction.Table.OrderKeys), so comparing two candidates
-// costs two integer compares and no table lookup.
+// key. (ord, id) ascending is exactly the shared heaviest-first order
+// (satisfaction.Table.OrderKeys), so comparing two candidates costs
+// two integer compares and no table lookup.
 type candidate struct {
 	ord uint64
 	id  graph.EdgeID
@@ -708,13 +707,13 @@ func (e *Engine) repairBounded(seeds []graph.NodeID, rec *EpochRecord) {
 				continue
 			}
 			if swapHook != nil {
-				dk := make([]satisfaction.WeightKey, 0, 2)
+				dropped := make([]graph.EdgeID, 0, 2)
 				for _, d := range drops {
 					if d != noEdge {
-						dk = append(dk, o.tbl.KeyByID(d))
+						dropped = append(dropped, d)
 					}
 				}
-				swapHook(o.tbl.KeyByID(id), dk)
+				swapHook(id, dropped)
 			}
 			for k, d := range drops {
 				if d == noEdge {
@@ -811,26 +810,23 @@ func (e *Engine) shedRepair(seeds []graph.NodeID, rec *EpochRecord) {
 // fixed point full-budget repair converges to.
 func (o *Overlay) LiveLICInherited() *matching.Matching {
 	g := o.s.Graph()
-	keys := make([]satisfaction.WeightKey, 0, g.NumEdges())
-	for id := 0; id < g.NumEdges(); id++ {
-		eg := g.EdgeByID(graph.EdgeID(id))
+	// Alive EdgeIDs in ascending order, so the stable sort leaves ties
+	// in id order: (ord, id) ascending.
+	ids := make([]graph.EdgeID, 0, g.NumEdges())
+	for i := range g.NumEdges() {
+		id := graph.EdgeID(i)
+		eg := g.EdgeByID(id)
 		if o.alive[eg.U] && o.alive[eg.V] {
-			keys = append(keys, o.tbl.KeyByID(graph.EdgeID(id)))
+			ids = append(ids, id)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Heavier(keys[j]) })
+	matching.SortEdgeIDs(ids, o.tbl.OrderKeys(), 1)
 	quota := make([]int, g.NumNodes())
 	for i := range quota {
 		quota[i] = o.s.Quota(i)
 	}
 	m := matching.NewDense(g)
-	for _, k := range keys {
-		if quota[k.U] > 0 && quota[k.V] > 0 {
-			m.Add(k.U, k.V)
-			quota[k.U]--
-			quota[k.V]--
-		}
-	}
+	m.Fill(ids, quota)
 	return m
 }
 

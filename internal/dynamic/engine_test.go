@@ -386,10 +386,17 @@ func TestPreemptiveCascadeProperty(t *testing.T) {
 	for seed := uint64(0); seed < 200; seed++ {
 		var swaps, weightChecked int
 		failed := false
-		swapHook = func(added satisfaction.WeightKey, dropped []satisfaction.WeightKey) {
+		var e *Engine
+		swapHook = func(addedID graph.EdgeID, droppedIDs []graph.EdgeID) {
 			swaps++
+			// Judge the swap by the reference order of the system the
+			// engine is repairing under.
+			s := e.Overlay().System()
+			key := func(id graph.EdgeID) satisfaction.WeightKey { return satisfaction.KeyFor(s, s.Graph().EdgeByID(id)) }
+			added := key(addedID)
 			var droppedSum float64
-			for _, d := range dropped {
+			for _, id := range droppedIDs {
+				d := key(id)
 				if !added.Heavier(d) {
 					t.Errorf("seed %d: swap added %v not strictly heavier than displaced %v", seed, added, d)
 					failed = true
@@ -401,7 +408,7 @@ func TestPreemptiveCascadeProperty(t *testing.T) {
 			// too — except on exact weight ties, where Heavier falls
 			// back to the canonical endpoint tiebreak. Total weight
 			// must then never decrease.
-			if len(dropped) == 1 {
+			if len(droppedIDs) == 1 {
 				weightChecked++
 				if added.W < droppedSum {
 					t.Errorf("seed %d: single-displacement swap decreased total weight (%v -> %v)",
@@ -412,7 +419,7 @@ func TestPreemptiveCascadeProperty(t *testing.T) {
 		}
 		// Half the seeds step one epoch per event, half batch the
 		// feed: the hook guards the repair loop in both regimes.
-		e := mustEngine(t, seed, 35, 0.25, 2, EngineOptions{})
+		e = mustEngine(t, seed, 35, 0.25, 2, EngineOptions{})
 		if seed%2 == 0 {
 			spec := ChurnSpec{Events: 30, LeaveProb: 0.5, MinAlive: 2, Rate: 1}
 			stepChurn(t, e, spec, seed^0xc0de, func(rec EpochRecord) {

@@ -64,7 +64,13 @@ func E15FaultSweep(cfg Config) ([]*stats.Table, error) {
 				var policy simnet.LinkPolicy
 				var inj *faults.Injector
 				if !step.spec.IsZero() {
-					inj = faults.NewInjector(step.spec, cfg.FaultsSeed^(cfg.Seed+uint64(r)*104729))
+					// Only the custom rung draws from the fault seed, so
+					// adding it leaves the built-in rungs' streams alone.
+					seed := cfg.Seed + uint64(r)*104729
+					if step.name == "custom" {
+						seed ^= cfg.FaultsSeed
+					}
+					inj = faults.NewInjector(step.spec, seed)
 					policy = inj
 				}
 				res, err := lid.Run(sys, tbl, simnet.Event(simnet.Options{

@@ -71,21 +71,41 @@ func TestE15Quick(t *testing.T) {
 	}
 }
 
-// TestE15CustomRung: a Config.Faults spec appends a "custom" row.
+// TestE15CustomRung: a Config.Faults spec appends a "custom" row and
+// moves nothing else: the built-in rungs draw their injections from
+// the run seed alone, so a fault seed that reseeds the custom rung
+// leaves every light/medium/heavy row as the plain run has it.
 func TestE15CustomRung(t *testing.T) {
-	tables, err := E15FaultSweep(Config{
+	csvLines := func(cfg Config) []string {
+		t.Helper()
+		tables, err := E15FaultSweep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tables[0].WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(strings.TrimSpace(buf.String()), "\n")
+	}
+	plain := csvLines(Config{Seed: 2, Quick: true})
+	custom := csvLines(Config{
 		Seed: 2, Quick: true,
-		Faults: &faults.Spec{Drop: 0.05, Delay: 0.1, DelayScale: 3},
+		Faults:     &faults.Spec{Drop: 0.05, Delay: 0.1, DelayScale: 3},
+		FaultsSeed: 42,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tables[0].WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "custom") {
+	if len(custom) <= len(plain) {
 		t.Fatal("custom fault spec did not add a table rung")
+	}
+	for i, row := range plain {
+		if custom[i] != row {
+			t.Fatalf("row %d moved when the custom rung was added:\n plain  %s\n custom %s", i, row, custom[i])
+		}
+	}
+	for _, row := range custom[len(plain):] {
+		if !strings.HasPrefix(row, "custom,") {
+			t.Fatalf("extra row %q is not a custom rung", row)
+		}
 	}
 }
 

@@ -80,7 +80,7 @@ func E16SelfHealing(cfg Config) ([]*stats.Table, error) {
 				}, nil, simnet.Options{
 					Seed:    cfg.Seed + uint64(r)*131 + 16,
 					Latency: simnet.ExponentialLatency(0.5),
-					Policy:  faults.NewInjector(spec, cfg.FaultsSeed^(cfg.Seed+uint64(r)*104729)),
+					Policy:  faults.NewInjector(spec, cfg.Seed+uint64(r)*104729),
 				})
 				if err != nil {
 					return nil, fmt.Errorf("E16 %s/b=%d run %d: %w", topo, b, r, err)

@@ -56,8 +56,10 @@ type Config struct {
 	// honestly; E15 is the experiment designed to run them, through
 	// the reliable substrate.
 	Faults *faults.Spec
-	// FaultsSeed salts the per-run injection streams so the adversary
-	// varies independently of the workload seed.
+	// FaultsSeed salts the injection streams of the Faults spec (the
+	// E2/E5/E6 policy and E15's custom rung), so that adversary varies
+	// independently of the workload seed. Built-in fault schedules,
+	// E15's ladder and E16's crash window, draw from Seed alone.
 	FaultsSeed uint64
 	// RTO overrides the retransmission timeout of the
 	// transport-backed experiments (E11, E15); 0 keeps the historical

@@ -25,7 +25,6 @@ package lid
 
 import (
 	"fmt"
-	"sort"
 
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
@@ -74,20 +73,15 @@ type Node struct {
 	sys   *pref.System // shared, read-only: BuildMatching's assembly context
 	id    graph.NodeID
 	quota int
-	// order is the weight list: neighbors in decreasing eq.-9 edge
-	// weight, the proposal order of the algorithm (shared, read-only).
-	order []graph.NodeID
-	// neighbors is the sorted adjacency and pos its CSR-aligned
-	// weight-list position table (both shared, read-only): a sender is
-	// located by binary search in neighbors, and pos maps that
-	// adjacency slot to the position in order. state is this node's
-	// per-neighbor protocol state, indexed by order position. The split
-	// keeps per-run allocations to one small slice — no per-node map.
-	neighbors []graph.NodeID
-	pos       []int32
-	state     []nstate
+	// list is the weight list: neighbors in decreasing eq.-9 edge
+	// weight, the proposal order of the algorithm, and its inverse
+	// lookup (shared, read-only). state is this node's per-neighbor
+	// protocol state, indexed by weight-list position, so per-run
+	// allocations stay one small slice — no per-node map.
+	list  satisfaction.WeightList
+	state []nstate
 
-	cursor     int // next index in order to consider for a proposal
+	cursor     int // next weight-list index to consider for a proposal
 	unresolved int // |U|
 	pending    int // |P \ K|
 	locked     []graph.NodeID
@@ -106,7 +100,7 @@ func NewNode(s *pref.System, tbl *satisfaction.Table, id graph.NodeID) *Node {
 // protocols (the distributed coverage-first variant) use this to run
 // LID on a residual instance.
 func NewNodeRestricted(s *pref.System, tbl *satisfaction.Table, id graph.NodeID, quota int, exclude map[graph.NodeID]bool) *Node {
-	order := tbl.SortedNeighbors(s, id)
+	list := tbl.WeightList(s, id)
 	if quota < 0 {
 		panic(fmt.Sprintf("lid: negative quota for node %d", id))
 	}
@@ -114,14 +108,12 @@ func NewNodeRestricted(s *pref.System, tbl *satisfaction.Table, id graph.NodeID,
 		sys:        s,
 		id:         id,
 		quota:      quota,
-		order:      order,
-		neighbors:  s.Graph().Neighbors(id),
-		pos:        tbl.WeightListPos(s, id),
-		state:      make([]nstate, len(order)),
-		unresolved: len(order),
+		list:       list,
+		state:      make([]nstate, len(list.Order)),
+		unresolved: len(list.Order),
 	}
 	for nb := range exclude {
-		pos, ok := n.orderPos(nb)
+		pos, ok := list.Pos(nb)
 		if !ok {
 			panic(fmt.Sprintf("lid: excluded node %d is not a neighbor of %d", nb, id))
 		}
@@ -131,17 +123,6 @@ func NewNodeRestricted(s *pref.System, tbl *satisfaction.Table, id graph.NodeID,
 		n.unresolved--
 	}
 	return n
-}
-
-// orderPos locates v's position in the weight list through the shared
-// CSR index: binary search in the sorted adjacency, then the flat
-// position table. Reports false if v is not a neighbor.
-func (n *Node) orderPos(v graph.NodeID) (int32, bool) {
-	i := sort.SearchInts(n.neighbors, v)
-	if i >= len(n.neighbors) || n.neighbors[i] != v {
-		return 0, false
-	}
-	return n.pos[i], true
 }
 
 // NewNodes builds one Node per graph node.
@@ -180,11 +161,11 @@ func (n *Node) Init(ctx simnet.Context) {
 	// arc, Init to local termination. The rec != nil guard keeps the
 	// detail formatting off the disabled path.
 	if rec := simnet.ObserverOf(ctx); rec != nil {
-		n.wave = rec.OpenSpan(n.id, "lid.wave", fmt.Sprintf("quota=%d deg=%d", n.quota, len(n.order)), ctx.Time())
+		n.wave = rec.OpenSpan(n.id, "lid.wave", fmt.Sprintf("quota=%d deg=%d", n.quota, len(n.list.Order)), ctx.Time())
 	}
-	for n.pending+len(n.locked) < n.quota && n.cursor < len(n.order) {
+	for n.pending+len(n.locked) < n.quota && n.cursor < len(n.list.Order) {
 		pos := n.cursor
-		v := n.order[pos]
+		v := n.list.Order[pos]
 		n.cursor++
 		switch n.state[pos] {
 		case stUntouched:
@@ -219,7 +200,7 @@ func (n *Node) HandleMessage(ctx simnet.Context, from int, msg simnet.Message) {
 	if !ok {
 		panic(fmt.Sprintf("lid: node %d received non-LID message %T", n.id, msg))
 	}
-	pos, known := n.orderPos(from)
+	pos, known := n.list.Pos(from)
 	if !known {
 		panic(fmt.Sprintf("lid: node %d received message from non-neighbor %d", n.id, from))
 	}
@@ -285,9 +266,9 @@ func (n *Node) handleRej(ctx simnet.Context, from graph.NodeID, pos int32, st ns
 // proposeNext advances the weight-list cursor to the next proposable
 // neighbor and proposes (at most one proposal, per lines 9–11).
 func (n *Node) proposeNext(ctx simnet.Context) {
-	for n.cursor < len(n.order) {
+	for n.cursor < len(n.list.Order) {
 		pos := n.cursor
-		v := n.order[pos]
+		v := n.list.Order[pos]
 		n.cursor++
 		switch n.state[pos] {
 		case stUntouched:
@@ -335,7 +316,7 @@ func (n *Node) lock(ctx simnet.Context, from graph.NodeID, pos int32, fromPropos
 // broadcastRejects sends REJ to every still-unresolved neighbor (the
 // line-15 broadcast).
 func (n *Node) broadcastRejects(ctx simnet.Context) {
-	for pos, v := range n.order {
+	for pos, v := range n.list.Order {
 		switch n.state[pos] {
 		case stUntouched, stApproached:
 			n.state[pos] = stWeRejected
@@ -367,7 +348,7 @@ func (n *Node) Locked() []graph.NodeID { return n.locked }
 
 // LockedWith reports whether this node has locked its connection to v.
 func (n *Node) LockedWith(v graph.NodeID) bool {
-	pos, ok := n.orderPos(v)
+	pos, ok := n.list.Pos(v)
 	return ok && n.state[pos] == stLocked
 }
 

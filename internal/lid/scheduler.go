@@ -233,7 +233,7 @@ func NewGreedyAdmitter(s *pref.System, tbl *satisfaction.Table, nodes []*Node, s
 func (a *GreedyAdmitter) frontier(u int) (uint64, int) {
 	n := a.nodes[u]
 	cur := a.fcur[u]
-	for cur < len(n.order) {
+	for cur < len(n.list.Order) {
 		switch n.state[cur] {
 		case stUntouched, stApproached:
 			a.fcur[u] = cur
@@ -298,7 +298,7 @@ func (a *GreedyAdmitter) NextBatch() []int {
 			admit(u)
 			continue
 		}
-		v := a.nodes[u].order[pos]
+		v := a.nodes[u].list.Order[pos]
 		switch vr := a.adm[v]; {
 		case vr != 0 && vr < a.round:
 			// Partner admitted in an earlier round: its PROP or REJ

@@ -142,10 +142,18 @@ func TestDenseCoreEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("sys%03d", si), func(t *testing.T) {
 			g := s.Graph()
 			tbl := satisfaction.NewTable(s)
-			// Table keys must equal an independent per-edge recompute.
-			for _, e := range g.Edges() {
-				if got, want := tbl.Key(e.U, e.V), satisfaction.KeyFor(s, e); got != want {
-					t.Fatalf("Key(%v) = %+v, want %+v", e, got, want)
+			// The table's order must equal an independent per-edge
+			// recompute: sorted by (ord, id), each edge is strictly
+			// heavier than the next under the reference WeightKey.
+			ids := make([]graph.EdgeID, g.NumEdges())
+			for i := range ids {
+				ids[i] = graph.EdgeID(i)
+			}
+			SortEdgeIDs(ids, tbl.OrderKeys(), 1)
+			for i := 1; i < len(ids); i++ {
+				prev, cur := g.EdgeByID(ids[i-1]), g.EdgeByID(ids[i])
+				if !satisfaction.KeyFor(s, prev).Heavier(satisfaction.KeyFor(s, cur)) {
+					t.Fatalf("table orders %v before %v, against the reference order", prev, cur)
 				}
 			}
 			// Dense sorted-scan LIC vs map-based reference.

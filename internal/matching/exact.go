@@ -30,26 +30,18 @@ func MaxWeightBMatching(s *pref.System, tbl *satisfaction.Table) (*Matching, flo
 	if m > MaxOracleEdges {
 		return nil, 0, fmt.Errorf("matching: exact solver limited to %d edges, graph has %d", MaxOracleEdges, m)
 	}
-	edges := append([]graph.Edge(nil), g.Edges()...)
-	weights := make([]float64, m)
-	for i, e := range edges {
-		weights[i] = satisfaction.EdgeWeight(s, e)
-	}
-	// Descending weight order makes the include-branch find strong
+	// Heaviest-first order makes the include-branch find strong
 	// incumbents early.
-	order := make([]int, m)
+	order := make([]graph.EdgeID, m)
 	for i := range order {
-		order[i] = i
+		order[i] = graph.EdgeID(i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return tbl.Key(edges[order[a]].U, edges[order[a]].V).
-			Heavier(tbl.Key(edges[order[b]].U, edges[order[b]].V))
-	})
+	SortEdgeIDs(order, tbl.OrderKeys(), 1)
 	sortedEdges := make([]graph.Edge, m)
 	sortedW := make([]float64, m)
-	for i, idx := range order {
-		sortedEdges[i] = edges[idx]
-		sortedW[i] = weights[idx]
+	for i, id := range order {
+		sortedEdges[i] = g.EdgeByID(id)
+		sortedW[i] = satisfaction.EdgeWeight(s, sortedEdges[i])
 	}
 	// suffix[k] = Σ sortedW[k:]; a cheap admissible bound.
 	suffix := make([]float64, m+1)
@@ -158,11 +150,11 @@ func MaxSatisfactionBMatching(s *pref.System) (*Matching, float64, error) {
 		incident[e.V] = append(incident[e.V], idx)
 	}
 
-	// posOf[e] = position of edge e in the scan order, so the bound can
+	// scanPos[e] = position of edge e in the scan order, so the bound can
 	// test "still undecided" in O(1).
-	posOf := make(map[graph.Edge]int, m)
+	scanPos := make(map[graph.Edge]int, m)
 	for idx, e := range edges {
-		posOf[e] = idx
+		scanPos[e] = idx
 	}
 
 	cur := NewDense(g)
@@ -181,7 +173,7 @@ func MaxSatisfactionBMatching(s *pref.System) (*Matching, float64, error) {
 		if k == m {
 			return
 		}
-		if upper := curS + satisfactionPotential(s, posOf, cur, cap_, k); upper <= bestS+1e-12 {
+		if upper := curS + satisfactionPotential(s, scanPos, cur, cap_, k); upper <= bestS+1e-12 {
 			return
 		}
 		e := edges[k]
@@ -207,7 +199,7 @@ func MaxSatisfactionBMatching(s *pref.System) (*Matching, float64, error) {
 // a up to its remaining capacity) and sums the per-node gains. Ignoring
 // that an edge consumes capacity at both endpoints only loosens the
 // bound, so it remains admissible.
-func satisfactionPotential(s *pref.System, posOf map[graph.Edge]int, cur *Matching, cap_ []int, k int) float64 {
+func satisfactionPotential(s *pref.System, scanPos map[graph.Edge]int, cur *Matching, cap_ []int, k int) float64 {
 	g := s.Graph()
 	var total float64
 	for i := 0; i < g.NumNodes(); i++ {
@@ -221,7 +213,7 @@ func satisfactionPotential(s *pref.System, posOf map[graph.Edge]int, cur *Matchi
 		var ranks []int
 		for _, nb := range g.Neighbors(i) {
 			e := graph.Edge{U: i, V: nb}.Normalize()
-			if posOf[e] >= k {
+			if scanPos[e] >= k {
 				ranks = append(ranks, s.Rank(i, nb))
 			}
 		}

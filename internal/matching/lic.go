@@ -12,12 +12,12 @@ import (
 
 // LIC runs Algorithm 2 (Local Information-based Centralized) in its
 // efficient sorted-scan form: edges are visited in decreasing weight
-// order (the shared strict total order of satisfaction.WeightKey) and
-// selected whenever both endpoints still have quota. By Lemma 6 the
-// outcome of the literal "take any locally heaviest edge" loop is
-// order-independent, and the descending scan is one valid such order,
-// so this computes exactly the LIC (and hence LID, Lemmas 3–4)
-// matching in O(m log m).
+// order (the shared strict total order, (ord, id) over the table's
+// packed order keys) and selected whenever both endpoints still have
+// quota. By Lemma 6 the outcome of the literal "take any locally
+// heaviest edge" loop is order-independent, and the descending scan
+// is one valid such order, so this computes exactly the LIC (and
+// hence LID, Lemmas 3–4) matching in O(m log m).
 func LIC(s *pref.System, tbl *satisfaction.Table) *Matching {
 	return LICParallel(s, tbl, 1)
 }
@@ -43,18 +43,18 @@ func InducedLIC(s *pref.System, keep func(graph.NodeID) bool) (*Matching, error)
 // out over `workers` goroutines (0 = GOMAXPROCS); see
 // sortByOrderKeyParallel for why the sorted order — and therefore the
 // matching — is bit-identical to LIC for any worker count. The greedy
-// selection scan itself stays serial: it is a sequential dependence
+// selection scan (Fill) stays serial: it is a sequential dependence
 // chain over the sorted order (each acceptance consumes quota the next
-// decision reads) and it is O(m) with two array lookups per edge, far
-// from the bottleneck. workers <= 1 is exactly the serial code path.
+// decision reads) and it is O(m) with a few array lookups per edge,
+// far from the bottleneck. workers <= 1 is exactly the serial code
+// path.
 func LICParallel(s *pref.System, tbl *satisfaction.Table, workers int) *Matching {
 	workers = par.Workers(workers)
 	g := s.Graph()
-	// Sort dense EdgeIDs, not WeightKey structs, and by the table's
-	// packed order keys rather than a comparison function: a stable LSD
-	// radix pass is O(m) and ties (equal weights) keep ascending EdgeID
-	// order, which is exactly the canonical-endpoint tiebreak of
-	// WeightKey.Heavier.
+	// Sort dense EdgeIDs by the table's packed order keys rather than
+	// with a comparison function: a stable LSD radix pass is O(m) and
+	// ties (equal weights) keep ascending EdgeID order, which is exactly
+	// the canonical-endpoint tiebreak of the shared order.
 	ids := make([]graph.EdgeID, g.NumEdges())
 	par.ForEachChunk(len(ids), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -70,15 +70,26 @@ func LICParallel(s *pref.System, tbl *satisfaction.Table, workers int) *Matching
 	})
 	m := NewDense(g)
 	m.preallocate(s)
+	m.Fill(ids, counter)
+	return m
+}
+
+// Fill is the one heaviest-first greedy walk, LIC's selection scan:
+// it visits ids in the order given, which must be the shared
+// heaviest-first order ((ord, id) ascending, as SortEdgeIDs leaves
+// it), and selects every edge not yet selected whose endpoints both
+// have room left, taking one unit of each endpoint's room. Room
+// indexed by node is the caller's capacity budget (the quotas, for
+// LIC) and is consumed in place.
+func (m *Matching) Fill(ids []graph.EdgeID, room []int) {
 	for _, id := range ids {
-		e := g.EdgeByID(id)
-		if counter[e.U] > 0 && counter[e.V] > 0 {
+		e := m.g.EdgeByID(id)
+		if room[e.U] > 0 && room[e.V] > 0 && !m.HasID(id) {
 			m.addEdgeID(id, e)
-			counter[e.U]--
-			counter[e.V]--
+			room[e.U]--
+			room[e.V]--
 		}
 	}
-	return m
 }
 
 // sortByOrderKey stable-sorts ids ascending by ord[id] (heaviest edge
@@ -117,11 +128,14 @@ func sortByOrderKey(ids []graph.EdgeID, ord []uint64) {
 	}
 }
 
-// SortEdgeIDs stable-sorts ids ascending by (ord[id], id) — the shared
-// heaviest-first total order when ord is satisfaction.Table.OrderKeys —
-// serially for workers <= 1 and with the sharded parallel radix sort
-// otherwise (identical output either way). Exported for the benchmark
-// driver and the equivalence tests; LIC callers never need it.
+// SortEdgeIDs stable-sorts ids ascending by ord[id] — serially for
+// workers <= 1 and with the sharded parallel radix sort otherwise
+// (identical output either way). When ord is
+// satisfaction.Table.OrderKeys and ids come in ascending order, the
+// result is (ord[id], id) ascending: the shared heaviest-first total
+// order that Fill walks. LIC, the churn engine's inherited-order LIC,
+// the exact oracle's branch order and the variants' scans all sort
+// edges this way.
 func SortEdgeIDs(ids []graph.EdgeID, ord []uint64, workers int) {
 	sortByOrderKeyParallel(ids, ord, workers)
 }

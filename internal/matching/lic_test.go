@@ -128,7 +128,7 @@ func TestLemma4ChosenHeavierThanUnchosen(t *testing.T) {
 			// lightest selected edge at i
 			var lightest *satisfaction.WeightKey
 			for _, j := range m.Connections(i) {
-				k := tbl.Key(i, j)
+				k := satisfaction.KeyFor(s, graph.Edge{U: i, V: j})
 				if lightest == nil || lightest.Heavier(k) {
 					kk := k
 					lightest = &kk
@@ -139,7 +139,7 @@ func TestLemma4ChosenHeavierThanUnchosen(t *testing.T) {
 					continue
 				}
 				if m.DegreeOf(j) < s.Quota(j) {
-					if k := tbl.Key(i, j); k.Heavier(*lightest) {
+					if k := satisfaction.KeyFor(s, graph.Edge{U: i, V: j}); k.Heavier(*lightest) {
 						t.Fatalf("seed %d: node %d kept %v over heavier available %v",
 							seed, i, lightest, k)
 					}

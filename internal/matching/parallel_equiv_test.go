@@ -2,6 +2,7 @@ package matching
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"overlaymatch/internal/graph"
@@ -35,9 +36,13 @@ func TestParallelEquivalenceSweep(t *testing.T) {
 			for _, w := range parallelWorkerGrid {
 				tbl := satisfaction.NewTableParallel(s, w)
 				for id := 0; id < g.NumEdges(); id++ {
-					if tbl.KeyByID(graph.EdgeID(id)) != ref.KeyByID(graph.EdgeID(id)) ||
-						tbl.OrderKeys()[id] != ref.OrderKeys()[id] {
-						t.Fatalf("workers=%d: table entry %d diverged", w, id)
+					if tbl.OrderKeys()[id] != ref.OrderKeys()[id] {
+						t.Fatalf("workers=%d: order key %d diverged", w, id)
+					}
+				}
+				for v := 0; v < g.NumNodes(); v++ {
+					if !slices.Equal(tbl.SortedNeighbors(s, v), ref.SortedNeighbors(s, v)) {
+						t.Fatalf("workers=%d: node %d weight list diverged", w, v)
 					}
 				}
 				got := LICParallel(s, tbl, w)

@@ -42,13 +42,14 @@ type StabilitySample struct {
 //   - A node is unmatched while it holds nothing.
 //   - {u,v} is a blocking pair if the edge is unmatched and each
 //     endpoint would accept the other: it holds fewer connections than
-//     its quota, or {u,v} has a strictly heavier WeightKey than the
-//     lightest connection it holds. A node with quota 0 accepts
-//     nothing. Preferences here are the eq.-9 weight order the
-//     protocols propose in (the shared strict total order of
-//     satisfaction.WeightKey), not the raw preference-list ranks — the
-//     paper's algorithms optimize weights, and only under the weight
-//     order is LID's final matching exactly stable.
+//     its quota, or {u,v} is strictly heavier than the lightest
+//     connection it holds. A node with quota 0 accepts nothing.
+//     Preferences here are the eq.-9 weight order the protocols
+//     propose in (the shared strict total order that
+//     satisfaction.Table.Heavier compares), not the raw
+//     preference-list ranks — the paper's algorithms optimize
+//     weights, and only under the weight order is LID's final
+//     matching exactly stable.
 //
 // Under LID, with holds(u, v) = u locked {u,v}, every component is
 // provably monotone (the invariant experiment E17 enforces). Locks are
@@ -68,25 +69,25 @@ func StabilitySampler(s *pref.System, tbl *satisfaction.Table, holds func(u, v g
 	g := s.Graph()
 	edges := g.Edges()
 	// held[u] counts u's held connections and lightest[u] is the
-	// WeightKey of the lightest one, meaningful only once held[u] > 0.
+	// EdgeID of the lightest one, meaningful only once held[u] > 0.
 	held := make([]int, g.NumNodes())
-	lightest := make([]satisfaction.WeightKey, g.NumNodes())
+	lightest := make([]graph.EdgeID, g.NumNodes())
 	matched := make([]bool, len(edges))
-	hold := func(u graph.NodeID, k satisfaction.WeightKey) {
+	hold := func(u graph.NodeID, k graph.EdgeID) {
 		held[u]++
-		if held[u] == 1 || lightest[u].Heavier(k) {
+		if held[u] == 1 || tbl.Heavier(lightest[u], k) {
 			lightest[u] = k
 		}
 	}
-	accepts := func(u graph.NodeID, k satisfaction.WeightKey) bool {
+	accepts := func(u graph.NodeID, k graph.EdgeID) bool {
 		q := s.Quota(u)
-		return held[u] < q || (q > 0 && k.Heavier(lightest[u]))
+		return held[u] < q || (q > 0 && tbl.Heavier(k, lightest[u]))
 	}
 	return func(float64) StabilitySample {
 		var smp StabilitySample
 		clear(held)
 		for id, e := range edges {
-			k := tbl.KeyByID(graph.EdgeID(id))
+			k := graph.EdgeID(id)
 			hu, hv := holds(e.U, e.V), holds(e.V, e.U)
 			if hu {
 				hold(e.U, k)
@@ -108,7 +109,7 @@ func StabilitySampler(s *pref.System, tbl *satisfaction.Table, holds func(u, v g
 			if matched[id] {
 				continue
 			}
-			k := tbl.KeyByID(graph.EdgeID(id))
+			k := graph.EdgeID(id)
 			if accepts(e.U, k) && accepts(e.V, k) {
 				smp.BlockingPairs++
 			}
@@ -223,6 +224,15 @@ func (p *Prober) Probe(t float64, msgs, bytes int64) {
 	}
 	p.msgs.Append(t, float64(s.Msgs))
 	p.bytes.Append(t, float64(s.Bytes))
+}
+
+// OptWeight returns the LIC-optimal matched weight the prober was
+// built with, the denominator of its weight-fraction series (0 on nil).
+func (p *Prober) OptWeight() float64 {
+	if p == nil {
+		return 0
+	}
+	return p.optWeight
 }
 
 // Last returns the most recent sample, send totals included: the end

@@ -26,20 +26,12 @@ func BuildParallel(g *graph.Graph, metric Metric, quota func(i graph.NodeID) int
 	lists := make([][]graph.NodeID, n)
 	quotas := make([]int, n)
 
-	forEachNode(n, workers, func(i int) {
+	par.ForEachIndex(n, workers, func(i int) {
 		lists[i] = rankedNeighbors(g, metric, i)
 		quotas[i] = quota(i)
 	})
 	return fromOwnedLists(g, lists, quotas, workers)
 }
-
-// forEachNode and forEachChunk are the package's historical names for
-// the shared shard/join primitives, now hosted in internal/par (node
-// work here is uniform enough that contiguous ranges beat a work
-// channel; per-worker scratch goes at the top of a chunk fn).
-func forEachNode(n, workers int, fn func(i int)) { par.ForEachIndex(n, workers, fn) }
-
-func forEachChunk(n, workers int, fn func(lo, hi int)) { par.ForEachChunk(n, workers, fn) }
 
 // rankedNeighbors scores and sorts one neighborhood; shared by Build
 // and BuildParallel so the orders cannot diverge. Scores are sorted as

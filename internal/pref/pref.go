@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"overlaymatch/internal/graph"
+	"overlaymatch/internal/par"
 )
 
 // System holds the preference lists and quotas of every node of a
@@ -93,7 +94,7 @@ func (s *System) validate(workers int) error {
 	// Each worker reuses one NodeID-indexed scratch slice for duplicate
 	// detection, stamped per node (seen[j] == i+1 means node i already
 	// ranked j), instead of allocating a map per node.
-	forEachChunk(n, workers, func(lo, hi int) {
+	par.ForEachChunk(n, workers, func(lo, hi int) {
 		seen := make([]int32, n)
 		for i := lo; i < hi; i++ {
 			errs[i] = s.validateNode(i, seen)
@@ -221,7 +222,7 @@ func fromOwnedLists(g *graph.Graph, lists [][]graph.NodeID, quotas []int, worker
 		}
 		s.quota[i] = b
 	}
-	forEachNode(n, workers, buildNode)
+	par.ForEachIndex(n, workers, buildNode)
 	if err := s.validate(workers); err != nil {
 		return nil, err
 	}

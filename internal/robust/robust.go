@@ -73,8 +73,10 @@ type TolerantNode struct {
 	id      graph.NodeID
 	quota   int
 	timeout float64
-	order   []graph.NodeID
-	state   map[graph.NodeID]nstate
+	// list is the shared weight-list view; state and sentAt are
+	// indexed by weight-list position, so the node holds no map.
+	list  satisfaction.WeightList
+	state []nstate
 
 	cursor     int
 	unresolved int
@@ -88,7 +90,7 @@ type TolerantNode struct {
 	// remembers when each outstanding proposal left.
 	est    *detector.Estimator
 	phi    float64
-	sentAt map[graph.NodeID]float64
+	sentAt []float64
 
 	// Violations counts messages that the strict protocol forbids;
 	// adversaries produce them, honest peers never should.
@@ -108,18 +110,14 @@ func NewTolerantNode(s *pref.System, tbl *satisfaction.Table, id graph.NodeID, t
 	if timeout <= 0 {
 		panic("robust: timeout must be positive")
 	}
-	order := tbl.SortedNeighbors(s, id)
-	st := make(map[graph.NodeID]nstate, len(order))
-	for _, nb := range order {
-		st[nb] = stUntouched
-	}
+	list := tbl.WeightList(s, id)
 	return &TolerantNode{
 		id:         id,
 		quota:      s.Quota(id),
 		timeout:    timeout,
-		order:      order,
-		state:      st,
-		unresolved: len(order),
+		list:       list,
+		state:      make([]nstate, len(list.Order)),
+		unresolved: len(list.Order),
 	}
 }
 
@@ -140,7 +138,7 @@ func (n *TolerantNode) SetAdaptiveTimeout(est *detector.Estimator, phi float64) 
 	}
 	n.est = est
 	n.phi = phi
-	n.sentAt = make(map[graph.NodeID]float64, len(n.order))
+	n.sentAt = make([]float64, len(n.list.Order))
 }
 
 // proposalTimeout picks the timer value for the next proposal: the
@@ -161,12 +159,12 @@ func (n *TolerantNode) proposalTimeout() float64 {
 // answered proposal. Timed-out proposals are never observed (the
 // revocation is not an answer), mirroring Karn's rule in the
 // retransmission layer.
-func (n *TolerantNode) observeResponse(ctx simnet.Context, from graph.NodeID) {
+func (n *TolerantNode) observeResponse(ctx simnet.Context, pos int32) {
 	if n.est == nil {
 		return
 	}
 	if now := ctx.Time(); now > 0 {
-		if rt := now - n.sentAt[from]; rt > 0 {
+		if rt := now - n.sentAt[pos]; rt > 0 {
 			n.est.Observe(rt)
 		}
 	}
@@ -174,19 +172,20 @@ func (n *TolerantNode) observeResponse(ctx simnet.Context, from graph.NodeID) {
 
 // Init implements simnet.Handler.
 func (n *TolerantNode) Init(ctx simnet.Context) {
-	for n.pending+len(n.locked) < n.quota && n.cursor < len(n.order) {
-		v := n.order[n.cursor]
+	for n.pending+len(n.locked) < n.quota && n.cursor < len(n.list.Order) {
+		pos := int32(n.cursor)
 		n.cursor++
-		n.propose(ctx, v)
+		n.propose(ctx, pos)
 	}
 	n.checkDone(ctx)
 }
 
-func (n *TolerantNode) propose(ctx simnet.Context, v graph.NodeID) {
-	n.state[v] = stProposed
+func (n *TolerantNode) propose(ctx simnet.Context, pos int32) {
+	v := n.list.Order[pos]
+	n.state[pos] = stProposed
 	n.pending++
 	if n.est != nil {
-		n.sentAt[v] = ctx.Time()
+		n.sentAt[pos] = ctx.Time()
 	}
 	ctx.Send(v, lid.Msg{IsProp: true})
 	simnet.SetTimerOn(ctx, n.proposalTimeout(), timeoutToken{To: v})
@@ -204,26 +203,27 @@ func (n *TolerantNode) HandleMessage(ctx simnet.Context, from int, msg simnet.Me
 		n.Violations++
 		return
 	}
-	st, known := n.state[from]
+	pos, known := n.list.Pos(from)
 	if !known {
 		n.Violations++
 		return
 	}
 	if m.IsProp {
-		n.handleProp(ctx, from, st)
+		n.handleProp(ctx, pos)
 	} else {
-		n.handleRej(ctx, from, st)
+		n.handleRej(ctx, pos)
 	}
 	n.checkDone(ctx)
 }
 
 func (n *TolerantNode) handleTimeout(ctx simnet.Context, to graph.NodeID) {
-	if n.state[to] != stProposed {
+	pos, ok := n.list.Pos(to)
+	if !ok || n.state[pos] != stProposed {
 		return // answered in time; stale timer
 	}
 	// Revoke: explicit REJ so an honest slow peer learns the proposal
 	// is withdrawn (and dissolves a racing lock).
-	n.state[to] = stResolved
+	n.state[pos] = stResolved
 	n.unresolved--
 	n.pending--
 	n.Revocations++
@@ -236,15 +236,15 @@ func (n *TolerantNode) handleTimeout(ctx simnet.Context, to graph.NodeID) {
 	n.proposeNext(ctx)
 }
 
-func (n *TolerantNode) handleProp(ctx simnet.Context, from graph.NodeID, st nstate) {
-	switch st {
+func (n *TolerantNode) handleProp(ctx simnet.Context, pos int32) {
+	switch n.state[pos] {
 	case stUntouched:
-		n.state[from] = stApproached
+		n.state[pos] = stApproached
 	case stProposed:
 		// The mutual PROP answers ours; it doubles as a response-time
 		// sample for the adaptive timeout.
-		n.observeResponse(ctx, from)
-		n.lock(ctx, from, true)
+		n.observeResponse(ctx, pos)
+		n.lock(ctx, pos, true)
 	case stResolved:
 		// Late PROP crossing our revoke or quota-full REJ: if we never
 		// answered this pair with a REJ we would leave an honest peer
@@ -255,34 +255,35 @@ func (n *TolerantNode) handleProp(ctx simnet.Context, from graph.NodeID, st nsta
 	}
 }
 
-func (n *TolerantNode) handleRej(ctx simnet.Context, from graph.NodeID, st nstate) {
-	switch st {
+func (n *TolerantNode) handleRej(ctx simnet.Context, pos int32) {
+	switch n.state[pos] {
 	case stProposed:
 		// A rejection is still an answer: it carries the same
 		// response-time information as an accepting PROP.
-		n.observeResponse(ctx, from)
-		n.state[from] = stResolved
+		n.observeResponse(ctx, pos)
+		n.state[pos] = stResolved
 		n.unresolved--
 		n.pending--
 		n.proposeNext(ctx)
 	case stUntouched:
-		n.state[from] = stResolved
+		n.state[pos] = stResolved
 		n.unresolved--
 	case stApproached:
 		// A revocation of a proposal we had not answered yet.
-		n.state[from] = stResolved
+		n.state[pos] = stResolved
 		n.unresolved--
 	case stLocked:
 		// Revocation racing our silent lock: dissolve it.
-		n.dissolve(ctx, from)
+		n.dissolve(ctx, pos)
 	case stResolved:
 		// Crossing REJs; fine.
 	}
 }
 
 // dissolve removes a revoked lock and tries to reuse the freed slot.
-func (n *TolerantNode) dissolve(ctx simnet.Context, from graph.NodeID) {
-	n.state[from] = stResolved
+func (n *TolerantNode) dissolve(ctx simnet.Context, pos int32) {
+	from := n.list.Order[pos]
+	n.state[pos] = stResolved
 	for i, v := range n.locked {
 		if v == from {
 			n.locked = append(n.locked[:i], n.locked[i+1:]...)
@@ -301,37 +302,37 @@ func (n *TolerantNode) dissolve(ctx simnet.Context, from graph.NodeID) {
 }
 
 func (n *TolerantNode) proposeNext(ctx simnet.Context) {
-	for n.pending+len(n.locked) < n.quota && n.cursor < len(n.order) {
-		v := n.order[n.cursor]
+	for n.pending+len(n.locked) < n.quota && n.cursor < len(n.list.Order) {
+		pos := int32(n.cursor)
 		n.cursor++
-		switch n.state[v] {
+		switch n.state[pos] {
 		case stUntouched:
-			n.propose(ctx, v)
+			n.propose(ctx, pos)
 			return
 		case stApproached:
-			ctx.Send(v, lid.Msg{IsProp: true})
-			n.lock(ctx, v, false)
+			ctx.Send(n.list.Order[pos], lid.Msg{IsProp: true})
+			n.lock(ctx, pos, false)
 			return
 		}
 	}
 }
 
-func (n *TolerantNode) lock(ctx simnet.Context, from graph.NodeID, fromProposed bool) {
-	n.state[from] = stLocked
+func (n *TolerantNode) lock(ctx simnet.Context, pos int32, fromProposed bool) {
+	n.state[pos] = stLocked
 	n.unresolved--
 	if fromProposed {
 		n.pending--
 	}
-	n.locked = append(n.locked, from)
+	n.locked = append(n.locked, n.list.Order[pos])
 	if len(n.locked) > n.quota {
 		panic(fmt.Sprintf("robust: node %d exceeded quota", n.id))
 	}
 	if len(n.locked) == n.quota && !n.quotaFullB {
 		n.quotaFullB = true
-		for _, v := range n.order {
-			switch n.state[v] {
+		for pos, v := range n.list.Order {
+			switch n.state[pos] {
 			case stUntouched, stApproached:
-				n.state[v] = stResolved
+				n.state[pos] = stResolved
 				n.unresolved--
 				ctx.Send(v, lid.Msg{IsProp: false})
 			case stProposed:
@@ -341,7 +342,7 @@ func (n *TolerantNode) lock(ctx simnet.Context, from graph.NodeID, fromProposed 
 				// flight is impossible — but a timeout-revoked slot
 				// refilled by a mutual lock can leave a pending
 				// proposal). Revoke them.
-				n.state[v] = stResolved
+				n.state[pos] = stResolved
 				n.unresolved--
 				n.pending--
 				n.Revocations++

@@ -212,12 +212,14 @@ func ExactEdgeWeight(s *pref.System, e graph.Edge) *big.Rat {
 	return new(big.Rat).Add(term(e.U, e.V), term(e.V, e.U))
 }
 
-// WeightKey is the strict total order on edges that LIC and LID share:
-// weight descending, ties broken by canonical endpoint IDs ascending.
-// The paper assumes unique edge weights with "ties broken using node
-// identities"; WeightKey realizes that assumption. The order is
-// symmetric (both endpoints of an edge compute the same key), which is
-// what Lemma 5's termination argument needs.
+// WeightKey is the reference definition of the strict total order on
+// edges that LIC and LID share: weight descending, ties broken by
+// canonical endpoint IDs ascending. The paper assumes unique edge
+// weights with "ties broken using node identities"; WeightKey spells
+// that assumption out. The order is symmetric (both endpoints of an
+// edge compute the same key), which is what Lemma 5's termination
+// argument needs. Table stores the same order in packed form (one
+// uint64 per edge, see OrderKeys); tests check it against this one.
 type WeightKey struct {
 	W    float64
 	U, V graph.NodeID // canonical: U < V
@@ -241,21 +243,17 @@ func (a WeightKey) Heavier(b WeightKey) bool {
 	return a.V < b.V
 }
 
-// Edge returns the canonical edge this key refers to.
-func (a WeightKey) Edge() graph.Edge { return graph.Edge{U: a.U, V: a.V} }
-
-// Table precomputes every edge's WeightKey for a system, providing the
-// weight lists the LID description calls for. Keys live in one flat
-// array indexed by the graph's dense EdgeID; the per-node weight lists
-// and their inverse position tables are flat CSR-aligned arrays shared
-// by all nodes. It is immutable after construction and safe for
-// concurrent reads (the weight-list cache is built once, guarded by a
-// sync.Once).
+// Table precomputes the shared edge order for a system and the weight
+// lists the LID description calls for. The order's one stored form is
+// a packed order key per dense EdgeID (OrderKeys, compared by
+// Heavier); the per-node weight lists and their inverse position
+// tables are flat CSR-aligned arrays shared by all nodes. It is
+// immutable after construction and safe for concurrent reads (the
+// weight-list cache is built once, guarded by a sync.Once).
 type Table struct {
 	g       *graph.Graph
-	keys    []WeightKey // indexed by graph.EdgeID
-	ord     []uint64    // packed order keys, aligned with keys (see OrderKeys)
-	workers int         // fan-out of buildSorted (1 = the legacy serial path)
+	ord     []uint64 // packed order keys indexed by graph.EdgeID (see OrderKeys)
+	workers int      // fan-out of buildSorted (1 = the serial path)
 
 	sortedOnce sync.Once
 	sorted     [][]graph.NodeID // per-node neighbors by descending weight (views into one buffer)
@@ -274,7 +272,7 @@ func NewTable(s *pref.System) *Table { return NewTableParallel(s, 1) }
 // NewTableParallel is NewTable with the per-edge weight computation
 // fanned out over `workers` goroutines (0 = GOMAXPROCS) in contiguous
 // EdgeID-range shards. Each shard writes only its own disjoint slice of
-// the two flat EdgeID-indexed arrays and each entry depends only on the
+// the EdgeID-indexed order keys and each entry depends only on the
 // immutable System, so the result is bit-identical to NewTable for any
 // worker count; workers <= 1 runs the loop inline with no goroutines.
 // The worker count is retained: the table's lazily-built weight lists
@@ -283,15 +281,13 @@ func NewTableParallel(s *pref.System, workers int) *Table {
 	g := s.Graph()
 	t := &Table{
 		g:       g,
-		keys:    make([]WeightKey, g.NumEdges()),
 		ord:     make([]uint64, g.NumEdges()),
 		workers: par.Workers(workers),
 	}
 	edges := g.Edges()
 	par.ForEachChunk(len(edges), t.workers, func(lo, hi int) {
 		for id := lo; id < hi; id++ {
-			t.keys[id] = KeyFor(s, edges[id])
-			t.ord[id] = orderKey(t.keys[id].W)
+			t.ord[id] = orderKey(EdgeWeight(s, edges[id]))
 		}
 	})
 	return t
@@ -315,28 +311,14 @@ func orderKey(w float64) uint64 {
 
 // OrderKeys returns the EdgeID-aligned packed order keys: sorting
 // EdgeIDs by (OrderKeys()[id], id) ascending yields exactly the
-// heaviest-first total order of Heavier. The slice is shared and must
-// not be mutated.
+// heaviest-first total order of WeightKey.Heavier. The slice is shared
+// and must not be mutated.
 func (t *Table) OrderKeys() []uint64 { return t.ord }
 
-// Key returns the WeightKey of edge {u,v}. It panics if the edge does
-// not exist.
-func (t *Table) Key(u, v graph.NodeID) WeightKey {
-	id, ok := t.g.EdgeIDOf(u, v)
-	if !ok {
-		panic(fmt.Sprintf("satisfaction: no weight for edge (%d,%d)", u, v))
-	}
-	return t.keys[id]
-}
-
-// KeyByID returns the WeightKey of the edge with the given dense id —
-// the O(1) lookup for callers already holding EdgeIDs.
-func (t *Table) KeyByID(id graph.EdgeID) WeightKey { return t.keys[id] }
-
-// Heavier reports whether edge {u,a} is strictly heavier than {u,b}
-// under the table's order (a convenience for per-node weight lists).
-func (t *Table) Heavier(u, a, b graph.NodeID) bool {
-	return t.Key(u, a).Heavier(t.Key(u, b))
+// Heavier reports whether edge a is strictly heavier than edge b in
+// the shared total order: (ord[a], a) < (ord[b], b).
+func (t *Table) Heavier(a, b graph.EdgeID) bool {
+	return t.ord[a] < t.ord[b] || t.ord[a] == t.ord[b] && a < b
 }
 
 // SortedNeighbors returns u's neighbors ordered by decreasing edge
@@ -358,23 +340,45 @@ func (t *Table) SortedIncident(s *pref.System, u graph.NodeID) []graph.EdgeID {
 	return t.sortedInc[off : int(off)+t.g.Degree(u)]
 }
 
-// WeightListPos returns u's full CSR-aligned position table: entry k is
-// the weight-list position of Neighbors(u)[k] (shared, read-only).
-// Protocol nodes use it as their neighbor→weight-list index, replacing
-// the per-node maps they used to allocate.
-func (t *Table) WeightListPos(s *pref.System, u graph.NodeID) []int32 {
+// WeightList is one node's view of its weight list, the form every
+// protocol node holds: Order is the list itself (neighbors, heaviest
+// edge first; shared, read-only) and Pos inverts it. It is a value
+// over the table's shared arrays, so a node keeps per-neighbor state
+// in slices indexed by weight-list position and allocates no map.
+type WeightList struct {
+	Order []graph.NodeID
+	adj   []graph.NodeID // the sorted adjacency
+	pos   []int32        // pos[k] is the weight-list position of adj[k]
+}
+
+// WeightList returns u's weight-list view.
+func (t *Table) WeightList(s *pref.System, u graph.NodeID) WeightList {
 	t.buildSorted(s)
 	off := t.g.IncidenceOffset(u)
-	return t.posInSorted[off : int(off)+t.g.Degree(u)]
+	return WeightList{
+		Order: t.sorted[u],
+		adj:   t.g.Neighbors(u),
+		pos:   t.posInSorted[off : int(off)+t.g.Degree(u)],
+	}
+}
+
+// Pos returns v's position in the weight list: binary search in the
+// sorted adjacency, then the position table. It reports false if v is
+// not a neighbor.
+func (w *WeightList) Pos(v graph.NodeID) (int32, bool) {
+	if i, ok := slices.BinarySearch(w.adj, v); ok {
+		return w.pos[i], true
+	}
+	return 0, false
 }
 
 // buildSorted materializes the per-node weight lists once. Node shards
 // fan out over the table's worker count: every node's output region
 // (its CSR slice of buf/sortedInc/posInSorted and its t.sorted entry)
 // is disjoint from every other node's, each node's sort reads only the
-// immutable keys, and per-worker `perm` scratch lives at the top of
-// the chunk — so the arrays are bit-identical for any worker count,
-// and workers <= 1 is the legacy serial loop verbatim.
+// immutable order keys, and per-worker `perm` scratch lives at the top
+// of the chunk — so the arrays are bit-identical for any worker count,
+// and workers <= 1 is the serial loop.
 func (t *Table) buildSorted(s *pref.System) {
 	t.sortedOnce.Do(func() {
 		g := s.Graph()
@@ -395,7 +399,7 @@ func (t *Table) buildSorted(s *pref.System) {
 					p[i] = int32(i)
 				}
 				sort.Slice(p, func(a, b int) bool {
-					return t.keys[incident[p[a]]].Heavier(t.keys[incident[p[b]]])
+					return t.Heavier(incident[p[a]], incident[p[b]])
 				})
 				list := buf[off : off+len(neigh)]
 				for k, orig := range p {

@@ -2,7 +2,6 @@ package tournament
 
 import (
 	"fmt"
-	"sort"
 
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
@@ -39,42 +38,30 @@ func (bpMsg) Kind() string { return "PROP" }
 // bpNode implements simnet.Handler: propose and stop, then record who
 // proposed back (deliveries keep flowing after Halt).
 type bpNode struct {
-	id        graph.NodeID
-	quota     int
-	order     []graph.NodeID
-	neighbors []graph.NodeID
-	pos       []int32
-	proposed  []bool
-	received  []bool
+	id       graph.NodeID
+	quota    int
+	list     satisfaction.WeightList
+	proposed []bool
+	received []bool
 }
 
 func newBPNode(s *pref.System, tbl *satisfaction.Table, id graph.NodeID) *bpNode {
-	order := tbl.SortedNeighbors(s, id)
+	list := tbl.WeightList(s, id)
 	return &bpNode{
-		id:        id,
-		quota:     s.Quota(id),
-		order:     order,
-		neighbors: s.Graph().Neighbors(id),
-		pos:       tbl.WeightListPos(s, id),
-		proposed:  make([]bool, len(order)),
-		received:  make([]bool, len(order)),
+		id:       id,
+		quota:    s.Quota(id),
+		list:     list,
+		proposed: make([]bool, len(list.Order)),
+		received: make([]bool, len(list.Order)),
 	}
-}
-
-func (n *bpNode) orderPos(v graph.NodeID) (int32, bool) {
-	i := sort.SearchInts(n.neighbors, v)
-	if i >= len(n.neighbors) || n.neighbors[i] != v {
-		return 0, false
-	}
-	return n.pos[i], true
 }
 
 // Init implements simnet.Handler: the whole algorithm.
 func (n *bpNode) Init(ctx simnet.Context) {
-	top := min(n.quota, len(n.order))
+	top := min(n.quota, len(n.list.Order))
 	for pos := 0; pos < top; pos++ {
 		n.proposed[pos] = true
-		ctx.Send(n.order[pos], bpMsg{})
+		ctx.Send(n.list.Order[pos], bpMsg{})
 	}
 	ctx.Halt()
 }
@@ -84,7 +71,7 @@ func (n *bpNode) HandleMessage(_ simnet.Context, from int, msg simnet.Message) {
 	if _, ok := msg.(bpMsg); !ok {
 		panic(fmt.Sprintf("tournament: bp node %d received non-BP message %T", n.id, msg))
 	}
-	pos, known := n.orderPos(from)
+	pos, known := n.list.Pos(from)
 	if !known {
 		panic(fmt.Sprintf("tournament: bp node %d received message from non-neighbor %d", n.id, from))
 	}
@@ -96,7 +83,7 @@ func (n *bpNode) HandleMessage(_ simnet.Context, from int, msg simnet.Message) {
 // received bit may lag the sender's proposal, so the sampler sees the
 // matched set grow as the round's messages land.
 func (n *bpNode) linked(v graph.NodeID) bool {
-	pos, ok := n.orderPos(v)
+	pos, ok := n.list.Pos(v)
 	return ok && n.proposed[pos] && n.received[pos]
 }
 
@@ -118,7 +105,7 @@ func (BackupPlacement) Run(s *pref.System, tbl *satisfaction.Table, opts Options
 		Assemble: func() (*matching.Matching, error) {
 			m, err := matching.Assemble(s, func(id graph.NodeID) []graph.NodeID {
 				var partners []graph.NodeID
-				for _, v := range nodes[id].order {
+				for _, v := range nodes[id].list.Order {
 					if matched(id, v) {
 						partners = append(partners, v)
 					}

@@ -2,7 +2,6 @@ package tournament
 
 import (
 	"fmt"
-	"sort"
 
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
@@ -92,15 +91,13 @@ const (
 )
 
 // gsNode is the per-peer state machine; it implements simnet.Handler.
-// The layout mirrors lid.Node: shared read-only weight list and
-// CSR-aligned position table, small per-run state slices.
+// The layout mirrors lid.Node: the shared read-only weight-list view,
+// small per-run state slices indexed by weight-list position.
 type gsNode struct {
-	id        graph.NodeID
-	quota     int
-	order     []graph.NodeID
-	neighbors []graph.NodeID
-	pos       []int32
-	state     []gsState
+	id    graph.NodeID
+	quota int
+	list  satisfaction.WeightList
+	state []gsState
 	// pending marks edges whose latest PROP of ours has not been
 	// answered yet. waiting implies pending; a pending free edge is a
 	// cancelled proposal whose stale answer is still in flight (not
@@ -108,30 +105,20 @@ type gsNode struct {
 	// went through a proposal crossing.
 	pending []bool
 
-	cursor      int // next order index the current scan considers
+	cursor      int // next weight-list index the current scan considers
 	outstanding int // edges in gsWaiting
 	engaged     int // edges in gsEngaged
 }
 
 func newGSNode(s *pref.System, tbl *satisfaction.Table, id graph.NodeID) *gsNode {
-	order := tbl.SortedNeighbors(s, id)
+	list := tbl.WeightList(s, id)
 	return &gsNode{
-		id:        id,
-		quota:     s.Quota(id),
-		order:     order,
-		neighbors: s.Graph().Neighbors(id),
-		pos:       tbl.WeightListPos(s, id),
-		state:     make([]gsState, len(order)),
-		pending:   make([]bool, len(order)),
+		id:      id,
+		quota:   s.Quota(id),
+		list:    list,
+		state:   make([]gsState, len(list.Order)),
+		pending: make([]bool, len(list.Order)),
 	}
-}
-
-func (n *gsNode) orderPos(v graph.NodeID) (int32, bool) {
-	i := sort.SearchInts(n.neighbors, v)
-	if i >= len(n.neighbors) || n.neighbors[i] != v {
-		return 0, false
-	}
-	return n.pos[i], true
 }
 
 // Init implements simnet.Handler.
@@ -145,7 +132,7 @@ func (n *gsNode) Init(ctx simnet.Context) {
 // (re-)proposed to, holdings are skipped, frozen edges are left to the
 // other side.
 func (n *gsNode) proposeMore(ctx simnet.Context) {
-	for n.outstanding+n.engaged < n.quota && n.cursor < len(n.order) {
+	for n.outstanding+n.engaged < n.quota && n.cursor < len(n.list.Order) {
 		pos := n.cursor
 		if n.pending[pos] && n.state[pos] != gsWaiting && n.state[pos] != gsEngaged {
 			// A cancelled or broken edge whose stale answer is still
@@ -162,7 +149,7 @@ func (n *gsNode) proposeMore(ctx simnet.Context) {
 			n.state[pos] = gsWaiting
 			n.pending[pos] = true
 			n.outstanding++
-			ctx.Send(n.order[pos], gsPropMsg)
+			ctx.Send(n.list.Order[pos], gsPropMsg)
 		}
 	}
 }
@@ -183,7 +170,7 @@ func (n *gsNode) HandleMessage(ctx simnet.Context, from int, msg simnet.Message)
 	if !ok {
 		panic(fmt.Sprintf("tournament: gs node %d received non-GS message %T", n.id, msg))
 	}
-	pos, known := n.orderPos(from)
+	pos, known := n.list.Pos(from)
 	if !known {
 		panic(fmt.Sprintf("tournament: gs node %d received message from non-neighbor %d", n.id, from))
 	}
@@ -360,7 +347,7 @@ func (n *gsNode) drop(ctx simnet.Context, lp int32) {
 		panic(fmt.Sprintf("tournament: gs node %d dropping non-holding at %d", n.id, lp))
 	}
 	n.state[lp] = gsFree
-	ctx.Send(n.order[lp], gsDropMsg)
+	ctx.Send(n.list.Order[lp], gsDropMsg)
 }
 
 func (n *gsNode) accept(ctx simnet.Context, from graph.NodeID, pos int32) {
@@ -386,7 +373,7 @@ func (n *gsNode) lightestHolding() int {
 // engagedWith reports whether this node currently holds an engagement
 // with v — the sampler's half of the matched predicate.
 func (n *gsNode) engagedWith(v graph.NodeID) bool {
-	pos, ok := n.orderPos(v)
+	pos, ok := n.list.Pos(v)
 	return ok && n.state[pos] == gsEngaged
 }
 
@@ -398,7 +385,7 @@ func buildGSMatching(s *pref.System, nodes []*gsNode) (*matching.Matching, error
 		var engaged []graph.NodeID
 		for pos, st := range nd.state {
 			if st == gsEngaged {
-				engaged = append(engaged, nd.order[pos])
+				engaged = append(engaged, nd.list.Order[pos])
 			}
 		}
 		return engaged

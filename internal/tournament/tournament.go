@@ -25,7 +25,6 @@ import (
 	"sort"
 
 	"overlaymatch/internal/faults"
-	"overlaymatch/internal/matching"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/satisfaction"
 	"overlaymatch/internal/simnet"
@@ -39,8 +38,8 @@ type Options struct {
 	// instance build).
 	Seed uint64
 	// Workers parallelizes the deterministic builds (preference lists,
-	// satisfaction table, LIC); 0 means 1. Output is bit-identical for
-	// any value.
+	// satisfaction table); 0 means 1. Output is bit-identical for any
+	// value.
 	Workers int
 	// ProbeInterval is the virtual-time spacing of the stability
 	// probes; 0 means 1 (one probe per unit-latency round).
@@ -142,7 +141,6 @@ func RunCell(inst *workload.Instance, alg Algorithm, opts Options) (Cell, stack.
 	sys := inst.System
 	g := sys.Graph()
 	tbl := satisfaction.NewTableParallel(sys, opts.workers())
-	lic := matching.LICParallel(sys, tbl, opts.workers())
 
 	out, err := alg.Run(sys, tbl, opts)
 	if err != nil {
@@ -150,6 +148,9 @@ func RunCell(inst *workload.Instance, alg Algorithm, opts Options) (Cell, stack.
 	}
 	if err := out.Matching.Validate(sys); err != nil {
 		return Cell{}, out, fmt.Errorf("tournament: %s on %s produced an invalid matching: %w", alg.Name(), inst.Spec, err)
+	}
+	if len(out.Prober.Curve()) == 0 {
+		return Cell{}, out, fmt.Errorf("tournament: %s recorded no probes", alg.Name())
 	}
 
 	cell := Cell{
@@ -160,7 +161,7 @@ func RunCell(inst *workload.Instance, alg Algorithm, opts Options) (Cell, stack.
 		N:             g.NumNodes(),
 		Edges:         g.NumEdges(),
 		MatchedWeight: out.Matching.Weight(sys),
-		LICWeight:     lic.Weight(sys),
+		LICWeight:     out.Prober.OptWeight(),
 		Matched:       out.Matching.Size(),
 		RoundsToEps:   out.Prober.RoundsToEps(nil),
 		FinalTime:     out.Stats.FinalTime,
@@ -170,9 +171,6 @@ func RunCell(inst *workload.Instance, alg Algorithm, opts Options) (Cell, stack.
 		cell.WeightFrac = cell.MatchedWeight / cell.LICWeight
 	} else {
 		cell.WeightFrac = 1
-	}
-	if len(out.Prober.Curve()) == 0 {
-		return Cell{}, out, fmt.Errorf("tournament: %s recorded no probes", alg.Name())
 	}
 	last := out.Prober.Last()
 	cell.BlockingPairs, cell.Unmatched = last.BlockingPairs, last.UnmatchedNodes

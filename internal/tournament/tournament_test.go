@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"overlaymatch/internal/graph"
 	"overlaymatch/internal/lid"
 	"overlaymatch/internal/matching"
 	"overlaymatch/internal/obs"
@@ -61,7 +62,7 @@ func TestLIDCellEquivalence(t *testing.T) {
 func blockingPairs(t *testing.T, inst *workload.Instance, m *matching.Matching) int {
 	t.Helper()
 	s := inst.System
-	tbl := satisfaction.NewTable(s)
+	key := func(u, v int) satisfaction.WeightKey { return satisfaction.KeyFor(s, graph.Edge{U: u, V: v}) }
 	accepts := func(u, v int) bool {
 		conns := m.Connections(u)
 		if len(conns) < s.Quota(u) {
@@ -70,13 +71,13 @@ func blockingPairs(t *testing.T, inst *workload.Instance, m *matching.Matching) 
 		if s.Quota(u) == 0 {
 			return false
 		}
-		low := tbl.Key(u, conns[0])
+		low := key(u, conns[0])
 		for _, w := range conns[1:] {
-			if k := tbl.Key(u, w); low.Heavier(k) {
+			if k := key(u, w); low.Heavier(k) {
 				low = k
 			}
 		}
-		return tbl.Key(u, v).Heavier(low)
+		return key(u, v).Heavier(low)
 	}
 	bp := 0
 	for _, e := range s.Graph().Edges() {

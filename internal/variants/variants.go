@@ -18,8 +18,6 @@
 package variants
 
 import (
-	"sort"
-
 	"overlaymatch/internal/graph"
 	"overlaymatch/internal/matching"
 	"overlaymatch/internal/pref"
@@ -34,45 +32,32 @@ import (
 // original quotas and maximal.
 func CoverageFirst(s *pref.System, tbl *satisfaction.Table) *matching.Matching {
 	g := s.Graph()
-	edges := sortedEdges(s, tbl)
+	ids := sortedEdges(s, tbl)
 
 	m := matching.NewDense(g)
 	// Phase 1: clamp quotas to min(1, bi).
-	cap1 := make([]int, g.NumNodes())
-	for i := range cap1 {
-		if s.Quota(i) > 0 {
-			cap1[i] = 1
-		}
+	room := make([]int, g.NumNodes())
+	for i := range room {
+		room[i] = min(s.Quota(i), 1)
 	}
-	for _, e := range edges {
-		if cap1[e.U] > 0 && cap1[e.V] > 0 {
-			m.Add(e.U, e.V)
-			cap1[e.U]--
-			cap1[e.V]--
-		}
-	}
+	m.Fill(ids, room)
 	// Phase 2: residual capacities, same scan order.
-	capR := make([]int, g.NumNodes())
-	for i := range capR {
-		capR[i] = s.Quota(i) - m.DegreeOf(i)
+	for i := range room {
+		room[i] = s.Quota(i) - m.DegreeOf(i)
 	}
-	for _, e := range edges {
-		if !m.Has(e.U, e.V) && capR[e.U] > 0 && capR[e.V] > 0 {
-			m.Add(e.U, e.V)
-			capR[e.U]--
-			capR[e.V]--
-		}
-	}
+	m.Fill(ids, room)
 	return m
 }
 
-// sortedEdges returns the graph's edges in decreasing weight order.
-func sortedEdges(s *pref.System, tbl *satisfaction.Table) []graph.Edge {
-	edges := append([]graph.Edge(nil), s.Graph().Edges()...)
-	sort.Slice(edges, func(a, b int) bool {
-		return tbl.Key(edges[a].U, edges[a].V).Heavier(tbl.Key(edges[b].U, edges[b].V))
-	})
-	return edges
+// sortedEdges returns the graph's EdgeIDs in the shared heaviest-first
+// order.
+func sortedEdges(s *pref.System, tbl *satisfaction.Table) []graph.EdgeID {
+	ids := make([]graph.EdgeID, s.Graph().NumEdges())
+	for i := range ids {
+		ids[i] = graph.EdgeID(i)
+	}
+	matching.SortEdgeIDs(ids, tbl.OrderKeys(), 1)
+	return ids
 }
 
 // ImproveStats reports what one Improve call did.
@@ -98,19 +83,21 @@ type ImproveStats struct {
 // Every move strictly increases total weight, so the search
 // terminates. The input matching is modified in place.
 func Improve(s *pref.System, tbl *satisfaction.Table, m *matching.Matching) ImproveStats {
-	edges := sortedEdges(s, tbl)
+	g := s.Graph()
+	ids := sortedEdges(s, tbl)
 	var st ImproveStats
 	for {
 		st.Rounds++
 		improved := false
-		for _, f := range edges {
-			if m.Has(f.U, f.V) {
+		for _, fid := range ids {
+			if m.HasID(fid) {
 				continue
 			}
+			f := g.EdgeByID(fid)
 			uFree := m.DegreeOf(f.U) < s.Quota(f.U)
 			vFree := m.DegreeOf(f.V) < s.Quota(f.V)
 			if uFree && vFree {
-				m.Add(f.U, f.V)
+				m.AddID(fid)
 				st.Additions++
 				improved = true
 				continue
@@ -125,11 +112,10 @@ func Improve(s *pref.System, tbl *satisfaction.Table, m *matching.Matching) Impr
 				if uFree {
 					full = f.V
 				}
-				e := lightestAt(s, tbl, m, full)
-				fk := tbl.Key(f.U, f.V)
-				if fk.Heavier(tbl.Key(full, e)) {
-					m.Remove(full, e)
-					m.Add(f.U, f.V)
+				eid := lightestAt(g, tbl, m, full)
+				if tbl.Heavier(fid, eid) {
+					m.RemoveID(eid)
+					m.AddID(fid)
 					st.Swaps++
 					improved = true
 				}
@@ -139,26 +125,25 @@ func Improve(s *pref.System, tbl *satisfaction.Table, m *matching.Matching) Impr
 				// Double swap: both endpoints saturated; replace both
 				// lightest edges if f is heavier than each AND the
 				// total strictly increases.
-				eu := lightestAt(s, tbl, m, f.U)
-				ev := lightestAt(s, tbl, m, f.V)
-				fk := tbl.Key(f.U, f.V)
-				if (graph.Edge{U: f.U, V: eu}).Normalize() == (graph.Edge{U: f.V, V: ev}).Normalize() {
+				euid := lightestAt(g, tbl, m, f.U)
+				evid := lightestAt(g, tbl, m, f.V)
+				if euid == evid {
 					// Same edge at both ends: removing it frees both.
-					if fk.Heavier(tbl.Key(f.U, eu)) {
-						m.Remove(f.U, eu)
-						m.Add(f.U, f.V)
+					if tbl.Heavier(fid, euid) {
+						m.RemoveID(euid)
+						m.AddID(fid)
 						st.Swaps++
 						improved = true
 					}
 					continue
 				}
-				wf := satisfaction.EdgeWeight(s, graph.Edge{U: f.U, V: f.V}.Normalize())
-				we := satisfaction.EdgeWeight(s, graph.Edge{U: f.U, V: eu}.Normalize()) +
-					satisfaction.EdgeWeight(s, graph.Edge{U: f.V, V: ev}.Normalize())
+				wf := satisfaction.EdgeWeight(s, f)
+				we := satisfaction.EdgeWeight(s, g.EdgeByID(euid)) +
+					satisfaction.EdgeWeight(s, g.EdgeByID(evid))
 				if wf > we {
-					m.Remove(f.U, eu)
-					m.Remove(f.V, ev)
-					m.Add(f.U, f.V)
+					m.RemoveID(euid)
+					m.RemoveID(evid)
+					m.AddID(fid)
 					st.Swaps++
 					improved = true
 				}
@@ -229,13 +214,13 @@ func freeQuota(s *pref.System, m *matching.Matching, x graph.NodeID) int {
 	return s.Quota(x) - m.DegreeOf(x)
 }
 
-// lightestAt returns x's lightest current connection.
-func lightestAt(s *pref.System, tbl *satisfaction.Table, m *matching.Matching, x graph.NodeID) graph.NodeID {
-	conns := m.Connections(x)
-	lightest := conns[0]
-	for _, v := range conns[1:] {
-		if tbl.Key(x, lightest).Heavier(tbl.Key(x, v)) {
-			lightest = v
+// lightestAt returns the edge of x's lightest current connection.
+func lightestAt(g *graph.Graph, tbl *satisfaction.Table, m *matching.Matching, x graph.NodeID) graph.EdgeID {
+	lightest := graph.EdgeID(-1)
+	for _, v := range m.Partners(x) {
+		id, _ := g.EdgeIDOf(x, v)
+		if lightest < 0 || tbl.Heavier(lightest, id) {
+			lightest = id
 		}
 	}
 	return lightest
