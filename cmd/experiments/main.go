@@ -47,7 +47,7 @@ func main() {
 		faultSd = flag.Uint64("faults-seed", 0, "seed of the injection streams (0 = derive from -seed)")
 		rto     = flag.Float64("rto", 30, "retransmission timeout of the transport-backed experiments (E11, E15), virtual time units")
 		adapt   = flag.Bool("adaptive-rto", false, "RFC-6298 adaptive retransmission timeout in the transport-backed experiments")
-		detStr  = flag.String("detector", "", "failure-detector spec for the self-healing experiment (E16): on | hb=5,phi=8,... (empty = default)")
+		detStr  = flag.String("detector", "", "failure-detector spec for the self-healing experiment (E16): on | hb=N,ticks=N, either key optional (empty = on = hb=5,ticks=64)")
 		probeIv = flag.Float64("probe-interval", 0, "virtual-time spacing of the stability probes (E17); 0 = one probe per unit-latency round")
 		churnF  = flag.String("churn", "off", `churn feed of the churn-survival experiment (E19): "events=200,leave=0.5,minalive=8,rate=2" (off = E19's built-in feed)`)
 		repairK = flag.Int("repair-rounds", 0, "repair budget of E19's truncated rows (0 = sweep {1,2,4})")
@@ -158,14 +158,11 @@ func main() {
 	start := time.Now()
 	for _, e := range selected {
 		t0 := time.Now()
-		if err := experiments.RunAndRender(e, cfg, w, *md); err != nil {
+		files, err := experiments.RunAndRender(e, cfg, w, *md, *csv)
+		if err != nil {
 			fail("%v", err)
 		}
 		if *csv != "" {
-			files, err := experiments.RunToCSV(e, cfg, *csv)
-			if err != nil {
-				fail("%v", err)
-			}
 			fmt.Fprintf(os.Stderr, "experiments: %s csv: %s\n", e.ID, strings.Join(files, " "))
 		}
 		manifest.Record(e, time.Since(t0))

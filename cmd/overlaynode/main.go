@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"overlaymatch/internal/detector"
+	"overlaymatch/internal/kv"
 	"overlaymatch/internal/lid"
 	"overlaymatch/internal/metrics"
 	"overlaymatch/internal/reliable"
@@ -51,7 +52,7 @@ func main() {
 		nodeID   = flag.Int("node-id", -1, "this node's ID in [0,n) (required)")
 		rto      = flag.Float64("rto", 30, "retransmission timeout in virtual time units")
 		adaptive = flag.Bool("adaptive-rto", false, "RFC-6298 adaptive retransmission timeout")
-		detStr   = flag.String("detector", "off", "heartbeat failure detector: off | on | hb=5,phi=8,... (see internal/detector)")
+		detStr   = flag.String("detector", "off", "heartbeat failure detector: off | on | hb=N,ticks=N, either key optional (on = hb=5,ticks=64)")
 		timeUnit = flag.Duration("time-unit", time.Millisecond, "wall-clock duration of one virtual time unit")
 		timeout  = flag.Duration("timeout", 60*time.Second, "give up if the node is not quiescent by then")
 		idle     = flag.Duration("idle", 500*time.Millisecond, "silence window that declares the run complete")
@@ -151,30 +152,30 @@ func instanceFlags(fs *flag.FlagSet) *workload.Synthetic {
 	return workload.BindFlags(fs, 0, "p", "radius", "m")
 }
 
-// parsePeers parses "1=127.0.0.1:7001,2=127.0.0.1:7002" into a route
-// table, rejecting malformed entries and duplicate IDs.
+// parsePeers parses "1=127.0.0.1:7001,2=127.0.0.1:7002" (package kv's
+// grammar) into a route table, rejecting malformed entries and
+// duplicate IDs, "1" and "01" included.
 func parsePeers(s string) (map[int]string, error) {
 	peers := make(map[int]string)
 	if s == "" {
 		return peers, nil
 	}
-	for _, entry := range strings.Split(s, ",") {
-		entry = strings.TrimSpace(entry)
-		id, addr, ok := strings.Cut(entry, "=")
-		if !ok {
-			return nil, fmt.Errorf("peer entry %q is not id=host:port", entry)
-		}
-		pid, err := strconv.Atoi(id)
+	fields, err := kv.Split("-peers", s)
+	if err != nil {
+		return nil, err
+	}
+	for _, f := range fields {
+		pid, err := strconv.Atoi(f.Key)
 		if err != nil {
-			return nil, fmt.Errorf("peer entry %q: ID %q is not a number", entry, id)
+			return nil, f.Errorf("ID is not a number")
 		}
-		if addr == "" {
-			return nil, fmt.Errorf("peer entry %q has an empty address", entry)
+		if f.Val == "" {
+			return nil, f.Errorf("empty address")
 		}
 		if _, dup := peers[pid]; dup {
-			return nil, fmt.Errorf("peer ID %d appears twice", pid)
+			return nil, fmt.Errorf("-peers: peer ID %d appears twice", pid)
 		}
-		peers[pid] = addr
+		peers[pid] = f.Val
 	}
 	return peers, nil
 }

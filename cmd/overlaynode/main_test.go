@@ -14,12 +14,14 @@ import (
 )
 
 func TestParsePeers(t *testing.T) {
-	peers, err := parsePeers("1=127.0.0.1:7001, 2=127.0.0.1:7002")
-	if err != nil {
-		t.Fatalf("parsePeers: %v", err)
-	}
-	if len(peers) != 2 || peers[1] != "127.0.0.1:7001" || peers[2] != "127.0.0.1:7002" {
-		t.Fatalf("parsePeers = %v", peers)
+	for _, in := range []string{"1=127.0.0.1:7001,2=127.0.0.1:7002", "1 = 127.0.0.1:7001 , 2=127.0.0.1:7002"} {
+		peers, err := parsePeers(in)
+		if err != nil {
+			t.Fatalf("parsePeers(%q): %v", in, err)
+		}
+		if len(peers) != 2 || peers[1] != "127.0.0.1:7001" || peers[2] != "127.0.0.1:7002" {
+			t.Fatalf("parsePeers(%q) = %v", in, peers)
+		}
 	}
 	if peers, err := parsePeers(""); err != nil || len(peers) != 0 {
 		t.Fatalf("empty -peers should parse to an empty table, got %v, %v", peers, err)
@@ -30,10 +32,12 @@ func TestParsePeersRejectsMalformed(t *testing.T) {
 	cases := []struct {
 		name, in, want string
 	}{
-		{"no equals", "127.0.0.1:7001", "not id=host:port"},
+		{"no equals", "127.0.0.1:7001", "not key=value"},
 		{"non-numeric id", "x=127.0.0.1:7001", "not a number"},
 		{"empty address", "1=", "empty address"},
-		{"duplicate id", "1=127.0.0.1:7001,1=127.0.0.1:7002", "appears twice"},
+		{"empty entry", "1=127.0.0.1:7001,", "empty clause"},
+		{"repeated id", "1=127.0.0.1:7001,1=127.0.0.1:7002", `"1" repeated`},
+		{"duplicate id", "1=127.0.0.1:7001,01=127.0.0.1:7002", "appears twice"},
 	}
 	for _, tc := range cases {
 		_, err := parsePeers(tc.in)

@@ -59,13 +59,13 @@ func main() {
 		reliab   = flag.Bool("reliable", false, "wrap LID in the ack/retransmit substrate (required for drop/corrupt faults)")
 		rto      = flag.Float64("rto", 30, "retransmission timeout in virtual time units (-reliable)")
 		adaptRTO = flag.Bool("adaptive-rto", false, "RFC-6298 adaptive retransmission timeout with backoff (-reliable)")
-		detStr   = flag.String("detector", "off", "heartbeat failure detector: off | on | hb=5,phi=8,... (see internal/detector)")
+		detStr   = flag.String("detector", "off", "heartbeat failure detector: off | on | hb=N,ticks=N, either key optional (on = hb=5,ticks=64)")
 		replay   = flag.String("replay", "", "re-execute a frozen replay file (see faults.Explore) and report the verdict")
 		workers  = flag.Int("workers", 0, "goroutines for the deterministic parallel weight-table build (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
 		churnStr = flag.String("churn", "off", `run the churn-survival engine instead of the distributed sim: "events=200,leave=0.5,minalive=8,rate=2" (see internal/dynamic)`)
 		repairK  = flag.Int("repair-rounds", 0, "truncate each repair epoch after this many cascade rounds (0 = full budget; needs -churn)")
 		shedD    = flag.Int("shed-depth", 0, "shed epochs whose batch exceeds this to one-round backup placement (0 = never; needs -churn)")
-		schedStr = flag.String("scheduler", "canonical", "proposal admission order: canonical | greedy | greedy:batch=N (greedy runs on the event runtime only: a cluster runtime fails the run; same matching, fewer messages)")
+		schedStr = flag.String("scheduler", "canonical", "proposal admission order: canonical | greedy (greedy runs on the event runtime only: a cluster runtime fails the run; same matching, fewer messages)")
 		verbose  = flag.Bool("v", false, "print per-peer connections")
 	)
 	flag.Parse()

@@ -91,7 +91,7 @@ func TestValidateFlagsInteractionMatrix(t *testing.T) {
 		{"negative shed depth", func(f *cliFlags) { f.shedDepth = -1 }, "non-negative"},
 
 		{"greedy scheduler ok", func(f *cliFlags) { f.scheduler = "greedy" }, ""},
-		{"greedy batch ok", func(f *cliFlags) { f.scheduler = "greedy:batch=4" }, ""},
+		{"greedy batch rejected", func(f *cliFlags) { f.scheduler = "greedy:batch=4" }, "batch"},
 		{"greedy with reliable", func(f *cliFlags) { f.scheduler = "greedy"; f.reliable = true }, ""},
 		{"bad scheduler", func(f *cliFlags) { f.scheduler = "eager" }, "scheduler"},
 		{"greedy on goroutine", func(f *cliFlags) { f.scheduler = "greedy"; f.runtime = "goroutine" }, ""},
@@ -120,12 +120,12 @@ func TestValidateFlagsInteractionMatrix(t *testing.T) {
 
 func TestValidateFlagsParsesScheduler(t *testing.T) {
 	f := baseFlags()
-	f.scheduler = "greedy:batch=3"
+	f.scheduler = "greedy"
 	cfg, err := validateFlags(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.sched.Greedy() || cfg.sched.Batch != 3 {
+	if !cfg.sched.Greedy() {
 		t.Fatalf("scheduler spec not threaded through: %+v", cfg.sched)
 	}
 }

@@ -26,42 +26,46 @@ package detector
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
+
+	"overlaymatch/internal/kv"
 )
 
-// Config parameterizes one Monitor. The zero value means "disabled";
-// zero-valued fields of an otherwise non-zero config take the
-// defaults below (the same convention as faults.TrialOptions).
+// The phi-accrual settings every Monitor shares. A peer is suspected
+// when its current silence has probability below 10^-phiThreshold
+// under a normal estimate of its last Window inter-arrival gaps; until
+// minSamples gaps have accumulated, the fixed bootstrapTicks threshold
+// applies instead.
+const (
+	phiThreshold = 8
+	// Window is the inter-arrival sample window.
+	Window     = 64
+	minSamples = 3
+	// Floor is the minimum standard deviation, in ticks, of the
+	// adaptive estimate: it guards against a degenerate zero-variance
+	// window over a deterministic network.
+	Floor = 0.5
+)
+
+// Config parameterizes one Monitor's heartbeat schedule. The zero
+// value means "disabled"; zero-valued fields of an otherwise non-zero
+// config take the defaults below (the same convention as
+// faults.TrialOptions).
 type Config struct {
 	// Interval is the heartbeat period in virtual time units
 	// (default 5).
 	Interval float64
-	// Phi is the suspicion threshold on the accrual scale: suspect
-	// when the current silence has probability below 10^-Phi
-	// (default 8).
-	Phi float64
-	// Window is the inter-arrival sample window (default 64).
-	Window int
-	// MinSamples is how many inter-arrival samples must accumulate
-	// before the adaptive threshold applies; until then a fixed
-	// bootstrap threshold of bootstrapTicks heartbeat ticks is used
-	// (default 3).
-	MinSamples int
-	// Floor is the minimum standard deviation (in ticks) of the
-	// adaptive estimate, guarding against a degenerate zero-variance
-	// window over a deterministic network (default 0.5).
-	Floor float64
 	// Ticks bounds how many heartbeat rounds the monitor runs; after
 	// the budget the detector goes quiet so event-runtime runs can
 	// drain to quiescence (default 64).
 	Ticks int
 }
 
-// Default is the enabled configuration with every knob at its default.
+// Default is the enabled configuration with every field at its
+// default.
 func Default() Config {
-	return Config{Interval: 5, Phi: 8, Window: 64, MinSamples: 3, Floor: 0.5, Ticks: 64}
+	return Config{Interval: 5, Ticks: 64}
 }
 
 // Enabled reports whether the config turns the detector on.
@@ -72,34 +76,6 @@ func (c Config) interval() float64 {
 		return c.Interval
 	}
 	return 5
-}
-
-func (c Config) phi() float64 {
-	if c.Phi > 0 {
-		return c.Phi
-	}
-	return 8
-}
-
-func (c Config) window() int {
-	if c.Window > 0 {
-		return c.Window
-	}
-	return 64
-}
-
-func (c Config) minSamples() int {
-	if c.MinSamples > 0 {
-		return c.MinSamples
-	}
-	return 3
-}
-
-func (c Config) floor() float64 {
-	if c.Floor > 0 {
-		return c.Floor
-	}
-	return 0.5
 }
 
 func (c Config) ticks() int {
@@ -113,18 +89,6 @@ func (c Config) ticks() int {
 func (c Config) Validate() error {
 	if c.Interval < 0 || c.Interval > 1e9 {
 		return fmt.Errorf("detector: hb=%v outside (0,1e9]", c.Interval)
-	}
-	if c.Phi < 0 || c.Phi > 300 {
-		return fmt.Errorf("detector: phi=%v outside (0,300]", c.Phi)
-	}
-	if c.Window < 0 || c.Window > 1<<16 {
-		return fmt.Errorf("detector: window=%d outside [1,65536]", c.Window)
-	}
-	if c.MinSamples < 0 || c.MinSamples > c.window() {
-		return fmt.Errorf("detector: min=%d outside [1,window]", c.MinSamples)
-	}
-	if c.Floor < 0 || c.Floor > 1e9 {
-		return fmt.Errorf("detector: floor=%v outside (0,1e9]", c.Floor)
 	}
 	if c.Ticks < 0 || c.Ticks > 1<<24 {
 		return fmt.Errorf("detector: ticks=%d outside [1,2^24]", c.Ticks)
@@ -140,36 +104,19 @@ func (c Config) String() string {
 		return "off"
 	}
 	var parts []string
-	add := func(k, v string) { parts = append(parts, k+"="+v) }
 	if c.Interval != 0 {
-		add("hb", formatFloat(c.Interval))
-	}
-	if c.Phi != 0 {
-		add("phi", formatFloat(c.Phi))
-	}
-	if c.Window != 0 {
-		add("window", strconv.Itoa(c.Window))
-	}
-	if c.MinSamples != 0 {
-		add("min", strconv.Itoa(c.MinSamples))
-	}
-	if c.Floor != 0 {
-		add("floor", formatFloat(c.Floor))
+		parts = append(parts, "hb="+kv.FormatFloat(c.Interval))
 	}
 	if c.Ticks != 0 {
-		add("ticks", strconv.Itoa(c.Ticks))
+		parts = append(parts, "ticks="+strconv.Itoa(c.Ticks))
 	}
 	return strings.Join(parts, ",")
 }
 
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Parse reads the canonical spec form. "off" and "" give the disabled
-// zero config; "on" gives Default(). Keys: hb, phi, window, min,
-// floor, ticks. Duplicate keys, unknown keys, and out-of-range values
-// are errors.
+// Parse reads the canonical spec form (package kv's grammar). "off"
+// and "" give the disabled zero config; "on" gives Default(). Keys: hb
+// and ticks, each positive. Duplicate keys, unknown keys, and
+// out-of-range values are errors.
 func Parse(s string) (Config, error) {
 	s = strings.TrimSpace(s)
 	switch s {
@@ -178,73 +125,34 @@ func Parse(s string) (Config, error) {
 	case "on":
 		return Default(), nil
 	}
+	fields, err := kv.Split("detector", s)
+	if err != nil {
+		return Config{}, err
+	}
 	var c Config
-	seen := map[string]bool{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			return Config{}, fmt.Errorf("detector: empty clause in %q", s)
-		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			return Config{}, fmt.Errorf("detector: clause %q is not key=value", part)
-		}
-		key, val := strings.TrimSpace(kv[0]), strings.TrimSpace(kv[1])
-		if seen[key] {
-			return Config{}, fmt.Errorf("detector: duplicate key %q", key)
-		}
-		seen[key] = true
-		var err error
-		switch key {
+	for _, f := range fields {
+		switch f.Key {
 		case "hb":
-			c.Interval, err = parsePositiveFloat(val)
-		case "phi":
-			c.Phi, err = parsePositiveFloat(val)
-		case "window":
-			c.Window, err = parsePositiveInt(val)
-		case "min":
-			c.MinSamples, err = parsePositiveInt(val)
-		case "floor":
-			c.Floor, err = parsePositiveFloat(val)
+			c.Interval, err = f.Float()
+			// The negated form rejects NaN along with zero and
+			// negatives: a zero field means "default", never a value.
+			if err == nil && !(c.Interval > 0) {
+				err = f.Errorf("%v is not positive", c.Interval)
+			}
 		case "ticks":
-			c.Ticks, err = parsePositiveInt(val)
+			c.Ticks, err = f.Int()
+			if err == nil && c.Ticks <= 0 {
+				err = f.Errorf("%d is not positive", c.Ticks)
+			}
 		default:
-			keys := []string{"hb", "phi", "window", "min", "floor", "ticks"}
-			sort.Strings(keys)
-			return Config{}, fmt.Errorf("detector: unknown key %q (want one of %s)",
-				key, strings.Join(keys, ", "))
+			err = f.Errorf("unknown key (want hb or ticks)")
 		}
 		if err != nil {
-			return Config{}, fmt.Errorf("detector: %s: %v", key, err)
+			return Config{}, err
 		}
-	}
-	if !c.Enabled() {
-		return Config{}, fmt.Errorf("detector: spec %q sets no field", s)
 	}
 	if err := c.Validate(); err != nil {
 		return Config{}, err
 	}
 	return c, nil
-}
-
-func parsePositiveFloat(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, err
-	}
-	if !(v > 0) { // rejects zero, negatives and NaN alike
-		return 0, fmt.Errorf("%v is not positive", v)
-	}
-	return v, nil
-}
-
-func parsePositiveInt(s string) (int, error) {
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, err
-	}
-	if v <= 0 {
-		return 0, fmt.Errorf("%d is not positive", v)
-	}
-	return v, nil
 }

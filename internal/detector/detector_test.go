@@ -2,6 +2,7 @@ package detector
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"overlaymatch/internal/rng"
@@ -12,8 +13,8 @@ func TestConfigRoundTrip(t *testing.T) {
 	cases := []Config{
 		Default(),
 		{Interval: 5},
-		{Phi: 12.5, Ticks: 200},
-		{Interval: 0.25, Phi: 3, Window: 16, MinSamples: 2, Floor: 1.5, Ticks: 40},
+		{Ticks: 200},
+		{Interval: 0.25, Ticks: 40},
 	}
 	for _, c := range cases {
 		got, err := Parse(c.String())
@@ -34,12 +35,20 @@ func TestConfigRoundTrip(t *testing.T) {
 		t.Fatalf("Parse(on) = %+v, %v; want Default()", c, err)
 	}
 	bad := []string{
-		"hb=0", "hb=-3", "phi=nan", "phi=400", "window=0", "window=99999999",
-		"min=5,window=2", "ticks=x", "hb=5,hb=6", "wat=1", "hb", "hb=5,,phi=8",
+		"hb=0", "hb=-3", "hb=nan", "hb=2e9", "ticks=0", "ticks=99999999",
+		"ticks=x", "hb=5,hb=6", "wat=1", "hb", "hb=5,,ticks=8",
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {
 			t.Fatalf("Parse(%q) accepted", s)
+		}
+	}
+	// The estimator's settings are constants now; each former key is
+	// rejected by name.
+	for _, key := range []string{"phi", "window", "min", "floor"} {
+		_, err := Parse("hb=5," + key + "=8")
+		if err == nil || !strings.Contains(err.Error(), key) {
+			t.Fatalf("Parse(hb=5,%s=8) = %v, want an error naming %s", key, err, key)
 		}
 	}
 }

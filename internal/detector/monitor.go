@@ -25,7 +25,7 @@ func (hbAckMsg) Kind() string { return "HB-ACK" }
 type tickToken struct{}
 
 // bootstrapTicks is the fixed suspicion threshold (in heartbeat ticks)
-// used before MinSamples inter-arrival samples have accumulated.
+// used before minSamples inter-arrival samples have accumulated.
 const bootstrapTicks = 4
 
 // SuspectEvent records one verdict transition, for the detection
@@ -82,7 +82,7 @@ func NewMonitor(inner simnet.Handler, neighbors []int, cfg Config) *Monitor {
 	sort.Ints(order)
 	peers := make(map[int]*peerView, len(order))
 	for _, p := range order {
-		peers[p] = &peerView{est: NewEstimator(cfg.window(), cfg.floor())}
+		peers[p] = &peerView{est: NewEstimator(Window, Floor)}
 	}
 	return &Monitor{inner: inner, cfg: cfg, order: order, peers: peers}
 }
@@ -162,8 +162,8 @@ func (m *Monitor) onTick(ctx simnet.Context) {
 		if !pv.suspected {
 			elapsed := float64(m.tick - pv.lastHeard)
 			threshold := float64(bootstrapTicks)
-			if pv.est.Count() >= m.cfg.minSamples() {
-				threshold = pv.est.Threshold(m.cfg.phi())
+			if pv.est.Count() >= minSamples {
+				threshold = pv.est.Threshold(phiThreshold)
 			}
 			if elapsed > threshold {
 				pv.suspected = true

@@ -3,11 +3,11 @@ package dynamic
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"overlaymatch/internal/faults"
 	"overlaymatch/internal/graph"
+	"overlaymatch/internal/kv"
 	"overlaymatch/internal/pref"
 	"overlaymatch/internal/rng"
 )
@@ -43,10 +43,7 @@ func (s ChurnSpec) String() string {
 		return "off"
 	}
 	return fmt.Sprintf("events=%d,leave=%s,minalive=%d,rate=%s",
-		s.Events,
-		strconv.FormatFloat(s.LeaveProb, 'g', -1, 64),
-		s.MinAlive,
-		strconv.FormatFloat(s.Rate, 'g', -1, 64))
+		s.Events, kv.FormatFloat(s.LeaveProb), s.MinAlive, kv.FormatFloat(s.Rate))
 }
 
 // Validate range-checks a non-zero spec.
@@ -69,54 +66,34 @@ func (s ChurnSpec) Validate() error {
 	return nil
 }
 
-// ParseChurnSpec parses the grammar above; absent keys take their
-// documented defaults. Each key may appear once, and empty clauses are
-// rejected.
+// ParseChurnSpec parses the grammar above (package kv's); absent keys
+// take their documented defaults. Each key may appear once, and empty
+// clauses are rejected.
 func ParseChurnSpec(in string) (ChurnSpec, error) {
 	s := strings.TrimSpace(in)
 	if s == "" || s == "off" {
 		return ChurnSpec{}, nil
 	}
+	fields, err := kv.Split("dynamic: churn", s)
+	if err != nil {
+		return ChurnSpec{}, err
+	}
 	spec := ChurnSpec{LeaveProb: 0.5, MinAlive: 2, Rate: 1}
-	seen := make(map[string]bool)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			return ChurnSpec{}, fmt.Errorf("dynamic: empty clause in churn spec %q", in)
-		}
-		key, val, found := strings.Cut(part, "=")
-		if !found {
-			return ChurnSpec{}, fmt.Errorf("dynamic: churn spec term %q is not key=value", part)
-		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
-		if seen[key] {
-			return ChurnSpec{}, fmt.Errorf("dynamic: churn spec key %q repeated", key)
-		}
-		seen[key] = true
-		switch key {
-		case "events", "minalive":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return ChurnSpec{}, fmt.Errorf("dynamic: churn %s=%q: %v", key, val, err)
-			}
-			if key == "events" {
-				spec.Events = n
-			} else {
-				spec.MinAlive = n
-			}
-		case "leave", "rate":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return ChurnSpec{}, fmt.Errorf("dynamic: churn %s=%q: %v", key, val, err)
-			}
-			if key == "leave" {
-				spec.LeaveProb = f
-			} else {
-				spec.Rate = f
-			}
+	for _, f := range fields {
+		switch f.Key {
+		case "events":
+			spec.Events, err = f.Int()
+		case "minalive":
+			spec.MinAlive, err = f.Int()
+		case "leave":
+			spec.LeaveProb, err = f.Float()
+		case "rate":
+			spec.Rate, err = f.Float()
 		default:
-			return ChurnSpec{}, fmt.Errorf("dynamic: unknown churn spec key %q", key)
+			err = f.Errorf("unknown key")
+		}
+		if err != nil {
+			return ChurnSpec{}, err
 		}
 	}
 	if spec.Events == 0 {

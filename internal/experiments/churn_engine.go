@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -10,11 +9,6 @@ import (
 	"overlaymatch/internal/workload"
 )
 
-// e19Workers is the worker sweep of E19's determinism check: every
-// cell's epoch records and final matching must be byte-identical for
-// every worker count.
-var e19Workers = []int{1, 2, 4}
-
 // e19Families are the workload families of the churn-intensity sweep:
 // swarm and geo exercise join/leave churn on production-shaped
 // topologies; drift additionally replays its preference epochs as
@@ -22,9 +16,9 @@ var e19Workers = []int{1, 2, 4}
 // preference churn coalesce into shared repair epochs.
 var e19Families = []string{"swarm", "geo", "drift"}
 
-// e19Cell is the JSON-marshalled worker-identity fingerprint of one
-// (family, budget) cell: the full epoch-record stream plus the final
-// matching and its weight.
+// e19Cell is the worker-identity fingerprint of one (family, budget)
+// cell: the full epoch-record stream plus the final matching and its
+// weight.
 type e19Cell struct {
 	Family  string                `json:"family"`
 	Budget  string                `json:"budget"`
@@ -65,7 +59,7 @@ type e19Budget struct {
 //   - The overload row actually sheds (TotalSheds > 0) and still
 //     yields a valid matching: shedding drops repair work, never
 //     correctness.
-//   - Every cell is byte-identical across worker counts {1, 2, 4}.
+//   - Every cell is byte-identical across worker counts (workerSweep).
 func E19ChurnEngine(cfg Config) ([]*stats.Table, error) {
 	n := cfg.pick(48, 192)
 	churn := cfg.Churn
@@ -104,28 +98,18 @@ func E19ChurnEngine(cfg Config) ([]*stats.Table, error) {
 			return nil, fmt.Errorf("E19 %s: %w", family, err)
 		}
 		for _, b := range budgets {
-			var (
-				cell     e19Cell
-				eng      *dynamic.Engine
-				baseline string
-			)
-			for i, workers := range e19Workers {
-				c, e, err := runE19Cell(cfg, spec, b, churn, workers)
-				if err != nil {
-					return nil, fmt.Errorf("E19 %s/%s workers=%d: %w", family, b.label, workers, err)
-				}
-				raw, err := json.Marshal(c)
-				if err != nil {
-					return nil, err
-				}
-				if i == 0 {
-					cell, eng, baseline = c, e, string(raw)
-				} else if string(raw) != baseline {
-					return nil, fmt.Errorf("E19 %s/%s: cell with %d workers differs from %d workers — repair must be schedule-free",
-						family, b.label, workers, e19Workers[0])
-				}
+			type repaired struct {
+				cell e19Cell
+				eng  *dynamic.Engine
 			}
-			row, err := e19Score(family, b, cell, eng)
+			run, err := sameAtEveryWorkerCount(fmt.Sprintf("E19 %s/%s", family, b.label), func(workers int) (repaired, any, error) {
+				c, e, err := runE19Cell(cfg, spec, b, churn, workers)
+				return repaired{c, e}, c, err
+			})
+			if err != nil {
+				return nil, err
+			}
+			row, err := e19Score(family, b, run.cell, run.eng)
 			if err != nil {
 				return nil, err
 			}
@@ -244,6 +228,6 @@ func e19Score(family string, b e19Budget, cell e19Cell, eng *dynamic.Engine) ([]
 		fmt.Sprintf("%.1f", meanRegion), maxRegion,
 		lastDeferred, lastBlocking,
 		fmt.Sprintf("%.4f", degradation),
-		fmt.Sprintf("identical x%d", len(e19Workers)),
+		fmt.Sprintf("identical x%d", len(workerSweep)),
 	}, nil
 }

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -207,10 +209,10 @@ func TestE10(t *testing.T) {
 func TestRunAndRenderTextAndMarkdown(t *testing.T) {
 	e, _ := Lookup("E4")
 	var txt, md strings.Builder
-	if err := RunAndRender(e, quickCfg(), &txt, false); err != nil {
+	if _, err := RunAndRender(e, quickCfg(), &txt, false, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunAndRender(e, quickCfg(), &md, true); err != nil {
+	if _, err := RunAndRender(e, quickCfg(), &md, true, ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(txt.String(), "== E4") || !strings.Contains(md.String(), "### ") {
@@ -285,21 +287,37 @@ func TestE13(t *testing.T) {
 	}
 }
 
+// TestRunToCSV: a CSV directory adds one file per table to the same
+// single run, so a metrics sink counts each LID execution once with or
+// without -csv.
 func TestRunToCSV(t *testing.T) {
-	dir := t.TempDir()
-	e, _ := Lookup("E4")
-	files, err := RunToCSV(e, quickCfg(), dir)
-	if err != nil {
-		t.Fatal(err)
+	e, _ := Lookup("E5")
+	runs := func(csvDir string) (int64, []string) {
+		cfg := quickCfg()
+		cfg.Metrics = mreg.New()
+		files, err := RunAndRender(e, cfg, io.Discard, false, csvDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg.Metrics.Counter("lid_runs_total", "").Value(), files
 	}
-	if len(files) != 2 {
-		t.Fatalf("E4 should write 2 csv files, got %v", files)
+	plain, files := runs("")
+	if plain == 0 || files != nil {
+		t.Fatalf("without a CSV directory: lid_runs_total %d, files %v", plain, files)
+	}
+	dir := t.TempDir()
+	withCSV, files := runs(dir)
+	if withCSV != plain {
+		t.Fatalf("lid_runs_total is %d with a CSV directory, %d without: the experiment ran more than once", withCSV, plain)
+	}
+	if want := []string{"E5_1.csv", "E5_2.csv", "E5_3.csv"}; !reflect.DeepEqual(files, want) {
+		t.Fatalf("E5 wrote %v, want %v", files, want)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, files[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "topology,b,") {
+	if !strings.Contains(string(data), "topology,") {
 		t.Fatalf("csv header missing: %.80s", data)
 	}
 }

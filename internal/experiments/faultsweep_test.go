@@ -22,10 +22,10 @@ func TestTablesUnchangedByFaultsOff(t *testing.T) {
 			t.Fatalf("experiment %s missing", id)
 		}
 		var plain, faulted bytes.Buffer
-		if err := RunAndRender(e, Config{Seed: 1, Quick: true}, &plain, false); err != nil {
+		if _, err := RunAndRender(e, Config{Seed: 1, Quick: true}, &plain, false, ""); err != nil {
 			t.Fatalf("%s plain: %v", id, err)
 		}
-		if err := RunAndRender(e, Config{Seed: 1, Quick: true, Faults: zero, FaultsSeed: 42}, &faulted, false); err != nil {
+		if _, err := RunAndRender(e, Config{Seed: 1, Quick: true, Faults: zero, FaultsSeed: 42}, &faulted, false, ""); err != nil {
 			t.Fatalf("%s with zero faults: %v", id, err)
 		}
 		if !bytes.Equal(plain.Bytes(), faulted.Bytes()) {

@@ -13,12 +13,6 @@ import (
 	"overlaymatch/internal/workload"
 )
 
-// e20Workers is the worker sweep of E20's determinism check: the full
-// metric snapshot of a greedy run must be byte-identical for every
-// worker count (workers only parallelize the preference-table build;
-// the admission schedule is a pure function of the table).
-var e20Workers = []int{1, 2, 8}
-
 // e20ImprovedFamilies is the acceptance floor: the greedy scheduler
 // must cut messages or rounds by at least e20MinReduction percent on
 // at least this many families, or the experiment fails.
@@ -41,7 +35,7 @@ const (
 //   - Exactness: both schedules terminate in exactly the LIC matching
 //     (the scheduler is a scheduling win, never a quality trade).
 //   - Worker determinism: the greedy run's full metric snapshot is
-//     byte-identical across worker counts {1, 2, 8}.
+//     byte-identical across worker counts (workerSweep).
 //   - Payoff: at least 2 families see >= 20% reduction in messages or
 //     rounds. Greedy serializes admission into drain-separated
 //     batches, so rounds typically grow while messages shrink — the
@@ -88,29 +82,19 @@ func E20GreedyScheduler(cfg Config) ([]*stats.Table, error) {
 			return nil, fmt.Errorf("E20 %s: canonical run diverged from LIC", c.name)
 		}
 
-		spec := lid.SchedulerSpec{Kind: lid.SchedGreedy}
-		var greedy lid.Result
-		var baseline string
-		for k, workers := range e20Workers {
-			wtbl := satisfaction.NewTableParallel(sys, workers)
+		// The admission schedule is a pure function of the table, so
+		// the greedy run's metric snapshot is the fingerprint.
+		greedy, err := sameAtEveryWorkerCount("E20 "+c.name+" greedy", func(workers int) (lid.Result, any, error) {
 			sink := mreg.New()
-			res, err := lid.Run(sys, wtbl, simnet.Event(opts), lid.RunOptions{Scheduler: spec, Metrics: sink})
-			if err != nil {
-				return nil, fmt.Errorf("E20 %s greedy workers=%d: %w", c.name, workers, err)
+			res, err := lid.Run(sys, satisfaction.NewTableParallel(sys, workers), simnet.Event(opts),
+				lid.RunOptions{Scheduler: lid.SchedulerSpec{Kind: lid.SchedGreedy}, Metrics: sink})
+			if err == nil && !res.Matching.Equal(want) {
+				err = fmt.Errorf("greedy run diverged from LIC")
 			}
-			if !res.Matching.Equal(want) {
-				return nil, fmt.Errorf("E20 %s workers=%d: greedy run diverged from LIC", c.name, workers)
-			}
-			raw, err := sink.Snapshot().MarshalJSON()
-			if err != nil {
-				return nil, err
-			}
-			if k == 0 {
-				greedy, baseline = res, string(raw)
-			} else if string(raw) != baseline {
-				return nil, fmt.Errorf("E20 %s: greedy run with %d workers differs from %d workers — the schedule must be a pure function of the table",
-					c.name, workers, e20Workers[0])
-			}
+			return res, sink.Snapshot(), err
+		})
+		if err != nil {
+			return nil, err
 		}
 
 		msgRed := reductionPct(canon.Stats.TotalSent(), greedy.Stats.TotalSent())

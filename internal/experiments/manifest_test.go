@@ -19,11 +19,11 @@ func TestTablesUnchangedByMetrics(t *testing.T) {
 			t.Fatalf("experiment %s missing", id)
 		}
 		var plain, instrumented bytes.Buffer
-		if err := RunAndRender(e, Config{Seed: 1, Quick: true}, &plain, false); err != nil {
+		if _, err := RunAndRender(e, Config{Seed: 1, Quick: true}, &plain, false, ""); err != nil {
 			t.Fatalf("%s plain: %v", id, err)
 		}
 		sink := mreg.New()
-		if err := RunAndRender(e, Config{Seed: 1, Quick: true, Metrics: sink}, &instrumented, false); err != nil {
+		if _, err := RunAndRender(e, Config{Seed: 1, Quick: true, Metrics: sink}, &instrumented, false, ""); err != nil {
 			t.Fatalf("%s instrumented: %v", id, err)
 		}
 		if !bytes.Equal(plain.Bytes(), instrumented.Bytes()) {

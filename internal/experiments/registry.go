@@ -63,44 +63,37 @@ func Lookup(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// RunAndRender executes one experiment and writes its tables.
-func RunAndRender(e Experiment, cfg Config, w io.Writer, markdown bool) error {
+// RunAndRender executes one experiment once and writes its tables to
+// w, as aligned text or, with markdown, as Markdown. With a non-empty
+// csvDir it also writes each table as a CSV file "<ID>_<k>.csv" under
+// csvDir (created if needed) and returns the file names written.
+func RunAndRender(e Experiment, cfg Config, w io.Writer, markdown bool, csvDir string) ([]string, error) {
 	fmt.Fprintf(w, "== %s: %s ==\n\n", e.ID, e.Title)
-	tables, err := e.Run(cfg)
-	if err != nil {
-		return fmt.Errorf("%s: %w", e.ID, err)
-	}
-	for _, t := range tables {
-		if markdown {
-			if err := t.WriteMarkdown(w); err != nil {
-				return err
-			}
-		} else {
-			if err := t.WriteText(w); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
-}
-
-// RunToCSV executes one experiment and writes each of its tables as a
-// CSV file "<ID>_<k>.csv" under dir (created if needed), returning the
-// file names written.
-func RunToCSV(e Experiment, cfg Config, dir string) ([]string, error) {
 	tables, err := e.Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", e.ID, err)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	for _, t := range tables {
+		if markdown {
+			err = t.WriteMarkdown(w)
+		} else {
+			err = t.WriteText(w)
+		}
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintln(w)
+	}
+	if csvDir == "" {
+		return nil, nil
+	}
+	if err := os.MkdirAll(csvDir, 0o755); err != nil {
 		return nil, err
 	}
 	var files []string
 	for k, t := range tables {
 		name := fmt.Sprintf("%s_%d.csv", e.ID, k+1)
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
+		f, err := os.Create(filepath.Join(csvDir, name))
 		if err != nil {
 			return files, err
 		}

@@ -12,12 +12,6 @@ import (
 	"overlaymatch/internal/workload"
 )
 
-// e17Workers is the worker sweep of E17's determinism check: the probe
-// series must be byte-identical for every worker count (workers only
-// parallelize the deterministic preference-table build, so any
-// divergence means the telemetry plane leaked scheduling state).
-var e17Workers = []int{1, 2, 4}
-
 // E17StabilityCurve: the convergence trajectory of LID, measured by
 // the per-round stability prober (obs.Prober through lid.Run with a
 // probe interval). Per topology the event runtime runs under unit
@@ -33,7 +27,7 @@ var e17Workers = []int{1, 2, 4}
 //     exactly 0 and exactly 1 (LID terminates in the LIC matching, so
 //     the final state is exactly stable under the weight order).
 //   - Worker determinism: the full probe-registry snapshot is
-//     byte-identical across worker counts {1, 2, 4}.
+//     byte-identical across worker counts (workerSweep).
 //
 // The summary table reports the rounds-to-ε ladder (first probe time
 // with blocking pairs ≤ ε·|E|); the canonical gnp summary is also
@@ -52,31 +46,25 @@ func E17StabilityCurve(cfg Config) ([]*stats.Table, error) {
 			return nil, err
 		}
 
-		var (
-			prober   *obs.Prober
-			reg      *mreg.Registry
-			baseline string
-		)
-		for i, workers := range e17Workers {
-			tbl := satisfaction.NewTableParallel(sys, workers)
+		// The probe registry's snapshot is the fingerprint: any
+		// divergence means the telemetry plane leaked scheduling state.
+		type probed struct {
+			prober *obs.Prober
+			reg    *mreg.Registry
+		}
+		run, err := sameAtEveryWorkerCount("E17 "+topo, func(workers int) (probed, any, error) {
 			r := mreg.New()
-			res, err := lid.Run(sys, tbl, simnet.Event(simnet.Options{Seed: cfg.Seed + 17}),
+			res, err := lid.Run(sys, satisfaction.NewTableParallel(sys, workers), simnet.Event(simnet.Options{Seed: cfg.Seed + 17}),
 				lid.RunOptions{ProbeInterval: interval, Metrics: r})
 			if err != nil {
-				return nil, fmt.Errorf("E17 %s workers=%d: %w", topo, workers, err)
+				return probed{}, nil, err
 			}
-			p := res.Prober
-			raw, err := r.Snapshot().MarshalJSON()
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				prober, reg, baseline = p, r, string(raw)
-			} else if string(raw) != baseline {
-				return nil, fmt.Errorf("E17 %s: probe series with %d workers differ from %d workers — the telemetry plane must be schedule-free",
-					topo, workers, e17Workers[0])
-			}
+			return probed{res.Prober, r}, r.Snapshot(), nil
+		})
+		if err != nil {
+			return nil, err
 		}
+		prober, reg := run.prober, run.reg
 
 		// The monotone-improving invariant, enforced (see the doc
 		// comment of obs.StabilitySampler for why each piece holds).
@@ -114,7 +102,7 @@ func E17StabilityCurve(cfg Config) ([]*stats.Table, error) {
 		summary.AddRowf(topo, n,
 			obs.SummaryValue(s, 0.1), obs.SummaryValue(s, 0.01),
 			obs.SummaryValue(s, 0.001), obs.SummaryValue(s, 0),
-			fmt.Sprintf("identical x%d", len(e17Workers)))
+			fmt.Sprintf("identical x%d", len(workerSweep)))
 		if topo == "gnp" {
 			// The canonical workload's summary feeds the run manifest
 			// (nil-safe when no sink registry is attached).

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"overlaymatch/internal/faults"
@@ -12,12 +11,6 @@ import (
 	"overlaymatch/internal/tournament"
 	"overlaymatch/internal/workload"
 )
-
-// e18Workers is the worker sweep of E18's determinism check: the entire
-// scored bracket — every cell of every scenario, JSON-marshalled — must
-// be byte-identical for every worker count, the same bar E17 holds the
-// probe series to.
-var e18Workers = []int{1, 2, 4}
 
 // E18Tournament: the stability tournament. One production-shaped
 // scenario per workload family (workload.DefaultSuite) hosts the three
@@ -43,7 +36,7 @@ var e18Workers = []int{1, 2, 4}
 //     rounds-to-ε ladder, positive message and byte totals, ranks a
 //     strict 1..k per scenario.
 //   - The whole bracket is byte-identical across worker counts
-//     {1, 2, 4} and the instance derivation is spec-keyed, so the
+//     (workerSweep) and the instance derivation is spec-keyed, so the
 //     bracket a CLI replay of any single spec produces agrees with the
 //     suite's cell.
 //
@@ -61,30 +54,9 @@ func E18Tournament(cfg Config) ([]*stats.Table, error) {
 	specs := workload.DefaultSuite(n)
 	opts := tournament.Options{Seed: cfg.Seed + 18, ProbeInterval: cfg.ProbeInterval}
 
-	var (
-		results  []tournament.ScenarioResult
-		baseline string
-	)
-	for i, workers := range e18Workers {
-		opts.Workers = workers
-		res, err := tournament.RunBracket(specs, tournament.DefaultAlgorithms(), opts)
-		if err != nil {
-			return nil, fmt.Errorf("E18 workers=%d: %w", workers, err)
-		}
-		var cells []tournament.Cell
-		for _, r := range res {
-			cells = append(cells, r.Cells...)
-		}
-		raw, err := json.Marshal(cells)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			results, baseline = res, string(raw)
-		} else if string(raw) != baseline {
-			return nil, fmt.Errorf("E18: bracket with %d workers differs from %d workers — scoring must be schedule-free",
-				workers, e18Workers[0])
-		}
+	results, err := runBracket("E18", specs, tournament.DefaultAlgorithms(), opts)
+	if err != nil {
+		return nil, err
 	}
 
 	bracket := stats.NewTable("E18: stability tournament (scenario x algorithm, ranked per scenario)",
@@ -135,7 +107,7 @@ func E18Tournament(cfg Config) ([]*stats.Table, error) {
 		win := r.Cells[0]
 		summary.AddRowf(win.Scenario, r.Spec.String(), win.N, win.Edges, win.Algorithm,
 			fmt.Sprintf("%.4f", frac["lid"]), fmt.Sprintf("%.4f", frac["gs"]), fmt.Sprintf("%.4f", frac["bp"]),
-			fmt.Sprintf("identical x%d", len(e18Workers)))
+			fmt.Sprintf("identical x%d", len(workerSweep)))
 	}
 
 	faulted, err := e18Faulted(cfg, specs)
@@ -167,30 +139,9 @@ func e18Faulted(cfg Config, specs []workload.Spec) (*stats.Table, error) {
 		Stack:         stack.Spec{Reliable: reliable.Config{RTO: 15, Adaptive: true}},
 	}
 
-	var (
-		results  []tournament.ScenarioResult
-		baseline string
-	)
-	for i, workers := range e18Workers {
-		opts.Workers = workers
-		res, err := tournament.RunBracket(specs, tournament.FaultTolerantAlgorithms(), opts)
-		if err != nil {
-			return nil, fmt.Errorf("E18 faulted workers=%d: %w", workers, err)
-		}
-		var cells []tournament.Cell
-		for _, r := range res {
-			cells = append(cells, r.Cells...)
-		}
-		raw, err := json.Marshal(cells)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			results, baseline = res, string(raw)
-		} else if string(raw) != baseline {
-			return nil, fmt.Errorf("E18 faulted: bracket with %d workers differs from %d workers",
-				workers, e18Workers[0])
-		}
+	results, err := runBracket("E18 faulted", specs, tournament.FaultTolerantAlgorithms(), opts)
+	if err != nil {
+		return nil, err
 	}
 
 	table := stats.NewTable("E18 faulted bracket: crash windows + reliable transport (fault-tolerant contenders)",
@@ -213,4 +164,14 @@ func e18Faulted(cfg Config, specs []workload.Spec) (*stats.Table, error) {
 		}
 	}
 	return table, nil
+}
+
+// runBracket runs the bracket at every count of workerSweep; the whole
+// scored bracket, every cell of every scenario, must be byte-identical.
+func runBracket(cell string, specs []workload.Spec, algs []tournament.Algorithm, opts tournament.Options) ([]tournament.ScenarioResult, error) {
+	return sameAtEveryWorkerCount(cell, func(workers int) ([]tournament.ScenarioResult, any, error) {
+		opts.Workers = workers
+		res, err := tournament.RunBracket(specs, algs, opts)
+		return res, res, err
+	})
 }

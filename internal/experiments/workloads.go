@@ -21,6 +21,10 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+
 	"overlaymatch/internal/detector"
 	"overlaymatch/internal/dynamic"
 	"overlaymatch/internal/faults"
@@ -139,3 +143,36 @@ func (c Config) pick(quick, full int) int {
 // degree ≈ 8 (the workload.Synthetic defaults): G(n,p), random
 // geometric and Barabási–Albert.
 var suiteTopologies = []string{"gnp", "geometric", "ba"}
+
+// workerSweep is the worker counts of the suite's determinism checks
+// (E17–E20). Workers only parallelize deterministic builds, so each
+// check reruns one cell per count and requires byte-identical results.
+var workerSweep = []int{1, 2, 4}
+
+// sameAtEveryWorkerCount runs one cell once per count of workerSweep
+// and returns the first run's result. run returns its result and a
+// fingerprint whose JSON form must be byte-identical at every count;
+// the first count that differs fails, named in the error.
+func sameAtEveryWorkerCount[T any](cell string, run func(workers int) (T, any, error)) (T, error) {
+	var (
+		first    T
+		baseline []byte
+	)
+	for i, workers := range workerSweep {
+		res, fingerprint, err := run(workers)
+		if err != nil {
+			return first, fmt.Errorf("%s workers=%d: %w", cell, workers, err)
+		}
+		raw, err := json.Marshal(fingerprint)
+		if err != nil {
+			return first, err
+		}
+		if i == 0 {
+			first, baseline = res, raw
+		} else if !bytes.Equal(raw, baseline) {
+			return first, fmt.Errorf("%s: the run with %d workers differs from the run with %d — the result must not depend on scheduling",
+				cell, workers, workerSweep[0])
+		}
+	}
+	return first, nil
+}

@@ -3,7 +3,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -76,20 +75,27 @@ type Report struct {
 // Explore sweeps Count seeds of the adversary over the trial, collects
 // every invariant violation (errors and recovered panics alike), and
 // shrinks each violation's event schedule. Violations come back sorted
-// by seed; the report is a pure function of (opts, trial).
+// by seed; the report is a pure function of (opts, trial). With
+// MaxViolations reached, the report covers the seeds up to the
+// MaxViolations-th violating one: workers stop claiming seeds there,
+// and trials already claimed past it are run but not counted.
 func Explore(opts ExploreOptions, trial Trial) Report {
 	type outcome struct {
-		seed   uint64
-		err    error
-		events []Event
-		sends  int
+		degraded   bool
+		injections int
+		err        error
+		events     []Event // kept for a violation only, to shrink
 	}
 	var (
-		mu         sync.Mutex
-		next       int
-		rep        Report
-		violations []outcome
+		mu    sync.Mutex
+		next  int
+		found int
 	)
+	// Each trial's outcome is kept by seed index and tallied in seed
+	// order after the pool drains, so the report does not depend on
+	// which trials the workers had claimed when the cap was reached.
+	// Seeds are claimed in order, so outcomes[:next] have all run.
+	outcomes := make([]outcome, opts.Count)
 	nWorkers := opts.workers()
 	if nWorkers > opts.Count {
 		nWorkers = opts.Count
@@ -101,7 +107,7 @@ func Explore(opts ExploreOptions, trial Trial) Report {
 			defer wg.Done()
 			for {
 				mu.Lock()
-				if next >= opts.Count || len(violations) >= opts.maxViolations() {
+				if next >= opts.Count || found >= opts.maxViolations() {
 					mu.Unlock()
 					return
 				}
@@ -112,48 +118,51 @@ func Explore(opts ExploreOptions, trial Trial) Report {
 				seed := opts.BaseSeed + uint64(i)
 				inj := NewInjector(opts.Spec, injectionSeed(seed))
 				err := runTrial(trial, seed, inj)
-
 				var degraded *DegradedError
 				if errors.As(err, &degraded) {
 					err = nil
 				}
-
-				mu.Lock()
-				rep.Trials++
-				rep.Injections += len(inj.Events())
-				if degraded != nil {
-					rep.Degraded++
-				}
+				o := outcome{degraded: degraded != nil, injections: len(inj.Events()), err: err}
 				if err != nil {
-					violations = append(violations, outcome{
-						seed:   seed,
-						err:    err,
-						events: append([]Event(nil), inj.Events()...),
-						sends:  inj.Sends(),
-					})
+					o.events = inj.Events()
+					mu.Lock()
+					found++
+					mu.Unlock()
 				}
-				mu.Unlock()
+				outcomes[i] = o
 			}
 		}()
 	}
 	wg.Wait()
 
-	sort.Slice(violations, func(i, j int) bool { return violations[i].seed < violations[j].seed })
-	if len(violations) > opts.maxViolations() {
-		violations = violations[:opts.maxViolations()]
+	var (
+		rep        Report
+		violations []int
+	)
+	for i := 0; i < next && len(violations) < opts.maxViolations(); i++ {
+		o := outcomes[i]
+		rep.Trials++
+		rep.Injections += o.injections
+		if o.degraded {
+			rep.Degraded++
+		}
+		if o.err != nil {
+			violations = append(violations, i)
+		}
 	}
 	const maxShrinkRuns = 500 // re-executions per violation
-	for _, v := range violations {
-		min, runs := Shrink(opts.Spec, v.seed, v.events, trial, maxShrinkRuns)
+	for _, i := range violations {
+		v, seed := outcomes[i], opts.BaseSeed+uint64(i)
+		min, runs := Shrink(opts.Spec, seed, v.events, trial, maxShrinkRuns)
 		// Minimization may land on a different (smaller) failure than
 		// the recorded one; report the error the minimized schedule
 		// actually produces so a frozen replay file is self-consistent.
 		errStr := v.err.Error()
-		if minErr := runTrial(trial, v.seed, NewReplayInjector(opts.Spec, min)); minErr != nil {
+		if minErr := runTrial(trial, seed, NewReplayInjector(opts.Spec, min)); minErr != nil {
 			errStr = minErr.Error()
 		}
 		rep.Violations = append(rep.Violations, Violation{
-			Seed:       v.seed,
+			Seed:       seed,
 			Err:        errStr,
 			Events:     min,
 			RawEvents:  len(v.events),

@@ -246,10 +246,11 @@ func TestLoadReplayRejectsVersion1(t *testing.T) {
 
 // TestExploreDeterministicReport pins Explore's worker-count
 // independence: the same sweep with 1 and 8 workers yields the same
-// violations (trials and injections are scheduling-independent too,
-// because every trial always runs to completion once started and the
-// early-stop check happens before claiming a seed — with MaxViolations
-// high enough neither stop path triggers).
+// report, both when the whole sweep runs and when MaxViolations stops
+// it early. A capped sweep with 8 workers finishes trials claimed past
+// the cap-th violation; the report must still count only the seeds up
+// to it, so the capped sweep repeats to give those trials a chance to
+// land.
 func TestExploreDeterministicReport(t *testing.T) {
 	w := workload.Synthetic{Topology: "gnp", Metric: "random", N: 24, B: 2, Seed: 2}
 	sys, err := w.Build()
@@ -257,22 +258,32 @@ func TestExploreDeterministicReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	broken := LIDTrial(sys, TrialOptions{Reliable: false, MaxDeliveries: 200000})
-	run := func(workers int) Report {
+	run := func(workers, maxViolations int) Report {
 		return Explore(ExploreOptions{
 			Spec: Spec{Dup: 0.25}, BaseSeed: 0, Count: 40,
-			Workers: workers, MaxViolations: 1000,
+			Workers: workers, MaxViolations: maxViolations,
 		}, broken)
 	}
-	a, b := run(1), run(8)
-	if a.Trials != b.Trials || a.Injections != b.Injections {
-		t.Fatalf("totals diverge: %s vs %s", a.Summary(), b.Summary())
-	}
-	if len(a.Violations) != len(b.Violations) {
-		t.Fatalf("violation counts diverge: %d vs %d", len(a.Violations), len(b.Violations))
-	}
-	for i := range a.Violations {
-		if a.Violations[i].Seed != b.Violations[i].Seed || a.Violations[i].Err != b.Violations[i].Err {
-			t.Fatalf("violation %d diverges: %+v vs %+v", i, a.Violations[i], b.Violations[i])
+	same := func(a, b Report) {
+		t.Helper()
+		if a.Trials != b.Trials || a.Injections != b.Injections || a.Degraded != b.Degraded {
+			t.Fatalf("totals diverge: %s vs %s", a.Summary(), b.Summary())
 		}
+		if len(a.Violations) != len(b.Violations) {
+			t.Fatalf("violation counts diverge: %d vs %d", len(a.Violations), len(b.Violations))
+		}
+		for i := range a.Violations {
+			if a.Violations[i].Seed != b.Violations[i].Seed || a.Violations[i].Err != b.Violations[i].Err {
+				t.Fatalf("violation %d diverges: %+v vs %+v", i, a.Violations[i], b.Violations[i])
+			}
+		}
+	}
+	same(run(1, 1000), run(8, 1000))
+	capped := run(1, 3)
+	if len(capped.Violations) != 3 || capped.Trials >= 40 {
+		t.Fatalf("the cap did not stop the sweep: %s", capped.Summary())
+	}
+	for rep := 0; rep < 10; rep++ {
+		same(capped, run(8, 3))
 	}
 }

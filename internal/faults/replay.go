@@ -279,7 +279,6 @@ type ReplayOutcome struct {
 	// Violation is the reproduced invariant violation ("" = the run
 	// was clean).
 	Violation string
-	Stats     simnet.Stats
 	// Matches reports whether the reproduced violation matches the
 	// recorded one (only meaningful when both are non-empty).
 	Matches bool

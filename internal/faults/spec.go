@@ -37,6 +37,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"overlaymatch/internal/kv"
 )
 
 // NoHeal as a window End means the fault never heals. Any End < 0
@@ -168,7 +170,7 @@ func (s Spec) String() string {
 	var parts []string
 	add := func(k string, v float64) {
 		if v != 0 {
-			parts = append(parts, k+"="+strconv.FormatFloat(v, 'g', -1, 64))
+			parts = append(parts, k+"="+kv.FormatFloat(v))
 		}
 	}
 	add("drop", s.Drop)
@@ -185,7 +187,7 @@ func (s Spec) String() string {
 	})
 	for _, p := range ps {
 		parts = append(parts, fmt.Sprintf("partition=%s:%s:%d-%d",
-			formatTime(p.Start), formatEnd(p.End), p.Lo, p.Hi))
+			kv.FormatFloat(p.Start), formatEnd(p.End), p.Lo, p.Hi))
 	}
 	cs := append([]Crash(nil), s.Crashes...)
 	sort.Slice(cs, func(i, j int) bool {
@@ -196,7 +198,7 @@ func (s Spec) String() string {
 	})
 	for _, c := range cs {
 		parts = append(parts, fmt.Sprintf("crash=%s:%s:%d",
-			formatTime(c.Start), formatEnd(c.End), c.Node))
+			kv.FormatFloat(c.Start), formatEnd(c.End), c.Node))
 	}
 	if len(parts) == 0 {
 		return "off"
@@ -204,61 +206,50 @@ func (s Spec) String() string {
 	return strings.Join(parts, ",")
 }
 
-func formatTime(t float64) string { return strconv.FormatFloat(t, 'g', -1, 64) }
-
 func formatEnd(t float64) string {
 	if t == NoHeal {
 		return "inf"
 	}
-	return formatTime(t)
+	return kv.FormatFloat(t)
 }
 
 // Parse builds a Spec from its string form: comma-separated key=value
-// fields. Keys: drop, dup, corrupt, delay, delayscale (floats, each at
-// most once); partition=START:END:LO-HI and crash=START:END:NODE may
-// repeat, END may be "inf" for a window that never heals. "" and "off"
-// are the zero spec. The result is normalized (windows sorted) and
-// validated.
+// fields (package kv's grammar). Keys: drop, dup, corrupt, delay,
+// delayscale (floats, each at most once); partition=START:END:LO-HI and
+// crash=START:END:NODE may repeat, END may be "inf" for a window that
+// never heals. "" and "off" are the zero spec. The result is normalized
+// (windows sorted) and validated.
 func Parse(in string) (Spec, error) {
 	var s Spec
 	in = strings.TrimSpace(in)
 	if in == "" || in == "off" {
 		return s, nil
 	}
-	seen := make(map[string]bool)
-	for _, field := range strings.Split(in, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			return s, fmt.Errorf("faults: empty field in %q", in)
-		}
-		k, v, ok := strings.Cut(field, "=")
-		if !ok {
-			return s, fmt.Errorf("faults: field %q is not key=value", field)
-		}
-		switch k {
+	fields, err := kv.Split("faults", in, "partition", "crash")
+	if err != nil {
+		return s, err
+	}
+	for _, f := range fields {
+		switch f.Key {
 		case "drop", "dup", "corrupt", "delay", "delayscale":
-			if seen[k] {
-				return s, fmt.Errorf("faults: duplicate key %q", k)
-			}
-			seen[k] = true
-			f, err := strconv.ParseFloat(v, 64)
+			v, err := f.Float()
 			if err != nil {
-				return s, fmt.Errorf("faults: %s: %v", k, err)
+				return s, err
 			}
-			switch k {
+			switch f.Key {
 			case "drop":
-				s.Drop = f
+				s.Drop = v
 			case "dup":
-				s.Dup = f
+				s.Dup = v
 			case "corrupt":
-				s.Corrupt = f
+				s.Corrupt = v
 			case "delay":
-				s.Delay = f
+				s.Delay = v
 			case "delayscale":
-				s.DelayScale = f
+				s.DelayScale = v
 			}
 		case "partition":
-			start, end, rest, err := parseWindow(v)
+			start, end, rest, err := parseWindow(f.Val)
 			if err != nil {
 				return s, err
 			}
@@ -276,7 +267,7 @@ func Parse(in string) (Spec, error) {
 			}
 			s.Partitions = append(s.Partitions, Partition{Start: start, End: end, Lo: lo, Hi: hi})
 		case "crash":
-			start, end, rest, err := parseWindow(v)
+			start, end, rest, err := parseWindow(f.Val)
 			if err != nil {
 				return s, err
 			}
@@ -286,7 +277,7 @@ func Parse(in string) (Spec, error) {
 			}
 			s.Crashes = append(s.Crashes, Crash{Start: start, End: end, Node: node})
 		default:
-			return s, fmt.Errorf("faults: unknown field %q", k)
+			return s, f.Errorf("unknown key")
 		}
 	}
 	if err := s.Validate(); err != nil {

@@ -3,7 +3,6 @@ package lid
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"overlaymatch/internal/graph"
@@ -27,9 +26,6 @@ const (
 type SchedulerSpec struct {
 	// Kind is SchedCanonical or SchedGreedy ("" = canonical).
 	Kind string
-	// Batch, for the greedy scheduler, caps how many nodes one
-	// admission round may release (0 = no cap).
-	Batch int
 }
 
 // Greedy reports whether the spec selects greedy admission.
@@ -39,47 +35,26 @@ func (sp SchedulerSpec) Greedy() bool { return sp.Kind == SchedGreedy }
 // Parse(String()) round-trips to the normalized spec.
 func (sp SchedulerSpec) String() string {
 	if sp.Kind == SchedGreedy {
-		if sp.Batch > 0 {
-			return fmt.Sprintf("greedy:batch=%d", sp.Batch)
-		}
 		return SchedGreedy
 	}
 	return SchedCanonical
 }
 
-// ParseSchedulerSpec parses the -scheduler grammar:
+// ParseSchedulerSpec parses the -scheduler grammar, with the spaces
+// around the name trimmed:
 //
 //	canonical          all nodes admitted at time 0 (the default)
-//	greedy             heaviest-frontier admission, unbounded batches
-//	greedy:batch=N     greedy with at most N nodes per admission round
+//	greedy             heaviest-frontier admission
 //
 // The empty string normalizes to canonical.
 func ParseSchedulerSpec(s string) (SchedulerSpec, error) {
-	base, opt, hasOpt := strings.Cut(s, ":")
-	switch base {
+	switch strings.TrimSpace(s) {
 	case "", SchedCanonical:
-		if hasOpt {
-			return SchedulerSpec{}, fmt.Errorf("lid: scheduler %q: canonical takes no options", s)
-		}
 		return SchedulerSpec{Kind: SchedCanonical}, nil
 	case SchedGreedy:
-		sp := SchedulerSpec{Kind: SchedGreedy}
-		if !hasOpt {
-			return sp, nil
-		}
-		k, v, ok := strings.Cut(opt, "=")
-		if !ok || k != "batch" {
-			return SchedulerSpec{}, fmt.Errorf("lid: scheduler %q: unknown option %q (want batch=N)", s, opt)
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return SchedulerSpec{}, fmt.Errorf("lid: scheduler %q: batch must be a positive integer", s)
-		}
-		sp.Batch = n
-		return sp, nil
-	default:
-		return SchedulerSpec{}, fmt.Errorf("lid: unknown scheduler %q (want %s or %s[:batch=N])", s, SchedCanonical, SchedGreedy)
+		return SchedulerSpec{Kind: SchedGreedy}, nil
 	}
+	return SchedulerSpec{}, fmt.Errorf("lid: unknown scheduler %q (want %s or %s)", s, SchedCanonical, SchedGreedy)
 }
 
 // frontierNone is the frontier key of a node with no live edges left —
@@ -193,7 +168,6 @@ type GreedyAdmitter struct {
 	adm   []int32          // admission round per node (0 = unadmitted)
 	round int32
 	heap  frontierHeap
-	cap   int // max nodes per round (0 = unlimited)
 
 	started bool
 	stats   GreedyStats
@@ -219,7 +193,6 @@ func NewGreedyAdmitter(s *pref.System, tbl *satisfaction.Table, nodes []*Node, s
 		inc:   make([][]graph.EdgeID, len(nodes)),
 		fcur:  make([]int, len(nodes)),
 		adm:   make([]int32, len(nodes)),
-		cap:   spec.Batch,
 	}
 	for u := range nodes {
 		a.inc[u] = tbl.SortedIncident(s, graph.NodeID(u))
@@ -272,9 +245,6 @@ func (a *GreedyAdmitter) NextBatch() []int {
 		out = append(out, u)
 	}
 	for len(a.heap) > 0 {
-		if a.cap > 0 && len(out) >= a.cap {
-			break
-		}
 		top := a.heap[0]
 		u := int(top.node)
 		if a.adm[u] != 0 {

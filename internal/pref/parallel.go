@@ -33,12 +33,15 @@ func BuildParallel(g *graph.Graph, metric Metric, quota func(i graph.NodeID) int
 	return fromOwnedLists(g, lists, quotas, workers)
 }
 
-// rankedNeighbors scores and sorts one neighborhood; shared by Build
-// and BuildParallel so the orders cannot diverge. Scores are sorted as
-// (score, id) pairs in a flat slice — map lookups inside the sort
-// comparator were the profiled hot spot of overlay setup.
+// rankedNeighbors scores and sorts one neighborhood. Scores are sorted
+// as (score, id) pairs in a flat slice — map lookups inside the sort
+// comparator were the profiled hot spot of overlay setup. An isolated
+// node's list is nil, which WriteJSON renders as null.
 func rankedNeighbors(g *graph.Graph, metric Metric, i graph.NodeID) []graph.NodeID {
 	neigh := g.Neighbors(i)
+	if len(neigh) == 0 {
+		return nil
+	}
 	type scored struct {
 		id    graph.NodeID
 		score float64

@@ -234,15 +234,12 @@ func fromOwnedLists(g *graph.Graph, lists [][]graph.NodeID, quotas []int, worker
 // score. Ties are broken by ascending node ID so the list is always a
 // strict total order, as §2 requires. quota is evaluated per node and
 // clamped to [1, |Li|] (0 for isolated nodes).
+//
+// Build is BuildParallel on one worker, which runs on the calling
+// goroutine, so any metric may be used, the memoizing RandomMetric
+// included.
 func Build(g *graph.Graph, metric Metric, quota func(i graph.NodeID) int) (*System, error) {
-	n := g.NumNodes()
-	lists := make([][]graph.NodeID, n)
-	quotas := make([]int, n)
-	for i := 0; i < n; i++ {
-		lists[i] = rankedNeighbors(g, metric, i)
-		quotas[i] = quota(i)
-	}
-	return FromRanks(g, lists, quotas)
+	return BuildParallel(g, metric, quota, 1)
 }
 
 // UniformQuota returns a quota function assigning b to every node.

@@ -98,8 +98,7 @@ func (sc Scenario) Run(rt simnet.Runtime, o stack.Options) (Outcome, error) {
 		if !isAdv {
 			n := NewTolerantNode(s, tbl, id, sc.Timeout)
 			if sc.AdaptivePhi > 0 {
-				d := detector.Default()
-				n.SetAdaptiveTimeout(detector.NewEstimator(d.Window, d.Floor), sc.AdaptivePhi)
+				n.SetAdaptiveTimeout(detector.NewEstimator(detector.Window, detector.Floor), sc.AdaptivePhi)
 			}
 			honest[id] = n
 			handlers[id] = n

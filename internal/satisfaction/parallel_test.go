@@ -136,6 +136,21 @@ func TestValueAllocBudget(t *testing.T) {
 	}
 }
 
+// TestWeightListsAllocBudget: building every node's weight list costs
+// a fixed handful of allocations (the flat arrays and the per-worker
+// scratch), not one or more per node: each node's sort allocates
+// nothing.
+func TestWeightListsAllocBudget(t *testing.T) {
+	s := randomSystem(t, 408, 2000, 0.004, 3)
+	avg := testing.AllocsPerRun(5, func() {
+		NewTable(s).SortedNeighbors(s, 0)
+	})
+	if avg > 16 {
+		t.Fatalf("NewTable plus the weight lists of %d nodes allocate %v times, want at most 16",
+			s.Graph().NumNodes(), avg)
+	}
+}
+
 // TestValueScratchReuse drives the pooled scratch through growth and
 // many stamps: repeated calls across nodes of different degrees keep
 // detecting duplicates correctly.

@@ -14,11 +14,11 @@
 package satisfaction
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/big"
 	"slices"
-	"sort"
 	"sync"
 
 	"overlaymatch/internal/graph"
@@ -321,6 +321,15 @@ func (t *Table) Heavier(a, b graph.EdgeID) bool {
 	return t.ord[a] < t.ord[b] || t.ord[a] == t.ord[b] && a < b
 }
 
+// compare is Heavier as a three-way comparison for slices.SortFunc:
+// negative when a is heavier, 0 only for the same edge.
+func (t *Table) compare(a, b graph.EdgeID) int {
+	if c := cmp.Compare(t.ord[a], t.ord[b]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
+}
+
 // SortedNeighbors returns u's neighbors ordered by decreasing edge
 // weight — the node's "weight list" from §5. Lists for all nodes are
 // computed once on first use and cached (protocol runs re-create their
@@ -398,8 +407,8 @@ func (t *Table) buildSorted(s *pref.System) {
 				for i := range p {
 					p[i] = int32(i)
 				}
-				sort.Slice(p, func(a, b int) bool {
-					return t.Heavier(incident[p[a]], incident[p[b]])
+				slices.SortFunc(p, func(a, b int32) int {
+					return t.compare(incident[a], incident[b])
 				})
 				list := buf[off : off+len(neigh)]
 				for k, orig := range p {

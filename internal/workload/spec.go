@@ -49,6 +49,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"overlaymatch/internal/kv"
 )
 
 // Spec names one scenario: a family plus its parameters. The zero
@@ -239,7 +241,7 @@ func (s Spec) String() string {
 		if f.isInt {
 			parts = append(parts, f.key+"="+strconv.Itoa(int(v)))
 		} else {
-			parts = append(parts, f.key+"="+strconv.FormatFloat(v, 'g', -1, 64))
+			parts = append(parts, f.key+"="+kv.FormatFloat(v))
 		}
 	}
 	if len(parts) == 0 {
@@ -249,7 +251,7 @@ func (s Spec) String() string {
 }
 
 // Parse builds a Spec from its string form: "family" or
-// "family:key=value,...". Unknown families, inapplicable or repeated
+// "family:key=value,..." (package kv's grammar). Unknown families, inapplicable or repeated
 // keys, and out-of-range values are errors. The result validates.
 func Parse(in string) (Spec, error) {
 	var s Spec
@@ -260,37 +262,28 @@ func Parse(in string) (Spec, error) {
 		return s, fmt.Errorf("workload: unknown family %q (want one of %s)", s.Family, strings.Join(Families(), "|"))
 	}
 	if hasParams {
-		seen := map[string]bool{}
-		for _, kv := range strings.Split(params, ",") {
-			kv = strings.TrimSpace(kv)
-			if kv == "" {
-				return s, fmt.Errorf("workload: empty field in %q", in)
-			}
-			k, v, ok := strings.Cut(kv, "=")
+		kvs, err := kv.Split("workload", params)
+		if err != nil {
+			return s, err
+		}
+		for _, p := range kvs {
+			f, ok := lookupField(p.Key)
 			if !ok {
-				return s, fmt.Errorf("workload: field %q is not key=value", kv)
-			}
-			f, ok := lookupField(k)
-			if !ok {
-				return s, fmt.Errorf("workload: unknown key %q", k)
+				return s, p.Errorf("unknown key")
 			}
 			if !f.applies(s.Family) {
-				return s, fmt.Errorf("workload: key %q does not apply to family %q", k, s.Family)
+				return s, fmt.Errorf("workload: key %q does not apply to family %q", p.Key, s.Family)
 			}
-			if seen[k] {
-				return s, fmt.Errorf("workload: key %q repeated", k)
-			}
-			seen[k] = true
 			if f.isInt {
-				iv, err := strconv.Atoi(v)
+				iv, err := p.Int()
 				if err != nil {
-					return s, fmt.Errorf("workload: %s: %v", k, err)
+					return s, err
 				}
 				f.set(&s, float64(iv))
 			} else {
-				fv, err := strconv.ParseFloat(v, 64)
+				fv, err := p.Float()
 				if err != nil {
-					return s, fmt.Errorf("workload: %s: %v", k, err)
+					return s, err
 				}
 				f.set(&s, fv)
 			}
