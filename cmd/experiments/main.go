@@ -1,7 +1,9 @@
 // Command experiments regenerates the validation suite of DESIGN.md §3
 // / EXPERIMENTS.md: one experiment per theorem/lemma of the paper plus
-// the scaling studies. Each experiment prints one or more tables;
-// violations of a proven bound abort with a non-zero exit.
+// the scaling studies. Each experiment prints one or more tables from
+// one fixed configuration; violations of a proven bound abort with a
+// non-zero exit. overlaysim is the command that varies the adversary,
+// transport, detector, probe spacing or churn feed of a single run.
 //
 // Examples:
 //
@@ -14,18 +16,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime/pprof"
 	"strings"
 	"time"
 
-	"overlaymatch/internal/detector"
-	"overlaymatch/internal/dynamic"
 	"overlaymatch/internal/experiments"
-	"overlaymatch/internal/faults"
 	"overlaymatch/internal/metrics"
-	"overlaymatch/internal/reliable"
 )
 
 func main() {
@@ -43,24 +40,8 @@ func main() {
 		manOut  = flag.String("manifest", "", "write a run manifest (params, go version, timings, metrics) as JSON to this file")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		faultsF = flag.String("faults", "off", "fault-injection spec threaded into the message-level experiments (see internal/faults)")
-		faultSd = flag.Uint64("faults-seed", 0, "seed of the injection streams (0 = derive from -seed)")
-		rto     = flag.Float64("rto", 30, "retransmission timeout of the transport-backed experiments (E11, E15), virtual time units")
-		adapt   = flag.Bool("adaptive-rto", false, "RFC-6298 adaptive retransmission timeout in the transport-backed experiments")
-		detStr  = flag.String("detector", "", "failure-detector spec for the self-healing experiment (E16): on | hb=N,ticks=N, either key optional (empty = on = hb=5,ticks=64)")
-		probeIv = flag.Float64("probe-interval", 0, "virtual-time spacing of the stability probes (E17); 0 = one probe per unit-latency round")
-		churnF  = flag.String("churn", "off", `churn feed of the churn-survival experiment (E19): "events=200,leave=0.5,minalive=8,rate=2" (off = E19's built-in feed)`)
-		repairK = flag.Int("repair-rounds", 0, "repair budget of E19's truncated rows (0 = sweep {1,2,4})")
-		shedD   = flag.Int("shed-depth", 0, "shedding threshold of E19's overload row (0 = default 2)")
 	)
 	flag.Parse()
-
-	if err := (reliable.Config{RTO: *rto}).Validate(); err != nil {
-		fail("-rto: %v", err)
-	}
-	if !(*probeIv >= 0) || math.IsInf(*probeIv, 1) {
-		fail("-probe-interval must be non-negative and finite, got %v", *probeIv)
-	}
 
 	switch *metFmt {
 	case "text", "json", "prom":
@@ -108,35 +89,7 @@ func main() {
 		w = f
 	}
 
-	if *repairK < 0 || *shedD < 0 {
-		fail("-repair-rounds and -shed-depth must be non-negative")
-	}
-	churnSpec, err := dynamic.ParseChurnSpec(*churnF)
-	if err != nil {
-		fail("%v", err)
-	}
-
-	cfg := experiments.Config{Seed: *seed, Quick: *quick, Workers: *workers,
-		RTO: *rto, AdaptiveRTO: *adapt, ProbeInterval: *probeIv,
-		Churn: churnSpec, RepairRounds: *repairK, ShedDepth: *shedD}
-	if *detStr != "" {
-		det, err := detector.Parse(*detStr)
-		if err != nil {
-			fail("%v", err)
-		}
-		cfg.Detector = &det
-	}
-	if *faultsF != "" && *faultsF != "off" {
-		spec, err := faults.Parse(*faultsF)
-		if err != nil {
-			fail("%v", err)
-		}
-		cfg.Faults = &spec
-		cfg.FaultsSeed = *faultSd
-		if cfg.FaultsSeed == 0 {
-			cfg.FaultsSeed = *seed ^ 0x5fa715ca11edc0de
-		}
-	}
+	cfg := experiments.Config{Seed: *seed, Quick: *quick, Workers: *workers}
 	if *metOut || *manOut != "" {
 		cfg.Metrics = metrics.New()
 	}

@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,8 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scenarios = fs.String("scenarios", "default", `"/"-separated workload specs ("swarm:n=512,zipf=1.4/geo:n=512") or "default" for one defaulted spec per family`)
 		n         = fs.Int("n", 256, "node count of the default suite (ignored when -scenarios is explicit)")
 		seed      = fs.Uint64("seed", 1, "master seed; each scenario's instance seed derives from it and the canonical spec string")
-		workers   = fs.Int("workers", 0, "parallel workers for the deterministic builds (0 = 1; output is bit-identical for any value)")
-		probeIv   = fs.Float64("probe-interval", 0, "virtual-time spacing of the stability probes (0 = one per unit-latency round)")
+		workers   = fs.Int("workers", 0, "parallel workers for the deterministic builds (0 = GOMAXPROCS; output is bit-identical for any value)")
 		md        = fs.Bool("md", false, "emit Markdown instead of aligned text")
 		out       = fs.String("out", "", "write the tables to this file instead of stdout")
 		jsonOut   = fs.String("json", "", "write every scored cell as a JSON array to this file")
@@ -53,10 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list      = fs.Bool("list", false, "list the scenario families and contenders, then exit")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if !(*probeIv >= 0) || math.IsInf(*probeIv, 1) {
-		fmt.Fprintf(stderr, "tournament: -probe-interval must be non-negative and finite, got %v\n", *probeIv)
 		return 2
 	}
 	if *list {
@@ -75,9 +69,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	results, err := tournament.RunBracket(specs, tournament.DefaultAlgorithms(), tournament.Options{
-		Seed:          *seed,
-		Workers:       *workers,
-		ProbeInterval: *probeIv,
+		Seed:    *seed,
+		Workers: *workers,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "tournament: %v\n", err)

@@ -34,6 +34,16 @@ type e19Budget struct {
 	shed   int // EngineOptions.ShedDepth (0 = never shed)
 }
 
+// e19Budgets are the rows of the repair-budget sweep: the full budget,
+// three truncated budgets and an overload row that sheds at depth 2.
+var e19Budgets = []e19Budget{
+	{label: "full"},
+	{label: "k=1", rounds: 1},
+	{label: "k=2", rounds: 2},
+	{label: "k=4", rounds: 4},
+	{label: "shed=2", shed: 2},
+}
+
 // E19ChurnEngine: the churn-survival engine under sustained churn — a
 // churn-intensity × repair-budget sweep over internal/dynamic's epoch
 // engine. Every cell streams the same seeded membership feed (plus
@@ -62,32 +72,12 @@ type e19Budget struct {
 //   - Every cell is byte-identical across worker counts (workerSweep).
 func E19ChurnEngine(cfg Config) ([]*stats.Table, error) {
 	n := cfg.pick(48, 192)
-	churn := cfg.Churn
-	if churn.IsZero() {
-		churn = dynamic.ChurnSpec{
-			Events:    cfg.pick(40, 160),
-			LeaveProb: 0.55,
-			MinAlive:  n / 4,
-			Rate:      4,
-		}
+	churn := dynamic.ChurnSpec{
+		Events:    cfg.pick(40, 160),
+		LeaveProb: 0.55,
+		MinAlive:  n / 4,
+		Rate:      4,
 	}
-	if err := churn.Validate(); err != nil {
-		return nil, fmt.Errorf("E19: churn spec: %w", err)
-	}
-	shedDepth := cfg.ShedDepth
-	if shedDepth <= 0 {
-		shedDepth = 2
-	}
-	truncated := []int{1, 2, 4}
-	if cfg.RepairRounds > 0 {
-		truncated = []int{cfg.RepairRounds}
-	}
-	budgets := []e19Budget{{label: "full", rounds: 0}}
-	for _, k := range truncated {
-		budgets = append(budgets, e19Budget{label: fmt.Sprintf("k=%d", k), rounds: k})
-	}
-	budgets = append(budgets, e19Budget{label: fmt.Sprintf("shed=%d", shedDepth), rounds: 0, shed: shedDepth})
-
 	table := stats.NewTable(fmt.Sprintf("E19: churn-survival engine, %s (family x repair budget)", churn),
 		"family", "budget", "epochs", "retries", "sheds", "p99 lat", "mean region", "max region",
 		"deferred", "blocking", "w/inh-LIC", "workers")
@@ -97,7 +87,7 @@ func E19ChurnEngine(cfg Config) ([]*stats.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E19 %s: %w", family, err)
 		}
-		for _, b := range budgets {
+		for _, b := range e19Budgets {
 			type repaired struct {
 				cell e19Cell
 				eng  *dynamic.Engine

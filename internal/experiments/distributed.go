@@ -41,7 +41,6 @@ func E2LIDEquivalence(cfg Config) ([]*stats.Table, error) {
 					res, err := lid.RunEvent(sys, tbl, simnet.Options{
 						Seed:    cfg.Seed + uint64(r)*131,
 						Latency: simnet.ExponentialLatency(6),
-						Policy:  cfg.policy(uint64(n)*1009 + uint64(r)),
 					})
 					if err != nil {
 						return nil, fmt.Errorf("E2 event run: %w", err)
@@ -52,10 +51,8 @@ func E2LIDEquivalence(cfg Config) ([]*stats.Table, error) {
 					}
 				}
 				for r := 0; r < goRuns; r++ {
-					res, err := lid.Run(sys, tbl, transport.Memory(transport.ClusterConfig{
-						Timeout: 30 * time.Second,
-						Policy:  cfg.policy(uint64(n)*2027 + uint64(r)),
-					}), lid.RunOptions{})
+					res, err := lid.Run(sys, tbl, transport.Memory(transport.ClusterConfig{Timeout: 30 * time.Second}),
+						lid.RunOptions{})
 					if err != nil {
 						return nil, fmt.Errorf("E2 goroutine run: %w", err)
 					}
@@ -96,7 +93,6 @@ func E5MessageComplexity(cfg Config) ([]*stats.Table, error) {
 			res, err := lid.Run(sys, satisfaction.NewTable(sys), simnet.Event(simnet.Options{
 				Seed:    cfg.Seed + uint64(n),
 				Latency: simnet.ExponentialLatency(4),
-				Policy:  cfg.policy(uint64(5 * n)),
 			}), lid.RunOptions{Metrics: cfg.Metrics})
 			if err != nil {
 				return nil, err
@@ -125,7 +121,6 @@ func E5MessageComplexity(cfg Config) ([]*stats.Table, error) {
 		res, err := lid.Run(sys, satisfaction.NewTable(sys), simnet.Event(simnet.Options{
 			Seed:    cfg.Seed + uint64(b),
 			Latency: simnet.ExponentialLatency(4),
-			Policy:  cfg.policy(0xb0b ^ uint64(b)),
 		}), lid.RunOptions{Metrics: cfg.Metrics})
 		if err != nil {
 			return nil, err
@@ -145,7 +140,6 @@ func E5MessageComplexity(cfg Config) ([]*stats.Table, error) {
 		res, err := lid.Run(sys, satisfaction.NewTable(sys), simnet.Event(simnet.Options{
 			Seed:    cfg.Seed + uint64(deg),
 			Latency: simnet.ExponentialLatency(4),
-			Policy:  cfg.policy(0xdd ^ uint64(deg)),
 		}), lid.RunOptions{Metrics: cfg.Metrics})
 		if err != nil {
 			return nil, err
@@ -173,9 +167,8 @@ func E6ConvergenceRounds(cfg Config) ([]*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := lid.Run(sys, satisfaction.NewTable(sys), simnet.Event(simnet.Options{
-				Seed: cfg.Seed, Policy: cfg.policy(uint64(7 * n)),
-			}), lid.RunOptions{Metrics: cfg.Metrics})
+			res, err := lid.Run(sys, satisfaction.NewTable(sys), simnet.Event(simnet.Options{Seed: cfg.Seed}),
+				lid.RunOptions{Metrics: cfg.Metrics})
 			if err != nil {
 				return nil, err
 			}
@@ -191,9 +184,8 @@ func E6ConvergenceRounds(cfg Config) ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := lid.Run(sys, satisfaction.NewTable(sys), simnet.Event(simnet.Options{
-			Seed: cfg.Seed, Policy: cfg.policy(0xe6 ^ uint64(b)),
-		}), lid.RunOptions{Metrics: cfg.Metrics})
+		res, err := lid.Run(sys, satisfaction.NewTable(sys), simnet.Event(simnet.Options{Seed: cfg.Seed}),
+			lid.RunOptions{Metrics: cfg.Metrics})
 		if err != nil {
 			return nil, err
 		}

@@ -50,7 +50,7 @@ func E11LossyLinks(cfg Config) ([]*stats.Table, error) {
 				Seed:    seed,
 				Policy:  policy,
 				Latency: simnet.ExponentialLatency(3),
-			}), lid.RunOptions{Stack: stack.Spec{Reliable: cfg.reliableConfig()}, Metrics: cfg.Metrics})
+			}), lid.RunOptions{Stack: stack.Spec{Reliable: reliable.Config{RTO: 30}}, Metrics: cfg.Metrics})
 			if err != nil {
 				return nil, fmt.Errorf("E11 loss=%.1f: %w", loss, err)
 			}

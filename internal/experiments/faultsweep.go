@@ -36,20 +36,15 @@ func e15Ladder() []e15Intensity {
 // equal LIC at every intensity — the table quantifies what the
 // adversary costs in retransmissions and convergence-time inflation
 // (virtual final time relative to the fault-free row of the same
-// topology). A Config.Faults spec, when set, is appended as an extra
-// "custom" rung.
+// topology).
 func E15FaultSweep(cfg Config) ([]*stats.Table, error) {
 	t := stats.NewTable("E15: LID+reliable under the fault-injection adversary",
 		"intensity", "topology", "runs", "equal to LIC", "injections",
 		"frames sent", "retransmits", "corrupt discarded", "rounds", "inflation")
 	n := cfg.pick(30, 80)
 	runs := cfg.pick(3, 12)
-	ladder := e15Ladder()
-	if cfg.Faults != nil && !cfg.Faults.IsZero() {
-		ladder = append(ladder, e15Intensity{"custom", *cfg.Faults})
-	}
 	baseRounds := map[string]float64{} // topology -> fault-free mean rounds
-	for _, step := range ladder {
+	for _, step := range e15Ladder() {
 		for _, topo := range suiteTopologies {
 			var (
 				equal, injections, frames, retrans, corrupted int
@@ -64,20 +59,14 @@ func E15FaultSweep(cfg Config) ([]*stats.Table, error) {
 				var policy simnet.LinkPolicy
 				var inj *faults.Injector
 				if !step.spec.IsZero() {
-					// Only the custom rung draws from the fault seed, so
-					// adding it leaves the built-in rungs' streams alone.
-					seed := cfg.Seed + uint64(r)*104729
-					if step.name == "custom" {
-						seed ^= cfg.FaultsSeed
-					}
-					inj = faults.NewInjector(step.spec, seed)
+					inj = faults.NewInjector(step.spec, cfg.Seed+uint64(r)*104729)
 					policy = inj
 				}
 				res, err := lid.Run(sys, tbl, simnet.Event(simnet.Options{
 					Seed:    cfg.Seed + uint64(r)*131 + 15,
 					Latency: simnet.ExponentialLatency(3),
 					Policy:  policy,
-				}), lid.RunOptions{Stack: stack.Spec{Reliable: cfg.reliableConfig()}, Metrics: cfg.Metrics})
+				}), lid.RunOptions{Stack: stack.Spec{Reliable: reliable.Config{RTO: 30}}, Metrics: cfg.Metrics})
 				if err != nil {
 					return nil, fmt.Errorf("E15 %s/%s run %d: %w", step.name, topo, r, err)
 				}

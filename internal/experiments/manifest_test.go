@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -78,5 +79,29 @@ func TestManifestWithoutRegistry(t *testing.T) {
 	}
 	if got["metrics"] != nil {
 		t.Fatalf("metrics should be null, got %v", got["metrics"])
+	}
+}
+
+// TestManifestNamesEveryConfigField: the run manifest records every
+// Config field but the Metrics sink, under the same name and with the
+// same value, so a manifest names every parameter that shapes a table
+// and a Config field cannot be added without its provenance.
+func TestManifestNamesEveryConfigField(t *testing.T) {
+	cfg := Config{Seed: 7, Quick: true, Workers: 3}
+	c := reflect.ValueOf(cfg)
+	m := reflect.ValueOf(*NewManifest(cfg))
+	for i := 0; i < c.NumField(); i++ {
+		name := c.Type().Field(i).Name
+		if name == "Metrics" {
+			continue
+		}
+		got := m.FieldByName(name)
+		if !got.IsValid() {
+			t.Errorf("Config.%s is not recorded in the manifest", name)
+			continue
+		}
+		if want := c.Field(i).Interface(); !reflect.DeepEqual(got.Interface(), want) {
+			t.Errorf("manifest records %s = %v, want %v", name, got.Interface(), want)
+		}
 	}
 }

@@ -75,7 +75,7 @@ func E16SelfHealing(cfg Config) ([]*stats.Table, error) {
 					{Start: e16CrashStart, End: e16CrashEnd, Node: crash}}}
 				res, err := dlid.RunSelfHeal(sys, tbl, dlid.SelfHealConfig{
 					Mode:    dlid.Rematch,
-					Stack:   stack.Spec{Detector: cfg.detectorConfig()},
+					Stack:   stack.Spec{Detector: detector.Default()},
 					Metrics: cfg.Metrics,
 				}, nil, simnet.Options{
 					Seed:    cfg.Seed + uint64(r)*131 + 16,
@@ -150,7 +150,7 @@ func E16SelfHealing(cfg Config) ([]*stats.Table, error) {
 			}
 			on, err := dlid.RunSelfHeal(sys, tbl, dlid.SelfHealConfig{
 				Mode:  dlid.Rematch,
-				Stack: stack.Spec{Detector: cfg.detectorConfig()},
+				Stack: stack.Spec{Detector: detector.Default()},
 			}, nil, opts)
 			if err != nil {
 				return nil, fmt.Errorf("E16 control %s run %d (detector on): %w", topo, r, err)

@@ -15,7 +15,7 @@ import (
 // E17StabilityCurve: the convergence trajectory of LID, measured by
 // the per-round stability prober (obs.Prober through lid.Run with a
 // probe interval). Per topology the event runtime runs under unit
-// latency with a probe every cfg.ProbeInterval time units; each probe
+// latency with a probe every unit of virtual time; each probe
 // records blocking pairs (under the eq.-9 weight order — the order LID
 // actually proposes in), unmatched node mass, the matched-weight
 // fraction of the LIC optimum, and cumulative message/byte totals.
@@ -39,7 +39,6 @@ func E17StabilityCurve(cfg Config) ([]*stats.Table, error) {
 	summary := stats.NewTable("E17 summary: rounds to eps-stability (first probe with bp <= eps*|E|)",
 		"topology", "n", "eps=0.1", "eps=0.01", "eps=0.001", "eps=0", "workers")
 	n := cfg.pick(24, 100)
-	interval := cfg.probeInterval()
 	for _, topo := range suiteTopologies {
 		sys, err := workload.Synthetic{Topology: topo, Metric: "random", N: n, B: 2, Seed: cfg.Seed ^ uint64(17*n)}.Build()
 		if err != nil {
@@ -55,7 +54,7 @@ func E17StabilityCurve(cfg Config) ([]*stats.Table, error) {
 		run, err := sameAtEveryWorkerCount("E17 "+topo, func(workers int) (probed, any, error) {
 			r := mreg.New()
 			res, err := lid.Run(sys, satisfaction.NewTableParallel(sys, workers), simnet.Event(simnet.Options{Seed: cfg.Seed + 17}),
-				lid.RunOptions{ProbeInterval: interval, Metrics: r})
+				lid.RunOptions{ProbeInterval: 1, Metrics: r})
 			if err != nil {
 				return probed{}, nil, err
 			}

@@ -52,7 +52,7 @@ import (
 func E18Tournament(cfg Config) ([]*stats.Table, error) {
 	n := cfg.pick(48, 240)
 	specs := workload.DefaultSuite(n)
-	opts := tournament.Options{Seed: cfg.Seed + 18, ProbeInterval: cfg.ProbeInterval}
+	opts := tournament.Options{Seed: cfg.Seed + 18}
 
 	results, err := runBracket("E18", specs, tournament.DefaultAlgorithms(), opts)
 	if err != nil {
@@ -132,11 +132,10 @@ func e18Faulted(cfg Config, specs []workload.Spec) (*stats.Table, error) {
 		return nil, fmt.Errorf("E18 faulted: %w", err)
 	}
 	opts := tournament.Options{
-		Seed:          cfg.Seed + 18,
-		ProbeInterval: cfg.ProbeInterval,
-		Faults:        fs,
-		FaultsSeed:    cfg.Seed*77 + 18,
-		Stack:         stack.Spec{Reliable: reliable.Config{RTO: 15, Adaptive: true}},
+		Seed:       cfg.Seed + 18,
+		Faults:     fs,
+		FaultsSeed: cfg.Seed*77 + 18,
+		Stack:      stack.Spec{Reliable: reliable.Config{RTO: 15, Adaptive: true}},
 	}
 
 	results, err := runBracket("E18 faulted", specs, tournament.FaultTolerantAlgorithms(), opts)

@@ -2,13 +2,16 @@ package faults
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
 // FuzzFaultSpecParse checks the spec grammar's core contract: anything
 // Parse accepts must render to a canonical string that re-parses to
 // the same canonical string (Parse ∘ String is the identity on parsed
-// specs), must validate, and String must never panic.
+// specs), must validate, and String must never panic. The canonical
+// string must not depend on the order the windows were given in: the
+// spec with its partitions and crashes reversed renders the same.
 func FuzzFaultSpecParse(f *testing.F) {
 	f.Add("")
 	f.Add("off")
@@ -22,6 +25,10 @@ func FuzzFaultSpecParse(f *testing.F) {
 	f.Add("delayscale=1e300")
 	f.Add("partition=1:2:3-")
 	f.Add("crash=:::")
+	// Windows that tie on (Start, Lo) and on (Start, Node), and two
+	// starts that compare equal but are written apart.
+	f.Add("crash=5:inf:2,crash=5:9:2,partition=0:20:0-5,partition=0:10:0-3")
+	f.Add("partition=-0:1:0-0,partition=0:1:0-0")
 	f.Fuzz(func(t *testing.T, in string) {
 		s, err := Parse(in)
 		if err != nil {
@@ -37,6 +44,13 @@ func FuzzFaultSpecParse(f *testing.F) {
 		}
 		if s2.String() != canon {
 			t.Fatalf("canonical form unstable: %q -> %q", canon, s2.String())
+		}
+		rev := s
+		rev.Partitions, rev.Crashes = slices.Clone(s.Partitions), slices.Clone(s.Crashes)
+		slices.Reverse(rev.Partitions)
+		slices.Reverse(rev.Crashes)
+		if got := rev.String(); got != canon {
+			t.Fatalf("windows of %q in reverse order render %q, want %q", in, got, canon)
 		}
 	})
 }

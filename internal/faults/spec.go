@@ -33,8 +33,9 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -178,24 +179,12 @@ func (s Spec) String() string {
 	add("corrupt", s.Corrupt)
 	add("delay", s.Delay)
 	add("delayscale", s.DelayScale)
-	ps := append([]Partition(nil), s.Partitions...)
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Start != ps[j].Start {
-			return ps[i].Start < ps[j].Start
-		}
-		return ps[i].Lo < ps[j].Lo
-	})
+	ps, cs := slices.Clone(s.Partitions), slices.Clone(s.Crashes)
+	sortWindows(ps, cs)
 	for _, p := range ps {
 		parts = append(parts, fmt.Sprintf("partition=%s:%s:%d-%d",
 			kv.FormatFloat(p.Start), formatEnd(p.End), p.Lo, p.Hi))
 	}
-	cs := append([]Crash(nil), s.Crashes...)
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Start != cs[j].Start {
-			return cs[i].Start < cs[j].Start
-		}
-		return cs[i].Node < cs[j].Node
-	})
 	for _, c := range cs {
 		parts = append(parts, fmt.Sprintf("crash=%s:%s:%d",
 			kv.FormatFloat(c.Start), formatEnd(c.End), c.Node))
@@ -211,6 +200,35 @@ func formatEnd(t float64) string {
 		return "inf"
 	}
 	return kv.FormatFloat(t)
+}
+
+// sortWindows puts partitions in (Start, Lo, Hi, End) order and crashes
+// in (Start, Node, End) order, a never-healing End after every finite
+// one. Both orders are total on parsed windows (Parse reads a -0 start
+// as 0), so the canonical string does not depend on the order the
+// windows were given in.
+func sortWindows(ps []Partition, cs []Crash) {
+	slices.SortFunc(ps, func(a, b Partition) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Lo, b.Lo),
+			cmp.Compare(a.Hi, b.Hi), compareEnd(a.End, b.End))
+	})
+	slices.SortFunc(cs, func(a, b Crash) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Node, b.Node),
+			compareEnd(a.End, b.End))
+	})
+}
+
+// compareEnd orders window ends with NoHeal after every finite end.
+func compareEnd(a, b float64) int {
+	switch {
+	case a == b:
+		return 0
+	case a == NoHeal:
+		return 1
+	case b == NoHeal:
+		return -1
+	}
+	return cmp.Compare(a, b)
 }
 
 // Parse builds a Spec from its string form: comma-separated key=value
@@ -283,20 +301,9 @@ func Parse(in string) (Spec, error) {
 	if err := s.Validate(); err != nil {
 		return s, err
 	}
-	// Normalize: round-trip through String so Parse(String()) is the
+	// Normalize: sort as String does, so Parse(String()) is the
 	// identity on the parsed form.
-	sort.Slice(s.Partitions, func(i, j int) bool {
-		if s.Partitions[i].Start != s.Partitions[j].Start {
-			return s.Partitions[i].Start < s.Partitions[j].Start
-		}
-		return s.Partitions[i].Lo < s.Partitions[j].Lo
-	})
-	sort.Slice(s.Crashes, func(i, j int) bool {
-		if s.Crashes[i].Start != s.Crashes[j].Start {
-			return s.Crashes[i].Start < s.Crashes[j].Start
-		}
-		return s.Crashes[i].Node < s.Crashes[j].Node
-	})
+	sortWindows(s.Partitions, s.Crashes)
 	return s, nil
 }
 
@@ -309,6 +316,9 @@ func parseWindow(v string) (start, end float64, rest string, err error) {
 	start, err = strconv.ParseFloat(fields[0], 64)
 	if err != nil {
 		return 0, 0, "", fmt.Errorf("faults: window start: %v", err)
+	}
+	if start == 0 {
+		start = 0 // -0 reads as 0: the two sort as equal but render apart
 	}
 	if fields[1] == "inf" {
 		end = NoHeal

@@ -33,7 +33,7 @@ type LinkVerdict struct {
 // Implementations must be deterministic functions of their own seeded
 // state: they must NOT draw from the runner's latency source, so that a
 // zero policy leaves a run bit-identical to no policy at all
-// (TestTablesUnchangedByFaultsOff). The event Runner calls the policy
+// (faults.TestZeroSpecMatchesNilPolicy). The event Runner calls the policy
 // from its single scheduler thread; a Cluster serializes calls under a
 // cluster-wide mutex, so implementations need no locking of their own.
 type LinkPolicy interface {

@@ -16,7 +16,7 @@ import (
 //
 //   - Runner — the deterministic discrete-event simulator. The
 //     conformance harness: every protocol result is defined by what
-//     the Runner computes, and the experiment registry (E1–E19) gates
+//     the Runner computes, and the experiment registry (E1–E20) gates
 //     against it bit-for-bit.
 //   - transport.Cluster — the wall-clock concurrent runtime (package
 //     internal/transport): one goroutine and unbounded inbox per node,

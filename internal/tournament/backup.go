@@ -117,5 +117,5 @@ func (BackupPlacement) Run(s *pref.System, tbl *satisfaction.Table, opts Options
 			}
 			return m, nil
 		},
-	}, opts.runtime(), stack.Options{Stack: opts.Stack, ProbeInterval: opts.interval()})
+	}, opts.runtime(), stack.Options{Stack: opts.Stack, ProbeInterval: 1})
 }

@@ -433,5 +433,5 @@ func (GaleShapley) Run(s *pref.System, tbl *satisfaction.Table, opts Options) (s
 		// heaviest unsettled edge settles in bounded time); the cap
 		// turns a bug into an error instead of a hang.
 		MaxDeliveries: 1000*g.NumEdges() + 100_000,
-	}), stack.Options{ProbeInterval: opts.interval()})
+	}), stack.Options{ProbeInterval: 1})
 }

@@ -21,6 +21,6 @@ func (LID) Name() string { return "lid" }
 
 // Run implements Algorithm.
 func (LID) Run(s *pref.System, tbl *satisfaction.Table, opts Options) (stack.Result, error) {
-	res, err := lid.Run(s, tbl, opts.runtime(), lid.RunOptions{Stack: opts.Stack, ProbeInterval: opts.interval()})
+	res, err := lid.Run(s, tbl, opts.runtime(), lid.RunOptions{Stack: opts.Stack, ProbeInterval: 1})
 	return res.Result, err
 }

@@ -38,12 +38,9 @@ type Options struct {
 	// instance build).
 	Seed uint64
 	// Workers parallelizes the deterministic builds (preference lists,
-	// satisfaction table); 0 means 1. Output is bit-identical for any
-	// value.
+	// satisfaction table); 0 means GOMAXPROCS. Output is bit-identical
+	// for any value.
 	Workers int
-	// ProbeInterval is the virtual-time spacing of the stability
-	// probes; 0 means 1 (one probe per unit-latency round).
-	ProbeInterval float64
 
 	// Faults, when non-zero, is the link-level adversary every cell
 	// runs under (crash windows, drops, ...); FaultsSeed seeds the
@@ -56,20 +53,6 @@ type Options struct {
 	// (a healing crash window still drops everything in flight); the
 	// faulted axis stacks it with adaptive RFC-6298 estimation.
 	Stack stack.Spec
-}
-
-func (o Options) interval() float64 {
-	if o.ProbeInterval > 0 {
-		return o.ProbeInterval
-	}
-	return 1
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return 1
 }
 
 // runtime returns the event runtime of one cell: the cell's seed and a
@@ -86,7 +69,8 @@ func (o Options) runtime() simnet.Runtime {
 // Algorithm is one tournament contender. Run executes the contender
 // on the instance through the run recipe (stack.Run) with the cell's
 // runtime and options, so every cell's stability columns come from
-// the same prober.
+// the same prober, probing once per unit of virtual time (one
+// unit-latency round, the resolution E17 reports rounds-to-ε at).
 type Algorithm interface {
 	Name() string
 	Run(s *pref.System, tbl *satisfaction.Table, opts Options) (stack.Result, error)
@@ -140,7 +124,7 @@ type Cell struct {
 func RunCell(inst *workload.Instance, alg Algorithm, opts Options) (Cell, stack.Result, error) {
 	sys := inst.System
 	g := sys.Graph()
-	tbl := satisfaction.NewTableParallel(sys, opts.workers())
+	tbl := satisfaction.NewTableParallel(sys, opts.Workers)
 
 	out, err := alg.Run(sys, tbl, opts)
 	if err != nil {
@@ -194,7 +178,7 @@ type ScenarioResult struct {
 func RunBracket(specs []workload.Spec, algs []Algorithm, opts Options) ([]ScenarioResult, error) {
 	var results []ScenarioResult
 	for _, spec := range specs {
-		inst, err := workload.Build(spec, InstanceSeed(opts.Seed, spec), opts.workers())
+		inst, err := workload.Build(spec, InstanceSeed(opts.Seed, spec), opts.Workers)
 		if err != nil {
 			return nil, err
 		}
